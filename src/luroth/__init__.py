@@ -7,7 +7,6 @@ from .forms import (
     ParseError,
     PreconditionError,
     TernaryForm,
-    divides,
     form_from_json,
     form_gcd,
     parse_form,

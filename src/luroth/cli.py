@@ -127,19 +127,19 @@ def cmd_quartic_analyze(args) -> int:
     except (ParseError, HomogeneityError, InputError) as exc:
         _emit({"status": "error", "message": str(exc)}, as_json)
         return EXIT_INPUT_ERROR
-    report_flags = nodal.verify_node(quartic, node)
-    if not report_flags.all_ok():
+    try:
+        analysis = nodal.classify(quartic, node)
+    except nodal.NodeError as exc:
         _emit({"command": "quartic analyze", "status": "error",
                "message": "node verification failed",
-               "node_report": report_flags.flags()}, as_json)
+               "node_report": exc.report.flags()}, as_json)
         return EXIT_PRECONDITION
-    analysis = nodal.classify(quartic, node)
     data = analysis.conic_data
     dec = analysis.decomposition
     report = {
         "command": "quartic analyze",
         "status": "ok",
-        "node_report": report_flags.flags(),
+        "node_report": analysis.report.flags(),
         "f2": _form_field(dec.f2, as_json),
         "f3": _form_field(dec.f3, as_json),
         "f4": _form_field(dec.f4, as_json),

@@ -430,7 +430,7 @@ def form_from_json(data: Mapping):
     return TernaryForm.from_terms(degree, variables, terms)
 
 
-# univariate helpers for binary-form division (dehomogenize at v1 = 1)
+# univariate helpers for the binary-form gcd (dehomogenize at v1 = 1)
 
 def _to_univariate(f: BinaryForm) -> list[Fraction]:
     # ascending coefficients in x = v0; u[k] = coeff of v0^k
@@ -466,30 +466,6 @@ def _from_univariate(u: list[Fraction], degree: int, variables: tuple[str, str])
     for k, c in enumerate(u):
         coeffs[degree - k] = c
     return BinaryForm(degree, variables, tuple(coeffs))
-
-
-def divides(q: BinaryForm, gamma: BinaryForm, power: int = 1):
-    """Whether q^power divides gamma exactly; returns (flag, quotient or None).
-
-    Division is done on the dehomogenization at v1 = 1, with the v1-adic
-    multiplicity (roots at infinity) accounted for separately.
-    """
-    if power < 1:
-        raise ValueError("power must be positive")
-    if q.is_zero():
-        raise PreconditionError("divisor must be nonzero")
-    if q.degree * power > gamma.degree:
-        raise PreconditionError("degree overflow: deg(q)*power exceeds deg(gamma)")
-    quot_degree = gamma.degree - q.degree * power
-    if gamma.is_zero():
-        return True, BinaryForm.zero(quot_degree, gamma.variables)
-    d = q.power(power)
-    if gamma.v1_multiplicity() < d.v1_multiplicity():
-        return False, None
-    uq, ur = _unidivmod(_to_univariate(gamma), _to_univariate(d))
-    if ur:
-        return False, None
-    return True, _from_univariate(uq, quot_degree, gamma.variables)
 
 
 def form_gcd(g: BinaryForm, h: BinaryForm) -> BinaryForm:

@@ -4,6 +4,11 @@ Rational matrices are plain lists of Fraction rows.  The polynomial
 determinant is division-free: a row-by-row expansion memoized over column
 subsets, which is well suited to the small, sparse degree-<=1 matrices that
 arise from curve presentations.
+
+`shifted_multiples` is the one multiplication map of the package: the
+coefficient vectors of a binary form times every monomial of a degree.  It
+builds the Sylvester matrix, the Koszul system of the nodal pipeline and the
+shifted-pullback columns of the curve presentation.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from .forms import (
     PreconditionError,
     TermMap,
     TernaryForm,
+    _q,
     add_terms,
     mul_terms,
     scale_terms,
@@ -25,10 +31,6 @@ from .forms import (
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
-
-
-def _q(value) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 def as_matrix(rows: Sequence[Sequence]) -> Matrix:
@@ -108,7 +110,7 @@ def det_rational(rows: Sequence[Sequence]) -> Fraction:
 def invert(rows: Sequence[Sequence]) -> Matrix:
     m = as_matrix(rows)
     n = len(m)
-    aug = [m[i] + identity(n)[i] for i in range(n)]
+    aug = [row + unit for row, unit in zip(m, identity(n))]
     red, pivots = _row_echelon(aug)
     if pivots[:n] != list(range(n)):
         raise PreconditionError("matrix is singular")
@@ -163,22 +165,19 @@ def nullspace(rows: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
 # ---------------------------------------------------------------------------
 # resultants and discriminants
 
+def shifted_multiples(f: BinaryForm, k: int) -> list[list[Fraction]]:
+    """Coefficient vectors of f * v0^(k-1-i) * v1^i for i = 0..k-1.
+
+    A monomial factor only shifts coefficients, so vector i is f.coeffs with
+    i zeros before and k-1-i zeros after.
+    """
+    zero = Fraction(0)
+    return [[zero] * i + list(f.coeffs) + [zero] * (k - 1 - i) for i in range(k)]
+
+
 def sylvester_matrix(g: BinaryForm, h: BinaryForm) -> Matrix:
     """Sylvester matrix with deg(h) rows of g-coefficients first."""
-    m, n = g.degree, h.degree
-    size = m + n
-    rows = []
-    for shift in range(n):
-        row = [Fraction(0)] * size
-        for j, c in enumerate(g.coeffs):
-            row[shift + j] = c
-        rows.append(row)
-    for shift in range(m):
-        row = [Fraction(0)] * size
-        for j, c in enumerate(h.coeffs):
-            row[shift + j] = c
-        rows.append(row)
-    return rows
+    return shifted_multiples(g, h.degree) + shifted_multiples(h, g.degree)
 
 
 def sylvester_resultant(g: BinaryForm, h: BinaryForm) -> Fraction:

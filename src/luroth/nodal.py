@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .forms import BinaryForm, PreconditionError, TernaryForm
+from .forms import BinaryForm, PreconditionError, TernaryForm, _q
 from .linalg import (
     Matrix,
     conic_det3,
@@ -23,18 +23,22 @@ from .linalg import (
     disc_binary_quadratic,
     invert,
     mat_vec,
+    shifted_multiples,
     solve_linear,
     sylvester_resultant,
 )
 from .poncelet import normalize_projective
 
 
-def _q(value) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
-
-
 class NodeError(PreconditionError):
-    """The given point is not an admissible ordinary node of the quartic."""
+    """The given point is not an admissible ordinary node of the quartic.
+
+    report holds the failed node flags when verification produced them.
+    """
+
+    def __init__(self, message: str, report: NodeReport | None = None):
+        super().__init__(message)
+        self.report = report
 
 
 @dataclass(frozen=True)
@@ -117,22 +121,33 @@ def _node_transform(point: Sequence) -> tuple[Matrix, int]:
     return transform, pivot
 
 
+def _graded_split(quartic: TernaryForm, transform: Matrix,
+                  pair: tuple[str, str]) -> list[BinaryForm]:
+    """Pieces f0..f4 of the moved quartic sum t^(4-i) * f_i(pair), t last."""
+    moved = quartic.substitute_linear(transform)
+    coeffs = [[Fraction(0)] * (i + 1) for i in range(5)]
+    for (_, b, c), coef in moved.terms.items():
+        coeffs[4 - c][b] = coef
+    return [BinaryForm(i, pair, tuple(cs)) for i, cs in enumerate(coeffs)]
+
+
+def _assemble(pieces: Sequence[tuple[int, BinaryForm]], t_var: str,
+              var_order: tuple[str, str, str]) -> TernaryForm:
+    """sum t^k * g_k over (k, g_k) pieces, in the requested variable order."""
+    k0, g0 = pieces[0]
+    pair = g0.variables
+    terms = {(a, b, k): c for k, g in pieces for (a, b), c in g.terms().items()}
+    return TernaryForm.from_terms(k0 + g0.degree, (pair[0], pair[1], t_var),
+                                  terms).with_vars(var_order)
+
+
 def _decompose(quartic: TernaryForm, point: Sequence) -> tuple[Matrix, tuple[str, str], str, list[BinaryForm]]:
     """Graded pieces f0..f4 of the quartic in node-centered coordinates."""
     transform, pivot = _node_transform(point)
-    moved = quartic.substitute_linear(transform)
     variables = quartic.variables
     others = [i for i in range(3) if i != pivot]
     pair = (variables[others[0]], variables[others[1]])
-    t_var = variables[pivot]
-    pieces = []
-    for i in range(5):  # f_i has degree i, multiplying t^(4-i)
-        coeffs = [Fraction(0)] * (i + 1)
-        for (a, b, c), coef in moved.terms.items():
-            if c == 4 - i:
-                coeffs[b] = coef
-        pieces.append(BinaryForm(i, pair, tuple(coeffs)))
-    return transform, pair, t_var, pieces
+    return transform, pair, variables[pivot], _graded_split(quartic, transform, pair)
 
 
 def verify_node(quartic: TernaryForm, point: Sequence) -> NodeReport:
@@ -168,39 +183,22 @@ def normalize_at_node(quartic: TernaryForm, point: Sequence) -> NodeDecompositio
 def assemble_quartic(f2: BinaryForm, f3: BinaryForm, f4: BinaryForm,
                      t_var: str, var_order: tuple[str, str, str]) -> TernaryForm:
     """t^2*f2 + t*f3 + f4 as a ternary quartic in the requested variable order."""
-    pair = f2.variables
-    triple = (pair[0], pair[1], t_var)
-    terms = {}
-    for t_power, f in ((2, f2), (1, f3), (0, f4)):
-        for (a, b), c in f.terms().items():
-            terms[(a, b, t_power)] = c
-    return TernaryForm.from_terms(4, triple, terms).with_vars(var_order)
+    return _assemble(((2, f2), (1, f3), (0, f4)), t_var, var_order)
 
 
 def _conic_form(phi: BinaryForm, psi: BinaryForm, t_var: str,
                 var_order: tuple[str, str, str]) -> TernaryForm:
-    pair = phi.variables
-    triple = (pair[0], pair[1], t_var)
-    terms = {(0, 0, 2): Fraction(1)}
-    for (a, b), c in phi.terms().items():
-        terms[(a, b, 1)] = 2 * c
-    for (a, b), c in psi.terms().items():
-        terms[(a, b, 0)] = terms.get((a, b, 0), Fraction(0)) - c
-    return TernaryForm.from_terms(2, triple, terms).with_vars(var_order)
+    """The conic t^2 + 2*t*phi - psi."""
+    one = BinaryForm.from_coeffs(phi.variables, [1])
+    return _assemble(((2, one), (1, phi.scale(2)), (0, -psi)), t_var, var_order)
 
 
 def koszul_solve(f2: BinaryForm, f3: BinaryForm,
                  rhs: BinaryForm) -> tuple[BinaryForm, BinaryForm]:
     """Unique (phi linear, psi quadratic) with phi*f3 + psi*f2 = rhs (degree 4)."""
     pair = f2.variables
-    columns = []
-    for phi_idx in range(2):
-        basis = BinaryForm.from_coeffs(pair, [1 if j == phi_idx else 0 for j in range(2)])
-        columns.append(list((basis * f3).coeffs))
-    for psi_idx in range(3):
-        basis = BinaryForm.from_coeffs(pair, [1 if j == psi_idx else 0 for j in range(3)])
-        columns.append(list((basis * f2).coeffs))
-    system = [[columns[c][r] for c in range(5)] for r in range(5)]
+    columns = shifted_multiples(f3, 2) + shifted_multiples(f2, 3)
+    system = [list(row) for row in zip(*columns)]
     solution = solve_linear(system, list(rhs.coeffs))
     if solution.status != "unique":
         raise PreconditionError(
@@ -225,7 +223,7 @@ def classify(quartic: TernaryForm, point: Sequence) -> NodalQuarticAnalysis:
     """Full nodal analysis; the verdict is type II exactly when det3 = 0."""
     report = verify_node(quartic, point)
     if not report.all_ok():
-        raise NodeError(f"node verification failed: {report.flags()}")
+        raise NodeError(f"node verification failed: {report.flags()}", report)
     dec = normalize_at_node(quartic, point)
     data = associated_conic(dec)
     type_two = data.det3 == 0
@@ -265,8 +263,11 @@ def tangent_map(dec: NodeDecomposition, data: AssociatedConicData,
     """
     if disc_binary_quadratic(dec.f2) == 0:
         raise PreconditionError("node is not ordinary: degenerate tangent cone")
-    g_pieces = _direction_pieces(dec, direction)
-    g0, g1, g2, g3, g4 = g_pieces
+    if direction.degree != 4:
+        raise PreconditionError("direction must be a quartic")
+    if direction.variables != dec.original_vars:
+        raise ValueError("direction must use the quartic's variable triple")
+    g0, g1, g2, g3, g4 = _graded_split(direction, dec.transform, dec.pair)
     if not g0.is_zero():
         raise PreconditionError("direction quartic does not vanish at the node")
     pair = dec.pair
@@ -278,42 +279,14 @@ def tangent_map(dec: NodeDecomposition, data: AssociatedConicData,
     df4 = dec.f4.directional(xi) if not dec.f4.is_zero() else BinaryForm.zero(3, pair)
     rhs_form = g4 - (g3 + df4) * data.phi - (g2 + df3) * data.psi
     phi_dot, psi_dot = koszul_solve(dec.f2, dec.f3, rhs_form)
-    velocity = _conic_velocity(phi_dot, psi_dot, dec.t_var, dec.original_vars)
+    velocity = _assemble(((1, phi_dot.scale(2)), (0, -psi_dot)),
+                         dec.t_var, dec.original_vars)
     return TangentMapResult((xi[0], xi[1]), phi_dot, psi_dot, velocity)
 
 
 def _hessian(f2: BinaryForm) -> Matrix:
     p, q, r = f2.coeffs
     return [[2 * p, q], [q, 2 * r]]
-
-
-def _direction_pieces(dec: NodeDecomposition, direction: TernaryForm) -> list[BinaryForm]:
-    if direction.degree != 4:
-        raise PreconditionError("direction must be a quartic")
-    if direction.variables != dec.original_vars:
-        raise ValueError("direction must use the quartic's variable triple")
-    moved = direction.substitute_linear(dec.transform)
-    # slots of the substituted form are the new coordinates (pair0, pair1, t)
-    pieces = []
-    for i in range(5):
-        coeffs = [Fraction(0)] * (i + 1)
-        for (a, b, c), coef in moved.terms.items():
-            if c == 4 - i:
-                coeffs[b] = coef
-        pieces.append(BinaryForm(i, dec.pair, tuple(coeffs)))
-    return pieces
-
-
-def _conic_velocity(phi_dot: BinaryForm, psi_dot: BinaryForm, t_var: str,
-                    var_order: tuple[str, str, str]) -> TernaryForm:
-    pair = phi_dot.variables
-    triple = (pair[0], pair[1], t_var)
-    terms = {}
-    for (a, b), c in phi_dot.terms().items():
-        terms[(a, b, 1)] = 2 * c
-    for (a, b), c in psi_dot.terms().items():
-        terms[(a, b, 0)] = terms.get((a, b, 0), Fraction(0)) - c
-    return TernaryForm.from_terms(2, triple, terms).with_vars(var_order)
 
 
 def quartic_from_conic_and_cubic(f2: BinaryForm, f3: BinaryForm,

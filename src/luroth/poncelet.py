@@ -11,23 +11,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
-from .forms import BinaryForm, PreconditionError, TernaryForm, form_gcd
+from .forms import BinaryForm, PreconditionError, TernaryForm, _q
 from .linalg import (
     PolyMatrix,
     nullspace,
     rank,
+    shifted_multiples,
     sylvester_resultant,
 )
 
 PRIMAL_VARS = ("x", "y", "t")
 DUAL_VARS = ("u", "v", "w")
 PARAM_VARS = ("s0", "s1")
-
-
-def _q(value) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
+_UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))  # exponents of u, v, w
 
 
 def projectively_equal(a: Sequence, b: Sequence) -> bool:
@@ -41,7 +40,6 @@ def normalize_projective(point: Sequence) -> tuple[Fraction, ...]:
     p = [_q(x) for x in point]
     if all(x == 0 for x in p):
         raise ValueError("the zero vector is not a projective point")
-    from math import gcd, lcm
     denom = lcm(*(x.denominator for x in p))
     ints = [int(x * denom) for x in p]
     g = gcd(*ints)
@@ -146,24 +144,11 @@ def line_pullback(conic: ConicParam, line: Sequence) -> BinaryForm:
 def _pullback_columns(conic: ConicParam, n: int,
                       dual_vars: tuple[str, str, str]) -> list[list[TernaryForm]]:
     """Columns of coefficients of q * s0^(n-1-i) * s1^i, linear in (u,v,w)."""
-    pair = conic.param_vars
-    columns = []
-    for i in range(n):
-        shift = BinaryForm.from_coeffs(
-            pair, [1 if j == i else 0 for j in range(n)])
-        column = []
-        shifted = [p * shift for p in (conic.p0, conic.p1, conic.p2)]
-        for row in range(n + 2):
-            terms = {}
-            for var_idx, s in enumerate(shifted):
-                c = s.coeffs[row]
-                if c:
-                    exp = tuple(1 if k == var_idx else 0 for k in range(3))
-                    terms[exp] = c
-            column.append(TernaryForm.from_terms(1, dual_vars, terms)
-                          if terms else TernaryForm.zero(1, dual_vars))
-        columns.append(column)
-    return columns
+    shifted = [shifted_multiples(p, n) for p in (conic.p0, conic.p1, conic.p2)]
+    return [[TernaryForm.from_terms(1, dual_vars, {
+                _UNIT[var]: multiples[i][row] for var, multiples in enumerate(shifted)})
+             for row in range(n + 2)]
+            for i in range(n)]
 
 
 def poncelet_matrix(conic: ConicParam, pencil: PonceletPencil,
@@ -206,11 +191,8 @@ def is_jumping_line(conic: ConicParam, pencil: PonceletPencil,
     """
     n = pencil.n
     q = line_pullback(conic, line)
-    columns = [list(pencil.gamma1.coeffs), list(pencil.gamma2.coeffs)]
-    for i in range(n):
-        shift = BinaryForm.from_coeffs(
-            conic.param_vars, [1 if j == i else 0 for j in range(n)])
-        columns.append(list((q * shift).coeffs))
+    columns = ([list(pencil.gamma1.coeffs), list(pencil.gamma2.coeffs)]
+               + shifted_multiples(q, n))
     matrix = [[columns[j][i] for j in range(n + 2)] for i in range(n + 2)]
     return rank(matrix) < n + 2
 
@@ -238,12 +220,7 @@ def singular_jump_criterion(conic: ConicParam, pencil: PonceletPencil,
         raise PreconditionError("singular-jump criterion requires a base-point-free pencil")
     n = pencil.n
     q2 = line_pullback(conic, line).power(2)
-    shifts = max(n - 2, 0)
-    columns = []
-    for i in range(shifts):
-        shift = BinaryForm.from_coeffs(
-            conic.param_vars, [1 if j == i else 0 for j in range(shifts)])
-        columns.append(list((q2 * shift).coeffs))
+    columns = shifted_multiples(q2, max(n - 2, 0))
     base_rank = rank([[col[r] for col in columns] for r in range(n + 2)]) if columns else 0
     with_gammas = columns + [list(pencil.gamma1.coeffs), list(pencil.gamma2.coeffs)]
     full_rank = rank([[col[r] for col in with_gammas] for r in range(n + 2)])
@@ -258,52 +235,41 @@ FAMILY_NAMES = ("eps91", "92", "93")
 
 def family_matrix(name: str, param=0,
                   dual_vars: tuple[str, str, str] = DUAL_VARS) -> PolyMatrix:
-    """One of the three worked 6x6 determinantal families over (u, v, w)."""
-    p = _q(param)
-    u, v, w = ({(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1})
+    """One of the three worked 6x6 determinantal families over (u, v, w).
 
-    def lin(terms_scaled):
-        terms = {}
-        for base, scalar in terms_scaled:
-            for e, c in base.items():
-                val = _q(c) * _q(scalar)
-                if val:
-                    terms[e] = terms.get(e, Fraction(0)) + val
-        return TernaryForm.from_terms(1, dual_vars, terms)
+    "92" is "93" at c = 0, so it ignores the parameter.
+    """
+    if name not in FAMILY_NAMES:
+        raise ValueError(f"unknown family name {name!r}; expected one of {FAMILY_NAMES}")
+    p = _q(param)
+    U, V, W = _UNIT
 
     def const(c):
         return TernaryForm.constant(c, dual_vars)
 
-    z1 = TernaryForm.zero(1, dual_vars)
+    def lin(exp, c=1):
+        return TernaryForm.from_terms(1, dual_vars, {exp: c})
+
+    z = TernaryForm.zero(1, dual_vars)
     if name == "eps91":
         rows = [
-            [const(1), const(0), lin([(v, 1)]), z1, z1, z1],
-            [const(0), const(0), lin([(w, 1)]), lin([(v, 1)]), z1, z1],
-            [const(1), const(0), lin([(u, p)]), lin([(w, 1)]), z1, lin([(v, -1)])],
-            [const(0), const(1), z1, z1, lin([(u, 1)]), z1],
-            [const(2), const(0), z1, z1, lin([(w, 1)]), lin([(u, 1)])],
-            [const(0), const(1), z1, lin([(u, -p)]), lin([(v, p)]), lin([(w, 1)])],
-        ]
-    elif name == "92":
-        rows = [
-            [const(0), const(-1), lin([(v, 1)]), z1, z1, z1],
-            [const(0), const(0), lin([(w, 1)]), lin([(v, 1)]), z1, z1],
-            [const(1), const(0), lin([(u, 1)]), lin([(w, 1)]), z1, lin([(v, -1)])],
-            [const(0), const(1), z1, z1, lin([(u, 1)]), z1],
-            [const(0), const(0), z1, z1, lin([(w, 1)]), lin([(u, 1)])],
-            [const(1), const(0), z1, lin([(u, -1)]), lin([(v, 1)]), lin([(w, 1)])],
-        ]
-    elif name == "93":
-        rows = [
-            [const(0), const(-1), lin([(v, 1)]), z1, z1, z1],
-            [const(0), const(0), lin([(w, 1)]), lin([(v, 1)]), z1, z1],
-            [const(1), const(p), lin([(u, 1)]), lin([(w, 1)]), z1, lin([(v, -1)])],
-            [const(0), const(1), z1, z1, lin([(u, 1)]), z1],
-            [const(0), const(0), z1, z1, lin([(w, 1)]), lin([(u, 1)])],
-            [const(1), const(-p), z1, lin([(u, -1)]), lin([(v, 1)]), lin([(w, 1)])],
+            [const(1), const(0), lin(V), z, z, z],
+            [const(0), const(0), lin(W), lin(V), z, z],
+            [const(1), const(0), lin(U, p), lin(W), z, lin(V, -1)],
+            [const(0), const(1), z, z, lin(U), z],
+            [const(2), const(0), z, z, lin(W), lin(U)],
+            [const(0), const(1), z, lin(U, -p), lin(V, p), lin(W)],
         ]
     else:
-        raise ValueError(f"unknown family name {name!r}; expected one of {FAMILY_NAMES}")
+        c = p if name == "93" else Fraction(0)
+        rows = [
+            [const(0), const(-1), lin(V), z, z, z],
+            [const(0), const(0), lin(W), lin(V), z, z],
+            [const(1), const(c), lin(U), lin(W), z, lin(V, -1)],
+            [const(0), const(1), z, z, lin(U), z],
+            [const(0), const(0), z, z, lin(W), lin(U)],
+            [const(1), const(-c), z, lin(U, -1), lin(V), lin(W)],
+        ]
     return PolyMatrix.from_rows(rows)
 
 

@@ -1,4 +1,4 @@
-"""Parser, binary/ternary form arithmetic, division and serialization."""
+"""Parser, binary/ternary form arithmetic, gcd and serialization."""
 
 import json
 import random
@@ -12,7 +12,6 @@ from luroth.forms import (
     ParseError,
     PreconditionError,
     TernaryForm,
-    divides,
     form_from_json,
     form_gcd,
     parse_form,
@@ -217,52 +216,7 @@ def test_substitute_singular_rejected():
 
 
 # ---------------------------------------------------------------------------
-# division
-
-def test_divides_square_times_cofactor():
-    q = parse_form("v^2 - 2*v*w", PAIR)
-    h = parse_form("v^2 + w^2", PAIR)
-    gamma = q * q * h
-    ok, quotient = divides(q, gamma, power=2)
-    assert ok and quotient == h
-
-
-def test_divides_false_with_root_at_infinity():
-    # (v*w)^2 has w-multiplicity 2; gamma carries only a single w factor
-    q = parse_form("v*w", PAIR)
-    gamma = parse_form("v^2*w*(v^2+w^2)", PAIR) + BinaryForm.from_coeffs(
-        PAIR, [1, 0, 0, 0, 0, 0])
-    ok, quotient = divides(q, gamma, power=2)
-    assert not ok and quotient is None
-
-
-def test_divides_degree_overflow():
-    with pytest.raises(PreconditionError):
-        divides(parse_form("v^2", PAIR), parse_form("v^3", PAIR), power=2)
-
-
-def test_divides_multiply_back_oracle():
-    rng = random.Random(404)
-    hits = 0
-    for _ in range(100):
-        power = rng.randint(1, 2)
-        dq = rng.randint(1, 2)
-        q = rand_binary(rng, dq)
-        while q.is_zero():
-            q = rand_binary(rng, dq)
-        extra = rng.randint(0, 2)
-        gamma = (q.power(power) * rand_binary(rng, extra) if rng.random() < 0.5
-                 else rand_binary(rng, dq * power + extra))
-        if gamma.degree < q.degree * power:
-            continue
-        ok, quotient = divides(q, gamma, power)
-        if ok:
-            hits += 1
-            assert q.power(power) * quotient == gamma
-        else:
-            assert quotient is None
-    assert hits >= 25  # the constructed half of the instances must divide
-
+# gcd against the resultant
 
 def test_resultant_gcd_equivalence():
     rng = random.Random(505)

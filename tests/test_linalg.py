@@ -17,6 +17,7 @@ from luroth.linalg import (
     mat_mul,
     nullspace,
     rank,
+    shifted_multiples,
     solve_linear,
     sylvester_matrix,
     sylvester_resultant,
@@ -85,6 +86,24 @@ def test_invert_round_trip():
         if det_rational(m) == 0:
             continue
         assert mat_mul(m, invert(m)) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+# ---------------------------------------------------------------------------
+# the multiplication map
+
+def test_shifted_multiples_match_monomial_products():
+    rng = random.Random(808)
+    for _ in range(40):
+        f = BinaryForm.from_coeffs(PAIR, [rng.randint(-9, 9)
+                                          for _ in range(rng.randint(1, 6))])
+        for k in range(7):
+            monomials = [BinaryForm.from_coeffs(PAIR, [int(j == i) for j in range(k)])
+                         for i in range(k)]
+            assert shifted_multiples(f, k) == [list((f * m).coeffs) for m in monomials]
+
+
+def test_shifted_multiples_of_degree_zero_is_empty():
+    assert shifted_multiples(parse_form("v^2 - w^2", PAIR), 0) == []
 
 
 # ---------------------------------------------------------------------------

@@ -327,6 +327,17 @@ def test_family_93_expansion():
         assert det.proportional_to(expected)
 
 
+def test_family_92_ignores_param_and_is_93_at_zero():
+    base = family_matrix("92")
+    at_zero = family_matrix("93", 0)
+    for p in (Fraction(2), Fraction(-1, 4), Fraction(5)):
+        assert family_matrix("92", p) == base
+    for i in range(6):
+        for j in range(6):
+            assert base.entry(i, j) == at_zero.entry(i, j)
+            assert base.entry(i, j).degree == at_zero.entry(i, j).degree
+
+
 def test_family_unknown_name():
     with pytest.raises(ValueError):
         family_matrix("94")
