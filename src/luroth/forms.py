@@ -40,8 +40,8 @@ def _q(value) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# sparse term-map arithmetic (shared by the parser, TernaryForm and the
-# polynomial determinant in linalg)
+# sparse term-map arithmetic (shared by the parser, TernaryForm, the
+# polynomial determinant in linalg and the curve kernel in poncelet)
 
 def clean_terms(terms: Mapping[Exp, Fraction]) -> TermMap:
     return {e: c for e, c in terms.items() if c != 0}
@@ -75,6 +75,46 @@ def scale_terms(c: Fraction, a: Mapping[Exp, Fraction]) -> TermMap:
     if c == 0:
         return {}
     return {e: c * v for e, v in a.items()}
+
+
+_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def _times_linear(terms: Mapping[Exp, object], line) -> dict:
+    """terms * (sum of t * x_k over the (unit exponent of x_k, t) pairs in line)."""
+    out: dict = {}
+    for (i, j, k), c in terms.items():
+        for (di, dj, dk), t in line:
+            e = (i + di, j + dj, k + dk)
+            out[e] = out.get(e, 0) + c * t
+    return out
+
+
+def substitute_terms(terms: Mapping[Exp, object], degree: int,
+                     m: Sequence[Sequence]) -> dict:
+    """Terms of a ternary form after x_i := L_i = sum_j m[i][j]*x_j.
+
+    Homogeneous Horner, multiplying only by linear forms: sum_a x0^a f_a(x1, x2)
+    is (..(f_d*L0 + f_(d-1))*L0 ..) + f_0, each f_a Horner in L1 over L2^k.
+    Coefficients may be of any numeric type; ints stay ints.
+    """
+    l0, l1, l2 = ([(_UNITS[j], m[i][j]) for j in range(3) if m[i][j]] for i in range(3))
+    powers = [{(0, 0, 0): 1}]
+    for _ in range(degree):
+        powers.append(_times_linear(powers[-1], l2))
+    out: dict = {}
+    for a in range(degree, -1, -1):
+        out = _times_linear(out, l0)
+        part: dict = {}
+        for b in range(degree - a, -1, -1):
+            part = _times_linear(part, l1)
+            c = terms.get((a, b, degree - a - b))
+            if c:
+                for e, p in powers[degree - a - b].items():
+                    part[e] = part.get(e, 0) + c * p
+        for e, p in part.items():
+            out[e] = out.get(e, 0) + p
+    return {e: c for e, c in out.items() if c}
 
 
 def _term_degrees(terms: Mapping[Exp, Fraction]) -> set[int]:
@@ -221,6 +261,8 @@ class _Parser:
                 kind3, val3, at3 = self.next()
                 if kind3 != "int":
                     raise ParseError("expected integer denominator", at3)
+                if int(val3) == 0:
+                    raise ParseError("zero denominator", at3)
                 coef = Fraction(num, int(val3))
             else:
                 coef = Fraction(num)
@@ -584,25 +626,8 @@ class TernaryForm:
         m = [[_q(t[i][j]) for j in range(3)] for i in range(3)]
         if det_rational(m) == 0:
             raise PreconditionError("coordinate change matrix is singular")
-        lines = [{tuple(1 if k == j else 0 for k in range(3)): m[i][j]
-                  for j in range(3) if m[i][j]} for i in range(3)]
-        powers: list[dict[int, TermMap]] = [{0: {(0, 0, 0): Fraction(1)}} for _ in range(3)]
-        out: TermMap = {}
-        for e, c in self.terms.items():
-            prod: TermMap = {(0, 0, 0): c}
-            for i, k in enumerate(e):
-                if k == 0:
-                    continue
-                cache = powers[i]
-                if k not in cache:
-                    top = max(cache)
-                    cur = cache[top]
-                    for m_ in range(top + 1, k + 1):
-                        cur = mul_terms(cur, lines[i])
-                        cache[m_] = cur
-                prod = mul_terms(prod, cache[k])
-            out = add_terms(out, prod)
-        return TernaryForm(self.degree, self.variables, out)
+        return TernaryForm(self.degree, self.variables,
+                           substitute_terms(self.terms, self.degree, m))
 
     def with_vars(self, new_variables: tuple[str, str, str]) -> "TernaryForm":
         """Reorder the variable triple (same names, permuted positions)."""

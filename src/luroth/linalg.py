@@ -2,8 +2,10 @@
 
 Rational matrices are plain lists of Fraction rows.  The polynomial
 determinant is division-free: a row-by-row expansion memoized over column
-subsets, which is well suited to the small, sparse degree-<=1 matrices that
-arise from curve presentations.
+subsets, exponential in the size.  It serves only the worked 6x6 families and
+the test oracle: `poncelet` computes jumping-line curves (Barth 1977) from a
+closed form in the pencil's Bezout matrix, sum B_ij x^i y^j =
+(g1(x)g2(y) - g1(y)g2(x))/(x - y), and the pullback of the line.
 
 `shifted_multiples` is the one multiplication map of the package: the
 coefficient vectors of a binary form times every monomial of a degree.  It

@@ -3,8 +3,21 @@
 A smooth plane conic is handled through a degree-2 parametrization by the
 projective line.  A pencil of degree-(n+1) binary forms on the parametrizing
 line determines a degree-n curve in the dual plane: the determinant of an
-(n+2)x(n+2) matrix whose constant columns hold the pencil and whose linear
-columns hold the shifted pullback of the moving line.
+(n+2)x(n+2) matrix M whose constant columns hold the pencil and whose linear
+columns hold the shifted pullback of the moving line (Barth, Math. Ann. 1977).
+
+The curve comes from a closed form of det M.  The line (u, v, w) pulls back to
+q = a*s0^2 + b*s0*s1 + l*s1^2 with (a, b, l) = T*(u, v, w), T[k][j] the
+coefficient k of p_j.  Modulo q the generators are their values at the roots
+x1, x2 of q(1, x), so det M is a constant times l^n * Bez(x1, x2) for the
+pencil's Bezout matrix, Bez(x, y) = (g1(x)g2(y) - g1(y)g2(x))/(x - y) =
+sum B_ij x^i y^j.  With P_m the power sums of the roots of r^2 + b*r + a*l,
+
+    G(a, b, l) = sum_i B_ii a^i l^(n-i) + sum_(i<j) B_ij a^i l^(n-j) P_(j-i)
+
+is +-det M identically: the curve is G(T*(u, v, w)), and a line is jumping
+when G vanishes at its pullback.  The bitmask determinant of `poncelet_matrix`
+serves only the worked 6x6 families and the test oracle.
 """
 
 from __future__ import annotations
@@ -14,7 +27,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .forms import BinaryForm, PreconditionError, TernaryForm, _q
+from .forms import (BinaryForm, PreconditionError, TernaryForm, _q, _UNITS,
+                    substitute_terms)
 from .linalg import (
     PolyMatrix,
     nullspace,
@@ -26,7 +40,6 @@ from .linalg import (
 PRIMAL_VARS = ("x", "y", "t")
 DUAL_VARS = ("u", "v", "w")
 PARAM_VARS = ("s0", "s1")
-_UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))  # exponents of u, v, w
 
 
 def projectively_equal(a: Sequence, b: Sequence) -> bool:
@@ -35,13 +48,18 @@ def projectively_equal(a: Sequence, b: Sequence) -> bool:
     return all(a[i] * b[j] == a[j] * b[i] for i in range(len(a)) for j in range(i))
 
 
+def _integral(values: Sequence) -> list[int]:
+    """The values times the lcm of their denominators (a nonzero scale)."""
+    p = [_q(x) for x in values]
+    denom = lcm(*(x.denominator for x in p))
+    return [x.numerator * (denom // x.denominator) for x in p]
+
+
 def normalize_projective(point: Sequence) -> tuple[Fraction, ...]:
     """Clear denominators and common factors; first nonzero entry positive."""
-    p = [_q(x) for x in point]
-    if all(x == 0 for x in p):
+    ints = _integral(point)
+    if not any(ints):
         raise ValueError("the zero vector is not a projective point")
-    denom = lcm(*(x.denominator for x in p))
-    ints = [int(x * denom) for x in p]
     g = gcd(*ints)
     ints = [x // g for x in ints]
     first = next(x for x in ints if x)
@@ -146,7 +164,7 @@ def _pullback_columns(conic: ConicParam, n: int,
     """Columns of coefficients of q * s0^(n-1-i) * s1^i, linear in (u,v,w)."""
     shifted = [shifted_multiples(p, n) for p in (conic.p0, conic.p1, conic.p2)]
     return [[TernaryForm.from_terms(1, dual_vars, {
-                _UNIT[var]: multiples[i][row] for var, multiples in enumerate(shifted)})
+                _UNITS[var]: multiples[i][row] for var, multiples in enumerate(shifted)})
              for row in range(n + 2)]
             for i in range(n)]
 
@@ -168,13 +186,49 @@ class DegeneratePencilError(PreconditionError):
     """The presentation determinant vanishes identically."""
 
 
+def _bezout_matrix(c1: Sequence[int], c2: Sequence[int]) -> list[list[int]]:
+    """B with (g1(x)g2(y) - g1(y)g2(x))/(x - y) = sum B[i][j] x^i y^j, in O(n^2).
+
+    From ascending coefficients, by x^i y^(j+1) of the product with x - y;
+    each row carries one trailing zero for the j+1 lookup.
+    """
+    size = len(c1) - 1
+    rows = [[0] * (size + 1)]
+    for i in range(size):
+        above = rows[-1]
+        rows.append([above[j + 1] + c1[j + 1] * c2[i] - c1[i] * c2[j + 1]
+                     for j in range(size)] + [0])
+    return rows[1:]
+
+
+def _jump_terms(pencil: PonceletPencil) -> dict[tuple[int, int, int], int]:
+    """Integer terms of G(a, b, l) (generators scaled to integers: G times a constant)."""
+    n = pencil.n
+    bez = _bezout_matrix(_integral(pencil.gamma1.coeffs), _integral(pencil.gamma2.coeffs))
+    # power[m][r]: coefficient of b^(m-2r) (a*l)^r in P_m
+    power = [[2], [-1]]
+    for m in range(2, n + 1):
+        power.append([-x - y for x, y in zip(power[m - 1] + [0], [0] + power[m - 2])])
+    weights = [[1]] + power[1:]  # the diagonal sum carries no power sum
+    terms: dict[tuple[int, int, int], int] = {}
+    for d, weight in enumerate(weights):  # d = j - i
+        for r, c in enumerate(weight):
+            for i in range(n + 1 - d):
+                e = (i + r, d - 2 * r, n - i - d + r)
+                terms[e] = terms.get(e, 0) + bez[i][i + d] * c
+    return terms
+
+
 def poncelet_curve(conic: ConicParam, pencil: PonceletPencil,
                    dual_vars: tuple[str, str, str] = DUAL_VARS) -> TernaryForm:
-    """Degree-n curve of jumping lines, normalized lexicographically-monic."""
-    det = poncelet_matrix(conic, pencil, dual_vars).determinant()
-    if det.is_zero():
+    """Degree-n curve G(T*(u, v, w)) of jumping lines, lexicographically-monic."""
+    flat = _integral([c for p in (conic.p0, conic.p1, conic.p2) for c in p.coeffs])
+    t = [flat[k::3] for k in range(3)]  # t[k][j]: coefficient k of p_j
+    terms = substitute_terms(_jump_terms(pencil), pencil.n, t)
+    if not terms:
         raise DegeneratePencilError("pencil determinant vanishes identically")
-    return det.lex_normalized()
+    return TernaryForm(pencil.n, dual_vars,
+                       {e: Fraction(c) for e, c in terms.items()}).lex_normalized()
 
 
 def is_base_point_free(pencil: PonceletPencil) -> bool:
@@ -185,16 +239,12 @@ def is_jumping_line(conic: ConicParam, pencil: PonceletPencil,
                     line: Sequence) -> bool:
     """Whether the restriction of the pencil modulo the line pullback drops rank.
 
-    Decided as singularity of the rational specialization of the presentation
-    matrix, i.e. the classes of the two generators modulo multiples of q are
-    dependent.  Agrees with vanishing of the jumping curve at the line.
+    That is det M = 0 at the line, decided as G = 0 at the pullback's
+    coefficients (scaled to integers, which keeps the zero set).
     """
-    n = pencil.n
-    q = line_pullback(conic, line)
-    columns = ([list(pencil.gamma1.coeffs), list(pencil.gamma2.coeffs)]
-               + shifted_multiples(q, n))
-    matrix = [[columns[j][i] for j in range(n + 2)] for i in range(n + 2)]
-    return rank(matrix) < n + 2
+    a, b, l = _integral(line_pullback(conic, line).coeffs)
+    return sum(c * a ** i * b ** j * l ** k
+               for (i, j, k), c in _jump_terms(pencil).items()) == 0
 
 
 def chord_dual(conic: ConicParam, a: Sequence, b: Sequence) -> tuple[Fraction, ...]:
@@ -242,7 +292,7 @@ def family_matrix(name: str, param=0,
     if name not in FAMILY_NAMES:
         raise ValueError(f"unknown family name {name!r}; expected one of {FAMILY_NAMES}")
     p = _q(param)
-    U, V, W = _UNIT
+    U, V, W = _UNITS
 
     def const(c):
         return TernaryForm.constant(c, dual_vars)

@@ -43,6 +43,12 @@ def test_poncelet_parse_error_exit_2(capsys):
     assert code == 2
 
 
+def test_poncelet_zero_denominator_exit_2(capsys):
+    code, out = run(capsys, ["poncelet", "--gamma1", "1/0*s0^3", "--gamma2", "s1^3"])
+    assert code == 2
+    assert "zero denominator (at position 2)" in out
+
+
 def test_poncelet_vertices_polygon(capsys):
     gamma1 = "s0*(s0-s1)*(s0+s1)*(s0-2*s1)*(s0-3*s1)"
     code, out = run(capsys, [

@@ -13,10 +13,13 @@ from luroth.forms import (
     PreconditionError,
     TernaryForm,
     form_from_json,
+    add_terms,
     form_gcd,
+    mul_terms,
     parse_form,
+    substitute_terms,
 )
-from luroth.linalg import invert, sylvester_resultant
+from luroth.linalg import det_rational, invert, sylvester_resultant
 
 PAIR = ("v", "w")
 TRIPLE = ("u", "v", "w")
@@ -74,6 +77,15 @@ def test_parse_syntax_error_position():
     with pytest.raises(ParseError) as err:
         parse_form("v^2 + * w", PAIR)
     assert err.value.position == 6
+
+
+def test_parse_zero_denominator_position():
+    with pytest.raises(ParseError) as err:
+        parse_form("1/0*s0^3", ("s0", "s1"))
+    assert err.value.position == 2
+    with pytest.raises(ParseError) as err:
+        parse_form("v^2 + 3/00*w^2", PAIR)
+    assert err.value.position == 8
 
 
 def test_parse_rational_coefficients_and_unary_minus():
@@ -213,6 +225,64 @@ def test_substitute_singular_rejected():
     f = parse_form("u^2 - w^2", TRIPLE)
     with pytest.raises(PreconditionError):
         f.substitute_linear([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+
+
+def substitute_per_term(f, t):
+    """Oracle: expand every term as a product of powers of the three lines."""
+    m = [[Fraction(x) for x in row] for row in t]
+    lines = [{tuple(1 if k == j else 0 for k in range(3)): m[i][j]
+              for j in range(3) if m[i][j]} for i in range(3)]
+    powers = [[{(0, 0, 0): Fraction(1)}] for _ in range(3)]
+    for i in range(3):
+        for _ in range(f.degree):
+            powers[i].append(mul_terms(powers[i][-1], lines[i]))
+    out = {}
+    for e, c in f.terms.items():
+        prod = {(0, 0, 0): c}
+        for i, k in enumerate(e):
+            prod = mul_terms(prod, powers[i][k])
+        out = add_terms(out, prod)
+    return TernaryForm(f.degree, f.variables, out)
+
+
+def rational_ternary(rng, degree):
+    terms = {}
+    for i in range(degree + 1):
+        for j in range(degree + 1 - i):
+            if rng.random() < 0.6:
+                terms[(i, j, degree - i - j)] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return TernaryForm.from_terms(degree, TRIPLE, terms)
+
+
+def test_substitute_horner_matches_per_term_oracle():
+    rng = random.Random(304)
+    perms = [[[1 if j == p[i] else 0 for j in range(3)] for i in range(3)]
+             for p in ((0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1))]
+    checked = 0
+    for degree in range(9):
+        mats = list(perms)
+        while len(mats) < 12:
+            t = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(3)]
+                 for _ in range(3)]
+            if det_rational(t) != 0:
+                mats.append(t)
+        for t in mats:
+            f = rational_ternary(rng, degree)
+            g = f.substitute_linear(t)
+            assert g == substitute_per_term(f, t)
+            assert g.degree == degree and g.variables == TRIPLE
+            assert all(type(c) is Fraction for c in g.terms.values())
+            checked += 1
+    assert checked == 9 * 12
+
+
+def test_substitute_terms_keeps_integer_coefficients():
+    terms = {(2, 0, 0): 3, (0, 1, 1): -2}
+    out = substitute_terms(terms, 2, [[1, 2, 0], [0, 1, 1], [1, 0, 1]])
+    assert all(type(c) is int for c in out.values())
+    f = TernaryForm.from_terms(2, TRIPLE, terms)
+    expected = f.substitute_linear([[1, 2, 0], [0, 1, 1], [1, 0, 1]])
+    assert out == expected.terms
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from luroth.forms import BinaryForm, PreconditionError, TernaryForm, parse_form
+from luroth.linalg import rank, shifted_multiples, solve_linear
 from luroth.poncelet import (
     DUAL_VARS,
     PARAM_VARS,
@@ -21,6 +23,7 @@ from luroth.poncelet import (
     normalize_projective,
     poncelet_curve,
     poncelet_matrix,
+    projectively_equal,
     singular_jump_criterion,
     standard_conic,
 )
@@ -44,6 +47,68 @@ def rand_pencil(rng, n, gamma1=None):
             return PonceletPencil(g1, g2)
         except PreconditionError:
             continue
+
+
+def rand_rational_pencil(rng, n, base_point=False):
+    """Rational generators; with base_point, both share a rational linear factor."""
+    def rand_form(degree):
+        return BinaryForm.from_coeffs(PARAM_VARS, [
+            Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(degree + 1)])
+
+    while True:
+        if base_point:
+            common = BinaryForm.from_coeffs(
+                PARAM_VARS, [Fraction(rng.randint(1, 5), rng.randint(1, 3)), rng.randint(-4, 4)])
+            g1, g2 = common * rand_form(n), common * rand_form(n)
+        else:
+            g1, g2 = rand_form(n + 1), rand_form(n + 1)
+        try:
+            return PonceletPencil(g1, g2)
+        except PreconditionError:
+            continue
+
+
+# an integer conic whose pullback's s1^2 coefficient is not a bare coordinate
+GEN_CONIC = ("s0^2+2*s0*s1+3*s1^2", "2*s0^2-s0*s1+s1^2", "s0*s1-2*s1^2")
+
+
+def three_conics():
+    """The standard conic, an integer conic, and a rational reparametrization."""
+    base = standard_conic()
+    m = [[Fraction(1, 2), 3], [Fraction(-2, 3), Fraction(5, 4)]]
+    rational = make_conic(*(p.substitute_pair(m) for p in (base.p0, base.p1, base.p2)))
+    general = make_conic(*(parse_form(p, PARAM_VARS) for p in GEN_CONIC))
+    return [base, general, rational]
+
+
+def rank_is_jumping_line(conic, pencil, line):
+    """Oracle: the rational presentation matrix at the line is singular."""
+    n = pencil.n
+    q = line_pullback(conic, line)
+    columns = ([list(pencil.gamma1.coeffs), list(pencil.gamma2.coeffs)]
+               + shifted_multiples(q, n))
+    matrix = [[columns[j][i] for j in range(n + 2)] for i in range(n + 2)]
+    return rank(matrix) < n + 2
+
+
+def line_with_pullback(conic, q):
+    """The line whose pullback is the binary quadratic q."""
+    t = [[p.coeffs[k] for p in (conic.p0, conic.p1, conic.p2)] for k in range(3)]
+    line = solve_linear(t, q.coeffs).vector
+    assert line_pullback(conic, line) == q
+    return line
+
+
+def integer_evaluator(curve):
+    """Evaluation at integer points of an integer multiple of the curve."""
+    scale = lcm(*(c.denominator for c in curve.terms.values()))
+    terms = [(e, int(c * scale)) for e, c in curve.terms.items()]
+
+    def evaluate(point):
+        powers = [[int(x) ** k for k in range(curve.degree + 1)] for x in point]
+        return sum(c * powers[0][i] * powers[1][j] * powers[2][k] for (i, j, k), c in terms)
+
+    return evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +211,88 @@ def test_curve_degree_range():
         curve = poncelet_curve(conic, pencil)
         assert curve.degree == n
         assert curve.variables == DUAL_VARS
+
+
+def test_curve_matches_determinant_oracle():
+    rng = random.Random(32)
+    kinds = ("integer", "rational", "base point")
+    checked = 0
+    for index, conic in enumerate(three_conics()):
+        for n in range(2, 11):
+            for kind in (kinds if n <= 5 else [kinds[(n + index) % 3]]):
+                if kind == "integer":
+                    pencil = rand_pencil(rng, n)
+                else:
+                    pencil = rand_rational_pencil(rng, n, base_point=kind == "base point")
+                assert is_base_point_free(pencil) == (kind != "base point")
+                curve = poncelet_curve(conic, pencil)
+                oracle = poncelet_matrix(conic, pencil).determinant()
+                assert curve.proportional_to(oracle)
+                assert curve == oracle.lex_normalized()
+                assert curve.degree == n and curve.variables == DUAL_VARS
+                assert all(type(c) is Fraction for c in curve.terms.values())
+                checked += 1
+    assert checked == 3 * (4 * 3 + 5)
+
+
+def test_curve_coefficients_are_fractions_when_already_monic():
+    pencil = PonceletPencil(parse_form("s0^3", PARAM_VARS), parse_form("s1^3", PARAM_VARS))
+    curve = poncelet_curve(standard_conic(), pencil)
+    assert curve.lex_leading_coefficient() == 1
+    assert all(type(c) is Fraction for c in curve.terms.values())
+
+
+def special_pullbacks(rng):
+    """A square (tangent line), a form with no s1^2 term, and beta*s0*s1."""
+    alpha, beta = Fraction(rng.randint(-5, 5), rng.randint(1, 3)), Fraction(rng.randint(1, 5))
+    linear = BinaryForm.from_coeffs(PARAM_VARS, [alpha, beta])
+    s0 = BinaryForm.from_coeffs(PARAM_VARS, [1, 0])
+    return [linear * linear, s0 * linear, BinaryForm.from_coeffs(PARAM_VARS, [0, beta, 0])]
+
+
+def test_jump_test_matches_rank_oracle():
+    rng = random.Random(33)
+    verdicts = {True: 0, False: 0}
+    for conic in three_conics():
+        for n in range(2, 7):
+            for kind in ("random", "base point", "divisible"):
+                qs = special_pullbacks(rng)
+                if kind == "divisible":
+                    # gamma1 vanishes modulo one special pullback: that line jumps
+                    q = qs[rng.randrange(3)]
+                    h = BinaryForm.from_coeffs(PARAM_VARS, [rng.randint(1, 9) for _ in range(n)])
+                    pencil = rand_pencil(rng, n, gamma1=q * h)
+                else:
+                    pencil = rand_rational_pencil(rng, n, base_point=kind == "base point")
+                params = [(Fraction(rng.randint(-6, 6)), Fraction(rng.randint(1, 3)))
+                          for _ in range(4)]
+                lines = [line_with_pullback(conic, q) for q in qs]
+                lines += [chord_dual(conic, a, b) for i, a in enumerate(params)
+                          for b in params[i + 1:] if not projectively_equal(a, b)]
+                lines += [tuple(Fraction(rng.randint(-6, 6)) for _ in range(3)) for _ in range(4)]
+                for line in lines:
+                    if not any(line):
+                        continue
+                    expected = rank_is_jumping_line(conic, pencil, line)
+                    assert is_jumping_line(conic, pencil, line) == expected
+                    verdicts[expected] += 1
+                if kind == "divisible":
+                    assert is_jumping_line(conic, pencil, line_with_pullback(conic, q))
+    assert verdicts[True] >= 20 and verdicts[False] >= 100
+
+
+@pytest.mark.parametrize("conic_index, n", [(0, 40), (1, 22)])
+def test_polygon_property_at_scale(conic_index, n):
+    conic = three_conics()[conic_index]
+    rng = random.Random(34 + n)
+    roots = [(Fraction(k), Fraction(1)) for k in range(-(n // 2), n - n // 2 + 1)]
+    pencil = rand_pencil(rng, n, gamma1=split_form(roots))
+    curve = poncelet_curve(conic, pencil)
+    assert curve.degree == n and not curve.is_zero()
+    evaluate = integer_evaluator(curve)
+    for i in range(len(roots)):
+        for j in range(i + 1, len(roots)):
+            assert evaluate(chord_dual(conic, roots[i], roots[j])) == 0
 
 
 # ---------------------------------------------------------------------------
