@@ -3,7 +3,8 @@
 Commands: `poncelet`, `quartic analyze`, `quartic tangent`, `family`,
 `verify`.  Output is deterministic; `--json` switches every command to a
 machine-readable report.  Exit codes: 0 success, 1 verification failure,
-2 input error, 3 mathematical precondition failure.
+2 input error, 3 mathematical precondition failure, 4 internal error (any
+other exception: one line on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_PRECONDITION = 3
+EXIT_INTERNAL = 4
 
 
 class InputError(ValueError):
@@ -296,7 +298,12 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(_join_flag_values(list(argv)))
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:  # noqa: BLE001 - the CLI's error contract is total
+        message = " ".join(str(exc).splitlines())
+        print(f"luroth: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -121,6 +121,10 @@ def _term_degrees(terms: Mapping[Exp, Fraction]) -> set[int]:
     return {sum(e) for e in terms}
 
 
+def _degree(terms: Mapping[Exp, Fraction]) -> int:
+    return max(map(sum, terms), default=0)
+
+
 def format_terms(terms: Mapping[Exp, Fraction], variables: Sequence[str]) -> str:
     """Canonical text: graded-lex term order, reduced fractions, signs absorbed."""
     if not terms:
@@ -151,6 +155,10 @@ def format_terms(terms: Mapping[Exp, Fraction], variables: Sequence[str]) -> str
 
 # ---------------------------------------------------------------------------
 # parser
+
+MAX_DEGREE = 100
+"""Largest exponent and term degree the parser accepts; above it, a ParseError
+before any expansion.  Admits pencils up to n = 99 and every nodal quartic."""
 
 _TOKEN_CHARS = set("+-*/^() \t")
 
@@ -239,11 +247,14 @@ class _Parser:
         terms = self.factor()
         while True:
             kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.next()
-                terms = mul_terms(terms, self.factor())
-            else:
+            if not (kind == "op" and val == "*"):
                 return terms
+            self.next()
+            at = self.peek()[2]
+            rhs = self.factor()
+            if _degree(terms) + _degree(rhs) > MAX_DEGREE:
+                raise ParseError(f"term degree above MAX_DEGREE = {MAX_DEGREE}", at)
+            terms = mul_terms(terms, rhs)
 
     def factor(self) -> TermMap:
         kind, val, at = self.peek()
@@ -278,18 +289,25 @@ class _Parser:
         raise ParseError(f"expected a factor, got {val!r}" if val else "unexpected end of input", at)
 
     def _maybe_power(self, base: TermMap) -> TermMap:
+        """base^k: a single term in closed form, a sum by repeated products."""
         kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            kind2, val2, at2 = self.next()
-            if kind2 != "int":
-                raise ParseError("expected integer exponent", at2)
-            power = int(val2)
-            out: TermMap = {(0,) * self.nvars: Fraction(1)}
-            for _ in range(power):
-                out = mul_terms(out, base)
-            return out
-        return base
+        if not (kind == "op" and val == "^"):
+            return base
+        self.next()
+        kind, val, at = self.next()
+        if kind != "int":
+            raise ParseError("expected integer exponent", at)
+        digits = val.lstrip("0")
+        power = int(digits or "0") if len(digits) <= len(str(MAX_DEGREE)) else MAX_DEGREE + 1
+        if max(power, power * _degree(base)) > MAX_DEGREE:
+            raise ParseError(f"exponent or degree above MAX_DEGREE = {MAX_DEGREE}", at)
+        if len(base) == 1:
+            (e, c), = base.items()
+            return {tuple(power * x for x in e): c ** power}
+        out: TermMap = {(0,) * self.nvars: Fraction(1)}
+        for _ in range(power):
+            out = mul_terms(out, base)
+        return out
 
 
 def parse_terms(text: str, variables: Sequence[str]) -> TermMap:

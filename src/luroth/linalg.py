@@ -1,6 +1,8 @@
 """Exact linear algebra over the rationals and determinants of form matrices.
 
-Rational matrices are plain lists of Fraction rows.  The polynomial
+Rational matrices are plain lists of Fraction rows.  Determinants and ranks
+are fraction-free (Bareiss elimination on rows scaled to integers); solves,
+kernels and inverses use rational Gauss-Jordan elimination.  The polynomial
 determinant is division-free: a row-by-row expansion memoized over column
 subsets, exponential in the size.  It serves only the worked 6x6 families and
 the test oracle: `poncelet` computes jumping-line curves (Barth 1977) from a
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 from typing import Sequence
 
 from .forms import (
@@ -81,32 +84,49 @@ def _row_echelon(rows: Matrix) -> tuple[Matrix, list[int]]:
     return m, pivots
 
 
+def integral_row(values: Sequence) -> tuple[list[int], int]:
+    """The values times d, the lcm of their denominators, and d."""
+    p = [x if isinstance(x, int) else _q(x) for x in values]
+    d = lcm(*(x.denominator for x in p))
+    return [x.numerator * (d // x.denominator) for x in p], d
+
+
+def _bareiss(m: list[list[int]]) -> tuple[int, int]:
+    """Rank and signed last pivot (the determinant, for a nonsingular square
+    matrix) of Bareiss (1968) fraction-free elimination, in place.  Every
+    entry stays an integer minor, so each division by the last pivot is exact."""
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    prev, sign, r = 1, 1, 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            sign = -sign
+        p, top = m[r][c], m[r][c + 1:]
+        for i in range(r + 1, nrows):
+            f = m[i][c]
+            m[i] = [0] * (c + 1) + [(p * x - f * y) // prev
+                                    for x, y in zip(m[i][c + 1:], top)]
+        prev, r = p, r + 1
+    return r, sign * prev
+
+
 def rank(rows: Sequence[Sequence]) -> int:
-    if not rows:
-        return 0
-    return len(_row_echelon(as_matrix(rows))[1])
+    """Rank over the rationals, fraction-free on rows scaled to integers."""
+    return _bareiss([integral_row(row)[0] for row in rows])[0]
 
 
 def det_rational(rows: Sequence[Sequence]) -> Fraction:
-    m = as_matrix(rows)
-    n = len(m)
-    if any(len(row) != n for row in m):
+    """Exact determinant: fraction-free on integer rows, over the row scales."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("determinant requires a square matrix")
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                factor = m[i][c] * inv
-                m[i] = [x - factor * y for x, y in zip(m[i], m[c])]
-    return det
+    scaled = [integral_row(row) for row in rows]
+    full, det = _bareiss([ints for ints, _ in scaled])
+    return Fraction(det, prod(d for _, d in scaled)) if full == n else Fraction(0)
 
 
 def invert(rows: Sequence[Sequence]) -> Matrix:

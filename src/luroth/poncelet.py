@@ -16,25 +16,27 @@ sum B_ij x^i y^j.  With P_m the power sums of the roots of r^2 + b*r + a*l,
     G(a, b, l) = sum_i B_ii a^i l^(n-i) + sum_(i<j) B_ij a^i l^(n-j) P_(j-i)
 
 is +-det M identically: the curve is G(T*(u, v, w)), and a line is jumping
-when G vanishes at its pullback.  The bitmask determinant of `poncelet_matrix`
-serves only the worked 6x6 families and the test oracle.
+when G vanishes at its pullback; det B = +-Res(gamma1, gamma2) decides
+base-point freeness.  The bitmask determinant of `poncelet_matrix` serves
+only the worked 6x6 families and the test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
 from .forms import (BinaryForm, PreconditionError, TernaryForm, _q, _UNITS,
                     substitute_terms)
 from .linalg import (
     PolyMatrix,
+    det_rational,
+    integral_row,
     nullspace,
     rank,
     shifted_multiples,
-    sylvester_resultant,
 )
 
 PRIMAL_VARS = ("x", "y", "t")
@@ -48,16 +50,9 @@ def projectively_equal(a: Sequence, b: Sequence) -> bool:
     return all(a[i] * b[j] == a[j] * b[i] for i in range(len(a)) for j in range(i))
 
 
-def _integral(values: Sequence) -> list[int]:
-    """The values times the lcm of their denominators (a nonzero scale)."""
-    p = [_q(x) for x in values]
-    denom = lcm(*(x.denominator for x in p))
-    return [x.numerator * (denom // x.denominator) for x in p]
-
-
 def normalize_projective(point: Sequence) -> tuple[Fraction, ...]:
     """Clear denominators and common factors; first nonzero entry positive."""
-    ints = _integral(point)
+    ints = integral_row(point)[0]
     if not any(ints):
         raise ValueError("the zero vector is not a projective point")
     g = gcd(*ints)
@@ -141,16 +136,12 @@ class PonceletPencil:
             raise PreconditionError("pencil generators must have equal degree")
         if self.gamma1.degree < 3:
             raise PreconditionError("pencil degree must be at least 3 (n >= 2)")
-        if _dependent(self.gamma1, self.gamma2):
+        if rank([self.gamma1.coeffs, self.gamma2.coeffs]) < 2:
             raise PreconditionError("pencil generators are linearly dependent")
 
     @property
     def n(self) -> int:
         return self.gamma1.degree - 1
-
-
-def _dependent(g: BinaryForm, h: BinaryForm) -> bool:
-    return rank([list(g.coeffs), list(h.coeffs)]) < 2
 
 
 def line_pullback(conic: ConicParam, line: Sequence) -> BinaryForm:
@@ -186,12 +177,14 @@ class DegeneratePencilError(PreconditionError):
     """The presentation determinant vanishes identically."""
 
 
-def _bezout_matrix(c1: Sequence[int], c2: Sequence[int]) -> list[list[int]]:
+def _bezout_matrix(pencil: PonceletPencil) -> list[list[int]]:
     """B with (g1(x)g2(y) - g1(y)g2(x))/(x - y) = sum B[i][j] x^i y^j, in O(n^2).
 
-    From ascending coefficients, by x^i y^(j+1) of the product with x - y;
-    each row carries one trailing zero for the j+1 lookup.
+    g_k(x) = gamma_k(1, x), scaled to integers (B times a constant); by
+    x^i y^(j+1) of the product with x - y.  Each row carries one trailing
+    zero for the j+1 lookup.
     """
+    c1, c2 = (integral_row(g.coeffs)[0] for g in (pencil.gamma1, pencil.gamma2))
     size = len(c1) - 1
     rows = [[0] * (size + 1)]
     for i in range(size):
@@ -204,7 +197,7 @@ def _bezout_matrix(c1: Sequence[int], c2: Sequence[int]) -> list[list[int]]:
 def _jump_terms(pencil: PonceletPencil) -> dict[tuple[int, int, int], int]:
     """Integer terms of G(a, b, l) (generators scaled to integers: G times a constant)."""
     n = pencil.n
-    bez = _bezout_matrix(_integral(pencil.gamma1.coeffs), _integral(pencil.gamma2.coeffs))
+    bez = _bezout_matrix(pencil)
     # power[m][r]: coefficient of b^(m-2r) (a*l)^r in P_m
     power = [[2], [-1]]
     for m in range(2, n + 1):
@@ -222,17 +215,18 @@ def _jump_terms(pencil: PonceletPencil) -> dict[tuple[int, int, int], int]:
 def poncelet_curve(conic: ConicParam, pencil: PonceletPencil,
                    dual_vars: tuple[str, str, str] = DUAL_VARS) -> TernaryForm:
     """Degree-n curve G(T*(u, v, w)) of jumping lines, lexicographically-monic."""
-    flat = _integral([c for p in (conic.p0, conic.p1, conic.p2) for c in p.coeffs])
+    flat = integral_row([c for p in (conic.p0, conic.p1, conic.p2) for c in p.coeffs])[0]
     t = [flat[k::3] for k in range(3)]  # t[k][j]: coefficient k of p_j
     terms = substitute_terms(_jump_terms(pencil), pencil.n, t)
     if not terms:
         raise DegeneratePencilError("pencil determinant vanishes identically")
-    return TernaryForm(pencil.n, dual_vars,
-                       {e: Fraction(c) for e, c in terms.items()}).lex_normalized()
+    lead = terms[max(terms)]
+    return TernaryForm(pencil.n, dual_vars, {e: Fraction(c, lead) for e, c in terms.items()})
 
 
 def is_base_point_free(pencil: PonceletPencil) -> bool:
-    return sylvester_resultant(pencil.gamma1, pencil.gamma2) != 0
+    """Whether the generators share no root: det B = +-Res(gamma1, gamma2) != 0."""
+    return det_rational([row[:-1] for row in _bezout_matrix(pencil)]) != 0
 
 
 def is_jumping_line(conic: ConicParam, pencil: PonceletPencil,
@@ -242,7 +236,7 @@ def is_jumping_line(conic: ConicParam, pencil: PonceletPencil,
     That is det M = 0 at the line, decided as G = 0 at the pullback's
     coefficients (scaled to integers, which keeps the zero set).
     """
-    a, b, l = _integral(line_pullback(conic, line).coeffs)
+    a, b, l = integral_row(line_pullback(conic, line).coeffs)[0]
     return sum(c * a ** i * b ** j * l ** k
                for (i, j, k), c in _jump_terms(pencil).items()) == 0
 
@@ -263,18 +257,15 @@ def singular_jump_criterion(conic: ConicParam, pencil: PonceletPencil,
                             line: Sequence) -> bool:
     """Whether some pencil member is divisible by the square of the pullback.
 
-    Requires a base-point-free pencil; decided by the rank of the generators'
-    classes modulo q^2 times lower-degree forms.
+    Requires a base-point-free pencil; decided over the integers by the rank
+    of the generators' classes modulo q^2 times lower-degree forms.
     """
     if not is_base_point_free(pencil):
         raise PreconditionError("singular-jump criterion requires a base-point-free pencil")
-    n = pencil.n
     q2 = line_pullback(conic, line).power(2)
-    columns = shifted_multiples(q2, max(n - 2, 0))
-    base_rank = rank([[col[r] for col in columns] for r in range(n + 2)]) if columns else 0
-    with_gammas = columns + [list(pencil.gamma1.coeffs), list(pencil.gamma2.coeffs)]
-    full_rank = rank([[col[r] for col in with_gammas] for r in range(n + 2)])
-    return full_rank <= base_rank + 1
+    multiples = shifted_multiples(q2, max(pencil.n - 2, 0))
+    generators = [pencil.gamma1.coeffs, pencil.gamma2.coeffs]
+    return rank(multiples + generators) <= rank(multiples) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line interface: reports, JSON output and exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -47,6 +48,15 @@ def test_poncelet_zero_denominator_exit_2(capsys):
     code, out = run(capsys, ["poncelet", "--gamma1", "1/0*s0^3", "--gamma2", "s1^3"])
     assert code == 2
     assert "zero denominator (at position 2)" in out
+
+
+@pytest.mark.parametrize("gamma1", ["s0^999999999", "(s0+s1)^3000"])
+def test_poncelet_exponent_above_cap_exit_2_fast(capsys, gamma1):
+    start = time.perf_counter()
+    code, out = run(capsys, ["poncelet", "--gamma1", gamma1, "--gamma2", "s1^3"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "MAX_DEGREE" in out
 
 
 def test_poncelet_vertices_polygon(capsys):
@@ -208,3 +218,18 @@ def test_verify_negative_control(capsys, monkeypatch):
     code, out = run(capsys, ["verify"])
     assert code == 1
     assert "FAIL" in out and "SOME CHECKS FAILED" in out
+
+
+# ---------------------------------------------------------------------------
+# error contract
+
+def test_unexpected_exception_is_internal_error_exit_4(capsys, monkeypatch):
+    def boom(args):
+        raise RuntimeError("kernel exploded\nsecond line")
+
+    monkeypatch.setattr(cli, "cmd_verify", boom)
+    code = cli.main(["verify"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL == 4
+    assert captured.out == ""
+    assert captured.err == "luroth: internal error: RuntimeError: kernel exploded second line\n"

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from luroth.forms import (
+    MAX_DEGREE,
     BinaryForm,
     HomogeneityError,
     ParseError,
@@ -17,6 +18,7 @@ from luroth.forms import (
     form_gcd,
     mul_terms,
     parse_form,
+    parse_terms,
     substitute_terms,
 )
 from luroth.linalg import det_rational, invert, sylvester_resultant
@@ -91,6 +93,39 @@ def test_parse_zero_denominator_position():
 def test_parse_rational_coefficients_and_unary_minus():
     f = parse_form("-3/4*v^2 + w^2", PAIR)
     assert f.coeffs == (Fraction(-3, 4), Fraction(0), Fraction(1))
+
+
+def test_parse_power_closed_form_matches_repeated_products():
+    pair = ("s0", "s1")
+    for base, k in (("2/3*s0", 5), ("-s1", 0), ("s0*s1", 7)):
+        expected = {(0, 0): Fraction(1)}
+        for _ in range(k):
+            expected = mul_terms(expected, parse_terms(base, pair))
+        got = parse_terms(f"({base})^{k}", pair)
+        assert got == expected
+        assert all(isinstance(c, Fraction) for c in got.values())
+    assert parse_terms("(2/3*s0)^5", pair) == {(5, 0): Fraction(32, 243)}
+    assert parse_form("(s0+s1)^3", pair).coeffs == (1, 3, 3, 1)
+
+
+def test_parse_degree_cap():
+    pair = ("s0", "s1")
+    assert parse_form(f"s0^{MAX_DEGREE}", pair).degree == MAX_DEGREE
+    assert parse_form("s0^0000000000007", pair).degree == 7
+    for text, position in ((f"s0^{MAX_DEGREE + 1}", 3), ("s0^999999999", 3),
+                           ("s0^" + "9" * 5000, 3), ("(s0+s1)^3000", 8),
+                           (f"(s0^2)^{MAX_DEGREE // 2 + 1}", 7), ("(2)^999999999", 4),
+                           (f"s0^60*s1^{MAX_DEGREE - 59}", 6),
+                           ("*".join(["(s0+s1)"] * (MAX_DEGREE + 1)), 8 * MAX_DEGREE)):
+        with pytest.raises(ParseError) as err:
+            parse_form(text, pair)
+        assert err.value.position == position, text
+        assert "MAX_DEGREE" in str(err.value)
+
+
+def test_parse_admits_n40_pencil():
+    text = "*".join(f"(s0{'+-'[k % 2]}{k}*s1)" for k in range(1, 42))
+    assert parse_form(text, ("s0", "s1")).degree == 41
 
 
 def test_parse_format_round_trip():

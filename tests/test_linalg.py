@@ -13,6 +13,7 @@ from luroth.linalg import (
     conic_kernel_point,
     det_rational,
     disc_binary_quadratic,
+    integral_row,
     invert,
     mat_mul,
     nullspace,
@@ -22,6 +23,7 @@ from luroth.linalg import (
     sylvester_matrix,
     sylvester_resultant,
 )
+from oracles import rational_det, rational_rank
 
 PAIR = ("v", "w")
 TRIPLE = ("u", "v", "w")
@@ -86,6 +88,123 @@ def test_invert_round_trip():
         if det_rational(m) == 0:
             continue
         assert mat_mul(m, invert(m)) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+# ---------------------------------------------------------------------------
+# fraction-free determinant and rank against rational elimination
+
+def rand_rational_matrix(rng, nrows, ncols):
+    """Random rational rows; some rows zero, some combinations of earlier rows."""
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append([Fraction(0)] * ncols)
+        elif kind < 0.3 and rows:
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = Fraction(rng.randint(-4, 4), rng.randint(1, 3)), rng.randint(-3, 3)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            rows.append([Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                         if rng.random() < 0.8 else Fraction(0) for _ in range(ncols)])
+    return rows
+
+
+def test_det_rational_matches_rational_elimination():
+    rng = random.Random(901)
+    singular = 0
+    for n in range(9):
+        for _ in range(25):
+            m = rand_rational_matrix(rng, n, n)
+            det = det_rational(m)
+            assert isinstance(det, Fraction)
+            assert det == rational_det(m)
+            singular += det == 0
+    assert singular >= 20
+
+
+def test_rank_matches_rational_elimination():
+    rng = random.Random(902)
+    for nrows in range(9):
+        for ncols in range(9):
+            for _ in range(4):
+                m = rand_rational_matrix(rng, nrows, ncols)
+                assert rank(m) == rational_rank(m)
+
+
+def test_det_and_rank_edge_cases():
+    assert det_rational([]) == 1
+    assert rank([]) == 0 and rank([[], []]) == 0
+    assert rank([[0, 0], [0, 0]]) == 0
+    assert det_rational([[Fraction(1, 2), Fraction(1, 3)], [3, 5]]) == Fraction(3, 2)
+    assert det_rational([[0, 1], [1, 0]]) == -1  # one row swap
+    assert rank([[0, 0, 1], [0, 0, 2], [0, 3, 0]]) == 2  # skipped pivot column
+    with pytest.raises(ValueError):
+        det_rational([[1, 2]])
+
+
+def test_integral_row_scale():
+    assert integral_row([Fraction(1, 2), Fraction(-2, 3), 4]) == ([3, -4, 24], 6)
+    assert integral_row([]) == ([], 1)
+
+
+# ---------------------------------------------------------------------------
+# sympy differential tests
+
+def test_det_rational_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(903)
+    for n in range(1, 7):
+        for _ in range(6):
+            m = rand_rational_matrix(rng, n, n)
+            expected = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                                      for x in row] for row in m]).det()
+            assert det_rational(m) == Fraction(int(expected.p), int(expected.q))
+
+
+def test_sylvester_resultant_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(904)
+    zero = 0
+    for _ in range(40):
+        forms = []
+        for _ in range(2):
+            degree = rng.randint(1, 5)
+            coeffs = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 6), rng.randint(1, 4))]
+            coeffs += [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(degree)]
+            forms.append(BinaryForm.from_coeffs(PAIR, coeffs))
+        if rng.random() < 0.3:  # plant a common root at x = 1
+            root = BinaryForm.from_coeffs(PAIR, [1, -1])
+            forms = [f * root for f in forms]
+        g, h = forms
+        polys = [sum(sympy.Rational(c.numerator, c.denominator) * x ** (f.degree - j)
+                     for j, c in enumerate(f.coeffs)) for f in forms]
+        # sympy.resultant gives one value for both argument orders (here
+        # Res(h, g) when deg g < deg h), so swap with the sign (-1)^(deg g deg h)
+        if g.degree >= h.degree:
+            expected = sympy.resultant(*polys, x)
+        else:
+            expected = (-1) ** (g.degree * h.degree) * sympy.resultant(*polys[::-1], x)
+        res = sylvester_resultant(g, h)
+        assert res == Fraction(int(expected.p), int(expected.q))
+        zero += res == 0
+    assert zero >= 5
+
+
+def test_conic_det3_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    symbols = sympy.symbols(TRIPLE)
+    rng = random.Random(905)
+    monomials = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
+    for _ in range(40):
+        terms = {e: Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for e in monomials}
+        conic = TernaryForm.from_terms(2, TRIPLE, terms)
+        expr = sum(sympy.Rational(c.numerator, c.denominator)
+                   * sympy.prod(s ** k for s, k in zip(symbols, e))
+                   for e, c in terms.items())
+        expected = sympy.hessian(expr, symbols).det() / 8
+        assert conic_det3(conic) == Fraction(int(expected.p), int(expected.q))
 
 
 # ---------------------------------------------------------------------------

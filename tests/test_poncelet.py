@@ -6,8 +6,10 @@ from math import lcm
 
 import pytest
 
+from luroth import poncelet
 from luroth.forms import BinaryForm, PreconditionError, TernaryForm, parse_form
-from luroth.linalg import rank, shifted_multiples, solve_linear
+from luroth.linalg import (det_rational, shifted_multiples, solve_linear,
+                           sylvester_matrix, sylvester_resultant)
 from luroth.poncelet import (
     DUAL_VARS,
     PARAM_VARS,
@@ -27,6 +29,7 @@ from luroth.poncelet import (
     singular_jump_criterion,
     standard_conic,
 )
+from oracles import rational_det, rational_rank
 
 
 def split_form(roots, pair=PARAM_VARS):
@@ -88,7 +91,7 @@ def rank_is_jumping_line(conic, pencil, line):
     columns = ([list(pencil.gamma1.coeffs), list(pencil.gamma2.coeffs)]
                + shifted_multiples(q, n))
     matrix = [[columns[j][i] for j in range(n + 2)] for i in range(n + 2)]
-    return rank(matrix) < n + 2
+    return rational_rank(matrix) < n + 2
 
 
 def line_with_pullback(conic, q):
@@ -367,8 +370,104 @@ def test_jumping_at_chord_of_gamma1_roots():
     assert is_jumping_line(conic, pencil, vertex)
 
 
+def planted_pencil(rng, n, common):
+    """Random rational generators of degree n+1 sharing the factor common."""
+    rest = n + 1 - common.degree
+    while True:
+        g1, g2 = (common * BinaryForm.from_coeffs(PARAM_VARS, [
+            Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rest + 1)])
+            for _ in range(2))
+        try:
+            return PonceletPencil(g1, g2)
+        except PreconditionError:
+            continue
+
+
+def test_base_point_free_matches_sylvester_resultant():
+    rng = random.Random(41)
+    s0 = BinaryForm.from_coeffs(PARAM_VARS, [1, 0])
+    s1 = BinaryForm.from_coeffs(PARAM_VARS, [0, 1])
+    shared = 0
+    for n in range(2, 9):
+        for kind in ("random", "small", "rational root", "s1 divides", "s0 divides",
+                     "double root"):
+            if kind == "random":
+                pencil = rand_rational_pencil(rng, n)
+            elif kind == "small":  # coefficients in -1..1 often share a root by chance
+                pencil = rand_pencil(rng, n, gamma1=BinaryForm.from_coeffs(
+                    PARAM_VARS, [1] + [rng.randint(-1, 1) for _ in range(n + 1)]))
+            else:
+                a, b = Fraction(rng.randint(-5, 5), rng.randint(1, 3)), rng.randint(1, 4)
+                common = {"rational root": split_form([(a, b)]),
+                          "s1 divides": s1, "s0 divides": s0,
+                          "double root": split_form([(a, b), (a, b)])}[kind]
+                pencil = planted_pencil(rng, n, common)
+            res = rational_det(sylvester_matrix(pencil.gamma1, pencil.gamma2))
+            assert res == sylvester_resultant(pencil.gamma1, pencil.gamma2)
+            assert is_base_point_free(pencil) == (res != 0)
+            if kind not in ("random", "small"):
+                assert not is_base_point_free(pencil)
+            shared += res == 0
+    assert shared >= 4 * 7
+
+
+def test_bezout_determinant_is_resultant_up_to_sign():
+    rng = random.Random(42)
+    for n in range(2, 9):
+        for _ in range(4):
+            pencil = rand_pencil(rng, n)
+            bez = [row[:-1] for row in poncelet._bezout_matrix(pencil)]
+            res = rational_det(sylvester_matrix(pencil.gamma1, pencil.gamma2))
+            assert abs(det_rational(bez)) == abs(res)
+            assert det_rational(bez) == rational_det(bez)
+
+
 # ---------------------------------------------------------------------------
 # singular-point criterion
+
+def rational_singular_jump(conic, pencil, line):
+    """Oracle: the criterion by rational ranks of transposed coefficient columns."""
+    if rational_det(sylvester_matrix(pencil.gamma1, pencil.gamma2)) == 0:
+        raise PreconditionError("base point")
+    n = pencil.n
+    q2 = line_pullback(conic, line).power(2)
+    columns = shifted_multiples(q2, max(n - 2, 0))
+    base_rank = rational_rank([[col[r] for col in columns] for r in range(n + 2)]) if columns else 0
+    with_gammas = columns + [list(pencil.gamma1.coeffs), list(pencil.gamma2.coeffs)]
+    full_rank = rational_rank([[col[r] for col in with_gammas] for r in range(n + 2)])
+    return full_rank <= base_rank + 1
+
+
+def test_singular_jump_matches_rational_rank_oracle():
+    rng = random.Random(43)
+    verdicts = set()
+    for conic in three_conics():
+        for n in range(2, 11):
+            for _ in range(3):
+                # a line through two parameters, and a pencil whose gamma1 the
+                # square of its pullback divides half of the time
+                a, b = rng.sample(range(-6, 7), 2)
+                line = chord_dual(conic, (a, 1), (b, 1))
+                q = line_pullback(conic, line)
+                gamma1 = None
+                if n >= 3 and rng.random() < 0.5:
+                    gamma1 = q * q * BinaryForm.from_coeffs(
+                        PARAM_VARS, [rng.randint(-5, 5) for _ in range(n - 2)])
+                    if gamma1.is_zero():
+                        gamma1 = None
+                pencil = rand_pencil(rng, n, gamma1=gamma1)
+                lines = [line, tuple(rng.randint(-5, 5) for _ in range(2)) + (1,)]
+                for ln in lines:
+                    try:
+                        expected = rational_singular_jump(conic, pencil, ln)
+                    except PreconditionError:
+                        with pytest.raises(PreconditionError):
+                            singular_jump_criterion(conic, pencil, ln)
+                        continue
+                    assert singular_jump_criterion(conic, pencil, ln) == expected
+                    verdicts.add(expected)
+    assert verdicts == {True, False}
+
 
 def test_singular_jump_constructed_witness():
     conic = standard_conic()
