@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 Exp = tuple[int, ...]
@@ -194,6 +195,14 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _int_literal(digits: str, at: int) -> int:
+    """The literal's value; a ParseError past Python's int-string digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer literal of {len(digits)} digits is too long", at) from None
+
+
 class _Parser:
     """Recursive descent over +, -, *, ^ and parentheses; expands on the fly."""
 
@@ -265,16 +274,17 @@ class _Parser:
             return self._maybe_power(inner)
         if kind == "int":
             self.next()
-            num = int(val)
+            num = _int_literal(val, at)
             kind2, val2, _ = self.peek()
             if kind2 == "op" and val2 == "/":
                 self.next()
                 kind3, val3, at3 = self.next()
                 if kind3 != "int":
                     raise ParseError("expected integer denominator", at3)
-                if int(val3) == 0:
+                den = _int_literal(val3, at3)
+                if den == 0:
                     raise ParseError("zero denominator", at3)
-                coef = Fraction(num, int(val3))
+                coef = Fraction(num, den)
             else:
                 coef = Fraction(num)
             zero_exp = (0,) * self.nvars
@@ -482,9 +492,20 @@ class BinaryForm:
 
 
 def form_from_json(data: Mapping):
-    variables = tuple(data["vars"])
-    terms = {tuple(t["exp"]): Fraction(t["coef"]) for t in data["terms"]}
-    degree = int(data["degree"])
+    """The form of a `to_json` report; ValueError on any malformed input."""
+    try:
+        variables = tuple(data["vars"])
+        degree = data["degree"]
+        terms = {tuple(t["exp"]): Fraction(t["coef"]) for t in data["terms"]}
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+        raise ValueError(f"malformed form JSON: {type(exc).__name__}: {exc}") from None
+    if len(variables) not in (2, 3) or not all(isinstance(v, str) for v in variables):
+        raise ValueError("malformed form JSON: expected 2 or 3 variable names")
+    if not (type(degree) is int and 0 <= degree <= MAX_DEGREE):
+        raise ValueError(f"malformed form JSON: degree must be an integer in 0..{MAX_DEGREE}")
+    for e in terms:
+        if len(e) != len(variables) or not all(type(k) is int and k >= 0 for k in e):
+            raise ValueError(f"malformed form JSON: bad exponent {list(e)}")
     if len(variables) == 2:
         return BinaryForm.from_terms(degree, variables, terms)
     return TernaryForm.from_terms(degree, variables, terms)
@@ -548,20 +569,30 @@ def form_gcd(g: BinaryForm, h: BinaryForm) -> BinaryForm:
 
 @dataclass(frozen=True, eq=False)
 class TernaryForm:
-    """Homogeneous polynomial in an ordered variable triple, stored sparsely."""
+    """Homogeneous polynomial in an ordered variable triple, stored sparsely.
+
+    terms is a read-only copy of the given map; forms are hashable.
+    """
 
     degree: int
     variables: tuple[str, str, str]
-    terms: TermMap
+    terms: Mapping[Exp, Fraction]
 
     def __post_init__(self):
         if self.degree < 0:
             raise ValueError("degree must be non-negative")
+        object.__setattr__(self, "terms", MappingProxyType(dict(self.terms)))
         for e, c in self.terms.items():
             if len(e) != 3 or sum(e) != self.degree:
                 raise HomogeneityError("exponent triple does not sum to the degree")
             if c == 0:
                 raise ValueError("stored zero coefficient")
+
+    def __hash__(self) -> int:
+        return hash((self.degree, self.variables, frozenset(self.terms.items())))
+
+    def __reduce__(self):
+        return TernaryForm, (self.degree, self.variables, dict(self.terms))
 
     @classmethod
     def from_terms(cls, degree: int, variables: tuple[str, str, str],

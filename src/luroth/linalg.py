@@ -1,13 +1,15 @@
 """Exact linear algebra over the rationals and determinants of form matrices.
 
-Rational matrices are plain lists of Fraction rows.  Determinants and ranks
-are fraction-free (Bareiss elimination on rows scaled to integers); solves,
-kernels and inverses use rational Gauss-Jordan elimination.  The polynomial
-determinant is division-free: a row-by-row expansion memoized over column
-subsets, exponential in the size.  It serves only the worked 6x6 families and
-the test oracle: `poncelet` computes jumping-line curves (Barth 1977) from a
-closed form in the pencil's Bezout matrix, sum B_ij x^i y^j =
-(g1(x)g2(y) - g1(y)g2(x))/(x - y), and the pullback of the line.
+Rational matrices are plain lists of Fraction rows.  There is one elimination
+routine: Bareiss fraction-free elimination on rows scaled to integers.  The
+determinant and the rank take its forward pass; solves, kernels and inverses
+take its reduced pass (fraction-free Gauss-Jordan) and divide once at the
+end.  The polynomial determinant is division-free: a row-by-row expansion
+memoized over column subsets, exponential in the size.  It serves only the
+worked 6x6 families and the test oracle: `poncelet` computes jumping-line
+curves (Barth 1977) from a closed form in the pencil's Bezout matrix,
+sum B_ij x^i y^j = (g1(x)g2(y) - g1(y)g2(x))/(x - y), and the pullback of
+the line.
 
 `shifted_multiples` is the one multiplication map of the package: the
 coefficient vectors of a binary form times every monomial of a degree.  It
@@ -35,53 +37,11 @@ from .forms import (
 )
 
 Matrix = list[list[Fraction]]
-Vector = list[Fraction]
-
-
-def as_matrix(rows: Sequence[Sequence]) -> Matrix:
-    return [[_q(x) for x in row] for row in rows]
-
-
-def identity(n: int) -> Matrix:
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
-    a, b = as_matrix(a), as_matrix(b)
-    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0))
-             for j in range(len(b[0]))] for i in range(len(a))]
-
-
-def mat_vec(a: Sequence[Sequence], v: Sequence) -> Vector:
-    a = as_matrix(a)
-    v = [_q(x) for x in v]
-    return [sum((a[i][k] * v[k] for k in range(len(v))), Fraction(0))
-            for i in range(len(a))]
-
-
-def _row_echelon(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the pivot column indices (in place copy)."""
-    m = [row[:] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+    return [[sum((_q(x) * _q(y) for x, y in zip(row, col)), Fraction(0))
+             for col in zip(*b)] for row in a]
 
 
 def integral_row(values: Sequence) -> tuple[list[int], int]:
@@ -91,14 +51,20 @@ def integral_row(values: Sequence) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in p], d
 
 
-def _bareiss(m: list[list[int]]) -> tuple[int, int]:
-    """Rank and signed last pivot (the determinant, for a nonsingular square
-    matrix) of Bareiss (1968) fraction-free elimination, in place.  Every
-    entry stays an integer minor, so each division by the last pivot is exact."""
+def _bareiss(m: list[list[int]], reduced: bool = False) -> tuple[list[int], int]:
+    """Pivot columns and signed last pivot (the determinant, for a nonsingular
+    square matrix) of Bareiss (1968) fraction-free elimination, in place.
+
+    Every entry stays an integer minor, so each division by the last pivot is
+    exact.  With reduced, the rows above each pivot are cleared too
+    (fraction-free Gauss-Jordan): every pivot ends equal to the last one, and
+    m divided by it is the reduced row echelon form.
+    """
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
-    prev, sign, r = 1, 1, 0
+    prev, sign, pivots = 1, 1, []
     for c in range(ncols):
+        r = len(pivots)
         pivot = next((i for i in range(r, nrows) if m[i][c]), None)
         if pivot is None:
             continue
@@ -110,13 +76,24 @@ def _bareiss(m: list[list[int]]) -> tuple[int, int]:
             f = m[i][c]
             m[i] = [0] * (c + 1) + [(p * x - f * y) // prev
                                     for x, y in zip(m[i][c + 1:], top)]
-        prev, r = p, r + 1
-    return r, sign * prev
+        if reduced:
+            for i in range(r):
+                f = m[i][c]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], m[r])]
+        prev = p
+        pivots.append(c)
+    return pivots, sign * prev
+
+
+def _reduced(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
+    """Integer multiple of the reduced row echelon form, and its pivot columns."""
+    m = [integral_row(row)[0] for row in rows]
+    return m, _bareiss(m, reduced=True)[0]
 
 
 def rank(rows: Sequence[Sequence]) -> int:
     """Rank over the rationals, fraction-free on rows scaled to integers."""
-    return _bareiss([integral_row(row)[0] for row in rows])[0]
+    return len(_bareiss([integral_row(row)[0] for row in rows])[0])
 
 
 def det_rational(rows: Sequence[Sequence]) -> Fraction:
@@ -125,18 +102,18 @@ def det_rational(rows: Sequence[Sequence]) -> Fraction:
     if any(len(row) != n for row in rows):
         raise ValueError("determinant requires a square matrix")
     scaled = [integral_row(row) for row in rows]
-    full, det = _bareiss([ints for ints, _ in scaled])
-    return Fraction(det, prod(d for _, d in scaled)) if full == n else Fraction(0)
+    pivots, det = _bareiss([ints for ints, _ in scaled])
+    return Fraction(det, prod(d for _, d in scaled)) if len(pivots) == n else Fraction(0)
 
 
 def invert(rows: Sequence[Sequence]) -> Matrix:
-    m = as_matrix(rows)
-    n = len(m)
-    aug = [row + unit for row, unit in zip(m, identity(n))]
-    red, pivots = _row_echelon(aug)
+    n = len(rows)
+    scaled = [integral_row(row) for row in rows]
+    m, pivots = _reduced([ints + [d if j == i else 0 for j in range(n)]
+                          for i, (ints, d) in enumerate(scaled)])
     if pivots[:n] != list(range(n)):
         raise PreconditionError("matrix is singular")
-    return [row[n:] for row in red[:n]]
+    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(m)]
 
 
 @dataclass(frozen=True)
@@ -148,38 +125,31 @@ class LinearSolution:
 
 
 def solve_linear(a: Sequence[Sequence], b: Sequence) -> LinearSolution:
-    """Solve A x = b exactly by Gaussian elimination over the rationals."""
-    a = as_matrix(a)
-    bv = [_q(x) for x in b]
-    if len(a) != len(bv):
+    """Solve A x = b exactly: fraction-free Gauss-Jordan on [A | b]."""
+    if len(a) != len(b):
         raise ValueError("incompatible dimensions")
     ncols = len(a[0]) if a else 0
-    aug = [a[i] + [bv[i]] for i in range(len(a))]
-    red, pivots = _row_echelon(aug)
+    m, pivots = _reduced([list(row) + [x] for row, x in zip(a, b)])
     if ncols in pivots:
         return LinearSolution("no_solution")
     if len(pivots) < ncols:
         return LinearSolution("non_unique")
-    x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][ncols]
-    return LinearSolution("unique", tuple(x))
+    return LinearSolution("unique", tuple(Fraction(row[ncols], row[r])
+                                          for r, row in enumerate(m[:ncols])))
 
 
 def nullspace(rows: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
     """Basis of the right kernel of the matrix."""
-    m = as_matrix(rows)
-    if not m:
+    if not rows:
         return []
-    ncols = len(m[0])
-    red, pivots = _row_echelon(m)
-    free = [c for c in range(ncols) if c not in pivots]
+    ncols = len(rows[0])
+    m, pivots = _reduced(rows)
     basis = []
-    for f in free:
+    for f in (c for c in range(ncols) if c not in pivots):
         vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -red[r][f]
+        for row, c in zip(m, pivots):
+            vec[c] = Fraction(-row[f], row[c])
         basis.append(tuple(vec))
     return basis
 

@@ -21,13 +21,13 @@ from .linalg import (
     conic_det3,
     conic_kernel_point,
     disc_binary_quadratic,
-    invert,
-    mat_vec,
     shifted_multiples,
     solve_linear,
     sylvester_resultant,
 )
 from .poncelet import normalize_projective
+
+Transform = tuple[tuple[Fraction, ...], ...]
 
 
 class NodeError(PreconditionError):
@@ -68,7 +68,7 @@ class NodeDecomposition:
     variables of f2, f3, f4 and t_var the variable playing the cone direction.
     """
 
-    transform: Matrix
+    transform: Transform
     pair: tuple[str, str]
     t_var: str
     original_vars: tuple[str, str, str]
@@ -107,7 +107,7 @@ class TangentMapResult:
     conic_velocity: TernaryForm
 
 
-def _node_transform(point: Sequence) -> tuple[Matrix, int]:
+def _node_transform(point: Sequence) -> tuple[Transform, int]:
     p = [_q(x) for x in point]
     pivot = next((i for i, x in enumerate(p) if x != 0), None)
     if pivot is None:
@@ -117,11 +117,10 @@ def _node_transform(point: Sequence) -> tuple[Matrix, int]:
     columns = [[Fraction(1) if r == others[0] else Fraction(0) for r in range(3)],
                [Fraction(1) if r == others[1] else Fraction(0) for r in range(3)],
                scaled]
-    transform = [[columns[c][r] for c in range(3)] for r in range(3)]
-    return transform, pivot
+    return tuple(tuple(columns[c][r] for c in range(3)) for r in range(3)), pivot
 
 
-def _graded_split(quartic: TernaryForm, transform: Matrix,
+def _graded_split(quartic: TernaryForm, transform: Transform,
                   pair: tuple[str, str]) -> list[BinaryForm]:
     """Pieces f0..f4 of the moved quartic sum t^(4-i) * f_i(pair), t last."""
     moved = quartic.substitute_linear(transform)
@@ -141,7 +140,7 @@ def _assemble(pieces: Sequence[tuple[int, BinaryForm]], t_var: str,
                                   terms).with_vars(var_order)
 
 
-def _decompose(quartic: TernaryForm, point: Sequence) -> tuple[Matrix, tuple[str, str], str, list[BinaryForm]]:
+def _decompose(quartic: TernaryForm, point: Sequence) -> tuple[Transform, tuple[str, str], str, list[BinaryForm]]:
     """Graded pieces f0..f4 of the quartic in node-centered coordinates."""
     transform, pivot = _node_transform(point)
     variables = quartic.variables
@@ -272,9 +271,7 @@ def tangent_map(dec: NodeDecomposition, data: AssociatedConicData,
         raise PreconditionError("direction quartic does not vanish at the node")
     pair = dec.pair
     # polarized cone equation: d(f2).xi = -g1, a 2x2 solve
-    hessian = _hessian(dec.f2)
-    rhs = [-c for c in g1.coeffs]
-    xi = tuple(mat_vec(invert(hessian), rhs))
+    xi = solve_linear(_hessian(dec.f2), [-c for c in g1.coeffs]).vector
     df3 = dec.f3.directional(xi) if not dec.f3.is_zero() else BinaryForm.zero(2, pair)
     df4 = dec.f4.directional(xi) if not dec.f4.is_zero() else BinaryForm.zero(3, pair)
     rhs_form = g4 - (g3 + df4) * data.phi - (g2 + df3) * data.psi

@@ -34,7 +34,6 @@ from .linalg import (
     PolyMatrix,
     det_rational,
     integral_row,
-    nullspace,
     rank,
     shifted_multiples,
 )
@@ -83,34 +82,29 @@ class ConicParam:
 
 def make_conic(p0: BinaryForm, p1: BinaryForm, p2: BinaryForm,
                primal_vars: tuple[str, str, str] = PRIMAL_VARS) -> ConicParam:
-    """Validate a parametrization and compute the implicit conic equation."""
+    """Validate a parametrization and compute the implicit conic equation.
+
+    With t the rows p0.coeffs, p1.coeffs, p2.coeffs, the image of (s0, s1)
+    is x = t*m for m = (s0^2, s0*s1, s1^2).  So adj(t)*x = det(t)*m, and the
+    equation is y0*y2 - y1^2 at y = adj(t)*x.  det(t) = 0 means dependent
+    components, whose image is no smooth conic.
+    """
     for p in (p0, p1, p2):
         if p.degree != 2:
             raise PreconditionError("parametrization components must have degree 2")
         if p.variables != p0.variables:
             raise ValueError("parametrization components must share variables")
-    coeff_rows = [list(p.coeffs) for p in (p0, p1, p2)]
-    if rank(coeff_rows) < 3:
+    flat = integral_row([c for p in (p0, p1, p2) for c in p.coeffs])[0]
+    t = [flat[3 * j:3 * j + 3] for j in range(3)]
+    # adj[k][j] is the cofactor of t[j][k]
+    adj = [[t[(j + 1) % 3][(k + 1) % 3] * t[(j + 2) % 3][(k + 2) % 3]
+            - t[(j + 1) % 3][(k + 2) % 3] * t[(j + 2) % 3][(k + 1) % 3]
+            for j in range(3)] for k in range(3)]
+    if sum(t[0][k] * adj[k][0] for k in range(3)) == 0:
         raise PreconditionError(
             "parametrization components are linearly dependent: image is not a smooth conic")
-    # a ternary quadric vanishing on the image: 6 unknowns, one per quadric monomial
-    monomials = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
-    ps = [p0, p1, p2]
-    columns = []
-    for (i, j, k) in monomials:
-        prod = BinaryForm.from_coeffs(p0.variables, [1])
-        for idx, e in enumerate((i, j, k)):
-            for _ in range(e):
-                prod = prod * ps[idx]
-        columns.append(list(prod.coeffs))
-    system = [[columns[c][r] for c in range(6)] for r in range(5)]
-    kernel = nullspace(system)
-    if len(kernel) != 1:
-        raise PreconditionError("parametrization image is not a smooth conic")
-    coeffs = kernel[0]
-    implicit = TernaryForm.from_terms(
-        2, primal_vars, {m: c for m, c in zip(monomials, coeffs)}).lex_normalized()
-    return ConicParam(p0, p1, p2, implicit)
+    terms = substitute_terms({(1, 0, 1): 1, (0, 2, 0): -1}, 2, adj)
+    return ConicParam(p0, p1, p2, TernaryForm.from_terms(2, primal_vars, terms).lex_normalized())
 
 
 def standard_conic(param_vars: tuple[str, str] = PARAM_VARS,

@@ -16,6 +16,8 @@ from .forms import BinaryForm, parse_form
 from .linalg import conic_det3, disc_binary_quadratic
 from .poncelet import DUAL_VARS, PARAM_VARS
 
+# the worked-identity samples and printed expansions, defined once; the
+# acceptance and family tests import them too
 EPS_SAMPLES = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 3), Fraction(-2, 5))
 C_SAMPLES = (Fraction(0), Fraction(2), Fraction(-1, 4), Fraction(1, 3), Fraction(5))
 
@@ -27,18 +29,18 @@ class CheckResult:
     detail: str
 
 
-def _printed_eps_expansion(eps: Fraction):
+def printed_eps_expansion(eps: Fraction):
     base = parse_form("(u^2+w^2)*(v^2+w^2)+2*u*v^3", DUAL_VARS)
     linear = parse_form("v*u^3+3*u*v*w^2+u*v^3+2*v^4", DUAL_VARS)
     quad = parse_form("u^2*v^2", DUAL_VARS)
     return base - linear.scale(eps) + quad.scale(eps * eps)
 
 
-def _printed_92():
+def printed_92():
     return parse_form("w^2*(u^2+v^2)+w*(u^3+v^3)-u*v*(u^2+v^2)", DUAL_VARS)
 
 
-def _printed_93(c: Fraction):
+def printed_93(c: Fraction):
     fixed = parse_form("w^2*(u^2+v^2)+w*(u^3+v^3)-u^3*v-u*v^3", DUAL_VARS)
     return fixed + parse_form("u^2*v^2", DUAL_VARS).scale(-2 * c)
 
@@ -46,7 +48,7 @@ def _printed_93(c: Fraction):
 def check_eps_family_determinant() -> CheckResult:
     for eps in EPS_SAMPLES:
         det = poncelet.family_matrix("eps91", eps).determinant()
-        if not det.proportional_to(_printed_eps_expansion(eps)):
+        if not det.proportional_to(printed_eps_expansion(eps)):
             return CheckResult("eps91 determinant expansion", False, f"mismatch at eps={eps}")
     return CheckResult("eps91 determinant expansion", True,
                        f"matches printed expansion at {len(EPS_SAMPLES)} samples")
@@ -54,7 +56,7 @@ def check_eps_family_determinant() -> CheckResult:
 
 def check_92_determinant() -> CheckResult:
     det = poncelet.family_matrix("92").determinant()
-    ok = det.proportional_to(_printed_92())
+    ok = det.proportional_to(printed_92())
     return CheckResult("family 92 determinant", ok,
                        "matches w^2*f2 + w*f3 + f4" if ok else "mismatch")
 

@@ -113,6 +113,13 @@ def test_analyze_bad_point_exit_2(capsys):
     assert code == 2
 
 
+def test_analyze_overlong_integer_literal_exit_2(capsys):
+    code, out = run(capsys, ["quartic", "analyze", "--f", "1" + "0" * 5000 + "*u^4",
+                             "--node", "1:0:0"])
+    assert code == 2
+    assert "integer literal of 5001 digits is too long (at position 0)" in out
+
+
 def test_analyze_json_round_trip(capsys):
     code, out = run(capsys, ["quartic", "analyze", "--f", QUARTIC_A,
                              "--node", "1:0:0", "--json"])

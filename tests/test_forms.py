@@ -1,6 +1,8 @@
 """Parser, binary/ternary form arithmetic, gcd and serialization."""
 
+import copy
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -88,6 +90,17 @@ def test_parse_zero_denominator_position():
     with pytest.raises(ParseError) as err:
         parse_form("v^2 + 3/00*w^2", PAIR)
     assert err.value.position == 8
+
+
+def test_parse_overlong_integer_literal_position():
+    long = "1" + "0" * 5000
+    for text, position in ((f"{long}*u^4", 0), (f"2/{long}*u^4", 2),
+                           (f"u^4 - {long}/3*v^4", 6), (f"u^4 + 7/{long}*w^4", 8)):
+        with pytest.raises(ParseError) as err:
+            parse_form(text, TRIPLE)
+        assert err.value.position == position, text
+        assert "5001 digits" in str(err.value)
+    assert parse_form("1" + "0" * 4000 + "*u^4", TRIPLE).terms == {(4, 0, 0): 10 ** 4000}
 
 
 def test_parse_rational_coefficients_and_unary_minus():
@@ -341,6 +354,43 @@ def test_resultant_gcd_equivalence():
 
 
 # ---------------------------------------------------------------------------
+# immutability
+
+def test_ternary_terms_are_read_only():
+    f = parse_form("x*y - t^2", ("x", "y", "t"))
+    with pytest.raises(TypeError):
+        f.terms[(0, 0, 2)] = 5
+    with pytest.raises(TypeError):
+        del f.terms[(1, 1, 0)]
+    source = {(2, 0, 0): Fraction(1)}
+    g = TernaryForm(2, TRIPLE, source)
+    source[(0, 2, 0)] = Fraction(3)  # the form keeps its own copy
+    assert g == parse_form("u^2", TRIPLE)
+
+
+def test_ternary_hash_consistent_with_eq():
+    rng = random.Random(607)
+    for _ in range(20):
+        f = rand_ternary(rng, rng.randint(0, 4))
+        shuffled = list(f.terms.items())
+        rng.shuffle(shuffled)
+        g = TernaryForm(f.degree, f.variables, dict(shuffled))
+        assert g == f and hash(g) == hash(f)
+    ints = TernaryForm(2, TRIPLE, {(1, 1, 0): 2, (0, 0, 2): -1})
+    fracs = parse_form("2*u*v - w^2", TRIPLE)
+    assert ints == fracs and hash(ints) == hash(fracs)
+    assert len({ints, fracs, fracs.scale(2), TernaryForm.zero(2, TRIPLE)}) == 3
+
+
+def test_ternary_pickle_and_copy_round_trip():
+    f = parse_form("-3/4*u^2*v + w^3", TRIPLE)
+    for g in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
+        assert g == f and hash(g) == hash(f) and str(g) == str(f)
+        with pytest.raises(TypeError):
+            g.terms[(0, 0, 3)] = 2
+
+
+# ---------------------------------------------------------------------------
 # serialization
 
 def test_json_round_trip():
@@ -359,6 +409,35 @@ def test_json_schema_shape():
     assert data["vars"] == ["v", "w"]
     assert data["degree"] == 3
     assert {"coef": "-3/4", "exp": [2, 1]} in data["terms"]
+
+
+@pytest.mark.parametrize("data", [
+    {"degree": 2, "terms": [{"exp": [3, -1, 0], "coef": "1"}], "vars": TRIPLE},
+    {"vars": PAIR, "degree": 2, "terms": [{"exp": [-1, 3], "coef": "1"}]},
+    {"vars": PAIR, "degree": 2},
+    {"vars": PAIR, "terms": []},
+    {"degree": 0, "terms": []},
+    {"vars": PAIR, "degree": 2, "terms": [{"exp": [2, 0]}]},
+    {"vars": PAIR, "degree": 2, "terms": [{"coef": "1"}]},
+    {"vars": ["u"], "degree": 0, "terms": []},
+    {"vars": ["a", "b", "c", "d"], "degree": 0, "terms": []},
+    {"vars": PAIR, "degree": 2, "terms": [{"exp": [2, 0], "coef": "1/0"}]},
+    {"vars": PAIR, "degree": 2, "terms": [{"exp": [2, 0], "coef": "x"}]},
+    {"vars": PAIR, "degree": 2, "terms": [{"exp": [2, 0], "coef": None}]},
+    {"vars": PAIR, "degree": 2, "terms": [{"exp": [2, 0, 0], "coef": "1"}]},
+    {"vars": TRIPLE, "degree": 2, "terms": [{"exp": [2, 0], "coef": "1"}]},
+    {"vars": PAIR, "degree": 2, "terms": [{"exp": [1, 0], "coef": "1"}]},
+    {"vars": PAIR, "degree": -1, "terms": []},
+    {"vars": PAIR, "degree": "2", "terms": []},
+    {"vars": PAIR, "degree": 10 ** 9, "terms": []},
+    {"vars": PAIR, "degree": 2, "terms": "u^2"},
+    [],
+    None,
+])
+def test_form_from_json_rejects_malformed(data):
+    with pytest.raises(ValueError) as err:
+        form_from_json(data)
+    assert type(err.value) in (ValueError, HomogeneityError)
 
 
 def test_lex_normalization_and_proportionality():

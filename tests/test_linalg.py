@@ -8,6 +8,8 @@ import pytest
 
 from luroth.forms import BinaryForm, PreconditionError, TernaryForm, parse_form
 from luroth.linalg import (
+    LinearSolution,
+    _bareiss,
     PolyMatrix,
     conic_det3,
     conic_kernel_point,
@@ -23,7 +25,8 @@ from luroth.linalg import (
     sylvester_matrix,
     sylvester_resultant,
 )
-from oracles import rational_det, rational_rank
+from oracles import (rational_det, rational_invert, rational_nullspace, rational_rank,
+                     rational_row_echelon, rational_solve)
 
 PAIR = ("v", "w")
 TRIPLE = ("u", "v", "w")
@@ -132,6 +135,89 @@ def test_rank_matches_rational_elimination():
                 assert rank(m) == rational_rank(m)
 
 
+def rand_rhs(rng, a, ncols):
+    """A consistent right-hand side (A times a random vector) or a random one."""
+    if rng.random() < 0.5:
+        x = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(ncols)]
+        return [sum((r * y for r, y in zip(row, x)), Fraction(0)) for row in a]
+    return [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in a]
+
+
+def test_solve_linear_matches_rational_elimination():
+    rng = random.Random(906)
+    statuses = {"unique": 0, "no_solution": 0, "non_unique": 0}
+    for nrows in range(9):
+        for ncols in range(9):
+            for _ in range(4):
+                a = rand_rational_matrix(rng, nrows, ncols)
+                b = rand_rhs(rng, a, ncols)
+                sol = solve_linear(a, b)
+                assert (sol.status, sol.vector) == rational_solve(a, b)
+                assert sol.vector is None or all(type(x) is Fraction for x in sol.vector)
+                statuses[sol.status] += 1
+    assert min(statuses.values()) >= 20, statuses
+
+
+def test_nullspace_matches_rational_elimination():
+    rng = random.Random(907)
+    kernels = 0
+    for nrows in range(9):
+        for ncols in range(9):
+            for _ in range(4):
+                m = rand_rational_matrix(rng, nrows, ncols)
+                basis = nullspace(m)
+                assert basis == rational_nullspace(m)
+                for vec in basis:
+                    assert all(type(x) is Fraction for x in vec)
+                    assert all(sum(r * x for r, x in zip(row, vec)) == 0 for row in m)
+                kernels += bool(basis)
+    assert kernels >= 100
+
+
+def test_invert_matches_rational_elimination():
+    rng = random.Random(908)
+    singular = 0
+    for n in range(9):
+        for _ in range(25):
+            m = rand_rational_matrix(rng, n, n)
+            expected = rational_invert(m)
+            if expected is None:
+                singular += 1
+                with pytest.raises(PreconditionError, match="singular"):
+                    invert(m)
+            else:
+                assert invert(m) == expected
+    assert singular >= 20
+
+
+def test_reduced_pass_ends_with_equal_pivots():
+    rng = random.Random(909)
+    for nrows in range(1, 9):
+        for ncols in range(1, 9):
+            m = [integral_row(row)[0] for row in rand_rational_matrix(rng, nrows, ncols)]
+            expected, expected_pivots = rational_row_echelon(m)
+            pivots, _ = _bareiss(m, reduced=True)
+            assert pivots == expected_pivots
+            if pivots:
+                last = m[len(pivots) - 1][pivots[-1]]
+                assert all(m[r][c] == last for r, c in enumerate(pivots))
+                assert [[Fraction(x, last) for x in row] for row in m] == expected
+
+
+def test_solve_nullspace_invert_edge_cases():
+    assert solve_linear([], []) == LinearSolution("unique", ())
+    assert solve_linear([[], []], [1, 0]).status == "no_solution"
+    assert solve_linear([[0, 0], [0, 0]], [0, 0]).status == "non_unique"
+    assert solve_linear([[0, 2], [0, 0]], [1, 0]).status == "non_unique"
+    assert solve_linear([[0, 2], [3, 0]], [1, 1]).vector == (Fraction(1, 3), Fraction(1, 2))
+    assert nullspace([]) == [] and nullspace([[0, 0]]) == [(1, 0), (0, 1)]
+    assert nullspace([[0, 0, 1], [0, 0, 2]]) == [(1, 0, 0), (0, 1, 0)]
+    assert invert([]) == []
+    assert invert([[0, 2], [Fraction(1, 3), 0]]) == [[0, 3], [Fraction(1, 2), 0]]
+    with pytest.raises(ValueError):
+        solve_linear([[1, 2]], [1, 2])
+
+
 def test_det_and_rank_edge_cases():
     assert det_rational([]) == 1
     assert rank([]) == 0 and rank([[], []]) == 0
@@ -205,6 +291,42 @@ def test_conic_det3_matches_sympy():
                    for e, c in terms.items())
         expected = sympy.hessian(expr, symbols).det() / 8
         assert conic_det3(conic) == Fraction(int(expected.p), int(expected.q))
+
+
+def test_poly_determinant_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    symbols = sympy.symbols(TRIPLE)
+    ring = sympy.QQ[symbols]
+    rng = random.Random(910)
+
+    def entry(linear):
+        if not linear:
+            return TernaryForm.constant(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), TRIPLE)
+        units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        return TernaryForm.from_terms(1, TRIPLE, {
+            e: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for e in units
+            if rng.random() < 0.6})
+
+    def expr(form):
+        return sum((sympy.Rational(c.numerator, c.denominator)
+                    * sympy.prod(s ** k for s, k in zip(symbols, e))
+                    for e, c in form.terms.items()), sympy.Integer(0))
+
+    zero = 0
+    for n in range(1, 6):
+        for _ in range(6):
+            linear = [rng.random() < 0.7 for _ in range(n)]  # constant or linear columns
+            m = PolyMatrix.from_rows([[entry(linear[j]) for j in range(n)] for _ in range(n)])
+            det = m.determinant()
+            rows = [[ring.from_sympy(expr(m.entry(i, j))) for j in range(n)] for i in range(n)]
+            poly = DomainMatrix(rows, (n, n), ring).det()
+            expected = {e: Fraction(int(c.numerator), int(c.denominator))
+                        for e, c in poly.terms() if c}
+            assert dict(det.terms) == expected
+            zero += det.is_zero()
+    assert zero >= 1
 
 
 # ---------------------------------------------------------------------------

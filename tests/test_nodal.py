@@ -20,17 +20,13 @@ from luroth.nodal import (
     verify_node,
 )
 from luroth.poncelet import DUAL_VARS, family_matrix
+from luroth.verify import printed_93
 
 PAIR_VW = ("v", "w")
 PAIR_UV = ("u", "v")
 
 QUARTIC_A = parse_form("(u^2+w^2)*(v^2+w^2)+2*u*v^3", DUAL_VARS)
 QUARTIC_B = parse_form("w^2*(u^2+v^2)+w*(u^3+v^3)-u*v*(u^2+v^2)", DUAL_VARS)
-
-
-def quartic_c(c):
-    return (parse_form("w^2*(u^2+v^2)+w*(u^3+v^3)-u^3*v-u*v^3", DUAL_VARS)
-            + parse_form("u^2*v^2", DUAL_VARS).scale(-2 * c))
 
 
 def rand_invertible(rng):
@@ -96,10 +92,21 @@ def test_normalize_quartic_a():
 
 def test_normalize_identity_transform():
     dec = normalize_at_node(QUARTIC_B, (0, 0, 1))
-    assert dec.transform == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert dec.transform == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert dec.f2 == parse_form("u^2+v^2", PAIR_UV)
     assert dec.f3 == parse_form("u^3+v^3", PAIR_UV)
     assert dec.f4 == parse_form("-u*v*(u^2+v^2)", PAIR_UV)
+
+
+def test_decomposition_transform_is_immutable():
+    analysis = classify(QUARTIC_A, (1, 0, 0))
+    transform = analysis.decomposition.transform
+    assert type(transform) is tuple and all(type(row) is tuple for row in transform)
+    with pytest.raises(TypeError):
+        transform[0][0] = 7
+    with pytest.raises(TypeError):
+        transform[0] = (7, 0, 0)
+    assert hash(analysis) == hash(classify(QUARTIC_A, (1, 0, 0)))
 
 
 def test_normalize_rejects_smooth_point():
@@ -179,6 +186,44 @@ def test_koszul_bidirectional_random():
     assert unique_seen >= 10 and failed_seen >= 5
 
 
+def test_koszul_solve_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    v, w = sympy.symbols(PAIR_VW)
+    unknowns = sympy.symbols("a0 a1 b0 b1 b2")
+    a0, a1, b0, b1, b2 = unknowns
+
+    def expr(form):
+        return sum(sympy.Rational(c.numerator, c.denominator) * v ** (form.degree - j) * w ** j
+                   for j, c in enumerate(form.coeffs))
+
+    def rand_form(degree):
+        return BinaryForm.from_coeffs(PAIR_VW, [Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                                                for _ in range(degree + 1)])
+
+    rng = random.Random(44)
+    unique = rejected = 0
+    for _ in range(40):
+        f2, f3, rhs = rand_form(2), rand_form(3), rand_form(4)
+        if rng.random() < 0.3:  # plant a shared root
+            common = rand_form(1)
+            f2, f3 = common * rand_form(1), common * rand_form(2)
+        phi = a0 * v + a1 * w
+        psi = b0 * v ** 2 + b1 * v * w + b2 * w ** 2
+        residual = sympy.expand(phi * expr(f3) + psi * expr(f2) - expr(rhs))
+        equations = sympy.Poly(residual, v, w).coeffs()
+        solutions = list(sympy.linsolve(equations, unknowns))
+        if len(solutions) == 1 and not any(x.free_symbols for x in solutions[0]):
+            phi, psi = koszul_solve(f2, f3, rhs)
+            assert list(phi.coeffs + psi.coeffs) == [Fraction(int(x.p), int(x.q))
+                                                     for x in solutions[0]]
+            unique += 1
+        else:
+            with pytest.raises(PreconditionError):
+                koszul_solve(f2, f3, rhs)
+            rejected += 1
+    assert unique >= 20 and rejected >= 5
+
+
 def test_associated_conic_quartic_a():
     data = associated_conic(normalize_at_node(QUARTIC_A, (1, 0, 0)))
     assert data.phi.is_zero()
@@ -197,7 +242,7 @@ def test_associated_conic_quartic_b():
 
 def test_associated_conic_family_c():
     c = Fraction(2)
-    data = associated_conic(normalize_at_node(quartic_c(c), (0, 0, 1)))
+    data = associated_conic(normalize_at_node(printed_93(c), (0, 0, 1)))
     assert data.phi == BinaryForm.from_coeffs(PAIR_UV, [c, c])
     assert data.psi == BinaryForm.from_coeffs(PAIR_UV, [-c, -(1 + c), -c])
     assert data.det3 == Fraction(-1, 4) * (4 * c + 1) * (c - 1) ** 2
@@ -219,7 +264,7 @@ def test_classify_not_type_two():
 
 
 def test_classify_family_c_special_value():
-    analysis = classify(quartic_c(Fraction(-1, 4)), (0, 0, 1))
+    analysis = classify(printed_93(Fraction(-1, 4)), (0, 0, 1))
     assert analysis.type_two
     assert analysis.conic_singular_point == (2, 2, 1)
 
@@ -233,7 +278,7 @@ def test_verdict_projective_invariance():
     rng = random.Random(43)
     cases = [(QUARTIC_A, (1, 0, 0), True),
              (QUARTIC_B, (0, 0, 1), False),
-             (quartic_c(Fraction(-1, 4)), (0, 0, 1), True)]
+             (printed_93(Fraction(-1, 4)), (0, 0, 1), True)]
     for _ in range(7):
         t = rand_invertible(rng)
         inv = invert(t)
@@ -306,7 +351,7 @@ def test_tangent_map_family_derivative():
     # c-derivatives (phi' = u + v, psi' = -(u^2 + u*v + v^2)) at every c
     direction = parse_form("-2*u^2*v^2", DUAL_VARS)  # dF/dc
     for c in (Fraction(0), Fraction(1, 3), Fraction(-1, 4), Fraction(5)):
-        dec = normalize_at_node(quartic_c(c), (0, 0, 1))
+        dec = normalize_at_node(printed_93(c), (0, 0, 1))
         data = associated_conic(dec)
         result = tangent_map(dec, data, direction)
         assert result.xi == (0, 0)
@@ -314,7 +359,7 @@ def test_tangent_map_family_derivative():
         assert result.psi_dot == BinaryForm.from_coeffs(PAIR_UV, [-1, -1, -1])
         # finite-difference cross-check: exact values at c and c + h
         h = Fraction(1, 7)
-        data_h = associated_conic(normalize_at_node(quartic_c(c + h), (0, 0, 1)))
+        data_h = associated_conic(normalize_at_node(printed_93(c + h), (0, 0, 1)))
         assert (data_h.phi - data.phi).scale(1 / h) == result.phi_dot
         assert (data_h.psi - data.psi).scale(1 / h) == result.psi_dot
 

@@ -29,7 +29,9 @@ from luroth.poncelet import (
     singular_jump_criterion,
     standard_conic,
 )
-from oracles import rational_det, rational_rank
+from luroth.verify import (C_SAMPLES, EPS_SAMPLES, printed_92, printed_93,
+                           printed_eps_expansion)
+from oracles import rational_det, rational_nullspace, rational_rank
 
 
 def split_form(roots, pair=PARAM_VARS):
@@ -145,6 +147,47 @@ def test_make_conic_reparametrized_veronese():
                            base.p1.substitute_pair(m),
                            base.p2.substitute_pair(m))
         assert conic.implicit.proportional_to(base.implicit)
+
+
+def nullspace_conic(p0, p1, p2):
+    """Oracle: the quadric vanishing on the image, as the kernel of the 5x6
+    system of the products of the components, one column per quadric monomial."""
+    monomials = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
+    columns = []
+    for e in monomials:
+        prod = BinaryForm.from_coeffs(p0.variables, [1])
+        for p, k in zip((p0, p1, p2), e):
+            prod = prod * p.power(k)
+        columns.append(prod.coeffs)
+    kernel = rational_nullspace([[col[r] for col in columns] for r in range(5)])
+    assert len(kernel) == 1
+    return TernaryForm.from_terms(2, poncelet.PRIMAL_VARS,
+                                  dict(zip(monomials, kernel[0]))).lex_normalized()
+
+
+def test_make_conic_matches_nullspace_oracle():
+    rng = random.Random(22)
+
+    def rand_quadratic():
+        return BinaryForm.from_coeffs(PARAM_VARS, [
+            Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.8 else 0
+            for _ in range(3)])
+
+    checked = dependent = 0
+    while checked < 200:
+        ps = [rand_quadratic() for _ in range(3)]
+        if rng.random() < 0.1:  # a combination of the other two
+            ps[2] = ps[0].scale(rng.randint(-3, 3)) + ps[1].scale(Fraction(1, rng.randint(1, 4)))
+        if rational_rank([p.coeffs for p in ps]) < 3:
+            with pytest.raises(PreconditionError, match="linearly dependent"):
+                make_conic(*ps)
+            dependent += 1
+            continue
+        conic = make_conic(*ps)
+        assert conic.implicit == nullspace_conic(*ps)
+        assert conic.implicit.evaluate(conic.image((rng.randint(-5, 5), 1))) == 0
+        checked += 1
+    assert dependent >= 10
 
 
 # ---------------------------------------------------------------------------
@@ -545,32 +588,19 @@ def test_reparametrization_invariance():
 # ---------------------------------------------------------------------------
 # worked families
 
-def printed_eps_expansion(eps):
-    base = parse_form("(u^2+w^2)*(v^2+w^2)+2*u*v^3", DUAL_VARS)
-    linear = parse_form("v*u^3+3*u*v*w^2+u*v^3+2*v^4", DUAL_VARS)
-    quad = parse_form("u^2*v^2", DUAL_VARS)
-    return base - linear.scale(eps) + quad.scale(eps * eps)
-
-
 def test_family_eps_matches_expansion():
-    for eps in (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 3),
-                Fraction(-2, 5)):
+    for eps in EPS_SAMPLES:
         det = family_matrix("eps91", eps).determinant()
         assert det.proportional_to(printed_eps_expansion(eps))
 
 
 def test_family_92_expansion():
-    det = family_matrix("92").determinant()
-    expected = parse_form("w^2*(u^2+v^2)+w*(u^3+v^3)-u*v*(u^2+v^2)", DUAL_VARS)
-    assert det.proportional_to(expected)
+    assert family_matrix("92").determinant().proportional_to(printed_92())
 
 
 def test_family_93_expansion():
-    for c in (Fraction(0), Fraction(2), Fraction(-1, 4), Fraction(1, 3), Fraction(5)):
-        det = family_matrix("93", c).determinant()
-        expected = (parse_form("w^2*(u^2+v^2)+w*(u^3+v^3)-u^3*v-u*v^3", DUAL_VARS)
-                    + parse_form("u^2*v^2", DUAL_VARS).scale(-2 * c))
-        assert det.proportional_to(expected)
+    for c in C_SAMPLES:
+        assert family_matrix("93", c).determinant().proportional_to(printed_93(c))
 
 
 def test_family_92_ignores_param_and_is_93_at_zero():
