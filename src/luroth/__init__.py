@@ -8,7 +8,6 @@ from .forms import (
     PreconditionError,
     TernaryForm,
     form_from_json,
-    form_gcd,
     parse_form,
 )
 from .linalg import (

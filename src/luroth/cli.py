@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import nodal, poncelet, verify
-from .forms import HomogeneityError, ParseError, PreconditionError, parse_form
+from .forms import HomogeneityError, ParseError, PreconditionError, parse_form, rational_text
 from .poncelet import DUAL_VARS, PARAM_VARS
 
 EXIT_OK = 0
@@ -23,6 +23,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_PRECONDITION = 3
 EXIT_INTERNAL = 4
+MAX_RATIONAL_CHARS = 10000  # longest rational literal accepted
 
 
 class InputError(ValueError):
@@ -30,6 +31,11 @@ class InputError(ValueError):
 
 
 def _parse_rational(text: str) -> Fraction:
+    """An int, int/int or plain decimal; no exponent, so no hidden expansion."""
+    if len(text) > MAX_RATIONAL_CHARS:
+        raise InputError(f"rational literal of {len(text)} characters is too long")
+    if "e" in text.lower():
+        raise InputError(f"bad rational {text!r}: exponent notation is not accepted")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -103,7 +109,7 @@ def cmd_poncelet(args) -> int:
                 for j in range(i + 1, len(params)):
                     vertex = poncelet.chord_dual(conic, params[i], params[j])
                     on_curve = curve.evaluate(vertex) == 0
-                    label = ":".join(str(x) for x in vertex)
+                    label = ":".join(map(rational_text, vertex))
                     if as_json:
                         incidences.append({"pair": [i, j], "vertex": label,
                                            "on_curve": on_curve})
@@ -148,13 +154,13 @@ def cmd_quartic_analyze(args) -> int:
         "phi": _form_field(data.phi, as_json),
         "psi": _form_field(data.psi, as_json),
         "conic": _form_field(data.conic, as_json),
-        "det3": str(data.det3),
-        "disc_phi2_plus_psi": str(data.disc_binary),
+        "det3": rational_text(data.det3),
+        "disc_phi2_plus_psi": rational_text(data.disc_binary),
         "verdict": "TypeII" if analysis.type_two else "NotTypeII",
     }
     if analysis.conic_singular_point is not None:
         report["conic_singular_point"] = ":".join(
-            str(x) for x in analysis.conic_singular_point)
+            map(rational_text, analysis.conic_singular_point))
     _emit(report, as_json)
     return EXIT_OK
 
@@ -181,7 +187,7 @@ def cmd_quartic_tangent(args) -> int:
     report = {
         "command": "quartic tangent",
         "status": "ok",
-        "xi": [str(x) for x in result.xi],
+        "xi": [rational_text(x) for x in result.xi],
         "phi_dot": _form_field(result.phi_dot, as_json),
         "psi_dot": _form_field(result.psi_dot, as_json),
         "conic_velocity": _form_field(result.conic_velocity, as_json),
@@ -205,7 +211,7 @@ def cmd_family(args) -> int:
         "command": "family",
         "status": "ok",
         "name": args.name,
-        "param": str(param),
+        "param": rational_text(param),
         "matrix": rows if as_json else ["[" + ", ".join(r) + "]" for r in rows],
         "determinant": _form_field(det, as_json),
         "curve": _form_field(det.lex_normalized(), as_json),

@@ -126,6 +126,30 @@ def _degree(terms: Mapping[Exp, Fraction]) -> int:
     return max(map(sum, terms), default=0)
 
 
+_CHUNK = 10 ** 600  # fewer digits than any int-string limit Python accepts (640)
+
+
+def rational_text(c) -> str:
+    """str(c) of a Fraction or int, also past Python's int-string digit limit."""
+    def digits(n: int) -> str:
+        pieces = []
+        while n >= _CHUNK:
+            n, r = divmod(n, _CHUNK)
+            pieces.append(f"{r:0600d}")
+        return str(n) + "".join(reversed(pieces))
+
+    c = _q(c)
+    den = "" if c.denominator == 1 else "/" + digits(c.denominator)
+    return "-" * (c < 0) + digits(abs(c.numerator)) + den
+
+
+def _form_json(variables: Sequence[str], degree: int, terms: Mapping[Exp, Fraction]) -> dict:
+    """The JSON report of a form, terms in descending exponent order."""
+    return {"vars": list(variables), "degree": degree,
+            "terms": [{"coef": rational_text(c), "exp": list(e)}
+                      for e, c in sorted(terms.items(), reverse=True)]}
+
+
 def format_terms(terms: Mapping[Exp, Fraction], variables: Sequence[str]) -> str:
     """Canonical text: graded-lex term order, reduced fractions, signs absorbed."""
     if not terms:
@@ -140,11 +164,11 @@ def format_terms(terms: Mapping[Exp, Fraction], variables: Sequence[str]) -> str
             elif k > 1:
                 factors.append(f"{var}^{k}")
         if not factors:
-            body = str(abs(c))
+            body = rational_text(abs(c))
         elif abs(c) == 1:
             body = "*".join(factors)
         else:
-            body = "*".join([str(abs(c))] + factors)
+            body = "*".join([rational_text(abs(c))] + factors)
         sign = "-" if c < 0 else "+"
         pieces.append((sign, body))
     first_sign, first_body = pieces[0]
@@ -453,42 +477,11 @@ class BinaryForm:
         p1 = self.partial(self.variables[1]).scale(_q(xi[1]))
         return p0 + p1
 
-    def substitute_pair(self, m: Sequence[Sequence]) -> "BinaryForm":
-        """Replace (v0, v1) by (m00*v0 + m01*v1, m10*v0 + m11*v1)."""
-        a, b = _q(m[0][0]), _q(m[0][1])
-        c, d = _q(m[1][0]), _q(m[1][1])
-        l0 = BinaryForm(1, self.variables, (a, b))
-        l1 = BinaryForm(1, self.variables, (c, d))
-        out = BinaryForm.zero(self.degree, self.variables)
-        for j, coef in enumerate(self.coeffs):
-            if coef == 0:
-                continue
-            out = out + (l0.power(self.degree - j) * l1.power(j)).scale(coef)
-        return out
-
-    def v1_multiplicity(self) -> int:
-        """Multiplicity of the second variable as a factor (degree if zero)."""
-        for j, c in enumerate(self.coeffs):
-            if c:
-                return j
-        return self.degree
-
-    def monic(self) -> "BinaryForm":
-        for c in self.coeffs:
-            if c:
-                return self.scale(1 / c)
-        return self
-
     def __str__(self) -> str:
         return format_terms(self.terms(), self.variables)
 
     def to_json(self) -> dict:
-        return {
-            "vars": list(self.variables),
-            "degree": self.degree,
-            "terms": [{"coef": str(c), "exp": list(e)}
-                      for e, c in sorted(self.terms().items(), reverse=True)],
-        }
+        return _form_json(self.variables, self.degree, self.terms())
 
 
 def form_from_json(data: Mapping):
@@ -509,59 +502,6 @@ def form_from_json(data: Mapping):
     if len(variables) == 2:
         return BinaryForm.from_terms(degree, variables, terms)
     return TernaryForm.from_terms(degree, variables, terms)
-
-
-# univariate helpers for the binary-form gcd (dehomogenize at v1 = 1)
-
-def _to_univariate(f: BinaryForm) -> list[Fraction]:
-    # ascending coefficients in x = v0; u[k] = coeff of v0^k
-    u = [f.coeffs[f.degree - k] for k in range(f.degree + 1)]
-    while u and u[-1] == 0:
-        u.pop()
-    return u
-
-
-def _unidivmod(a: list[Fraction], b: list[Fraction]):
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    rem = list(a)
-    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    lead = b[-1]
-    while len(rem) >= len(b):
-        k = len(rem) - len(b)
-        c = rem[-1] / lead
-        quot[k] = c
-        for i, bc in enumerate(b):
-            rem[k + i] -= c * bc
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if not rem:
-            break
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return quot, rem
-
-
-def _from_univariate(u: list[Fraction], degree: int, variables: tuple[str, str]) -> BinaryForm:
-    coeffs = [Fraction(0)] * (degree + 1)
-    for k, c in enumerate(u):
-        coeffs[degree - k] = c
-    return BinaryForm(degree, variables, tuple(coeffs))
-
-
-def form_gcd(g: BinaryForm, h: BinaryForm) -> BinaryForm:
-    """Monic gcd in the binary-form ring (zero inputs handled)."""
-    if g.is_zero():
-        return h.monic()
-    if h.is_zero():
-        return g.monic()
-    a, b = _to_univariate(g), _to_univariate(h)
-    while b:
-        _, r = _unidivmod(a, b)
-        a, b = b, r
-    mult = min(g.v1_multiplicity(), h.v1_multiplicity())
-    degree = (len(a) - 1) + mult
-    return _from_univariate(a, degree, g.variables).monic()
 
 
 # ---------------------------------------------------------------------------
@@ -706,9 +646,4 @@ class TernaryForm:
         return format_terms(self.terms, self.variables)
 
     def to_json(self) -> dict:
-        return {
-            "vars": list(self.variables),
-            "degree": self.degree,
-            "terms": [{"coef": str(c), "exp": list(e)}
-                      for e, c in sorted(self.terms.items(), reverse=True)],
-        }
+        return _form_json(self.variables, self.degree, self.terms)

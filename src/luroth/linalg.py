@@ -39,11 +39,6 @@ from .forms import (
 Matrix = list[list[Fraction]]
 
 
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
-    return [[sum((_q(x) * _q(y) for x, y in zip(row, col)), Fraction(0))
-             for col in zip(*b)] for row in a]
-
-
 def integral_row(values: Sequence) -> tuple[list[int], int]:
     """The values times d, the lcm of their denominators, and d."""
     p = [x if isinstance(x, int) else _q(x) for x in values]

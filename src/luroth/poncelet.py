@@ -15,28 +15,28 @@ sum B_ij x^i y^j.  With P_m the power sums of the roots of r^2 + b*r + a*l,
 
     G(a, b, l) = sum_i B_ii a^i l^(n-i) + sum_(i<j) B_ij a^i l^(n-j) P_(j-i)
 
-is +-det M identically: the curve is G(T*(u, v, w)), and a line is jumping
-when G vanishes at its pullback; det B = +-Res(gamma1, gamma2) decides
-base-point freeness.  The bitmask determinant of `poncelet_matrix` serves
-only the worked 6x6 families and the test oracle.
+is +-det M identically: the curve is G(T*(u, v, w)).
+
+The incidence tests need no determinant.  The columns q*V_(n-1) of M are
+independent, so a line is jumping exactly when gamma1 and gamma2 are
+dependent modulo q (a 2-dimensional quotient); some member is divisible by
+q^2 exactly when they are dependent modulo q^2 (dimension 4).  One integer
+pseudo-remainder gives both, and drives the primitive PRS (Brown & Traub,
+JACM 1971) that decides base points once per pencil.  The bitmask
+determinant of `poncelet_matrix` serves the 6x6 families and the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Sequence
 
 from .forms import (BinaryForm, PreconditionError, TernaryForm, _q, _UNITS,
                     substitute_terms)
-from .linalg import (
-    PolyMatrix,
-    det_rational,
-    integral_row,
-    rank,
-    shifted_multiples,
-)
+from .linalg import PolyMatrix, integral_row, shifted_multiples
 
 PRIMAL_VARS = ("x", "y", "t")
 DUAL_VARS = ("u", "v", "w")
@@ -118,7 +118,8 @@ def standard_conic(param_vars: tuple[str, str] = PARAM_VARS,
 
 @dataclass(frozen=True)
 class PonceletPencil:
-    """Two independent binary forms of degree n+1, n >= 2."""
+    """Two independent binary forms of degree n+1, n >= 2; the integer
+    generators and base-point verdict are cached outside ==, hash and pickle."""
 
     gamma1: BinaryForm
     gamma2: BinaryForm
@@ -130,12 +131,77 @@ class PonceletPencil:
             raise PreconditionError("pencil generators must have equal degree")
         if self.gamma1.degree < 3:
             raise PreconditionError("pencil degree must be at least 3 (n >= 2)")
-        if rank([self.gamma1.coeffs, self.gamma2.coeffs]) < 2:
+        if _dependent(*self._ints):
             raise PreconditionError("pencil generators are linearly dependent")
+
+    def __reduce__(self):
+        return PonceletPencil, (self.gamma1, self.gamma2)
 
     @property
     def n(self) -> int:
         return self.gamma1.degree - 1
+
+    @cached_property
+    def _ints(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return tuple(tuple(integral_row(g.coeffs)[0]) for g in (self.gamma1, self.gamma2))
+
+    @cached_property
+    def _base_point_free(self) -> bool:
+        """No common root at s0 = 0 (both last coefficients zero), and a
+        constant gcd(g1(1, x), g2(1, x)) by the primitive PRS: Euclid on
+        pseudo-remainders, each divided by its content."""
+        f, g = self._ints
+        if f[-1] == 0 and g[-1] == 0:
+            return False
+        a, b = sorted((_trim(f), _trim(g)), key=len, reverse=True)
+        while len(b) > 1:
+            r = _trim(_prem(a, b))
+            if not r:
+                return False
+            content = gcd(*r)
+            a, b = b, [x // content for x in r]
+        return True
+
+
+def _dependent(u: Sequence[int], v: Sequence[int]) -> bool:
+    """Whether every 2x2 minor of the rows u, v vanishes."""
+    k = next((i for i, x in enumerate(u) if x), None)
+    return k is None or all(x * v[k] == u[k] * y for x, y in zip(u, v))
+
+
+def _trim(v: Sequence[int]) -> list[int]:
+    return list(v[:max((i + 1 for i, x in enumerate(v) if x), default=0)])
+
+
+def _prem(f: Sequence[int], p: Sequence[int]) -> list[int]:
+    """The len(p) - 1 low coefficients of lead^k * f modulo p, for ascending
+    coefficient vectors, lead = p[-1] != 0 and k = len(f) - len(p) + 1 >= 0.
+
+    A window moves down f: each step takes in the next coefficient, times
+    the power of lead the window carries, and cancels the top one.
+    """
+    m, lead = len(p) - 1, p[-1]
+    r, power = list(f[len(f) - m:]), 1
+    for c in reversed(f[:len(f) - m]):
+        top = r[-1]
+        r = [lead * x - top * y for x, y in zip([c * power] + r[:-1], p)]
+        power *= lead
+    return r
+
+
+def _remainders(pencil: PonceletPencil, q: Sequence[int]) -> list[Sequence[int]]:
+    """The generators modulo q, a power of the pullback, up to nonzero factors:
+    reduced from the s1 end if q[-1] != 0, else from the s0 end if q[0] != 0;
+    q = (b*s0*s1)^e leaves the e first and e last coefficients."""
+    ints = pencil._ints
+    if q[-1]:
+        return [_prem(c, q) for c in ints]
+    if q[0]:
+        return [_prem(c[::-1], q[::-1]) for c in ints]
+    if not any(q):
+        raise ValueError("the zero vector is not a projective point")
+    e = len(q) // 2
+    return [c[:e] + c[-e:] for c in ints]
 
 
 def line_pullback(conic: ConicParam, line: Sequence) -> BinaryForm:
@@ -178,7 +244,7 @@ def _bezout_matrix(pencil: PonceletPencil) -> list[list[int]]:
     x^i y^(j+1) of the product with x - y.  Each row carries one trailing
     zero for the j+1 lookup.
     """
-    c1, c2 = (integral_row(g.coeffs)[0] for g in (pencil.gamma1, pencil.gamma2))
+    c1, c2 = pencil._ints
     size = len(c1) - 1
     rows = [[0] * (size + 1)]
     for i in range(size):
@@ -219,20 +285,16 @@ def poncelet_curve(conic: ConicParam, pencil: PonceletPencil,
 
 
 def is_base_point_free(pencil: PonceletPencil) -> bool:
-    """Whether the generators share no root: det B = +-Res(gamma1, gamma2) != 0."""
-    return det_rational([row[:-1] for row in _bezout_matrix(pencil)]) != 0
+    """Whether the generators share no projective root (cached per pencil)."""
+    return pencil._base_point_free
 
 
 def is_jumping_line(conic: ConicParam, pencil: PonceletPencil,
                     line: Sequence) -> bool:
-    """Whether the restriction of the pencil modulo the line pullback drops rank.
-
-    That is det M = 0 at the line, decided as G = 0 at the pullback's
-    coefficients (scaled to integers, which keeps the zero set).
-    """
-    a, b, l = integral_row(line_pullback(conic, line).coeffs)[0]
-    return sum(c * a ** i * b ** j * l ** k
-               for (i, j, k), c in _jump_terms(pencil).items()) == 0
+    """Whether det M = 0 at the (nonzero) line: one 2x2 minor of the
+    generators' pseudo-remainders modulo the pullback, in O(n) operations."""
+    q = integral_row(line_pullback(conic, line).coeffs)[0]
+    return _dependent(*_remainders(pencil, q))
 
 
 def chord_dual(conic: ConicParam, a: Sequence, b: Sequence) -> tuple[Fraction, ...]:
@@ -251,15 +313,16 @@ def singular_jump_criterion(conic: ConicParam, pencil: PonceletPencil,
                             line: Sequence) -> bool:
     """Whether some pencil member is divisible by the square of the pullback.
 
-    Requires a base-point-free pencil; decided over the integers by the rank
-    of the generators' classes modulo q^2 times lower-degree forms.
+    Requires a base-point-free pencil.  The multiples q^2*V_(n-3) are
+    independent, so this holds exactly when the generators' pseudo-remainders
+    modulo q^2, 4-vectors, are dependent: six 2x2 minors.  At n = 2 (degree
+    3 < 4) the generators are their own remainders.
     """
     if not is_base_point_free(pencil):
         raise PreconditionError("singular-jump criterion requires a base-point-free pencil")
-    q2 = line_pullback(conic, line).power(2)
-    multiples = shifted_multiples(q2, max(pencil.n - 2, 0))
-    generators = [pencil.gamma1.coeffs, pencil.gamma2.coeffs]
-    return rank(multiples + generators) <= rank(multiples) + 1
+    a, b, l = integral_row(line_pullback(conic, line).coeffs)[0]
+    q2 = [a * a, 2 * a * b, b * b + 2 * a * l, 2 * b * l, l * l]
+    return _dependent(*_remainders(pencil, q2))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,23 @@
-"""Rational Gaussian elimination: the slow, independent oracle of the
-fraction-free elimination in `luroth.linalg` (`det_rational`, `rank`,
-`solve_linear`, `nullspace` and `invert`)."""
+"""Slow, independent oracles and test-only helpers.
 
+- Rational Gaussian elimination: the oracle of the fraction-free elimination
+  in `luroth.linalg` (`det_rational`, `rank`, `solve_linear`, `nullspace`
+  and `invert`).
+- The Bezoutian jump test and the Bezout-determinant base-point test: the
+  oracles of the remainder and PRS kernels in `luroth.poncelet`.
+- Binary-form helpers that only tests use: a rational Euclidean gcd, monic
+  scaling, substitution of a 2x2 matrix, and a rational matrix product.
+- `unlimited_int_str`, for reading back numbers past Python's int-string
+  digit limit.
+"""
+
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
+
+from luroth import poncelet
+from luroth.forms import BinaryForm
+from luroth.linalg import det_rational, integral_row
 
 
 def _rows(rows):
@@ -112,3 +127,101 @@ def rational_invert(rows):
     if pivots[:n] != list(range(n)):
         return None
     return [row[n:] for row in red[:n]]
+
+
+# ---------------------------------------------------------------------------
+# the incidence kernels of luroth.poncelet
+
+def bezoutian_is_jumping_line(conic, pencil, line) -> bool:
+    """det M = 0 at the line, as G(a, b, l) = 0 at the integer-scaled pullback."""
+    a, b, l = integral_row(poncelet.line_pullback(conic, line).coeffs)[0]
+    return sum(c * a ** i * b ** j * l ** k
+               for (i, j, k), c in poncelet._jump_terms(pencil).items()) == 0
+
+
+def bezout_base_point_free(pencil) -> bool:
+    """det B != 0 for the square part of the integer Bezout matrix (det B =
+    +-Res(gamma1, gamma2)), by Bareiss elimination."""
+    return det_rational([row[:-1] for row in poncelet._bezout_matrix(pencil)]) != 0
+
+
+# ---------------------------------------------------------------------------
+# binary-form helpers
+
+def mat_mul(a, b):
+    return [[sum((Fraction(x) * Fraction(y) for x, y in zip(row, col)), Fraction(0))
+             for col in zip(*b)] for row in a]
+
+
+def substitute_pair(f, m):
+    """f with (v0, v1) replaced by (m00*v0 + m01*v1, m10*v0 + m11*v1)."""
+    l0 = BinaryForm.from_coeffs(f.variables, m[0])
+    l1 = BinaryForm.from_coeffs(f.variables, m[1])
+    out = BinaryForm.zero(f.degree, f.variables)
+    for j, coef in enumerate(f.coeffs):
+        if coef:
+            out = out + (l0.power(f.degree - j) * l1.power(j)).scale(coef)
+    return out
+
+
+def v1_multiplicity(f) -> int:
+    """Multiplicity of the second variable as a factor (the degree if zero)."""
+    return next((j for j, c in enumerate(f.coeffs) if c), f.degree)
+
+
+def monic(f):
+    """f over its first nonzero coefficient (zero stays zero)."""
+    lead = next((c for c in f.coeffs if c), None)
+    return f if lead is None else f.scale(1 / lead)
+
+
+def to_univariate(f):
+    """Ascending coefficients in x = v0 of f(x, 1), trailing zeros removed."""
+    u = [f.coeffs[f.degree - k] for k in range(f.degree + 1)]
+    while u and u[-1] == 0:
+        u.pop()
+    return u
+
+
+def unidivmod(a, b):
+    """Quotient and remainder of ascending rational coefficient lists."""
+    if not b:
+        raise ZeroDivisionError("division by zero polynomial")
+    rem = [Fraction(x) for x in a]
+    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(rem) >= len(b):
+        k = len(rem) - len(b)
+        c = rem[-1] / b[-1]
+        quot[k] = c
+        for i, bc in enumerate(b):
+            rem[k + i] -= c * bc
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return quot, rem
+
+
+def form_gcd(g, h):
+    """Monic gcd of two binary forms (zero inputs handled), by rational Euclid."""
+    if g.is_zero():
+        return monic(h)
+    if h.is_zero():
+        return monic(g)
+    a, b = to_univariate(g), to_univariate(h)
+    while b:
+        a, b = b, unidivmod(a, b)[1]
+    degree = len(a) - 1 + min(v1_multiplicity(g), v1_multiplicity(h))
+    coeffs = [Fraction(0)] * (degree + 1)
+    for k, c in enumerate(a):
+        coeffs[degree - k] = c
+    return monic(BinaryForm(degree, g.variables, tuple(coeffs)))
+
+
+@contextmanager
+def unlimited_int_str():
+    """Lift Python's int-string digit limit inside the block."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -2,12 +2,14 @@
 
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
 from luroth import cli, poncelet
 from luroth.forms import form_from_json, parse_form
-from luroth.poncelet import DUAL_VARS
+from luroth.poncelet import DUAL_VARS, PARAM_VARS
+from oracles import unlimited_int_str
 
 QUARTIC_A = "(u^2+w^2)*(v^2+w^2)+2*u*v^3"
 QUARTIC_B = "w^2*(u^2+v^2)+w*(u^3+v^3)-u*v*(u^2+v^2)"
@@ -57,6 +59,26 @@ def test_poncelet_exponent_above_cap_exit_2_fast(capsys, gamma1):
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert "MAX_DEGREE" in out
+
+
+def test_poncelet_coefficients_past_int_string_limit(capsys):
+    nines = "9" * 4000
+    gammas = (f"{nines}*s0^3+s1^3", f"{nines}*s1^3+s0*s1^2")
+    argv = ["poncelet", "--gamma1", gammas[0], "--gamma2", gammas[1]]
+    pencil = poncelet.PonceletPencil(*(parse_form(g, PARAM_VARS) for g in gammas))
+    expected = poncelet.poncelet_curve(poncelet.standard_conic(), pencil)
+    assert max(abs(c.numerator) for c in expected.terms.values()) > 10 ** 7000
+    code, out = run(capsys, argv)
+    assert code == 0
+    curve_text = next(line for line in out.splitlines() if line.startswith("curve:"))[7:]
+    code, out = run(capsys, argv + ["--json"])
+    assert code == 0
+    report = json.loads(out)
+    # the parser takes literals up to the interpreter's limit, so lift it to read back
+    with unlimited_int_str():
+        assert curve_text == str(expected)
+        assert parse_form(curve_text, DUAL_VARS) == expected
+        assert form_from_json(report["curve"]) == expected
 
 
 def test_poncelet_vertices_polygon(capsys):
@@ -173,6 +195,24 @@ def test_family_92(capsys):
 def test_family_bad_param_exit_2(capsys):
     code, _ = run(capsys, ["family", "--name", "93", "--param", "x"])
     assert code == 2
+
+
+@pytest.mark.parametrize("param", ["1e1000000", "1E5", "-2.5e-3", "1" * 10001])
+def test_family_exponent_or_overlong_param_exit_2_fast(capsys, param):
+    start = time.perf_counter()
+    code, out = run(capsys, ["family", "--name", "93", "--param", param])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert ("exponent notation" if "e" in param.lower() else "too long") in out
+
+
+@pytest.mark.parametrize("text, value", [("1/3", Fraction(1, 3)), ("-1/4", Fraction(-1, 4)),
+                                         ("0.25", Fraction(1, 4)), ("-2.5", Fraction(-5, 2)),
+                                         ("7", Fraction(7))])
+def test_parse_rational_plain_literals(capsys, text, value):
+    assert cli._parse_rational(text) == value
+    code, out = run(capsys, ["family", "--name", "93", f"--param={text}"])
+    assert code == 0 and f"param: {value}" in out
 
 
 def test_family_unknown_name_rejected(capsys):

@@ -17,13 +17,14 @@ from luroth.forms import (
     TernaryForm,
     form_from_json,
     add_terms,
-    form_gcd,
     mul_terms,
     parse_form,
     parse_terms,
+    rational_text,
     substitute_terms,
 )
 from luroth.linalg import det_rational, invert, sylvester_resultant
+from oracles import form_gcd, unlimited_int_str
 
 PAIR = ("v", "w")
 TRIPLE = ("u", "v", "w")
@@ -351,6 +352,23 @@ def test_resultant_gcd_equivalence():
         res = sylvester_resultant(g, h)
         gcd = form_gcd(g, h)
         assert (res == 0) == (gcd.degree >= 1)
+
+
+# ---------------------------------------------------------------------------
+# output past the int-string digit limit
+
+def test_rational_text_matches_str_past_the_digit_limit():
+    values = [0, 7, -12, Fraction(-3, 4), 10 ** 599, 10 ** 600, -(10 ** 600) + 1,
+              10 ** 1200 + 10 ** 600, Fraction(10 ** 5000 + 7, 3), Fraction(-1, 10 ** 9000 - 1)]
+    texts = [rational_text(v) for v in values]
+    with unlimited_int_str():
+        assert texts == [str(v) for v in values]
+    big = TernaryForm.from_terms(2, TRIPLE, {(2, 0, 0): -(10 ** 5000), (0, 1, 1): Fraction(1, 3)})
+    text, report = str(big), big.to_json()
+    with unlimited_int_str():
+        assert parse_form(text, TRIPLE) == big
+        assert form_from_json(report) == big
+        assert report["terms"][0]["coef"] == str(-(10 ** 5000))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from luroth.linalg import (
     disc_binary_quadratic,
     integral_row,
     invert,
-    mat_mul,
     nullspace,
     rank,
     shifted_multiples,
@@ -25,8 +24,8 @@ from luroth.linalg import (
     sylvester_matrix,
     sylvester_resultant,
 )
-from oracles import (rational_det, rational_invert, rational_nullspace, rational_rank,
-                     rational_row_echelon, rational_solve)
+from oracles import (mat_mul, rational_det, rational_invert, rational_nullspace,
+                     rational_rank, rational_row_echelon, rational_solve)
 
 PAIR = ("v", "w")
 TRIPLE = ("u", "v", "w")

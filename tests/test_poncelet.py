@@ -1,5 +1,8 @@
 """Jumping-line curves: construction, incidence and the worked families."""
 
+import copy
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 from math import lcm
@@ -31,7 +34,8 @@ from luroth.poncelet import (
 )
 from luroth.verify import (C_SAMPLES, EPS_SAMPLES, printed_92, printed_93,
                            printed_eps_expansion)
-from oracles import rational_det, rational_nullspace, rational_rank
+from oracles import (bezout_base_point_free, bezoutian_is_jumping_line, rational_det,
+                     rational_nullspace, rational_rank, substitute_pair, unidivmod)
 
 
 def split_form(roots, pair=PARAM_VARS):
@@ -52,6 +56,14 @@ def rand_pencil(rng, n, gamma1=None):
             return PonceletPencil(g1, g2)
         except PreconditionError:
             continue
+
+
+def rand_binary(rng, degree):
+    """A nonzero integer binary form."""
+    while True:
+        f = BinaryForm.from_coeffs(PARAM_VARS, [rng.randint(-5, 5) for _ in range(degree + 1)])
+        if not f.is_zero():
+            return f
 
 
 def rand_rational_pencil(rng, n, base_point=False):
@@ -81,7 +93,7 @@ def three_conics():
     """The standard conic, an integer conic, and a rational reparametrization."""
     base = standard_conic()
     m = [[Fraction(1, 2), 3], [Fraction(-2, 3), Fraction(5, 4)]]
-    rational = make_conic(*(p.substitute_pair(m) for p in (base.p0, base.p1, base.p2)))
+    rational = make_conic(*(substitute_pair(p, m) for p in (base.p0, base.p1, base.p2)))
     general = make_conic(*(parse_form(p, PARAM_VARS) for p in GEN_CONIC))
     return [base, general, rational]
 
@@ -143,9 +155,9 @@ def test_make_conic_reparametrized_veronese():
             if a * d - b * c != 0:
                 break
         m = [[a, b], [c, d]]
-        conic = make_conic(base.p0.substitute_pair(m),
-                           base.p1.substitute_pair(m),
-                           base.p2.substitute_pair(m))
+        conic = make_conic(substitute_pair(base.p0, m),
+                           substitute_pair(base.p1, m),
+                           substitute_pair(base.p2, m))
         assert conic.implicit.proportional_to(base.implicit)
 
 
@@ -427,18 +439,25 @@ def planted_pencil(rng, n, common):
 
 
 def test_base_point_free_matches_sylvester_resultant():
+    """The PRS verdict against the Sylvester resultant and the Bezout
+    determinant: planted common roots at generic points, at s0 = 0 and at
+    s1 = 0, and roots at s0 = 0 of one generator only."""
     rng = random.Random(41)
     s0 = BinaryForm.from_coeffs(PARAM_VARS, [1, 0])
     s1 = BinaryForm.from_coeffs(PARAM_VARS, [0, 1])
-    shared = 0
-    for n in range(2, 9):
+    shared = free = 0
+    for n in range(2, 13):
         for kind in ("random", "small", "rational root", "s1 divides", "s0 divides",
-                     "double root"):
+                     "double root", "s0 divides one", "both degree drops"):
             if kind == "random":
                 pencil = rand_rational_pencil(rng, n)
             elif kind == "small":  # coefficients in -1..1 often share a root by chance
                 pencil = rand_pencil(rng, n, gamma1=BinaryForm.from_coeffs(
                     PARAM_VARS, [1] + [rng.randint(-1, 1) for _ in range(n + 1)]))
+            elif kind == "s0 divides one":
+                pencil = rand_pencil(rng, n, gamma1=s0 * rand_binary(rng, n))
+            elif kind == "both degree drops":  # roots (0:1) and (1:0), apart
+                pencil = PonceletPencil(s0 * rand_binary(rng, n), s1 * rand_binary(rng, n))
             else:
                 a, b = Fraction(rng.randint(-5, 5), rng.randint(1, 3)), rng.randint(1, 4)
                 common = {"rational root": split_form([(a, b)]),
@@ -447,11 +466,13 @@ def test_base_point_free_matches_sylvester_resultant():
                 pencil = planted_pencil(rng, n, common)
             res = rational_det(sylvester_matrix(pencil.gamma1, pencil.gamma2))
             assert res == sylvester_resultant(pencil.gamma1, pencil.gamma2)
+            assert bezout_base_point_free(pencil) == (res != 0)
             assert is_base_point_free(pencil) == (res != 0)
-            if kind not in ("random", "small"):
+            if kind in ("rational root", "s1 divides", "s0 divides", "double root"):
                 assert not is_base_point_free(pencil)
             shared += res == 0
-    assert shared >= 4 * 7
+            free += res != 0
+    assert shared >= 4 * 11 and free >= 30
 
 
 def test_bezout_determinant_is_resultant_up_to_sign():
@@ -564,6 +585,136 @@ def test_singular_jump_gradient_equivalence():
 
 
 # ---------------------------------------------------------------------------
+# remainder and PRS kernels against their oracles
+
+def special_lines(conic, rng):
+    """Lines whose pullbacks are l = 0, a = 0, b*s0*s1 and squares (tangents)."""
+    s0, s1 = (BinaryForm.from_coeffs(PARAM_VARS, c) for c in ([1, 0], [0, 1]))
+    out = []
+    for _ in range(2):
+        alpha = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        beta = Fraction(rng.choice([-1, 1]) * rng.randint(1, 5))
+        linear = BinaryForm.from_coeffs(PARAM_VARS, [alpha, beta])
+        flipped = BinaryForm.from_coeffs(PARAM_VARS, [beta, alpha])
+        for q in (s0 * linear, s1 * flipped, BinaryForm.from_coeffs(PARAM_VARS, [0, beta, 0]),
+                  linear * linear, flipped * flipped, s0 * s0, s1 * s1):
+            out.append((q, line_with_pullback(conic, q)))
+    return out
+
+
+def test_remainder_kernels_match_oracles_on_special_lines():
+    """Jump and singular-jump verdicts against the Bezoutian, rank and rational
+    oracles, on both end cases and the b*s0*s1 case, with planted jumps."""
+    rng = random.Random(51)
+    seen = {(test, verdict): 0 for test in ("jump", "singular") for verdict in (True, False)}
+    for conic in three_conics()[:2]:
+        for n in range(2, 9):
+            for q, line in special_lines(conic, rng):
+                plant = rng.choice(("none", "q", "q^2", "q^2 member"))
+                if plant == "q":
+                    pencil = rand_pencil(rng, n, gamma1=q * rand_binary(rng, n - 1))
+                elif plant.startswith("q^2") and n >= 3:
+                    member = q * q * rand_binary(rng, n - 3)
+                    if plant == "q^2":
+                        pencil = rand_pencil(rng, n, gamma1=member)
+                    else:  # gamma2 + 3*gamma1 is the member
+                        gamma1 = rand_pencil(rng, n).gamma1
+                        try:
+                            pencil = PonceletPencil(gamma1, member - gamma1.scale(3))
+                        except PreconditionError:
+                            continue
+                else:
+                    pencil = rand_rational_pencil(rng, n)
+                jump = is_jumping_line(conic, pencil, line)
+                assert jump == bezoutian_is_jumping_line(conic, pencil, line)
+                assert jump == rank_is_jumping_line(conic, pencil, line)
+                if plant != "none" and (plant == "q" or n >= 3):
+                    assert jump
+                seen["jump", jump] += 1
+                if not bezout_base_point_free(pencil):
+                    with pytest.raises(PreconditionError):
+                        singular_jump_criterion(conic, pencil, line)
+                    continue
+                singular = singular_jump_criterion(conic, pencil, line)
+                assert singular == rational_singular_jump(conic, pencil, line)
+                if plant.startswith("q^2") and n >= 3:
+                    assert singular
+                if n == 2:  # no degree-3 member is divisible by a quartic
+                    assert not singular
+                seen["singular", singular] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_prem_matches_rational_division():
+    rng = random.Random(53)
+    for _ in range(200):
+        p = [rng.randint(-9, 9) for _ in range(rng.randint(2, 6))]
+        p[-1] = p[-1] or 1
+        f = [rng.randint(-99, 99) for _ in range(rng.randint(len(p) - 1, 12))]
+        k = max(len(f) - len(p) + 1, 0)
+        expected = unidivmod([p[-1] ** k * x for x in f], p)[1]
+        expected += [0] * (len(p) - 1 - len(expected))
+        assert poncelet._prem(f, p) == expected
+
+
+def test_incidence_kernels_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    conics = three_conics()[:2]
+    coeff = st.integers(-4, 4)
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.integers(2, 5).flatmap(lambda n: st.tuples(
+        st.lists(coeff, min_size=n + 2, max_size=n + 2),
+        st.lists(coeff, min_size=n + 2, max_size=n + 2))),
+        st.tuples(coeff, coeff, coeff).filter(any), st.sampled_from([0, 1]))
+    def check(gammas, line, conic_index):
+        try:
+            pencil = PonceletPencil(*(BinaryForm.from_coeffs(PARAM_VARS, g) for g in gammas))
+        except PreconditionError:
+            return
+        conic = conics[conic_index]
+        jump = is_jumping_line(conic, pencil, line)
+        assert jump == bezoutian_is_jumping_line(conic, pencil, line)
+        assert jump == rank_is_jumping_line(conic, pencil, line)
+        free = is_base_point_free(pencil)
+        assert free == bezout_base_point_free(pencil)
+        if free:
+            assert (singular_jump_criterion(conic, pencil, line)
+                    == rational_singular_jump(conic, pencil, line))
+
+    check()
+
+
+def test_zero_line_is_rejected():
+    conic = standard_conic()
+    pencil = PonceletPencil(parse_form("s0^3", PARAM_VARS), parse_form("s1^3", PARAM_VARS))
+    for test in (is_jumping_line, singular_jump_criterion):
+        with pytest.raises(ValueError, match="zero vector"):
+            test(conic, pencil, (0, 0, 0))
+
+
+def test_pencil_cache_is_tuples_and_invisible():
+    g1 = parse_form("1/2*s0^4 - s1^4 + s0*s1^3", PARAM_VARS)
+    g2 = parse_form("s0^3*s1 + 2/3*s1^4", PARAM_VARS)
+    pencil, fresh = PonceletPencil(g1, g2), PonceletPencil(g1, g2)
+    pickled, hashed = pickle.dumps(PonceletPencil(g1, g2)), hash(fresh)
+    assert is_base_point_free(pencil)
+    is_jumping_line(standard_conic(), pencil, (1, 2, 3))
+    ints = pencil._ints
+    assert type(ints) is tuple and all(type(v) is tuple for v in ints)
+    assert ints == ((1, 0, 0, 2, -2), (0, 3, 0, 0, 2))
+    assert vars(pencil)["_base_point_free"] is True
+    assert pencil == fresh and hash(pencil) == hashed
+    assert pickle.dumps(pencil) == pickled
+    for clone in (pickle.loads(pickle.dumps(pencil)), copy.deepcopy(pencil), copy.copy(pencil)):
+        assert clone == pencil and hash(clone) == hashed
+        assert "_base_point_free" not in vars(clone)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pencil.gamma1 = g2
+
+
+# ---------------------------------------------------------------------------
 # reparametrization invariance
 
 def test_reparametrization_invariance():
@@ -577,11 +728,11 @@ def test_reparametrization_invariance():
             if a * d - b * c != 0:
                 break
         m = [[a, b], [c, d]]
-        conic2 = make_conic(base.p0.substitute_pair(m),
-                            base.p1.substitute_pair(m),
-                            base.p2.substitute_pair(m))
-        pencil2 = PonceletPencil(pencil.gamma1.substitute_pair(m),
-                                 pencil.gamma2.substitute_pair(m))
+        conic2 = make_conic(substitute_pair(base.p0, m),
+                            substitute_pair(base.p1, m),
+                            substitute_pair(base.p2, m))
+        pencil2 = PonceletPencil(substitute_pair(pencil.gamma1, m),
+                                 substitute_pair(pencil.gamma2, m))
         assert poncelet_curve(conic2, pencil2).proportional_to(curve)
 
 
