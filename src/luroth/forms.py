@@ -219,6 +219,21 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+MAX_RATIONAL_CHARS = 10000  # longest rational literal accepted
+
+
+def rational_literal(text: str) -> Fraction:
+    """An int, int/int or plain decimal; no exponent, so no hidden expansion."""
+    if len(text) > MAX_RATIONAL_CHARS:
+        raise ValueError(f"rational literal of {len(text)} characters is too long")
+    if "e" in text.lower():
+        raise ValueError(f"bad rational {text!r}: exponent notation is not accepted")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad rational {text!r}: {exc}") from exc
+
+
 def _int_literal(digits: str, at: int) -> int:
     """The literal's value; a ParseError past Python's int-string digit limit."""
     try:
@@ -489,7 +504,8 @@ def form_from_json(data: Mapping):
     try:
         variables = tuple(data["vars"])
         degree = data["degree"]
-        terms = {tuple(t["exp"]): Fraction(t["coef"]) for t in data["terms"]}
+        terms = {tuple(t["exp"]): rational_literal(c) if isinstance(c := t["coef"], str)
+                 else Fraction(c) for t in data["terms"]}
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise ValueError(f"malformed form JSON: {type(exc).__name__}: {exc}") from None
     if len(variables) not in (2, 3) or not all(isinstance(v, str) for v in variables):
@@ -610,13 +626,20 @@ class TernaryForm:
         return tuple(self.partial(v) for v in self.variables)
 
     def substitute_linear(self, t: Sequence[Sequence]) -> "TernaryForm":
-        """Projective coordinate change: returns F with x_i := sum_j t[i][j]*x_j."""
-        from .linalg import det_rational  # local import; no cycle at module level
-        m = [[_q(t[i][j]) for j in range(3)] for i in range(3)]
+        """Projective coordinate change: returns F with x_i := sum_j t[i][j]*x_j.
+
+        The Horner core runs on the terms times d and the matrix times e, both
+        integral; each result is divided once, by d*e^degree (F is homogeneous)."""
+        from .linalg import det_rational, integral_row  # local import; no cycle at module level
+        entries, e = integral_row([t[i][j] for i in range(3) for j in range(3)])
+        m = [entries[i:i + 3] for i in (0, 3, 6)]
         if det_rational(m) == 0:
             raise PreconditionError("coordinate change matrix is singular")
+        nums, d = integral_row(list(self.terms.values()))
+        moved = substitute_terms(dict(zip(self.terms, nums)), self.degree, m)
+        scale = d * e ** self.degree
         return TernaryForm(self.degree, self.variables,
-                           substitute_terms(self.terms, self.degree, m))
+                           {x: Fraction(c, scale) for x, c in moved.items()})
 
     def with_vars(self, new_variables: tuple[str, str, str]) -> "TernaryForm":
         """Reorder the variable triple (same names, permuted positions)."""

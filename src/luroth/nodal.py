@@ -7,17 +7,21 @@ quadratic psi, and classify by the determinant of the conic
 t^2 + 2*t*phi - psi.  The conic is singular exactly when the discriminant of
 phi^2 + psi vanishes; its kernel point is then the tangency point of the
 residual line.
+
+`classify` moves the node once: `verify_node` and `normalize_at_node` read
+the same graded pieces from a one-entry memo keyed by the quartic and the
+point, which holds only immutable values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .forms import BinaryForm, PreconditionError, TernaryForm, _q
 from .linalg import (
-    Matrix,
     conic_det3,
     conic_kernel_point,
     disc_binary_quadratic,
@@ -107,27 +111,14 @@ class TangentMapResult:
     conic_velocity: TernaryForm
 
 
-def _node_transform(point: Sequence) -> tuple[Transform, int]:
-    p = [_q(x) for x in point]
-    pivot = next((i for i, x in enumerate(p) if x != 0), None)
-    if pivot is None:
-        raise ValueError("the zero vector is not a projective point")
-    scaled = [x / p[pivot] for x in p]
-    others = [i for i in range(3) if i != pivot]
-    columns = [[Fraction(1) if r == others[0] else Fraction(0) for r in range(3)],
-               [Fraction(1) if r == others[1] else Fraction(0) for r in range(3)],
-               scaled]
-    return tuple(tuple(columns[c][r] for c in range(3)) for r in range(3)), pivot
-
-
 def _graded_split(quartic: TernaryForm, transform: Transform,
-                  pair: tuple[str, str]) -> list[BinaryForm]:
+                  pair: tuple[str, str]) -> tuple[BinaryForm, ...]:
     """Pieces f0..f4 of the moved quartic sum t^(4-i) * f_i(pair), t last."""
     moved = quartic.substitute_linear(transform)
     coeffs = [[Fraction(0)] * (i + 1) for i in range(5)]
     for (_, b, c), coef in moved.terms.items():
         coeffs[4 - c][b] = coef
-    return [BinaryForm(i, pair, tuple(cs)) for i, cs in enumerate(coeffs)]
+    return tuple(BinaryForm(i, pair, tuple(cs)) for i, cs in enumerate(coeffs))
 
 
 def _assemble(pieces: Sequence[tuple[int, BinaryForm]], t_var: str,
@@ -140,11 +131,21 @@ def _assemble(pieces: Sequence[tuple[int, BinaryForm]], t_var: str,
                                   terms).with_vars(var_order)
 
 
-def _decompose(quartic: TernaryForm, point: Sequence) -> tuple[Transform, tuple[str, str], str, list[BinaryForm]]:
+def _decompose(quartic: TernaryForm, point: Sequence) -> tuple[Transform, tuple[str, str], str, tuple[BinaryForm, ...]]:
     """Graded pieces f0..f4 of the quartic in node-centered coordinates."""
-    transform, pivot = _node_transform(point)
-    variables = quartic.variables
+    return _decompose_at(quartic, tuple(_q(x) for x in point))
+
+
+@lru_cache(maxsize=1)
+def _decompose_at(quartic: TernaryForm, p: tuple[Fraction, ...]):
+    pivot = next((i for i, x in enumerate(p) if x != 0), None)
+    if pivot is None:
+        raise ValueError("the zero vector is not a projective point")
     others = [i for i in range(3) if i != pivot]
+    columns = [[Fraction(int(r == k)) for r in range(3)] for k in others]
+    columns.append([x / p[pivot] for x in p])
+    transform = tuple(tuple(columns[c][r] for c in range(3)) for r in range(3))
+    variables = quartic.variables
     pair = (variables[others[0]], variables[others[1]])
     return transform, pair, variables[pivot], _graded_split(quartic, transform, pair)
 
@@ -271,7 +272,8 @@ def tangent_map(dec: NodeDecomposition, data: AssociatedConicData,
         raise PreconditionError("direction quartic does not vanish at the node")
     pair = dec.pair
     # polarized cone equation: d(f2).xi = -g1, a 2x2 solve
-    xi = solve_linear(_hessian(dec.f2), [-c for c in g1.coeffs]).vector
+    p, q, r = dec.f2.coeffs
+    xi = solve_linear([[2 * p, q], [q, 2 * r]], [-c for c in g1.coeffs]).vector
     df3 = dec.f3.directional(xi) if not dec.f3.is_zero() else BinaryForm.zero(2, pair)
     df4 = dec.f4.directional(xi) if not dec.f4.is_zero() else BinaryForm.zero(3, pair)
     rhs_form = g4 - (g3 + df4) * data.phi - (g2 + df3) * data.psi
@@ -279,11 +281,6 @@ def tangent_map(dec: NodeDecomposition, data: AssociatedConicData,
     velocity = _assemble(((1, phi_dot.scale(2)), (0, -psi_dot)),
                          dec.t_var, dec.original_vars)
     return TangentMapResult((xi[0], xi[1]), phi_dot, psi_dot, velocity)
-
-
-def _hessian(f2: BinaryForm) -> Matrix:
-    p, q, r = f2.coeffs
-    return [[2 * p, q], [q, 2 * r]]
 
 
 def quartic_from_conic_and_cubic(f2: BinaryForm, f3: BinaryForm,

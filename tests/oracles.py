@@ -7,6 +7,8 @@
   oracles of the remainder and PRS kernels in `luroth.poncelet`.
 - Binary-form helpers that only tests use: a rational Euclidean gcd, monic
   scaling, substitution of a 2x2 matrix, and a rational matrix product.
+- The coordinate change on Fractions throughout: the oracle of the integer
+  core of `TernaryForm.substitute_linear`.
 - `unlimited_int_str`, for reading back numbers past Python's int-string
   digit limit.
 """
@@ -16,7 +18,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from luroth import poncelet
-from luroth.forms import BinaryForm
+from luroth.forms import BinaryForm, PreconditionError, TernaryForm, substitute_terms
 from luroth.linalg import det_rational, integral_row
 
 
@@ -143,6 +145,15 @@ def bezout_base_point_free(pencil) -> bool:
     """det B != 0 for the square part of the integer Bezout matrix (det B =
     +-Res(gamma1, gamma2)), by Bareiss elimination."""
     return det_rational([row[:-1] for row in poncelet._bezout_matrix(pencil)]) != 0
+
+
+def fraction_substitute_linear(f, t):
+    """F with x_i := sum_j t[i][j]*x_j by the Horner core on the Fraction terms
+    and the Fraction matrix, with no scaling to integers."""
+    m = _rows(t)
+    if rational_det(m) == 0:
+        raise PreconditionError("coordinate change matrix is singular")
+    return TernaryForm(f.degree, f.variables, substitute_terms(f.terms, f.degree, m))
 
 
 # ---------------------------------------------------------------------------

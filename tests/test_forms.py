@@ -4,6 +4,7 @@ import copy
 import json
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from luroth.forms import (
     substitute_terms,
 )
 from luroth.linalg import det_rational, invert, sylvester_resultant
-from oracles import form_gcd, unlimited_int_str
+from oracles import fraction_substitute_linear, form_gcd, unlimited_int_str
 
 PAIR = ("v", "w")
 TRIPLE = ("u", "v", "w")
@@ -325,6 +326,38 @@ def test_substitute_horner_matches_per_term_oracle():
     assert checked == 9 * 12
 
 
+def test_integer_core_matches_fraction_substitution():
+    rng = random.Random(306)
+    perm = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+    checked = 0
+    for degree in range(9):
+        mats = [perm]
+        while len(mats) < 6:
+            # each row over its own denominator, some given negative
+            dens = rng.sample([2, -3, 5, -7, 9, 11, -12], 3)
+            t = [[Fraction(rng.randint(-6, 6), d) for _ in range(3)] for d in dens]
+            t[rng.randrange(3)][rng.randrange(3)] = rng.randint(-3, 3)  # a plain int entry
+            if det_rational(t) != 0:
+                mats.append(t)
+        forms = [rational_ternary(rng, degree) for _ in range(4)]
+        forms += [TernaryForm.zero(degree, TRIPLE)]
+        if degree == 0:
+            forms += [TernaryForm.constant(Fraction(-5, 3), TRIPLE),
+                      TernaryForm.constant(7, TRIPLE)]
+        for t in mats:
+            for f in forms:
+                g = f.substitute_linear(t)
+                assert g == fraction_substitute_linear(f, t)
+                assert g.degree == degree and g.variables == TRIPLE
+                assert all(type(c) is Fraction for c in g.terms.values())
+                checked += 1
+    assert checked == 9 * 6 * 5 + 6 * 2
+    singular = [[Fraction(1, 2), Fraction(1, -3), 0], [1, Fraction(-2, 3), 0], [0, 0, 1]]
+    for oracle in (TernaryForm.substitute_linear, fraction_substitute_linear):
+        with pytest.raises(PreconditionError, match="singular"):
+            oracle(rational_ternary(rng, 3), singular)
+
+
 def test_substitute_terms_keeps_integer_coefficients():
     terms = {(2, 0, 0): 3, (0, 1, 1): -2}
     out = substitute_terms(terms, 2, [[1, 2, 0], [0, 1, 1], [1, 0, 1]])
@@ -456,6 +489,30 @@ def test_form_from_json_rejects_malformed(data):
     with pytest.raises(ValueError) as err:
         form_from_json(data)
     assert type(err.value) in (ValueError, HomogeneityError)
+
+
+@pytest.mark.parametrize("coef, message", [("1e300000", "exponent notation"),
+                                           ("1E5", "exponent notation"),
+                                           ("1" * 10001, "too long")])
+def test_form_from_json_rejects_exponent_or_overlong_coefficient_fast(coef, message):
+    data = {"vars": list(PAIR), "degree": 0, "terms": [{"exp": [0, 0], "coef": coef}]}
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=message):
+        form_from_json(data)
+    assert time.perf_counter() - start < 1
+
+
+def test_form_from_json_loads_plain_coefficients():
+    data = {"vars": list(PAIR), "degree": 2,
+            "terms": [{"exp": [2, 0], "coef": "1/3"}, {"exp": [1, 1], "coef": "-2"},
+                      {"exp": [0, 2], "coef": "0.25"}]}
+    assert form_from_json(data) == BinaryForm(2, PAIR, (Fraction(1, 3), Fraction(-2),
+                                                        Fraction(1, 4)))
+    data = {"vars": list(TRIPLE), "degree": 1,
+            "terms": [{"exp": [1, 0, 0], "coef": 3}, {"exp": [0, 0, 1], "coef": -1}]}
+    g = form_from_json(data)
+    assert g == parse_form("3*u - w", TRIPLE)
+    assert all(type(c) is Fraction for c in g.terms.values())
 
 
 def test_lex_normalization_and_proportionality():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from luroth import nodal
 from luroth.forms import BinaryForm, PreconditionError, TernaryForm, parse_form
 from luroth.linalg import det_rational, invert
 from luroth.nodal import (
@@ -287,6 +288,76 @@ def test_verdict_projective_invariance():
             moved_node = tuple(sum(inv[i][j] * node[j] for j in range(3))
                                for i in range(3))
             assert classify(moved, moved_node).type_two == verdict
+
+
+# ---------------------------------------------------------------------------
+# one node transform per classify
+
+# two conics through the four points (+-1 : +-1 : 1); each is a node of the product
+CONIC_1 = parse_form("u^2 + 2*v^2 - 3*w^2", DUAL_VARS)
+TWO_CONICS_1 = CONIC_1 * parse_form("2*u^2 + v^2 - 3*w^2", DUAL_VARS)
+TWO_CONICS_2 = CONIC_1 * parse_form("u*v - w^2", DUAL_VARS)
+
+
+def fresh_classify(quartic, point):
+    nodal._decompose_at.cache_clear()
+    return classify(quartic, point)
+
+
+def test_classify_moves_the_node_once(monkeypatch):
+    calls = {"substitute_linear": 0, "verify_node": 0}
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(TernaryForm, "substitute_linear",
+                        counting("substitute_linear", TernaryForm.substitute_linear))
+    monkeypatch.setattr(nodal, "verify_node", counting("verify_node", nodal.verify_node))
+    analysis = fresh_classify(TWO_CONICS_1, (1, -1, 1))
+    assert calls == {"substitute_linear": 1, "verify_node": 1}
+    assert analysis.report.all_ok()
+
+
+def test_interleaved_classify_matches_fresh_calls():
+    p1, p2 = (1, 1, 1), (-1, 1, 1)
+    sequence = [(TWO_CONICS_1, p1), (TWO_CONICS_2, p1), (TWO_CONICS_1, p2),
+                (TWO_CONICS_1, p1)]
+    expected = [fresh_classify(q, p) for q, p in sequence]
+    assert expected[0] != expected[1] and expected[0] != expected[2]
+    nodal._decompose_at.cache_clear()
+    assert [classify(q, p) for q, p in sequence] == expected
+
+
+def test_point_types_give_equal_analyses():
+    as_ints = fresh_classify(TWO_CONICS_2, [1, 1, 1])
+    as_fractions = fresh_classify(TWO_CONICS_2, (Fraction(1), Fraction(1), Fraction(1)))
+    assert as_ints == as_fractions == classify(TWO_CONICS_2, [1, 1, 1])
+
+
+def test_memoized_pieces_are_tuples():
+    nodal._decompose_at.cache_clear()
+    result = nodal._decompose(TWO_CONICS_1, [1, 1, 1])
+    assert nodal._decompose(TWO_CONICS_1, (1, 1, 1)) is result
+    transform, pair, t_var, pieces = result
+    assert type(result) is tuple and type(pair) is tuple and type(pieces) is tuple
+    assert type(transform) is tuple and all(type(row) is tuple for row in transform)
+    assert all(isinstance(f, BinaryForm) for f in pieces) and t_var == "u"
+
+
+@pytest.mark.parametrize("quartic, point, flags", [
+    (QUARTIC_A, (1, 1, 1), (False, False, False, False)),   # off the curve
+    (QUARTIC_B, (1, 0, 0), (True, False, False, False)),    # smooth point
+    (parse_form("(u^2+v^2)^2", DUAL_VARS), (0, 0, 1), (True, True, False, False)),
+])
+def test_node_error_reports_are_unchanged(quartic, point, flags):
+    with pytest.raises(NodeError) as err:
+        fresh_classify(quartic, point)
+    expected = dict(zip(("on_curve", "singular", "ordinary", "admissible"), flags))
+    assert err.value.report.flags() == expected
+    assert str(err.value) == f"node verification failed: {expected}"
 
 
 # ---------------------------------------------------------------------------
