@@ -6,13 +6,17 @@ ordered pair of variables, dense coefficient list) and :class:`TernaryForm`
 `fractions.Fraction`, every operation is exact, and all values are immutable.
 
 The zero polynomial carries an explicit degree annotation so that typed
-pipelines (decompositions, matrix entries) stay total.
+pipelines (decompositions, matrix entries) stay total.  This module imports
+no other module of the package; the 3x3 adjugate and the integer scaling of
+a row live here so that the coordinate change needs nothing from `linalg`.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -38,6 +42,24 @@ class PreconditionError(ValueError):
 
 def _q(value) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
+
+
+def integral_row(values: Sequence) -> tuple[list[int], int]:
+    """The values times d, the lcm of their denominators, and d."""
+    p = [x if isinstance(x, int) else _q(x) for x in values]
+    d = lcm(*(x.denominator for x in p))
+    return [x.numerator * (d // x.denominator) for x in p], d
+
+
+def adjugate3(m: Sequence[Sequence]) -> list[list]:
+    """Adjugate of a 3x3 matrix: adj[k][j] is the cofactor of m[j][k].
+
+    So m*adj = det(m)*I, det(m) = sum_k m[0][k]*adj[k][0], and a rank-2
+    symmetric m has adj = c*k*k^T for its kernel vector k.
+    """
+    return [[m[(j + 1) % 3][(k + 1) % 3] * m[(j + 2) % 3][(k + 2) % 3]
+             - m[(j + 1) % 3][(k + 2) % 3] * m[(j + 2) % 3][(k + 1) % 3]
+             for j in range(3)] for k in range(3)]
 
 
 # ---------------------------------------------------------------------------
@@ -185,36 +207,19 @@ MAX_DEGREE = 100
 """Largest exponent and term degree the parser accepts; above it, a ParseError
 before any expansion.  Admits pencils up to n = 99 and every nodal quartic."""
 
-_TOKEN_CHARS = set("+-*/^() \t")
+# Integers are ASCII digits only: int() would take other Unicode digits, or
+# fail on them, so a \w run that starts with one is an unexpected character.
+# Spaces and tabs match no group, so finditer skips them.
+_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<op>[-+*/^()])|(?P<name>\w+)|(?P<bad>[^ \t])")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch in " \t":
-            i += 1
-            continue
-        if ch in "+-*/^()":
-            tokens.append(("op", ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
+    for match in _TOKEN.finditer(text):
+        kind, val, at = match.lastgroup, match.group(), match.start()
+        if kind == "bad" or kind == "name" and not (val[0].isalpha() or val[0] == "_"):
+            raise ParseError(f"unexpected character {val[0]!r}", at)
+        tokens.append((kind, val, at))
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -630,10 +635,10 @@ class TernaryForm:
 
         The Horner core runs on the terms times d and the matrix times e, both
         integral; each result is divided once, by d*e^degree (F is homogeneous)."""
-        from .linalg import det_rational, integral_row  # local import; no cycle at module level
         entries, e = integral_row([t[i][j] for i in range(3) for j in range(3)])
         m = [entries[i:i + 3] for i in (0, 3, 6)]
-        if det_rational(m) == 0:
+        adj = adjugate3(m)
+        if sum(m[0][k] * adj[k][0] for k in range(3)) == 0:
             raise PreconditionError("coordinate change matrix is singular")
         nums, d = integral_row(list(self.terms.values()))
         moved = substitute_terms(dict(zip(self.terms, nums)), self.degree, m)

@@ -2,12 +2,14 @@
 
 Rational matrices are plain lists of Fraction rows.  There is one elimination
 routine: Bareiss fraction-free elimination on rows scaled to integers.  The
-determinant and the rank take its forward pass; solves, kernels and inverses
-take its reduced pass (fraction-free Gauss-Jordan) and divide once at the
-end.  The polynomial determinant is division-free: a row-by-row expansion
-memoized over column subsets, exponential in the size.  It serves only the
-worked 6x6 families and the test oracle: `poncelet` computes jumping-line
-curves (Barth 1977) from a closed form in the pencil's Bezout matrix,
+determinant and the rank take its forward pass; solves and inverses take its
+reduced pass (fraction-free Gauss-Jordan) and divide once at the end.  The
+3x3 jobs of the conic layer (det3 and the kernel point of a singular conic)
+use the adjugate `forms.adjugate3` instead.  The polynomial determinant is
+division-free: a row-by-row expansion memoized over column subsets,
+exponential in the size.  It serves only the worked 6x6 families and the
+test oracle: `poncelet` computes jumping-line curves (Barth 1977) from a
+closed form in the pencil's Bezout matrix,
 sum B_ij x^i y^j = (g1(x)g2(y) - g1(y)g2(x))/(x - y), and the pullback of
 the line.
 
@@ -21,29 +23,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, prod
 from typing import Sequence
 
 from .forms import (
     BinaryForm,
-    HomogeneityError,
     PreconditionError,
     TermMap,
     TernaryForm,
-    _q,
     add_terms,
+    adjugate3,
+    integral_row,
     mul_terms,
     scale_terms,
 )
 
 Matrix = list[list[Fraction]]
-
-
-def integral_row(values: Sequence) -> tuple[list[int], int]:
-    """The values times d, the lcm of their denominators, and d."""
-    p = [x if isinstance(x, int) else _q(x) for x in values]
-    d = lcm(*(x.denominator for x in p))
-    return [x.numerator * (d // x.denominator) for x in p], d
 
 
 def _bareiss(m: list[list[int]], reduced: bool = False) -> tuple[list[int], int]:
@@ -133,20 +128,17 @@ def solve_linear(a: Sequence[Sequence], b: Sequence) -> LinearSolution:
                                           for r, row in enumerate(m[:ncols])))
 
 
-def nullspace(rows: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel of the matrix."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    m, pivots = _reduced(rows)
-    basis = []
-    for f in (c for c in range(ncols) if c not in pivots):
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for row, c in zip(m, pivots):
-            vec[c] = Fraction(-row[f], row[c])
-        basis.append(tuple(vec))
-    return basis
+def normalize_projective(point: Sequence) -> tuple[Fraction, ...]:
+    """Clear denominators and common factors; first nonzero entry positive."""
+    ints = integral_row(point)[0]
+    if not any(ints):
+        raise ValueError("the zero vector is not a projective point")
+    g = gcd(*ints)
+    ints = [x // g for x in ints]
+    first = next(x for x in ints if x)
+    if first < 0:
+        ints = [-x for x in ints]
+    return tuple(Fraction(x) for x in ints)
 
 
 # ---------------------------------------------------------------------------
@@ -201,17 +193,26 @@ def conic_matrix(q: TernaryForm) -> Matrix:
     return m
 
 
+def _conic_adjugate(q: TernaryForm) -> tuple[int, list[list[int]], int]:
+    """det and adjugate of d*conic_matrix(q), an integer matrix, and d."""
+    ints, d = integral_row([x for row in conic_matrix(q) for x in row])
+    m = [ints[i:i + 3] for i in (0, 3, 6)]
+    adj = adjugate3(m)
+    return sum(m[0][k] * adj[k][0] for k in range(3)), adj, d
+
+
 def conic_det3(q: TernaryForm) -> Fraction:
     """Determinant of the symmetric matrix; zero iff the conic is singular."""
-    return det_rational(conic_matrix(q))
+    det, _, d = _conic_adjugate(q)
+    return Fraction(det, d ** 3)
 
 
 def conic_kernel_point(q: TernaryForm) -> tuple[Fraction, ...] | None:
-    """Kernel generator of a rank-2 conic (None unless the kernel is a line)."""
-    basis = nullspace(conic_matrix(q))
-    if len(basis) != 1:
-        return None
-    return basis[0]
+    """Normalized kernel point of a rank-2 conic (None unless the kernel is a
+    line): a nonzero column of the adjugate, which is then c*k*k^T."""
+    det, adj, _ = _conic_adjugate(q)
+    column = next((col for col in zip(*adj) if any(col)), None)
+    return None if det or column is None else normalize_projective(column)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +220,8 @@ def conic_kernel_point(q: TernaryForm) -> tuple[Fraction, ...] | None:
 
 @dataclass(frozen=True)
 class PolyMatrix:
-    """Rectangular matrix of ternary forms of degree <= 1 (zero allowed)."""
+    """Rectangular matrix of ternary forms of degree <= 1 (zero allowed), each
+    column of one declared degree (a zero entry counts with its annotation)."""
 
     rows: int
     cols: int
@@ -232,8 +234,11 @@ class PolyMatrix:
         for e in self.entries:
             if e.variables != variables:
                 raise ValueError("all entries must share one variable triple")
-            if not e.is_zero() and e.degree > 1:
+            if e.degree > 1:
                 raise ValueError("entries must have degree <= 1")
+        for j in range(self.cols):
+            if len({e.degree for e in self.entries[j::self.cols]}) > 1:
+                raise ValueError(f"column {j} mixes entries of different degrees")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[TernaryForm]]) -> "PolyMatrix":
@@ -250,7 +255,8 @@ class PolyMatrix:
         return self.entries[i * self.cols + j]
 
     def determinant(self) -> TernaryForm:
-        """Division-free determinant (subset-memoized Laplace expansion)."""
+        """Division-free determinant (subset-memoized Laplace expansion), of
+        degree the sum of the column degrees."""
         if self.rows != self.cols:
             raise PreconditionError("determinant requires a square matrix")
         n = self.rows
@@ -281,15 +287,5 @@ class PolyMatrix:
             states = nxt
             if not states:
                 break
-        result = states.get((1 << n) - 1, {})
-        degrees = {sum(e) for e in result}
-        if len(degrees) > 1:
-            raise HomogeneityError("determinant is not homogeneous")
-        if not degrees:
-            # annotate the zero determinant with the expected degree
-            linear_cols = sum(
-                1 for j in range(n)
-                if any(self.entry(i, j).degree == 1 and not self.entry(i, j).is_zero()
-                       for i in range(n)))
-            return TernaryForm.zero(linear_cols, variables)
-        return TernaryForm(degrees.pop(), variables, result)
+        degree = sum(self.entry(0, j).degree for j in range(n))
+        return TernaryForm(degree, variables, states.get((1 << n) - 1, {}))

@@ -25,11 +25,10 @@ from .linalg import (
     conic_det3,
     conic_kernel_point,
     disc_binary_quadratic,
-    shifted_multiples,
     solve_linear,
+    sylvester_matrix,
     sylvester_resultant,
 )
-from .poncelet import normalize_projective
 
 Transform = tuple[tuple[Fraction, ...], ...]
 
@@ -197,8 +196,7 @@ def koszul_solve(f2: BinaryForm, f3: BinaryForm,
                  rhs: BinaryForm) -> tuple[BinaryForm, BinaryForm]:
     """Unique (phi linear, psi quadratic) with phi*f3 + psi*f2 = rhs (degree 4)."""
     pair = f2.variables
-    columns = shifted_multiples(f3, 2) + shifted_multiples(f2, 3)
-    system = [list(row) for row in zip(*columns)]
+    system = [list(row) for row in zip(*sylvester_matrix(f3, f2))]
     solution = solve_linear(system, list(rhs.coeffs))
     if solution.status != "unique":
         raise PreconditionError(
@@ -227,11 +225,7 @@ def classify(quartic: TernaryForm, point: Sequence) -> NodalQuarticAnalysis:
     dec = normalize_at_node(quartic, point)
     data = associated_conic(dec)
     type_two = data.det3 == 0
-    singular_point = None
-    if type_two:
-        kernel = conic_kernel_point(data.conic)
-        if kernel is not None:
-            singular_point = normalize_projective(kernel)
+    singular_point = conic_kernel_point(data.conic) if type_two else None
     return NodalQuarticAnalysis(report, dec, data, type_two, singular_point)
 
 

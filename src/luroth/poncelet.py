@@ -35,31 +35,12 @@ from math import gcd
 from typing import Sequence
 
 from .forms import (BinaryForm, PreconditionError, TernaryForm, _q, _UNITS,
-                    substitute_terms)
-from .linalg import PolyMatrix, integral_row, shifted_multiples
+                    adjugate3, integral_row, substitute_terms)
+from .linalg import PolyMatrix, normalize_projective, shifted_multiples
 
 PRIMAL_VARS = ("x", "y", "t")
 DUAL_VARS = ("u", "v", "w")
 PARAM_VARS = ("s0", "s1")
-
-
-def projectively_equal(a: Sequence, b: Sequence) -> bool:
-    a = [_q(x) for x in a]
-    b = [_q(x) for x in b]
-    return all(a[i] * b[j] == a[j] * b[i] for i in range(len(a)) for j in range(i))
-
-
-def normalize_projective(point: Sequence) -> tuple[Fraction, ...]:
-    """Clear denominators and common factors; first nonzero entry positive."""
-    ints = integral_row(point)[0]
-    if not any(ints):
-        raise ValueError("the zero vector is not a projective point")
-    g = gcd(*ints)
-    ints = [x // g for x in ints]
-    first = next(x for x in ints if x)
-    if first < 0:
-        ints = [-x for x in ints]
-    return tuple(Fraction(x) for x in ints)
 
 
 @dataclass(frozen=True)
@@ -71,17 +52,12 @@ class ConicParam:
     p2: BinaryForm
     implicit: TernaryForm
 
-    @property
-    def param_vars(self) -> tuple[str, str]:
-        return self.p0.variables
-
     def image(self, point: Sequence) -> tuple[Fraction, Fraction, Fraction]:
         return (self.p0.evaluate(point), self.p1.evaluate(point),
                 self.p2.evaluate(point))
 
 
-def make_conic(p0: BinaryForm, p1: BinaryForm, p2: BinaryForm,
-               primal_vars: tuple[str, str, str] = PRIMAL_VARS) -> ConicParam:
+def make_conic(p0: BinaryForm, p1: BinaryForm, p2: BinaryForm) -> ConicParam:
     """Validate a parametrization and compute the implicit conic equation.
 
     With t the rows p0.coeffs, p1.coeffs, p2.coeffs, the image of (s0, s1)
@@ -96,24 +72,20 @@ def make_conic(p0: BinaryForm, p1: BinaryForm, p2: BinaryForm,
             raise ValueError("parametrization components must share variables")
     flat = integral_row([c for p in (p0, p1, p2) for c in p.coeffs])[0]
     t = [flat[3 * j:3 * j + 3] for j in range(3)]
-    # adj[k][j] is the cofactor of t[j][k]
-    adj = [[t[(j + 1) % 3][(k + 1) % 3] * t[(j + 2) % 3][(k + 2) % 3]
-            - t[(j + 1) % 3][(k + 2) % 3] * t[(j + 2) % 3][(k + 1) % 3]
-            for j in range(3)] for k in range(3)]
+    adj = adjugate3(t)
     if sum(t[0][k] * adj[k][0] for k in range(3)) == 0:
         raise PreconditionError(
             "parametrization components are linearly dependent: image is not a smooth conic")
     terms = substitute_terms({(1, 0, 1): 1, (0, 2, 0): -1}, 2, adj)
-    return ConicParam(p0, p1, p2, TernaryForm.from_terms(2, primal_vars, terms).lex_normalized())
+    return ConicParam(p0, p1, p2, TernaryForm.from_terms(2, PRIMAL_VARS, terms).lex_normalized())
 
 
-def standard_conic(param_vars: tuple[str, str] = PARAM_VARS,
-                   primal_vars: tuple[str, str, str] = PRIMAL_VARS) -> ConicParam:
+def standard_conic() -> ConicParam:
     """The conic x*y - t^2 = 0 parametrized by (s0^2, s1^2, s0*s1)."""
-    p0 = BinaryForm.from_coeffs(param_vars, [1, 0, 0])
-    p1 = BinaryForm.from_coeffs(param_vars, [0, 0, 1])
-    p2 = BinaryForm.from_coeffs(param_vars, [0, 1, 0])
-    return make_conic(p0, p1, p2, primal_vars)
+    p0 = BinaryForm.from_coeffs(PARAM_VARS, [1, 0, 0])
+    p1 = BinaryForm.from_coeffs(PARAM_VARS, [0, 0, 1])
+    p2 = BinaryForm.from_coeffs(PARAM_VARS, [0, 1, 0])
+    return make_conic(p0, p1, p2)
 
 
 @dataclass(frozen=True)
@@ -210,25 +182,23 @@ def line_pullback(conic: ConicParam, line: Sequence) -> BinaryForm:
     return conic.p0.scale(u) + conic.p1.scale(v) + conic.p2.scale(w)
 
 
-def _pullback_columns(conic: ConicParam, n: int,
-                      dual_vars: tuple[str, str, str]) -> list[list[TernaryForm]]:
+def _pullback_columns(conic: ConicParam, n: int) -> list[list[TernaryForm]]:
     """Columns of coefficients of q * s0^(n-1-i) * s1^i, linear in (u,v,w)."""
     shifted = [shifted_multiples(p, n) for p in (conic.p0, conic.p1, conic.p2)]
-    return [[TernaryForm.from_terms(1, dual_vars, {
+    return [[TernaryForm.from_terms(1, DUAL_VARS, {
                 _UNITS[var]: multiples[i][row] for var, multiples in enumerate(shifted)})
              for row in range(n + 2)]
             for i in range(n)]
 
 
-def poncelet_matrix(conic: ConicParam, pencil: PonceletPencil,
-                    dual_vars: tuple[str, str, str] = DUAL_VARS) -> PolyMatrix:
+def poncelet_matrix(conic: ConicParam, pencil: PonceletPencil) -> PolyMatrix:
     """The (n+2)x(n+2) presentation matrix: [gamma1, gamma2, q-shift columns]."""
     n = pencil.n
     const_cols = [
-        [TernaryForm.constant(c, dual_vars) for c in pencil.gamma1.coeffs],
-        [TernaryForm.constant(c, dual_vars) for c in pencil.gamma2.coeffs],
+        [TernaryForm.constant(c, DUAL_VARS) for c in pencil.gamma1.coeffs],
+        [TernaryForm.constant(c, DUAL_VARS) for c in pencil.gamma2.coeffs],
     ]
-    columns = const_cols + _pullback_columns(conic, n, dual_vars)
+    columns = const_cols + _pullback_columns(conic, n)
     rows = [[columns[j][i] for j in range(n + 2)] for i in range(n + 2)]
     return PolyMatrix.from_rows(rows)
 
@@ -272,8 +242,7 @@ def _jump_terms(pencil: PonceletPencil) -> dict[tuple[int, int, int], int]:
     return terms
 
 
-def poncelet_curve(conic: ConicParam, pencil: PonceletPencil,
-                   dual_vars: tuple[str, str, str] = DUAL_VARS) -> TernaryForm:
+def poncelet_curve(conic: ConicParam, pencil: PonceletPencil) -> TernaryForm:
     """Degree-n curve G(T*(u, v, w)) of jumping lines, lexicographically-monic."""
     flat = integral_row([c for p in (conic.p0, conic.p1, conic.p2) for c in p.coeffs])[0]
     t = [flat[k::3] for k in range(3)]  # t[k][j]: coefficient k of p_j
@@ -281,7 +250,7 @@ def poncelet_curve(conic: ConicParam, pencil: PonceletPencil,
     if not terms:
         raise DegeneratePencilError("pencil determinant vanishes identically")
     lead = terms[max(terms)]
-    return TernaryForm(pencil.n, dual_vars, {e: Fraction(c, lead) for e, c in terms.items()})
+    return TernaryForm(pencil.n, DUAL_VARS, {e: Fraction(c, lead) for e, c in terms.items()})
 
 
 def is_base_point_free(pencil: PonceletPencil) -> bool:
@@ -299,7 +268,7 @@ def is_jumping_line(conic: ConicParam, pencil: PonceletPencil,
 
 def chord_dual(conic: ConicParam, a: Sequence, b: Sequence) -> tuple[Fraction, ...]:
     """Dual coordinates of the chord through the images of two parameters."""
-    if projectively_equal(a, b):
+    if _dependent(a, b):
         raise PreconditionError("chord endpoints must be distinct parameters")
     pa = conic.image(a)
     pb = conic.image(b)
@@ -331,8 +300,7 @@ def singular_jump_criterion(conic: ConicParam, pencil: PonceletPencil,
 FAMILY_NAMES = ("eps91", "92", "93")
 
 
-def family_matrix(name: str, param=0,
-                  dual_vars: tuple[str, str, str] = DUAL_VARS) -> PolyMatrix:
+def family_matrix(name: str, param=0) -> PolyMatrix:
     """One of the three worked 6x6 determinantal families over (u, v, w).
 
     "92" is "93" at c = 0, so it ignores the parameter.
@@ -343,12 +311,12 @@ def family_matrix(name: str, param=0,
     U, V, W = _UNITS
 
     def const(c):
-        return TernaryForm.constant(c, dual_vars)
+        return TernaryForm.constant(c, DUAL_VARS)
 
     def lin(exp, c=1):
-        return TernaryForm.from_terms(1, dual_vars, {exp: c})
+        return TernaryForm.from_terms(1, DUAL_VARS, {exp: c})
 
-    z = TernaryForm.zero(1, dual_vars)
+    z = TernaryForm.zero(1, DUAL_VARS)
     if name == "eps91":
         rows = [
             [const(1), const(0), lin(V), z, z, z],
@@ -371,10 +339,9 @@ def family_matrix(name: str, param=0,
     return PolyMatrix.from_rows(rows)
 
 
-def family_curve(name: str, param=0,
-                 dual_vars: tuple[str, str, str] = DUAL_VARS) -> TernaryForm:
+def family_curve(name: str, param=0) -> TernaryForm:
     """Determinant of a family matrix, normalized lexicographically-monic."""
-    det = family_matrix(name, param, dual_vars).determinant()
+    det = family_matrix(name, param).determinant()
     if det.is_zero():
         raise DegeneratePencilError(f"family {name!r} determinant vanishes at this parameter")
     return det.lex_normalized()

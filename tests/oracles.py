@@ -1,8 +1,9 @@
 """Slow, independent oracles and test-only helpers.
 
 - Rational Gaussian elimination: the oracle of the fraction-free elimination
-  in `luroth.linalg` (`det_rational`, `rank`, `solve_linear`, `nullspace`
-  and `invert`).
+  in `luroth.linalg` (`det_rational`, `rank`, `solve_linear` and `invert`),
+  and, through its kernel, of the adjugate's kernel point of a singular conic
+  (`conic_kernel_point`).
 - The Bezoutian jump test and the Bezout-determinant base-point test: the
   oracles of the remainder and PRS kernels in `luroth.poncelet`.
 - Binary-form helpers that only tests use: a rational Euclidean gcd, monic
@@ -18,8 +19,9 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from luroth import poncelet
-from luroth.forms import BinaryForm, PreconditionError, TernaryForm, substitute_terms
-from luroth.linalg import det_rational, integral_row
+from luroth.forms import (BinaryForm, PreconditionError, TernaryForm, integral_row,
+                          substitute_terms)
+from luroth.linalg import det_rational
 
 
 def _rows(rows):

@@ -46,6 +46,17 @@ def test_poncelet_parse_error_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("digit", ["²", "٣", "①"])
+def test_non_ascii_digit_exit_2(capsys, digit):
+    for argv in (["quartic", "analyze", "--f", f"u^{digit}*v^2", "--node", "0:0:1"],
+                 ["quartic", "tangent", "--f", QUARTIC_A, "--node", "1:0:0",
+                  "--g", f"{digit}*u^4"],
+                 ["poncelet", "--gamma1", f"s0^{digit}", "--gamma2", "s1^3"]):
+        code, out = run(capsys, argv)
+        assert code == 2, argv
+        assert f"unexpected character {digit!r}" in out
+
+
 def test_poncelet_zero_denominator_exit_2(capsys):
     code, out = run(capsys, ["poncelet", "--gamma1", "1/0*s0^3", "--gamma2", "s1^3"])
     assert code == 2
@@ -255,8 +266,8 @@ def test_verify_negative_control(capsys, monkeypatch):
     # corrupt one family matrix entry and confirm the suite goes red
     original = poncelet.family_matrix
 
-    def corrupted(name, param=0, dual_vars=poncelet.DUAL_VARS):
-        matrix = original(name, param, dual_vars)
+    def corrupted(name, param=0):
+        matrix = original(name, param)
         entries = list(matrix.entries)
         entries[2] = entries[2] + entries[2]  # double one entry
         return type(matrix)(matrix.rows, matrix.cols, tuple(entries))

@@ -105,6 +105,18 @@ def test_parse_overlong_integer_literal_position():
     assert parse_form("1" + "0" * 4000 + "*u^4", TRIPLE).terms == {(4, 0, 0): 10 ** 4000}
 
 
+@pytest.mark.parametrize("digit", ["²", "٣", "①"])
+def test_parse_accepts_only_ascii_digits(digit):
+    # each is a Unicode digit: int() takes the first or fails on the others
+    assert digit.isdigit()
+    for text, position in ((f"{digit}*u^4", 0), (f"u^{digit}*v^2", 2),
+                           (f"u^4 + 2{digit}*v^4", 7), (f"u^4 - 1/{digit}*w^4", 8)):
+        with pytest.raises(ParseError) as err:
+            parse_form(text, TRIPLE)
+        assert err.value.position == position, text
+        assert f"unexpected character {digit!r}" in str(err.value)
+
+
 def test_parse_rational_coefficients_and_unary_minus():
     f = parse_form("-3/4*v^2 + w^2", PAIR)
     assert f.coeffs == (Fraction(-3, 4), Fraction(0), Fraction(1))
@@ -275,6 +287,27 @@ def test_substitute_singular_rejected():
     f = parse_form("u^2 - w^2", TRIPLE)
     with pytest.raises(PreconditionError):
         f.substitute_linear([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+
+
+def test_substitute_rejects_exactly_the_singular_matrices():
+    rng = random.Random(311)
+    f = rand_ternary(rng, 3)
+    singular = 0
+    for _ in range(300):
+        rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)]
+                for _ in range(2)]
+        a, b = (Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(2))
+        rows.append([a * x + b * y for x, y in zip(*rows)])
+        if rng.random() < 0.3:  # usually breaks the dependence
+            rows[rng.randrange(3)][rng.randrange(3)] += Fraction(1, rng.randint(1, 3))
+        rng.shuffle(rows)
+        if det_rational(rows) == 0:
+            singular += 1
+            with pytest.raises(PreconditionError, match="singular"):
+                f.substitute_linear(rows)
+        else:
+            assert f.substitute_linear(rows) == fraction_substitute_linear(f, rows)
+    assert 100 <= singular <= 250, singular
 
 
 def substitute_per_term(f, t):

@@ -1,0 +1,48 @@
+"""Module layering: `forms` stands alone, and the nodal pipeline does not reach
+into the curve pipeline.  Checked on the source, at every nesting level, so a
+function-level import counts as much as one at the top of the module."""
+
+import ast
+from pathlib import Path
+
+import luroth
+
+PACKAGE = Path(luroth.__file__).parent
+
+
+def imported_modules(source: str) -> set[str]:
+    """Absolute names of the modules the source imports, relative imports
+    resolved against the `luroth` package."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out.add(node.module)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            out.add(f"luroth.{node.module}")
+        elif isinstance(node, ast.ImportFrom):  # from . import name
+            out.update(f"luroth.{alias.name}" for alias in node.names)
+    return out
+
+
+def module_imports(name: str) -> set[str]:
+    return imported_modules((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+
+
+def test_the_scan_sees_nested_and_relative_imports():
+    source = ("import re\n"
+              "def f():\n    from .linalg import det_rational\n"
+              "class C:\n    def g(self):\n        import luroth.nodal\n"
+              "from . import poncelet\n")
+    assert imported_modules(source) == {"re", "luroth.linalg", "luroth.nodal",
+                                        "luroth.poncelet"}
+
+
+def test_forms_imports_no_luroth_module():
+    found = module_imports("forms")
+    assert not {m for m in found if m == "luroth" or m.startswith("luroth.")}, found
+
+
+def test_nodal_does_not_import_poncelet():
+    assert "luroth.poncelet" not in module_imports("nodal")

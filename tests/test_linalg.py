@@ -6,18 +6,19 @@ from itertools import permutations
 
 import pytest
 
-from luroth.forms import BinaryForm, PreconditionError, TernaryForm, parse_form
+from luroth.forms import (BinaryForm, PreconditionError, TernaryForm, adjugate3,
+                          integral_row, parse_form)
 from luroth.linalg import (
     LinearSolution,
     _bareiss,
     PolyMatrix,
     conic_det3,
     conic_kernel_point,
+    conic_matrix,
     det_rational,
     disc_binary_quadratic,
-    integral_row,
     invert,
-    nullspace,
+    normalize_projective,
     rank,
     shifted_multiples,
     solve_linear,
@@ -74,13 +75,8 @@ def test_solve_inconsistent():
     assert sol.status == "no_solution"
 
 
-def test_rank_and_nullspace():
-    m = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-    assert rank(m) == 2
-    basis = nullspace(m)
-    assert len(basis) == 1
-    for row in m:
-        assert sum(r * x for r, x in zip(row, basis[0])) == 0
+def test_rank_of_dependent_rows():
+    assert rank([[1, 2, 3], [2, 4, 6], [0, 1, 1]]) == 2
 
 
 def test_invert_round_trip():
@@ -157,22 +153,6 @@ def test_solve_linear_matches_rational_elimination():
     assert min(statuses.values()) >= 20, statuses
 
 
-def test_nullspace_matches_rational_elimination():
-    rng = random.Random(907)
-    kernels = 0
-    for nrows in range(9):
-        for ncols in range(9):
-            for _ in range(4):
-                m = rand_rational_matrix(rng, nrows, ncols)
-                basis = nullspace(m)
-                assert basis == rational_nullspace(m)
-                for vec in basis:
-                    assert all(type(x) is Fraction for x in vec)
-                    assert all(sum(r * x for r, x in zip(row, vec)) == 0 for row in m)
-                kernels += bool(basis)
-    assert kernels >= 100
-
-
 def test_invert_matches_rational_elimination():
     rng = random.Random(908)
     singular = 0
@@ -203,14 +183,12 @@ def test_reduced_pass_ends_with_equal_pivots():
                 assert [[Fraction(x, last) for x in row] for row in m] == expected
 
 
-def test_solve_nullspace_invert_edge_cases():
+def test_solve_and_invert_edge_cases():
     assert solve_linear([], []) == LinearSolution("unique", ())
     assert solve_linear([[], []], [1, 0]).status == "no_solution"
     assert solve_linear([[0, 0], [0, 0]], [0, 0]).status == "non_unique"
     assert solve_linear([[0, 2], [0, 0]], [1, 0]).status == "non_unique"
     assert solve_linear([[0, 2], [3, 0]], [1, 1]).vector == (Fraction(1, 3), Fraction(1, 2))
-    assert nullspace([]) == [] and nullspace([[0, 0]]) == [(1, 0), (0, 1)]
-    assert nullspace([[0, 0, 1], [0, 0, 2]]) == [(1, 0, 0), (0, 1, 0)]
     assert invert([]) == []
     assert invert([[0, 2], [Fraction(1, 3), 0]]) == [[0, 3], [Fraction(1, 2), 0]]
     with pytest.raises(ValueError):
@@ -424,6 +402,81 @@ def test_conic_kernel_point():
 
 
 # ---------------------------------------------------------------------------
+# the 3x3 adjugate against rational elimination
+
+def rand_matrix3_of_rank(rng, r, rational):
+    """r random rows and 3 - r combinations of them, shuffled (rank <= r)."""
+    def entry():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4)) if rational else rng.randint(-6, 6)
+    rows = [[entry() for _ in range(3)] for _ in range(r)]
+    for _ in range(3 - r):
+        weights = [entry() for _ in range(r)]
+        rows.append([sum((c * row[j] for c, row in zip(weights, rows[:r])), 0 * entry())
+                     for j in range(3)])
+    rng.shuffle(rows)
+    return rows
+
+
+def test_adjugate3_times_matrix_is_det_identity():
+    rng = random.Random(930)
+    ranks = set()
+    for rational in (False, True):
+        for r in range(4):
+            for _ in range(30):
+                m = rand_matrix3_of_rank(rng, r, rational)
+                adj = adjugate3(m)
+                det = rational_det(m)
+                scalar = [[det if i == j else 0 for j in range(3)] for i in range(3)]
+                assert mat_mul(m, adj) == scalar and mat_mul(adj, m) == scalar
+                assert rational or all(type(x) is int for row in adj for x in row)
+                ranks.add(rational_rank(m))
+    assert ranks == {0, 1, 2, 3}
+
+
+def rand_line(rng):
+    while True:
+        line = {e: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))}
+        if any(line.values()):
+            return TernaryForm.from_terms(1, TRIPLE, line)
+
+
+def test_conic_det3_matches_det_rational():
+    rng = random.Random(931)
+    for _ in range(100):
+        if rng.random() < 0.3:  # singular: a pair of lines
+            conic = rand_line(rng) * rand_line(rng)
+        else:
+            conic = TernaryForm.from_terms(2, TRIPLE, {
+                e: Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                for e in ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1))})
+        assert conic_det3(conic) == det_rational(conic_matrix(conic))
+
+
+def test_conic_kernel_point_matches_rational_nullspace():
+    rng = random.Random(932)
+    pairs = 0
+    while pairs < 100:
+        a, b = rand_line(rng), rand_line(rng)
+        if a.proportional_to(b):
+            continue
+        conic = a * b
+        kernel = rational_nullspace(conic_matrix(conic))
+        assert len(kernel) == 1
+        assert conic_kernel_point(conic) == normalize_projective(kernel[0])
+        assert conic_kernel_point(a * a) is None  # a double line: rank 1
+        pairs += 1
+    smooth = 0
+    for _ in range(100):
+        conic = a * b + rand_line(rng) * rand_line(rng)
+        if conic_det3(conic) != 0:
+            assert conic_kernel_point(conic) is None
+            smooth += 1
+    assert smooth >= 50
+    assert conic_kernel_point(TernaryForm.zero(2, TRIPLE)) is None
+
+
+# ---------------------------------------------------------------------------
 # polynomial determinants
 
 def test_determinant_constants():
@@ -468,6 +521,22 @@ def test_determinant_non_square():
     v = parse_form("v", TRIPLE)
     with pytest.raises(PreconditionError):
         PolyMatrix.from_rows([[v, v]]).determinant()
+
+
+def test_zero_determinant_has_the_sum_of_the_column_degrees():
+    v, w = parse_form("v", TRIPLE), parse_form("w", TRIPLE)
+    z = TernaryForm.zero(1, TRIPLE)
+    assert PolyMatrix.from_rows([[v, z], [w, z]]).determinant() == TernaryForm.zero(2, TRIPLE)
+    one = TernaryForm.constant(1, TRIPLE)
+    assert PolyMatrix.from_rows([[one, v], [one, v]]).determinant() == z
+
+
+def test_poly_matrix_rejects_mixed_degree_columns():
+    v = parse_form("v", TRIPLE)
+    with pytest.raises(ValueError, match="column 0"):
+        PolyMatrix.from_rows([[v, v], [TernaryForm.constant(1, TRIPLE), v]])
+    with pytest.raises(ValueError, match="column 1"):
+        PolyMatrix.from_rows([[v, v], [v, TernaryForm.zero(0, TRIPLE)]])
 
 
 def test_determinant_rejects_high_degree_entries():

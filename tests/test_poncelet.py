@@ -18,6 +18,7 @@ from luroth.poncelet import (
     PARAM_VARS,
     DegeneratePencilError,
     PonceletPencil,
+    _dependent,
     chord_dual,
     family_curve,
     family_matrix,
@@ -28,7 +29,6 @@ from luroth.poncelet import (
     normalize_projective,
     poncelet_curve,
     poncelet_matrix,
-    projectively_equal,
     singular_jump_criterion,
     standard_conic,
 )
@@ -326,7 +326,7 @@ def test_jump_test_matches_rank_oracle():
                           for _ in range(4)]
                 lines = [line_with_pullback(conic, q) for q in qs]
                 lines += [chord_dual(conic, a, b) for i, a in enumerate(params)
-                          for b in params[i + 1:] if not projectively_equal(a, b)]
+                          for b in params[i + 1:] if not _dependent(a, b)]
                 lines += [tuple(Fraction(rng.randint(-6, 6)) for _ in range(3)) for _ in range(4)]
                 for line in lines:
                     if not any(line):
