@@ -15,8 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import nodal, poncelet, verify
-from .forms import (HomogeneityError, ParseError, PreconditionError, parse_form,
-                    rational_literal, rational_text)
+from .forms import PreconditionError, parse_form, rational_literal, rational_text
 from .poncelet import DUAL_VARS, PARAM_VARS
 
 EXIT_OK = 0
@@ -26,24 +25,13 @@ EXIT_PRECONDITION = 3
 EXIT_INTERNAL = 4
 
 
-class InputError(ValueError):
-    pass
-
-
-def _parse_rational(text: str) -> Fraction:
-    try:
-        return rational_literal(text)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-
-
 def _parse_point(text: str, arity: int) -> tuple[Fraction, ...]:
     parts = text.split(":")
     if len(parts) != arity:
-        raise InputError(f"expected {arity} colon-separated coordinates, got {text!r}")
-    point = tuple(_parse_rational(p) for p in parts)
+        raise ValueError(f"expected {arity} colon-separated coordinates, got {text!r}")
+    point = tuple(rational_literal(p) for p in parts)
     if all(x == 0 for x in point):
-        raise InputError("the zero vector is not a projective point")
+        raise ValueError("the zero vector is not a projective point")
     return point
 
 
@@ -66,6 +54,14 @@ def _emit(report: dict, as_json: bool):
             print(f"{key}: {value}")
 
 
+def _fail(as_json: bool, message: str, code: int = EXIT_INPUT_ERROR,
+          command: str | None = None, **extra) -> int:
+    """Emit an error report and return its exit code."""
+    head = {"command": command} if command else {}
+    _emit({**head, "status": "error", "message": message, **extra}, as_json)
+    return code
+
+
 def _form_field(form, as_json: bool):
     return form.to_json() if as_json else str(form)
 
@@ -78,16 +74,19 @@ def cmd_poncelet(args) -> int:
         else:
             parts = args.conic.split(";")
             if len(parts) != 3:
-                raise InputError("--conic expects 'standard' or three forms 'p0;p1;p2'")
+                raise ValueError("--conic expects 'standard' or three forms 'p0;p1;p2'")
             p0, p1, p2 = (parse_form(p, PARAM_VARS) for p in parts)
             conic = poncelet.make_conic(p0, p1, p2)
         gamma1 = parse_form(args.gamma1, PARAM_VARS)
         gamma2 = parse_form(args.gamma2, PARAM_VARS)
         pencil = poncelet.PonceletPencil(gamma1, gamma2)
         curve = poncelet.poncelet_curve(conic, pencil)
-    except (ParseError, HomogeneityError, InputError, PreconditionError, ValueError) as exc:
-        _emit({"status": "error", "message": str(exc)}, as_json)
-        return EXIT_INPUT_ERROR
+        vertices = args.vertices.split(",") if args.vertices else []
+        params = [_parse_point(p, 2) for p in vertices]
+        chords = [(i, j, poncelet.chord_dual(conic, params[i], params[j]))
+                  for i in range(len(params)) for j in range(i + 1, len(params))]
+    except ValueError as exc:
+        return _fail(as_json, str(exc))
     report = {
         "command": "poncelet",
         "status": "ok",
@@ -97,25 +96,16 @@ def cmd_poncelet(args) -> int:
         "base_point_free": poncelet.is_base_point_free(pencil),
     }
     if args.vertices:
-        try:
-            params = [_parse_point(p, 2) for p in args.vertices.split(",")]
-            incidences = []
-            for i in range(len(params)):
-                for j in range(i + 1, len(params)):
-                    vertex = poncelet.chord_dual(conic, params[i], params[j])
-                    on_curve = curve.evaluate(vertex) == 0
-                    label = ":".join(map(rational_text, vertex))
-                    if as_json:
-                        incidences.append({"pair": [i, j], "vertex": label,
-                                           "on_curve": on_curve})
-                    else:
-                        incidences.append(
-                            f"({i},{j}) -> [{label}] "
-                            + ("on-curve" if on_curve else "off-curve"))
-            report["vertices"] = incidences
-        except (InputError, PreconditionError) as exc:
-            _emit({"status": "error", "message": str(exc)}, as_json)
-            return EXIT_INPUT_ERROR
+        incidences = []
+        for i, j, vertex in chords:
+            on_curve = curve.evaluate(vertex) == 0
+            label = ":".join(map(rational_text, vertex))
+            if as_json:
+                incidences.append({"pair": [i, j], "vertex": label, "on_curve": on_curve})
+            else:
+                incidences.append(f"({i},{j}) -> [{label}] "
+                                  + ("on-curve" if on_curve else "off-curve"))
+        report["vertices"] = incidences
     _emit(report, as_json)
     return EXIT_OK
 
@@ -126,17 +116,14 @@ def cmd_quartic_analyze(args) -> int:
         quartic = parse_form(args.f, DUAL_VARS)
         node = _parse_point(args.node, 3)
         if quartic.degree != 4 or quartic.is_zero():
-            raise InputError("--f must be a nonzero quartic")
-    except (ParseError, HomogeneityError, InputError) as exc:
-        _emit({"status": "error", "message": str(exc)}, as_json)
-        return EXIT_INPUT_ERROR
+            raise ValueError("--f must be a nonzero quartic")
+    except ValueError as exc:
+        return _fail(as_json, str(exc))
     try:
         analysis = nodal.classify(quartic, node)
     except nodal.NodeError as exc:
-        _emit({"command": "quartic analyze", "status": "error",
-               "message": "node verification failed",
-               "node_report": exc.report.flags()}, as_json)
-        return EXIT_PRECONDITION
+        return _fail(as_json, "node verification failed", EXIT_PRECONDITION,
+                     "quartic analyze", node_report=exc.report.flags())
     data = analysis.conic_data
     dec = analysis.decomposition
     report = {
@@ -167,18 +154,15 @@ def cmd_quartic_tangent(args) -> int:
         direction = parse_form(args.g, DUAL_VARS)
         node = _parse_point(args.node, 3)
         if quartic.degree != 4 or direction.degree != 4:
-            raise InputError("--f and --g must be quartics")
-    except (ParseError, HomogeneityError, InputError) as exc:
-        _emit({"status": "error", "message": str(exc)}, as_json)
-        return EXIT_INPUT_ERROR
+            raise ValueError("--f and --g must be quartics")
+    except ValueError as exc:
+        return _fail(as_json, str(exc))
     try:
         analysis = nodal.classify(quartic, node)
         result = nodal.tangent_map(analysis.decomposition, analysis.conic_data,
                                    direction)
     except PreconditionError as exc:
-        _emit({"command": "quartic tangent", "status": "error",
-               "message": str(exc)}, as_json)
-        return EXIT_PRECONDITION
+        return _fail(as_json, str(exc), EXIT_PRECONDITION, "quartic tangent")
     report = {
         "command": "quartic tangent",
         "status": "ok",
@@ -194,11 +178,10 @@ def cmd_quartic_tangent(args) -> int:
 def cmd_family(args) -> int:
     as_json = args.json
     try:
-        param = _parse_rational(args.param)
+        param = rational_literal(args.param)
         matrix = poncelet.family_matrix(args.name, param)
-    except (InputError, ValueError) as exc:
-        _emit({"status": "error", "message": str(exc)}, as_json)
-        return EXIT_INPUT_ERROR
+    except ValueError as exc:
+        return _fail(as_json, str(exc))
     det = matrix.determinant()
     rows = [[str(matrix.entry(i, j)) for j in range(matrix.cols)]
             for i in range(matrix.rows)]
@@ -219,12 +202,12 @@ def cmd_verify(args) -> int:
     results = verify.run_checks()
     all_ok = all(r.passed for r in results)
     if args.json:
-        print(json.dumps({
+        _emit({
             "command": "verify",
             "status": "ok" if all_ok else "failed",
             "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail}
                        for r in results],
-        }, indent=2, sort_keys=True))
+        }, True)
     else:
         for r in results:
             print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}: {r.detail}")

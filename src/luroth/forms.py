@@ -140,10 +140,6 @@ def substitute_terms(terms: Mapping[Exp, object], degree: int,
     return {e: c for e, c in out.items() if c}
 
 
-def _term_degrees(terms: Mapping[Exp, Fraction]) -> set[int]:
-    return {sum(e) for e in terms}
-
-
 def _degree(terms: Mapping[Exp, Fraction]) -> int:
     return max(map(sum, terms), default=0)
 
@@ -233,6 +229,9 @@ def rational_literal(text: str) -> Fraction:
         raise ValueError(f"rational literal of {len(text)} characters is too long")
     if "e" in text.lower():
         raise ValueError(f"bad rational {text!r}: exponent notation is not accepted")
+    # Fraction's pattern takes any Unicode digit and "_"; word it as Fraction does
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"bad rational {text!r}: Invalid literal for Fraction: {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -375,15 +374,18 @@ def parse_form(text: str, variables: Sequence[str]):
     Raises ParseError on bad syntax, HomogeneityError on mixed-degree input.
     """
     terms = parse_terms(text, variables)
-    degrees = _term_degrees(terms)
+    degrees = {sum(e) for e in terms}
     if len(degrees) > 1:
         raise HomogeneityError(
             f"inhomogeneous input: term degrees {sorted(degrees)} in {text!r}")
-    degree = degrees.pop() if degrees else 0
+    return _form(degrees.pop() if degrees else 0, tuple(variables), terms)
+
+
+def _form(degree: int, variables: tuple[str, ...], terms: Mapping[Exp, Fraction]):
     if len(variables) == 2:
-        return BinaryForm.from_terms(degree, tuple(variables), terms)
+        return BinaryForm.from_terms(degree, variables, terms)
     if len(variables) == 3:
-        return TernaryForm.from_terms(degree, tuple(variables), terms)
+        return TernaryForm.from_terms(degree, variables, terms)
     raise ValueError("expected 2 or 3 variables")
 
 
@@ -491,8 +493,6 @@ class BinaryForm:
 
     def directional(self, xi: Sequence) -> "BinaryForm":
         """Directional derivative: xi0 * d/dv0 + xi1 * d/dv1."""
-        if self.degree == 0:
-            raise PreconditionError("directional derivative needs degree >= 1")
         p0 = self.partial(self.variables[0]).scale(_q(xi[0]))
         p1 = self.partial(self.variables[1]).scale(_q(xi[1]))
         return p0 + p1
@@ -509,10 +509,14 @@ def form_from_json(data: Mapping):
     try:
         variables = tuple(data["vars"])
         degree = data["degree"]
-        terms = {tuple(t["exp"]): rational_literal(c) if isinstance(c := t["coef"], str)
-                 else Fraction(c) for t in data["terms"]}
+        pairs = [(tuple(t["exp"]), t["coef"]) for t in data["terms"]]
+        terms = {e: rational_literal(c) if isinstance(c, str) else Fraction(c)
+                 for e, c in pairs if isinstance(c, str) or type(c) is int}
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise ValueError(f"malformed form JSON: {type(exc).__name__}: {exc}") from None
+    if len(terms) != len(pairs):
+        raise ValueError("malformed form JSON: coefficients must be integers or "
+                         "strings, and no exponent may repeat")
     if len(variables) not in (2, 3) or not all(isinstance(v, str) for v in variables):
         raise ValueError("malformed form JSON: expected 2 or 3 variable names")
     if not (type(degree) is int and 0 <= degree <= MAX_DEGREE):
@@ -520,9 +524,7 @@ def form_from_json(data: Mapping):
     for e in terms:
         if len(e) != len(variables) or not all(type(k) is int and k >= 0 for k in e):
             raise ValueError(f"malformed form JSON: bad exponent {list(e)}")
-    if len(variables) == 2:
-        return BinaryForm.from_terms(degree, variables, terms)
-    return TernaryForm.from_terms(degree, variables, terms)
+    return _form(degree, variables, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,14 @@ t^2 + 2*t*phi - psi.  The conic is singular exactly when the discriminant of
 phi^2 + psi vanishes; its kernel point is then the tangency point of the
 residual line.
 
-`classify` moves the node once: `verify_node` and `normalize_at_node` read
-the same graded pieces from a one-entry memo keyed by the quartic and the
-point, which holds only immutable values.
+`classify` moves the node once: a one-entry memo keyed by the quartic and
+the point holds the node verdict and the decomposition, both immutable.
+`verify_node` returns the verdict and `normalize_at_node` raises from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -36,10 +36,10 @@ Transform = tuple[tuple[Fraction, ...], ...]
 class NodeError(PreconditionError):
     """The given point is not an admissible ordinary node of the quartic.
 
-    report holds the failed node flags when verification produced them.
+    report holds the node flags, at least one of them false.
     """
 
-    def __init__(self, message: str, report: NodeReport | None = None):
+    def __init__(self, message: str, report: NodeReport):
         super().__init__(message)
         self.report = report
 
@@ -55,12 +55,7 @@ class NodeReport:
         return self.on_curve and self.singular and self.ordinary and self.admissible
 
     def flags(self) -> dict:
-        return {
-            "on_curve": self.on_curve,
-            "singular": self.singular,
-            "ordinary": self.ordinary,
-            "admissible": self.admissible,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -130,8 +125,8 @@ def _assemble(pieces: Sequence[tuple[int, BinaryForm]], t_var: str,
                                   terms).with_vars(var_order)
 
 
-def _decompose(quartic: TernaryForm, point: Sequence) -> tuple[Transform, tuple[str, str], str, tuple[BinaryForm, ...]]:
-    """Graded pieces f0..f4 of the quartic in node-centered coordinates."""
+def _decompose(quartic: TernaryForm, point: Sequence) -> tuple[NodeReport, NodeDecomposition]:
+    """Node flags and graded pieces of the quartic in node-centered coordinates."""
     return _decompose_at(quartic, tuple(_q(x) for x in point))
 
 
@@ -146,7 +141,14 @@ def _decompose_at(quartic: TernaryForm, p: tuple[Fraction, ...]):
     transform = tuple(tuple(columns[c][r] for c in range(3)) for r in range(3))
     variables = quartic.variables
     pair = (variables[others[0]], variables[others[1]])
-    return transform, pair, variables[pivot], _graded_split(quartic, transform, pair)
+    f0, f1, f2, f3, f4 = _graded_split(quartic, transform, pair)
+    on_curve = f0.is_zero()
+    singular = on_curve and f1.is_zero()
+    ordinary = singular and disc_binary_quadratic(f2) != 0
+    admissible = (ordinary and not f3.is_zero()
+                  and sylvester_resultant(f2, f3) != 0)
+    return (NodeReport(on_curve, singular, ordinary, admissible),
+            NodeDecomposition(transform, pair, variables[pivot], variables, f2, f3, f4))
 
 
 def verify_node(quartic: TernaryForm, point: Sequence) -> NodeReport:
@@ -154,14 +156,7 @@ def verify_node(quartic: TernaryForm, point: Sequence) -> NodeReport:
     and admissible (tangent cone coprime to the polar cubic's cubic part)."""
     if quartic.is_zero() or quartic.degree != 4:
         raise PreconditionError("expected a nonzero quartic")
-    _, _, _, pieces = _decompose(quartic, point)
-    f0, f1, f2, f3, _ = pieces
-    on_curve = f0.is_zero()
-    singular = on_curve and f1.is_zero()
-    ordinary = singular and not f2.is_zero() and disc_binary_quadratic(f2) != 0
-    admissible = (ordinary and not f3.is_zero()
-                  and sylvester_resultant(f2, f3) != 0)
-    return NodeReport(on_curve, singular, ordinary, admissible)
+    return _decompose(quartic, point)[0]
 
 
 def normalize_at_node(quartic: TernaryForm, point: Sequence) -> NodeDecomposition:
@@ -170,13 +165,12 @@ def normalize_at_node(quartic: TernaryForm, point: Sequence) -> NodeDecompositio
     The pivot is the first nonzero coordinate of the node; the other two
     standard vectors keep their order, so the decomposition is reproducible.
     """
-    transform, pair, t_var, pieces = _decompose(quartic, point)
-    f0, f1, f2, f3, f4 = pieces
-    if not f0.is_zero() or not f1.is_zero():
-        raise NodeError("the point is not a singular point of the quartic")
-    if f2.is_zero() or disc_binary_quadratic(f2) == 0:
-        raise NodeError("the singular point is not an ordinary node")
-    return NodeDecomposition(transform, pair, t_var, quartic.variables, f2, f3, f4)
+    report, dec = _decompose(quartic, point)
+    if not report.singular:
+        raise NodeError("the point is not a singular point of the quartic", report)
+    if not report.ordinary:
+        raise NodeError("the singular point is not an ordinary node", report)
+    return dec
 
 
 def assemble_quartic(f2: BinaryForm, f3: BinaryForm, f4: BinaryForm,
@@ -264,12 +258,11 @@ def tangent_map(dec: NodeDecomposition, data: AssociatedConicData,
     g0, g1, g2, g3, g4 = _graded_split(direction, dec.transform, dec.pair)
     if not g0.is_zero():
         raise PreconditionError("direction quartic does not vanish at the node")
-    pair = dec.pair
     # polarized cone equation: d(f2).xi = -g1, a 2x2 solve
     p, q, r = dec.f2.coeffs
     xi = solve_linear([[2 * p, q], [q, 2 * r]], [-c for c in g1.coeffs]).vector
-    df3 = dec.f3.directional(xi) if not dec.f3.is_zero() else BinaryForm.zero(2, pair)
-    df4 = dec.f4.directional(xi) if not dec.f4.is_zero() else BinaryForm.zero(3, pair)
+    df3 = dec.f3.directional(xi)
+    df4 = dec.f4.directional(xi)
     rhs_form = g4 - (g3 + df4) * data.phi - (g2 + df3) * data.psi
     phi_dot, psi_dot = koszul_solve(dec.f2, dec.f3, rhs_form)
     velocity = _assemble(((1, phi_dot.scale(2)), (0, -psi_dot)),

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from luroth import cli, poncelet
-from luroth.forms import form_from_json, parse_form
+from luroth.forms import form_from_json, parse_form, rational_literal
 from luroth.poncelet import DUAL_VARS, PARAM_VARS
 from oracles import unlimited_int_str
 
@@ -221,9 +221,20 @@ def test_family_exponent_or_overlong_param_exit_2_fast(capsys, param):
                                          ("0.25", Fraction(1, 4)), ("-2.5", Fraction(-5, 2)),
                                          ("7", Fraction(7))])
 def test_parse_rational_plain_literals(capsys, text, value):
-    assert cli._parse_rational(text) == value
+    assert rational_literal(text) == value
     code, out = run(capsys, ["family", "--name", "93", f"--param={text}"])
     assert code == 0 and f"param: {value}" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["quartic", "analyze", "--f", QUARTIC_A, "--node", "\u0661:0:0"],
+    ["family", "--name", "93", "--param", "-\u0661/\u0664"],
+    ["family", "--name", "93", "--param", "1_0"],
+])
+def test_rational_literal_is_ascii_without_separators_exit_2(capsys, argv):
+    code, out = run(capsys, argv)
+    assert code == 2
+    assert "Invalid literal for Fraction" in out
 
 
 def test_family_unknown_name_rejected(capsys):
@@ -291,3 +302,46 @@ def test_unexpected_exception_is_internal_error_exit_4(capsys, monkeypatch):
     assert code == cli.EXIT_INTERNAL == 4
     assert captured.out == ""
     assert captured.err == "luroth: internal error: RuntimeError: kernel exploded second line\n"
+
+
+# stdout and exit code of each error report, text then --json
+ERROR_REPORTS = [
+    (["poncelet", "--gamma1", "s0^4", "--gamma2", "2*s0^4"], 2,
+     "status: error\nmessage: pencil generators are linearly dependent\n",
+     '{\n  "message": "pencil generators are linearly dependent",\n  "status": "error"\n}\n'),
+    (["poncelet", "--gamma1", "s0^3", "--gamma2", "s1^3", "--vertices", "1:1,1:1"], 2,
+     "status: error\nmessage: chord endpoints must be distinct parameters\n",
+     '{\n  "message": "chord endpoints must be distinct parameters",\n'
+     '  "status": "error"\n}\n'),
+    (["quartic", "analyze", "--f", "u^3", "--node", "1:0:0"], 2,
+     "status: error\nmessage: --f must be a nonzero quartic\n",
+     '{\n  "message": "--f must be a nonzero quartic",\n  "status": "error"\n}\n'),
+    (["quartic", "analyze", "--f", QUARTIC_B, "--node", "1:1:1"], 3,
+     "status: error\nmessage: node verification failed\nnode_report:\n"
+     "  on_curve: False\n  singular: False\n  ordinary: False\n  admissible: False\n",
+     '{\n  "command": "quartic analyze",\n  "message": "node verification failed",\n'
+     '  "node_report": {\n    "admissible": false,\n    "on_curve": false,\n'
+     '    "ordinary": false,\n    "singular": false\n  },\n  "status": "error"\n}\n'),
+    (["quartic", "tangent", "--f", QUARTIC_A, "--node", "0:1:1", "--g", QUARTIC_A], 3,
+     "status: error\nmessage: node verification failed: {'on_curve': False, "
+     "'singular': False, 'ordinary': False, 'admissible': False}\n",
+     '{\n  "command": "quartic tangent",\n  "message": "node verification failed: '
+     "{'on_curve': False, 'singular': False, 'ordinary': False, 'admissible': False}\",\n"
+     '  "status": "error"\n}\n'),
+    (["quartic", "tangent", "--f", QUARTIC_A, "--node", "1:0:0", "--g", "u^4"], 3,
+     "status: error\nmessage: direction quartic does not vanish at the node\n",
+     '{\n  "command": "quartic tangent",\n'
+     '  "message": "direction quartic does not vanish at the node",\n  "status": "error"\n}\n'),
+    (["family", "--name", "93", "--param", "x"], 2,
+     "status: error\nmessage: bad rational 'x': Invalid literal for Fraction: 'x'\n",
+     '{\n  "message": "bad rational \'x\': Invalid literal for Fraction: \'x\'",\n'
+     '  "status": "error"\n}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, code, text, as_json", ERROR_REPORTS, ids=[
+    "dependent-gammas", "repeated-vertex", "cubic", "off-curve-node",
+    "tangent-off-curve-node", "nonvanishing-direction", "bad-param"])
+def test_error_report_is_unchanged(capsys, argv, code, text, as_json):
+    assert run(capsys, argv) == (code, text)
+    assert run(capsys, argv + ["--json"]) == (code, as_json)

@@ -535,6 +535,18 @@ def test_form_from_json_rejects_exponent_or_overlong_coefficient_fast(coef, mess
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize("terms", [
+    [{"exp": [0, 0], "coef": "\u0663"}],
+    [{"exp": [0, 0], "coef": "1_0"}],
+    [{"exp": [0, 0], "coef": 0.1}],
+    [{"exp": [0, 0], "coef": True}],
+    [{"exp": [0, 0], "coef": "1"}, {"exp": [0, 0], "coef": "2"}],
+])
+def test_form_from_json_rejects_inexact_or_repeated_terms(terms):
+    with pytest.raises(ValueError, match="malformed form JSON"):
+        form_from_json({"vars": list(PAIR), "degree": 0, "terms": terms})
+
+
 def test_form_from_json_loads_plain_coefficients():
     data = {"vars": list(PAIR), "degree": 2,
             "terms": [{"exp": [2, 0], "coef": "1/3"}, {"exp": [1, 1], "coef": "-2"},

@@ -1,6 +1,8 @@
 """Module layering: `forms` stands alone, and the nodal pipeline does not reach
 into the curve pipeline.  Checked on the source, at every nesting level, so a
-function-level import counts as much as one at the top of the module."""
+function-level import counts as much as one at the top of the module.  The
+same scan checks that each error is reported in one place: the CLI builds
+error reports only in `_fail`, and every `NodeError` carries its node flags."""
 
 import ast
 from pathlib import Path
@@ -46,3 +48,31 @@ def test_forms_imports_no_luroth_module():
 
 def test_nodal_does_not_import_poncelet():
     assert "luroth.poncelet" not in module_imports("nodal")
+
+
+def module_tree(name: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+
+
+def is_error_report(node: ast.AST) -> bool:
+    return isinstance(node, ast.Dict) and any(
+        isinstance(k, ast.Constant) and k.value == "status"
+        and isinstance(v, ast.Constant) and v.value == "error"
+        for k, v in zip(node.keys, node.values))
+
+
+def test_cli_builds_error_reports_only_in_fail():
+    tree = module_tree("cli")
+    everywhere = [n for n in ast.walk(tree) if is_error_report(n)]
+    fail = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_fail")
+    assert len(everywhere) == 1
+    assert everywhere == [n for n in ast.walk(fail) if is_error_report(n)]
+
+
+def test_every_node_error_carries_a_report():
+    calls = [n for n in ast.walk(module_tree("nodal")) if isinstance(n, ast.Call)
+             and isinstance(n.func, ast.Name) and n.func.id == "NodeError"]
+    assert calls
+    for call in calls:
+        assert len(call.args) == 2 or any(k.arg == "report" for k in call.keywords), \
+            ast.unparse(call)

@@ -10,6 +10,7 @@ from luroth.forms import BinaryForm, PreconditionError, TernaryForm, parse_form
 from luroth.linalg import det_rational, invert
 from luroth.nodal import (
     NodeError,
+    NodeReport,
     assemble_quartic,
     associated_conic,
     classify,
@@ -119,6 +120,18 @@ def test_normalize_rejects_degenerate_cone():
     double = parse_form("(u^2+v^2)^2", DUAL_VARS)
     with pytest.raises(NodeError):
         normalize_at_node(double, (0, 0, 1))
+
+
+@pytest.mark.parametrize("quartic, point, message", [
+    (QUARTIC_A, (0, 0, 1), "the point is not a singular point of the quartic"),
+    (parse_form("(u^2+v^2)^2", DUAL_VARS), (0, 0, 1),
+     "the singular point is not an ordinary node"),
+], ids=["smooth-point", "degenerate-cone"])
+def test_normalize_error_carries_the_verify_flags(quartic, point, message):
+    with pytest.raises(NodeError) as err:
+        normalize_at_node(quartic, point)
+    assert str(err.value) == message
+    assert err.value.report.flags() == verify_node(quartic, point).flags()
 
 
 def test_reassembly_under_translation():
@@ -341,10 +354,13 @@ def test_memoized_pieces_are_tuples():
     nodal._decompose_at.cache_clear()
     result = nodal._decompose(TWO_CONICS_1, [1, 1, 1])
     assert nodal._decompose(TWO_CONICS_1, (1, 1, 1)) is result
-    transform, pair, t_var, pieces = result
-    assert type(result) is tuple and type(pair) is tuple and type(pieces) is tuple
+    report, dec = result
+    assert type(result) is tuple and type(report) is NodeReport and report.all_ok()
+    assert type(dec) is nodal.NodeDecomposition and type(dec.pair) is tuple
+    transform = dec.transform
     assert type(transform) is tuple and all(type(row) is tuple for row in transform)
-    assert all(isinstance(f, BinaryForm) for f in pieces) and t_var == "u"
+    assert all(isinstance(f, BinaryForm) for f in (dec.f2, dec.f3, dec.f4))
+    assert dec.t_var == "u"
 
 
 @pytest.mark.parametrize("quartic, point, flags", [
@@ -407,6 +423,20 @@ def test_tangent_map_zero_direction():
     assert result.xi == (0, 0)
     assert result.phi_dot.is_zero() and result.psi_dot.is_zero()
     assert result.conic_velocity.is_zero()
+
+
+def test_tangent_map_with_zero_f4():
+    f2, f3 = parse_form("v*w", PAIR_VW), parse_form("v^3 + w^3", PAIR_VW)
+    quartic = quartic_from_conic_and_cubic(f2, f3, BinaryForm.zero(1, PAIR_VW),
+                                           BinaryForm.zero(2, PAIR_VW), "u", DUAL_VARS)
+    dec = normalize_at_node(quartic, (1, 0, 0))
+    assert dec.f4.is_zero()
+    g = parse_form("u^3*(v-w) + u^2*v^2 + u*w^3 + v^4", DUAL_VARS)
+    result = tangent_map(dec, associated_conic(dec), g)
+    assert result.xi == (1, -1)
+    assert result.phi_dot == parse_form("v", PAIR_VW)
+    assert result.psi_dot == parse_form("-w^2", PAIR_VW)
+    assert result.conic_velocity == parse_form("2*u*v + w^2", DUAL_VARS)
 
 
 def test_tangent_map_rejects_nonvanishing_direction():
