@@ -36,7 +36,6 @@ from .poncelet import (
     ConicParam,
     PonceletPencil,
     chord_dual,
-    family_curve,
     family_matrix,
     is_base_point_free,
     is_jumping_line,

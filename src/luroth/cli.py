@@ -36,8 +36,9 @@ def _parse_point(text: str, arity: int) -> tuple[Fraction, ...]:
 
 
 def _emit(report: dict, as_json: bool):
+    """Print a report; a form value prints as its text, or its JSON report."""
     if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(json.dumps(report, indent=2, sort_keys=True, default=lambda f: f.to_json()))
         return
     for key, value in report.items():
         if key == "command":
@@ -60,10 +61,6 @@ def _fail(as_json: bool, message: str, code: int = EXIT_INPUT_ERROR,
     head = {"command": command} if command else {}
     _emit({**head, "status": "error", "message": message, **extra}, as_json)
     return code
-
-
-def _form_field(form, as_json: bool):
-    return form.to_json() if as_json else str(form)
 
 
 def cmd_poncelet(args) -> int:
@@ -90,8 +87,8 @@ def cmd_poncelet(args) -> int:
     report = {
         "command": "poncelet",
         "status": "ok",
-        "conic": _form_field(conic.implicit, as_json),
-        "curve": _form_field(curve, as_json),
+        "conic": conic.implicit,
+        "curve": curve,
         "degree": curve.degree,
         "base_point_free": poncelet.is_base_point_free(pencil),
     }
@@ -130,12 +127,12 @@ def cmd_quartic_analyze(args) -> int:
         "command": "quartic analyze",
         "status": "ok",
         "node_report": analysis.report.flags(),
-        "f2": _form_field(dec.f2, as_json),
-        "f3": _form_field(dec.f3, as_json),
-        "f4": _form_field(dec.f4, as_json),
-        "phi": _form_field(data.phi, as_json),
-        "psi": _form_field(data.psi, as_json),
-        "conic": _form_field(data.conic, as_json),
+        "f2": dec.f2,
+        "f3": dec.f3,
+        "f4": dec.f4,
+        "phi": data.phi,
+        "psi": data.psi,
+        "conic": data.conic,
         "det3": rational_text(data.det3),
         "disc_phi2_plus_psi": rational_text(data.disc_binary),
         "verdict": "TypeII" if analysis.type_two else "NotTypeII",
@@ -167,9 +164,9 @@ def cmd_quartic_tangent(args) -> int:
         "command": "quartic tangent",
         "status": "ok",
         "xi": [rational_text(x) for x in result.xi],
-        "phi_dot": _form_field(result.phi_dot, as_json),
-        "psi_dot": _form_field(result.psi_dot, as_json),
-        "conic_velocity": _form_field(result.conic_velocity, as_json),
+        "phi_dot": result.phi_dot,
+        "psi_dot": result.psi_dot,
+        "conic_velocity": result.conic_velocity,
     }
     _emit(report, as_json)
     return EXIT_OK
@@ -191,8 +188,8 @@ def cmd_family(args) -> int:
         "name": args.name,
         "param": rational_text(param),
         "matrix": rows if as_json else ["[" + ", ".join(r) + "]" for r in rows],
-        "determinant": _form_field(det, as_json),
-        "curve": _form_field(det.lex_normalized(), as_json),
+        "determinant": det,
+        "curve": det.lex_normalized(),
     }
     _emit(report, as_json)
     return EXIT_OK
@@ -282,6 +279,10 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(_join_flag_values(list(argv)))
+    # argparse drops a "--" value, leaving [] where the flag's text belongs
+    empty = next((k for k, v in vars(args).items() if v == []), None)
+    if empty:
+        parser.error(f"argument --{empty}: expected a value, got '--'")
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - the CLI's error contract is total

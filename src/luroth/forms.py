@@ -51,15 +51,15 @@ def integral_row(values: Sequence) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in p], d
 
 
-def adjugate3(m: Sequence[Sequence]) -> list[list]:
-    """Adjugate of a 3x3 matrix: adj[k][j] is the cofactor of m[j][k].
-
-    So m*adj = det(m)*I, det(m) = sum_k m[0][k]*adj[k][0], and a rank-2
-    symmetric m has adj = c*k*k^T for its kernel vector k.
+def adjugate3(m: Sequence[Sequence]) -> tuple[object, list[list]]:
+    """Determinant and adjugate of a 3x3 matrix: adj[k][j] is the cofactor of
+    m[j][k], so m*adj = det(m)*I, and a rank-2 symmetric m has
+    adj = c*k*k^T for its kernel vector k.
     """
-    return [[m[(j + 1) % 3][(k + 1) % 3] * m[(j + 2) % 3][(k + 2) % 3]
-             - m[(j + 1) % 3][(k + 2) % 3] * m[(j + 2) % 3][(k + 1) % 3]
-             for j in range(3)] for k in range(3)]
+    adj = [[m[(j + 1) % 3][(k + 1) % 3] * m[(j + 2) % 3][(k + 2) % 3]
+            - m[(j + 1) % 3][(k + 2) % 3] * m[(j + 2) % 3][(k + 1) % 3]
+            for j in range(3)] for k in range(3)]
+    return sum(m[0][k] * adj[k][0] for k in range(3)), adj
 
 
 # ---------------------------------------------------------------------------
@@ -246,12 +246,16 @@ def _int_literal(digits: str, at: int) -> int:
         raise ParseError(f"integer literal of {len(digits)} digits is too long", at) from None
 
 
+_MAX_NESTING = 100  # deepest parentheses: each level is three frames of recursion
+
+
 class _Parser:
     """Recursive descent over +, -, *, ^ and parentheses; expands on the fly."""
 
     def __init__(self, text: str, variables: Sequence[str]):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.variables = list(variables)
         self.nvars = len(variables)
 
@@ -312,8 +316,12 @@ class _Parser:
         kind, val, at = self.peek()
         if kind == "op" and val == "(":
             self.next()
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", at)
             inner = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return self._maybe_power(inner)
         if kind == "int":
             self.next()
@@ -390,10 +398,24 @@ def _form(degree: int, variables: tuple[str, ...], terms: Mapping[Exp, Fraction]
 
 
 # ---------------------------------------------------------------------------
-# binary forms
+# binary and ternary forms
+
+class _Form:
+    """What both forms share, in terms of their own + and scale."""
+
+    def _check_vars(self, other: "_Form"):
+        if self.variables != other.variables:
+            raise ValueError(f"variable mismatch: {self.variables} vs {other.variables}")
+
+    def __sub__(self, other: "_Form") -> "_Form":
+        return self + other.scale(-1)
+
+    def __neg__(self) -> "_Form":
+        return self.scale(-1)
+
 
 @dataclass(frozen=True)
-class BinaryForm:
+class BinaryForm(_Form):
     """Homogeneous polynomial of fixed degree in an ordered variable pair.
 
     coeffs[j] is the coefficient of v0^(degree-j) * v1^j.
@@ -434,22 +456,12 @@ class BinaryForm:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def _check_vars(self, other: "BinaryForm"):
-        if self.variables != other.variables:
-            raise ValueError(f"variable mismatch: {self.variables} vs {other.variables}")
-
     def __add__(self, other: "BinaryForm") -> "BinaryForm":
         self._check_vars(other)
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch on add: {self.degree} vs {other.degree}")
         return BinaryForm(self.degree, self.variables,
                           tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "BinaryForm") -> "BinaryForm":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "BinaryForm":
-        return self.scale(-1)
 
     def __mul__(self, other: "BinaryForm") -> "BinaryForm":
         self._check_vars(other)
@@ -527,11 +539,8 @@ def form_from_json(data: Mapping):
     return _form(degree, variables, terms)
 
 
-# ---------------------------------------------------------------------------
-# ternary forms
-
 @dataclass(frozen=True, eq=False)
-class TernaryForm:
+class TernaryForm(_Form):
     """Homogeneous polynomial in an ordered variable triple, stored sparsely.
 
     terms is a read-only copy of the given map; forms are hashable.
@@ -583,22 +592,12 @@ class TernaryForm:
     def coefficient(self, exp: Exp) -> Fraction:
         return self.terms.get(tuple(exp), Fraction(0))
 
-    def _check_vars(self, other: "TernaryForm"):
-        if self.variables != other.variables:
-            raise ValueError(f"variable mismatch: {self.variables} vs {other.variables}")
-
     def __add__(self, other: "TernaryForm") -> "TernaryForm":
         self._check_vars(other)
         if self.degree != other.degree and not (self.is_zero() or other.is_zero()):
             raise ValueError(f"degree mismatch on add: {self.degree} vs {other.degree}")
         degree = other.degree if self.is_zero() else self.degree
         return TernaryForm(degree, self.variables, add_terms(self.terms, other.terms))
-
-    def __sub__(self, other: "TernaryForm") -> "TernaryForm":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "TernaryForm":
-        return self.scale(-1)
 
     def __mul__(self, other: "TernaryForm") -> "TernaryForm":
         self._check_vars(other)
@@ -639,22 +638,13 @@ class TernaryForm:
         integral; each result is divided once, by d*e^degree (F is homogeneous)."""
         entries, e = integral_row([t[i][j] for i in range(3) for j in range(3)])
         m = [entries[i:i + 3] for i in (0, 3, 6)]
-        adj = adjugate3(m)
-        if sum(m[0][k] * adj[k][0] for k in range(3)) == 0:
+        if adjugate3(m)[0] == 0:
             raise PreconditionError("coordinate change matrix is singular")
         nums, d = integral_row(list(self.terms.values()))
         moved = substitute_terms(dict(zip(self.terms, nums)), self.degree, m)
         scale = d * e ** self.degree
         return TernaryForm(self.degree, self.variables,
                            {x: Fraction(c, scale) for x, c in moved.items()})
-
-    def with_vars(self, new_variables: tuple[str, str, str]) -> "TernaryForm":
-        """Reorder the variable triple (same names, permuted positions)."""
-        if sorted(new_variables) != sorted(self.variables):
-            raise ValueError("new variable triple must be a permutation of the old one")
-        perm = [self.variables.index(v) for v in new_variables]
-        out = {tuple(e[p] for p in perm): c for e, c in self.terms.items()}
-        return TernaryForm(self.degree, new_variables, out)
 
     def lex_leading_coefficient(self) -> Fraction:
         if self.is_zero():

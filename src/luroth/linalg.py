@@ -196,9 +196,7 @@ def conic_matrix(q: TernaryForm) -> Matrix:
 def _conic_adjugate(q: TernaryForm) -> tuple[int, list[list[int]], int]:
     """det and adjugate of d*conic_matrix(q), an integer matrix, and d."""
     ints, d = integral_row([x for row in conic_matrix(q) for x in row])
-    m = [ints[i:i + 3] for i in (0, 3, 6)]
-    adj = adjugate3(m)
-    return sum(m[0][k] * adj[k][0] for k in range(3)), adj, d
+    return (*adjugate3([ints[i:i + 3] for i in (0, 3, 6)]), d)
 
 
 def conic_det3(q: TernaryForm) -> Fraction:

@@ -74,10 +74,6 @@ class NodeDecomposition:
     f3: BinaryForm
     f4: BinaryForm
 
-    def normalized_quartic(self) -> TernaryForm:
-        return assemble_quartic(self.f2, self.f3, self.f4, self.t_var,
-                                self.original_vars)
-
 
 @dataclass(frozen=True)
 class AssociatedConicData:
@@ -119,10 +115,13 @@ def _assemble(pieces: Sequence[tuple[int, BinaryForm]], t_var: str,
               var_order: tuple[str, str, str]) -> TernaryForm:
     """sum t^k * g_k over (k, g_k) pieces, in the requested variable order."""
     k0, g0 = pieces[0]
-    pair = g0.variables
-    terms = {(a, b, k): c for k, g in pieces for (a, b), c in g.terms().items()}
-    return TernaryForm.from_terms(k0 + g0.degree, (pair[0], pair[1], t_var),
-                                  terms).with_vars(var_order)
+    names = (*g0.variables, t_var)
+    if sorted(var_order) != sorted(names):
+        raise ValueError("new variable triple must be a permutation of the old one")
+    perm = [names.index(v) for v in var_order]
+    terms = {tuple((a, b, k)[i] for i in perm): c
+             for k, g in pieces for (a, b), c in g.terms().items()}
+    return TernaryForm.from_terms(k0 + g0.degree, var_order, terms)
 
 
 def _decompose(quartic: TernaryForm, point: Sequence) -> tuple[NodeReport, NodeDecomposition]:

@@ -71,9 +71,8 @@ def make_conic(p0: BinaryForm, p1: BinaryForm, p2: BinaryForm) -> ConicParam:
         if p.variables != p0.variables:
             raise ValueError("parametrization components must share variables")
     flat = integral_row([c for p in (p0, p1, p2) for c in p.coeffs])[0]
-    t = [flat[3 * j:3 * j + 3] for j in range(3)]
-    adj = adjugate3(t)
-    if sum(t[0][k] * adj[k][0] for k in range(3)) == 0:
+    det, adj = adjugate3([flat[3 * j:3 * j + 3] for j in range(3)])
+    if det == 0:
         raise PreconditionError(
             "parametrization components are linearly dependent: image is not a smooth conic")
     terms = substitute_terms({(1, 0, 1): 1, (0, 2, 0): -1}, 2, adj)
@@ -203,10 +202,6 @@ def poncelet_matrix(conic: ConicParam, pencil: PonceletPencil) -> PolyMatrix:
     return PolyMatrix.from_rows(rows)
 
 
-class DegeneratePencilError(PreconditionError):
-    """The presentation determinant vanishes identically."""
-
-
 def _bezout_matrix(pencil: PonceletPencil) -> list[list[int]]:
     """B with (g1(x)g2(y) - g1(y)g2(x))/(x - y) = sum B[i][j] x^i y^j, in O(n^2).
 
@@ -243,12 +238,11 @@ def _jump_terms(pencil: PonceletPencil) -> dict[tuple[int, int, int], int]:
 
 
 def poncelet_curve(conic: ConicParam, pencil: PonceletPencil) -> TernaryForm:
-    """Degree-n curve G(T*(u, v, w)) of jumping lines, lexicographically-monic."""
+    """Degree-n curve G(T*(u, v, w)) of jumping lines, lexicographically-monic.
+    G is not zero: independent generators leave some chord of the conic not jumping."""
     flat = integral_row([c for p in (conic.p0, conic.p1, conic.p2) for c in p.coeffs])[0]
     t = [flat[k::3] for k in range(3)]  # t[k][j]: coefficient k of p_j
     terms = substitute_terms(_jump_terms(pencil), pencil.n, t)
-    if not terms:
-        raise DegeneratePencilError("pencil determinant vanishes identically")
     lead = terms[max(terms)]
     return TernaryForm(pencil.n, DUAL_VARS, {e: Fraction(c, lead) for e, c in terms.items()})
 
@@ -337,11 +331,3 @@ def family_matrix(name: str, param=0) -> PolyMatrix:
             [const(1), const(-c), z, lin(U, -1), lin(V), lin(W)],
         ]
     return PolyMatrix.from_rows(rows)
-
-
-def family_curve(name: str, param=0) -> TernaryForm:
-    """Determinant of a family matrix, normalized lexicographically-monic."""
-    det = family_matrix(name, param).determinant()
-    if det.is_zero():
-        raise DegeneratePencilError(f"family {name!r} determinant vanishes at this parameter")
-    return det.lex_normalized()

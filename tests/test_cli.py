@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from luroth import cli, poncelet
-from luroth.forms import form_from_json, parse_form, rational_literal
+from luroth.forms import _MAX_NESTING, form_from_json, parse_form, rational_literal
 from luroth.poncelet import DUAL_VARS, PARAM_VARS
 from oracles import unlimited_int_str
 
@@ -151,6 +151,33 @@ def test_analyze_overlong_integer_literal_exit_2(capsys):
                              "--node", "1:0:0"])
     assert code == 2
     assert "integer literal of 5001 digits is too long (at position 0)" in out
+
+
+@pytest.mark.parametrize("depth, code", [(_MAX_NESTING - 1, 0), (_MAX_NESTING, 2), (340, 2)])
+def test_analyze_nesting_limit(capsys, depth, code):
+    # QUARTIC_A nests one level itself, so depth + 1 is the nesting in all
+    f = "(" * depth + QUARTIC_A + ")" * depth
+    assert cli.main(["quartic", "analyze", "--f", f, "--node", "1:0:0"]) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert (f"parentheses nested deeper than {_MAX_NESTING} (at position {_MAX_NESTING})"
+            in captured.out) == (code == 2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "--name", "93", "--param", "--"],
+    ["family", "--name", "93", "--param=--"],
+    ["poncelet", "--gamma1", "--", "--gamma2", "s1^3"],
+    ["quartic", "analyze", "--f=--", "--node", "1:0:0"],
+])
+def test_flag_value_double_dash_exit_2(capsys, argv):
+    # argparse drops "--" from an option's value; the flag then has no value
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert "expected a value, got '--'" in captured.err
+    assert "internal error" not in captured.err
 
 
 def test_analyze_json_round_trip(capsys):

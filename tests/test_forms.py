@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from luroth.forms import (
+    _MAX_NESTING,
     MAX_DEGREE,
     BinaryForm,
     HomogeneityError,
@@ -148,6 +149,21 @@ def test_parse_degree_cap():
             parse_form(text, pair)
         assert err.value.position == position, text
         assert "MAX_DEGREE" in str(err.value)
+
+
+def test_parse_nesting_limit():
+    def nested(depth, text="u^4"):
+        return "(" * depth + text + ")" * depth
+
+    assert parse_form(nested(_MAX_NESTING), TRIPLE) == parse_form("u^4", TRIPLE)
+    # the depth is of nesting, not of parentheses in all
+    siblings = nested(_MAX_NESTING, "u") + "*" + nested(_MAX_NESTING, "v^3")
+    assert parse_form(siblings, TRIPLE) == parse_form("u*v^3", TRIPLE)
+    for depth in (_MAX_NESTING + 1, 340, 5000):
+        with pytest.raises(ParseError) as err:
+            parse_form(nested(depth), TRIPLE)
+        assert err.value.position == _MAX_NESTING
+        assert f"parentheses nested deeper than {_MAX_NESTING}" in str(err.value)
 
 
 def test_parse_admits_n40_pencil():

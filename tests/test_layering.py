@@ -2,7 +2,10 @@
 into the curve pipeline.  Checked on the source, at every nesting level, so a
 function-level import counts as much as one at the top of the module.  The
 same scan checks that each error is reported in one place: the CLI builds
-error reports only in `_fail`, and every `NodeError` carries its node flags."""
+error reports only in `_fail`, and every `NodeError` carries its node flags.
+And each shared operation is written once: only the CLI's `_emit` turns a
+form into JSON, and `forms` defines the variable check, subtraction and
+negation once for both kinds of form."""
 
 import ast
 from pathlib import Path
@@ -76,3 +79,19 @@ def test_every_node_error_carries_a_report():
     for call in calls:
         assert len(call.args) == 2 or any(k.arg == "report" for k in call.keywords), \
             ast.unparse(call)
+
+
+def test_cli_calls_to_json_only_in_emit():
+    def to_json_uses(node):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Attribute) and n.attr == "to_json"]
+
+    tree = module_tree("cli")
+    emit = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_emit")
+    assert to_json_uses(emit)
+    assert to_json_uses(tree) == to_json_uses(emit)
+
+
+def test_forms_defines_each_shared_form_operation_once():
+    defined = [n.name for n in ast.walk(module_tree("forms")) if isinstance(n, ast.FunctionDef)]
+    for name in ("_check_vars", "__sub__", "__neg__"):
+        assert defined.count(name) == 1, name

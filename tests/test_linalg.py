@@ -424,8 +424,8 @@ def test_adjugate3_times_matrix_is_det_identity():
         for r in range(4):
             for _ in range(30):
                 m = rand_matrix3_of_rank(rng, r, rational)
-                adj = adjugate3(m)
-                det = rational_det(m)
+                det, adj = adjugate3(m)
+                assert det == rational_det(m)
                 scalar = [[det if i == j else 0 for j in range(3)] for i in range(3)]
                 assert mat_mul(m, adj) == scalar and mat_mul(adj, m) == scalar
                 assert rational or all(type(x) is int for row in adj for x in row)

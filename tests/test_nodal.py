@@ -89,7 +89,7 @@ def test_normalize_quartic_a():
     assert dec.f2 == parse_form("v^2+w^2", PAIR_VW)
     assert dec.f3 == parse_form("2*v^3", PAIR_VW)
     assert dec.f4 == parse_form("w^2*(v^2+w^2)", PAIR_VW)
-    assert dec.normalized_quartic() == QUARTIC_A
+    assert assemble_quartic(dec.f2, dec.f3, dec.f4, dec.t_var, dec.original_vars) == QUARTIC_A
 
 
 def test_normalize_identity_transform():

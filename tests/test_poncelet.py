@@ -16,11 +16,9 @@ from luroth.linalg import (det_rational, shifted_multiples, solve_linear,
 from luroth.poncelet import (
     DUAL_VARS,
     PARAM_VARS,
-    DegeneratePencilError,
     PonceletPencil,
     _dependent,
     chord_dual,
-    family_curve,
     family_matrix,
     is_base_point_free,
     is_jumping_line,
@@ -771,7 +769,7 @@ def test_family_unknown_name():
 
 
 def test_family_curve_normalized():
-    curve = family_curve("eps91", 0)
+    curve = family_matrix("eps91", 0).determinant().lex_normalized()
     assert curve.lex_leading_coefficient() == 1
     assert curve.proportional_to(printed_eps_expansion(Fraction(0)))
 
@@ -785,12 +783,60 @@ def test_cross_construction_matches_family_92():
 
 
 def test_degenerate_pencil_reported():
-    # a conic whose parametrization shares content with the pencil can kill
-    # the determinant; a pencil built from two multiples of s0^2 over the
-    # standard conic stays honest, so force degeneracy through dependence
-    conic = standard_conic()
+    # dependent generators are the only pencil whose determinant vanishes
+    # identically, and the pencil itself rejects them
     with pytest.raises(PreconditionError):
         PonceletPencil(parse_form("s0^4", PARAM_VARS),
                        parse_form("2*s0^4", PARAM_VARS))
-    # zero determinants surface as the dedicated error type
-    assert issubclass(DegeneratePencilError, PreconditionError)
+
+
+def test_curve_of_an_independent_pencil_is_never_zero():
+    """Random, planted-factor and sparse pencils, n = 2..5, on both benchmark
+    conics: the curve is a nonzero, lexicographically-monic form of degree n."""
+    rng = random.Random(1010)
+    conics = [standard_conic(), make_conic(*(parse_form(p, PARAM_VARS) for p in GEN_CONIC))]
+
+    def sparse_pencil(n):
+        while True:
+            g1, g2 = (BinaryForm.from_coeffs(PARAM_VARS, [
+                rng.randint(-9, 9) if rng.random() < 0.3 else 0 for _ in range(n + 2)])
+                for _ in range(2))
+            try:
+                return PonceletPencil(g1, g2)
+            except PreconditionError:
+                continue
+
+    for n in range(2, 6):
+        for _ in range(40):
+            for pencil in (rand_pencil(rng, n),
+                           planted_pencil(rng, n, rand_binary(rng, rng.randint(1, n))),
+                           sparse_pencil(n)):
+                for conic in conics:
+                    curve = poncelet_curve(conic, pencil)
+                    assert not curve.is_zero() and curve.degree == n
+                    assert curve.lex_leading_coefficient() == 1
+
+
+@pytest.mark.parametrize("name", poncelet.FAMILY_NAMES)
+def test_family_determinant_has_a_parameter_free_coefficient(name):
+    """Some monomial of each family determinant has a nonzero coefficient that
+    does not depend on the parameter, so no parameter makes it zero."""
+    sympy = pytest.importorskip("sympy")
+    u, v, w, p = sympy.symbols("u v w p")
+
+    def expr(form):
+        return sum((sympy.Rational(c.numerator, c.denominator) * u**i * v**j * w**k
+                    for (i, j, k), c in form.terms.items()), sympy.Integer(0))
+
+    at = [family_matrix(name, x) for x in (0, 1, 2)]
+    rows = [[None] * 6 for _ in range(6)]
+    for i in range(6):
+        for j in range(6):
+            e0, e1, e2 = (expr(m.entry(i, j)) for m in at)
+            assert sympy.expand(e2 - 2 * e1 + e0) == 0  # each entry is affine in p
+            rows[i][j] = e0 + p * (e1 - e0)
+    det = sympy.expand(sympy.Matrix(rows).det())
+    third = family_matrix(name, Fraction(1, 3)).determinant()
+    assert sympy.expand(det.subs(p, sympy.Rational(1, 3)) - expr(third)) == 0
+    coeffs = sympy.Poly(det, u, v, w).coeffs()
+    assert any(c.is_number and c != 0 for c in coeffs), coeffs
