@@ -15,8 +15,9 @@ the line.
 
 `shifted_multiples` is the one multiplication map of the package: the
 coefficient vectors of a binary form times every monomial of a degree.  It
-builds the Sylvester matrix, the Koszul system of the nodal pipeline and the
-shifted-pullback columns of the curve presentation.
+builds the Sylvester matrix, whose transpose for (f3, f2) is the nodal Koszul
+system (uniquely solvable exactly when Res(f2, f3) != 0, so one solve decides
+admissibility and yields (phi, psi)), and the curve's shifted-pullback columns.
 """
 
 from __future__ import annotations

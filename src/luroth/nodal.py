@@ -1,16 +1,16 @@
 """Analysis of plane quartics with an ordinary node.
 
-Pipeline: verify the node, move it to the last coordinate point by a
-deterministic change of coordinates, split the equation as
-t^2*f2 + t*f3 + f4, solve f4 = phi*f3 + psi*f2 for the unique linear phi and
-quadratic psi, and classify by the determinant of the conic
-t^2 + 2*t*phi - psi.  The conic is singular exactly when the discriminant of
-phi^2 + psi vanishes; its kernel point is then the tangency point of the
-residual line.
+Pipeline: move the node to the last coordinate point by a deterministic
+change of coordinates and split the equation as t^2*f2 + t*f3 + f4.  The
+node is admissible exactly when Res(f2, f3) != 0, that is when the Koszul
+system f4 = phi*f3 + psi*f2, the transposed Sylvester matrix of (f3, f2),
+is uniquely solvable; the same solve yields linear phi and quadratic psi.
+Type II means the conic t^2 + 2*t*phi - psi is singular, which is when
+disc(phi^2 + psi) = 0; its kernel point is the residual line's tangency point.
 
-`classify` moves the node once: a one-entry memo keyed by the quartic and
-the point holds the node verdict and the decomposition, both immutable.
-`verify_node` returns the verdict and `normalize_at_node` raises from it.
+`classify` moves the node and eliminates once: a one-entry memo keyed by the
+quartic and the point holds the verdict and the decomposition with its split,
+all immutable.  `verify_node` returns the verdict, `normalize_at_node` raises.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .linalg import (
     disc_binary_quadratic,
     solve_linear,
     sylvester_matrix,
-    sylvester_resultant,
 )
 
 Transform = tuple[tuple[Fraction, ...], ...]
@@ -64,6 +63,7 @@ class NodeDecomposition:
 
     transform sends the last coordinate point to the node; pair holds the two
     variables of f2, f3, f4 and t_var the variable playing the cone direction.
+    split is (phi, psi) from the Koszul solve that made the node admissible, or None.
     """
 
     transform: Transform
@@ -73,6 +73,7 @@ class NodeDecomposition:
     f2: BinaryForm
     f3: BinaryForm
     f4: BinaryForm
+    split: tuple[BinaryForm, BinaryForm] | None
 
 
 @dataclass(frozen=True)
@@ -126,6 +127,8 @@ def _assemble(pieces: Sequence[tuple[int, BinaryForm]], t_var: str,
 
 def _decompose(quartic: TernaryForm, point: Sequence) -> tuple[NodeReport, NodeDecomposition]:
     """Node flags and graded pieces of the quartic in node-centered coordinates."""
+    if len(point) != 3:
+        raise ValueError("a point of the plane has three coordinates")
     return _decompose_at(quartic, tuple(_q(x) for x in point))
 
 
@@ -144,15 +147,14 @@ def _decompose_at(quartic: TernaryForm, p: tuple[Fraction, ...]):
     on_curve = f0.is_zero()
     singular = on_curve and f1.is_zero()
     ordinary = singular and disc_binary_quadratic(f2) != 0
-    admissible = (ordinary and not f3.is_zero()
-                  and sylvester_resultant(f2, f3) != 0)
-    return (NodeReport(on_curve, singular, ordinary, admissible),
-            NodeDecomposition(transform, pair, variables[pivot], variables, f2, f3, f4))
+    split = _koszul(f2, f3, f4) if ordinary else None
+    return (NodeReport(on_curve, singular, ordinary, split is not None),
+            NodeDecomposition(transform, pair, variables[pivot], variables, f2, f3, f4, split))
 
 
 def verify_node(quartic: TernaryForm, point: Sequence) -> NodeReport:
-    """Local flags at a rational point: on the curve, singular, ordinary node,
-    and admissible (tangent cone coprime to the polar cubic's cubic part)."""
+    """Local flags at a rational point: on the curve, singular, ordinary node, and
+    admissible (Res(f2, f3) != 0: the Koszul system for (phi, psi) is uniquely solvable)."""
     if quartic.is_zero() or quartic.degree != 4:
         raise PreconditionError("expected a nonzero quartic")
     return _decompose(quartic, point)[0]
@@ -185,25 +187,26 @@ def _conic_form(phi: BinaryForm, psi: BinaryForm, t_var: str,
     return _assemble(((2, one), (1, phi.scale(2)), (0, -psi)), t_var, var_order)
 
 
+def _koszul(f2: BinaryForm, f3: BinaryForm, rhs: BinaryForm):
+    """(phi, psi) of koszul_solve, or None when its system is singular."""
+    x = solve_linear(list(zip(*sylvester_matrix(f3, f2))), rhs.coeffs).vector
+    pair = f2.variables
+    return None if x is None else (BinaryForm.from_coeffs(pair, x[:2]),
+                                   BinaryForm.from_coeffs(pair, x[2:]))
+
+
 def koszul_solve(f2: BinaryForm, f3: BinaryForm,
                  rhs: BinaryForm) -> tuple[BinaryForm, BinaryForm]:
-    """Unique (phi linear, psi quadratic) with phi*f3 + psi*f2 = rhs (degree 4)."""
-    pair = f2.variables
-    system = [list(row) for row in zip(*sylvester_matrix(f3, f2))]
-    solution = solve_linear(system, list(rhs.coeffs))
-    if solution.status != "unique":
-        raise PreconditionError(
-            f"Koszul system is {solution.status.replace('_', '-')}: "
-            "f2 and f3 share a projective root")
-    x = solution.vector
-    phi = BinaryForm.from_coeffs(pair, x[:2])
-    psi = BinaryForm.from_coeffs(pair, x[2:])
-    return phi, psi
+    """Unique (phi linear, psi quadratic) with phi*f3 + psi*f2 = rhs; needs Res(f2, f3) != 0."""
+    split = _koszul(f2, f3, rhs)
+    if split is None:
+        raise PreconditionError("Koszul system is singular: f2 and f3 share a projective root")
+    return split
 
 
 def associated_conic(dec: NodeDecomposition) -> AssociatedConicData:
     """The unique conic t^2 + 2*t*phi - psi through the node's contact points."""
-    phi, psi = koszul_solve(dec.f2, dec.f3, dec.f4)
+    phi, psi = dec.split or koszul_solve(dec.f2, dec.f3, dec.f4)
     conic = _conic_form(phi, psi, dec.t_var, dec.original_vars)
     det3 = conic_det3(conic)
     disc = disc_binary_quadratic(phi * phi + psi)
@@ -248,7 +251,7 @@ def tangent_map(dec: NodeDecomposition, data: AssociatedConicData,
     xi solves the polarized cone equation, then a Koszul solve yields the
     conic velocity 2*t*phi_dot - psi_dot.
     """
-    if disc_binary_quadratic(dec.f2) == 0:
+    if (disc := disc_binary_quadratic(dec.f2)) == 0:
         raise PreconditionError("node is not ordinary: degenerate tangent cone")
     if direction.degree != 4:
         raise PreconditionError("direction must be a quartic")
@@ -257,16 +260,16 @@ def tangent_map(dec: NodeDecomposition, data: AssociatedConicData,
     g0, g1, g2, g3, g4 = _graded_split(direction, dec.transform, dec.pair)
     if not g0.is_zero():
         raise PreconditionError("direction quartic does not vanish at the node")
-    # polarized cone equation: d(f2).xi = -g1, a 2x2 solve
-    p, q, r = dec.f2.coeffs
-    xi = solve_linear([[2 * p, q], [q, 2 * r]], [-c for c in g1.coeffs]).vector
+    # polarized cone equation d(f2).xi = -g1 by Cramer's rule; its determinant is -disc
+    (p, q, r), (a, b) = dec.f2.coeffs, g1.coeffs
+    xi = ((2 * r * a - q * b) / disc, (2 * p * b - q * a) / disc)
     df3 = dec.f3.directional(xi)
     df4 = dec.f4.directional(xi)
     rhs_form = g4 - (g3 + df4) * data.phi - (g2 + df3) * data.psi
     phi_dot, psi_dot = koszul_solve(dec.f2, dec.f3, rhs_form)
     velocity = _assemble(((1, phi_dot.scale(2)), (0, -psi_dot)),
                          dec.t_var, dec.original_vars)
-    return TangentMapResult((xi[0], xi[1]), phi_dot, psi_dot, velocity)
+    return TangentMapResult(xi, phi_dot, psi_dot, velocity)
 
 
 def quartic_from_conic_and_cubic(f2: BinaryForm, f3: BinaryForm,
@@ -282,10 +285,10 @@ def quartic_from_conic_and_cubic(f2: BinaryForm, f3: BinaryForm,
         raise PreconditionError("expected degrees (2, 3) and (1, 2)")
     if disc_binary_quadratic(f2) == 0:
         raise PreconditionError("f2 must be a nondegenerate binary quadratic")
-    if f3.is_zero() or sylvester_resultant(f2, f3) == 0:
+    f4 = psi * f2 + phi * f3
+    if _koszul(f2, f3, f4) is None:
         raise PreconditionError("f2 and f3 must be coprime")
     pair = f2.variables
     if var_order is None:
         var_order = (pair[0], pair[1], t_var)
-    f4 = psi * f2 + phi * f3
     return assemble_quartic(f2, f3, f4, t_var, var_order)

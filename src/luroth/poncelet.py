@@ -262,6 +262,8 @@ def is_jumping_line(conic: ConicParam, pencil: PonceletPencil,
 
 def chord_dual(conic: ConicParam, a: Sequence, b: Sequence) -> tuple[Fraction, ...]:
     """Dual coordinates of the chord through the images of two parameters."""
+    if len(a) != 2 or len(b) != 2:
+        raise ValueError("a parameter of the conic has two coordinates")
     if _dependent(a, b):
         raise PreconditionError("chord endpoints must be distinct parameters")
     pa = conic.image(a)

@@ -5,7 +5,9 @@ same scan checks that each error is reported in one place: the CLI builds
 error reports only in `_fail`, and every `NodeError` carries its node flags.
 And each shared operation is written once: only the CLI's `_emit` turns a
 form into JSON, and `forms` defines the variable check, subtraction and
-negation once for both kinds of form."""
+negation once for both kinds of form.  And `nodal` eliminates once per node:
+it imports neither `sylvester_resultant` nor `det_rational`, since its one
+Koszul solve both decides admissibility and gives (phi, psi)."""
 
 import ast
 from pathlib import Path
@@ -95,3 +97,9 @@ def test_forms_defines_each_shared_form_operation_once():
     defined = [n.name for n in ast.walk(module_tree("forms")) if isinstance(n, ast.FunctionDef)]
     for name in ("_check_vars", "__sub__", "__neg__"):
         assert defined.count(name) == 1, name
+
+
+def test_nodal_imports_no_second_elimination():
+    imported = {alias.name for n in ast.walk(module_tree("nodal"))
+                if isinstance(n, (ast.Import, ast.ImportFrom)) for alias in n.names}
+    assert not imported & {"sylvester_resultant", "det_rational"}, imported

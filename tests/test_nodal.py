@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from luroth import nodal
+from luroth import linalg, nodal
 from luroth.forms import BinaryForm, PreconditionError, TernaryForm, parse_form
-from luroth.linalg import det_rational, invert
+from luroth.linalg import det_rational, invert, sylvester_resultant
 from luroth.nodal import (
     NodeError,
     NodeReport,
@@ -176,7 +176,6 @@ def test_koszul_fails_on_shared_root():
 def test_koszul_bidirectional_random():
     rng = random.Random(42)
     unique_seen = failed_seen = 0
-    from luroth.linalg import sylvester_resultant
     for _ in range(60):
         f2 = BinaryForm.from_coeffs(PAIR_VW, [rng.randint(-6, 6) for _ in range(3)])
         f3 = BinaryForm.from_coeffs(PAIR_VW, [rng.randint(-6, 6) for _ in range(4)])
@@ -288,6 +287,14 @@ def test_classify_rejects_bad_node():
         classify(QUARTIC_A, (0, 0, 1))
 
 
+@pytest.mark.parametrize("point", [(1, 0, 0, 5), (1, 0)])
+def test_node_of_wrong_arity_is_rejected(point):
+    with pytest.raises(ValueError, match="three coordinates"):
+        classify(QUARTIC_A, point)
+    with pytest.raises(ValueError, match="three coordinates"):
+        verify_node(QUARTIC_A, point)
+
+
 def test_verdict_projective_invariance():
     rng = random.Random(43)
     cases = [(QUARTIC_A, (1, 0, 0), True),
@@ -318,20 +325,25 @@ def fresh_classify(quartic, point):
 
 
 def test_classify_moves_the_node_once(monkeypatch):
-    calls = {"substitute_linear": 0, "verify_node": 0}
+    calls = {"substitute_linear": 0, "verify_node": 0, "_bareiss": 0}
 
     def counting(name, original):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return original(*args)
+            return original(*args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(TernaryForm, "substitute_linear",
                         counting("substitute_linear", TernaryForm.substitute_linear))
     monkeypatch.setattr(nodal, "verify_node", counting("verify_node", nodal.verify_node))
+    monkeypatch.setattr(linalg, "_bareiss", counting("_bareiss", linalg._bareiss))
     analysis = fresh_classify(TWO_CONICS_1, (1, -1, 1))
-    assert calls == {"substitute_linear": 1, "verify_node": 1}
+    # one elimination decides admissibility and gives (phi, psi)
+    assert calls == {"substitute_linear": 1, "verify_node": 1, "_bareiss": 1}
     assert analysis.report.all_ok()
+    # the direction moves once; xi by Cramer's rule, one Koszul solve
+    tangent_map(analysis.decomposition, analysis.conic_data, TWO_CONICS_2)
+    assert calls == {"substitute_linear": 2, "verify_node": 1, "_bareiss": 2}
 
 
 def test_interleaved_classify_matches_fresh_calls():
@@ -361,12 +373,21 @@ def test_memoized_pieces_are_tuples():
     assert type(transform) is tuple and all(type(row) is tuple for row in transform)
     assert all(isinstance(f, BinaryForm) for f in (dec.f2, dec.f3, dec.f4))
     assert dec.t_var == "u"
+    assert type(dec.split) is tuple and len(dec.split) == 2
+    assert all(type(f) is BinaryForm for f in dec.split)
+    with pytest.raises(AttributeError):
+        dec.split = None
+    not_admissible = nodal._decompose(parse_form("w^2*u*v+w*u^3+v^4", DUAL_VARS), (0, 0, 1))
+    assert not not_admissible[0].admissible and not_admissible[1].split is None
 
 
 @pytest.mark.parametrize("quartic, point, flags", [
     (QUARTIC_A, (1, 1, 1), (False, False, False, False)),   # off the curve
     (QUARTIC_B, (1, 0, 0), (True, False, False, False)),    # smooth point
     (parse_form("(u^2+v^2)^2", DUAL_VARS), (0, 0, 1), (True, True, False, False)),
+    # ordinary, not admissible: f2 = u*v and f3 = u^3 share a root; f3 = 0
+    (parse_form("w^2*u*v+w*u^3+v^4", DUAL_VARS), (0, 0, 1), (True, True, True, False)),
+    (parse_form("w^2*(u^2-v^2)+u^4+v^4", DUAL_VARS), (0, 0, 1), (True, True, True, False)),
 ])
 def test_node_error_reports_are_unchanged(quartic, point, flags):
     with pytest.raises(NodeError) as err:
@@ -374,6 +395,45 @@ def test_node_error_reports_are_unchanged(quartic, point, flags):
     expected = dict(zip(("on_curve", "singular", "ordinary", "admissible"), flags))
     assert err.value.report.flags() == expected
     assert str(err.value) == f"node verification failed: {expected}"
+
+
+def test_admissible_exactly_when_the_resultant_is_nonzero():
+    rng = random.Random(46)
+
+    def form(degree):
+        return BinaryForm.from_coeffs(PAIR_VW, [rng.randint(-5, 5) for _ in range(degree + 1)])
+
+    seen = {True: 0, False: 0}
+    for i in range(60):
+        f2 = form(2)
+        if i % 3 == 1:  # plant a shared root
+            common = BinaryForm.from_coeffs(PAIR_VW, [1, rng.randint(-3, 3)])
+            f2, f3 = common * form(1), common * form(2)
+        else:
+            f3 = BinaryForm.zero(3, PAIR_VW) if i % 6 == 2 else form(3)
+        if f2.is_zero() or linalg.disc_binary_quadratic(f2) == 0:
+            continue
+        phi, psi = form(1), form(2)
+        admissible = not f3.is_zero() and sylvester_resultant(f2, f3) != 0
+        seen[admissible] += 1
+        t = rand_invertible(rng)
+        inv = invert(t)
+        quartic = assemble_quartic(f2, f3, form(4), "u", DUAL_VARS).substitute_linear(t)
+        node = tuple(inv[r][0] for r in range(3))
+        assert verify_node(quartic, node) == NodeReport(True, True, True, admissible)
+        dec = normalize_at_node(quartic, node)
+        if admissible:
+            data = associated_conic(dec)
+            assert data.phi * dec.f3 + data.psi * dec.f2 == dec.f4
+            built = quartic_from_conic_and_cubic(f2, f3, phi, psi, "u", DUAL_VARS)
+            data = associated_conic(normalize_at_node(built, (1, 0, 0)))
+            assert (data.phi, data.psi) == (phi, psi)
+        else:
+            with pytest.raises(PreconditionError):
+                associated_conic(dec)
+            with pytest.raises(PreconditionError, match="^f2 and f3 must be coprime$"):
+                quartic_from_conic_and_cubic(f2, f3, phi, psi, "u", DUAL_VARS)
+    assert seen[True] >= 20 and seen[False] >= 15
 
 
 # ---------------------------------------------------------------------------

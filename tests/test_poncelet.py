@@ -217,6 +217,9 @@ def test_chord_dual_examples():
     assert normalize_projective(chord_dual(conic, (1, 1), (1, -1))) == (1, -1, 0)
     with pytest.raises(PreconditionError):
         chord_dual(conic, (1, 2), (2, 4))
+    for a, b in [((1, 0, 7), (0, 1)), ((1,), (0, 1))]:
+        with pytest.raises(ValueError, match="two coordinates"):
+            chord_dual(conic, a, b)
 
 
 def test_chord_pullback_roots():
