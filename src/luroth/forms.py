@@ -2,8 +2,12 @@
 
 Two concrete containers are provided: :class:`BinaryForm` (homogeneous in an
 ordered pair of variables, dense coefficient list) and :class:`TernaryForm`
-(homogeneous in an ordered triple, sparse exponent map).  All coefficients are
-`fractions.Fraction`, every operation is exact, and all values are immutable.
+(homogeneous in an ordered triple, sparse exponent map).  Both expose `terms`,
+the map from exponent to nonzero coefficient.  `_Form` holds what reads a form
+only through that map (zero, evaluation, partial derivatives, text and JSON),
+and each class holds the dense or sparse kernels of its own representation.
+All coefficients are `fractions.Fraction`, every operation is exact, and all
+values are immutable.
 
 The zero polynomial carries an explicit degree annotation so that typed
 pipelines (decompositions, matrix entries) stay total.  This module imports
@@ -159,41 +163,6 @@ def rational_text(c) -> str:
     c = _q(c)
     den = "" if c.denominator == 1 else "/" + digits(c.denominator)
     return "-" * (c < 0) + digits(abs(c.numerator)) + den
-
-
-def _form_json(variables: Sequence[str], degree: int, terms: Mapping[Exp, Fraction]) -> dict:
-    """The JSON report of a form, terms in descending exponent order."""
-    return {"vars": list(variables), "degree": degree,
-            "terms": [{"coef": rational_text(c), "exp": list(e)}
-                      for e, c in sorted(terms.items(), reverse=True)]}
-
-
-def format_terms(terms: Mapping[Exp, Fraction], variables: Sequence[str]) -> str:
-    """Canonical text: graded-lex term order, reduced fractions, signs absorbed."""
-    if not terms:
-        return "0"
-    pieces = []
-    for e in sorted(terms, reverse=True):
-        c = terms[e]
-        factors = []
-        for var, k in zip(variables, e):
-            if k == 1:
-                factors.append(var)
-            elif k > 1:
-                factors.append(f"{var}^{k}")
-        if not factors:
-            body = rational_text(abs(c))
-        elif abs(c) == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([rational_text(abs(c))] + factors)
-        sign = "-" if c < 0 else "+"
-        pieces.append((sign, body))
-    first_sign, first_body = pieces[0]
-    text = (first_sign if first_sign == "-" else "") + first_body
-    for sign, body in pieces[1:]:
-        text += f" {sign} {body}"
-    return text
 
 
 # ---------------------------------------------------------------------------
@@ -401,17 +370,76 @@ def _form(degree: int, variables: tuple[str, ...], terms: Mapping[Exp, Fraction]
 # binary and ternary forms
 
 class _Form:
-    """What both forms share, in terms of their own + and scale."""
+    """What reads a form only through its `terms` map, exponent -> nonzero
+    Fraction, written once for both classes.  Each class keeps its own
+    kernels on its representation: from_terms, +, *, scale and is_zero."""
+
+    @classmethod
+    def zero(cls, degree: int, variables: tuple[str, ...]) -> "_Form":
+        return cls.from_terms(degree, variables, {})
 
     def _check_vars(self, other: "_Form"):
         if self.variables != other.variables:
             raise ValueError(f"variable mismatch: {self.variables} vs {other.variables}")
+
+    def _check_point(self, point: Sequence):
+        if len(point) != len(self.variables):
+            raise ValueError(f"point of {len(point)} coordinates for a form "
+                             f"in {len(self.variables)} variables")
 
     def __sub__(self, other: "_Form") -> "_Form":
         return self + other.scale(-1)
 
     def __neg__(self) -> "_Form":
         return self.scale(-1)
+
+    def evaluate(self, point: Sequence) -> Fraction:
+        """The value at a point, on ints: the coefficients times e and the point
+        times d are integral, so one division by e*d^degree ends it."""
+        self._check_point(point)
+        terms = self.terms
+        nums, e = integral_row(list(terms.values()))
+        p, d = integral_row(point)
+        powers = []
+        for x in p:
+            row = [1]
+            for _ in range(self.degree):
+                row.append(row[-1] * x)
+            powers.append(row)
+        total = 0
+        for exp, c in zip(terms, nums):
+            for row, k in zip(powers, exp):
+                c *= row[k]
+            total += c
+        return Fraction(total, e * d ** self.degree)
+
+    def partial(self, var: str) -> "_Form":
+        if var not in self.variables:
+            raise ValueError(f"unknown variable {var!r}")
+        if self.degree == 0:
+            raise PreconditionError("cannot differentiate a degree-0 form")
+        idx = self.variables.index(var)
+        # lowering one exponent is injective, so no two terms meet
+        return self.from_terms(self.degree - 1, self.variables,
+                               {e[:idx] + (e[idx] - 1,) + e[idx + 1:]: c * e[idx]
+                                for e, c in self.terms.items() if e[idx]})
+
+    def __str__(self) -> str:
+        """Canonical text: graded-lex term order, reduced fractions, signs absorbed."""
+        pieces = []
+        for e, c in sorted(self.terms.items(), reverse=True):
+            factors = [v if k == 1 else f"{v}^{k}" for v, k in zip(self.variables, e) if k]
+            if abs(c) != 1 or not factors:
+                factors.insert(0, rational_text(abs(c)))
+            pieces.append(("- " if c < 0 else "+ ") + "*".join(factors))
+        text = " ".join(pieces) or "+ 0"
+        return text[2:] if text[0] == "+" else "-" + text[2:]
+
+    def to_json(self) -> dict:
+        """The JSON report of a form, terms in descending exponent order."""
+        return {"vars": list(self.variables), "degree": self.degree,
+                "terms": [{"coef": rational_text(c), "exp": list(e)}
+                          for e, c in sorted(self.terms.items(), reverse=True)]}
 
 
 @dataclass(frozen=True)
@@ -432,10 +460,6 @@ class BinaryForm(_Form):
             raise ValueError("coefficient list must have degree+1 entries")
 
     @classmethod
-    def zero(cls, degree: int, variables: tuple[str, str]) -> "BinaryForm":
-        return cls(degree, variables, tuple(Fraction(0) for _ in range(degree + 1)))
-
-    @classmethod
     def from_coeffs(cls, variables: tuple[str, str], coeffs: Iterable) -> "BinaryForm":
         cs = tuple(_q(c) for c in coeffs)
         return cls(len(cs) - 1, variables, cs)
@@ -450,6 +474,7 @@ class BinaryForm(_Form):
             coeffs[j] = c
         return cls(degree, variables, tuple(coeffs))
 
+    @property
     def terms(self) -> TermMap:
         return {(self.degree - j, j): c for j, c in enumerate(self.coeffs) if c}
 
@@ -478,42 +503,19 @@ class BinaryForm(_Form):
         return BinaryForm(self.degree, self.variables, tuple(c * a for a in self.coeffs))
 
     def power(self, k: int) -> "BinaryForm":
+        if k < 0:
+            raise ValueError(f"negative power {k}")
         out = BinaryForm(0, self.variables, (Fraction(1),))
         for _ in range(k):
             out = out * self
         return out
 
-    def evaluate(self, point: Sequence) -> Fraction:
-        a, b = _q(point[0]), _q(point[1])
-        total = Fraction(0)
-        for j, c in enumerate(self.coeffs):
-            if c:
-                total += c * a ** (self.degree - j) * b ** j
-        return total
-
-    def partial(self, var: str) -> "BinaryForm":
-        if self.degree == 0:
-            raise PreconditionError("cannot differentiate a degree-0 form")
-        d = self.degree
-        if var == self.variables[0]:
-            coeffs = tuple((d - j) * self.coeffs[j] for j in range(d))
-        elif var == self.variables[1]:
-            coeffs = tuple((j + 1) * self.coeffs[j + 1] for j in range(d))
-        else:
-            raise ValueError(f"unknown variable {var!r}")
-        return BinaryForm(d - 1, self.variables, coeffs)
-
     def directional(self, xi: Sequence) -> "BinaryForm":
         """Directional derivative: xi0 * d/dv0 + xi1 * d/dv1."""
+        self._check_point(xi)
         p0 = self.partial(self.variables[0]).scale(_q(xi[0]))
         p1 = self.partial(self.variables[1]).scale(_q(xi[1]))
         return p0 + p1
-
-    def __str__(self) -> str:
-        return format_terms(self.terms(), self.variables)
-
-    def to_json(self) -> dict:
-        return _form_json(self.variables, self.degree, self.terms())
 
 
 def form_from_json(data: Mapping):
@@ -572,10 +574,6 @@ class TernaryForm(_Form):
         return cls(degree, variables, clean_terms({e: _q(c) for e, c in terms.items()}))
 
     @classmethod
-    def zero(cls, degree: int, variables: tuple[str, str, str]) -> "TernaryForm":
-        return cls(degree, variables, {})
-
-    @classmethod
     def constant(cls, value, variables: tuple[str, str, str]) -> "TernaryForm":
         value = _q(value)
         return cls(0, variables, {(0, 0, 0): value} if value else {})
@@ -606,27 +604,6 @@ class TernaryForm(_Form):
 
     def scale(self, c) -> "TernaryForm":
         return TernaryForm(self.degree, self.variables, scale_terms(_q(c), self.terms))
-
-    def evaluate(self, point: Sequence) -> Fraction:
-        p = [_q(x) for x in point]
-        total = Fraction(0)
-        for (i, j, k), c in self.terms.items():
-            total += c * p[0] ** i * p[1] ** j * p[2] ** k
-        return total
-
-    def partial(self, var: str) -> "TernaryForm":
-        if var not in self.variables:
-            raise ValueError(f"unknown variable {var!r}")
-        if self.degree == 0:
-            raise PreconditionError("cannot differentiate a degree-0 form")
-        idx = self.variables.index(var)
-        out: TermMap = {}
-        for e, c in self.terms.items():
-            if e[idx] == 0:
-                continue
-            ne = tuple(x - 1 if i == idx else x for i, x in enumerate(e))
-            out[ne] = out.get(ne, Fraction(0)) + c * e[idx]
-        return TernaryForm(self.degree - 1, self.variables, clean_terms(out))
 
     def gradient(self) -> tuple["TernaryForm", "TernaryForm", "TernaryForm"]:
         return tuple(self.partial(v) for v in self.variables)
@@ -661,9 +638,3 @@ class TernaryForm(_Form):
         if self.is_zero() or other.is_zero():
             return self.is_zero() and other.is_zero()
         return self.lex_normalized() == other.lex_normalized()
-
-    def __str__(self) -> str:
-        return format_terms(self.terms, self.variables)
-
-    def to_json(self) -> dict:
-        return _form_json(self.variables, self.degree, self.terms)

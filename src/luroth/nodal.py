@@ -121,7 +121,7 @@ def _assemble(pieces: Sequence[tuple[int, BinaryForm]], t_var: str,
         raise ValueError("new variable triple must be a permutation of the old one")
     perm = [names.index(v) for v in var_order]
     terms = {tuple((a, b, k)[i] for i in perm): c
-             for k, g in pieces for (a, b), c in g.terms().items()}
+             for k, g in pieces for (a, b), c in g.terms.items()}
     return TernaryForm.from_terms(k0 + g0.degree, var_order, terms)
 
 

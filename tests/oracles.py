@@ -10,6 +10,9 @@
   scaling, substitution of a 2x2 matrix, and a rational matrix product.
 - The coordinate change on Fractions throughout: the oracle of the integer
   core of `TernaryForm.substitute_linear`.
+- Evaluation term by term on Fractions, the oracle of the integer powers
+  table of the shared `evaluate`, and the dense binary derivative, an oracle
+  of the shared `partial`.
 - `unlimited_int_str`, for reading back numbers past Python's int-string
   digit limit.
 """
@@ -156,6 +159,27 @@ def fraction_substitute_linear(f, t):
     if rational_det(m) == 0:
         raise PreconditionError("coordinate change matrix is singular")
     return TernaryForm(f.degree, f.variables, substitute_terms(f.terms, f.degree, m))
+
+
+def fraction_evaluate(f, point) -> Fraction:
+    """f at the point, summed term by term on Fractions."""
+    p = [Fraction(x) for x in point]
+    total = Fraction(0)
+    for e, c in f.terms.items():
+        for x, k in zip(p, e):
+            c *= x ** k
+        total += c
+    return total
+
+
+def dense_partial(f, var):
+    """d f / d var of a BinaryForm of positive degree, on its coefficient list."""
+    d = f.degree
+    if var == f.variables[0]:
+        coeffs = [(d - j) * f.coeffs[j] for j in range(d)]
+    else:
+        coeffs = [(j + 1) * f.coeffs[j + 1] for j in range(d)]
+    return BinaryForm.from_coeffs(f.variables, coeffs)
 
 
 # ---------------------------------------------------------------------------

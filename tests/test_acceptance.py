@@ -211,9 +211,9 @@ def test_criterion_09_discriminant_bridge():
         phi = BinaryForm.from_coeffs(PAIR_VW, [rng.randint(-9, 9) for _ in range(2)])
         psi = BinaryForm.from_coeffs(PAIR_VW, [rng.randint(-9, 9) for _ in range(3)])
         terms = {(0, 0, 2): Fraction(1)}
-        for (i, j), c in phi.terms().items():
+        for (i, j), c in phi.terms.items():
             terms[(i, j, 1)] = 2 * c
-        for (i, j), c in psi.terms().items():
+        for (i, j), c in psi.terms.items():
             terms[(i, j, 0)] = terms.get((i, j, 0), Fraction(0)) - c
         conic = TernaryForm.from_terms(2, ("v", "w", "t"), terms)
         assert conic_det3(conic) == Fraction(-1, 4) * disc_binary_quadratic(

@@ -26,7 +26,9 @@ from luroth.forms import (
     substitute_terms,
 )
 from luroth.linalg import det_rational, invert, sylvester_resultant
-from oracles import fraction_substitute_linear, form_gcd, unlimited_int_str
+from luroth.poncelet import standard_conic
+from oracles import (dense_partial, form_gcd, fraction_evaluate, fraction_substitute_linear,
+                     unlimited_int_str)
 
 PAIR = ("v", "w")
 TRIPLE = ("u", "v", "w")
@@ -197,6 +199,77 @@ def test_evaluate_examples():
     assert f.evaluate([Fraction(1, 2), 7, Fraction(-1, 3)]) == Fraction(13, 36)
 
 
+def rand_point(rng, n):
+    """Coordinates that are 0, negative, or non-integer Fractions."""
+    return [rng.choice([0, rng.randint(-9, -1), Fraction(rng.randint(-20, 20), rng.randint(2, 9))])
+            for _ in range(n)]
+
+
+def test_evaluate_matches_fraction_oracle():
+    rng = random.Random(1212)
+    for degree in range(9):
+        forms = [BinaryForm.zero(degree, PAIR), TernaryForm.zero(degree, TRIPLE)]
+        for _ in range(6):
+            forms += [BinaryForm.from_coeffs(PAIR, [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                                                    for _ in range(degree + 1)]),
+                      rand_ternary(rng, degree).scale(Fraction(1, rng.randint(1, 7)))]
+        for f in forms:
+            for _ in range(4):
+                point = rand_point(rng, len(f.variables))
+                value = f.evaluate(point)
+                assert type(value) is Fraction
+                assert value == fraction_evaluate(f, point), (str(f), point)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: parse_form("u^2+v*w", TRIPLE).evaluate((1, 1, 1, 7)),
+    lambda: parse_form("u^2+v*w", TRIPLE).evaluate((1, 1)),
+    lambda: BinaryForm.from_coeffs(PAIR, [1, 2]).evaluate((1, 2, 3)),
+    lambda: standard_conic().image((1, 0, 5)),
+    lambda: standard_conic().image((1,)),
+    lambda: BinaryForm.from_coeffs(PAIR, [1, 2]).directional((1, 2, 3)),
+], ids=["ternary-long", "ternary-short", "binary-long", "image-long", "image-short",
+        "directional-long"])
+def test_point_of_wrong_arity_rejected(call):
+    with pytest.raises(ValueError, match="coordinates"):
+        call()
+
+
+def test_negative_power_rejected():
+    with pytest.raises(ValueError):
+        BinaryForm.from_coeffs(PAIR, [1, 2]).power(-1)
+
+
+def test_partial_matches_dense_binary_oracle():
+    rng = random.Random(1313)
+    for degree in range(1, 9):
+        for _ in range(5):
+            f = rand_binary(rng, degree)
+            for var in PAIR:
+                assert f.partial(var) == dense_partial(f, var)
+    with pytest.raises(PreconditionError):
+        BinaryForm.from_coeffs(PAIR, [5]).partial("v")
+    # an unknown variable is an error before the degree check
+    for f in (BinaryForm.from_coeffs(PAIR, [5]), TernaryForm.constant(5, TRIPLE)):
+        with pytest.raises(ValueError, match="unknown variable"):
+            f.partial("x")
+
+
+def test_partial_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols(TRIPLE)
+    rng = random.Random(1414)
+    for degree in range(1, 6):
+        for _ in range(4):
+            f = rand_ternary(rng, degree)
+            poly = sympy.sympify(str(f).replace("^", "**"), locals=dict(zip(TRIPLE, syms)))
+            for var, sym in zip(TRIPLE, syms):
+                expected = sympy.expand(sympy.diff(poly, sym))
+                got = sympy.sympify(str(f.partial(var)).replace("^", "**"),
+                                    locals=dict(zip(TRIPLE, syms)))
+                assert sympy.expand(got - expected) == 0, (str(f), var)
+
+
 def test_partial_extracts_polar():
     # d/dt of t^2*f2 + t*f3 + f4 is 2*t*f2 + f3
     rng = random.Random(7)
@@ -205,13 +278,13 @@ def test_partial_extracts_polar():
     f4 = rand_binary(rng, 4)
     terms = {}
     for power, f in ((2, f2), (1, f3), (0, f4)):
-        for (a, b), c in f.terms().items():
+        for (a, b), c in f.terms.items():
             terms[(power, a, b)] = c
     quartic = TernaryForm.from_terms(4, ("t", "v", "w"), terms)
     expected = {}
-    for (a, b), c in f2.terms().items():
+    for (a, b), c in f2.terms.items():
         expected[(1, a, b)] = 2 * c
-    for (a, b), c in f3.terms().items():
+    for (a, b), c in f3.terms.items():
         expected[(0, a, b)] = expected.get((0, a, b), Fraction(0)) + c
     assert quartic.partial("t") == TernaryForm.from_terms(3, ("t", "v", "w"), expected)
 
@@ -498,9 +571,12 @@ def test_json_round_trip():
     for _ in range(20):
         f = rand_ternary(rng, rng.randint(1, 4))
         assert form_from_json(json.loads(json.dumps(f.to_json()))) == f
-    g = BinaryForm.from_coeffs(PAIR, [Fraction(-3, 4), 0, 1])
-    back = form_from_json(g.to_json())
-    assert back.coeffs == g.coeffs and back.variables == g.variables
+    binaries = [BinaryForm.from_coeffs(PAIR, [Fraction(-3, 4), 0, 1]), BinaryForm.zero(3, PAIR)]
+    binaries += [rand_binary(rng, rng.randint(0, 8)).scale(Fraction(1, rng.randint(1, 9)))
+                 for _ in range(20)]
+    for g in binaries:
+        back = form_from_json(json.loads(json.dumps(g.to_json())))
+        assert back == g
 
 
 def test_json_schema_shape():

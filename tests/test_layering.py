@@ -4,8 +4,9 @@ function-level import counts as much as one at the top of the module.  The
 same scan checks that each error is reported in one place: the CLI builds
 error reports only in `_fail`, and every `NodeError` carries its node flags.
 And each shared operation is written once: only the CLI's `_emit` turns a
-form into JSON, and `forms` defines the variable check, subtraction and
-negation once for both kinds of form.  And `nodal` eliminates once per node:
+form into JSON, and `forms` defines the variable check, subtraction,
+negation, `zero`, `evaluate`, `partial`, the text form and the JSON report
+once for both kinds of form.  And `nodal` eliminates once per node:
 it imports neither `sylvester_resultant` nor `det_rational`, since its one
 Koszul solve both decides admissibility and gives (phi, psi)."""
 
@@ -95,7 +96,8 @@ def test_cli_calls_to_json_only_in_emit():
 
 def test_forms_defines_each_shared_form_operation_once():
     defined = [n.name for n in ast.walk(module_tree("forms")) if isinstance(n, ast.FunctionDef)]
-    for name in ("_check_vars", "__sub__", "__neg__"):
+    for name in ("_check_vars", "__sub__", "__neg__", "zero", "evaluate", "partial",
+                 "__str__", "to_json"):
         assert defined.count(name) == 1, name
 
 

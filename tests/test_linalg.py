@@ -385,9 +385,9 @@ def test_det3_disc_bridge():
         phi = BinaryForm.from_coeffs(PAIR, [rng.randint(-9, 9) for _ in range(2)])
         psi = BinaryForm.from_coeffs(PAIR, [rng.randint(-9, 9) for _ in range(3)])
         terms = {(0, 0, 2): Fraction(1)}
-        for (a, b), c in phi.terms().items():
+        for (a, b), c in phi.terms.items():
             terms[(a, b, 1)] = 2 * c
-        for (a, b), c in psi.terms().items():
+        for (a, b), c in psi.terms.items():
             terms[(a, b, 0)] = terms.get((a, b, 0), Fraction(0)) - c
         conic = TernaryForm.from_terms(2, ("v", "w", "t"), terms)
         assert conic_det3(conic) == Fraction(-1, 4) * disc_binary_quadratic(

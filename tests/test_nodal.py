@@ -148,7 +148,7 @@ def test_reassembly_under_translation():
         # normalizing transform, slot for slot
         terms = {}
         for power, f in ((2, dec.f2), (1, dec.f3), (0, dec.f4)):
-            for (a, b), coef in f.terms().items():
+            for (a, b), coef in f.terms.items():
                 terms[(a, b, power)] = coef
         expected = TernaryForm.from_terms(4, moved.variables, terms)
         assert moved.substitute_linear(dec.transform) == expected
