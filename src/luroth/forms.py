@@ -9,6 +9,10 @@ and each class holds the dense or sparse kernels of its own representation.
 All coefficients are `fractions.Fraction`, every operation is exact, and all
 values are immutable.
 
+`parse_form` reads text by one recursive descent: a monomial such as
+`3/4*u^2*v` is one token, read in closed form, and only parenthesized sums
+are multiplied out, on integer coefficients and within MAX_TERM_PRODUCTS.
+
 The zero polynomial carries an explicit degree annotation so that typed
 pipelines (decompositions, matrix entries) stay total.  This module imports
 no other module of the package; the 3x3 adjugate and the integer scaling of
@@ -67,8 +71,9 @@ def adjugate3(m: Sequence[Sequence]) -> tuple[object, list[list]]:
 
 
 # ---------------------------------------------------------------------------
-# sparse term-map arithmetic (shared by the parser, TernaryForm, the
-# polynomial determinant in linalg and the curve kernel in poncelet)
+# sparse term-map arithmetic (shared by TernaryForm, the parser's products of
+# parenthesized sums, the polynomial determinant in linalg and the curve
+# kernel in poncelet)
 
 def clean_terms(terms: Mapping[Exp, Fraction]) -> TermMap:
     return {e: c for e, c in terms.items() if c != 0}
@@ -85,17 +90,14 @@ def add_terms(a: Mapping[Exp, Fraction], b: Mapping[Exp, Fraction]) -> TermMap:
     return out
 
 
-def mul_terms(a: Mapping[Exp, Fraction], b: Mapping[Exp, Fraction]) -> TermMap:
-    out: TermMap = {}
+def mul_terms(a: Mapping[Exp, object], b: Mapping[Exp, object]) -> dict:
+    """The product of two term maps, on any numbers: ints stay ints."""
+    out: dict = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            s = out.get(e, Fraction(0)) + ca * cb
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
+            e = tuple([x + y for x, y in zip(ea, eb)])
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
 
 
 def scale_terms(c: Fraction, a: Mapping[Exp, Fraction]) -> TermMap:
@@ -172,20 +174,37 @@ MAX_DEGREE = 100
 """Largest exponent and term degree the parser accepts; above it, a ParseError
 before any expansion.  Admits pencils up to n = 99 and every nodal quartic."""
 
-# Integers are ASCII digits only: int() would take other Unicode digits, or
-# fail on them, so a \w run that starts with one is an unexpected character.
-# Spaces and tabs match no group, so finditer skips them.
-_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<op>[-+*/^()])|(?P<name>\w+)|(?P<bad>[^ \t])")
+MAX_TERM_PRODUCTS = 2 * 10 ** 5
+"""The parser's work budget: the sum of |a|*|b| over the products of term maps
+a and b it makes while multiplying out parenthesized sums, each step of a
+power included.  Past it, a ParseError at the offending factor or exponent.
+A product of 41 linear factors, a pencil at n = 40, takes 1640."""
+
+# An atom is an integer literal, perhaps over another, or a variable with an
+# optional power; atoms joined by * make one monomial token (_MONO_ATOM is
+# _ATOM without its groups), and its "lead", the first literal or variable,
+# names it in a message.  The digits after / or ^ may be empty, so a
+# missing denominator or exponent is reported where it is missing.  Integers
+# are ASCII digits only: int() would take other Unicode digits, or fail on
+# them, so a \w run that starts with one is an unexpected character.  Spaces
+# and tabs match no group, so finditer skips them.
+_ATOM = re.compile(r"([0-9]+)(?:[ \t]*/[ \t]*([0-9]*))?|([^\W0-9]\w*)(?:[ \t]*\^[ \t]*([0-9]*))?")
+_MONO_ATOM = r"(?:[0-9]+(?:[ \t]*/[ \t]*[0-9]*)?|[^\W0-9]\w*(?:[ \t]*\^[ \t]*[0-9]*)?)"
+_TOKEN = re.compile(rf"(?P<mono>(?=(?P<lead>[0-9]+|[^\W0-9]\w*)){_MONO_ATOM}"
+                    rf"(?:[ \t]*\*[ \t]*{_MONO_ATOM})*)"
+                    r"|\^[ \t]*(?P<pow>[0-9]*)|(?P<op>[-+*/()])|(?P<bad>[^ \t])|(?P<end>\Z)")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    for match in _TOKEN.finditer(text):
-        kind, val, at = match.lastgroup, match.group(), match.start()
-        if kind == "bad" or kind == "name" and not (val[0].isalpha() or val[0] == "_"):
-            raise ParseError(f"unexpected character {val[0]!r}", at)
-        tokens.append((kind, val, at))
-    tokens.append(("end", "", len(text)))
+def _tokenize(text: str) -> list[re.Match]:
+    tokens = list(_TOKEN.finditer(text))
+    ascii_only = text.isascii()
+    for m in tokens:
+        if m.lastgroup == "bad":
+            raise ParseError(f"unexpected character {m[0]!r}", m.start())
+        if m.lastgroup == "mono" and not ascii_only:
+            for atom in _ATOM.finditer(text, m.start(), m.end()):
+                if atom[3] and not (atom[3][0].isalpha() or atom[3][0] == "_"):
+                    raise ParseError(f"unexpected character {atom[3][0]!r}", atom.start())
     return tokens
 
 
@@ -215,133 +234,173 @@ def _int_literal(digits: str, at: int) -> int:
         raise ParseError(f"integer literal of {len(digits)} digits is too long", at) from None
 
 
+def _exponent(digits: str, degree: int, at: int) -> int:
+    """The exponent of a power of something of the given degree, checked
+    against MAX_DEGREE before it is converted."""
+    if not digits:
+        raise ParseError("expected integer exponent", at)
+    digits = digits.lstrip("0") or "0"
+    power = int(digits) if len(digits) <= len(str(MAX_DEGREE)) else MAX_DEGREE + 1
+    if max(power, power * degree) > MAX_DEGREE:
+        raise ParseError(f"exponent or degree above MAX_DEGREE = {MAX_DEGREE}", at)
+    return power
+
+
+def _denominator(digits: str, at: int) -> int:
+    if not digits:
+        raise ParseError("expected integer denominator", at)
+    den = _int_literal(digits, at)
+    if den == 0:
+        raise ParseError("zero denominator", at)
+    return den
+
+
+def _times(a: dict, b: dict) -> dict:
+    """a*b on integer coefficients: each map times the lcm of its denominators."""
+    (na, da), (nb, db) = (integral_row(list(x.values())) for x in (a, b))
+    out = mul_terms(dict(zip(a, na)), dict(zip(b, nb)))
+    return out if da * db == 1 else {e: Fraction(c, da * db) for e, c in out.items()}
+
+
+def _grow(degree: int, d: int, at: int) -> int:
+    """The degree of a product times a factor of degree d, checked at the factor."""
+    if degree + d > MAX_DEGREE:
+        raise ParseError(f"term degree above MAX_DEGREE = {MAX_DEGREE}", at)
+    return degree + d
+
+
 _MAX_NESTING = 100  # deepest parentheses: each level is three frames of recursion
 
 
 class _Parser:
-    """Recursive descent over +, -, *, ^ and parentheses; expands on the fly."""
+    """Recursive descent over +, -, *, ^ and parentheses.
+
+    A monomial token multiplies out in closed form, into one coefficient and
+    one exponent, and each term of a sum is added in place into one map.
+    Only parenthesized factors are term maps: their products, and powers of
+    sums on integer coefficients, count against MAX_TERM_PRODUCTS.
+    Coefficients stay ints until a denominator appears."""
 
     def __init__(self, text: str, variables: Sequence[str]):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
-        self.variables = list(variables)
+        self.work = 0
         self.nvars = len(variables)
+        self.index: dict[str, int] = {}
+        for i, v in enumerate(variables):
+            self.index.setdefault(v, i)
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
+    def next(self) -> re.Match:
+        m = self.tokens[self.pos]
         self.pos += 1
-        return tok
+        return m
 
-    def expect_op(self, op: str):
-        kind, val, at = self.next()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", at)
+    def at_op(self, ops: str) -> bool:
+        m = self.tokens[self.pos]
+        return m.lastgroup == "op" and m[0] in ops
 
-    def parse(self) -> TermMap:
+    def parse(self) -> dict:
         terms = self.expr()
-        kind, val, at = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected token {val!r}", at)
+        m = self.tokens[self.pos]
+        if m.lastgroup != "end":
+            raise ParseError(f"unexpected token {m['lead'] or m[0][:1]!r}", m.start())
         return terms
 
-    def expr(self) -> TermMap:
-        kind, val, _ = self.peek()
-        negate = False
-        if kind == "op" and val in "+-":
-            self.next()
-            negate = val == "-"
-        terms = self.term()
-        if negate:
-            terms = scale_terms(Fraction(-1), terms)
+    def expr(self) -> dict:
+        out: dict = {}
+        sign = 1
         while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                rhs = self.term()
-                if val == "-":
-                    rhs = scale_terms(Fraction(-1), rhs)
-                terms = add_terms(terms, rhs)
-            else:
-                return terms
+            if self.at_op("+-"):
+                sign = 1 if self.next()[0] == "+" else -1
+            self.term(out, sign)
+            if not self.at_op("+-"):
+                return {e: c for e, c in out.items() if c}
 
-    def term(self) -> TermMap:
-        terms = self.factor()
+    def term(self, out: dict, sign: int):
+        """Add sign times one product of factors into out.  degree is the
+        product's so far, 0 once it is zero; no factor's degree passes
+        MAX_DEGREE, so checking the first one too changes nothing."""
+        coef, exp, degree, product = sign, [0] * self.nvars, 0, None
         while True:
-            kind, val, _ = self.peek()
-            if not (kind == "op" and val == "*"):
-                return terms
-            self.next()
-            at = self.peek()[2]
-            rhs = self.factor()
-            if _degree(terms) + _degree(rhs) > MAX_DEGREE:
-                raise ParseError(f"term degree above MAX_DEGREE = {MAX_DEGREE}", at)
-            terms = mul_terms(terms, rhs)
-
-    def factor(self) -> TermMap:
-        kind, val, at = self.peek()
-        if kind == "op" and val == "(":
-            self.next()
-            self.depth += 1
-            if self.depth > _MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", at)
-            inner = self.expr()
-            self.expect_op(")")
-            self.depth -= 1
-            return self._maybe_power(inner)
-        if kind == "int":
-            self.next()
-            num = _int_literal(val, at)
-            kind2, val2, _ = self.peek()
-            if kind2 == "op" and val2 == "/":
-                self.next()
-                kind3, val3, at3 = self.next()
-                if kind3 != "int":
-                    raise ParseError("expected integer denominator", at3)
-                den = _int_literal(val3, at3)
-                if den == 0:
-                    raise ParseError("zero denominator", at3)
-                coef = Fraction(num, den)
+            m = self.next()
+            if m.lastgroup == "mono":
+                for atom in _ATOM.finditer(m.string, m.start(), m.end()):
+                    num, den, name, digits = atom.groups()
+                    if name is None:
+                        c = _int_literal(num, atom.start())
+                        if den is not None:
+                            c = Fraction(c, _denominator(den, atom.start(2)))
+                        coef *= c
+                    else:
+                        i = self.index.get(name)
+                        if i is None:
+                            raise ParseError(f"unknown variable {name!r}", atom.start())
+                        k = 1 if digits is None else _exponent(digits, 1, atom.start(4))
+                        exp[i] += k
+                        degree = _grow(degree, k, atom.start())
+                    if not coef:
+                        degree = 0
+            elif m.lastgroup == "op" and m[0] == "(":
+                group = self.group(m.start())
+                degree = _grow(degree, _degree(group), m.start())
+                if not group:
+                    coef = degree = 0
+                elif product is None:
+                    product = group
+                elif coef:
+                    self.charge(len(product) * len(group), m.start())
+                    product = _times(product, group)
             else:
-                coef = Fraction(num)
-            zero_exp = (0,) * self.nvars
-            return {zero_exp: coef} if coef else {}
-        if kind == "name":
-            self.next()
-            if val not in self.variables:
-                raise ParseError(f"unknown variable {val!r}", at)
-            idx = self.variables.index(val)
-            exp = tuple(1 if i == idx else 0 for i in range(self.nvars))
-            return self._maybe_power({exp: Fraction(1)})
-        raise ParseError(f"expected a factor, got {val!r}" if val else "unexpected end of input", at)
+                val = m[0][:1]  # an operator, '^' of a power, or '' at the end
+                raise ParseError(f"expected a factor, got {val!r}" if val
+                                 else "unexpected end of input", m.start())
+            if not self.at_op("*"):
+                break
+            self.pos += 1
+        if not coef:
+            return
+        if product is None:
+            e = tuple(exp)
+            out[e] = out.get(e, 0) + coef
+            return
+        for e, c in product.items():
+            e = tuple(x + y for x, y in zip(e, exp))
+            out[e] = out.get(e, 0) + coef * c
 
-    def _maybe_power(self, base: TermMap) -> TermMap:
-        """base^k: a single term in closed form, a sum by repeated products."""
-        kind, val, _ = self.peek()
-        if not (kind == "op" and val == "^"):
+    def charge(self, products: int, at: int):
+        self.work += products
+        if self.work > MAX_TERM_PRODUCTS:
+            raise ParseError(f"parse work above MAX_TERM_PRODUCTS = {MAX_TERM_PRODUCTS}", at)
+
+    def group(self, at: int) -> dict:
+        """A parenthesized sum after its '(', and its power if one follows."""
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", at)
+        base = self.expr()
+        m = self.next()
+        if not (m.lastgroup == "op" and m[0] == ")"):
+            raise ParseError("expected ')'", m.start())
+        self.depth -= 1
+        m = self.tokens[self.pos]
+        if m.lastgroup != "pow":
             return base
-        self.next()
-        kind, val, at = self.next()
-        if kind != "int":
-            raise ParseError("expected integer exponent", at)
-        digits = val.lstrip("0")
-        power = int(digits or "0") if len(digits) <= len(str(MAX_DEGREE)) else MAX_DEGREE + 1
-        if max(power, power * _degree(base)) > MAX_DEGREE:
-            raise ParseError(f"exponent or degree above MAX_DEGREE = {MAX_DEGREE}", at)
+        self.pos += 1
+        at = m.start("pow")
+        power = _exponent(m["pow"], _degree(base), at)
         if len(base) == 1:
             (e, c), = base.items()
             return {tuple(power * x for x in e): c ** power}
-        out: TermMap = {(0,) * self.nvars: Fraction(1)}
+        out = {(0,) * self.nvars: 1}
         for _ in range(power):
-            out = mul_terms(out, base)
+            self.charge(len(out) * len(base), at)
+            out = _times(out, base)
         return out
 
 
 def parse_terms(text: str, variables: Sequence[str]) -> TermMap:
-    return _Parser(text, variables).parse()
+    return {e: _q(c) for e, c in _Parser(text, variables).parse().items()}
 
 
 def parse_form(text: str, variables: Sequence[str]):

@@ -45,16 +45,26 @@ PARAM_VARS = ("s0", "s1")
 
 @dataclass(frozen=True)
 class ConicParam:
-    """A smooth conic given by a degree-2 parametrization plus its equation."""
+    """A smooth conic given by a degree-2 parametrization plus its equation;
+    the integer coefficient matrix is cached outside ==, hash and pickle."""
 
     p0: BinaryForm
     p1: BinaryForm
     p2: BinaryForm
     implicit: TernaryForm
 
+    def __reduce__(self):
+        return ConicParam, (self.p0, self.p1, self.p2, self.implicit)
+
     def image(self, point: Sequence) -> tuple[Fraction, Fraction, Fraction]:
         return (self.p0.evaluate(point), self.p1.evaluate(point),
                 self.p2.evaluate(point))
+
+    @cached_property
+    def _t(self) -> list[list[int]]:
+        """T[k][j], coefficient k of p_j, all scaled to integers by one factor."""
+        flat = integral_row([c for p in (self.p0, self.p1, self.p2) for c in p.coeffs])[0]
+        return [flat[k::3] for k in range(3)]
 
 
 def make_conic(p0: BinaryForm, p1: BinaryForm, p2: BinaryForm) -> ConicParam:
@@ -181,6 +191,13 @@ def line_pullback(conic: ConicParam, line: Sequence) -> BinaryForm:
     return conic.p0.scale(u) + conic.p1.scale(v) + conic.p2.scale(w)
 
 
+def _pullback_ints(conic: ConicParam, line: Sequence) -> list[int]:
+    """(a, b, l) = T*line in integers: the pullback's coefficients times a
+    nonzero constant, which no incidence verdict depends on."""
+    u, v, w = integral_row(line)[0]
+    return [r[0] * u + r[1] * v + r[2] * w for r in conic._t]
+
+
 def _pullback_columns(conic: ConicParam, n: int) -> list[list[TernaryForm]]:
     """Columns of coefficients of q * s0^(n-1-i) * s1^i, linear in (u,v,w)."""
     shifted = [shifted_multiples(p, n) for p in (conic.p0, conic.p1, conic.p2)]
@@ -240,9 +257,7 @@ def _jump_terms(pencil: PonceletPencil) -> dict[tuple[int, int, int], int]:
 def poncelet_curve(conic: ConicParam, pencil: PonceletPencil) -> TernaryForm:
     """Degree-n curve G(T*(u, v, w)) of jumping lines, lexicographically-monic.
     G is not zero: independent generators leave some chord of the conic not jumping."""
-    flat = integral_row([c for p in (conic.p0, conic.p1, conic.p2) for c in p.coeffs])[0]
-    t = [flat[k::3] for k in range(3)]  # t[k][j]: coefficient k of p_j
-    terms = substitute_terms(_jump_terms(pencil), pencil.n, t)
+    terms = substitute_terms(_jump_terms(pencil), pencil.n, conic._t)
     lead = terms[max(terms)]
     return TernaryForm(pencil.n, DUAL_VARS, {e: Fraction(c, lead) for e, c in terms.items()})
 
@@ -256,8 +271,7 @@ def is_jumping_line(conic: ConicParam, pencil: PonceletPencil,
                     line: Sequence) -> bool:
     """Whether det M = 0 at the (nonzero) line: one 2x2 minor of the
     generators' pseudo-remainders modulo the pullback, in O(n) operations."""
-    q = integral_row(line_pullback(conic, line).coeffs)[0]
-    return _dependent(*_remainders(pencil, q))
+    return _dependent(*_remainders(pencil, _pullback_ints(conic, line)))
 
 
 def chord_dual(conic: ConicParam, a: Sequence, b: Sequence) -> tuple[Fraction, ...]:
@@ -285,7 +299,7 @@ def singular_jump_criterion(conic: ConicParam, pencil: PonceletPencil,
     """
     if not is_base_point_free(pencil):
         raise PreconditionError("singular-jump criterion requires a base-point-free pencil")
-    a, b, l = integral_row(line_pullback(conic, line).coeffs)[0]
+    a, b, l = _pullback_ints(conic, line)
     q2 = [a * a, 2 * a * b, b * b + 2 * a * l, 2 * b * l, l * l]
     return _dependent(*_remainders(pencil, q2))
 

@@ -5,7 +5,9 @@
   and, through its kernel, of the adjugate's kernel point of a singular conic
   (`conic_kernel_point`).
 - The Bezoutian jump test and the Bezout-determinant base-point test: the
-  oracles of the remainder and PRS kernels in `luroth.poncelet`.
+  oracles of the remainder and PRS kernels in `luroth.poncelet`; and both
+  incidence tests on the `line_pullback` form, the oracles of the integer
+  pullback from the conic's cached matrix.
 - Binary-form helpers that only tests use: a rational Euclidean gcd, monic
   scaling, substitution of a 2x2 matrix, and a rational matrix product.
 - The coordinate change on Fractions throughout: the oracle of the integer
@@ -15,15 +17,22 @@
   of the shared `partial`.
 - `unlimited_int_str`, for reading back numbers past Python's int-string
   digit limit.
+- The term-by-term parser, one token per literal, name, operator and
+  exponent, each factor a Fraction term map multiplied in by `mul_terms`:
+  the oracle of the closed-form monomial parser in `luroth.forms`, for term
+  maps and for the message and position of every `ParseError`.
 """
 
+import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from typing import Sequence
 
 from luroth import poncelet
-from luroth.forms import (BinaryForm, PreconditionError, TernaryForm, integral_row,
-                          substitute_terms)
+from luroth.forms import (MAX_DEGREE, _MAX_NESTING, BinaryForm, ParseError, PreconditionError,
+                          TermMap, TernaryForm, _degree, _int_literal, add_terms, integral_row,
+                          mul_terms, scale_terms, substitute_terms)
 from luroth.linalg import det_rational
 
 
@@ -146,6 +155,20 @@ def bezoutian_is_jumping_line(conic, pencil, line) -> bool:
                for (i, j, k), c in poncelet._jump_terms(pencil).items()) == 0
 
 
+def pullback_is_jumping_line(conic, pencil, line) -> bool:
+    """The remainder jump test on `line_pullback`, a BinaryForm of Fractions,
+    scaled to integers: the oracle of the integer pullback T*line."""
+    q = integral_row(poncelet.line_pullback(conic, line).coeffs)[0]
+    return poncelet._dependent(*poncelet._remainders(pencil, q))
+
+
+def pullback_singular_jump(conic, pencil, line) -> bool:
+    """The six-minor singular-jump test on the `line_pullback` route."""
+    a, b, l = integral_row(poncelet.line_pullback(conic, line).coeffs)[0]
+    q2 = [a * a, 2 * a * b, b * b + 2 * a * l, 2 * b * l, l * l]
+    return poncelet._dependent(*poncelet._remainders(pencil, q2))
+
+
 def bezout_base_point_free(pencil) -> bool:
     """det B != 0 for the square part of the integer Bezout matrix (det B =
     +-Res(gamma1, gamma2)), by Bareiss elimination."""
@@ -262,3 +285,149 @@ def unlimited_int_str():
         yield
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+# ---------------------------------------------------------------------------
+# the term-by-term parser, the oracle of luroth.forms._Parser
+
+# Integers are ASCII digits only: int() would take other Unicode digits, or
+# fail on them, so a \w run that starts with one is an unexpected character.
+# Spaces and tabs match no group, so finditer skips them.
+_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<op>[-+*/^()])|(?P<name>\w+)|(?P<bad>[^ \t])")
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    for match in _TOKEN.finditer(text):
+        kind, val, at = match.lastgroup, match.group(), match.start()
+        if kind == "bad" or kind == "name" and not (val[0].isalpha() or val[0] == "_"):
+            raise ParseError(f"unexpected character {val[0]!r}", at)
+        tokens.append((kind, val, at))
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+class _Parser:
+    """Recursive descent over +, -, *, ^ and parentheses; expands on the fly."""
+
+    def __init__(self, text: str, variables: Sequence[str]):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.depth = 0
+        self.variables = list(variables)
+        self.nvars = len(variables)
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect_op(self, op: str):
+        kind, val, at = self.next()
+        if kind != "op" or val != op:
+            raise ParseError(f"expected {op!r}", at)
+
+    def parse(self) -> TermMap:
+        terms = self.expr()
+        kind, val, at = self.peek()
+        if kind != "end":
+            raise ParseError(f"unexpected token {val!r}", at)
+        return terms
+
+    def expr(self) -> TermMap:
+        kind, val, _ = self.peek()
+        negate = False
+        if kind == "op" and val in "+-":
+            self.next()
+            negate = val == "-"
+        terms = self.term()
+        if negate:
+            terms = scale_terms(Fraction(-1), terms)
+        while True:
+            kind, val, _ = self.peek()
+            if kind == "op" and val in "+-":
+                self.next()
+                rhs = self.term()
+                if val == "-":
+                    rhs = scale_terms(Fraction(-1), rhs)
+                terms = add_terms(terms, rhs)
+            else:
+                return terms
+
+    def term(self) -> TermMap:
+        terms = self.factor()
+        while True:
+            kind, val, _ = self.peek()
+            if not (kind == "op" and val == "*"):
+                return terms
+            self.next()
+            at = self.peek()[2]
+            rhs = self.factor()
+            if _degree(terms) + _degree(rhs) > MAX_DEGREE:
+                raise ParseError(f"term degree above MAX_DEGREE = {MAX_DEGREE}", at)
+            terms = mul_terms(terms, rhs)
+
+    def factor(self) -> TermMap:
+        kind, val, at = self.peek()
+        if kind == "op" and val == "(":
+            self.next()
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", at)
+            inner = self.expr()
+            self.expect_op(")")
+            self.depth -= 1
+            return self._maybe_power(inner)
+        if kind == "int":
+            self.next()
+            num = _int_literal(val, at)
+            kind2, val2, _ = self.peek()
+            if kind2 == "op" and val2 == "/":
+                self.next()
+                kind3, val3, at3 = self.next()
+                if kind3 != "int":
+                    raise ParseError("expected integer denominator", at3)
+                den = _int_literal(val3, at3)
+                if den == 0:
+                    raise ParseError("zero denominator", at3)
+                coef = Fraction(num, den)
+            else:
+                coef = Fraction(num)
+            zero_exp = (0,) * self.nvars
+            return {zero_exp: coef} if coef else {}
+        if kind == "name":
+            self.next()
+            if val not in self.variables:
+                raise ParseError(f"unknown variable {val!r}", at)
+            idx = self.variables.index(val)
+            exp = tuple(1 if i == idx else 0 for i in range(self.nvars))
+            return self._maybe_power({exp: Fraction(1)})
+        raise ParseError(f"expected a factor, got {val!r}" if val else "unexpected end of input", at)
+
+    def _maybe_power(self, base: TermMap) -> TermMap:
+        """base^k: a single term in closed form, a sum by repeated products."""
+        kind, val, _ = self.peek()
+        if not (kind == "op" and val == "^"):
+            return base
+        self.next()
+        kind, val, at = self.next()
+        if kind != "int":
+            raise ParseError("expected integer exponent", at)
+        digits = val.lstrip("0")
+        power = int(digits or "0") if len(digits) <= len(str(MAX_DEGREE)) else MAX_DEGREE + 1
+        if max(power, power * _degree(base)) > MAX_DEGREE:
+            raise ParseError(f"exponent or degree above MAX_DEGREE = {MAX_DEGREE}", at)
+        if len(base) == 1:
+            (e, c), = base.items()
+            return {tuple(power * x for x in e): c ** power}
+        out: TermMap = {(0,) * self.nvars: Fraction(1)}
+        for _ in range(power):
+            out = mul_terms(out, base)
+        return out
+
+
+def oracle_parse_terms(text: str, variables: Sequence[str]) -> TermMap:
+    return _Parser(text, variables).parse()

@@ -8,7 +8,11 @@ form into JSON, and `forms` defines the variable check, subtraction,
 negation, `zero`, `evaluate`, `partial`, the text form and the JSON report
 once for both kinds of form.  And `nodal` eliminates once per node:
 it imports neither `sylvester_resultant` nor `det_rational`, since its one
-Koszul solve both decides admissibility and gives (phi, psi)."""
+Koszul solve both decides admissibility and gives (phi, psi).  `forms` has
+one parser: it defines one parser class, and only `parse_terms` constructs
+it.  And the incidence tests of `poncelet`, `is_jumping_line` and
+`singular_jump_criterion`, pull the line back in integers through the
+conic's cached matrix: neither calls `line_pullback`."""
 
 import ast
 from pathlib import Path
@@ -105,3 +109,27 @@ def test_nodal_imports_no_second_elimination():
     imported = {alias.name for n in ast.walk(module_tree("nodal"))
                 if isinstance(n, (ast.Import, ast.ImportFrom)) for alias in n.names}
     assert not imported & {"sylvester_resultant", "det_rational"}, imported
+
+
+def calls_to(node: ast.AST, name: str) -> list[ast.Call]:
+    return [n for n in ast.walk(node) if isinstance(n, ast.Call) and (
+        isinstance(n.func, ast.Name) and n.func.id == name
+        or isinstance(n.func, ast.Attribute) and n.func.attr == name)]
+
+
+def test_forms_has_one_parser_built_only_by_parse_terms():
+    tree = module_tree("forms")
+    parsers = [n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)
+               and "parser" in n.name.lower()]
+    assert parsers == ["_Parser"]
+    builders = [f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                and calls_to(f, "_Parser")]
+    assert builders == ["parse_terms"]
+    assert len(calls_to(tree, "_Parser")) == 1
+
+
+def test_incidence_tests_do_not_call_line_pullback():
+    functions = {n.name: n for n in module_tree("poncelet").body if isinstance(n, ast.FunctionDef)}
+    for name in ("is_jumping_line", "singular_jump_criterion"):
+        assert not calls_to(functions[name], "line_pullback"), name
+        assert calls_to(functions[name], "_pullback_ints"), name

@@ -32,7 +32,8 @@ from luroth.poncelet import (
 )
 from luroth.verify import (C_SAMPLES, EPS_SAMPLES, printed_92, printed_93,
                            printed_eps_expansion)
-from oracles import (bezout_base_point_free, bezoutian_is_jumping_line, rational_det,
+from oracles import (bezout_base_point_free, bezoutian_is_jumping_line,
+                     pullback_is_jumping_line, pullback_singular_jump, rational_det,
                      rational_nullspace, rational_rank, substitute_pair, unidivmod)
 
 
@@ -685,6 +686,66 @@ def test_incidence_kernels_property():
                     == rational_singular_jump(conic, pencil, line))
 
     check()
+
+
+def test_integer_pullback_matches_line_pullback_route():
+    """T*line in integers is the pullback times a nonzero constant, and both
+    incidence tests give the verdicts of the `line_pullback` route, on chord
+    duals, random integer and Fraction lines and the special pullbacks (l = 0
+    among them), with jumps planted at chords of gamma1's roots and a
+    singular jump planted at a line whose squared pullback divides gamma1."""
+    rng = random.Random(61)
+    seen = set()
+    for conic in three_conics():
+        for n in (3, 5, 8, 14):
+            roots = rng.sample([(Fraction(k, rng.randint(1, 3)), 1) for k in range(-20, 21)], n + 1)
+            split = rand_pencil(rng, n, gamma1=split_form(roots))
+            planted = tuple(rng.randint(-5, 5) for _ in range(3))
+            if not any(planted):
+                planted = (1, 2, 3)
+            q = line_pullback(conic, planted)
+            square = rand_pencil(rng, n, gamma1=q * q * rand_binary(rng, n - 3))
+            lines = [chord_dual(conic, a, b) for a, b in zip(roots, roots[1:])] + [planted]
+            lines += [tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(4)]
+            lines += [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3))
+                      for _ in range(4)]
+            lines += [line for _, line in special_lines(conic, rng)]
+            for pencil in (split, square, rand_rational_pencil(rng, n)):
+                free = is_base_point_free(pencil)
+                for line in filter(any, lines):
+                    jump = is_jumping_line(conic, pencil, line)
+                    assert jump == pullback_is_jumping_line(conic, pencil, line), line
+                    seen.add(("jump", jump))
+                    if free:
+                        singular = singular_jump_criterion(conic, pencil, line)
+                        assert singular == pullback_singular_jump(conic, pencil, line), line
+                        seen.add(("singular", singular))
+            for line in filter(any, lines):
+                coeffs = line_pullback(conic, line).coeffs
+                ints = poncelet._pullback_ints(conic, line)
+                assert all(type(x) is int for x in ints) and any(ints)
+                k = next(i for i, x in enumerate(ints) if x)
+                assert all(x * coeffs[k] == y * ints[k] for x, y in zip(ints, coeffs)), line
+    assert seen == {(k, v) for k in ("jump", "singular") for v in (True, False)}
+
+
+def test_conic_cache_is_invisible():
+    g1, g2 = (parse_form(p, PARAM_VARS) for p in GEN_CONIC[:2])
+    conic = make_conic(g1, g2, parse_form(GEN_CONIC[2], PARAM_VARS))
+    fresh = make_conic(*(parse_form(p, PARAM_VARS) for p in GEN_CONIC))
+    pickled, hashed = pickle.dumps(fresh), hash(fresh)
+    pencil = PonceletPencil(parse_form("s0^3 + s1^3", PARAM_VARS),
+                            parse_form("s0*s1^2", PARAM_VARS))
+    is_jumping_line(conic, pencil, (1, 2, 3))
+    assert vars(conic)["_t"] == [[1, 2, 0], [2, -1, 1], [3, 1, -2]]
+    assert "_t" not in vars(fresh)
+    assert conic == fresh and hash(conic) == hashed and repr(conic) == repr(fresh)
+    assert pickle.dumps(conic) == pickled
+    for clone in (pickle.loads(pickle.dumps(conic)), copy.deepcopy(conic), copy.copy(conic)):
+        assert clone == conic and hash(clone) == hashed
+        assert "_t" not in vars(clone)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        conic.p0 = g2
 
 
 def test_zero_line_is_rejected():
