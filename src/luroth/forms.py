@@ -10,8 +10,9 @@ All coefficients are `fractions.Fraction`, every operation is exact, and all
 values are immutable.
 
 `parse_form` reads text by one recursive descent: a monomial such as
-`3/4*u^2*v` is one token, read in closed form, and only parenthesized sums
-are multiplied out, on integer coefficients and within MAX_TERM_PRODUCTS.
+`3/4*u^2*v` is read in closed form, into one coefficient and one exponent,
+and only parenthesized sums are multiplied out as term maps, within
+MAX_TERM_PRODUCTS; coefficients stay ints until a denominator appears.
 
 The zero polynomial carries an explicit degree annotation so that typed
 pipelines (decompositions, matrix entries) stay total.  This module imports
@@ -180,18 +181,15 @@ a and b it makes while multiplying out parenthesized sums, each step of a
 power included.  Past it, a ParseError at the offending factor or exponent.
 A product of 41 linear factors, a pencil at n = 40, takes 1640."""
 
-# An atom is an integer literal, perhaps over another, or a variable with an
-# optional power; atoms joined by * make one monomial token (_MONO_ATOM is
-# _ATOM without its groups), and its "lead", the first literal or variable,
-# names it in a message.  The digits after / or ^ may be empty, so a
-# missing denominator or exponent is reported where it is missing.  Integers
-# are ASCII digits only: int() would take other Unicode digits, or fail on
-# them, so a \w run that starts with one is an unexpected character.  Spaces
-# and tabs match no group, so finditer skips them.
-_ATOM = re.compile(r"([0-9]+)(?:[ \t]*/[ \t]*([0-9]*))?|([^\W0-9]\w*)(?:[ \t]*\^[ \t]*([0-9]*))?")
-_MONO_ATOM = r"(?:[0-9]+(?:[ \t]*/[ \t]*[0-9]*)?|[^\W0-9]\w*(?:[ \t]*\^[ \t]*[0-9]*)?)"
-_TOKEN = re.compile(rf"(?P<mono>(?=(?P<lead>[0-9]+|[^\W0-9]\w*)){_MONO_ATOM}"
-                    rf"(?:[ \t]*\*[ \t]*{_MONO_ATOM})*)"
+# A token is an atom, an integer literal perhaps over another or a variable
+# with an optional power, or the power of a group, an operator, a stray
+# character or the end.  The digits after / or ^ may be empty, so a missing
+# denominator or exponent is reported where it is missing.  Integers are
+# ASCII digits only: int() would take other Unicode digits, or fail on them,
+# so a \w run that starts with one is an unexpected character.  Spaces and
+# tabs match no group, so finditer skips them.
+_TOKEN = re.compile(r"(?P<int>(?P<num>[0-9]+)(?:[ \t]*/[ \t]*(?P<den>[0-9]*))?)"
+                    r"|(?P<var>(?P<name>[^\W0-9]\w*)(?:[ \t]*\^[ \t]*(?P<exp>[0-9]*))?)"
                     r"|\^[ \t]*(?P<pow>[0-9]*)|(?P<op>[-+*/()])|(?P<bad>[^ \t])|(?P<end>\Z)")
 
 
@@ -201,10 +199,9 @@ def _tokenize(text: str) -> list[re.Match]:
     for m in tokens:
         if m.lastgroup == "bad":
             raise ParseError(f"unexpected character {m[0]!r}", m.start())
-        if m.lastgroup == "mono" and not ascii_only:
-            for atom in _ATOM.finditer(text, m.start(), m.end()):
-                if atom[3] and not (atom[3][0].isalpha() or atom[3][0] == "_"):
-                    raise ParseError(f"unexpected character {atom[3][0]!r}", atom.start())
+        if m.lastgroup == "var" and not ascii_only:
+            if not (m["name"][0].isalpha() or m["name"][0] == "_"):
+                raise ParseError(f"unexpected character {m[0][0]!r}", m.start())
     return tokens
 
 
@@ -255,13 +252,6 @@ def _denominator(digits: str, at: int) -> int:
     return den
 
 
-def _times(a: dict, b: dict) -> dict:
-    """a*b on integer coefficients: each map times the lcm of its denominators."""
-    (na, da), (nb, db) = (integral_row(list(x.values())) for x in (a, b))
-    out = mul_terms(dict(zip(a, na)), dict(zip(b, nb)))
-    return out if da * db == 1 else {e: Fraction(c, da * db) for e, c in out.items()}
-
-
 def _grow(degree: int, d: int, at: int) -> int:
     """The degree of a product times a factor of degree d, checked at the factor."""
     if degree + d > MAX_DEGREE:
@@ -275,10 +265,10 @@ _MAX_NESTING = 100  # deepest parentheses: each level is three frames of recursi
 class _Parser:
     """Recursive descent over +, -, *, ^ and parentheses.
 
-    A monomial token multiplies out in closed form, into one coefficient and
-    one exponent, and each term of a sum is added in place into one map.
-    Only parenthesized factors are term maps: their products, and powers of
-    sums on integer coefficients, count against MAX_TERM_PRODUCTS.
+    The literals and variable powers of a product multiply out in closed
+    form, into one coefficient and one exponent, and each term of a sum is
+    added in place into one map.  Only parenthesized factors are term maps:
+    their products, and powers of sums, count against MAX_TERM_PRODUCTS.
     Coefficients stay ints until a denominator appears."""
 
     def __init__(self, text: str, variables: Sequence[str]):
@@ -304,7 +294,7 @@ class _Parser:
         terms = self.expr()
         m = self.tokens[self.pos]
         if m.lastgroup != "end":
-            raise ParseError(f"unexpected token {m['lead'] or m[0][:1]!r}", m.start())
+            raise ParseError(f"unexpected token {m['num'] or m['name'] or m[0][:1]!r}", m.start())
         return terms
 
     def expr(self) -> dict:
@@ -319,38 +309,35 @@ class _Parser:
 
     def term(self, out: dict, sign: int):
         """Add sign times one product of factors into out.  degree is the
-        product's so far, 0 once it is zero; no factor's degree passes
-        MAX_DEGREE, so checking the first one too changes nothing."""
+        product's so far; a zero product has degree 0 and no factor's degree
+        passes MAX_DEGREE, so it is only grown and checked while coef is
+        nonzero, and checking the first factor too changes nothing."""
         coef, exp, degree, product = sign, [0] * self.nvars, 0, None
         while True:
             m = self.next()
-            if m.lastgroup == "mono":
-                for atom in _ATOM.finditer(m.string, m.start(), m.end()):
-                    num, den, name, digits = atom.groups()
-                    if name is None:
-                        c = _int_literal(num, atom.start())
-                        if den is not None:
-                            c = Fraction(c, _denominator(den, atom.start(2)))
-                        coef *= c
-                    else:
-                        i = self.index.get(name)
-                        if i is None:
-                            raise ParseError(f"unknown variable {name!r}", atom.start())
-                        k = 1 if digits is None else _exponent(digits, 1, atom.start(4))
-                        exp[i] += k
-                        degree = _grow(degree, k, atom.start())
-                    if not coef:
-                        degree = 0
+            if m.lastgroup == "int":
+                coef *= _int_literal(m["num"], m.start())
+                if m["den"] is not None:
+                    coef = Fraction(coef, _denominator(m["den"], m.start("den")))
+            elif m.lastgroup == "var":
+                i = self.index.get(m["name"])
+                if i is None:
+                    raise ParseError(f"unknown variable {m['name']!r}", m.start())
+                k = 1 if m["exp"] is None else _exponent(m["exp"], 1, m.start("exp"))
+                exp[i] += k
+                if coef:
+                    degree = _grow(degree, k, m.start())
             elif m.lastgroup == "op" and m[0] == "(":
                 group = self.group(m.start())
-                degree = _grow(degree, _degree(group), m.start())
                 if not group:
-                    coef = degree = 0
-                elif product is None:
-                    product = group
+                    coef = 0
                 elif coef:
-                    self.charge(len(product) * len(group), m.start())
-                    product = _times(product, group)
+                    degree = _grow(degree, _degree(group), m.start())
+                    if product is None:
+                        product = group
+                    else:
+                        self.charge(len(product) * len(group), m.start())
+                        product = mul_terms(product, group)
             else:
                 val = m[0][:1]  # an operator, '^' of a power, or '' at the end
                 raise ParseError(f"expected a factor, got {val!r}" if val
@@ -395,7 +382,7 @@ class _Parser:
         out = {(0,) * self.nvars: 1}
         for _ in range(power):
             self.charge(len(out) * len(base), at)
-            out = _times(out, base)
+            out = mul_terms(out, base)
         return out
 
 

@@ -84,6 +84,8 @@ EDGE_TEXTS = [
     "((s0))", "(s0", "s0)", "()", "(s0+s1)^", "(s0+s1)^ *s0", "(s0-s0)^0*s1", "(s0-s0)^2",
     "s2", "3*z", "x2*s0", "_*s0", "s0^2*s1^2 - s1^2*s0^2", "1*2*3*s0", "0", "0*s0",
     "s0\n", "s0 ;", "s0²", "s0^²", "²*s0", "1/٣*s0", "s0*é", "s0^2é", "s0 + é",
+    "0*(s0+s1)*s0^100", "0*(s0+s1)^60*(s0+s1)^60", "s0^60*0*(s0+s1)^60",
+    "(s0-s0)*(s0+s1)^60*(s0+s1)^60", "s0^60*(s0-s0)*s1^60", "s0^60*(s0+s1)^41",
 ]
 
 
@@ -105,6 +107,18 @@ def test_parser_matches_oracle_on_random_texts():
         for _ in range(400):
             # every text is in the grammar; a sum of mixed degrees parses too
             assert assert_same(rand_text(rng, variables), variables) == "ok"
+
+
+def test_parser_matches_oracle_past_max_degree():
+    """Products whose factor degrees add up past MAX_DEGREE, some of them
+    zero: only a nonzero product may fail the term-degree check."""
+    rng = random.Random(29)
+    factors = ["0", "2/3", "s0^{}", "s1^{}", "(s0+s1)^{}", "(s0-s0)", "(s0-s0)^{}"]
+    kinds = set()
+    for _ in range(300):
+        picks = [rng.choice(factors).format(rng.randint(0, 60)) for _ in range(rng.randint(2, 5))]
+        kinds.add(assert_same("*".join(picks), PAIR))
+    assert kinds == {"ok", "error"}
 
 
 MUTATIONS = list("s0s1uvw0123456789+-*/^()  \t²é_x") + ["s0", "^2", "*(", "/", "1/0", "^9"]
