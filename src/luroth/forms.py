@@ -72,13 +72,9 @@ def adjugate3(m: Sequence[Sequence]) -> tuple[object, list[list]]:
 
 
 # ---------------------------------------------------------------------------
-# sparse term-map arithmetic (shared by TernaryForm, the parser's products of
-# parenthesized sums, the polynomial determinant in linalg and the curve
-# kernel in poncelet)
-
-def clean_terms(terms: Mapping[Exp, Fraction]) -> TermMap:
-    return {e: c for e, c in terms.items() if c != 0}
-
+# sparse term-map arithmetic: TernaryForm's kernels; mul_terms also serves the
+# parser's products of parenthesized sums and the polynomial determinant in
+# linalg
 
 def add_terms(a: Mapping[Exp, Fraction], b: Mapping[Exp, Fraction]) -> TermMap:
     out = dict(a)
@@ -151,6 +147,12 @@ def _degree(terms: Mapping[Exp, Fraction]) -> int:
     return max(map(sum, terms), default=0)
 
 
+def _bits(terms: Mapping[Exp, object]) -> int:
+    """The largest numerator or denominator bit length of a nonempty map."""
+    return max(max(c.numerator.bit_length(), c.denominator.bit_length())
+               for c in terms.values())
+
+
 _CHUNK = 10 ** 600  # fewer digits than any int-string limit Python accepts (640)
 
 
@@ -176,10 +178,13 @@ MAX_DEGREE = 100
 before any expansion.  Admits pencils up to n = 99 and every nodal quartic."""
 
 MAX_TERM_PRODUCTS = 2 * 10 ** 5
-"""The parser's work budget: the sum of |a|*|b| over the products of term maps
-a and b it makes while multiplying out parenthesized sums, each step of a
-power included.  Past it, a ParseError at the offending factor or exponent.
-A product of 41 linear factors, a pencil at n = 40, takes 1640."""
+"""The parser's work budget: the sum of |a|*|b|*max(1, bits(a)*bits(b) >> 19)
+over the products of nonzero term maps a and b it makes while multiplying out
+parenthesized sums, each step of a power included, bits being the largest
+numerator or denominator bit length.  The weight is 1 while
+bits(a)*bits(b) < 2^20 (both below 1024 bits, say).  Past the budget, a
+ParseError at the offending factor or exponent.  A product of 41 linear
+factors, a pencil at n = 40, takes 1640."""
 
 # A token is an atom, an integer literal perhaps over another or a variable
 # with an optional power, or the power of a group, an operator, a stray
@@ -203,6 +208,13 @@ def _tokenize(text: str) -> list[re.Match]:
             if not (m["name"][0].isalpha() or m["name"][0] == "_"):
                 raise ParseError(f"unexpected character {m[0][0]!r}", m.start())
     return tokens
+
+
+def _is_variable(name: str) -> bool:
+    """Whether the text is one variable of the grammar, with no power."""
+    m = _TOKEN.fullmatch(name)
+    return m is not None and m["name"] == name and (
+        name.isascii() or name[0].isalpha() or name[0] == "_")
 
 
 MAX_RATIONAL_CHARS = 10000  # longest rational literal accepted
@@ -336,7 +348,7 @@ class _Parser:
                     if product is None:
                         product = group
                     else:
-                        self.charge(len(product) * len(group), m.start())
+                        self.charge(product, group, m.start())
                         product = mul_terms(product, group)
             else:
                 val = m[0][:1]  # an operator, '^' of a power, or '' at the end
@@ -355,8 +367,10 @@ class _Parser:
             e = tuple(x + y for x, y in zip(e, exp))
             out[e] = out.get(e, 0) + coef * c
 
-    def charge(self, products: int, at: int):
-        self.work += products
+    def charge(self, a: dict, b: dict, at: int):
+        """Count the product of term maps a and b against MAX_TERM_PRODUCTS."""
+        if a and b:
+            self.work += len(a) * len(b) * max(1, _bits(a) * _bits(b) >> 19)
         if self.work > MAX_TERM_PRODUCTS:
             raise ParseError(f"parse work above MAX_TERM_PRODUCTS = {MAX_TERM_PRODUCTS}", at)
 
@@ -381,7 +395,7 @@ class _Parser:
             return {tuple(power * x for x in e): c ** power}
         out = {(0,) * self.nvars: 1}
         for _ in range(power):
-            self.charge(len(out) * len(base), at)
+            self.charge(out, base, at)
             out = mul_terms(out, base)
         return out
 
@@ -557,11 +571,14 @@ class BinaryForm(_Form):
         return out
 
     def directional(self, xi: Sequence) -> "BinaryForm":
-        """Directional derivative: xi0 * d/dv0 + xi1 * d/dv1."""
+        """Directional derivative xi0 * d/dv0 + xi1 * d/dv1, coefficient by
+        coefficient: c'_j = (d-j)*c_j*xi0 + (j+1)*c_(j+1)*xi1."""
         self._check_point(xi)
-        p0 = self.partial(self.variables[0]).scale(_q(xi[0]))
-        p1 = self.partial(self.variables[1]).scale(_q(xi[1]))
-        return p0 + p1
+        if self.degree == 0:
+            raise PreconditionError("cannot differentiate a degree-0 form")
+        d, c, x0, x1 = self.degree, self.coeffs, _q(xi[0]), _q(xi[1])
+        return BinaryForm(d - 1, self.variables, tuple(
+            (d - j) * c[j] * x0 + (j + 1) * c[j + 1] * x1 for j in range(d)))
 
 
 def form_from_json(data: Mapping):
@@ -579,6 +596,9 @@ def form_from_json(data: Mapping):
                          "strings, and no exponent may repeat")
     if len(variables) not in (2, 3) or not all(isinstance(v, str) for v in variables):
         raise ValueError("malformed form JSON: expected 2 or 3 variable names")
+    if len(set(variables)) < len(variables) or not all(map(_is_variable, variables)):
+        raise ValueError("malformed form JSON: variable names must be distinct, "
+                         "each one variable of the polynomial grammar")
     if not (type(degree) is int and 0 <= degree <= MAX_DEGREE):
         raise ValueError(f"malformed form JSON: degree must be an integer in 0..{MAX_DEGREE}")
     for e in terms:
@@ -617,7 +637,7 @@ class TernaryForm(_Form):
     @classmethod
     def from_terms(cls, degree: int, variables: tuple[str, str, str],
                    terms: Mapping[Exp, Fraction]) -> "TernaryForm":
-        return cls(degree, variables, clean_terms({e: _q(c) for e, c in terms.items()}))
+        return cls(degree, variables, {e: _q(c) for e, c in terms.items() if c})
 
     @classmethod
     def constant(cls, value, variables: tuple[str, str, str]) -> "TernaryForm":

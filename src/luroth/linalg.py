@@ -6,10 +6,10 @@ determinant and the rank take its forward pass; solves and inverses take its
 reduced pass (fraction-free Gauss-Jordan) and divide once at the end.  The
 3x3 jobs of the conic layer (det3 and the kernel point of a singular conic)
 use the adjugate `forms.adjugate3` instead.  The polynomial determinant is
-division-free: a row-by-row expansion memoized over column subsets,
-exponential in the size.  It serves only the worked 6x6 families and the
-test oracle: `poncelet` computes jumping-line curves (Barth 1977) from a
-closed form in the pencil's Bezout matrix,
+division-free: a Laplace expansion along the rows, each minor memoized by the
+columns it still uses, exponential in the size.  It serves only the worked
+6x6 families and the test oracle: `poncelet` computes jumping-line curves
+(Barth 1977) from a closed form in the pencil's Bezout matrix,
 sum B_ij x^i y^j = (g1(x)g2(y) - g1(y)g2(x))/(x - y), and the pullback of
 the line.
 
@@ -23,6 +23,7 @@ admissibility and yields (phi, psi)), and the curve's shifted-pullback columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from math import gcd, prod
 from typing import Sequence
@@ -30,13 +31,10 @@ from typing import Sequence
 from .forms import (
     BinaryForm,
     PreconditionError,
-    TermMap,
     TernaryForm,
-    add_terms,
     adjugate3,
     integral_row,
     mul_terms,
-    scale_terms,
 )
 
 Matrix = list[list[Fraction]]
@@ -183,15 +181,10 @@ def conic_matrix(q: TernaryForm) -> Matrix:
     """Symmetric 3x3 matrix of a ternary quadric (half mixed coefficients)."""
     if q.degree != 2:
         raise PreconditionError("expected a ternary quadric")
-    m = [[Fraction(0)] * 3 for _ in range(3)]
-    basis = [(2, 0, 0), (0, 2, 0), (0, 0, 2)]
-    for i in range(3):
-        m[i][i] = q.coefficient(basis[i])
-    mixed = {(0, 1): (1, 1, 0), (0, 2): (1, 0, 1), (1, 2): (0, 1, 1)}
-    for (i, j), e in mixed.items():
-        half = q.coefficient(e) / 2
-        m[i][j] = m[j][i] = half
-    return m
+    c = q.coefficient
+    a, b, f = c((2, 0, 0)), c((0, 2, 0)), c((0, 0, 2))
+    h, g, k = c((1, 1, 0)) / 2, c((1, 0, 1)) / 2, c((0, 1, 1)) / 2
+    return [[a, h, g], [h, b, k], [g, k, f]]
 
 
 def _conic_adjugate(q: TernaryForm) -> tuple[int, list[list[int]], int]:
@@ -227,9 +220,11 @@ class PolyMatrix:
     entries: tuple[TernaryForm, ...]  # row-major
 
     def __post_init__(self):
+        if not self.entries:
+            raise ValueError("a matrix with no entry has no variable triple")
         if len(self.entries) != self.rows * self.cols:
             raise ValueError("entry count does not match dimensions")
-        variables = self.entries[0].variables if self.entries else None
+        variables = self.entries[0].variables
         for e in self.entries:
             if e.variables != variables:
                 raise ValueError("all entries must share one variable triple")
@@ -254,37 +249,28 @@ class PolyMatrix:
         return self.entries[i * self.cols + j]
 
     def determinant(self) -> TernaryForm:
-        """Division-free determinant (subset-memoized Laplace expansion), of
-        degree the sum of the column degrees."""
+        """Division-free determinant, of degree the sum of the column degrees:
+        Laplace expansion along the rows, memoized over the unused columns."""
         if self.rows != self.cols:
             raise PreconditionError("determinant requires a square matrix")
         n = self.rows
-        variables = self.variables
-        if n == 0:
-            return TernaryForm.constant(1, variables)
-        # states: column bitmask -> accumulated term map over rows 0..popcount-1
-        states: dict[int, TermMap] = {0: {(0, 0, 0): Fraction(1)}}
-        for i in range(n):
-            nxt: dict[int, TermMap] = {}
-            for mask, value in states.items():
-                used = mask.bit_count()
-                below = 0
-                for j in range(n):
-                    bit = 1 << j
-                    if mask & bit:
-                        below += 1
-                        continue
-                    e = self.entry(i, j)
-                    if e.is_zero():
-                        continue
-                    contrib = mul_terms(value, e.terms)
-                    # inversions added: used columns above j
-                    if (used - below) % 2:
-                        contrib = scale_terms(Fraction(-1), contrib)
-                    key = mask | bit
-                    nxt[key] = add_terms(nxt[key], contrib) if key in nxt else contrib
-            states = nxt
-            if not states:
-                break
-        degree = sum(self.entry(0, j).degree for j in range(n))
-        return TernaryForm(degree, variables, states.get((1 << n) - 1, {}))
+
+        @cache
+        def minor(free: tuple[int, ...]) -> dict:
+            """Terms of the minor on the last len(free) rows and the columns free."""
+            if not free:
+                return {(0, 0, 0): 1}
+            out: dict = {}
+            for k, j in enumerate(free):
+                entry = self.entry(n - len(free), j).terms
+                rest = minor(free[:k] + free[k + 1:]) if entry else None
+                if rest:
+                    if k % 2:
+                        entry = {e: -c for e, c in entry.items()}
+                    for e, c in mul_terms(entry, rest).items():
+                        out[e] = out[e] + c if e in out else c
+            return {e: c for e, c in out.items() if c}
+
+        terms = minor(tuple(range(n)))
+        minor.cache_clear()  # minor refers to itself: free the minors now, not at gc
+        return TernaryForm(sum(self.entry(0, j).degree for j in range(n)), self.variables, terms)

@@ -15,6 +15,11 @@
 - Evaluation term by term on Fractions, the oracle of the integer powers
   table of the shared `evaluate`, and the dense binary derivative, an oracle
   of the shared `partial`.
+- The bitmask determinant, row by row over column subsets with inversion
+  counts: the oracle of the memoized Laplace expansion of
+  `PolyMatrix.determinant`.  And the directional derivative as two scaled
+  partials and a sum: the oracle of the coefficient formula of
+  `BinaryForm.directional`.
 - `unlimited_int_str`, for reading back numbers past Python's int-string
   digit limit.
 - The term-by-term parser, one token per literal, name, operator and
@@ -203,6 +208,51 @@ def dense_partial(f, var):
     else:
         coeffs = [(j + 1) * f.coeffs[j + 1] for j in range(d)]
     return BinaryForm.from_coeffs(f.variables, coeffs)
+
+
+def bitmask_determinant(matrix):
+    """Division-free determinant of a square PolyMatrix, bottom-up over the
+    bitmasks of the columns used by the rows so far."""
+    if matrix.rows != matrix.cols:
+        raise PreconditionError("determinant requires a square matrix")
+    n = matrix.rows
+    variables = matrix.variables
+    if n == 0:
+        return TernaryForm.constant(1, variables)
+    # states: column bitmask -> accumulated term map over rows 0..popcount-1
+    states: dict[int, TermMap] = {0: {(0, 0, 0): Fraction(1)}}
+    for i in range(n):
+        nxt: dict[int, TermMap] = {}
+        for mask, value in states.items():
+            used = mask.bit_count()
+            below = 0
+            for j in range(n):
+                bit = 1 << j
+                if mask & bit:
+                    below += 1
+                    continue
+                e = matrix.entry(i, j)
+                if e.is_zero():
+                    continue
+                contrib = mul_terms(value, e.terms)
+                # inversions added: used columns above j
+                if (used - below) % 2:
+                    contrib = scale_terms(Fraction(-1), contrib)
+                key = mask | bit
+                nxt[key] = add_terms(nxt[key], contrib) if key in nxt else contrib
+        states = nxt
+        if not states:
+            break
+    degree = sum(matrix.entry(0, j).degree for j in range(n))
+    return TernaryForm(degree, variables, states.get((1 << n) - 1, {}))
+
+
+def partial_directional(f, xi):
+    """xi0 * d f/dv0 + xi1 * d f/dv1 of a BinaryForm, as scaled partials."""
+    f._check_point(xi)
+    p0 = f.partial(f.variables[0]).scale(Fraction(xi[0]))
+    p1 = f.partial(f.variables[1]).scale(Fraction(xi[1]))
+    return p0 + p1
 
 
 # ---------------------------------------------------------------------------

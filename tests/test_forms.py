@@ -28,7 +28,7 @@ from luroth.forms import (
 from luroth.linalg import det_rational, invert, sylvester_resultant
 from luroth.poncelet import standard_conic
 from oracles import (dense_partial, form_gcd, fraction_evaluate, fraction_substitute_linear,
-                     unlimited_int_str)
+                     partial_directional, unlimited_int_str)
 
 PAIR = ("v", "w")
 TRIPLE = ("u", "v", "w")
@@ -340,6 +340,30 @@ def test_directional_degree_zero_rejected():
         BinaryForm.from_coeffs(PAIR, [5]).directional((1, 1))
 
 
+def directional_outcome(direct, f, xi):
+    try:
+        return "ok", direct(f, xi)
+    except ValueError as exc:  # PreconditionError included
+        return type(exc), str(exc)
+
+
+def test_directional_matches_partials_oracle():
+    rng = random.Random(1405)
+    for degree in range(9):
+        for _ in range(6):
+            f = BinaryForm.from_coeffs(PAIR, [
+                Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 7))) for _ in range(degree + 1)])
+            ints = (rng.randint(-5, 5), rng.randint(-5, 5))
+            fractions = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in "xi")
+            for xi in (ints, fractions, (1, 2, 3), (1,)):
+                got = directional_outcome(BinaryForm.directional, f, xi)
+                assert got == directional_outcome(partial_directional, f, xi), (str(f), xi)
+                if got[0] == "ok":
+                    assert all(type(c) is Fraction for c in got[1].coeffs)
+                else:
+                    assert got[0] is (PreconditionError if len(xi) == 2 else ValueError)
+
+
 # ---------------------------------------------------------------------------
 # linear substitution
 
@@ -607,6 +631,13 @@ def test_json_schema_shape():
     {"vars": PAIR, "degree": "2", "terms": []},
     {"vars": PAIR, "degree": 10 ** 9, "terms": []},
     {"vars": PAIR, "degree": 2, "terms": "u^2"},
+    {"vars": ["u", "u", "w"], "degree": 1,
+     "terms": [{"coef": 1, "exp": [1, 0, 0]}, {"coef": 2, "exp": [0, 1, 0]}]},
+    {"vars": ["a b", "c"], "degree": 1, "terms": [{"coef": 1, "exp": [1, 0]}]},
+    {"vars": ["u^2", "v"], "degree": 0, "terms": []},
+    {"vars": ["", "v"], "degree": 0, "terms": []},
+    {"vars": ["2u", "v"], "degree": 0, "terms": []},
+    {"vars": ["\u0663", "v"], "degree": 0, "terms": []},
     [],
     None,
 ])

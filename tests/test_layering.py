@@ -12,7 +12,9 @@ Koszul solve both decides admissibility and gives (phi, psi).  `forms` has
 one parser: it defines one parser class, and only `parse_terms` constructs
 it.  And the incidence tests of `poncelet`, `is_jumping_line` and
 `singular_jump_criterion`, pull the line back in integers through the
-conic's cached matrix: neither calls `line_pullback`."""
+conic's cached matrix: neither calls `line_pullback`.  And the polynomial
+determinant of `linalg` adds each signed product into one map in place:
+`linalg` imports neither `add_terms` nor `scale_terms`."""
 
 import ast
 from pathlib import Path
@@ -133,3 +135,9 @@ def test_incidence_tests_do_not_call_line_pullback():
     for name in ("is_jumping_line", "singular_jump_criterion"):
         assert not calls_to(functions[name], "line_pullback"), name
         assert calls_to(functions[name], "_pullback_ints"), name
+
+
+def test_linalg_imports_no_term_map_sum_or_scaling():
+    imported = {alias.name for n in ast.walk(module_tree("linalg"))
+                if isinstance(n, (ast.Import, ast.ImportFrom)) for alias in n.names}
+    assert not imported & {"add_terms", "scale_terms"}, imported

@@ -25,8 +25,8 @@ from luroth.linalg import (
     sylvester_matrix,
     sylvester_resultant,
 )
-from oracles import (mat_mul, rational_det, rational_invert, rational_nullspace,
-                     rational_rank, rational_row_echelon, rational_solve)
+from oracles import (bitmask_determinant, mat_mul, rational_det, rational_invert,
+                     rational_nullspace, rational_rank, rational_row_echelon, rational_solve)
 
 PAIR = ("v", "w")
 TRIPLE = ("u", "v", "w")
@@ -479,6 +479,22 @@ def test_conic_kernel_point_matches_rational_nullspace():
 # ---------------------------------------------------------------------------
 # polynomial determinants
 
+def rand_poly_matrix(rng, n):
+    """An n x n PolyMatrix with columns of degree 0 or 1, rational
+    coefficients and about a quarter of its entries zero."""
+    def entry(degree):
+        if rng.random() < 0.25:
+            return TernaryForm.zero(degree, TRIPLE)
+        if degree == 0:
+            return TernaryForm.constant(Fraction(rng.randint(-5, 5), rng.randint(1, 4)), TRIPLE)
+        return TernaryForm.from_terms(1, TRIPLE, {
+            e: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)) if rng.random() < 0.7})
+
+    degrees = [rng.choice((0, 1, 1)) for _ in range(n)]
+    return PolyMatrix.from_rows([[entry(d) for d in degrees] for _ in range(n)])
+
+
 def test_determinant_constants():
     one = TernaryForm.constant(1, TRIPLE)
     zero = TernaryForm.constant(0, TRIPLE)
@@ -529,6 +545,53 @@ def test_zero_determinant_has_the_sum_of_the_column_degrees():
     assert PolyMatrix.from_rows([[v, z], [w, z]]).determinant() == TernaryForm.zero(2, TRIPLE)
     one = TernaryForm.constant(1, TRIPLE)
     assert PolyMatrix.from_rows([[one, v], [one, v]]).determinant() == z
+    rng = random.Random(1402)  # random matrices with one column set to zero
+    for n in range(2, 6):
+        m = rand_poly_matrix(rng, n)
+        j = rng.randrange(n)
+        entries = list(m.entries)
+        entries[j::n] = [TernaryForm.zero(m.entry(0, j).degree, TRIPLE)] * n
+        m = PolyMatrix(n, n, tuple(entries))
+        degree = sum(m.entry(0, k).degree for k in range(n))
+        assert m.determinant() == bitmask_determinant(m) == TernaryForm.zero(degree, TRIPLE)
+
+
+def test_determinant_matches_bitmask_oracle():
+    rng = random.Random(1401)
+    zero = 0
+    for n in range(1, 8):
+        for _ in range(12 if n < 6 else 4):
+            m = rand_poly_matrix(rng, n)
+            det = m.determinant()
+            assert det == bitmask_determinant(m)
+            assert all(type(c) is Fraction for c in det.terms.values())
+            zero += det.is_zero()
+    assert zero >= 1
+
+
+@pytest.mark.parametrize("make", [lambda: PolyMatrix(0, 0, ()), lambda: PolyMatrix(2, 0, ()),
+                                  lambda: PolyMatrix.from_rows([])],
+                         ids=["0x0", "2x0", "from-rows"])
+def test_poly_matrix_rejects_no_entry(make):
+    with pytest.raises(ValueError, match="no entry"):
+        make()
+
+
+def test_conic_matrix_is_half_the_hessian():
+    sympy = pytest.importorskip("sympy")
+    symbols = sympy.symbols(TRIPLE)
+    rng = random.Random(1403)
+    monomials = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
+    for _ in range(40):
+        terms = {e: Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for e in monomials
+                 if rng.random() < 0.8}
+        conic = TernaryForm.from_terms(2, TRIPLE, terms)
+        expr = sum((sympy.Rational(c.numerator, c.denominator)
+                    * sympy.prod(s ** k for s, k in zip(symbols, e))
+                    for e, c in conic.terms.items()), sympy.Integer(0))
+        half = sympy.hessian(expr, symbols) / 2
+        assert conic_matrix(conic) == [[Fraction(int(half[i, j].p), int(half[i, j].q))
+                                        for j in range(3)] for i in range(3)]
 
 
 def test_poly_matrix_rejects_mixed_degree_columns():

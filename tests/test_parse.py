@@ -169,6 +169,24 @@ def test_parse_work_budget_exit_2(capsys):
     assert "MAX_TERM_PRODUCTS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("digits", [1000, 4000])
+def test_parse_work_budget_weighs_coefficient_size(digits, capsys):
+    # 41 steps of a power of a sum with 1000-digit coefficients took 8 s
+    # when each term product cost 1, and 69 s with 4000 digits
+    text = f"({'9' * digits}*u+{'7' * digits}*v+w)^40"
+    start = time.perf_counter()
+    code = cli.main(["quartic", "analyze", "--f", text, "--node", "1:0:0"])
+    assert code == 2 and time.perf_counter() - start < 1
+    assert "MAX_TERM_PRODUCTS" in capsys.readouterr().out
+
+
+def test_parse_work_budget_weight_is_one_at_ordinary_sizes():
+    f = parse_form(f"({'9' * 30}*u+v+w)^60", TRIPLE)  # 100-bit coefficients
+    assert len(f.terms) == 61 * 62 // 2
+    for text in ("(u-u)^5*(u+v+w)^2", "(u+v)*(0)*(v+w)", "(0)^3 + u^2"):  # zero products
+        assert assert_same(text, TRIPLE) == "ok", text
+
+
 def rand_fraction(rng):
     return Fraction(rng.randint(-30, 30), rng.choice((1, 1, 2, 3, 7, 10 ** 12)))
 
@@ -239,15 +257,31 @@ def test_fuzz_form_from_json():
     report = st.fixed_dictionaries({
         "vars": st.one_of(st.just(["u", "v", "w"]), st.just(["s0", "s1"]), value),
         "degree": value, "terms": st.one_of(st.lists(term, max_size=4), value)})
+    # homogeneous reports, so many are accepted, over good and bad variable names
+    names = st.one_of(st.sampled_from(["u", "v", "w", "s0", "x_1", "é", "a b", "u^2", "2u", ""]),
+                      st.text(max_size=3))
+
+    def homogeneous(case):
+        variables, degree = case
+        exp = st.lists(st.integers(0, degree), min_size=len(variables) - 1,
+                       max_size=len(variables) - 1).map(lambda e: e + [degree - sum(e)])
+        coef = st.one_of(st.integers(-9, 9), st.sampled_from(["1/2", "-3/4", "0.5", "0"]))
+        return st.fixed_dictionaries({
+            "vars": st.just(variables), "degree": st.just(degree),
+            "terms": st.lists(st.fixed_dictionaries({"coef": coef, "exp": exp}), max_size=4)})
+
+    near = st.tuples(st.lists(names, min_size=2, max_size=3), st.integers(0, 4)).flatmap(homogeneous)
 
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @hypothesis.given(st.one_of(report, st.dictionaries(st.text(max_size=5), value)))
+    @hypothesis.given(st.one_of(report, near, st.dictionaries(st.text(max_size=5), value)))
     def check(data):
         try:
             f = form_from_json(data)
         except ValueError:
             return
         assert form_from_json(f.to_json()) == f
+        # the text "0" carries no degree: it reads back as the degree-0 zero
+        assert parse_form(str(f), f.variables) == (f.zero(0, f.variables) if f.is_zero() else f)
 
     check()
 

@@ -32,7 +32,7 @@ from luroth.poncelet import (
 )
 from luroth.verify import (C_SAMPLES, EPS_SAMPLES, printed_92, printed_93,
                            printed_eps_expansion)
-from oracles import (bezout_base_point_free, bezoutian_is_jumping_line,
+from oracles import (bezout_base_point_free, bezoutian_is_jumping_line, bitmask_determinant,
                      pullback_is_jumping_line, pullback_singular_jump, rational_det,
                      rational_nullspace, rational_rank, substitute_pair, unidivmod)
 
@@ -293,6 +293,16 @@ def test_curve_matches_determinant_oracle():
                 assert all(type(c) is Fraction for c in curve.terms.values())
                 checked += 1
     assert checked == 3 * (4 * 3 + 5)
+
+
+def test_presentation_determinant_matches_bitmask_oracle():
+    rng = random.Random(1404)
+    for index, conic in enumerate(three_conics()):
+        for n in range(2, 11):
+            pencil = (rand_pencil(rng, n) if (n + index) % 2
+                      else rand_rational_pencil(rng, n, base_point=n % 3 == 0))
+            m = poncelet_matrix(conic, pencil)
+            assert m.determinant() == bitmask_determinant(m), (index, n)
 
 
 def test_curve_coefficients_are_fractions_when_already_monic():
