@@ -3,6 +3,7 @@ plane quartics (associated conic, type classification, tangent map)."""
 
 from .forms import (
     BinaryForm,
+    FrozenError,
     HomogeneityError,
     ParseError,
     PreconditionError,

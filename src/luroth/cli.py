@@ -10,7 +10,6 @@ other exception: one line on stderr, no traceback).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -38,6 +37,7 @@ def _parse_point(text: str, arity: int) -> tuple[Fraction, ...]:
 def _emit(report: dict, as_json: bool):
     """Print a report; a form value prints as its text, or its JSON report."""
     if as_json:
+        import json  # only --json needs it; every command pays for an import
         print(json.dumps(report, indent=2, sort_keys=True, default=lambda f: f.to_json()))
         return
     for key, value in report.items():

@@ -7,7 +7,7 @@ the map from exponent to nonzero coefficient.  `_Form` holds what reads a form
 only through that map (zero, evaluation, partial derivatives, text and JSON),
 and each class holds the dense or sparse kernels of its own representation.
 All coefficients are `fractions.Fraction`, every operation is exact, and all
-values are immutable.
+values are immutable: every value class of the package derives from `Frozen`.
 
 `parse_form` reads text by one recursive descent: a monomial such as
 `3/4*u^2*v` is read in closed form, into one coefficient and one exponent,
@@ -23,14 +23,15 @@ a row live here so that the coordinate change needs nothing from `linalg`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 Exp = tuple[int, ...]
 TermMap = dict[Exp, Fraction]
+_set = object.__setattr__  # sets a field of a frozen value
 
 
 class ParseError(ValueError):
@@ -47,6 +48,52 @@ class HomogeneityError(ValueError):
 
 class PreconditionError(ValueError):
     """A mathematical precondition of an operation does not hold."""
+
+
+class FrozenError(AttributeError):
+    """Assignment to, or deletion of, an attribute of a frozen value."""
+
+
+class Frozen:
+    """Base of the package's immutable values: the fields are the class's own
+    annotations, in order, given positionally; `__post_init__` validates.  ==,
+    hash, repr, pickle and copy use only the fields, not a cached_property."""
+
+    def __init_subclass__(cls):
+        fields = cls._fields = tuple(vars(cls).get("__annotations__", ()))
+        # the field tuple, read in C; attrgetter of one name returns it bare
+        cls._values = (attrgetter(*fields) if len(fields) > 1
+                       else staticmethod(lambda v: tuple(getattr(v, f) for f in fields)))
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} fields")
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)  # not via __dict__, which slows attribute reads
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+    def __setattr__(self, name, value=None):
+        raise FrozenError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
 
 
 def _q(value) -> Fraction:
@@ -407,7 +454,8 @@ def parse_terms(text: str, variables: Sequence[str]) -> TermMap:
 def parse_form(text: str, variables: Sequence[str]):
     """Parse polynomial text into a BinaryForm or TernaryForm.
 
-    The result is canonical; parse(format(f)) == f for every canonical form.
+    The result is canonical; parse(format(f)) == f for every nonzero form.  A
+    zero form prints as `0`, which reads back as the zero of degree 0.
     Raises ParseError on bad syntax, HomogeneityError on mixed-degree input.
     """
     terms = parse_terms(text, variables)
@@ -429,7 +477,7 @@ def _form(degree: int, variables: tuple[str, ...], terms: Mapping[Exp, Fraction]
 # ---------------------------------------------------------------------------
 # binary and ternary forms
 
-class _Form:
+class _Form(Frozen):
     """What reads a form only through its `terms` map, exponent -> nonzero
     Fraction, written once for both classes.  Each class keeps its own
     kernels on its representation: from_terms, +, *, scale and is_zero."""
@@ -502,7 +550,6 @@ class _Form:
                           for e, c in sorted(self.terms.items(), reverse=True)]}
 
 
-@dataclass(frozen=True)
 class BinaryForm(_Form):
     """Homogeneous polynomial of fixed degree in an ordered variable pair.
 
@@ -607,7 +654,6 @@ def form_from_json(data: Mapping):
     return _form(degree, variables, terms)
 
 
-@dataclass(frozen=True, eq=False)
 class TernaryForm(_Form):
     """Homogeneous polynomial in an ordered variable triple, stored sparsely.
 
@@ -621,7 +667,7 @@ class TernaryForm(_Form):
     def __post_init__(self):
         if self.degree < 0:
             raise ValueError("degree must be non-negative")
-        object.__setattr__(self, "terms", MappingProxyType(dict(self.terms)))
+        _set(self, "terms", MappingProxyType(dict(self.terms)))
         for e, c in self.terms.items():
             if len(e) != 3 or sum(e) != self.degree:
                 raise HomogeneityError("exponent triple does not sum to the degree")

@@ -22,7 +22,6 @@ admissibility and yields (phi, psi)), and the curve's shifted-pullback columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from math import gcd, prod
@@ -30,6 +29,7 @@ from typing import Sequence
 
 from .forms import (
     BinaryForm,
+    Frozen,
     PreconditionError,
     TernaryForm,
     adjugate3,
@@ -105,12 +105,11 @@ def invert(rows: Sequence[Sequence]) -> Matrix:
     return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(m)]
 
 
-@dataclass(frozen=True)
-class LinearSolution:
+class LinearSolution(Frozen):
     """Outcome of an exact linear solve; status is total over all inputs."""
 
     status: str  # "unique" | "no_solution" | "non_unique"
-    vector: tuple[Fraction, ...] | None = None
+    vector: tuple[Fraction, ...] | None
 
 
 def solve_linear(a: Sequence[Sequence], b: Sequence) -> LinearSolution:
@@ -120,9 +119,9 @@ def solve_linear(a: Sequence[Sequence], b: Sequence) -> LinearSolution:
     ncols = len(a[0]) if a else 0
     m, pivots = _reduced([list(row) + [x] for row, x in zip(a, b)])
     if ncols in pivots:
-        return LinearSolution("no_solution")
+        return LinearSolution("no_solution", None)
     if len(pivots) < ncols:
-        return LinearSolution("non_unique")
+        return LinearSolution("non_unique", None)
     return LinearSolution("unique", tuple(Fraction(row[ncols], row[r])
                                           for r, row in enumerate(m[:ncols])))
 
@@ -210,8 +209,7 @@ def conic_kernel_point(q: TernaryForm) -> tuple[Fraction, ...] | None:
 # ---------------------------------------------------------------------------
 # matrices of affine-linear ternary forms
 
-@dataclass(frozen=True)
-class PolyMatrix:
+class PolyMatrix(Frozen):
     """Rectangular matrix of ternary forms of degree <= 1 (zero allowed), each
     column of one declared degree (a zero entry counts with its annotation)."""
 

@@ -15,12 +15,11 @@ all immutable.  `verify_node` returns the verdict, `normalize_at_node` raises.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .forms import BinaryForm, PreconditionError, TernaryForm, _q
+from .forms import BinaryForm, Frozen, PreconditionError, TernaryForm, _q
 from .linalg import (
     conic_det3,
     conic_kernel_point,
@@ -43,8 +42,7 @@ class NodeError(PreconditionError):
         self.report = report
 
 
-@dataclass(frozen=True)
-class NodeReport:
+class NodeReport(Frozen):
     on_curve: bool
     singular: bool
     ordinary: bool
@@ -54,11 +52,10 @@ class NodeReport:
         return self.on_curve and self.singular and self.ordinary and self.admissible
 
     def flags(self) -> dict:
-        return asdict(self)
+        return dict(zip(self._fields, self._values(self)))
 
 
-@dataclass(frozen=True)
-class NodeDecomposition:
+class NodeDecomposition(Frozen):
     """Coordinate change plus the graded pieces of the normalized quartic.
 
     transform sends the last coordinate point to the node; pair holds the two
@@ -76,8 +73,7 @@ class NodeDecomposition:
     split: tuple[BinaryForm, BinaryForm] | None
 
 
-@dataclass(frozen=True)
-class AssociatedConicData:
+class AssociatedConicData(Frozen):
     phi: BinaryForm
     psi: BinaryForm
     conic: TernaryForm
@@ -85,8 +81,7 @@ class AssociatedConicData:
     disc_binary: Fraction  # discriminant of phi^2 + psi
 
 
-@dataclass(frozen=True)
-class NodalQuarticAnalysis:
+class NodalQuarticAnalysis(Frozen):
     report: NodeReport
     decomposition: NodeDecomposition
     conic_data: AssociatedConicData
@@ -94,8 +89,7 @@ class NodalQuarticAnalysis:
     conic_singular_point: tuple[Fraction, ...] | None
 
 
-@dataclass(frozen=True)
-class TangentMapResult:
+class TangentMapResult(Frozen):
     xi: tuple[Fraction, Fraction]
     phi_dot: BinaryForm
     psi_dot: BinaryForm

@@ -28,13 +28,12 @@ determinant of `poncelet_matrix` serves the 6x6 families and the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from typing import Sequence
 
-from .forms import (BinaryForm, PreconditionError, TernaryForm, _q, _UNITS,
+from .forms import (BinaryForm, Frozen, PreconditionError, TernaryForm, _q, _UNITS,
                     adjugate3, integral_row, substitute_terms)
 from .linalg import PolyMatrix, normalize_projective, shifted_multiples
 
@@ -43,8 +42,7 @@ DUAL_VARS = ("u", "v", "w")
 PARAM_VARS = ("s0", "s1")
 
 
-@dataclass(frozen=True)
-class ConicParam:
+class ConicParam(Frozen):
     """A smooth conic given by a degree-2 parametrization plus its equation;
     the integer coefficient matrix is cached outside ==, hash and pickle."""
 
@@ -52,9 +50,6 @@ class ConicParam:
     p1: BinaryForm
     p2: BinaryForm
     implicit: TernaryForm
-
-    def __reduce__(self):
-        return ConicParam, (self.p0, self.p1, self.p2, self.implicit)
 
     def image(self, point: Sequence) -> tuple[Fraction, Fraction, Fraction]:
         return (self.p0.evaluate(point), self.p1.evaluate(point),
@@ -97,8 +92,7 @@ def standard_conic() -> ConicParam:
     return make_conic(p0, p1, p2)
 
 
-@dataclass(frozen=True)
-class PonceletPencil:
+class PonceletPencil(Frozen):
     """Two independent binary forms of degree n+1, n >= 2; the integer
     generators and base-point verdict are cached outside ==, hash and pickle."""
 
@@ -114,9 +108,6 @@ class PonceletPencil:
             raise PreconditionError("pencil degree must be at least 3 (n >= 2)")
         if _dependent(*self._ints):
             raise PreconditionError("pencil generators are linearly dependent")
-
-    def __reduce__(self):
-        return PonceletPencil, (self.gamma1, self.gamma2)
 
     @property
     def n(self) -> int:

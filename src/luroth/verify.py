@@ -8,11 +8,10 @@ nonzero if any fails.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import nodal, poncelet
-from .forms import BinaryForm, parse_form
+from .forms import BinaryForm, Frozen, parse_form
 from .linalg import conic_det3, disc_binary_quadratic
 from .poncelet import DUAL_VARS, PARAM_VARS
 
@@ -22,8 +21,7 @@ EPS_SAMPLES = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 3), Fraction(
 C_SAMPLES = (Fraction(0), Fraction(2), Fraction(-1, 4), Fraction(1, 3), Fraction(5))
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Frozen):
     name: str
     passed: bool
     detail: str

@@ -26,13 +26,17 @@
   exponent, each factor a Fraction term map multiplied in by `mul_terms`:
   the oracle of the closed-form monomial parser in `luroth.forms`, for term
   maps and for the message and position of every `ParseError`.
+- The frozen-dataclass twin of a value: the oracle of `repr`, `==`, `hash`
+  and `NodeReport.flags` of the package's one value base, `forms.Frozen`.
 """
 
+import dataclasses
 import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Sequence
+from functools import cache
+from typing import Mapping, Sequence
 
 from luroth import poncelet
 from luroth.forms import (MAX_DEGREE, _MAX_NESTING, BinaryForm, ParseError, PreconditionError,
@@ -481,3 +485,24 @@ class _Parser:
 
 def oracle_parse_terms(text: str, variables: Sequence[str]) -> TermMap:
     return _Parser(text, variables).parse()
+
+
+# ---------------------------------------------------------------------------
+# frozen-dataclass twins of the value classes
+
+@cache
+def _twin_class(cls: type) -> type:
+    # the class's own annotations, in order: the fields `dataclass` would take
+    return dataclasses.make_dataclass(cls.__qualname__, list(vars(cls)["__annotations__"]),
+                                      frozen=True)
+
+
+def dataclass_twin(value, hashable: bool = False):
+    """The value's fields in a `make_dataclass(..., frozen=True)` class of the
+    same name.  With hashable, a read-only map field becomes the frozenset of
+    its items, the key `TernaryForm` compares and hashes."""
+    cls = _twin_class(type(value))
+    fields = [getattr(value, f.name) for f in dataclasses.fields(cls)]
+    if hashable:
+        fields = [frozenset(v.items()) if isinstance(v, Mapping) else v for v in fields]
+    return cls(*fields)

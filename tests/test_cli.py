@@ -1,11 +1,16 @@
 """Command-line interface: reports, JSON output and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import luroth
 from luroth import cli, poncelet
 from luroth.forms import _MAX_NESTING, form_from_json, parse_form, rational_literal
 from luroth.poncelet import DUAL_VARS, PARAM_VARS
@@ -372,3 +377,20 @@ ERROR_REPORTS = [
 def test_error_report_is_unchanged(capsys, argv, code, text, as_json):
     assert run(capsys, argv) == (code, text)
     assert run(capsys, argv + ["--json"]) == (code, as_json)
+
+
+# ---------------------------------------------------------------------------
+# start-up
+
+def test_cli_import_leaves_out_the_costly_modules():
+    """Every command is a fresh process, so what `import luroth.cli` pulls in
+    is paid on each run: `dataclasses` (with `inspect`, `ast` and `dis`) cost
+    about 12 ms of it, and `json` (about 2 ms) is needed by `--json` alone."""
+    src = str(Path(luroth.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys; before = set(sys.modules); import luroth.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    added = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, check=True).stdout.split()
+    assert "luroth.cli" in added
+    assert not set(added) & {"dataclasses", "inspect", "ast", "dis", "json"}

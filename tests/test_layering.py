@@ -14,7 +14,9 @@ it.  And the incidence tests of `poncelet`, `is_jumping_line` and
 `singular_jump_criterion`, pull the line back in integers through the
 conic's cached matrix: neither calls `line_pullback`.  And the polynomial
 determinant of `linalg` adds each signed product into one map in place:
-`linalg` imports neither `add_terms` nor `scale_terms`."""
+`linalg` imports neither `add_terms` nor `scale_terms`.  And no module
+imports `dataclasses`: the value classes share `forms.Frozen`, and the CLI
+starts without the import."""
 
 import ast
 from pathlib import Path
@@ -141,3 +143,8 @@ def test_linalg_imports_no_term_map_sum_or_scaling():
     imported = {alias.name for n in ast.walk(module_tree("linalg"))
                 if isinstance(n, (ast.Import, ast.ImportFrom)) for alias in n.names}
     assert not imported & {"add_terms", "scale_terms"}, imported
+
+
+def test_no_module_imports_dataclasses():
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert "dataclasses" not in module_imports(path.stem), path.name

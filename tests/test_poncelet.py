@@ -1,7 +1,6 @@
 """Jumping-line curves: construction, incidence and the worked families."""
 
 import copy
-import dataclasses
 import pickle
 import random
 from fractions import Fraction
@@ -10,7 +9,7 @@ from math import lcm
 import pytest
 
 from luroth import poncelet
-from luroth.forms import BinaryForm, PreconditionError, TernaryForm, parse_form
+from luroth.forms import BinaryForm, FrozenError, PreconditionError, TernaryForm, parse_form
 from luroth.linalg import (det_rational, shifted_multiples, solve_linear,
                            sylvester_matrix, sylvester_resultant)
 from luroth.poncelet import (
@@ -754,8 +753,11 @@ def test_conic_cache_is_invisible():
     for clone in (pickle.loads(pickle.dumps(conic)), copy.deepcopy(conic), copy.copy(conic)):
         assert clone == conic and hash(clone) == hashed
         assert "_t" not in vars(clone)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(FrozenError):
         conic.p0 = g2
+    with pytest.raises(FrozenError):
+        del conic.p0
+    assert conic.p0 == g1
 
 
 def test_zero_line_is_rejected():
@@ -782,8 +784,11 @@ def test_pencil_cache_is_tuples_and_invisible():
     for clone in (pickle.loads(pickle.dumps(pencil)), copy.deepcopy(pencil), copy.copy(pencil)):
         assert clone == pencil and hash(clone) == hashed
         assert "_base_point_free" not in vars(clone)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(FrozenError):
         pencil.gamma1 = g2
+    with pytest.raises(FrozenError):
+        del pencil.gamma1
+    assert pencil.gamma1 == g1
 
 
 # ---------------------------------------------------------------------------
