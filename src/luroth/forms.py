@@ -12,7 +12,12 @@ values are immutable: every value class of the package derives from `Frozen`.
 `parse_form` reads text by one recursive descent: a monomial such as
 `3/4*u^2*v` is read in closed form, into one coefficient and one exponent,
 and only parenthesized sums are multiplied out as term maps, within
-MAX_TERM_PRODUCTS; coefficients stay ints until a denominator appears.
+MAX_TERM_PRODUCTS and MAX_COEFF_BITS; coefficients stay ints until a
+denominator appears.
+
+A linear change of coordinates, `substitute_terms`, is a relabelling and at
+most six Taylor shifts of every slice of the form (von zur Gathen & Gerhard,
+ISSAC 1997): O(degree^3) for any integer matrix.
 
 The zero polynomial carries an explicit degree annotation so that typed
 pipelines (decompositions, matrix entries) stay total.  This module imports
@@ -24,8 +29,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
-from operator import attrgetter
+from functools import lru_cache
+from itertools import accumulate, repeat
+from math import gcd, lcm
+from operator import attrgetter, floordiv, itemgetter, mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -153,41 +160,104 @@ def scale_terms(c: Fraction, a: Mapping[Exp, Fraction]) -> TermMap:
 _UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def _times_linear(terms: Mapping[Exp, object], line) -> dict:
-    """terms * (sum of t * x_k over the (unit exponent of x_k, t) pairs in line)."""
-    out: dict = {}
-    for (i, j, k), c in terms.items():
-        for (di, dj, dk), t in line:
-            e = (i + di, j + dj, k + dk)
-            out[e] = out.get(e, 0) + c * t
-    return out
+@lru_cache(maxsize=32)
+def _slices(degree: int, i: int, j: int) -> tuple[tuple, ...]:
+    """The layout (i, j) of the exponents of a degree: slices of fixed x_k
+    exponent, each by ascending x_j exponent; then the columns of x_i, x_j,
+    x_k and x_i + x_k exponents."""
+    place = itemgetter(*map((i, j, 3 - i - j).index, range(3)))
+    rows = [(degree - h - u, u, h) for h in range(degree + 1) for u in range(degree - h + 1)]
+    ei, ej, ek = zip(*rows)
+    return tuple(map(place, rows)), ei, ej, ek, tuple(degree - u for u in ej)
 
 
-def substitute_terms(terms: Mapping[Exp, object], degree: int,
-                     m: Sequence[Sequence]) -> dict:
-    """Terms of a ternary form after x_i := L_i = sum_j m[i][j]*x_j.
+@lru_cache(maxsize=32)
+def _powers(x: int, degree: int) -> tuple[int, ...]:
+    return tuple(accumulate(repeat(x, degree), mul, initial=1))
 
-    Homogeneous Horner, multiplying only by linear forms: sum_a x0^a f_a(x1, x2)
-    is (..(f_d*L0 + f_(d-1))*L0 ..) + f_0, each f_a Horner in L1 over L2^k.
-    Coefficients may be of any numeric type; ints stay ints.
-    """
-    l0, l1, l2 = ([(_UNITS[j], m[i][j]) for j in range(3) if m[i][j]] for i in range(3))
-    powers = [{(0, 0, 0): 1}]
-    for _ in range(degree):
-        powers.append(_times_linear(powers[-1], l2))
-    out: dict = {}
-    for a in range(degree, -1, -1):
-        out = _times_linear(out, l0)
-        part: dict = {}
-        for b in range(degree - a, -1, -1):
-            part = _times_linear(part, l1)
-            c = terms.get((a, b, degree - a - b))
-            if c:
-                for e, p in powers[degree - a - b].items():
-                    part[e] = part.get(e, 0) + c * p
-        for e, p in part.items():
-            out[e] = out.get(e, 0) + p
-    return {e: c for e, c in out.items() if c}
+
+def _scale(w, degree: int, *steps) -> list[int]:
+    """w entry by entry op x^e, for each step (op, x, column of exponents e)."""
+    for op, x, col in steps:
+        if x != 1:
+            w = map(op, w, map(_powers(x, degree).__getitem__, col))
+    return list(w)
+
+
+def _elementary(w, degree: int, i: int, j: int, v: Sequence[int], b: int, s: int) -> list[int]:
+    """Coefficients w in layout (i, j) after x_i := v[i]*x_i + b*x_j and
+    x_h := v[h]*x_h for h != i, divided exactly by s^degree.  In each slice
+    x_k^h*x_j^d*p(x_i/x_j), t^m is scaled by b^m*v[j]^(d-m), t shifted by 1
+    (d rounds of prefix sums from the top coefficient), and t^m scaled by
+    v[i]^m*v[k]^h/b^m."""
+    _, ei, ej, ek, eik = _slices(degree, i, j)
+    w = _scale(w, degree, (mul, b or 1, ei), (mul, v[j], ej))
+    start = 0
+    for d in range(degree, -1, -1):
+        for top in range(start + d + 1, start + 1, -1) if b else ():
+            w[start:top] = accumulate(w[start:top])
+        start += d + 1
+    k = 3 - i - j
+    post = [(mul, v[i], eik)] if v[i] == v[k] else [(mul, v[i], ei), (mul, v[k], ek)]
+    return _scale(w, degree, *post, (floordiv, b or 1, ei), (floordiv, s, repeat(degree)))
+
+
+@lru_cache(maxsize=64)
+def _moves(degree: int, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, ...]:
+    """The position in layout a of each exponent of layout b."""
+    index = {e: t for t, e in enumerate(_slices(degree, *a)[0])}
+    return tuple(map(index.__getitem__, _slices(degree, *b)[0]))
+
+
+@lru_cache(maxsize=64)
+def _split(m: tuple[tuple[int, ...], ...]) -> tuple:
+    """s != 0, a relabelling and factors (i, j, v, b) of s*m, each x_i :=
+    v[i]*x_i + b*x_j, x_h := v[h]*x_h for h != i.  Row by row, the pivot
+    column c of the least free entry clears every other column j by
+    col_j := a*col_j - b*col_c, and a times the old matrix is the new one
+    times x_c := a*x_c + b*x_j, x_k := a*x_k.  What is left is a relabelling
+    times a diagonal, which joins the first factor.  ValueError on a
+    singular m."""
+    m = [list(row) for row in m]
+    pivots, factors, s = [], [], 1
+    for row in m:
+        free = [c for c in range(3) if row[c] and c not in pivots]
+        if not free:
+            raise ValueError("singular substitution matrix")
+        c = min(free, key=lambda c: abs(row[c]))
+        pivots.append(c)
+        for j in [j for j in range(3) if j != c and row[j]]:
+            g = gcd(row[c], row[j])
+            a, b = row[c] // g, row[j] // g
+            for r in m:
+                r[j] = a * r[j] - b * r[c]
+            factors.insert(0, (c, j, tuple(1 if x == j else a for x in range(3)), b))
+            s *= a
+    d = [m[pivots.index(x)][x] for x in range(3)]
+    h = gcd(s, *d) * (-1 if d[0] < 0 else 1)  # d is often h*(1, 1, 1)
+    s, d = s // h, [x // h for x in d]
+    i, j, v, b = factors.pop(0) if factors else (0, 1, (1, 1, 1), 0)
+    factors.insert(0, (i, j, tuple(map(mul, d, v)), b * d[i]))
+    place = itemgetter(*map(pivots.index, range(3)))  # exponent q moves to pivots[q]
+    return s, place, tuple(f for f in factors if f[2:] != ((1, 1, 1), 0))
+
+
+def substitute_terms(terms: Mapping[Exp, int], degree: int,
+                     m: Sequence[Sequence[int]]) -> dict:
+    """Integer terms of a ternary form after x_i := sum_j m[i][j]*x_j, in
+    O(degree^3): a relabelling, then one pass over the slices per factor of
+    `_split`, the last dividing by s^degree.  ValueError on a singular m."""
+    s, place, factors = _split(tuple(map(tuple, m)))
+    terms = {place(e): c for e, c in terms.items() if c}
+    if not factors:
+        return terms
+    at = factors[0][:2]
+    w = list(map(terms.get, _slices(degree, *at)[0], repeat(0)))
+    for t, (i, j, v, b) in enumerate(factors, 1):
+        if (i, j) != at:
+            w, at = [w[x] for x in _moves(degree, at, (i, j))], (i, j)
+        w = _elementary(w, degree, i, j, v, b, s if t == len(factors) else 1)
+    return {e: c for e, c in zip(_slices(degree, *at)[0], w) if c}
 
 
 def _degree(terms: Mapping[Exp, Fraction]) -> int:
@@ -232,6 +302,16 @@ numerator or denominator bit length.  The weight is 1 while
 bits(a)*bits(b) < 2^20 (both below 1024 bits, say).  Past the budget, a
 ParseError at the offending factor or exponent.  A product of 41 linear
 factors, a pencil at n = 40, takes 1640."""
+
+MAX_COEFF_BITS = 2 ** 17
+"""Bound on the numerator and denominator bits of a monomial's literals, of a
+power c^k of a one-term group (bits(c)*k) and of a product of sums, checked
+before each product; past it, a ParseError at the literal, exponent or factor."""
+
+
+def _too_big(at: int) -> ParseError:
+    return ParseError(f"coefficient above MAX_COEFF_BITS = {MAX_COEFF_BITS} bits", at)
+
 
 # A token is an atom, an integer literal perhaps over another or a variable
 # with an optional power, or the power of a group, an operator, a stray
@@ -371,13 +451,19 @@ class _Parser:
         product's so far; a zero product has degree 0 and no factor's degree
         passes MAX_DEGREE, so it is only grown and checked while coef is
         nonzero, and checking the first factor too changes nothing."""
-        coef, exp, degree, product = sign, [0] * self.nvars, 0, None
+        coef, exp, degree, product, bits = sign, [0] * self.nvars, 0, None, 0
         while True:
             m = self.next()
             if m.lastgroup == "int":
-                coef *= _int_literal(m["num"], m.start())
+                num = _int_literal(m["num"], m.start())
+                bits += num.bit_length()
                 if m["den"] is not None:
-                    coef = Fraction(coef, _denominator(m["den"], m.start("den")))
+                    den = _denominator(m["den"], m.start("den"))
+                    bits += den.bit_length()
+                    num = Fraction(num, den)
+                if bits > MAX_COEFF_BITS:
+                    raise _too_big(m.start())
+                coef *= num
             elif m.lastgroup == "var":
                 i = self.index.get(m["name"])
                 if i is None:
@@ -415,9 +501,13 @@ class _Parser:
             out[e] = out.get(e, 0) + coef * c
 
     def charge(self, a: dict, b: dict, at: int):
-        """Count the product of term maps a and b against MAX_TERM_PRODUCTS."""
+        """Count the product of term maps a and b against MAX_TERM_PRODUCTS,
+        and bound its coefficients by MAX_COEFF_BITS."""
         if a and b:
-            self.work += len(a) * len(b) * max(1, _bits(a) * _bits(b) >> 19)
+            bits_a, bits_b = _bits(a), _bits(b)
+            if bits_a + bits_b > MAX_COEFF_BITS:
+                raise _too_big(at)
+            self.work += len(a) * len(b) * max(1, bits_a * bits_b >> 19)
         if self.work > MAX_TERM_PRODUCTS:
             raise ParseError(f"parse work above MAX_TERM_PRODUCTS = {MAX_TERM_PRODUCTS}", at)
 
@@ -439,6 +529,8 @@ class _Parser:
         power = _exponent(m["pow"], _degree(base), at)
         if len(base) == 1:
             (e, c), = base.items()
+            if _bits(base) * power > MAX_COEFF_BITS:
+                raise _too_big(at)
             return {tuple(power * x for x in e): c ** power}
         out = {(0,) * self.nvars: 1}
         for _ in range(power):
@@ -723,8 +815,9 @@ class TernaryForm(_Form):
     def substitute_linear(self, t: Sequence[Sequence]) -> "TernaryForm":
         """Projective coordinate change: returns F with x_i := sum_j t[i][j]*x_j.
 
-        The Horner core runs on the terms times d and the matrix times e, both
-        integral; each result is divided once, by d*e^degree (F is homogeneous)."""
+        The integer core, `substitute_terms`, runs on the terms times d and the
+        matrix times e; each result is divided once, by d*e^degree (F is
+        homogeneous)."""
         entries, e = integral_row([t[i][j] for i in range(3) for j in range(3)])
         m = [entries[i:i + 3] for i in (0, 3, 6)]
         if adjugate3(m)[0] == 0:

@@ -15,7 +15,10 @@ sum B_ij x^i y^j.  With P_m the power sums of the roots of r^2 + b*r + a*l,
 
     G(a, b, l) = sum_i B_ii a^i l^(n-i) + sum_(i<j) B_ij a^i l^(n-j) P_(j-i)
 
-is +-det M identically: the curve is G(T*(u, v, w)).
+is +-det M identically: the curve is G(T*(u, v, w)).  G has O(n^2) terms, and
+`forms.substitute_terms` composes it with T in O(n^3) integer operations:
+for each elementary factor of T one Taylor shift per slice of G, and on the
+standard conic, whose T swaps b and l, a relabelling alone.
 
 The incidence tests need no determinant.  The columns q*V_(n-1) of M are
 independent, so a line is jumping exactly when gamma1 and gamma2 are

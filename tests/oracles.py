@@ -10,8 +10,10 @@
   pullback from the conic's cached matrix.
 - Binary-form helpers that only tests use: a rational Euclidean gcd, monic
   scaling, substitution of a 2x2 matrix, and a rational matrix product.
-- The coordinate change on Fractions throughout: the oracle of the integer
-  core of `TernaryForm.substitute_linear`.
+- The homogeneous Horner substitution of a 3x3 matrix into a ternary form,
+  O(degree^4) on any numbers: the oracle of the shear split of
+  `forms.substitute_terms`, and, on Fractions throughout, of the integer core
+  of `TernaryForm.substitute_linear`.
 - Evaluation term by term on Fractions, the oracle of the integer powers
   table of the shared `evaluate`, and the dense binary derivative, an oracle
   of the shared `partial`.
@@ -40,8 +42,8 @@ from typing import Mapping, Sequence
 
 from luroth import poncelet
 from luroth.forms import (MAX_DEGREE, _MAX_NESTING, BinaryForm, ParseError, PreconditionError,
-                          TermMap, TernaryForm, _degree, _int_literal, add_terms, integral_row,
-                          mul_terms, scale_terms, substitute_terms)
+                          TermMap, TernaryForm, _UNITS, _degree, _int_literal, add_terms,
+                          integral_row, mul_terms, scale_terms)
 from luroth.linalg import det_rational
 
 
@@ -184,13 +186,49 @@ def bezout_base_point_free(pencil) -> bool:
     return det_rational([row[:-1] for row in poncelet._bezout_matrix(pencil)]) != 0
 
 
+def _times_linear(terms: Mapping, line) -> dict:
+    """terms * (sum of t * x_k over the (unit exponent of x_k, t) pairs in line)."""
+    out: dict = {}
+    for (i, j, k), c in terms.items():
+        for (di, dj, dk), t in line:
+            e = (i + di, j + dj, k + dk)
+            out[e] = out.get(e, 0) + c * t
+    return out
+
+
+def horner_substitute(terms: Mapping, degree: int, m: Sequence[Sequence]) -> dict:
+    """Terms of a ternary form after x_i := L_i = sum_j m[i][j]*x_j.
+
+    Homogeneous Horner, multiplying only by linear forms: sum_a x0^a f_a(x1, x2)
+    is (..(f_d*L0 + f_(d-1))*L0 ..) + f_0, each f_a Horner in L1 over L2^k.
+    Coefficients may be of any numeric type; ints stay ints.
+    """
+    l0, l1, l2 = ([(_UNITS[j], m[i][j]) for j in range(3) if m[i][j]] for i in range(3))
+    powers = [{(0, 0, 0): 1}]
+    for _ in range(degree):
+        powers.append(_times_linear(powers[-1], l2))
+    out: dict = {}
+    for a in range(degree, -1, -1):
+        out = _times_linear(out, l0)
+        part: dict = {}
+        for b in range(degree - a, -1, -1):
+            part = _times_linear(part, l1)
+            c = terms.get((a, b, degree - a - b))
+            if c:
+                for e, p in powers[degree - a - b].items():
+                    part[e] = part.get(e, 0) + c * p
+        for e, p in part.items():
+            out[e] = out.get(e, 0) + p
+    return {e: c for e, c in out.items() if c}
+
+
 def fraction_substitute_linear(f, t):
-    """F with x_i := sum_j t[i][j]*x_j by the Horner core on the Fraction terms
-    and the Fraction matrix, with no scaling to integers."""
+    """F with x_i := sum_j t[i][j]*x_j by Horner on the Fraction terms and the
+    Fraction matrix, with no scaling to integers."""
     m = _rows(t)
     if rational_det(m) == 0:
         raise PreconditionError("coordinate change matrix is singular")
-    return TernaryForm(f.degree, f.variables, substitute_terms(f.terms, f.degree, m))
+    return TernaryForm(f.degree, f.variables, horner_substitute(f.terms, f.degree, m))
 
 
 def fraction_evaluate(f, point) -> Fraction:

@@ -19,6 +19,7 @@ from luroth.forms import (
     TernaryForm,
     form_from_json,
     add_terms,
+    integral_row,
     mul_terms,
     parse_form,
     parse_terms,
@@ -28,7 +29,7 @@ from luroth.forms import (
 from luroth.linalg import det_rational, invert, sylvester_resultant
 from luroth.poncelet import standard_conic
 from oracles import (dense_partial, form_gcd, fraction_evaluate, fraction_substitute_linear,
-                     partial_directional, unlimited_int_str)
+                     horner_substitute, partial_directional, unlimited_int_str)
 
 PAIR = ("v", "w")
 TRIPLE = ("u", "v", "w")
@@ -511,6 +512,95 @@ def test_substitute_terms_keeps_integer_coefficients():
     f = TernaryForm.from_terms(2, TRIPLE, terms)
     expected = f.substitute_linear([[1, 2, 0], [0, 1, 1], [1, 0, 1]])
     assert out == expected.terms
+
+
+PERMUTATIONS = [[[int(j == p[i]) for j in range(3)] for i in range(3)]
+                for p in ((0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1))]
+
+
+def int_terms(rng, degree, bound=9, density=0.6):
+    terms = {}
+    for i in range(degree + 1):
+        for j in range(degree + 1 - i):
+            if rng.random() < density:
+                terms[(i, j, degree - i - j)] = rng.randint(-bound, bound)
+    return terms
+
+
+def node_transforms():
+    """The integer node transforms of the translated quartics of test_nodal."""
+    from luroth.nodal import normalize_at_node
+    from test_nodal import QUARTIC_A, QUARTIC_B, rand_invertible
+
+    cases = [(QUARTIC_A, (1, 0, 0)), (QUARTIC_B, (0, 0, 1))]
+    rng = random.Random(41)
+    for _ in range(5):
+        t = rand_invertible(rng)
+        cases.append((QUARTIC_A.substitute_linear(t), tuple(row[0] for row in invert(t))))
+    out = []
+    for quartic, node in cases:
+        flat = integral_row([x for row in normalize_at_node(quartic, node).transform for x in row])[0]
+        out.append((quartic, [flat[i:i + 3] for i in (0, 3, 6)]))
+    return out
+
+
+def test_substitute_terms_matches_horner_oracle():
+    rng = random.Random(316)
+    mats = list(PERMUTATIONS)
+    mats += [[[0, 1, 0], [0, 0, 1], [1, 0, 0]], [[0, 0, 3], [0, -2, 1], [5, 1, 1]],
+             [[0, 2, 1], [0, 0, -1], [1, 1, 1]], [[0, 0, 1], [1, 0, 2], [0, 1, 3]]]
+    while len(mats) < 40:  # negative, 60-bit and zero entries, zero leading pivots
+        bound = rng.choice([1, 3, 9, 2 ** 60])
+        m = [[0 if rng.random() < 0.3 else rng.randint(-bound, bound) for _ in range(3)]
+             for _ in range(3)]
+        if det_rational(m):
+            mats.append(m)
+    checked = 0
+    for degree in range(13):
+        for m in mats:
+            for terms in (int_terms(rng, degree), {}):
+                out = substitute_terms(terms, degree, m)
+                assert out == horner_substitute(terms, degree, m)
+                assert all(type(c) is int for c in out.values())
+                checked += 1
+    assert checked == 13 * 40 * 2
+    for quartic, m in node_transforms():
+        terms = dict(zip(quartic.terms, integral_row(list(quartic.terms.values()))[0]))
+        assert substitute_terms(terms, 4, m) == horner_substitute(terms, 4, m)
+
+
+def test_substitute_terms_rejects_singular_matrices():
+    rng = random.Random(317)
+    singular = [[[0, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 2, 3], [2, 4, 6], [0, 0, 1]],
+                [[0, 1, 1], [0, 2, 3], [0, 5, 7]], [[0] * 3 for _ in range(3)]]
+    while len(singular) < 30:
+        rows = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(2)]
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        rows.insert(rng.randrange(3), [a * x + b * y for x, y in zip(*rows)])
+        singular.append(rows)
+    for m in singular:
+        assert det_rational(m) == 0
+        with pytest.raises(ValueError, match="singular"):
+            substitute_terms(int_terms(rng, 3), 3, m)
+
+
+def test_substitute_terms_matches_horner_oracle_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entry = st.one_of(st.integers(-3, 3), st.integers(-2 ** 60, 2 ** 60))
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.lists(st.lists(entry, min_size=3, max_size=3), min_size=3, max_size=3),
+                      st.integers(0, 12), st.integers(0, 2 ** 32))
+    def check(m, degree, seed):
+        terms = int_terms(random.Random(seed), degree)
+        if det_rational(m) == 0:
+            with pytest.raises(ValueError, match="singular"):
+                substitute_terms(terms, degree, m)
+        else:
+            assert substitute_terms(terms, degree, m) == horner_substitute(terms, degree, m)
+
+    check()
 
 
 # ---------------------------------------------------------------------------

@@ -436,6 +436,40 @@ def test_admissible_exactly_when_the_resultant_is_nonzero():
     assert seen[True] >= 20 and seen[False] >= 15
 
 
+def test_coprimality_check_matches_the_resultant():
+    """quartic_from_conic_and_cubic rejects (f2, f3) exactly where their
+    resultant vanishes, which is where its Koszul system is singular."""
+    rng = random.Random(47)
+
+    def form(degree, bound=9):
+        return BinaryForm.from_coeffs(PAIR_VW, [rng.randint(-bound, bound)
+                                                for _ in range(degree + 1)])
+
+    seen = {True: 0, False: 0}
+    for i in range(240):
+        if i % 4 == 0:  # a shared finite root
+            common = BinaryForm.from_coeffs(PAIR_VW, [rng.randint(1, 4), rng.randint(-5, 5)])
+            f2, f3 = common * form(1), common * form(2)
+        elif i % 4 == 1:  # a shared root at v = 0
+            f2, f3 = form(2), form(3)
+            f2 = BinaryForm.from_coeffs(PAIR_VW, [0] + list(f2.coeffs[1:]))
+            f3 = BinaryForm.from_coeffs(PAIR_VW, [0] + list(f3.coeffs[1:]))
+        else:
+            f2, f3 = form(2), form(3, rng.choice([9, 10 ** 20]))
+        if linalg.disc_binary_quadratic(f2) == 0:
+            continue
+        phi, psi = form(1), form(2)
+        singular = f3.is_zero() or sylvester_resultant(f2, f3) == 0
+        assert singular == (nodal._koszul(f2, f3, psi * f2 + phi * f3) is None)
+        seen[singular] += 1
+        if singular:
+            with pytest.raises(PreconditionError, match="^f2 and f3 must be coprime$"):
+                quartic_from_conic_and_cubic(f2, f3, phi, psi, "u", DUAL_VARS)
+        else:
+            quartic_from_conic_and_cubic(f2, f3, phi, psi, "u", DUAL_VARS)
+    assert seen[True] >= 80 and seen[False] >= 80, seen
+
+
 # ---------------------------------------------------------------------------
 # residual line
 

@@ -350,8 +350,10 @@ def test_jump_test_matches_rank_oracle():
     assert verdicts[True] >= 20 and verdicts[False] >= 100
 
 
-@pytest.mark.parametrize("conic_index, n", [(0, 40), (1, 22)])
+@pytest.mark.parametrize("conic_index, n", [(0, 40), (1, 22), (1, 99), (2, 40)])
 def test_polygon_property_at_scale(conic_index, n):
+    """Every chord between roots of gamma1 lies on the curve; at the degree cap,
+    a seeded sample of 200 of the 4950 chords."""
     conic = three_conics()[conic_index]
     rng = random.Random(34 + n)
     roots = [(Fraction(k), Fraction(1)) for k in range(-(n // 2), n - n // 2 + 1)]
@@ -359,9 +361,9 @@ def test_polygon_property_at_scale(conic_index, n):
     curve = poncelet_curve(conic, pencil)
     assert curve.degree == n and not curve.is_zero()
     evaluate = integer_evaluator(curve)
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            assert evaluate(chord_dual(conic, roots[i], roots[j])) == 0
+    chords = [(a, b) for i, a in enumerate(roots) for b in roots[i + 1:]]
+    for a, b in chords if len(chords) <= 1000 else rng.sample(chords, 200):
+        assert evaluate(chord_dual(conic, a, b)) == 0
 
 
 # ---------------------------------------------------------------------------
