@@ -211,13 +211,13 @@ def _moves(degree: int, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, ..
 
 @lru_cache(maxsize=64)
 def _split(m: tuple[tuple[int, ...], ...]) -> tuple:
-    """s != 0, a relabelling and factors (i, j, v, b) of s*m, each x_i :=
+    """s > 0, a relabelling and factors (i, j, v, b) of s*m, each x_i :=
     v[i]*x_i + b*x_j, x_h := v[h]*x_h for h != i.  Row by row, the pivot
     column c of the least free entry clears every other column j by
-    col_j := a*col_j - b*col_c, and a times the old matrix is the new one
-    times x_c := a*x_c + b*x_j, x_k := a*x_k.  What is left is a relabelling
-    times a diagonal, which joins the first factor.  ValueError on a
-    singular m."""
+    col_j := a*col_j - b*col_c with a > 0, and a times the old matrix is the
+    new one times x_c := a*x_c + b*x_j, x_k := a*x_k.  What is left is a
+    relabelling times a diagonal, which joins the first factor unless it is
+    the identity; with no factor, s = 1.  ValueError on a singular m."""
     m = [list(row) for row in m]
     pivots, factors, s = [], [], 1
     for row in m:
@@ -227,19 +227,20 @@ def _split(m: tuple[tuple[int, ...], ...]) -> tuple:
         c = min(free, key=lambda c: abs(row[c]))
         pivots.append(c)
         for j in [j for j in range(3) if j != c and row[j]]:
-            g = gcd(row[c], row[j])
+            g = gcd(row[c], row[j]) * (1 if row[c] > 0 else -1)
             a, b = row[c] // g, row[j] // g
             for r in m:
                 r[j] = a * r[j] - b * r[c]
             factors.insert(0, (c, j, tuple(1 if x == j else a for x in range(3)), b))
             s *= a
     d = [m[pivots.index(x)][x] for x in range(3)]
-    h = gcd(s, *d) * (-1 if d[0] < 0 else 1)  # d is often h*(1, 1, 1)
+    h = gcd(s, *d)  # d is often s*(1, 1, 1)
     s, d = s // h, [x // h for x in d]
-    i, j, v, b = factors.pop(0) if factors else (0, 1, (1, 1, 1), 0)
-    factors.insert(0, (i, j, tuple(map(mul, d, v)), b * d[i]))
+    if d != [1, 1, 1]:
+        i, j, v, b = factors.pop(0) if factors else (0, 1, (1, 1, 1), 0)
+        factors.insert(0, (i, j, tuple(map(mul, d, v)), b * d[i]))
     place = itemgetter(*map(pivots.index, range(3)))  # exponent q moves to pivots[q]
-    return s, place, tuple(f for f in factors if f[2:] != ((1, 1, 1), 0))
+    return s, place, tuple(factors)
 
 
 def substitute_terms(terms: Mapping[Exp, int], degree: int,

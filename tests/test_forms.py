@@ -453,12 +453,13 @@ def rational_ternary(rng, degree):
 
 def test_substitute_horner_matches_per_term_oracle():
     rng = random.Random(304)
-    perms = [[[1 if j == p[i] else 0 for j in range(3)] for i in range(3)]
-             for p in ((0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1))]
+    perms = [[[sign if j == p[i] else 0 for j in range(3)] for i in range(3)]
+             for p in ((0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1))
+             for sign in (1, -1)]
     checked = 0
     for degree in range(9):
         mats = list(perms)
-        while len(mats) < 12:
+        while len(mats) < 18:
             t = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(3)]
                  for _ in range(3)]
             if det_rational(t) != 0:
@@ -470,7 +471,7 @@ def test_substitute_horner_matches_per_term_oracle():
             assert g.degree == degree and g.variables == TRIPLE
             assert all(type(c) is Fraction for c in g.terms.values())
             checked += 1
-    assert checked == 9 * 12
+    assert checked == 9 * 18
 
 
 def test_integer_core_matches_fraction_substitution():
@@ -546,10 +547,11 @@ def node_transforms():
 
 def test_substitute_terms_matches_horner_oracle():
     rng = random.Random(316)
-    mats = list(PERMUTATIONS)
+    mats = PERMUTATIONS + [[[-x for x in row] for row in p] for p in PERMUTATIONS]
     mats += [[[0, 1, 0], [0, 0, 1], [1, 0, 0]], [[0, 0, 3], [0, -2, 1], [5, 1, 1]],
-             [[0, 2, 1], [0, 0, -1], [1, 1, 1]], [[0, 0, 1], [1, 0, 2], [0, 1, 3]]]
-    while len(mats) < 40:  # negative, 60-bit and zero entries, zero leading pivots
+             [[0, 2, 1], [0, 0, -1], [1, 1, 1]], [[0, 0, 1], [1, 0, 2], [0, 1, 3]],
+             [[-2, 0, 0], [0, -2, 0], [0, 0, -2]], [[0, 3, 0], [-3, 0, 0], [0, 0, 5]]]
+    while len(mats) < 48:  # negative, 60-bit and zero entries, zero leading pivots
         bound = rng.choice([1, 3, 9, 2 ** 60])
         m = [[0 if rng.random() < 0.3 else rng.randint(-bound, bound) for _ in range(3)]
              for _ in range(3)]
@@ -563,7 +565,7 @@ def test_substitute_terms_matches_horner_oracle():
                 assert out == horner_substitute(terms, degree, m)
                 assert all(type(c) is int for c in out.values())
                 checked += 1
-    assert checked == 13 * 40 * 2
+    assert checked == 13 * 48 * 2
     for quartic, m in node_transforms():
         terms = dict(zip(quartic.terms, integral_row(list(quartic.terms.values()))[0]))
         assert substitute_terms(terms, 4, m) == horner_substitute(terms, 4, m)
