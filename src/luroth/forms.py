@@ -711,14 +711,19 @@ class BinaryForm(_Form):
         return out
 
     def directional(self, xi: Sequence) -> "BinaryForm":
-        """Directional derivative xi0 * d/dv0 + xi1 * d/dv1, coefficient by
-        coefficient: c'_j = (d-j)*c_j*xi0 + (j+1)*c_(j+1)*xi1."""
+        """Directional derivative xi0 * d/dv0 + xi1 * d/dv1."""
         self._check_point(xi)
         if self.degree == 0:
             raise PreconditionError("cannot differentiate a degree-0 form")
-        d, c, x0, x1 = self.degree, self.coeffs, _q(xi[0]), _q(xi[1])
-        return BinaryForm(d - 1, self.variables, tuple(
-            (d - j) * c[j] * x0 + (j + 1) * c[j + 1] * x1 for j in range(d)))
+        return BinaryForm(self.degree - 1, self.variables,
+                          tuple(directional_coeffs(self.coeffs, _q(xi[0]), _q(xi[1]))))
+
+
+def directional_coeffs(c: Sequence, x0, x1) -> list:
+    """The directional derivative of a binary form's coefficient list, on any
+    numbers: c'_j = (d-j)*c_j*x0 + (j+1)*c_(j+1)*x1."""
+    d = len(c) - 1
+    return [(d - j) * c[j] * x0 + (j + 1) * c[j + 1] * x1 for j in range(d)]
 
 
 def form_from_json(data: Mapping):

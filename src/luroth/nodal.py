@@ -8,6 +8,14 @@ is uniquely solvable; the same solve yields linear phi and quadratic psi.
 Type II means the conic t^2 + 2*t*phi - psi is singular, which is when
 disc(phi^2 + psi) = 0; its kernel point is the residual line's tangency point.
 
+The pipeline runs on integers, fraction-free as in Bareiss (1968).  With the
+quartic times d and the transform's last column p/p[pivot] times lam
+integral, one `forms.substitute_terms` gives the pieces F_i = d*lam^(4-i)*f_i,
+and one `linalg._bareiss` on [Syl(F3, F2)^T | F4] gives phi' = phi/lam and
+psi' = psi/lam^2 over its last pivot.  Each scale is divided out once, where
+the public Fractions are built.  `tangent_map` moves the direction by the
+same integer matrix and solves with the same kernel.
+
 `classify` moves the node and eliminates once: a one-entry memo keyed by the
 quartic and the point holds the verdict and the decomposition with its split,
 all immutable.  `verify_node` returns the verdict, `normalize_at_node` raises.
@@ -17,18 +25,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Sequence
 
-from .forms import BinaryForm, Frozen, PreconditionError, TernaryForm, _q
-from .linalg import (
-    conic_det3,
-    conic_kernel_point,
-    disc_binary_quadratic,
-    solve_linear,
-    sylvester_matrix,
-)
+from .forms import (BinaryForm, Frozen, PreconditionError, TernaryForm, _q, adjugate3,
+                    directional_coeffs, integral_row, substitute_terms)
+from .linalg import _bareiss, conic_kernel_point, disc_binary_quadratic
 
 Transform = tuple[tuple[Fraction, ...], ...]
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class NodeError(PreconditionError):
@@ -96,14 +101,41 @@ class TangentMapResult(Frozen):
     conic_velocity: TernaryForm
 
 
-def _graded_split(quartic: TernaryForm, transform: Transform,
-                  pair: tuple[str, str]) -> tuple[BinaryForm, ...]:
-    """Pieces f0..f4 of the moved quartic sum t^(4-i) * f_i(pair), t last."""
-    moved = quartic.substitute_linear(transform)
-    coeffs = [[Fraction(0)] * (i + 1) for i in range(5)]
-    for (_, b, c), coef in moved.terms.items():
-        coeffs[4 - c][b] = coef
-    return tuple(BinaryForm(i, pair, tuple(cs)) for i, cs in enumerate(coeffs))
+def _pieces(quartic: TernaryForm, transform: Transform) -> tuple[list[list[int]], int, int]:
+    """Integer pieces F0..F4 of the moved quartic sum t^(4-i) * f_i, t last, with
+    F_i = d*lam^(4-i)*f_i: the terms times d and the last column times lam are
+    integers (the other two are standard vectors), and one substitution moves them."""
+    column, lam = integral_row([row[2] for row in transform])
+    m = [[row[0].numerator, row[1].numerator, x] for row, x in zip(transform, column)]
+    nums, d = integral_row(list(quartic.terms.values()))
+    pieces = [[0] * (i + 1) for i in range(5)]
+    for (_, b, c), x in substitute_terms(dict(zip(quartic.terms, nums)), 4, m).items():
+        pieces[4 - c][b] = x
+    return pieces, d, lam
+
+
+def _over(pair: tuple[str, str], nums: Sequence[int], den: int) -> BinaryForm:
+    """The binary form with coefficients nums/den, as canonical Fractions."""
+    return BinaryForm(len(nums) - 1, pair, tuple(Fraction(x, den) for x in nums))
+
+
+def _koszul_matrix(f2: Sequence[int], f3: Sequence[int], rhs: Sequence[int] = ()) -> list:
+    """[Syl(f3, f2)^T | rhs] on integer coefficient lists: the columns are
+    f3*v0, f3*v1, f2*v0^2, f2*v0*v1 and f2*v1^2."""
+    a3, a2 = [0, *f3, 0], [0, 0, *f2, 0, 0]
+    return [[a3[r + 1], a3[r], a2[r + 2], a2[r + 1], a2[r], *rhs[r:r + 1]] for r in range(5)]
+
+
+def _solve(f2: Sequence[int], f3: Sequence[int], rhs: Sequence[int], pair: tuple[str, str],
+           scale: tuple[int, int] = (1, 1), den: int = 1):
+    """The integer Koszul kernel: (phi, psi) with phi*f3 + psi*f2 = rhs, times
+    scale, over den, by one reduced `_bareiss`; None when Res(f2, f3) = 0."""
+    m = _koszul_matrix(f2, f3, rhs)
+    if _bareiss(m, reduced=True)[0] != [0, 1, 2, 3, 4]:
+        return None
+    x, den = [row[5] for row in m], den * m[4][4]
+    return (_over(pair, [scale[0] * v for v in x[:2]], den),
+            _over(pair, [scale[1] * v for v in x[2:]], den))
 
 
 def _assemble(pieces: Sequence[tuple[int, BinaryForm]], t_var: str,
@@ -132,18 +164,19 @@ def _decompose_at(quartic: TernaryForm, p: tuple[Fraction, ...]):
     if pivot is None:
         raise ValueError("the zero vector is not a projective point")
     others = [i for i in range(3) if i != pivot]
-    columns = [[Fraction(int(r == k)) for r in range(3)] for k in others]
-    columns.append([x / p[pivot] for x in p])
-    transform = tuple(tuple(columns[c][r] for c in range(3)) for r in range(3))
+    transform = tuple((_ONE if r == others[0] else _ZERO, _ONE if r == others[1] else _ZERO,
+                       p[r] / p[pivot]) for r in range(3))
     variables = quartic.variables
     pair = (variables[others[0]], variables[others[1]])
-    f0, f1, f2, f3, f4 = _graded_split(quartic, transform, pair)
-    on_curve = f0.is_zero()
-    singular = on_curve and f1.is_zero()
-    ordinary = singular and disc_binary_quadratic(f2) != 0
-    split = _koszul(f2, f3, f4) if ordinary else None
+    (f0, f1, f2, f3, f4), d, lam = _pieces(quartic, transform)
+    on_curve = not f0[0]
+    singular = on_curve and not any(f1)
+    ordinary = singular and f2[1] * f2[1] != 4 * f2[0] * f2[2]
+    split = _solve(f2, f3, f4, pair, (lam, lam * lam)) if ordinary else None
     return (NodeReport(on_curve, singular, ordinary, split is not None),
-            NodeDecomposition(transform, pair, variables[pivot], variables, f2, f3, f4, split))
+            NodeDecomposition(transform, pair, variables[pivot], variables,
+                              _over(pair, f2, d * lam ** 2), _over(pair, f3, d * lam),
+                              _over(pair, f4, d), split))
 
 
 def verify_node(quartic: TernaryForm, point: Sequence) -> NodeReport:
@@ -182,11 +215,12 @@ def _conic_form(phi: BinaryForm, psi: BinaryForm, t_var: str,
 
 
 def _koszul(f2: BinaryForm, f3: BinaryForm, rhs: BinaryForm):
-    """(phi, psi) of koszul_solve, or None when its system is singular."""
-    x = solve_linear(list(zip(*sylvester_matrix(f3, f2))), rhs.coeffs).vector
-    pair = f2.variables
-    return None if x is None else (BinaryForm.from_coeffs(pair, x[:2]),
-                                   BinaryForm.from_coeffs(pair, x[2:]))
+    """(phi, psi) of koszul_solve, or None when its system is singular: the
+    integer kernel on the three forms times one common denominator."""
+    if (f2.degree, f3.degree, rhs.degree) != (2, 3, 4):
+        raise PreconditionError("the Koszul system needs degrees 2, 3 and 4")
+    ints = integral_row(f2.coeffs + f3.coeffs + rhs.coeffs)[0]
+    return _solve(ints[:3], ints[3:7], ints[7:], f2.variables)
 
 
 def koszul_solve(f2: BinaryForm, f3: BinaryForm,
@@ -199,12 +233,18 @@ def koszul_solve(f2: BinaryForm, f3: BinaryForm,
 
 
 def associated_conic(dec: NodeDecomposition) -> AssociatedConicData:
-    """The unique conic t^2 + 2*t*phi - psi through the node's contact points."""
+    """The unique conic t^2 + 2*t*phi - psi through the node's contact points.
+
+    With (phi, psi) = (a, b)/e, det3 is det(2e*M)/(8e^3) for the conic's
+    matrix M, and phi^2 + psi is (a*a + e*b)/e^2.
+    """
     phi, psi = dec.split or koszul_solve(dec.f2, dec.f3, dec.f4)
+    (a0, a1, b0, b1, b2), e = integral_row(phi.coeffs + psi.coeffs)
+    det = adjugate3([[-2 * b0, -b1, 2 * a0], [-b1, -2 * b2, 2 * a1], [2 * a0, 2 * a1, 2 * e]])[0]
+    c0, c1, c2 = a0 * a0 + e * b0, 2 * a0 * a1 + e * b1, a1 * a1 + e * b2
     conic = _conic_form(phi, psi, dec.t_var, dec.original_vars)
-    det3 = conic_det3(conic)
-    disc = disc_binary_quadratic(phi * phi + psi)
-    return AssociatedConicData(phi, psi, conic, det3, disc)
+    return AssociatedConicData(phi, psi, conic, Fraction(det, 8 * e ** 3),
+                               Fraction(c1 * c1 - 4 * c0 * c2, e ** 4))
 
 
 def classify(quartic: TernaryForm, point: Sequence) -> NodalQuarticAnalysis:
@@ -244,25 +284,34 @@ def tangent_map(dec: NodeDecomposition, data: AssociatedConicData,
     normalized coordinates as g1*t^3 + g2*t^2 + g3*t + g4.  The node velocity
     xi solves the polarized cone equation, then a Koszul solve yields the
     conic velocity 2*t*phi_dot - psi_dot.
+
+    On integers, with f_i = F_i/c, (phi, psi) = nums/e and the node's move
+    G_i = h*lam^(4-i)*g_i, xi and the right-hand side are X*c/(k*h) and
+    R/(k*h*e) for k = disc*lam^3, so the kernel gives (phi_dot, psi_dot)*k*h*e/c.
     """
-    if (disc := disc_binary_quadratic(dec.f2)) == 0:
+    ints, c = integral_row(dec.f2.coeffs + dec.f3.coeffs + dec.f4.coeffs)
+    (p, q, r), f3, f4 = ints[:3], ints[3:7], ints[7:]
+    if (disc := q * q - 4 * p * r) == 0:
         raise PreconditionError("node is not ordinary: degenerate tangent cone")
     if direction.degree != 4:
         raise PreconditionError("direction must be a quartic")
     if direction.variables != dec.original_vars:
         raise ValueError("direction must use the quartic's variable triple")
-    g0, g1, g2, g3, g4 = _graded_split(direction, dec.transform, dec.pair)
-    if not g0.is_zero():
+    (g0, (a, b), g2, g3, g4), h, lam = _pieces(direction, dec.transform)
+    if g0[0]:
         raise PreconditionError("direction quartic does not vanish at the node")
     # polarized cone equation d(f2).xi = -g1 by Cramer's rule; its determinant is -disc
-    (p, q, r), (a, b) = dec.f2.coeffs, g1.coeffs
-    xi = ((2 * r * a - q * b) / disc, (2 * p * b - q * a) / disc)
-    df3 = dec.f3.directional(xi)
-    df4 = dec.f4.directional(xi)
-    rhs_form = g4 - (g3 + df4) * data.phi - (g2 + df3) * data.psi
-    phi_dot, psi_dot = koszul_solve(dec.f2, dec.f3, rhs_form)
-    velocity = _assemble(((1, phi_dot.scale(2)), (0, -psi_dot)),
-                         dec.t_var, dec.original_vars)
+    x0, x1, k = 2 * r * a - q * b, 2 * p * b - q * a, disc * lam ** 3
+    xi = (Fraction(x0 * c, k * h), Fraction(x1 * c, k * h))
+    nums, e = integral_row(data.phi.coeffs + data.psi.coeffs)
+    # (g3 + f4'(xi))*phi + (g2 + f3'(xi))*psi is the Koszul map of (h3, h2) at nums
+    h3 = [disc * lam * lam * y + z for y, z in zip(g3, directional_coeffs(f4, x0, x1))]
+    h2 = [disc * lam * y + z for y, z in zip(g2, directional_coeffs(f3, x0, x1))]
+    rhs = [k * e * y - sum(map(mul, row, nums)) for y, row in zip(g4, _koszul_matrix(h2, h3))]
+    if (split := _solve([p, q, r], f3, rhs, dec.pair, (c, c), k * h * e)) is None:
+        raise PreconditionError("Koszul system is singular: f2 and f3 share a projective root")
+    phi_dot, psi_dot = split
+    velocity = _assemble(((1, phi_dot.scale(2)), (0, -psi_dot)), dec.t_var, dec.original_vars)
     return TangentMapResult(xi, phi_dot, psi_dot, velocity)
 
 
@@ -280,7 +329,8 @@ def quartic_from_conic_and_cubic(f2: BinaryForm, f3: BinaryForm,
     if disc_binary_quadratic(f2) == 0:
         raise PreconditionError("f2 must be a nondegenerate binary quadratic")
     f4 = psi * f2 + phi * f3
-    if _koszul(f2, f3, f4) is None:
+    ints = integral_row(f2.coeffs + f3.coeffs)[0]
+    if len(_bareiss(_koszul_matrix(ints[:3], ints[3:]))[0]) < 5:
         raise PreconditionError("f2 and f3 must be coprime")
     pair = f2.variables
     if var_order is None:

@@ -24,9 +24,10 @@ The incidence tests need no determinant.  The columns q*V_(n-1) of M are
 independent, so a line is jumping exactly when gamma1 and gamma2 are
 dependent modulo q (a 2-dimensional quotient); some member is divisible by
 q^2 exactly when they are dependent modulo q^2 (dimension 4).  One integer
-pseudo-remainder gives both, and drives the primitive PRS (Brown & Traub,
-JACM 1971) that decides base points once per pencil.  The bitmask
-determinant of `poncelet_matrix` serves the 6x6 families and the tests.
+pseudo-remainder gives both.  Base points are decided once per pencil: a
+constant gcd modulo the prime 2^61 - 1 proves there are none, and where it
+proves nothing the primitive PRS (Brown & Traub, JACM 1971) decides.  The
+bitmask determinant of `poncelet_matrix` serves the 6x6 families and the tests.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .linalg import PolyMatrix, normalize_projective, shifted_multiples
 PRIMAL_VARS = ("x", "y", "t")
 DUAL_VARS = ("u", "v", "w")
 PARAM_VARS = ("s0", "s1")
+_P = 2 ** 61 - 1  # the prime of the base-point certificate
 
 
 class ConicParam(Frozen):
@@ -123,19 +125,44 @@ class PonceletPencil(Frozen):
     @cached_property
     def _base_point_free(self) -> bool:
         """No common root at s0 = 0 (both last coefficients zero), and a
-        constant gcd(g1(1, x), g2(1, x)) by the primitive PRS: Euclid on
-        pseudo-remainders, each divided by its content."""
+        constant gcd(g1(1, x), g2(1, x)): certified by Euclid modulo the prime
+        _P unless _P divides both leading coefficients; where that does not
+        prove it, the PRS decides."""
         f, g = self._ints
         if f[-1] == 0 and g[-1] == 0:
             return False
-        a, b = sorted((_trim(f), _trim(g)), key=len, reverse=True)
-        while len(b) > 1:
-            r = _trim(_prem(a, b))
-            if not r:
-                return False
-            content = gcd(*r)
-            a, b = b, [x // content for x in r]
-        return True
+        a, b = _trim(f), _trim(g)
+        if (a[-1] % _P or b[-1] % _P) and _coprime_mod_p(a, b):
+            return True
+        return _coprime_prs(a, b)
+
+
+def _coprime_mod_p(a: Sequence[int], b: Sequence[int]) -> bool:
+    """Whether gcd(a, b) modulo _P is constant, for ascending integer vectors.
+    A common factor over the integers keeps its degree modulo _P unless _P
+    divides both leading coefficients, so outside that case True proves a
+    and b coprime; False proves nothing."""
+    a, b = _trim([x % _P for x in a]), _trim([x % _P for x in b])
+    while b:
+        inverse = pow(b[-1], -1, _P)
+        while len(a) >= len(b):
+            c, k = a[-1] * inverse % _P, len(a) - len(b)
+            a = _trim(a[:k] + [(x - c * y) % _P for x, y in zip(a[k:-1], b)])
+        a, b = b, a
+    return len(a) == 1
+
+
+def _coprime_prs(a: Sequence[int], b: Sequence[int]) -> bool:
+    """Whether gcd(a, b) is constant, by the primitive PRS: Euclid on
+    pseudo-remainders, each divided by its content."""
+    a, b = sorted((a, b), key=len, reverse=True)
+    while len(b) > 1:
+        r = _trim(_prem(a, b))
+        if not r:
+            return False
+        content = gcd(*r)
+        a, b = b, [x // content for x in r]
+    return True
 
 
 def _dependent(u: Sequence[int], v: Sequence[int]) -> bool:

@@ -30,6 +30,12 @@
   maps and for the message and position of every `ParseError`.
 - The frozen-dataclass twin of a value: the oracle of `repr`, `==`, `hash`
   and `NodeReport.flags` of the package's one value base, `forms.Frozen`.
+- The nodal pipeline on Fractions throughout: `TernaryForm.substitute_linear`,
+  a graded split into `BinaryForm`s, `solve_linear` on the transposed
+  `sylvester_matrix`, the conic's `conic_det3` and `conic_kernel_point`, and
+  `BinaryForm` arithmetic for the discriminant and the tangent map's
+  right-hand side: the oracle of the integer nodal core (`fraction_classify`,
+  `fraction_tangent_map`).
 """
 
 import dataclasses
@@ -40,11 +46,12 @@ from fractions import Fraction
 from functools import cache
 from typing import Mapping, Sequence
 
-from luroth import poncelet
+from luroth import nodal, poncelet
 from luroth.forms import (MAX_DEGREE, _MAX_NESTING, BinaryForm, ParseError, PreconditionError,
                           TermMap, TernaryForm, _UNITS, _degree, _int_literal, add_terms,
                           integral_row, mul_terms, scale_terms)
-from luroth.linalg import det_rational
+from luroth.linalg import (conic_det3, conic_kernel_point, det_rational, disc_binary_quadratic,
+                           solve_linear, sylvester_matrix)
 
 
 def _rows(rows):
@@ -544,3 +551,79 @@ def dataclass_twin(value, hashable: bool = False):
     if hashable:
         fields = [frozenset(v.items()) if isinstance(v, Mapping) else v for v in fields]
     return cls(*fields)
+
+
+# ---------------------------------------------------------------------------
+# the nodal pipeline on Fractions
+
+def _graded_split(quartic, transform, pair):
+    """Pieces f0..f4 of the moved quartic sum t^(4-i) * f_i(pair), t last."""
+    moved = quartic.substitute_linear(transform)
+    coeffs = [[Fraction(0)] * (i + 1) for i in range(5)]
+    for (_, b, c), coef in moved.terms.items():
+        coeffs[4 - c][b] = coef
+    return tuple(BinaryForm(i, pair, tuple(cs)) for i, cs in enumerate(coeffs))
+
+
+def _fraction_koszul(f2, f3, rhs):
+    """(phi, psi) with phi*f3 + psi*f2 = rhs by a rational solve, or None."""
+    x = solve_linear(list(zip(*sylvester_matrix(f3, f2))), rhs.coeffs).vector
+    pair = f2.variables
+    return None if x is None else (BinaryForm.from_coeffs(pair, x[:2]),
+                                   BinaryForm.from_coeffs(pair, x[2:]))
+
+
+def _ternary(pieces, t_var, var_order):
+    """sum t^k * g_k over (k, g_k) pieces, in the requested variable order."""
+    names = (*pieces[0][1].variables, t_var)
+    terms: dict = {}
+    for k, g in pieces:
+        for (a, b), c in g.terms.items():
+            e = dict(zip(names, (a, b, k)))
+            terms[tuple(e[v] for v in var_order)] = c
+    return TernaryForm.from_terms(pieces[0][0] + pieces[0][1].degree, var_order, terms)
+
+
+def fraction_classify(quartic, point):
+    """`nodal.classify` with every step on Fractions; the same NodeError."""
+    p = [Fraction(x) for x in point]
+    pivot = next(i for i, x in enumerate(p) if x)
+    others = [i for i in range(3) if i != pivot]
+    columns = [[Fraction(int(r == k)) for r in range(3)] for k in others]
+    columns.append([x / p[pivot] for x in p])
+    transform = tuple(tuple(columns[c][r] for c in range(3)) for r in range(3))
+    variables = quartic.variables
+    pair = (variables[others[0]], variables[others[1]])
+    f0, f1, f2, f3, f4 = _graded_split(quartic, transform, pair)
+    on_curve = f0.is_zero()
+    singular = on_curve and f1.is_zero()
+    ordinary = singular and disc_binary_quadratic(f2) != 0
+    split = _fraction_koszul(f2, f3, f4) if ordinary else None
+    report = nodal.NodeReport(on_curve, singular, ordinary, split is not None)
+    if not report.all_ok():
+        raise nodal.NodeError(f"node verification failed: {report.flags()}", report)
+    dec = nodal.NodeDecomposition(transform, pair, variables[pivot], variables,
+                                  f2, f3, f4, split)
+    phi, psi = split
+    one = BinaryForm.from_coeffs(pair, [1])
+    conic = _ternary(((2, one), (1, phi.scale(2)), (0, -psi)), dec.t_var, variables)
+    det3 = conic_det3(conic)
+    data = nodal.AssociatedConicData(phi, psi, conic, det3,
+                                     disc_binary_quadratic(phi * phi + psi))
+    kernel = conic_kernel_point(conic) if det3 == 0 else None
+    return nodal.NodalQuarticAnalysis(report, dec, data, det3 == 0, kernel)
+
+
+def fraction_tangent_map(dec, data, direction):
+    """`nodal.tangent_map` with every step on Fractions."""
+    g0, g1, g2, g3, g4 = _graded_split(direction, dec.transform, dec.pair)
+    if not g0.is_zero():
+        raise PreconditionError("direction quartic does not vanish at the node")
+    disc = disc_binary_quadratic(dec.f2)
+    (p, q, r), (a, b) = dec.f2.coeffs, g1.coeffs
+    xi = ((2 * r * a - q * b) / disc, (2 * p * b - q * a) / disc)
+    rhs = (g4 - (g3 + dec.f4.directional(xi)) * data.phi
+           - (g2 + dec.f3.directional(xi)) * data.psi)
+    phi_dot, psi_dot = _fraction_koszul(dec.f2, dec.f3, rhs)
+    velocity = _ternary(((1, phi_dot.scale(2)), (0, -psi_dot)), dec.t_var, dec.original_vars)
+    return nodal.TangentMapResult(xi, phi_dot, psi_dot, velocity)

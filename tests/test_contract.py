@@ -1,5 +1,6 @@
 """The resource contract of the CLI: hostile short texts, through every command,
-end in exit 0 or 2 within a few seconds and a bounded address space.
+end in exit 0 or 2 (3 for a point off the curve) within a few seconds and a
+bounded address space.
 
 Each run is a fresh `python -m luroth.cli` process whose address space alone
 is capped by `resource.setrlimit(RLIMIT_AS)`, set in the child before it
@@ -81,10 +82,29 @@ ROWS += [
                                   "--gamma1", pencil_text(_RNG, 99, 2),
                                   "--gamma2", pencil_text(_RNG, 99, 2)], 0),
 ]
-# The base-point decision's primitive PRS swells to about n times the input
-# bits: about 11 s for this pencil, all of it in that decision.
+# The primitive PRS alone would swell to about n times the input bits, about
+# 11 s for this pencil; the modular certificate decides it.
 PRS_ROW = ("pencil-n22-1000-digits", ["poncelet", "--gamma1", pencil_text(_RNG, 22, 1000),
                                       "--gamma2", pencil_text(_RNG, 22, 1000)], 0)
+
+
+# The nodal core on huge numbers: the node 0:0:N is the node 0:0:1 scaled, and
+# a random point of 2000-digit coordinates is off the curve (exit 3).
+BIG_NODE = str(_RNG.randint(10 ** 1999, 10 ** 2000))
+BIG_POINT = ":".join(str(_RNG.randint(10 ** 1999, 10 ** 2000)) for _ in range(3))
+BIG_QUARTIC = (" + ".join(f"{_RNG.randint(10 ** 999, 10 ** 1000)}*{m}"
+                          for m in ("u^4", "u^3*w", "v^3*w", "v^4", "u*v*w^2")))
+for name, f, node, code in [
+        ("2000-digit-node", quartic("1"), f"0:0:{BIG_NODE}", 0),
+        ("2000-digit-fraction-node", quartic("1"), f"0:0:1/{BIG_NODE}", 0),
+        ("2000-digit-point-off-the-curve", quartic("1"), BIG_POINT, 3),
+        ("1000-digit-quartic", BIG_QUARTIC, "0:0:1", 0),
+        ("1000-digit-quartic-2000-digit-node", BIG_QUARTIC, f"0:0:-{BIG_NODE}", 0),
+        ("zero-node", quartic("1"), "0:0:0", 2),
+        ("4-coordinate-node", quartic("1"), "0:0:1:1", 2)]:
+    ROWS += [(f"analyze-{name}", ["quartic", "analyze", "--f", f, "--node", node], code),
+             (f"tangent-{name}", ["quartic", "tangent", "--f", f, "--node", node,
+                                  "--g", "u^3*v + v^4 + 7*u^2*w^2"], code)]
 
 
 def _cap_address_space():
@@ -112,7 +132,5 @@ def test_hostile_input_exits_0_or_2_within_seconds(argv, code):
     assert run_contained(argv) == code
 
 
-@pytest.mark.xfail(strict=True, reason="the primitive PRS of the base-point decision "
-                   "takes about 11 s on a 1000-digit n = 22 pencil")
 def test_big_coefficient_pencil_decides_base_points_in_seconds():
     assert run_contained(PRS_ROW[1]) == PRS_ROW[2]

@@ -7,8 +7,9 @@ And each shared operation is written once: only the CLI's `_emit` turns a
 form into JSON, and `forms` defines the variable check, subtraction,
 negation, `zero`, `evaluate`, `partial`, the text form and the JSON report
 once for both kinds of form.  And `nodal` eliminates once per node:
-it imports neither `sylvester_resultant` nor `det_rational`, since its one
-Koszul solve both decides admissibility and gives (phi, psi).  `forms` has
+it imports none of `sylvester_resultant`, `det_rational`, `solve_linear`
+and `sylvester_matrix`, since its one integer Koszul solve both decides
+admissibility and gives (phi, psi).  `forms` has
 one parser: it defines one parser class, and only `parse_terms` constructs
 it.  And the incidence tests of `poncelet`, `is_jumping_line` and
 `singular_jump_criterion`, pull the line back in integers through the
@@ -112,7 +113,8 @@ def test_forms_defines_each_shared_form_operation_once():
 def test_nodal_imports_no_second_elimination():
     imported = {alias.name for n in ast.walk(module_tree("nodal"))
                 if isinstance(n, (ast.Import, ast.ImportFrom)) for alias in n.names}
-    assert not imported & {"sylvester_resultant", "det_rational"}, imported
+    assert not imported & {"sylvester_resultant", "det_rational", "solve_linear",
+                           "sylvester_matrix"}, imported
 
 
 def calls_to(node: ast.AST, name: str) -> list[ast.Call]:

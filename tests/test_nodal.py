@@ -1,7 +1,9 @@
 """Nodal quartic pipeline: decomposition, associated conic, tangent map."""
 
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,12 @@ from luroth.nodal import (
 )
 from luroth.poncelet import DUAL_VARS, family_matrix
 from luroth.verify import printed_93
+from oracles import fraction_classify, fraction_tangent_map
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+sys.path.insert(0, str(BENCH))
+
+from workloads import make_quartic  # noqa: E402
 
 PAIR_VW = ("v", "w")
 PAIR_UV = ("u", "v")
@@ -325,7 +333,9 @@ def fresh_classify(quartic, point):
 
 
 def test_classify_moves_the_node_once(monkeypatch):
-    calls = {"substitute_linear": 0, "verify_node": 0, "_bareiss": 0}
+    """Counts the integer kernels at the module attributes `nodal` calls: the
+    node move is one `substitute_terms`, the Koszul solve one `_bareiss`."""
+    calls = {"substitute_terms": 0, "verify_node": 0, "_bareiss": 0}
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -333,17 +343,15 @@ def test_classify_moves_the_node_once(monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(TernaryForm, "substitute_linear",
-                        counting("substitute_linear", TernaryForm.substitute_linear))
-    monkeypatch.setattr(nodal, "verify_node", counting("verify_node", nodal.verify_node))
-    monkeypatch.setattr(linalg, "_bareiss", counting("_bareiss", linalg._bareiss))
+    for name in calls:
+        monkeypatch.setattr(nodal, name, counting(name, getattr(nodal, name)))
     analysis = fresh_classify(TWO_CONICS_1, (1, -1, 1))
     # one elimination decides admissibility and gives (phi, psi)
-    assert calls == {"substitute_linear": 1, "verify_node": 1, "_bareiss": 1}
+    assert calls == {"substitute_terms": 1, "verify_node": 1, "_bareiss": 1}
     assert analysis.report.all_ok()
     # the direction moves once; xi by Cramer's rule, one Koszul solve
     tangent_map(analysis.decomposition, analysis.conic_data, TWO_CONICS_2)
-    assert calls == {"substitute_linear": 2, "verify_node": 1, "_bareiss": 2}
+    assert calls == {"substitute_terms": 2, "verify_node": 1, "_bareiss": 2}
 
 
 def test_interleaved_classify_matches_fresh_calls():
@@ -381,14 +389,17 @@ def test_memoized_pieces_are_tuples():
     assert not not_admissible[0].admissible and not_admissible[1].split is None
 
 
-@pytest.mark.parametrize("quartic, point, flags", [
+NODE_ERROR_CASES = [
     (QUARTIC_A, (1, 1, 1), (False, False, False, False)),   # off the curve
     (QUARTIC_B, (1, 0, 0), (True, False, False, False)),    # smooth point
     (parse_form("(u^2+v^2)^2", DUAL_VARS), (0, 0, 1), (True, True, False, False)),
     # ordinary, not admissible: f2 = u*v and f3 = u^3 share a root; f3 = 0
     (parse_form("w^2*u*v+w*u^3+v^4", DUAL_VARS), (0, 0, 1), (True, True, True, False)),
     (parse_form("w^2*(u^2-v^2)+u^4+v^4", DUAL_VARS), (0, 0, 1), (True, True, True, False)),
-])
+]
+
+
+@pytest.mark.parametrize("quartic, point, flags", NODE_ERROR_CASES)
 def test_node_error_reports_are_unchanged(quartic, point, flags):
     with pytest.raises(NodeError) as err:
         fresh_classify(quartic, point)
@@ -468,6 +479,103 @@ def test_coprimality_check_matches_the_resultant():
         else:
             quartic_from_conic_and_cubic(f2, f3, phi, psi, "u", DUAL_VARS)
     assert seen[True] >= 80 and seen[False] >= 80, seen
+
+
+# ---------------------------------------------------------------------------
+# the integer core against the Fraction path
+
+def assert_same_forms(new, old):
+    """Equal values, equal reprs (so equal types down to every Fraction), and
+    equal text and JSON for every form field."""
+    assert new == old and repr(new) == repr(old)
+    for name in new._fields:
+        a, b = getattr(new, name), getattr(old, name)
+        if isinstance(a, (BinaryForm, TernaryForm)):
+            assert str(a) == str(b) and a.to_json() == b.to_json()
+
+
+def assert_core_matches_oracle(quartic, node, direction):
+    analysis = fresh_classify(quartic, node)
+    expected = fraction_classify(quartic, node)
+    assert_same_forms(analysis, expected)
+    assert_same_forms(analysis.decomposition, expected.decomposition)
+    assert_same_forms(analysis.conic_data, expected.conic_data)
+    result = tangent_map(analysis.decomposition, analysis.conic_data, direction)
+    assert_same_forms(result, fraction_tangent_map(expected.decomposition,
+                                                   expected.conic_data, direction))
+    return analysis
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_integer_core_matches_fraction_path_on_bench_quartics(seed):
+    rng = random.Random(f"nodal-batch/{seed}")
+    for i in range(64):
+        q = make_quartic(rng, type_two=(i % 2 == 0))
+        analysis = assert_core_matches_oracle(parse_form(q.quartic, DUAL_VARS), q.node,
+                                              parse_form(q.direction, DUAL_VARS))
+        assert analysis.type_two == q.type_two
+
+
+def quartic_with_node(rng, node, type_two):
+    """A random admissible quartic with an ordinary node at the point node (a
+    random integer matrix with last column node moves it from [0:0:1]), and a
+    random direction vanishing there."""
+    while True:
+        f2, f3, phi, psi = (BinaryForm.from_coeffs(PAIR_UV, [rng.randint(-6, 6)
+                                                              for _ in range(k + 1)])
+                            for k in (2, 3, 1, 2))
+        if type_two:  # phi^2 + psi a square
+            psi = BinaryForm.from_coeffs(PAIR_UV, [1, rng.randint(-3, 3)]).power(2) - phi * phi
+        try:
+            base = quartic_from_conic_and_cubic(f2, f3, phi, psi, "w", DUAL_VARS)
+        except PreconditionError:
+            continue
+        m = [[rng.randint(-3, 3), rng.randint(-3, 3), x] for x in node]
+        if det_rational(m) != 0:
+            break
+    quartic = base.substitute_linear(invert(m))  # quartic(node) = base(0, 0, 1)
+    terms = {(i, j, 4 - i - j): Fraction(rng.randint(-3, 3))
+             for i in range(5) for j in range(5 - i)}
+    pivot = next(k for k in range(3) if node[k])
+    e = tuple(4 if k == pivot else 0 for k in range(3))
+    terms[e] -= (TernaryForm.from_terms(4, DUAL_VARS, terms).evaluate(node)
+                 / Fraction(node[pivot]) ** 4)
+    return quartic, TernaryForm.from_terms(4, DUAL_VARS, terms)
+
+
+def big_fraction(rng):
+    return Fraction(rng.randint(-10 ** 40, 10 ** 40), rng.randint(10 ** 39, 10 ** 40))
+
+
+@pytest.mark.parametrize("kind", ["40-digit-denominators", "negative-pivot",
+                                  "zero-first-coordinate", "fraction-coefficients"])
+def test_integer_core_matches_fraction_path_on_random_nodes(kind):
+    rng = random.Random(f"integer-core/{kind}")
+    for i in range(12):
+        if kind == "40-digit-denominators":
+            node = tuple(big_fraction(rng) for _ in range(3))
+        elif kind == "negative-pivot":
+            node = (-rng.randint(1, 9), rng.randint(-9, 9), Fraction(rng.randint(-9, 9), 7))
+        elif kind == "zero-first-coordinate":
+            node = (0, rng.choice([-1, 1]) * rng.randint(1, 99), big_fraction(rng))
+        else:
+            node = (Fraction(rng.randint(1, 9), rng.randint(1, 9)), rng.randint(-9, 9), 1)
+        quartic, direction = quartic_with_node(rng, node, type_two=i % 2 == 0)
+        if kind == "fraction-coefficients":
+            quartic = quartic.scale(Fraction(rng.randint(1, 99), rng.randint(100, 999)))
+            assert any(c.denominator != 1 for c in quartic.terms.values())
+        analysis = assert_core_matches_oracle(quartic, node, direction)
+        assert analysis.type_two == (i % 2 == 0)
+
+
+@pytest.mark.parametrize("quartic, point, flags", NODE_ERROR_CASES)
+def test_node_errors_match_fraction_path(quartic, point, flags):
+    with pytest.raises(NodeError) as err:
+        fresh_classify(quartic, point)
+    with pytest.raises(NodeError) as expected:
+        fraction_classify(quartic, point)
+    assert err.value.report == expected.value.report
+    assert str(err.value) == str(expected.value)
 
 
 # ---------------------------------------------------------------------------

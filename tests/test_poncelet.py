@@ -488,6 +488,76 @@ def test_base_point_free_matches_sylvester_resultant():
     assert shared >= 4 * 11 and free >= 30
 
 
+def ascending_pencil(*coeffs):
+    """The pencil whose generators g(1, x) have the ascending coefficient lists given."""
+    return PonceletPencil(*(BinaryForm.from_coeffs(PARAM_VARS, c) for c in coeffs))
+
+
+def test_modular_certificate_agrees_with_the_prs():
+    """Where the certificate proves coprimality, the PRS agrees, and the
+    verdict is the PRS's: random, planted-factor (at a generic root, at
+    s0 = 0 and at s1 = 0) and sparse pencils, small and 60-digit."""
+    rng = random.Random(43)
+    s0 = BinaryForm.from_coeffs(PARAM_VARS, [1, 0])
+    s1 = BinaryForm.from_coeffs(PARAM_VARS, [0, 1])
+    certified = shared = 0
+    for n in (2, 3, 5, 8, 14, 22):
+        for kind in ("random", "big", "planted", "s0 divides", "s1 divides", "sparse"):
+            if kind == "random":
+                pencil = rand_rational_pencil(rng, n)
+            elif kind == "big":
+                pencil = ascending_pencil(*([rng.randint(-10 ** 60, 10 ** 60) for _ in range(n + 2)]
+                                            for _ in range(2)))
+            elif kind == "sparse":
+                pencil = ascending_pencil(*([rng.choice([0, 0, 0, rng.randint(-3, 3)])
+                                             for _ in range(n + 1)] + [1] for _ in range(2)))
+            else:
+                common = {"planted": split_form([(rng.randint(-5, 5), rng.randint(1, 4))]),
+                          "s0 divides": s0, "s1 divides": s1}[kind]
+                pencil = planted_pencil(rng, n, common)
+            a, b = (poncelet._trim(g) for g in pencil._ints)
+            assert a[-1] % poncelet._P or b[-1] % poncelet._P
+            free = is_base_point_free(pencil)
+            assert free == bezout_base_point_free(pencil)
+            if poncelet._coprime_mod_p(a, b):
+                assert poncelet._coprime_prs(a, b)
+                certified += 1
+            if kind in ("planted", "s0 divides", "s1 divides"):
+                assert not free
+            shared += not free
+    assert certified >= 20 and shared >= 18
+
+
+def test_modular_certificate_guards_leading_coefficients_divisible_by_p():
+    p = poncelet._P
+    # h = p*x + 1 divides both; modulo p it is a unit, and the certificate
+    # would prove coprime generators that share the root -1/p
+    shared = ascending_pencil([1, p, 1, p], [2, 2 * p, 1, p])
+    a, b = shared._ints
+    assert poncelet._coprime_mod_p(a, b)
+    assert not is_base_point_free(shared) and not bezout_base_point_free(shared)
+    # one leading coefficient free of p is enough: the certificate decides
+    one_free = ascending_pencil([1, p, 1, p], [2, 0, 1, 1])
+    assert poncelet._coprime_mod_p(*one_free._ints)
+    assert is_base_point_free(one_free) == bezout_base_point_free(one_free) is True
+    # x*(x^2 + 1) and (x - p)*(x^2 + 2) meet modulo p only: the PRS decides
+    unlucky = ascending_pencil([0, 1, 0, 1], [-2 * p, 2, -p, 1])
+    assert not poncelet._coprime_mod_p(*unlucky._ints)
+    assert is_base_point_free(unlucky) and bezout_base_point_free(unlucky)
+
+
+def test_certified_pencils_skip_the_prs(monkeypatch):
+    """A 1000-digit n = 22 pencil decides without the PRS, in well under a second."""
+    def no_prs(a, b):
+        raise AssertionError("the PRS ran")
+
+    rng = random.Random(44)
+    pencil = ascending_pencil(*([rng.randint(10 ** 999, 10 ** 1000) for _ in range(24)]
+                                for _ in range(2)))
+    monkeypatch.setattr(poncelet, "_coprime_prs", no_prs)
+    assert is_base_point_free(pencil)
+
+
 def test_bezout_determinant_is_resultant_up_to_sign():
     rng = random.Random(42)
     for n in range(2, 9):
