@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate, repeat
-from math import gcd, lcm
+from math import floor, gcd, lcm, log10
 from operator import attrgetter, floordiv, itemgetter, mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -305,9 +305,10 @@ ParseError at the offending factor or exponent.  A product of 41 linear
 factors, a pencil at n = 40, takes 1640."""
 
 MAX_COEFF_BITS = 2 ** 17
-"""Bound on the numerator and denominator bits of a monomial's literals, of a
-power c^k of a one-term group (bits(c)*k) and of a product of sums, checked
-before each product; past it, a ParseError at the literal, exponent or factor."""
+"""Bound on the numerator and denominator bits of a monomial's literals, alone
+and times its groups, of a one-term group's power c^k (bits(c)*k) and of a
+product of sums, checked first; past it, a ParseError at the literal, exponent or factor."""
+_MAX_DIGITS = floor(MAX_COEFF_BITS * log10(2)) + 1  # 39457: more must pass the bound
 
 
 def _too_big(at: int) -> ParseError:
@@ -346,6 +347,7 @@ def _is_variable(name: str) -> bool:
 
 
 MAX_RATIONAL_CHARS = 10000  # longest rational literal accepted
+_RATIONAL = re.compile(r"\s*([-+]?)([0-9]+)(?:/(0*[1-9][0-9]*))?\s*")  # int, int/nonzero
 
 
 def rational_literal(text: str) -> Fraction:
@@ -357,18 +359,25 @@ def rational_literal(text: str) -> Fraction:
     # Fraction's pattern takes any Unicode digit and "_"; word it as Fraction does
     if not text.isascii() or "_" in text:
         raise ValueError(f"bad rational {text!r}: Invalid literal for Fraction: {text!r}")
+    m = _RATIONAL.fullmatch(text)  # read by `_int_literal`, past any int-string limit
     try:
-        return Fraction(text)
+        return Fraction(text) if m is None else Fraction(
+            int(m[1] + "1") * _int_literal(m[2], 0), _int_literal(m[3] or "1", 0))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational {text!r}: {exc}") from exc
 
 
 def _int_literal(digits: str, at: int) -> int:
-    """The literal's value; a ParseError past Python's int-string digit limit."""
-    try:
+    """The value of ASCII digits, read 600 at a time past any int-string limit
+    (`rational_text` inverted); a ParseError, by digit count before any is
+    read, for a literal that must pass MAX_COEFF_BITS."""
+    if len(digits) <= 600:
         return int(digits)
-    except ValueError:
-        raise ParseError(f"integer literal of {len(digits)} digits is too long", at) from None
+    if len(digits.lstrip("0")) > _MAX_DIGITS:
+        raise _too_big(at)
+    head = len(digits) % 600 or 600
+    return reduce(lambda n, i: n * _CHUNK + int(digits[i:i + 600]),
+                  range(head, len(digits), 600), int(digits[:head]))
 
 
 def _exponent(digits: str, degree: int, at: int) -> int:
@@ -480,7 +489,7 @@ class _Parser:
                 elif coef:
                     degree = _grow(degree, _degree(group), m.start())
                     if product is None:
-                        product = group
+                        product, at = group, m.start()
                     else:
                         self.charge(product, group, m.start())
                         product = mul_terms(product, group)
@@ -497,6 +506,8 @@ class _Parser:
             e = tuple(exp)
             out[e] = out.get(e, 0) + coef
             return
+        if bits + _bits(product) > MAX_COEFF_BITS:  # the monomial times its groups
+            raise _too_big(at)
         for e, c in product.items():
             e = tuple(x + y for x, y in zip(e, exp))
             out[e] = out.get(e, 0) + coef * c

@@ -13,8 +13,9 @@ quartic times d and the transform's last column p/p[pivot] times lam
 integral, one `forms.substitute_terms` gives the pieces F_i = d*lam^(4-i)*f_i,
 and one `linalg._bareiss` on [Syl(F3, F2)^T | F4] gives phi' = phi/lam and
 psi' = psi/lam^2 over its last pivot.  Each scale is divided out once, where
-the public Fractions are built.  `tangent_map` moves the direction by the
-same integer matrix and solves with the same kernel.
+the public Fractions are built: the quartic, the conic and its velocity are
+each assembled once from integer numerators over one denominator.
+`tangent_map` moves the direction by the same matrix and kernel.
 
 `classify` moves the node and eliminates once: a one-entry memo keyed by the
 quartic and the point holds the verdict and the decomposition with its split,
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import itemgetter, mul
 from typing import Sequence
 
 from .forms import (BinaryForm, Frozen, PreconditionError, TernaryForm, _q, adjugate3,
@@ -126,29 +127,29 @@ def _koszul_matrix(f2: Sequence[int], f3: Sequence[int], rhs: Sequence[int] = ()
     return [[a3[r + 1], a3[r], a2[r + 2], a2[r + 1], a2[r], *rhs[r:r + 1]] for r in range(5)]
 
 
-def _solve(f2: Sequence[int], f3: Sequence[int], rhs: Sequence[int], pair: tuple[str, str],
-           scale: tuple[int, int] = (1, 1), den: int = 1):
-    """The integer Koszul kernel: (phi, psi) with phi*f3 + psi*f2 = rhs, times
-    scale, over den, by one reduced `_bareiss`; None when Res(f2, f3) = 0."""
+def _solve(f2: Sequence[int], f3: Sequence[int], rhs: Sequence[int],
+           scale: tuple[int, int] = (1, 1)):
+    """The integer Koszul kernel by one reduced `_bareiss`: the numerators of
+    (phi, psi) with phi*f3 + psi*f2 = rhs, times scale, and their denominator;
+    None when Res(f2, f3) = 0."""
     m = _koszul_matrix(f2, f3, rhs)
     if _bareiss(m, reduced=True)[0] != [0, 1, 2, 3, 4]:
         return None
-    x, den = [row[5] for row in m], den * m[4][4]
-    return (_over(pair, [scale[0] * v for v in x[:2]], den),
-            _over(pair, [scale[1] * v for v in x[2:]], den))
+    x = [row[5] for row in m]
+    return [scale[0] * v for v in x[:2]], [scale[1] * v for v in x[2:]], m[4][4]
 
 
-def _assemble(pieces: Sequence[tuple[int, BinaryForm]], t_var: str,
+def _assemble(pieces: Sequence[Sequence[int]], den: int, pair: tuple[str, str], t_var: str,
               var_order: tuple[str, str, str]) -> TernaryForm:
-    """sum t^k * g_k over (k, g_k) pieces, in the requested variable order."""
-    k0, g0 = pieces[0]
-    names = (*g0.variables, t_var)
+    """sum t^k * g_k/den in the requested variable order, for the integer
+    coefficient lists g_k of binary forms in pair, from the top k down to 0."""
+    names = (*pair, t_var)
     if sorted(var_order) != sorted(names):
         raise ValueError("new variable triple must be a permutation of the old one")
-    perm = [names.index(v) for v in var_order]
-    terms = {tuple((a, b, k)[i] for i in perm): c
-             for k, g in pieces for (a, b), c in g.terms.items()}
-    return TernaryForm.from_terms(k0 + g0.degree, var_order, terms)
+    place, top = itemgetter(*[names.index(v) for v in var_order]), len(pieces) - 1
+    terms = {place((len(g) - 1 - j, j, top - i)): Fraction(c, den)
+             for i, g in enumerate(pieces) for j, c in enumerate(g) if c}
+    return TernaryForm(top + len(pieces[0]) - 1, var_order, terms)
 
 
 def _decompose(quartic: TernaryForm, point: Sequence) -> tuple[NodeReport, NodeDecomposition]:
@@ -172,7 +173,8 @@ def _decompose_at(quartic: TernaryForm, p: tuple[Fraction, ...]):
     on_curve = not f0[0]
     singular = on_curve and not any(f1)
     ordinary = singular and f2[1] * f2[1] != 4 * f2[0] * f2[2]
-    split = _solve(f2, f3, f4, pair, (lam, lam * lam)) if ordinary else None
+    sol = _solve(f2, f3, f4, (lam, lam * lam)) if ordinary else None
+    split = sol and (_over(pair, sol[0], sol[2]), _over(pair, sol[1], sol[2]))
     return (NodeReport(on_curve, singular, ordinary, split is not None),
             NodeDecomposition(transform, pair, variables[pivot], variables,
                               _over(pair, f2, d * lam ** 2), _over(pair, f3, d * lam),
@@ -204,32 +206,20 @@ def normalize_at_node(quartic: TernaryForm, point: Sequence) -> NodeDecompositio
 def assemble_quartic(f2: BinaryForm, f3: BinaryForm, f4: BinaryForm,
                      t_var: str, var_order: tuple[str, str, str]) -> TernaryForm:
     """t^2*f2 + t*f3 + f4 as a ternary quartic in the requested variable order."""
-    return _assemble(((2, f2), (1, f3), (0, f4)), t_var, var_order)
-
-
-def _conic_form(phi: BinaryForm, psi: BinaryForm, t_var: str,
-                var_order: tuple[str, str, str]) -> TernaryForm:
-    """The conic t^2 + 2*t*phi - psi."""
-    one = BinaryForm.from_coeffs(phi.variables, [1])
-    return _assemble(((2, one), (1, phi.scale(2)), (0, -psi)), t_var, var_order)
-
-
-def _koszul(f2: BinaryForm, f3: BinaryForm, rhs: BinaryForm):
-    """(phi, psi) of koszul_solve, or None when its system is singular: the
-    integer kernel on the three forms times one common denominator."""
-    if (f2.degree, f3.degree, rhs.degree) != (2, 3, 4):
-        raise PreconditionError("the Koszul system needs degrees 2, 3 and 4")
-    ints = integral_row(f2.coeffs + f3.coeffs + rhs.coeffs)[0]
-    return _solve(ints[:3], ints[3:7], ints[7:], f2.variables)
+    nums, d = integral_row(f2.coeffs + f3.coeffs + f4.coeffs)
+    k, m = len(f2.coeffs), len(f2.coeffs) + len(f3.coeffs)
+    return _assemble((nums[:k], nums[k:m], nums[m:]), d, f2.variables, t_var, var_order)
 
 
 def koszul_solve(f2: BinaryForm, f3: BinaryForm,
                  rhs: BinaryForm) -> tuple[BinaryForm, BinaryForm]:
     """Unique (phi linear, psi quadratic) with phi*f3 + psi*f2 = rhs; needs Res(f2, f3) != 0."""
-    split = _koszul(f2, f3, rhs)
-    if split is None:
+    if (f2.degree, f3.degree, rhs.degree) != (2, 3, 4):
+        raise PreconditionError("the Koszul system needs degrees 2, 3 and 4")
+    ints = integral_row(f2.coeffs + f3.coeffs + rhs.coeffs)[0]
+    if (sol := _solve(ints[:3], ints[3:7], ints[7:])) is None:
         raise PreconditionError("Koszul system is singular: f2 and f3 share a projective root")
-    return split
+    return _over(f2.variables, sol[0], sol[2]), _over(f2.variables, sol[1], sol[2])
 
 
 def associated_conic(dec: NodeDecomposition) -> AssociatedConicData:
@@ -242,7 +232,8 @@ def associated_conic(dec: NodeDecomposition) -> AssociatedConicData:
     (a0, a1, b0, b1, b2), e = integral_row(phi.coeffs + psi.coeffs)
     det = adjugate3([[-2 * b0, -b1, 2 * a0], [-b1, -2 * b2, 2 * a1], [2 * a0, 2 * a1, 2 * e]])[0]
     c0, c1, c2 = a0 * a0 + e * b0, 2 * a0 * a1 + e * b1, a1 * a1 + e * b2
-    conic = _conic_form(phi, psi, dec.t_var, dec.original_vars)
+    conic = _assemble(([e], [2 * a0, 2 * a1], [-b0, -b1, -b2]), e, dec.pair, dec.t_var,
+                      dec.original_vars)
     return AssociatedConicData(phi, psi, conic, Fraction(det, 8 * e ** 3),
                                Fraction(c1 * c1 - 4 * c0 * c2, e ** 4))
 
@@ -308,11 +299,12 @@ def tangent_map(dec: NodeDecomposition, data: AssociatedConicData,
     h3 = [disc * lam * lam * y + z for y, z in zip(g3, directional_coeffs(f4, x0, x1))]
     h2 = [disc * lam * y + z for y, z in zip(g2, directional_coeffs(f3, x0, x1))]
     rhs = [k * e * y - sum(map(mul, row, nums)) for y, row in zip(g4, _koszul_matrix(h2, h3))]
-    if (split := _solve([p, q, r], f3, rhs, dec.pair, (c, c), k * h * e)) is None:
+    if (sol := _solve([p, q, r], f3, rhs, (c, c))) is None:
         raise PreconditionError("Koszul system is singular: f2 and f3 share a projective root")
-    phi_dot, psi_dot = split
-    velocity = _assemble(((1, phi_dot.scale(2)), (0, -psi_dot)), dec.t_var, dec.original_vars)
-    return TangentMapResult(xi, phi_dot, psi_dot, velocity)
+    a, b, den = sol[0], sol[1], k * h * e * sol[2]
+    velocity = _assemble(([2 * x for x in a], [-x for x in b]), den, dec.pair, dec.t_var,
+                         dec.original_vars)
+    return TangentMapResult(xi, _over(dec.pair, a, den), _over(dec.pair, b, den), velocity)
 
 
 def quartic_from_conic_and_cubic(f2: BinaryForm, f3: BinaryForm,

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from . import nodal, poncelet
-from .forms import BinaryForm, Frozen, parse_form
+from .forms import BinaryForm, Frozen, TernaryForm, parse_form
 from .linalg import conic_det3, disc_binary_quadratic
 from .poncelet import DUAL_VARS, PARAM_VARS
 
@@ -81,7 +81,7 @@ def check_93_analysis() -> CheckResult:
         phi_expect = BinaryForm.from_coeffs(pair, [c, c])
         psi_expect = BinaryForm.from_coeffs(pair, [-c, -(1 + c), -c])
         det3_expect = Fraction(-1, 4) * (4 * c + 1) * (c - 1) ** 2
-        if (analysis.conic_data.phi != phi_expect
+        if (not quartic.proportional_to(printed_93(c)) or analysis.conic_data.phi != phi_expect
                 or analysis.conic_data.psi != psi_expect
                 or analysis.conic_data.det3 != det3_expect):
             return CheckResult("family 93 nodal analysis", False, f"mismatch at c={c}")
@@ -180,9 +180,11 @@ def check_discriminant_bridge() -> CheckResult:
     rng = random.Random(740)
     pair = ("v", "w")
     for _ in range(100):
-        phi = BinaryForm.from_coeffs(pair, [rng.randint(-9, 9) for _ in range(2)])
-        psi = BinaryForm.from_coeffs(pair, [rng.randint(-9, 9) for _ in range(3)])
-        conic = nodal._conic_form(phi, psi, "u", ("u", "v", "w"))
+        a, b = [rng.randint(-9, 9) for _ in range(2)], [rng.randint(-9, 9) for _ in range(3)]
+        phi, psi = BinaryForm.from_coeffs(pair, a), BinaryForm.from_coeffs(pair, b)
+        conic = TernaryForm.from_terms(2, ("u", "v", "w"), {  # t^2 + 2*t*phi - psi, t = u
+            (2, 0, 0): 1, (1, 1, 0): 2 * a[0], (1, 0, 1): 2 * a[1],
+            (0, 2, 0): -b[0], (0, 1, 1): -b[1], (0, 0, 2): -b[2]})
         if conic_det3(conic) != Fraction(-1, 4) * disc_binary_quadratic(phi * phi + psi):
             return CheckResult("det3 = -disc/4 bridge", False, "identity failed")
     return CheckResult("det3 = -disc/4 bridge", True,

@@ -22,8 +22,7 @@
   `PolyMatrix.determinant`.  And the directional derivative as two scaled
   partials and a sum: the oracle of the coefficient formula of
   `BinaryForm.directional`.
-- `unlimited_int_str`, for reading back numbers past Python's int-string
-  digit limit.
+- `int_str_limit`, for setting Python's int-string digit limit in a block.
 - The term-by-term parser, one token per literal, name, operator and
   exponent, each factor a Fraction term map multiplied in by `mul_terms`:
   the oracle of the closed-form monomial parser in `luroth.forms`, for term
@@ -376,10 +375,10 @@ def form_gcd(g, h):
 
 
 @contextmanager
-def unlimited_int_str():
-    """Lift Python's int-string digit limit inside the block."""
+def int_str_limit(digits: int):
+    """Set Python's int-string digit limit inside the block; 0 lifts it."""
     limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
+    sys.set_int_max_str_digits(digits)
     try:
         yield
     finally:

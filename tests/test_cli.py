@@ -14,7 +14,6 @@ import luroth
 from luroth import cli, poncelet
 from luroth.forms import _MAX_NESTING, form_from_json, parse_form, rational_literal
 from luroth.poncelet import DUAL_VARS, PARAM_VARS
-from oracles import unlimited_int_str
 
 QUARTIC_A = "(u^2+w^2)*(v^2+w^2)+2*u*v^3"
 QUARTIC_B = "w^2*(u^2+v^2)+w*(u^3+v^3)-u*v*(u^2+v^2)"
@@ -90,11 +89,10 @@ def test_poncelet_coefficients_past_int_string_limit(capsys):
     code, out = run(capsys, argv + ["--json"])
     assert code == 0
     report = json.loads(out)
-    # the parser takes literals up to the interpreter's limit, so lift it to read back
-    with unlimited_int_str():
-        assert curve_text == str(expected)
-        assert parse_form(curve_text, DUAL_VARS) == expected
-        assert form_from_json(report["curve"]) == expected
+    # text and JSON output read back as they are, past the int-string digit limit
+    assert curve_text == str(expected)
+    assert parse_form(curve_text, DUAL_VARS) == expected
+    assert form_from_json(report["curve"]) == expected
 
 
 def test_poncelet_vertices_polygon(capsys):
@@ -152,10 +150,11 @@ def test_analyze_bad_point_exit_2(capsys):
 
 
 def test_analyze_overlong_integer_literal_exit_2(capsys):
-    code, out = run(capsys, ["quartic", "analyze", "--f", "1" + "0" * 5000 + "*u^4",
+    # 39 458 digits: past MAX_COEFF_BITS by its digit count alone
+    code, out = run(capsys, ["quartic", "analyze", "--f", "1" + "0" * 39457 + "*u^4",
                              "--node", "1:0:0"])
     assert code == 2
-    assert "integer literal of 5001 digits is too long (at position 0)" in out
+    assert "coefficient above MAX_COEFF_BITS = 131072 bits (at position 0)" in out
 
 
 @pytest.mark.parametrize("depth, code", [(_MAX_NESTING - 1, 0), (_MAX_NESTING, 2), (340, 2)])

@@ -25,13 +25,16 @@ ADDRESS_SPACE = 1 << 30  # bytes
 SECONDS = 5.0
 GEN_CONIC = "s0^2+2*s0*s1+3*s1^2;2*s0^2-s0*s1+s1^2;s0*s1-2*s1^2"
 
-NINES = "9" * 4300  # the longest literal Python reads, 14 284 bits
+NINES = "9" * 4300  # a literal of 14 284 bits, Python's default int-string limit in digits
 NESTED = "(((9)^100)^100)^30"  # 951 000 bits in closed form
 DEEP = "((((9)^100)^100)^100)^100"  # 317 million bits, then 3 * 10^10
 PRODUCT = "*".join(["((9)^100)^100"] * 5)  # five groups of 31 700 bits
-LITERALS = "*".join([NINES] * 10)  # a monomial of ten longest literals
+LITERALS = "*".join([NINES] * 10)  # a monomial of ten such literals
 BIG_POWER = f"({NINES})^10"  # 142 840 bits
 ALLOWED_POWER = f"({NINES})^9"  # 128 556 bits
+FIVE, FOUR = "*".join([NINES] * 5), "*".join([NINES] * 4)  # 71 420 and 57 136 bits
+BIG_GROUP_PRODUCT = f"{FIVE}*({FIVE}+1)"  # 142 840 bits: the monomial times its group
+ALLOWED_GROUP_PRODUCT = f"{FOUR}*({FIVE}+1)"  # 128 556 bits
 SUM_1000 = f"({'9' * 1000}*s0+{'7' * 1000}*s1)"
 
 
@@ -62,7 +65,8 @@ ROWS = []
 for name, c, code in [("nested-power", NESTED, 2), ("deep-power", DEEP, 2),
                       ("product-of-powers", PRODUCT, 2), ("literal-product", LITERALS, 2),
                       ("big-power", BIG_POWER, 2), ("allowed-power", ALLOWED_POWER, 0),
-                      ("longest-literal", NINES, 0)]:
+                      ("longest-literal", NINES, 0), ("big-group-product", BIG_GROUP_PRODUCT, 2),
+                      ("allowed-group-product", ALLOWED_GROUP_PRODUCT, 0)]:
     ROWS += [(f"{name}-{k}", argv, code) for k, argv in enumerate(commands(c))]
 _RNG = random.Random(99)
 ROWS += [

@@ -10,8 +10,11 @@ from fractions import Fraction
 import pytest
 
 from luroth.forms import (
+    _MAX_DIGITS,
     _MAX_NESTING,
+    MAX_COEFF_BITS,
     MAX_DEGREE,
+    MAX_RATIONAL_CHARS,
     BinaryForm,
     HomogeneityError,
     ParseError,
@@ -23,13 +26,14 @@ from luroth.forms import (
     mul_terms,
     parse_form,
     parse_terms,
+    rational_literal,
     rational_text,
     substitute_terms,
 )
 from luroth.linalg import det_rational, invert, sylvester_resultant
 from luroth.poncelet import standard_conic
 from oracles import (dense_partial, form_gcd, fraction_evaluate, fraction_substitute_linear,
-                     horner_substitute, partial_directional, unlimited_int_str)
+                     horner_substitute, int_str_limit, partial_directional)
 
 PAIR = ("v", "w")
 TRIPLE = ("u", "v", "w")
@@ -99,14 +103,67 @@ def test_parse_zero_denominator_position():
 
 
 def test_parse_overlong_integer_literal_position():
-    long = "1" + "0" * 5000
+    # more significant digits than 2^MAX_COEFF_BITS has: rejected before it is read
+    long = "1" + "0" * _MAX_DIGITS
     for text, position in ((f"{long}*u^4", 0), (f"2/{long}*u^4", 2),
                            (f"u^4 - {long}/3*v^4", 6), (f"u^4 + 7/{long}*w^4", 8)):
         with pytest.raises(ParseError) as err:
             parse_form(text, TRIPLE)
         assert err.value.position == position, text
-        assert "5001 digits" in str(err.value)
+        assert f"coefficient above MAX_COEFF_BITS = {MAX_COEFF_BITS} bits" in str(err.value)
     assert parse_form("1" + "0" * 4000 + "*u^4", TRIPLE).terms == {(4, 0, 0): 10 ** 4000}
+
+
+def test_literal_digit_bound_matches_the_coefficient_bound():
+    assert _MAX_DIGITS == len(rational_text(2 ** MAX_COEFF_BITS))
+    # the longest literals read: one within the bound, one past it by its bits
+    assert parse_form("1" + "0" * (_MAX_DIGITS - 1) + "*u^4", TRIPLE).terms == {
+        (4, 0, 0): 10 ** (_MAX_DIGITS - 1)}
+    with pytest.raises(ParseError, match="MAX_COEFF_BITS") as err:
+        parse_form("u^4 + " + "9" * _MAX_DIGITS + "*v^4", TRIPLE)
+    assert err.value.position == 6
+    # leading zeros are not significant
+    assert parse_form("0" * 50000 + "7*u^4", TRIPLE).terms == {(4, 0, 0): 7}
+
+
+@pytest.mark.parametrize("digits", [1, 599, 600, 601, 1200, 5001, 30000])
+def test_literals_are_read_whatever_the_int_string_limit(digits):
+    value = 10 ** digits // 9 * 7  # digits sevens
+    text = rational_text(value)
+    assert len(text) == digits
+    with int_str_limit(640):  # the lowest limit Python accepts
+        assert parse_form(f"{text}*u^4 - 1/{text}*u^4", TRIPLE).terms == {
+            (4, 0, 0): value - Fraction(1, value)}
+        if digits <= MAX_RATIONAL_CHARS // 2 - 1:
+            assert rational_literal(f"-{text}/{text}7") == Fraction(-value, 10 * value + 7)
+            report = {"vars": list(PAIR), "degree": 0, "terms": [{"exp": [0, 0], "coef": text}]}
+            assert form_from_json(report).coeffs == (value,)
+
+
+@pytest.mark.parametrize("text", ["7", " -3/4 ", "+007", "-0/5", "\t12\n", "1/0", "-12/000",
+                                  "3/ 4", "3 /4", "/4", "3/", "-", "1.5", ".5", "5.", "-2.50",
+                                  "1/2/3", "--1", "0x10", "", " "])
+def test_rational_literal_reads_as_fraction_does(text):
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(ValueError) as err:
+            rational_literal(text)
+        assert str(err.value) == f"bad rational {text!r}: {exc}"
+    else:
+        assert rational_literal(text) == expected
+
+
+def test_monomial_times_group_is_bounded():
+    n = rational_text(2 ** 95000 - 12345)  # 95 000 bits
+    for text, position in ((f"{n}*({n}*u+v)", len(n) + 1), (f"({n}*u+v)*{n}", 0),
+                           (f"u - {n}*v*({n}*u+v)^1*w^0", len(n) + 7)):
+        with pytest.raises(ParseError, match="MAX_COEFF_BITS") as err:
+            parse_form(text, TRIPLE)
+        assert err.value.position == position, text[-30:]
+    # within the bound, the monomial times its group parses
+    assert parse_form(f"{n}*(u+v)", TRIPLE).terms == {(1, 0, 0): 2 ** 95000 - 12345,
+                                                     (0, 1, 0): 2 ** 95000 - 12345}
 
 
 @pytest.mark.parametrize("digit", ["²", "٣", "①"])
@@ -632,13 +689,13 @@ def test_rational_text_matches_str_past_the_digit_limit():
     values = [0, 7, -12, Fraction(-3, 4), 10 ** 599, 10 ** 600, -(10 ** 600) + 1,
               10 ** 1200 + 10 ** 600, Fraction(10 ** 5000 + 7, 3), Fraction(-1, 10 ** 9000 - 1)]
     texts = [rational_text(v) for v in values]
-    with unlimited_int_str():
+    with int_str_limit(0):
         assert texts == [str(v) for v in values]
     big = TernaryForm.from_terms(2, TRIPLE, {(2, 0, 0): -(10 ** 5000), (0, 1, 1): Fraction(1, 3)})
     text, report = str(big), big.to_json()
-    with unlimited_int_str():
-        assert parse_form(text, TRIPLE) == big
-        assert form_from_json(report) == big
+    assert parse_form(text, TRIPLE) == big
+    assert form_from_json(report) == big
+    with int_str_limit(0):
         assert report["terms"][0]["coef"] == str(-(10 ** 5000))
 
 

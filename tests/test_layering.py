@@ -17,7 +17,10 @@ conic's cached matrix: neither calls `line_pullback`.  And the polynomial
 determinant of `linalg` adds each signed product into one map in place:
 `linalg` imports neither `add_terms` nor `scale_terms`.  And no module
 imports `dataclasses`: the value classes share `forms.Frozen`, and the CLI
-starts without the import."""
+starts without the import.  And `verify` and `cli` use only the public names
+of the other `luroth` modules: they read no `_`-prefixed attribute of one and
+import no such name.  And `nodal` builds each output form in one place: it
+calls `TernaryForm(` only inside `_assemble`, and never `from_terms`."""
 
 import ast
 from pathlib import Path
@@ -150,3 +153,42 @@ def test_linalg_imports_no_term_map_sum_or_scaling():
 def test_no_module_imports_dataclasses():
     for path in sorted(PACKAGE.glob("*.py")):
         assert "dataclasses" not in module_imports(path.stem), path.name
+
+
+def private_reads(tree: ast.Module) -> list[str]:
+    """The `_`-prefixed names a module reads from other `luroth` modules, as
+    attributes of an imported module or as imported names."""
+    modules, found = set(), []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom) and (n.level or (n.module or "").startswith("luroth")):
+            if n.level and not n.module:  # from . import nodal
+                modules.update(alias.asname or alias.name for alias in n.names)
+            else:
+                found += [alias.name for alias in n.names if alias.name.startswith("_")]
+        elif isinstance(n, ast.Import):
+            modules.update(alias.asname or alias.name for alias in n.names
+                           if alias.name.startswith("luroth"))
+    for n in ast.walk(tree):
+        if (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                and n.value.id in modules and n.attr.startswith("_")):
+            found.append(f"{n.value.id}.{n.attr}")
+    return found
+
+
+def test_the_private_scan_sees_attributes_and_imports():
+    source = ("from . import nodal\nfrom .forms import _q, parse_form\n"
+              "x = nodal._conic_form(1)\ny = nodal.classify.__name__\n")
+    assert private_reads(ast.parse(source)) == ["_q", "nodal._conic_form"]
+
+
+def test_verify_and_cli_read_no_private_name_of_another_module():
+    for name in ("verify", "cli"):
+        assert private_reads(module_tree(name)) == [], name
+
+
+def test_nodal_builds_ternary_forms_only_in_assemble():
+    tree = module_tree("nodal")
+    assemble = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_assemble")
+    assert calls_to(assemble, "TernaryForm")
+    assert calls_to(tree, "TernaryForm") == calls_to(assemble, "TernaryForm")
+    assert not calls_to(tree, "from_terms")

@@ -25,7 +25,7 @@ from luroth.nodal import (
 )
 from luroth.poncelet import DUAL_VARS, family_matrix
 from luroth.verify import printed_93
-from oracles import fraction_classify, fraction_tangent_map
+from oracles import _ternary, fraction_classify, fraction_tangent_map
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
@@ -90,6 +90,31 @@ def test_verify_node_quartic_b():
 
 # ---------------------------------------------------------------------------
 # normalization
+
+@pytest.mark.parametrize("var_order", [("u", "v", "w"), ("u", "w", "v"), ("v", "u", "w"),
+                                       ("v", "w", "u"), ("w", "u", "v"), ("w", "v", "u")])
+def test_assemble_quartic_matches_the_oracle_in_every_variable_order(var_order):
+    rng = random.Random(f"assemble/{var_order}")
+
+    def form(degree):
+        return BinaryForm.from_coeffs(PAIR_VW, [
+            Fraction(rng.randint(-10 ** 30, 10 ** 30), rng.choice([1, 7, 10 ** 40 + 3]))
+            * rng.randint(0, 1) for _ in range(degree + 1)])
+
+    for i in range(20):
+        f2, f3, f4 = form(2), form(3) if i % 5 else BinaryForm.zero(3, PAIR_VW), form(4)
+        quartic = assemble_quartic(f2, f3, f4, "u", var_order)
+        expected = _ternary(((2, f2), (1, f3), (0, f4)), "u", var_order)
+        # equal reprs: the same Fractions, inserted in the same term order
+        assert quartic == expected and repr(quartic) == repr(expected)
+
+
+def test_assemble_quartic_needs_a_permutation_of_its_variables():
+    f2, f3, f4 = (BinaryForm.from_coeffs(PAIR_VW, [1] * k) for k in (3, 4, 5))
+    for var_order in (("u", "v", "x"), ("u", "v", "v"), ("v", "w", "w")):
+        with pytest.raises(ValueError, match="permutation of the old one"):
+            assemble_quartic(f2, f3, f4, "u", var_order)
+
 
 def test_normalize_quartic_a():
     dec = normalize_at_node(QUARTIC_A, (1, 0, 0))
@@ -448,8 +473,9 @@ def test_admissible_exactly_when_the_resultant_is_nonzero():
 
 
 def test_coprimality_check_matches_the_resultant():
-    """quartic_from_conic_and_cubic rejects (f2, f3) exactly where their
-    resultant vanishes, which is where its Koszul system is singular."""
+    """quartic_from_conic_and_cubic rejects (f2, f3), and koszul_solve raises
+    PreconditionError, exactly where their resultant vanishes: where the
+    Koszul system is singular.  Otherwise koszul_solve recovers (phi, psi)."""
     rng = random.Random(47)
 
     def form(degree, bound=9):
@@ -471,12 +497,14 @@ def test_coprimality_check_matches_the_resultant():
             continue
         phi, psi = form(1), form(2)
         singular = f3.is_zero() or sylvester_resultant(f2, f3) == 0
-        assert singular == (nodal._koszul(f2, f3, psi * f2 + phi * f3) is None)
         seen[singular] += 1
         if singular:
+            with pytest.raises(PreconditionError, match="^Koszul system is singular"):
+                koszul_solve(f2, f3, psi * f2 + phi * f3)
             with pytest.raises(PreconditionError, match="^f2 and f3 must be coprime$"):
                 quartic_from_conic_and_cubic(f2, f3, phi, psi, "u", DUAL_VARS)
         else:
+            assert koszul_solve(f2, f3, psi * f2 + phi * f3) == (phi, psi)
             quartic_from_conic_and_cubic(f2, f3, phi, psi, "u", DUAL_VARS)
     assert seen[True] >= 80 and seen[False] >= 80, seen
 

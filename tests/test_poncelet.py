@@ -8,7 +8,7 @@ from math import lcm
 
 import pytest
 
-from luroth import poncelet
+from luroth import poncelet, verify
 from luroth.forms import BinaryForm, FrozenError, PreconditionError, TernaryForm, parse_form
 from luroth.linalg import (det_rational, shifted_multiples, solve_linear,
                            sylvester_matrix, sylvester_resultant)
@@ -901,6 +901,14 @@ def test_family_92_expansion():
 def test_family_93_expansion():
     for c in C_SAMPLES:
         assert family_matrix("93", c).determinant().proportional_to(printed_93(c))
+
+
+def test_verify_replays_the_printed_93_expansion(monkeypatch):
+    assert verify.check_93_analysis().passed
+    # a misprinted u^2*v^2 coefficient fails the check at the first sample
+    monkeypatch.setattr(verify, "printed_93", lambda c: printed_93(c + 1))
+    result = verify.check_93_analysis()
+    assert not result.passed and result.detail == f"mismatch at c={C_SAMPLES[0]}"
 
 
 def test_family_92_ignores_param_and_is_93_at_zero():
