@@ -347,7 +347,7 @@ def _is_variable(name: str) -> bool:
 
 
 MAX_RATIONAL_CHARS = 10000  # longest rational literal accepted
-_RATIONAL = re.compile(r"\s*([-+]?)([0-9]+)(?:/(0*[1-9][0-9]*))?\s*")  # int, int/nonzero
+_RATIONAL = re.compile(r"\s*([-+]?)(?=\.?[0-9])([0-9]*)(?:\.([0-9]*)|/(0*[1-9][0-9]*))?\s*")
 
 
 def rational_literal(text: str) -> Fraction:
@@ -361,8 +361,11 @@ def rational_literal(text: str) -> Fraction:
         raise ValueError(f"bad rational {text!r}: Invalid literal for Fraction: {text!r}")
     m = _RATIONAL.fullmatch(text)  # read by `_int_literal`, past any int-string limit
     try:
-        return Fraction(text) if m is None else Fraction(
-            int(m[1] + "1") * _int_literal(m[2], 0), _int_literal(m[3] or "1", 0))
+        if m is None:
+            return Fraction(text)
+        sign, whole, decimals, den = m.groups("")  # den and decimals exclude each other
+        return Fraction(int(sign + "1") * _int_literal(whole + decimals, 0),
+                        _int_literal(den or "1", 0) * 10 ** len(decimals))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational {text!r}: {exc}") from exc
 

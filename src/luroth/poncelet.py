@@ -21,13 +21,14 @@ for each elementary factor of T one Taylor shift per slice of G, and on the
 standard conic, whose T swaps b and l, a relabelling alone.
 
 The incidence tests need no determinant.  The columns q*V_(n-1) of M are
-independent, so a line is jumping exactly when gamma1 and gamma2 are
-dependent modulo q (a 2-dimensional quotient); some member is divisible by
-q^2 exactly when they are dependent modulo q^2 (dimension 4).  One integer
-pseudo-remainder gives both.  Base points are decided once per pencil: a
-constant gcd modulo the prime 2^61 - 1 proves there are none, and where it
-proves nothing the primitive PRS (Brown & Traub, JACM 1971) decides.  The
-bitmask determinant of `poncelet_matrix` serves the 6x6 families and the tests.
+independent, so a line is jumping exactly when gamma1 and gamma2, each
+reduced in two integer registers, are dependent modulo q; then q divides
+the multiples of one member h alone, and some member is divisible by q^2
+exactly when q divides h/q, integral for a primitive q (Gauss's lemma).
+Base points are decided once per pencil: a constant gcd modulo the prime
+2^61 - 1 proves there are none, and where it proves nothing the primitive
+PRS (Brown & Traub, JACM 1971) decides.  The memoized Laplace expansion
+of `PolyMatrix.determinant` serves the 6x6 families and `poncelet_matrix`.
 """
 
 from __future__ import annotations
@@ -191,19 +192,37 @@ def _prem(f: Sequence[int], p: Sequence[int]) -> list[int]:
     return r
 
 
-def _remainders(pencil: PonceletPencil, q: Sequence[int]) -> list[Sequence[int]]:
-    """The generators modulo q, a power of the pullback, up to nonzero factors:
-    reduced from the s1 end if q[-1] != 0, else from the s0 end if q[0] != 0;
-    q = (b*s0*s1)^e leaves the e first and e last coefficients."""
-    ints = pencil._ints
-    if q[-1]:
-        return [_prem(c, q) for c in ints]
-    if q[0]:
-        return [_prem(c[::-1], q[::-1]) for c in ints]
+def _by_pullback(q: list[int], ints: Sequence[Sequence[int]]):
+    """Primitive q = (a, b, l) and the generators, reversed if l = 0 != a."""
     if not any(q):
         raise ValueError("the zero vector is not a projective point")
-    e = len(q) // 2
-    return [c[:e] + c[-e:] for c in ints]
+    content = gcd(*q)
+    q = [x // content for x in q]
+    return (q, ints) if q[2] or not q[0] else (q[::-1], [c[::-1] for c in ints])
+
+
+def _mod_q(c: Sequence[int], q: Sequence[int]) -> Sequence[int]:
+    """l^(len(c) - 2) * c modulo q = (a, b, l), pseudo-divided in two registers
+    (Knuth 4.6.1); the ends of c if l = 0, that is q = b*s0*s1."""
+    a, b, l = q
+    if not l:
+        return c[0], c[-1]
+    r0, r1, power = c[-2], c[-1], l
+    for x in reversed(c[:-2]):
+        r0, r1 = x * power - r1 * a, l * r0 - r1 * b
+        power *= l
+    return r0, r1
+
+
+def _exact_quotient(h: Sequence[int], q: Sequence[int]) -> list[int]:
+    """h / q for a primitive q = (a, b, l), l != 0, dividing h: integral (Gauss)."""
+    a, b, l = q
+    r0, r1, quotient = h[-2], h[-1], []
+    for x in reversed(h[:-2]):
+        t = r1 // l
+        r0, r1 = x - t * a, r0 - t * b
+        quotient.append(t)
+    return quotient[::-1]
 
 
 def line_pullback(conic: ConicParam, line: Sequence) -> BinaryForm:
@@ -292,7 +311,8 @@ def is_jumping_line(conic: ConicParam, pencil: PonceletPencil,
                     line: Sequence) -> bool:
     """Whether det M = 0 at the (nonzero) line: one 2x2 minor of the
     generators' pseudo-remainders modulo the pullback, in O(n) operations."""
-    return _dependent(*_remainders(pencil, _pullback_ints(conic, line)))
+    q, ints = _by_pullback(_pullback_ints(conic, line), pencil._ints)
+    return _dependent(*(_mod_q(c, q) for c in ints))
 
 
 def chord_dual(conic: ConicParam, a: Sequence, b: Sequence) -> tuple[Fraction, ...]:
@@ -313,16 +333,23 @@ def singular_jump_criterion(conic: ConicParam, pencil: PonceletPencil,
                             line: Sequence) -> bool:
     """Whether some pencil member is divisible by the square of the pullback.
 
-    Requires a base-point-free pencil.  The multiples q^2*V_(n-3) are
-    independent, so this holds exactly when the generators' pseudo-remainders
-    modulo q^2, 4-vectors, are dependent: six 2x2 minors.  At n = 2 (degree
-    3 < 4) the generators are their own remainders.
+    Requires a base-point-free pencil.  If the generators' remainders r1, r2
+    modulo q are dependent, q divides the multiples of h = r2[j]*gamma1 -
+    r1[j]*gamma2 alone, j the first index where r1, r2 are not both zero (one
+    is, or q's roots would be base points); then ask whether q divides h/q.
     """
     if not is_base_point_free(pencil):
         raise PreconditionError("singular-jump criterion requires a base-point-free pencil")
-    a, b, l = _pullback_ints(conic, line)
-    q2 = [a * a, 2 * a * b, b * b + 2 * a * l, 2 * b * l, l * l]
-    return _dependent(*_remainders(pencil, q2))
+    q, (g1, g2) = _by_pullback(_pullback_ints(conic, line), pencil._ints)
+    if not q[2]:  # q = b*s0*s1: modulo q^2 the generators keep two coefficients at each end
+        return _dependent(g1[:2] + g1[-2:], g2[:2] + g2[-2:])
+    r1, r2 = _mod_q(g1, q), _mod_q(g2, q)
+    if r1[0] * r2[1] != r1[1] * r2[0]:
+        return False
+    m1, m2 = (r2[0], r1[0]) if r1[0] or r2[0] else (r2[1], r1[1])
+    k = gcd(m1, m2)
+    h = g1 if not m2 else g2 if not m1 else [m1 // k * x - m2 // k * y for x, y in zip(g1, g2)]
+    return not any(_mod_q(_exact_quotient(h, q), q))
 
 
 # ---------------------------------------------------------------------------

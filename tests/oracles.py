@@ -6,8 +6,10 @@
   (`conic_kernel_point`).
 - The Bezoutian jump test and the Bezout-determinant base-point test: the
   oracles of the remainder and PRS kernels in `luroth.poncelet`; and both
-  incidence tests on the `line_pullback` form, the oracles of the integer
-  pullback from the conic's cached matrix.
+  incidence tests on the `line_pullback` form by the window pseudo-remainder
+  `poncelet._prem`, modulo q and modulo q^2 (six 2x2 minors), the oracles of
+  the integer pullback from the conic's cached matrix, of the two-register
+  remainder and of the exact-quotient singular-jump test.
 - Binary-form helpers that only tests use: a rational Euclidean gcd, monic
   scaling, substitution of a 2x2 matrix, and a rational matrix product.
 - The homogeneous Horner substitution of a 3x3 matrix into a ternary form,
@@ -172,18 +174,36 @@ def bezoutian_is_jumping_line(conic, pencil, line) -> bool:
                for (i, j, k), c in poncelet._jump_terms(pencil).items()) == 0
 
 
+def _window_remainders(pencil, q) -> list:
+    """The generators modulo q, a power of the pullback, up to nonzero factors,
+    by the window pseudo-remainder `poncelet._prem`: reduced from the s1 end
+    if q[-1] != 0, else from the s0 end if q[0] != 0; q = (b*s0*s1)^e leaves
+    the e first and e last coefficients."""
+    ints = pencil._ints
+    if q[-1]:
+        return [poncelet._prem(c, q) for c in ints]
+    if q[0]:
+        return [poncelet._prem(c[::-1], q[::-1]) for c in ints]
+    if not any(q):
+        raise ValueError("the zero vector is not a projective point")
+    e = len(q) // 2
+    return [c[:e] + c[-e:] for c in ints]
+
+
 def pullback_is_jumping_line(conic, pencil, line) -> bool:
-    """The remainder jump test on `line_pullback`, a BinaryForm of Fractions,
-    scaled to integers: the oracle of the integer pullback T*line."""
+    """The generators dependent modulo `line_pullback`, a BinaryForm of
+    Fractions scaled to integers: the oracle of the integer pullback T*line
+    and of the two-register remainder."""
     q = integral_row(poncelet.line_pullback(conic, line).coeffs)[0]
-    return poncelet._dependent(*poncelet._remainders(pencil, q))
+    return poncelet._dependent(*_window_remainders(pencil, q))
 
 
 def pullback_singular_jump(conic, pencil, line) -> bool:
-    """The six-minor singular-jump test on the `line_pullback` route."""
+    """The generators dependent modulo the square of `line_pullback` (six 2x2
+    minors): the oracle of the exact-quotient singular-jump test."""
     a, b, l = integral_row(poncelet.line_pullback(conic, line).coeffs)[0]
     q2 = [a * a, 2 * a * b, b * b + 2 * a * l, 2 * b * l, l * l]
-    return poncelet._dependent(*poncelet._remainders(pencil, q2))
+    return poncelet._dependent(*_window_remainders(pencil, q2))
 
 
 def bezout_base_point_free(pencil) -> bool:

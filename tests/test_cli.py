@@ -14,6 +14,7 @@ import luroth
 from luroth import cli, poncelet
 from luroth.forms import _MAX_NESTING, form_from_json, parse_form, rational_literal
 from luroth.poncelet import DUAL_VARS, PARAM_VARS
+from oracles import int_str_limit
 
 QUARTIC_A = "(u^2+w^2)*(v^2+w^2)+2*u*v^3"
 QUARTIC_B = "w^2*(u^2+v^2)+w*(u^3+v^3)-u*v*(u^2+v^2)"
@@ -255,6 +256,16 @@ def test_parse_rational_plain_literals(capsys, text, value):
     assert rational_literal(text) == value
     code, out = run(capsys, ["family", "--name", "93", f"--param={text}"])
     assert code == 0 and f"param: {value}" in out
+
+
+def test_long_decimal_param_and_node_whatever_the_int_string_limit(capsys):
+    param = "-0." + "7" * 1000
+    expected = run(capsys, ["family", "--name", "93", f"--param={Fraction(param)}"])
+    node = ["quartic", "analyze", "--f", QUARTIC_A, "--node"]
+    with int_str_limit(640):  # the lowest limit Python accepts
+        assert run(capsys, ["family", "--name", "93", f"--param={param}"]) == expected
+        assert run(capsys, node + ["1." + "0" * 1000 + ":0:0"]) == run(capsys, node + ["1:0:0"])
+    assert expected[0] == 0
 
 
 @pytest.mark.parametrize("argv", [

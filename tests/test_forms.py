@@ -136,13 +136,28 @@ def test_literals_are_read_whatever_the_int_string_limit(digits):
             (4, 0, 0): value - Fraction(1, value)}
         if digits <= MAX_RATIONAL_CHARS // 2 - 1:
             assert rational_literal(f"-{text}/{text}7") == Fraction(-value, 10 * value + 7)
-            report = {"vars": list(PAIR), "degree": 0, "terms": [{"exp": [0, 0], "coef": text}]}
-            assert form_from_json(report).coeffs == (value,)
+            assert rational_literal(f"-{text}.{text}") == -value - Fraction(value, 10 ** digits)
+            assert rational_literal(f" +.{text}") == Fraction(value, 10 ** digits)
+            for coef, expected in ((text, value), (f"{text}.5", value + Fraction(1, 2))):
+                report = {"vars": list(PAIR), "degree": 0,
+                          "terms": [{"exp": [0, 0], "coef": coef}]}
+                assert form_from_json(report).coeffs == (expected,)
+
+
+def test_decimals_do_not_depend_on_the_int_string_limit():
+    text = "0." + "1" * 5000
+    with int_str_limit(0):
+        expected = Fraction(text)
+    for limit in (640, 4300, 0):
+        with int_str_limit(limit):
+            assert rational_literal(text) == expected
 
 
 @pytest.mark.parametrize("text", ["7", " -3/4 ", "+007", "-0/5", "\t12\n", "1/0", "-12/000",
                                   "3/ 4", "3 /4", "/4", "3/", "-", "1.5", ".5", "5.", "-2.50",
-                                  "1/2/3", "--1", "0x10", "", " "])
+                                  "1/2/3", "--1", "0x10", "", " ", "+.5", "-0.000", " 3.25 ",
+                                  "00.100", "5./2", "1.5/2", ".", "-.", "1.2.3", "1 .5", "1. 5",
+                                  "- 1.5", ".-5", "1.+5"])
 def test_rational_literal_reads_as_fraction_does(text):
     try:
         expected = Fraction(text)

@@ -13,7 +13,10 @@ admissibility and gives (phi, psi).  `forms` has
 one parser: it defines one parser class, and only `parse_terms` constructs
 it.  And the incidence tests of `poncelet`, `is_jumping_line` and
 `singular_jump_criterion`, pull the line back in integers through the
-conic's cached matrix: neither calls `line_pullback`.  And the polynomial
+conic's cached matrix: neither calls `line_pullback`.  And they divide by
+the pullback q alone: neither builds a q^2 vector (no display of more than
+three entries), and `_prem`, the window pseudo-remainder, serves only the
+base-point PRS `_coprime_prs`.  And the polynomial
 determinant of `linalg` adds each signed product into one map in place:
 `linalg` imports neither `add_terms` nor `scale_terms`.  And no module
 imports `dataclasses`: the value classes share `forms.Frozen`, and the CLI
@@ -142,6 +145,16 @@ def test_incidence_tests_do_not_call_line_pullback():
     for name in ("is_jumping_line", "singular_jump_criterion"):
         assert not calls_to(functions[name], "line_pullback"), name
         assert calls_to(functions[name], "_pullback_ints"), name
+
+
+def test_prem_serves_only_the_prs_and_no_incidence_test_builds_q_squared():
+    tree = module_tree("poncelet")
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    assert [name for name, f in functions.items() if calls_to(f, "_prem")] == ["_coprime_prs"]
+    assert len(calls_to(tree, "_prem")) == len(calls_to(functions["_coprime_prs"], "_prem"))
+    for name in ("is_jumping_line", "singular_jump_criterion"):
+        displays = [n for n in ast.walk(functions[name]) if isinstance(n, (ast.List, ast.Tuple))]
+        assert all(len(n.elts) <= 3 for n in displays), name
 
 
 def test_linalg_imports_no_term_map_sum_or_scaling():

@@ -4,7 +4,7 @@ import copy
 import pickle
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -738,6 +738,96 @@ def test_prem_matches_rational_division():
         expected = unidivmod([p[-1] ** k * x for x in f], p)[1]
         expected += [0] * (len(p) - 1 - len(expected))
         assert poncelet._prem(f, p) == expected
+
+
+def test_two_register_kernels_match_rational_division():
+    """`_mod_q` is l^(len(f) - 2) * f modulo q, by `unidivmod`, and the ends
+    of f at l = 0; `_exact_quotient` undoes a product with a primitive q."""
+    rng = random.Random(67)
+    for trial in range(300):
+        digits = 60 if trial % 3 == 0 else 2
+        q = [rng.randint(-9, 9), rng.randint(-9, 9), rng.choice([-1, 1]) * rng.randint(1, 9)]
+        f = [rng.randint(-10 ** digits, 10 ** digits) for _ in range(rng.randint(2, 14))]
+        expected = unidivmod([q[-1] ** (len(f) - 2) * x for x in f], q)[1]
+        expected += [0] * (2 - len(expected))
+        assert list(poncelet._mod_q(f, q)) == expected
+        assert poncelet._mod_q(f, [0, q[1] or 1, 0]) == (f[0], f[-1])
+        content = gcd(*q)
+        p = [x // content for x in q]
+        product = [sum(p[i] * f[k - i] for i in range(3) if 0 <= k - i < len(f))
+                   for k in range(len(f) + 2)]
+        assert poncelet._exact_quotient(product, p) == f
+        assert not any(poncelet._mod_q(product, q))
+
+
+def random_form(rng, degree, digits):
+    return BinaryForm.from_coeffs(PARAM_VARS, [rng.randint(-10 ** digits, 10 ** digits)
+                                               for _ in range(degree + 1)])
+
+
+def pencil_of(draw, free=False):
+    """PonceletPencil(*draw()), redrawn until the generators are independent,
+    and until the pencil is base-point-free if asked."""
+    while True:
+        try:
+            pencil = PonceletPencil(*draw())
+        except PreconditionError:
+            continue
+        if not free or is_base_point_free(pencil):
+            return pencil
+
+
+def test_incidence_tests_match_window_oracle():
+    """Both incidence tests against the window route modulo q and q^2
+    (`oracles.pullback_is_jumping_line`, `pullback_singular_jump`) on three
+    conics, n = 2..12 and 1- and 60-digit coefficients: tangents at roots of
+    gamma1 and at random parameters, pullbacks with l = 0 and a = l = 0,
+    chords of gamma1's roots, and a planted singular jump, gamma1 = q^2*r
+    with gamma2 redrawn until the pencil is base-point-free."""
+    rng = random.Random(71)
+    seen = set()
+    for conic in three_conics():
+        for n in range(2, 13):
+            for digits in (1, 60):
+                roots = [(Fraction(k, rng.randint(1, 3)), 1) for k in rng.sample(range(-9, 10), 2)]
+                params = roots + [(Fraction(rng.randint(-9, 9), rng.randint(1, 5)), 1),
+                                  (1, Fraction(rng.randint(-9, 9), rng.randint(1, 5)))]
+                big = [rng.choice([-1, 1]) * rng.randint(1, 10 ** digits) for _ in range(3)]
+                s0 = BinaryForm.from_coeffs(PARAM_VARS, [1, 0])
+                pullbacks = [split_form([p, p]) for p in params]  # tangents
+                pullbacks += [s0 * BinaryForm.from_coeffs(PARAM_VARS, big[:2]),  # l = 0
+                              BinaryForm.from_coeffs(PARAM_VARS, [0, big[2], 0]),  # a = l = 0
+                              split_form(roots)]  # a chord of gamma1's roots
+                lines = [line_with_pullback(conic, q) for q in pullbacks]
+                lines.append(tuple(rng.randint(-10 ** digits, 10 ** digits) for _ in range(3)))
+                s0_power = BinaryForm.from_coeffs(PARAM_VARS, [1] + [0] * (n + 1))
+                q1, q2 = rng.choice(pullbacks), rng.choice(pullbacks)
+                pencils = [pencil_of(lambda: (split_form(roots) * random_form(rng, n - 1, digits),
+                                              random_form(rng, n + 1, digits))),
+                           pencil_of(lambda: (q1 * random_form(rng, n - 1, digits),
+                                              random_form(rng, n + 1, digits)))]
+                if n >= 3:
+                    square = q2 * q2 * random_form(rng, n - 3, digits)
+                    pencils.append(pencil_of(lambda: (square, random_form(rng, n + 1, digits)),
+                                             free=True))
+                    assert singular_jump_criterion(conic, pencils[-1], lines[pullbacks.index(q2)])
+                if n >= 3 and q2.coeffs[-1]:  # else s0 would divide both generators
+                    # c*s0^(n+1) modulo q2^2: remainders modulo q2 with no s1 term
+                    pencils.append(pencil_of(lambda: [
+                        s0_power.scale(rng.randint(1, 10 ** digits))
+                        + q2 * q2 * random_form(rng, n - 3, digits) for _ in range(2)], free=True))
+                for pencil in pencils:
+                    free = is_base_point_free(pencil)
+                    for line in filter(any, lines):
+                        jump = is_jumping_line(conic, pencil, line)
+                        assert jump == pullback_is_jumping_line(conic, pencil, line), line
+                        seen.add(("jump", jump))
+                        if free:
+                            singular = singular_jump_criterion(conic, pencil, line)
+                            assert singular == pullback_singular_jump(conic, pencil, line), line
+                            assert not singular or jump
+                            seen.add(("singular", singular))
+    assert seen == {(k, v) for k in ("jump", "singular") for v in (True, False)}
 
 
 def test_incidence_kernels_property():
