@@ -333,22 +333,25 @@ def singular_jump_criterion(conic: ConicParam, pencil: PonceletPencil,
                             line: Sequence) -> bool:
     """Whether some pencil member is divisible by the square of the pullback.
 
-    Requires a base-point-free pencil.  If the generators' remainders r1, r2
-    modulo q are dependent, q divides the multiples of h = r2[j]*gamma1 -
-    r1[j]*gamma2 alone, j the first index where r1, r2 are not both zero (one
-    is, or q's roots would be base points); then ask whether q divides h/q.
+    Requires a base-point-free pencil.  If q divides some member, it divides
+    the multiples of one member h alone: gamma1 if q divides it (then gamma2
+    is not divisible, or q's roots would be base points), else r2[j]*gamma1 -
+    r1[j]*gamma2 for the generators' remainders r1, r2 modulo q, dependent,
+    and r1[j] != 0.  Then ask whether q divides h/q.
     """
     if not is_base_point_free(pencil):
         raise PreconditionError("singular-jump criterion requires a base-point-free pencil")
     q, (g1, g2) = _by_pullback(_pullback_ints(conic, line), pencil._ints)
     if not q[2]:  # q = b*s0*s1: modulo q^2 the generators keep two coefficients at each end
         return _dependent(g1[:2] + g1[-2:], g2[:2] + g2[-2:])
-    r1, r2 = _mod_q(g1, q), _mod_q(g2, q)
-    if r1[0] * r2[1] != r1[1] * r2[0]:
-        return False
-    m1, m2 = (r2[0], r1[0]) if r1[0] or r2[0] else (r2[1], r1[1])
-    k = gcd(m1, m2)
-    h = g1 if not m2 else g2 if not m1 else [m1 // k * x - m2 // k * y for x, y in zip(g1, g2)]
+    h, r1 = g1, _mod_q(g1, q)
+    if any(r1):
+        r2 = _mod_q(g2, q)
+        if r1[0] * r2[1] != r1[1] * r2[0]:
+            return False
+        m1, m2 = (r2[0], r1[0]) if r1[0] else (r2[1], r1[1])
+        k = gcd(m1, m2)
+        h = g2 if not m1 else [m1 // k * x - m2 // k * y for x, y in zip(g1, g2)]
     return not any(_mod_q(_exact_quotient(h, q), q))
 
 

@@ -783,7 +783,9 @@ def test_incidence_tests_match_window_oracle():
     conics, n = 2..12 and 1- and 60-digit coefficients: tangents at roots of
     gamma1 and at random parameters, pullbacks with l = 0 and a = l = 0,
     chords of gamma1's roots, and a planted singular jump, gamma1 = q^2*r
-    with gamma2 redrawn until the pencil is base-point-free."""
+    with gamma2 redrawn until the pencil is base-point-free; and pencils
+    where q divides either generator, or where q^2 parts sit on low parts
+    whose remainders modulo q are proportional or independent."""
     rng = random.Random(71)
     seen = set()
     for conic in three_conics():
@@ -805,16 +807,25 @@ def test_incidence_tests_match_window_oracle():
                 pencils = [pencil_of(lambda: (split_form(roots) * random_form(rng, n - 1, digits),
                                               random_form(rng, n + 1, digits))),
                            pencil_of(lambda: (q1 * random_form(rng, n - 1, digits),
-                                              random_form(rng, n + 1, digits)))]
+                                              random_form(rng, n + 1, digits))),
+                           pencil_of(lambda: (random_form(rng, n + 1, digits),
+                                              q1 * random_form(rng, n - 1, digits)))]
                 if n >= 3:
                     square = q2 * q2 * random_form(rng, n - 3, digits)
                     pencils.append(pencil_of(lambda: (square, random_form(rng, n + 1, digits)),
                                              free=True))
                     assert singular_jump_criterion(conic, pencils[-1], lines[pullbacks.index(q2)])
                 if n >= 3 and q2.coeffs[-1]:  # else s0 would divide both generators
-                    # c*s0^(n+1) modulo q2^2: remainders modulo q2 with no s1 term
+                    # c*s0^(n+1) modulo q2: remainders with no s1 term; gamma1 has a
+                    # q2 part and gamma2 a q2^2 part, which gamma2 alone would pass
                     pencils.append(pencil_of(lambda: [
-                        s0_power.scale(rng.randint(1, 10 ** digits))
+                        s0_power.scale(rng.randint(1, 10 ** digits)) + q2 * f
+                        for f in (random_form(rng, n - 1, digits),
+                                  q2 * random_form(rng, n - 3, digits))], free=True))
+                    # low parts a*s0^(n+1) + b*s0^n*s1 plus q2^2 parts: remainders
+                    # modulo q2 independent, so no member is divisible by q2
+                    pencils.append(pencil_of(lambda: [BinaryForm.from_coeffs(PARAM_VARS, [
+                        rng.randint(1, 10 ** digits), rng.randint(1, 10 ** digits)] + [0] * n)
                         + q2 * q2 * random_form(rng, n - 3, digits) for _ in range(2)], free=True))
                 for pencil in pencils:
                     free = is_base_point_free(pencil)
