@@ -333,11 +333,10 @@ def singular_jump_criterion(conic: ConicParam, pencil: PonceletPencil,
                             line: Sequence) -> bool:
     """Whether some pencil member is divisible by the square of the pullback.
 
-    Requires a base-point-free pencil.  If q divides some member, it divides
-    the multiples of one member h alone: gamma1 if q divides it (then gamma2
-    is not divisible, or q's roots would be base points), else r2[j]*gamma1 -
-    r1[j]*gamma2 for the generators' remainders r1, r2 modulo q, dependent,
-    and r1[j] != 0.  Then ask whether q divides h/q.
+    Requires a base-point-free pencil, so q divides at most the multiples of
+    one member h: gamma1 if q divides it, else r2[j]*gamma1 - r1[j]*gamma2
+    if the generators' remainders r1, r2 modulo q are dependent, r1[j] != 0.
+    Then some member is divisible by q^2 exactly when q divides h/q.
     """
     if not is_base_point_free(pencil):
         raise PreconditionError("singular-jump criterion requires a base-point-free pencil")
