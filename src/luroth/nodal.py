@@ -17,19 +17,22 @@ the public Fractions are built: the quartic, the conic and its velocity are
 each assembled once from integer numerators over one denominator.
 `tangent_map` moves the direction by the same matrix and kernel.
 
-`classify` moves the node and eliminates once: a one-entry memo keyed by the
-quartic and the point holds the verdict and the decomposition with its split,
-all immutable.  `verify_node` returns the verdict, `normalize_at_node` raises.
+`classify` verifies and then normalizes, yet moves the node and eliminates
+once: `_decompose` keeps its last result, keyed by the quartic's identity and
+the point's value, so nothing is hashed.  The decomposition and the conic data
+keep their integers in a view outside ==, hash and pickle, recomputed from the
+public fields when absent; `associated_conic` and `tangent_map` read only it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
+from math import gcd
 from operator import itemgetter, mul
 from typing import Sequence
 
-from .forms import (BinaryForm, Frozen, PreconditionError, TernaryForm, _q, adjugate3,
+from .forms import (BinaryForm, Frozen, PreconditionError, TernaryForm, adjugate3,
                     directional_coeffs, integral_row, substitute_terms)
 from .linalg import _bareiss, conic_kernel_point, disc_binary_quadratic
 
@@ -78,6 +81,12 @@ class NodeDecomposition(Frozen):
     f4: BinaryForm
     split: tuple[BinaryForm, BinaryForm] | None
 
+    @cached_property
+    def _ints(self):
+        """The last column, (f2, f3, f4) and the split (or None), each `_reduced`."""
+        return (_reduced(*integral_row([row[2] for row in self.transform])),
+                _integers(self.f2, self.f3, self.f4), self.split and _integers(*self.split))
+
 
 class AssociatedConicData(Frozen):
     phi: BinaryForm
@@ -85,6 +94,11 @@ class AssociatedConicData(Frozen):
     conic: TernaryForm
     det3: Fraction
     disc_binary: Fraction  # discriminant of phi^2 + psi
+
+    @cached_property
+    def _ints(self):
+        """(phi, psi) as integers over one denominator, `_reduced`."""
+        return _integers(self.phi, self.psi)
 
 
 class NodalQuarticAnalysis(Frozen):
@@ -102,17 +116,27 @@ class TangentMapResult(Frozen):
     conic_velocity: TernaryForm
 
 
-def _pieces(quartic: TernaryForm, transform: Transform) -> tuple[list[list[int]], int, int]:
+def _reduced(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
+    """nums/den as coprime integers over a positive denominator."""
+    g = gcd(*nums, den) if den > 0 else -gcd(*nums, den)
+    return tuple(x // g for x in nums), den // g
+
+
+def _integers(*forms: BinaryForm) -> tuple[tuple[int, ...], int]:
+    """The forms' coefficients as `_reduced` integers over one denominator."""
+    return _reduced(*integral_row([c for f in forms for c in f.coeffs]))
+
+
+def _pieces(quartic: TernaryForm, transform: Transform, column: list) -> tuple[list, int]:
     """Integer pieces F0..F4 of the moved quartic sum t^(4-i) * f_i, t last, with
     F_i = d*lam^(4-i)*f_i: the terms times d and the last column times lam are
-    integers (the other two are standard vectors), and one substitution moves them."""
-    column, lam = integral_row([row[2] for row in transform])
+    the integers column (the other two are standard vectors), moved by one substitution."""
     m = [[row[0].numerator, row[1].numerator, x] for row, x in zip(transform, column)]
     nums, d = integral_row(list(quartic.terms.values()))
     pieces = [[0] * (i + 1) for i in range(5)]
     for (_, b, c), x in substitute_terms(dict(zip(quartic.terms, nums)), 4, m).items():
         pieces[4 - c][b] = x
-    return pieces, d, lam
+    return pieces, d
 
 
 def _over(pair: tuple[str, str], nums: Sequence[int], den: int) -> BinaryForm:
@@ -152,33 +176,43 @@ def _assemble(pieces: Sequence[Sequence[int]], den: int, pair: tuple[str, str], 
     return TernaryForm(top + len(pieces[0]) - 1, var_order, terms)
 
 
+_last: tuple = (None, None, None)  # the last _decompose: quartic, point, result
+
+
 def _decompose(quartic: TernaryForm, point: Sequence) -> tuple[NodeReport, NodeDecomposition]:
-    """Node flags and graded pieces of the quartic in node-centered coordinates."""
-    if len(point) != 3:
+    """Node flags and graded pieces of the quartic in node-centered coordinates,
+    the decomposition's integer view filled from the integers that built it."""
+    global _last
+    key = tuple(point)
+    if len(key) != 3:
         raise ValueError("a point of the plane has three coordinates")
-    return _decompose_at(quartic, tuple(_q(x) for x in point))
-
-
-@lru_cache(maxsize=1)
-def _decompose_at(quartic: TernaryForm, p: tuple[Fraction, ...]):
-    pivot = next((i for i, x in enumerate(p) if x != 0), None)
+    last = _last
+    if last[0] is quartic and last[1] == key:
+        return last[2]
+    ints = integral_row(key)[0]
+    pivot = next((i for i, x in enumerate(ints) if x), None)
     if pivot is None:
         raise ValueError("the zero vector is not a projective point")
+    column, lam = _reduced(ints, ints[pivot])
     others = [i for i in range(3) if i != pivot]
     transform = tuple((_ONE if r == others[0] else _ZERO, _ONE if r == others[1] else _ZERO,
-                       p[r] / p[pivot]) for r in range(3))
+                       Fraction(x, lam)) for r, x in enumerate(column))
     variables = quartic.variables
     pair = (variables[others[0]], variables[others[1]])
-    (f0, f1, f2, f3, f4), d, lam = _pieces(quartic, transform)
+    (f0, f1, f2, f3, f4), d = _pieces(quartic, transform, column)
     on_curve = not f0[0]
     singular = on_curve and not any(f1)
     ordinary = singular and f2[1] * f2[1] != 4 * f2[0] * f2[2]
     sol = _solve(f2, f3, f4, (lam, lam * lam)) if ordinary else None
-    split = sol and (_over(pair, sol[0], sol[2]), _over(pair, sol[1], sol[2]))
-    return (NodeReport(on_curve, singular, ordinary, split is not None),
-            NodeDecomposition(transform, pair, variables[pivot], variables,
-                              _over(pair, f2, d * lam ** 2), _over(pair, f3, d * lam),
-                              _over(pair, f4, d), split))
+    f, c = pieces = _reduced(f2 + [lam * x for x in f3] + [lam * lam * x for x in f4],
+                             d * lam * lam)
+    split = sol and _reduced(sol[0] + sol[1], sol[2])
+    forms = split and (_over(pair, split[0][:2], split[1]), _over(pair, split[0][2:], split[1]))
+    dec = NodeDecomposition(transform, pair, variables[pivot], variables, _over(pair, f[:3], c),
+                            _over(pair, f[3:7], c), _over(pair, f[7:], c), forms)
+    dec.__dict__["_ints"] = ((column, lam), pieces, split)
+    _last = quartic, key, (NodeReport(on_curve, singular, ordinary, sol is not None), dec)
+    return _last[2]
 
 
 def verify_node(quartic: TernaryForm, point: Sequence) -> NodeReport:
@@ -229,13 +263,15 @@ def associated_conic(dec: NodeDecomposition) -> AssociatedConicData:
     matrix M, and phi^2 + psi is (a*a + e*b)/e^2.
     """
     phi, psi = dec.split or koszul_solve(dec.f2, dec.f3, dec.f4)
-    (a0, a1, b0, b1, b2), e = integral_row(phi.coeffs + psi.coeffs)
+    (a0, a1, b0, b1, b2), e = split = dec._ints[2] or _integers(phi, psi)
     det = adjugate3([[-2 * b0, -b1, 2 * a0], [-b1, -2 * b2, 2 * a1], [2 * a0, 2 * a1, 2 * e]])[0]
     c0, c1, c2 = a0 * a0 + e * b0, 2 * a0 * a1 + e * b1, a1 * a1 + e * b2
     conic = _assemble(([e], [2 * a0, 2 * a1], [-b0, -b1, -b2]), e, dec.pair, dec.t_var,
                       dec.original_vars)
-    return AssociatedConicData(phi, psi, conic, Fraction(det, 8 * e ** 3),
+    data = AssociatedConicData(phi, psi, conic, Fraction(det, 8 * e ** 3),
                                Fraction(c1 * c1 - 4 * c0 * c2, e ** 4))
+    data.__dict__["_ints"] = split
+    return data
 
 
 def classify(quartic: TernaryForm, point: Sequence) -> NodalQuarticAnalysis:
@@ -280,7 +316,7 @@ def tangent_map(dec: NodeDecomposition, data: AssociatedConicData,
     G_i = h*lam^(4-i)*g_i, xi and the right-hand side are X*c/(k*h) and
     R/(k*h*e) for k = disc*lam^3, so the kernel gives (phi_dot, psi_dot)*k*h*e/c.
     """
-    ints, c = integral_row(dec.f2.coeffs + dec.f3.coeffs + dec.f4.coeffs)
+    (column, lam), (ints, c), _ = dec._ints
     (p, q, r), f3, f4 = ints[:3], ints[3:7], ints[7:]
     if (disc := q * q - 4 * p * r) == 0:
         raise PreconditionError("node is not ordinary: degenerate tangent cone")
@@ -288,13 +324,13 @@ def tangent_map(dec: NodeDecomposition, data: AssociatedConicData,
         raise PreconditionError("direction must be a quartic")
     if direction.variables != dec.original_vars:
         raise ValueError("direction must use the quartic's variable triple")
-    (g0, (a, b), g2, g3, g4), h, lam = _pieces(direction, dec.transform)
+    (g0, (a, b), g2, g3, g4), h = _pieces(direction, dec.transform, column)
     if g0[0]:
         raise PreconditionError("direction quartic does not vanish at the node")
     # polarized cone equation d(f2).xi = -g1 by Cramer's rule; its determinant is -disc
     x0, x1, k = 2 * r * a - q * b, 2 * p * b - q * a, disc * lam ** 3
     xi = (Fraction(x0 * c, k * h), Fraction(x1 * c, k * h))
-    nums, e = integral_row(data.phi.coeffs + data.psi.coeffs)
+    nums, e = data._ints
     # (g3 + f4'(xi))*phi + (g2 + f3'(xi))*psi is the Koszul map of (h3, h2) at nums
     h3 = [disc * lam * lam * y + z for y, z in zip(g3, directional_coeffs(f4, x0, x1))]
     h2 = [disc * lam * y + z for y, z in zip(g2, directional_coeffs(f3, x0, x1))]

@@ -121,7 +121,9 @@ class PonceletPencil(Frozen):
 
     @cached_property
     def _ints(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return tuple(tuple(integral_row(g.coeffs)[0]) for g in (self.gamma1, self.gamma2))
+        """Each generator's integer coefficients divided by their content."""
+        return tuple(tuple(_primitive(integral_row(g.coeffs)[0]))
+                     for g in (self.gamma1, self.gamma2))
 
     @cached_property
     def _base_point_free(self) -> bool:
@@ -161,9 +163,14 @@ def _coprime_prs(a: Sequence[int], b: Sequence[int]) -> bool:
         r = _trim(_prem(a, b))
         if not r:
             return False
-        content = gcd(*r)
-        a, b = b, [x // content for x in r]
+        a, b = b, _primitive(r)
     return True
+
+
+def _primitive(v: Sequence[int]) -> list[int]:
+    """v divided by its content; a zero vector stays zero."""
+    content = gcd(*v) or 1
+    return [x // content for x in v]
 
 
 def _dependent(u: Sequence[int], v: Sequence[int]) -> bool:
@@ -196,8 +203,7 @@ def _by_pullback(q: list[int], ints: Sequence[Sequence[int]]):
     """Primitive q = (a, b, l) and the generators, reversed if l = 0 != a."""
     if not any(q):
         raise ValueError("the zero vector is not a projective point")
-    content = gcd(*q)
-    q = [x // content for x in q]
+    q = _primitive(q)
     return (q, ints) if q[2] or not q[0] else (q[::-1], [c[::-1] for c in ints])
 
 

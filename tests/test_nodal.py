@@ -1,8 +1,11 @@
 """Nodal quartic pipeline: decomposition, associated conic, tangent map."""
 
+import copy
+import pickle
 import random
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -353,14 +356,18 @@ TWO_CONICS_2 = CONIC_1 * parse_form("u*v - w^2", DUAL_VARS)
 
 
 def fresh_classify(quartic, point):
-    nodal._decompose_at.cache_clear()
-    return classify(quartic, point)
+    """classify on a new but equal quartic, which `_decompose`'s last result,
+    kept by the quartic's identity, cannot serve."""
+    return classify(copy.copy(quartic), point)
 
 
 def test_classify_moves_the_node_once(monkeypatch):
     """Counts the integer kernels at the module attributes `nodal` calls: the
-    node move is one `substitute_terms`, the Koszul solve one `_bareiss`."""
-    calls = {"substitute_terms": 0, "verify_node": 0, "_bareiss": 0}
+    node move is one `substitute_terms`, the Koszul solve one `_bareiss`.
+    No quartic is hashed, and `tangent_map` reads the integers the
+    decomposition and the conic data hold: its one `integral_row` is the
+    direction's."""
+    calls = {"substitute_terms": 0, "verify_node": 0, "_bareiss": 0, "integral_row": 0}
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -368,15 +375,22 @@ def test_classify_moves_the_node_once(monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
+    def unhashable(self):
+        raise AssertionError("a quartic was hashed")
+
+    quartic = copy.copy(TWO_CONICS_1)
     for name in calls:
         monkeypatch.setattr(nodal, name, counting(name, getattr(nodal, name)))
-    analysis = fresh_classify(TWO_CONICS_1, (1, -1, 1))
+    monkeypatch.setattr(TernaryForm, "__hash__", unhashable)
+    analysis = classify(quartic, (1, -1, 1))
     # one elimination decides admissibility and gives (phi, psi)
-    assert calls == {"substitute_terms": 1, "verify_node": 1, "_bareiss": 1}
+    assert {k: calls[k] for k in ("substitute_terms", "verify_node", "_bareiss")} == {
+        "substitute_terms": 1, "verify_node": 1, "_bareiss": 1}
     assert analysis.report.all_ok()
     # the direction moves once; xi by Cramer's rule, one Koszul solve
+    calls["integral_row"] = 0
     tangent_map(analysis.decomposition, analysis.conic_data, TWO_CONICS_2)
-    assert calls == {"substitute_terms": 2, "verify_node": 1, "_bareiss": 2}
+    assert calls == {"substitute_terms": 2, "verify_node": 1, "_bareiss": 2, "integral_row": 1}
 
 
 def test_interleaved_classify_matches_fresh_calls():
@@ -385,7 +399,6 @@ def test_interleaved_classify_matches_fresh_calls():
                 (TWO_CONICS_1, p1)]
     expected = [fresh_classify(q, p) for q, p in sequence]
     assert expected[0] != expected[1] and expected[0] != expected[2]
-    nodal._decompose_at.cache_clear()
     assert [classify(q, p) for q, p in sequence] == expected
 
 
@@ -396,9 +409,11 @@ def test_point_types_give_equal_analyses():
 
 
 def test_memoized_pieces_are_tuples():
-    nodal._decompose_at.cache_clear()
     result = nodal._decompose(TWO_CONICS_1, [1, 1, 1])
+    # the last result serves the same quartic object only
     assert nodal._decompose(TWO_CONICS_1, (1, 1, 1)) is result
+    assert nodal._decompose(copy.copy(TWO_CONICS_1), (1, 1, 1)) == result
+    assert nodal._decompose(copy.copy(TWO_CONICS_1), (1, 1, 1)) is not result
     report, dec = result
     assert type(result) is tuple and type(report) is NodeReport and report.all_ok()
     assert type(dec) is nodal.NodeDecomposition and type(dec.pair) is tuple
@@ -575,9 +590,8 @@ def big_fraction(rng):
     return Fraction(rng.randint(-10 ** 40, 10 ** 40), rng.randint(10 ** 39, 10 ** 40))
 
 
-@pytest.mark.parametrize("kind", ["40-digit-denominators", "negative-pivot",
-                                  "zero-first-coordinate", "fraction-coefficients"])
-def test_integer_core_matches_fraction_path_on_random_nodes(kind):
+def random_node_cases(kind):
+    """12 (quartic, node, direction, type_two) cases, alternately of type II."""
     rng = random.Random(f"integer-core/{kind}")
     for i in range(12):
         if kind == "40-digit-denominators":
@@ -592,8 +606,53 @@ def test_integer_core_matches_fraction_path_on_random_nodes(kind):
         if kind == "fraction-coefficients":
             quartic = quartic.scale(Fraction(rng.randint(1, 99), rng.randint(100, 999)))
             assert any(c.denominator != 1 for c in quartic.terms.values())
+        yield quartic, node, direction, i % 2 == 0
+
+
+@pytest.mark.parametrize("kind", ["40-digit-denominators", "negative-pivot",
+                                  "zero-first-coordinate", "fraction-coefficients"])
+def test_integer_core_matches_fraction_path_on_random_nodes(kind):
+    for quartic, node, direction, type_two in random_node_cases(kind):
         analysis = assert_core_matches_oracle(quartic, node, direction)
-        assert analysis.type_two == (i % 2 == 0)
+        assert analysis.type_two == type_two
+
+
+def view_cases():
+    """The 64 seed-1 bench quartics, then nodes with a zero first coordinate
+    and quartics with fraction coefficients."""
+    rng = random.Random("nodal-batch/1")
+    for i in range(64):
+        q = make_quartic(rng, type_two=(i % 2 == 0))
+        yield parse_form(q.quartic, DUAL_VARS), q.node, parse_form(q.direction, DUAL_VARS)
+    for kind in ("zero-first-coordinate", "fraction-coefficients"):
+        for quartic, node, direction, _ in random_node_cases(kind):
+            yield quartic, node, direction
+
+
+def test_integer_views_match_the_public_fields():
+    """The views `_decompose` and `associated_conic` fill from their own
+    integers equal the views read off the public Fractions; clones, which
+    carry no view, give the same tangent map; and `verify_node` and
+    `normalize_at_node`, each alone, give what `classify` holds."""
+    for quartic, node, direction in view_cases():
+        analysis = fresh_classify(quartic, node)
+        dec, data = analysis.decomposition, analysis.conic_data
+        expected = tangent_map(dec, data, direction)
+        for value in (dec, data):
+            filled = vars(value).pop("_ints")
+            assert value._ints == filled and vars(value)["_ints"] is not filled
+        (column, lam), (f, c), split = dec._ints
+        for nums, den in ((column, lam), (f, c), split):
+            assert type(nums) is tuple and all(type(x) is int for x in (*nums, den))
+            assert den > 0 and gcd(*nums, den) == 1
+        assert split == data._ints
+        assert column[next(i for i, x in enumerate(column) if x)] == lam
+        for clone in (copy.copy(dec), copy.deepcopy(dec), pickle.loads(pickle.dumps(dec))):
+            assert "_ints" not in vars(clone)
+            for data_clone in (copy.copy(data), pickle.loads(pickle.dumps(data))):
+                assert tangent_map(clone, data_clone, direction) == expected
+        assert verify_node(copy.copy(quartic), node) == analysis.report
+        assert normalize_at_node(copy.copy(quartic), node) == dec
 
 
 @pytest.mark.parametrize("quartic, point, flags", NODE_ERROR_CASES)

@@ -964,6 +964,42 @@ def test_pencil_cache_is_tuples_and_invisible():
     assert pencil.gamma1 == g1
 
 
+def test_a_common_constant_of_the_generators_changes_nothing():
+    """Both generators times one 1000-digit constant: the same primitive
+    integers, the same verdicts on chords of gamma1's roots, special lines,
+    a planted singular jump and random lines, and the same curve."""
+    rng = random.Random(83)
+    big = rng.randint(10 ** 999, 10 ** 1000)
+    seen = set()
+    for conic in three_conics():
+        line = tuple(rng.randint(-5, 5) for _ in range(3))
+        q = line_pullback(conic, line)
+        roots = [(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(2)]
+        pencils = [rand_pencil(rng, 4, gamma1=q * q * split_form(roots[:1])),
+                   rand_pencil(rng, 3, gamma1=split_form(roots + roots)),
+                   rand_rational_pencil(rng, 3, base_point=True)]
+        for pencil in pencils:
+            scaled = PonceletPencil(pencil.gamma1.scale(big), pencil.gamma2.scale(big))
+            assert scaled._ints == pencil._ints
+            free = is_base_point_free(scaled)
+            assert free == is_base_point_free(pencil)
+            assert poncelet_curve(conic, scaled) == poncelet_curve(conic, pencil)
+            lines = [line, *(v for _, v in special_lines(conic, rng)),
+                     *(tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(4))]
+            if roots[0] != roots[1]:
+                lines.append(chord_dual(conic, *roots))
+            for v in filter(any, lines):
+                jump = is_jumping_line(conic, scaled, v)
+                assert jump == is_jumping_line(conic, pencil, v), v
+                seen.add(("jump", jump))
+                if free:
+                    singular = singular_jump_criterion(conic, scaled, v)
+                    assert singular == singular_jump_criterion(conic, pencil, v), v
+                    seen.add(("singular", singular))
+            seen.add(("free", free))
+    assert seen == {(k, v) for k in ("jump", "singular", "free") for v in (True, False)}
+
+
 # ---------------------------------------------------------------------------
 # reparametrization invariance
 
