@@ -1,19 +1,22 @@
 """Exact arithmetic for homogeneous polynomials over the rationals.
 
 Two concrete containers are provided: :class:`BinaryForm` (homogeneous in an
-ordered pair of variables, dense coefficient list) and :class:`TernaryForm`
-(homogeneous in an ordered triple, sparse exponent map).  Both expose `terms`,
-the map from exponent to nonzero coefficient.  `_Form` holds what reads a form
-only through that map (zero, evaluation, partial derivatives, text and JSON),
-and each class holds the dense or sparse kernels of its own representation.
-All coefficients are `fractions.Fraction`, every operation is exact, and all
-values are immutable: every value class of the package derives from `Frozen`.
+ordered pair of variables, dense numerator tuple) and :class:`TernaryForm`
+(homogeneous in an ordered triple, sparse exponent map).  A form holds integer
+numerators `nums` over one positive denominator `den`, with gcd(content, den)
+= 1, reduced by one gcd when it is built; that is canonical, so ==, hash and
+pickle compare integers.  `terms` (exponent -> nonzero Fraction) and the
+binary `coeffs` are views, built on first read for text, JSON and callers.
+`_Form` holds what both classes share (zero, evaluation, partial derivatives,
+text and JSON), and each class holds the dense or sparse kernels of its own
+representation.  Every operation is exact, and all values are immutable:
+every value class of the package derives from `Frozen`.
 
 `parse_form` reads text by one recursive descent: a monomial such as
 `3/4*u^2*v` is read in closed form, into one coefficient and one exponent,
 and only parenthesized sums are multiplied out as term maps, within
 MAX_TERM_PRODUCTS and MAX_COEFF_BITS; coefficients stay ints until a
-denominator appears.
+denominator appears, and the form takes them over one denominator.
 
 A linear change of coordinates, `substitute_terms`, is a relabelling and at
 most six Taylor shifts of every slice of the form (von zur Gathen & Gerhard,
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, repeat
 from math import floor, gcd, lcm, log10
 from operator import attrgetter, floordiv, itemgetter, mul
@@ -114,6 +117,13 @@ def integral_row(values: Sequence) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in p], d
 
 
+def integral_coeffs(*forms: "BinaryForm") -> tuple[list[int], int]:
+    """The binary forms' numerators over d, the lcm of their denominators,
+    and d; gcd(numerators, d) = 1, since each form is reduced."""
+    d = lcm(*(f.den for f in forms))
+    return [x * (d // f.den) for f in forms for x in f.nums], d
+
+
 def adjugate3(m: Sequence[Sequence]) -> tuple[object, list[list]]:
     """Determinant and adjugate of a 3x3 matrix: adj[k][j] is the cofactor of
     m[j][k], so m*adj = det(m)*I, and a rank-2 symmetric m has
@@ -130,10 +140,10 @@ def adjugate3(m: Sequence[Sequence]) -> tuple[object, list[list]]:
 # parser's products of parenthesized sums and the polynomial determinant in
 # linalg
 
-def add_terms(a: Mapping[Exp, Fraction], b: Mapping[Exp, Fraction]) -> TermMap:
+def add_terms(a: Mapping[Exp, object], b: Mapping[Exp, object]) -> dict:
     out = dict(a)
     for e, c in b.items():
-        s = out.get(e, Fraction(0)) + c
+        s = out.get(e, 0) + c
         if s:
             out[e] = s
         else:
@@ -151,7 +161,7 @@ def mul_terms(a: Mapping[Exp, object], b: Mapping[Exp, object]) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
-def scale_terms(c: Fraction, a: Mapping[Exp, Fraction]) -> TermMap:
+def scale_terms(c, a: Mapping[Exp, object]) -> dict:
     if c == 0:
         return {}
     return {e: c * v for e, v in a.items()}
@@ -554,8 +564,14 @@ class _Parser:
         return out
 
 
+def _parse(text: str, variables: Sequence[str]) -> dict:
+    """The nonzero terms of polynomial text: ints, or Fractions where a
+    denominator appears."""
+    return _Parser(text, variables).parse()
+
+
 def parse_terms(text: str, variables: Sequence[str]) -> TermMap:
-    return {e: _q(c) for e, c in _Parser(text, variables).parse().items()}
+    return {e: _q(c) for e, c in _parse(text, variables).items()}
 
 
 def parse_form(text: str, variables: Sequence[str]):
@@ -565,7 +581,7 @@ def parse_form(text: str, variables: Sequence[str]):
     zero form prints as `0`, which reads back as the zero of degree 0.
     Raises ParseError on bad syntax, HomogeneityError on mixed-degree input.
     """
-    terms = parse_terms(text, variables)
+    terms = _parse(text, variables)
     degrees = {sum(e) for e in terms}
     if len(degrees) > 1:
         raise HomogeneityError(
@@ -573,16 +589,41 @@ def parse_form(text: str, variables: Sequence[str]):
     return _form(degrees.pop() if degrees else 0, tuple(variables), terms)
 
 
-def _form(degree: int, variables: tuple[str, ...], terms: Mapping[Exp, Fraction]):
+def _form(degree: int, variables: tuple[str, ...], terms: Mapping[Exp, object]):
+    """The form of a map of nonzero rationals, its numerators over one denominator."""
+    nums, den = integral_row(list(terms.values()))
+    nums = dict(zip(terms, nums))
     if len(variables) == 2:
-        return BinaryForm.from_terms(degree, variables, terms)
+        return BinaryForm.from_terms(degree, variables, {e: Fraction(c, den) for e, c in nums.items()})
     if len(variables) == 3:
-        return TernaryForm.from_terms(degree, variables, terms)
+        return TernaryForm(degree, variables, den, nums)
     raise ValueError("expected 2 or 3 variables")
 
 
 # ---------------------------------------------------------------------------
 # binary and ternary forms
+
+@lru_cache(maxsize=32)
+def _exponents(arity: int, degree: int) -> frozenset:
+    """Every exponent of a degree in two or three variables."""
+    return frozenset(_slices(degree, 0, 1)[0] if arity == 3 else
+                     [(degree - j, j) for j in range(degree + 1)])
+
+
+def _check_exponents(terms: Mapping[Exp, object], arity: int, degree: int):
+    """ValueError unless every exponent of the map has `arity` entries, none
+    negative; HomogeneityError unless each sums to the degree.  Up to
+    MAX_DEGREE one set inclusion decides."""
+    if degree <= MAX_DEGREE and terms.keys() <= _exponents(arity, degree):
+        return
+    for e in terms:
+        if len(e) != arity:
+            raise ValueError(f"exponent {e} must have {arity} entries, one per variable")
+        if min(e) < 0:
+            raise ValueError(f"negative exponent in {e}")
+        if sum(e) != degree:
+            raise HomogeneityError(f"exponent {e} does not sum to the degree {degree}")
+
 
 class _Form(Frozen):
     """What reads a form only through its `terms` map, exponent -> nonzero
@@ -763,71 +804,87 @@ def form_from_json(data: Mapping):
     for e in terms:
         if len(e) != len(variables) or not all(type(k) is int and k >= 0 for k in e):
             raise ValueError(f"malformed form JSON: bad exponent {list(e)}")
-    return _form(degree, variables, terms)
+    return _form(degree, variables, {e: c for e, c in terms.items() if c})
 
 
 class TernaryForm(_Form):
-    """Homogeneous polynomial in an ordered variable triple, stored sparsely.
+    """Homogeneous polynomial in an ordered variable triple, stored sparsely:
+    nums, read-only, maps each exponent to a nonzero integer numerator.
 
-    terms is a read-only copy of the given map; forms are hashable.
+    TernaryForm(degree, variables, den, nums) reduces integer numerators over
+    any nonzero den by one gcd; TernaryForm(degree, variables, terms) reads a
+    map of any rationals, as `from_terms` does.
     """
 
     degree: int
     variables: tuple[str, str, str]
-    terms: Mapping[Exp, Fraction]
+    den: int
+    nums: Mapping[Exp, int]
 
-    def __post_init__(self):
-        if self.degree < 0:
+    def __init__(self, degree: int, variables: tuple[str, str, str], *rep):
+        if len(rep) == 1:  # a map of rationals, not the fields
+            terms = {e: c for e, c in dict(rep[0]).items() if c}
+            values, den = integral_row(list(terms.values()))
+            rep = den, dict(zip(terms, values))
+        if len(rep) != 2:
+            raise TypeError("TernaryForm takes (degree, variables, den, nums) "
+                            "or (degree, variables, terms)")
+        den, nums = rep
+        if degree < 0:
             raise ValueError("degree must be non-negative")
-        _set(self, "terms", MappingProxyType(dict(self.terms)))
-        for e, c in self.terms.items():
-            if len(e) != 3 or sum(e) != self.degree:
-                raise HomogeneityError("exponent triple does not sum to the degree")
-            if c == 0:
-                raise ValueError("stored zero coefficient")
+        _check_exponents(nums, 3, degree)
+        if not den or 0 in nums.values():
+            raise ValueError("zero denominator or stored zero coefficient")
+        g = gcd(den, *nums.values()) * (1 if den > 0 else -1)
+        nums = dict(zip(nums, map(floordiv, nums.values(), repeat(g)))) if g != 1 else dict(nums)
+        super().__init__(degree, variables, den // g, MappingProxyType(nums))
 
     def __hash__(self) -> int:
-        return hash((self.degree, self.variables, frozenset(self.terms.items())))
+        return hash((self.degree, self.variables, self.den, frozenset(self.nums.items())))
 
     def __reduce__(self):
-        return TernaryForm, (self.degree, self.variables, dict(self.terms))
+        return TernaryForm, (self.degree, self.variables, self.den, dict(self.nums))
+
+    @cached_property
+    def terms(self) -> Mapping[Exp, Fraction]:
+        """The read-only map exponent -> nonzero Fraction, built on first read."""
+        den = self.den
+        return MappingProxyType({e: Fraction(c, den) for e, c in self.nums.items()})
 
     @classmethod
     def from_terms(cls, degree: int, variables: tuple[str, str, str],
                    terms: Mapping[Exp, Fraction]) -> "TernaryForm":
-        return cls(degree, variables, {e: _q(c) for e, c in terms.items() if c})
+        return cls(degree, variables, terms)
 
     @classmethod
     def constant(cls, value, variables: tuple[str, str, str]) -> "TernaryForm":
         value = _q(value)
-        return cls(0, variables, {(0, 0, 0): value} if value else {})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TernaryForm):
-            return NotImplemented
-        return (self.degree == other.degree and self.variables == other.variables
-                and self.terms == other.terms)
+        return cls(0, variables, value.denominator, {(0, 0, 0): value.numerator} if value else {})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def coefficient(self, exp: Exp) -> Fraction:
-        return self.terms.get(tuple(exp), Fraction(0))
+        return Fraction(self.nums.get(tuple(exp), 0), self.den)
 
     def __add__(self, other: "TernaryForm") -> "TernaryForm":
         self._check_vars(other)
         if self.degree != other.degree and not (self.is_zero() or other.is_zero()):
             raise ValueError(f"degree mismatch on add: {self.degree} vs {other.degree}")
         degree = other.degree if self.is_zero() else self.degree
-        return TernaryForm(degree, self.variables, add_terms(self.terms, other.terms))
+        a, b = self.den, other.den
+        return TernaryForm(degree, self.variables, a * b,
+                           add_terms(scale_terms(b, self.nums), scale_terms(a, other.nums)))
 
     def __mul__(self, other: "TernaryForm") -> "TernaryForm":
         self._check_vars(other)
-        return TernaryForm(self.degree + other.degree, self.variables,
-                           mul_terms(self.terms, other.terms))
+        return TernaryForm(self.degree + other.degree, self.variables, self.den * other.den,
+                           mul_terms(self.nums, other.nums))
 
     def scale(self, c) -> "TernaryForm":
-        return TernaryForm(self.degree, self.variables, scale_terms(_q(c), self.terms))
+        c = _q(c)
+        return TernaryForm(self.degree, self.variables, self.den * c.denominator,
+                           scale_terms(c.numerator, self.nums))
 
     def gradient(self) -> tuple["TernaryForm", "TernaryForm", "TernaryForm"]:
         return tuple(self.partial(v) for v in self.variables)
@@ -835,28 +892,24 @@ class TernaryForm(_Form):
     def substitute_linear(self, t: Sequence[Sequence]) -> "TernaryForm":
         """Projective coordinate change: returns F with x_i := sum_j t[i][j]*x_j.
 
-        The integer core, `substitute_terms`, runs on the terms times d and the
-        matrix times e; each result is divided once, by d*e^degree (F is
-        homogeneous)."""
+        The integer core, `substitute_terms`, runs on the numerators and the
+        matrix times e; the result is over den*e^degree (F is homogeneous)."""
         entries, e = integral_row([t[i][j] for i in range(3) for j in range(3)])
         m = [entries[i:i + 3] for i in (0, 3, 6)]
         if adjugate3(m)[0] == 0:
             raise PreconditionError("coordinate change matrix is singular")
-        nums, d = integral_row(list(self.terms.values()))
-        moved = substitute_terms(dict(zip(self.terms, nums)), self.degree, m)
-        scale = d * e ** self.degree
-        return TernaryForm(self.degree, self.variables,
-                           {x: Fraction(c, scale) for x, c in moved.items()})
+        return TernaryForm(self.degree, self.variables, self.den * e ** self.degree,
+                           substitute_terms(self.nums, self.degree, m))
 
     def lex_leading_coefficient(self) -> Fraction:
-        if self.is_zero():
-            return Fraction(0)
-        return self.terms[max(self.terms)]
+        return Fraction(self.nums[max(self.nums)], self.den) if self.nums else Fraction(0)
 
     def lex_normalized(self) -> "TernaryForm":
-        """Scale so the lexicographically-first monomial has coefficient 1."""
-        lead = self.lex_leading_coefficient()
-        return self if lead in (0, 1) else self.scale(1 / lead)
+        """Scale so the lexicographically-first monomial has coefficient 1:
+        the numerators over the leading one."""
+        lead = self.nums[max(self.nums)] if self.nums else 0
+        return self if lead in (0, self.den) else TernaryForm(
+            self.degree, self.variables, lead, self.nums)
 
     def proportional_to(self, other: "TernaryForm") -> bool:
         """Equality as projective curves (up to a nonzero scalar)."""

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from functools import cache
 from fractions import Fraction
-from math import gcd, prod
+from itertools import repeat
+from math import gcd, lcm, prod
 from typing import Sequence
 
 from .forms import (
@@ -187,9 +188,14 @@ def conic_matrix(q: TernaryForm) -> Matrix:
 
 
 def _conic_adjugate(q: TernaryForm) -> tuple[int, list[list[int]], int]:
-    """det and adjugate of d*conic_matrix(q), an integer matrix, and d."""
-    ints, d = integral_row([x for row in conic_matrix(q) for x in row])
-    return (*adjugate3([ints[i:i + 3] for i in (0, 3, 6)]), d)
+    """det and adjugate of d*conic_matrix(q), an integer matrix of the
+    numerators, mixed ones once and the others twice, and d = 2*den."""
+    if q.degree != 2:
+        raise PreconditionError("expected a ternary quadric")
+    a, b, f, h, g, k = map(q.nums.get, [(2, 0, 0), (0, 2, 0), (0, 0, 2),
+                                        (1, 1, 0), (1, 0, 1), (0, 1, 1)], repeat(0))
+    m = [[2 * a, h, g], [h, 2 * b, k], [g, k, 2 * f]]
+    return (*adjugate3(m), 2 * q.den)
 
 
 def conic_det3(q: TernaryForm) -> Fraction:
@@ -252,6 +258,10 @@ class PolyMatrix(Frozen):
         if self.rows != self.cols:
             raise PreconditionError("determinant requires a square matrix")
         n = self.rows
+        # each row on integers, times the lcm of its denominators
+        dens = [lcm(*(e.den for e in self.entries[i * n:i * n + n])) for i in range(n)]
+        rows = [[e.nums if e.den == d else {x: c * (d // e.den) for x, c in e.nums.items()}
+                 for e in self.entries[i * n:i * n + n]] for i, d in enumerate(dens)]
 
         @cache
         def minor(free: tuple[int, ...]) -> dict:
@@ -260,7 +270,7 @@ class PolyMatrix(Frozen):
                 return {(0, 0, 0): 1}
             out: dict = {}
             for k, j in enumerate(free):
-                entry = self.entry(n - len(free), j).terms
+                entry = rows[n - len(free)][j]
                 rest = minor(free[:k] + free[k + 1:]) if entry else None
                 if rest:
                     if k % 2:
@@ -271,4 +281,5 @@ class PolyMatrix(Frozen):
 
         terms = minor(tuple(range(n)))
         minor.cache_clear()  # minor refers to itself: free the minors now, not at gc
-        return TernaryForm(sum(self.entry(0, j).degree for j in range(n)), self.variables, terms)
+        return TernaryForm(sum(self.entry(0, j).degree for j in range(n)), self.variables,
+                           prod(dens), terms)

@@ -129,14 +129,14 @@ def _integers(*forms: BinaryForm) -> tuple[tuple[int, ...], int]:
 
 def _pieces(quartic: TernaryForm, transform: Transform, column: list) -> tuple[list, int]:
     """Integer pieces F0..F4 of the moved quartic sum t^(4-i) * f_i, t last, with
-    F_i = d*lam^(4-i)*f_i: the terms times d and the last column times lam are
-    the integers column (the other two are standard vectors), moved by one substitution."""
+    F_i = d*lam^(4-i)*f_i: the numerators over d and the last column times lam
+    are the integers column (the other two are standard vectors), moved by one
+    substitution."""
     m = [[row[0].numerator, row[1].numerator, x] for row, x in zip(transform, column)]
-    nums, d = integral_row(list(quartic.terms.values()))
     pieces = [[0] * (i + 1) for i in range(5)]
-    for (_, b, c), x in substitute_terms(dict(zip(quartic.terms, nums)), 4, m).items():
+    for (_, b, c), x in substitute_terms(quartic.nums, 4, m).items():
         pieces[4 - c][b] = x
-    return pieces, d
+    return pieces, quartic.den
 
 
 def _over(pair: tuple[str, str], nums: Sequence[int], den: int) -> BinaryForm:
@@ -171,9 +171,9 @@ def _assemble(pieces: Sequence[Sequence[int]], den: int, pair: tuple[str, str], 
     if sorted(var_order) != sorted(names):
         raise ValueError("new variable triple must be a permutation of the old one")
     place, top = itemgetter(*[names.index(v) for v in var_order]), len(pieces) - 1
-    terms = {place((len(g) - 1 - j, j, top - i)): Fraction(c, den)
+    terms = {place((len(g) - 1 - j, j, top - i)): c
              for i, g in enumerate(pieces) for j, c in enumerate(g) if c}
-    return TernaryForm(top + len(pieces[0]) - 1, var_order, terms)
+    return TernaryForm(top + len(pieces[0]) - 1, var_order, den, terms)
 
 
 _last: tuple = (None, None, None)  # the last _decompose: quartic, point, result

@@ -87,7 +87,7 @@ def make_conic(p0: BinaryForm, p1: BinaryForm, p2: BinaryForm) -> ConicParam:
         raise PreconditionError(
             "parametrization components are linearly dependent: image is not a smooth conic")
     terms = substitute_terms({(1, 0, 1): 1, (0, 2, 0): -1}, 2, adj)
-    return ConicParam(p0, p1, p2, TernaryForm.from_terms(2, PRIMAL_VARS, terms).lex_normalized())
+    return ConicParam(p0, p1, p2, TernaryForm(2, PRIMAL_VARS, terms[max(terms)], terms))
 
 
 def standard_conic() -> ConicParam:
@@ -301,11 +301,11 @@ def _jump_terms(pencil: PonceletPencil) -> dict[tuple[int, int, int], int]:
 
 
 def poncelet_curve(conic: ConicParam, pencil: PonceletPencil) -> TernaryForm:
-    """Degree-n curve G(T*(u, v, w)) of jumping lines, lexicographically-monic.
-    G is not zero: independent generators leave some chord of the conic not jumping."""
+    """Degree-n curve G(T*(u, v, w)) of jumping lines, lexicographically-monic:
+    its integer terms over the leading one, reduced by one gcd.  G is not
+    zero: independent generators leave some chord of the conic not jumping."""
     terms = substitute_terms(_jump_terms(pencil), pencil.n, conic._t)
-    lead = terms[max(terms)]
-    return TernaryForm(pencil.n, DUAL_VARS, {e: Fraction(c, lead) for e, c in terms.items()})
+    return TernaryForm(pencil.n, DUAL_VARS, terms[max(terms)], terms)
 
 
 def is_base_point_free(pencil: PonceletPencil) -> bool:

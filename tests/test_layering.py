@@ -10,8 +10,8 @@ once for both kinds of form.  And `nodal` eliminates once per node:
 it imports none of `sylvester_resultant`, `det_rational`, `solve_linear`
 and `sylvester_matrix`, since its one integer Koszul solve both decides
 admissibility and gives (phi, psi).  `forms` has
-one parser: it defines one parser class, and only `parse_terms` constructs
-it.  And the incidence tests of `poncelet`, `is_jumping_line` and
+one parser: it defines one parser class, and only `_parse` constructs it,
+for `parse_terms` and `parse_form`.  And the incidence tests of `poncelet`, `is_jumping_line` and
 `singular_jump_criterion`, pull the line back in integers through the
 conic's cached matrix: neither calls `line_pullback`.  And they divide by
 the pullback q alone: neither builds a q^2 vector (no display of more than
@@ -129,14 +129,14 @@ def calls_to(node: ast.AST, name: str) -> list[ast.Call]:
         or isinstance(n.func, ast.Attribute) and n.func.attr == name)]
 
 
-def test_forms_has_one_parser_built_only_by_parse_terms():
+def test_forms_has_one_parser_built_only_by_parse():
     tree = module_tree("forms")
     parsers = [n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)
                and "parser" in n.name.lower()]
     assert parsers == ["_Parser"]
     builders = [f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
                 and calls_to(f, "_Parser")]
-    assert builders == ["parse_terms"]
+    assert builders == ["_parse"]
     assert len(calls_to(tree, "_Parser")) == 1
 
 
