@@ -117,11 +117,11 @@ def integral_row(values: Sequence) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in p], d
 
 
-def integral_coeffs(*forms: "BinaryForm") -> tuple[list[int], int]:
+def integral_coeffs(*forms: "BinaryForm") -> tuple[tuple[int, ...], int]:
     """The binary forms' numerators over d, the lcm of their denominators,
-    and d; gcd(numerators, d) = 1, since each form is reduced."""
+    and d; gcd(numerators, d) = 1, since each form is in lowest terms."""
     d = lcm(*(f.den for f in forms))
-    return [x * (d // f.den) for f in forms for x in f.nums], d
+    return tuple(x * (d // f.den) for f in forms for x in f.nums), d
 
 
 def adjugate3(m: Sequence[Sequence]) -> tuple[object, list[list]]:
@@ -594,7 +594,7 @@ def _form(degree: int, variables: tuple[str, ...], terms: Mapping[Exp, object]):
     nums, den = integral_row(list(terms.values()))
     nums = dict(zip(terms, nums))
     if len(variables) == 2:
-        return BinaryForm.from_terms(degree, variables, {e: Fraction(c, den) for e, c in nums.items()})
+        return BinaryForm(degree, variables, den, _dense(degree, nums))
     if len(variables) == 3:
         return TernaryForm(degree, variables, den, nums)
     raise ValueError("expected 2 or 3 variables")
@@ -625,10 +625,31 @@ def _check_exponents(terms: Mapping[Exp, object], arity: int, degree: int):
             raise HomogeneityError(f"exponent {e} does not sum to the degree {degree}")
 
 
+def _signed_gcd(den: int, values: Iterable[int]) -> int:
+    """gcd(den, values) with the sign of den: dividing by it leaves the values
+    over den in lowest terms, over a positive denominator."""
+    if not den:
+        raise ValueError("zero denominator")
+    return gcd(den, *values) if den > 0 else -gcd(den, *values)
+
+
 class _Form(Frozen):
-    """What reads a form only through its `terms` map, exponent -> nonzero
-    Fraction, written once for both classes.  Each class keeps its own
-    kernels on its representation: from_terms, +, *, scale and is_zero."""
+    """What both classes share, written once: construction, zero, evaluation,
+    partial derivatives, text and JSON.  Each class keeps its own kernels on
+    its representation: `_integral`, `_lowest`, +, *, scale and is_zero."""
+
+    def __init__(self, degree: int, variables: tuple[str, ...], *rep):
+        """(degree, variables, den, nums), the fields: integer numerators over
+        any nonzero den, brought to lowest terms by one gcd; or (degree,
+        variables, terms), rationals that `_integral` scales to integers."""
+        if len(rep) == 1:  # rationals, not the fields
+            rep = self._integral(rep[0])
+        if len(rep) != 2:
+            raise TypeError(f"{type(self).__name__} takes (degree, variables, den, nums) "
+                            "or (degree, variables, terms)")
+        if degree < 0:
+            raise ValueError("degree must be non-negative")
+        super().__init__(degree, variables, *self._lowest(degree, *rep))
 
     @classmethod
     def zero(cls, degree: int, variables: tuple[str, ...]) -> "_Form":
@@ -650,24 +671,17 @@ class _Form(Frozen):
         return self.scale(-1)
 
     def evaluate(self, point: Sequence) -> Fraction:
-        """The value at a point, on ints: the coefficients times e and the point
-        times d are integral, so one division by e*d^degree ends it."""
+        """The value at a point, on the numerators: the point times d is
+        integral, so one division by den*d^degree ends it."""
         self._check_point(point)
-        terms = self.terms
-        nums, e = integral_row(list(terms.values()))
         p, d = integral_row(point)
-        powers = []
-        for x in p:
-            row = [1]
-            for _ in range(self.degree):
-                row.append(row[-1] * x)
-            powers.append(row)
+        powers = [list(accumulate(repeat(x, self.degree), mul, initial=1)) for x in p]
         total = 0
-        for exp, c in zip(terms, nums):
+        for exp, c in self._int_terms.items():
             for row, k in zip(powers, exp):
                 c *= row[k]
             total += c
-        return Fraction(total, e * d ** self.degree)
+        return Fraction(total, self.den * d ** self.degree)
 
     def partial(self, var: str) -> "_Form":
         if var not in self.variables:
@@ -699,79 +713,103 @@ class _Form(Frozen):
 
 
 class BinaryForm(_Form):
-    """Homogeneous polynomial of fixed degree in an ordered variable pair.
+    """Homogeneous polynomial of fixed degree in an ordered variable pair:
+    nums[j]/den is the coefficient of v0^(degree-j) * v1^j.
 
-    coeffs[j] is the coefficient of v0^(degree-j) * v1^j.
+    BinaryForm(degree, variables, den, nums) reduces integer numerators over
+    any nonzero den by one gcd; BinaryForm(degree, variables, coeffs) reads a
+    list of any rationals, as `from_coeffs` does.
     """
 
     degree: int
     variables: tuple[str, str]
-    coeffs: tuple[Fraction, ...]
+    den: int
+    nums: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError("degree must be non-negative")
-        if len(self.coeffs) != self.degree + 1:
+    @staticmethod
+    def _integral(coeffs: Iterable) -> tuple[int, list[int]]:
+        return integral_row(coeffs)[::-1]
+
+    @staticmethod
+    def _lowest(degree: int, den: int, nums: Iterable[int]) -> tuple[int, tuple[int, ...]]:
+        nums = tuple(nums)
+        if len(nums) != degree + 1:
             raise ValueError("coefficient list must have degree+1 entries")
+        g = _signed_gcd(den, nums)
+        return den // g, nums if g == 1 else tuple(map(floordiv, nums, repeat(g)))
+
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, built on first read."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.nums)
 
     @classmethod
     def from_coeffs(cls, variables: tuple[str, str], coeffs: Iterable) -> "BinaryForm":
-        cs = tuple(_q(c) for c in coeffs)
+        cs = list(coeffs)
         return cls(len(cs) - 1, variables, cs)
 
     @classmethod
     def from_terms(cls, degree: int, variables: tuple[str, str],
                    terms: Mapping[Exp, Fraction]) -> "BinaryForm":
-        coeffs = [Fraction(0)] * (degree + 1)
-        for (i, j), c in terms.items():
-            if i + j != degree:
-                raise HomogeneityError("exponents do not match declared degree")
-            coeffs[j] = c
-        return cls(degree, variables, tuple(coeffs))
+        return cls(degree, variables, _dense(degree, terms))
 
     @property
     def terms(self) -> TermMap:
         return {(self.degree - j, j): c for j, c in enumerate(self.coeffs) if c}
 
+    @property
+    def _int_terms(self) -> dict[Exp, int]:
+        return {(self.degree - j, j): c for j, c in enumerate(self.nums) if c}
+
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def __add__(self, other: "BinaryForm") -> "BinaryForm":
         self._check_vars(other)
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch on add: {self.degree} vs {other.degree}")
-        return BinaryForm(self.degree, self.variables,
-                          tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        a, b = self.den, other.den
+        return BinaryForm(self.degree, self.variables, a * b,
+                          [x * b + y * a for x, y in zip(self.nums, other.nums)])
 
     def __mul__(self, other: "BinaryForm") -> "BinaryForm":
         self._check_vars(other)
-        coeffs = [Fraction(0)] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                coeffs[i + j] += a * b
-        return BinaryForm(self.degree + other.degree, self.variables, tuple(coeffs))
+        nums = [0] * (self.degree + other.degree + 1)
+        for i, a in enumerate(self.nums):
+            if a:
+                for j, b in enumerate(other.nums):
+                    nums[i + j] += a * b
+        return BinaryForm(self.degree + other.degree, self.variables, self.den * other.den, nums)
 
     def scale(self, c) -> "BinaryForm":
         c = _q(c)
-        return BinaryForm(self.degree, self.variables, tuple(c * a for a in self.coeffs))
+        return BinaryForm(self.degree, self.variables, self.den * c.denominator,
+                          [c.numerator * a for a in self.nums])
 
     def power(self, k: int) -> "BinaryForm":
         if k < 0:
             raise ValueError(f"negative power {k}")
-        out = BinaryForm(0, self.variables, (Fraction(1),))
+        out = BinaryForm(0, self.variables, 1, (1,))
         for _ in range(k):
             out = out * self
         return out
 
     def directional(self, xi: Sequence) -> "BinaryForm":
-        """Directional derivative xi0 * d/dv0 + xi1 * d/dv1."""
+        """Directional derivative xi0 * d/dv0 + xi1 * d/dv1, on the numerators
+        and xi times d: over den*d."""
         self._check_point(xi)
         if self.degree == 0:
             raise PreconditionError("cannot differentiate a degree-0 form")
-        return BinaryForm(self.degree - 1, self.variables,
-                          tuple(directional_coeffs(self.coeffs, _q(xi[0]), _q(xi[1]))))
+        (x0, x1), d = integral_row(xi)
+        return BinaryForm(self.degree - 1, self.variables, self.den * d,
+                          directional_coeffs(self.nums, x0, x1))
+
+
+def _dense(degree: int, terms: Mapping[Exp, object]) -> list:
+    """The coefficient list of a binary term map, its exponents checked."""
+    _check_exponents(terms, 2, degree)
+    return [terms.get((degree - j, j), 0) for j in range(degree + 1)]
 
 
 def directional_coeffs(c: Sequence, x0, x1) -> list:
@@ -821,23 +859,20 @@ class TernaryForm(_Form):
     den: int
     nums: Mapping[Exp, int]
 
-    def __init__(self, degree: int, variables: tuple[str, str, str], *rep):
-        if len(rep) == 1:  # a map of rationals, not the fields
-            terms = {e: c for e, c in dict(rep[0]).items() if c}
-            values, den = integral_row(list(terms.values()))
-            rep = den, dict(zip(terms, values))
-        if len(rep) != 2:
-            raise TypeError("TernaryForm takes (degree, variables, den, nums) "
-                            "or (degree, variables, terms)")
-        den, nums = rep
-        if degree < 0:
-            raise ValueError("degree must be non-negative")
+    @staticmethod
+    def _integral(terms: Mapping[Exp, object]) -> tuple[int, dict[Exp, int]]:
+        terms = {e: c for e, c in dict(terms).items() if c}
+        values, den = integral_row(list(terms.values()))
+        return den, dict(zip(terms, values))
+
+    @staticmethod
+    def _lowest(degree: int, den: int, nums: Mapping[Exp, int]) -> tuple[int, Mapping[Exp, int]]:
         _check_exponents(nums, 3, degree)
-        if not den or 0 in nums.values():
-            raise ValueError("zero denominator or stored zero coefficient")
-        g = gcd(den, *nums.values()) * (1 if den > 0 else -1)
+        if 0 in nums.values():
+            raise ValueError("stored zero coefficient")
+        g = _signed_gcd(den, nums.values())
         nums = dict(zip(nums, map(floordiv, nums.values(), repeat(g)))) if g != 1 else dict(nums)
-        super().__init__(degree, variables, den // g, MappingProxyType(nums))
+        return den // g, MappingProxyType(nums)
 
     def __hash__(self) -> int:
         return hash((self.degree, self.variables, self.den, frozenset(self.nums.items())))
@@ -855,6 +890,10 @@ class TernaryForm(_Form):
     def from_terms(cls, degree: int, variables: tuple[str, str, str],
                    terms: Mapping[Exp, Fraction]) -> "TernaryForm":
         return cls(degree, variables, terms)
+
+    @property
+    def _int_terms(self) -> Mapping[Exp, int]:
+        return self.nums
 
     @classmethod
     def constant(cls, value, variables: tuple[str, str, str]) -> "TernaryForm":

@@ -173,8 +173,8 @@ def disc_binary_quadratic(h: BinaryForm) -> Fraction:
     """Discriminant q^2 - 4pr of p*v0^2 + q*v0*v1 + r*v1^2."""
     if h.degree != 2:
         raise PreconditionError("discriminant needs a degree-2 binary form")
-    p, q, r = h.coeffs
-    return q * q - 4 * p * r
+    p, q, r = h.nums
+    return Fraction(q * q - 4 * p * r, h.den * h.den)
 
 
 def conic_matrix(q: TernaryForm) -> Matrix:

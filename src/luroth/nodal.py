@@ -33,7 +33,7 @@ from operator import itemgetter, mul
 from typing import Sequence
 
 from .forms import (BinaryForm, Frozen, PreconditionError, TernaryForm, adjugate3,
-                    directional_coeffs, integral_row, substitute_terms)
+                    directional_coeffs, integral_coeffs, integral_row, substitute_terms)
 from .linalg import _bareiss, conic_kernel_point, disc_binary_quadratic
 
 Transform = tuple[tuple[Fraction, ...], ...]
@@ -83,9 +83,11 @@ class NodeDecomposition(Frozen):
 
     @cached_property
     def _ints(self):
-        """The last column, (f2, f3, f4) and the split (or None), each `_reduced`."""
+        """The last column, (f2, f3, f4) and the split (or None), each in
+        lowest terms over one denominator."""
         return (_reduced(*integral_row([row[2] for row in self.transform])),
-                _integers(self.f2, self.f3, self.f4), self.split and _integers(*self.split))
+                integral_coeffs(self.f2, self.f3, self.f4),
+                self.split and integral_coeffs(*self.split))
 
 
 class AssociatedConicData(Frozen):
@@ -97,8 +99,8 @@ class AssociatedConicData(Frozen):
 
     @cached_property
     def _ints(self):
-        """(phi, psi) as integers over one denominator, `_reduced`."""
-        return _integers(self.phi, self.psi)
+        """(phi, psi) in lowest terms over one denominator."""
+        return integral_coeffs(self.phi, self.psi)
 
 
 class NodalQuarticAnalysis(Frozen):
@@ -122,11 +124,6 @@ def _reduced(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
     return tuple(x // g for x in nums), den // g
 
 
-def _integers(*forms: BinaryForm) -> tuple[tuple[int, ...], int]:
-    """The forms' coefficients as `_reduced` integers over one denominator."""
-    return _reduced(*integral_row([c for f in forms for c in f.coeffs]))
-
-
 def _pieces(quartic: TernaryForm, transform: Transform, column: list) -> tuple[list, int]:
     """Integer pieces F0..F4 of the moved quartic sum t^(4-i) * f_i, t last, with
     F_i = d*lam^(4-i)*f_i: the numerators over d and the last column times lam
@@ -140,8 +137,8 @@ def _pieces(quartic: TernaryForm, transform: Transform, column: list) -> tuple[l
 
 
 def _over(pair: tuple[str, str], nums: Sequence[int], den: int) -> BinaryForm:
-    """The binary form with coefficients nums/den, as canonical Fractions."""
-    return BinaryForm(len(nums) - 1, pair, tuple(Fraction(x, den) for x in nums))
+    """The binary form with coefficients nums/den."""
+    return BinaryForm(len(nums) - 1, pair, den, nums)
 
 
 def _koszul_matrix(f2: Sequence[int], f3: Sequence[int], rhs: Sequence[int] = ()) -> list:
@@ -240,8 +237,8 @@ def normalize_at_node(quartic: TernaryForm, point: Sequence) -> NodeDecompositio
 def assemble_quartic(f2: BinaryForm, f3: BinaryForm, f4: BinaryForm,
                      t_var: str, var_order: tuple[str, str, str]) -> TernaryForm:
     """t^2*f2 + t*f3 + f4 as a ternary quartic in the requested variable order."""
-    nums, d = integral_row(f2.coeffs + f3.coeffs + f4.coeffs)
-    k, m = len(f2.coeffs), len(f2.coeffs) + len(f3.coeffs)
+    nums, d = integral_coeffs(f2, f3, f4)
+    k, m = f2.degree + 1, f2.degree + f3.degree + 2
     return _assemble((nums[:k], nums[k:m], nums[m:]), d, f2.variables, t_var, var_order)
 
 
@@ -250,7 +247,7 @@ def koszul_solve(f2: BinaryForm, f3: BinaryForm,
     """Unique (phi linear, psi quadratic) with phi*f3 + psi*f2 = rhs; needs Res(f2, f3) != 0."""
     if (f2.degree, f3.degree, rhs.degree) != (2, 3, 4):
         raise PreconditionError("the Koszul system needs degrees 2, 3 and 4")
-    ints = integral_row(f2.coeffs + f3.coeffs + rhs.coeffs)[0]
+    ints = integral_coeffs(f2, f3, rhs)[0]
     if (sol := _solve(ints[:3], ints[3:7], ints[7:])) is None:
         raise PreconditionError("Koszul system is singular: f2 and f3 share a projective root")
     return _over(f2.variables, sol[0], sol[2]), _over(f2.variables, sol[1], sol[2])
@@ -263,7 +260,7 @@ def associated_conic(dec: NodeDecomposition) -> AssociatedConicData:
     matrix M, and phi^2 + psi is (a*a + e*b)/e^2.
     """
     phi, psi = dec.split or koszul_solve(dec.f2, dec.f3, dec.f4)
-    (a0, a1, b0, b1, b2), e = split = dec._ints[2] or _integers(phi, psi)
+    (a0, a1, b0, b1, b2), e = split = dec._ints[2] or integral_coeffs(phi, psi)
     det = adjugate3([[-2 * b0, -b1, 2 * a0], [-b1, -2 * b2, 2 * a1], [2 * a0, 2 * a1, 2 * e]])[0]
     c0, c1, c2 = a0 * a0 + e * b0, 2 * a0 * a1 + e * b1, a1 * a1 + e * b2
     conic = _assemble(([e], [2 * a0, 2 * a1], [-b0, -b1, -b2]), e, dec.pair, dec.t_var,
@@ -357,7 +354,7 @@ def quartic_from_conic_and_cubic(f2: BinaryForm, f3: BinaryForm,
     if disc_binary_quadratic(f2) == 0:
         raise PreconditionError("f2 must be a nondegenerate binary quadratic")
     f4 = psi * f2 + phi * f3
-    ints = integral_row(f2.coeffs + f3.coeffs)[0]
+    ints = integral_coeffs(f2, f3)[0]
     if len(_bareiss(_koszul_matrix(ints[:3], ints[3:]))[0]) < 5:
         raise PreconditionError("f2 and f3 must be coprime")
     pair = f2.variables

@@ -39,7 +39,7 @@ from math import gcd
 from typing import Sequence
 
 from .forms import (BinaryForm, Frozen, PreconditionError, TernaryForm, _q, _UNITS,
-                    adjugate3, integral_row, substitute_terms)
+                    adjugate3, integral_coeffs, integral_row, substitute_terms)
 from .linalg import PolyMatrix, normalize_projective, shifted_multiples
 
 PRIMAL_VARS = ("x", "y", "t")
@@ -64,8 +64,8 @@ class ConicParam(Frozen):
     @cached_property
     def _t(self) -> list[list[int]]:
         """T[k][j], coefficient k of p_j, all scaled to integers by one factor."""
-        flat = integral_row([c for p in (self.p0, self.p1, self.p2) for c in p.coeffs])[0]
-        return [flat[k::3] for k in range(3)]
+        flat = integral_coeffs(self.p0, self.p1, self.p2)[0]
+        return [list(flat[k::3]) for k in range(3)]
 
 
 def make_conic(p0: BinaryForm, p1: BinaryForm, p2: BinaryForm) -> ConicParam:
@@ -81,7 +81,7 @@ def make_conic(p0: BinaryForm, p1: BinaryForm, p2: BinaryForm) -> ConicParam:
             raise PreconditionError("parametrization components must have degree 2")
         if p.variables != p0.variables:
             raise ValueError("parametrization components must share variables")
-    flat = integral_row([c for p in (p0, p1, p2) for c in p.coeffs])[0]
+    flat = integral_coeffs(p0, p1, p2)[0]
     det, adj = adjugate3([flat[3 * j:3 * j + 3] for j in range(3)])
     if det == 0:
         raise PreconditionError(
@@ -122,8 +122,7 @@ class PonceletPencil(Frozen):
     @cached_property
     def _ints(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Each generator's integer coefficients divided by their content."""
-        return tuple(tuple(_primitive(integral_row(g.coeffs)[0]))
-                     for g in (self.gamma1, self.gamma2))
+        return tuple(tuple(_primitive(g.nums)) for g in (self.gamma1, self.gamma2))
 
     @cached_property
     def _base_point_free(self) -> bool:
