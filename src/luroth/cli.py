@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import nodal, poncelet, verify
-from .forms import PreconditionError, parse_form, rational_literal, rational_text
+from .forms import MAX_DEGREE, PreconditionError, parse_form, rational_literal, rational_text
 from .poncelet import DUAL_VARS, PARAM_VARS
 
 EXIT_OK = 0
@@ -22,6 +22,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_PRECONDITION = 3
 EXIT_INTERNAL = 4
+MAX_VERTICES = MAX_DEGREE + 2  # k parameters print k*(k-1)/2 chords
 
 
 def _parse_point(text: str, arity: int) -> tuple[Fraction, ...]:
@@ -79,6 +80,8 @@ def cmd_poncelet(args) -> int:
         pencil = poncelet.PonceletPencil(gamma1, gamma2)
         curve = poncelet.poncelet_curve(conic, pencil)
         vertices = args.vertices.split(",") if args.vertices else []
+        if len(vertices) > MAX_VERTICES:
+            raise ValueError(f"--vertices: {len(vertices)} parameters, at most {MAX_VERTICES}")
         params = [_parse_point(p, 2) for p in vertices]
         chords = [(i, j, poncelet.chord_dual(conic, params[i], params[j]))
                   for i in range(len(params)) for j in range(i + 1, len(params))]

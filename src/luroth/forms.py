@@ -1,16 +1,15 @@
 """Exact arithmetic for homogeneous polynomials over the rationals.
 
 Two concrete containers are provided: :class:`BinaryForm` (homogeneous in an
-ordered pair of variables, dense numerator tuple) and :class:`TernaryForm`
-(homogeneous in an ordered triple, sparse exponent map).  A form holds integer
-numerators `nums` over one positive denominator `den`, with gcd(content, den)
-= 1, reduced by one gcd when it is built; that is canonical, so ==, hash and
-pickle compare integers.  `terms` (exponent -> nonzero Fraction) and the
-binary `coeffs` are views, built on first read for text, JSON and callers.
-`_Form` holds what both classes share (zero, evaluation, partial derivatives,
-text and JSON), and each class holds the dense or sparse kernels of its own
-representation.  Every operation is exact, and all values are immutable:
-every value class of the package derives from `Frozen`.
+ordered pair of variables, dense) and :class:`TernaryForm` (homogeneous in an
+ordered triple, sparse).  A form holds integer numerators `nums` over one
+positive denominator `den`, gcd(content, den) = 1, reduced by one gcd when it
+is built: canonical, so ==, hash and pickle compare integers.  `terms`
+(exponent -> nonzero Fraction) and the binary `coeffs` are views built when
+read; a form keeps only its integers.  `_Form` holds what both classes share, and each class the dense
+or sparse kernels of its own representation.  Every operation is exact, and
+all values are immutable: every value class of the package derives from
+`Frozen`.
 
 `parse_form` reads text by one recursive descent: a monomial such as
 `3/4*u^2*v` is read in closed form, into one coefficient and one exponent,
@@ -32,7 +31,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from itertools import accumulate, repeat
 from math import floor, gcd, lcm, log10
 from operator import attrgetter, floordiv, itemgetter, mul
@@ -590,13 +589,10 @@ def parse_form(text: str, variables: Sequence[str]):
 
 
 def _form(degree: int, variables: tuple[str, ...], terms: Mapping[Exp, object]):
-    """The form of a map of nonzero rationals, its numerators over one denominator."""
-    nums, den = integral_row(list(terms.values()))
-    nums = dict(zip(terms, nums))
     if len(variables) == 2:
-        return BinaryForm(degree, variables, den, _dense(degree, nums))
+        return BinaryForm.from_terms(degree, variables, terms)
     if len(variables) == 3:
-        return TernaryForm(degree, variables, den, nums)
+        return TernaryForm.from_terms(degree, variables, terms)
     raise ValueError("expected 2 or 3 variables")
 
 
@@ -605,55 +601,46 @@ def _form(degree: int, variables: tuple[str, ...], terms: Mapping[Exp, object]):
 
 @lru_cache(maxsize=32)
 def _exponents(arity: int, degree: int) -> frozenset:
-    """Every exponent of a degree in two or three variables."""
     return frozenset(_slices(degree, 0, 1)[0] if arity == 3 else
-                     [(degree - j, j) for j in range(degree + 1)])
+                     zip(range(degree, -1, -1), range(degree + 1)))
 
 
 def _check_exponents(terms: Mapping[Exp, object], arity: int, degree: int):
-    """ValueError unless every exponent of the map has `arity` entries, none
-    negative; HomogeneityError unless each sums to the degree.  Up to
-    MAX_DEGREE one set inclusion decides."""
-    if degree <= MAX_DEGREE and terms.keys() <= _exponents(arity, degree):
-        return
-    for e in terms:
-        if len(e) != arity:
-            raise ValueError(f"exponent {e} must have {arity} entries, one per variable")
-        if min(e) < 0:
-            raise ValueError(f"negative exponent in {e}")
-        if sum(e) != degree:
-            raise HomogeneityError(f"exponent {e} does not sum to the degree {degree}")
-
-
-def _signed_gcd(den: int, values: Iterable[int]) -> int:
-    """gcd(den, values) with the sign of den: dividing by it leaves the values
-    over den in lowest terms, over a positive denominator."""
-    if not den:
-        raise ValueError("zero denominator")
-    return gcd(den, *values) if den > 0 else -gcd(den, *values)
+    """ValueError unless each exponent has `arity` entries, none negative, and
+    HomogeneityError unless each sums to the degree (by one set inclusion)."""
+    if degree > MAX_DEGREE or not terms.keys() <= _exponents(arity, degree):
+        for e in terms:
+            if len(e) != arity or min(e) < 0:
+                raise ValueError(f"exponent {e} needs {arity} non-negative entries")
+            if sum(e) != degree:
+                raise HomogeneityError(f"exponent {e} does not sum to the degree {degree}")
 
 
 class _Form(Frozen):
     """What both classes share, written once: construction, zero, evaluation,
-    partial derivatives, text and JSON.  Each class keeps its own kernels on
-    its representation: `_integral`, `_lowest`, +, *, scale and is_zero."""
+    partial derivatives, the Fraction view `terms`, text and JSON.  Each class
+    keeps its own kernels on its representation: `_integral`, `_lowest`, +, *."""
 
     def __init__(self, degree: int, variables: tuple[str, ...], *rep):
-        """(degree, variables, den, nums), the fields: integer numerators over
-        any nonzero den, brought to lowest terms by one gcd; or (degree,
-        variables, terms), rationals that `_integral` scales to integers."""
-        if len(rep) == 1:  # rationals, not the fields
-            rep = self._integral(rep[0])
-        if len(rep) != 2:
-            raise TypeError(f"{type(self).__name__} takes (degree, variables, den, nums) "
-                            "or (degree, variables, terms)")
+        """(degree, variables, den, nums), the fields, put in lowest terms by one
+        gcd; or (degree, variables, terms), rationals `_integral` scales to ints."""
         if degree < 0:
             raise ValueError("degree must be non-negative")
+        rep = self._integral(*rep) if len(rep) == 1 else rep
         super().__init__(degree, variables, *self._lowest(degree, *rep))
+
+    @property
+    def terms(self) -> Mapping[Exp, Fraction]:
+        """The read-only map exponent -> nonzero Fraction, built when read."""
+        den = self.den
+        return MappingProxyType({e: Fraction(c, den) for e, c in self._int_terms.items()})
 
     @classmethod
     def zero(cls, degree: int, variables: tuple[str, ...]) -> "_Form":
         return cls.from_terms(degree, variables, {})
+
+    def is_zero(self) -> bool:
+        return not self._int_terms
 
     def _check_vars(self, other: "_Form"):
         if self.variables != other.variables:
@@ -714,12 +701,8 @@ class _Form(Frozen):
 
 class BinaryForm(_Form):
     """Homogeneous polynomial of fixed degree in an ordered variable pair:
-    nums[j]/den is the coefficient of v0^(degree-j) * v1^j.
-
-    BinaryForm(degree, variables, den, nums) reduces integer numerators over
-    any nonzero den by one gcd; BinaryForm(degree, variables, coeffs) reads a
-    list of any rationals, as `from_coeffs` does.
-    """
+    nums[j]/den is the coefficient of v0^(degree-j) * v1^j; the terms of the
+    three-argument form are a coefficient list."""
 
     degree: int
     variables: tuple[str, str]
@@ -735,12 +718,12 @@ class BinaryForm(_Form):
         nums = tuple(nums)
         if len(nums) != degree + 1:
             raise ValueError("coefficient list must have degree+1 entries")
-        g = _signed_gcd(den, nums)
+        g = gcd(den, *nums) * ((den > 0) - (den < 0))  # 0, so ZeroDivisionError, for den 0
         return den // g, nums if g == 1 else tuple(map(floordiv, nums, repeat(g)))
 
-    @cached_property
+    @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients as Fractions, built on first read."""
+        """The coefficients as Fractions, built when read."""
         den = self.den
         return tuple(Fraction(c, den) for c in self.nums)
 
@@ -752,18 +735,12 @@ class BinaryForm(_Form):
     @classmethod
     def from_terms(cls, degree: int, variables: tuple[str, str],
                    terms: Mapping[Exp, Fraction]) -> "BinaryForm":
-        return cls(degree, variables, _dense(degree, terms))
-
-    @property
-    def terms(self) -> TermMap:
-        return {(self.degree - j, j): c for j, c in enumerate(self.coeffs) if c}
+        _check_exponents(terms, 2, degree)
+        return cls(degree, variables, [terms.get((degree - j, j), 0) for j in range(degree + 1)])
 
     @property
     def _int_terms(self) -> dict[Exp, int]:
         return {(self.degree - j, j): c for j, c in enumerate(self.nums) if c}
-
-    def is_zero(self) -> bool:
-        return not any(self.nums)
 
     def __add__(self, other: "BinaryForm") -> "BinaryForm":
         self._check_vars(other)
@@ -796,20 +773,13 @@ class BinaryForm(_Form):
         return out
 
     def directional(self, xi: Sequence) -> "BinaryForm":
-        """Directional derivative xi0 * d/dv0 + xi1 * d/dv1, on the numerators
-        and xi times d: over den*d."""
+        """Directional derivative xi0 * d/dv0 + xi1 * d/dv1, over den*d for xi*d integral."""
         self._check_point(xi)
         if self.degree == 0:
             raise PreconditionError("cannot differentiate a degree-0 form")
         (x0, x1), d = integral_row(xi)
         return BinaryForm(self.degree - 1, self.variables, self.den * d,
                           directional_coeffs(self.nums, x0, x1))
-
-
-def _dense(degree: int, terms: Mapping[Exp, object]) -> list:
-    """The coefficient list of a binary term map, its exponents checked."""
-    _check_exponents(terms, 2, degree)
-    return [terms.get((degree - j, j), 0) for j in range(degree + 1)]
 
 
 def directional_coeffs(c: Sequence, x0, x1) -> list:
@@ -842,17 +812,12 @@ def form_from_json(data: Mapping):
     for e in terms:
         if len(e) != len(variables) or not all(type(k) is int and k >= 0 for k in e):
             raise ValueError(f"malformed form JSON: bad exponent {list(e)}")
-    return _form(degree, variables, {e: c for e, c in terms.items() if c})
+    return _form(degree, variables, terms)
 
 
 class TernaryForm(_Form):
     """Homogeneous polynomial in an ordered variable triple, stored sparsely:
-    nums, read-only, maps each exponent to a nonzero integer numerator.
-
-    TernaryForm(degree, variables, den, nums) reduces integer numerators over
-    any nonzero den by one gcd; TernaryForm(degree, variables, terms) reads a
-    map of any rationals, as `from_terms` does.
-    """
+    nums, read-only, maps each exponent to a nonzero integer numerator."""
 
     degree: int
     variables: tuple[str, str, str]
@@ -861,16 +826,15 @@ class TernaryForm(_Form):
 
     @staticmethod
     def _integral(terms: Mapping[Exp, object]) -> tuple[int, dict[Exp, int]]:
-        terms = {e: c for e, c in dict(terms).items() if c}
+        terms = dict(terms)
         values, den = integral_row(list(terms.values()))
         return den, dict(zip(terms, values))
 
     @staticmethod
     def _lowest(degree: int, den: int, nums: Mapping[Exp, int]) -> tuple[int, Mapping[Exp, int]]:
         _check_exponents(nums, 3, degree)
-        if 0 in nums.values():
-            raise ValueError("stored zero coefficient")
-        g = _signed_gcd(den, nums.values())
+        nums = {e: c for e, c in nums.items() if c} if 0 in nums.values() else nums
+        g = gcd(den, *nums.values()) * ((den > 0) - (den < 0))
         nums = dict(zip(nums, map(floordiv, nums.values(), repeat(g)))) if g != 1 else dict(nums)
         return den // g, MappingProxyType(nums)
 
@@ -880,31 +844,16 @@ class TernaryForm(_Form):
     def __reduce__(self):
         return TernaryForm, (self.degree, self.variables, self.den, dict(self.nums))
 
-    @cached_property
-    def terms(self) -> Mapping[Exp, Fraction]:
-        """The read-only map exponent -> nonzero Fraction, built on first read."""
-        den = self.den
-        return MappingProxyType({e: Fraction(c, den) for e, c in self.nums.items()})
-
     @classmethod
     def from_terms(cls, degree: int, variables: tuple[str, str, str],
                    terms: Mapping[Exp, Fraction]) -> "TernaryForm":
         return cls(degree, variables, terms)
 
-    @property
-    def _int_terms(self) -> Mapping[Exp, int]:
-        return self.nums
+    _int_terms = property(attrgetter("nums"))
 
     @classmethod
     def constant(cls, value, variables: tuple[str, str, str]) -> "TernaryForm":
-        value = _q(value)
-        return cls(0, variables, value.denominator, {(0, 0, 0): value.numerator} if value else {})
-
-    def is_zero(self) -> bool:
-        return not self.nums
-
-    def coefficient(self, exp: Exp) -> Fraction:
-        return Fraction(self.nums.get(tuple(exp), 0), self.den)
+        return cls(0, variables, {(0, 0, 0): value})
 
     def __add__(self, other: "TernaryForm") -> "TernaryForm":
         self._check_vars(other)
@@ -944,8 +893,7 @@ class TernaryForm(_Form):
         return Fraction(self.nums[max(self.nums)], self.den) if self.nums else Fraction(0)
 
     def lex_normalized(self) -> "TernaryForm":
-        """Scale so the lexicographically-first monomial has coefficient 1:
-        the numerators over the leading one."""
+        """The numerators over the lexicographically-first one, which becomes 1."""
         lead = self.nums[max(self.nums)] if self.nums else 0
         return self if lead in (0, self.den) else TernaryForm(
             self.degree, self.variables, lead, self.nums)

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from functools import cache
 from fractions import Fraction
-from itertools import repeat
 from math import gcd, lcm, prod
 from typing import Sequence
 
@@ -132,12 +131,8 @@ def normalize_projective(point: Sequence) -> tuple[Fraction, ...]:
     ints = integral_row(point)[0]
     if not any(ints):
         raise ValueError("the zero vector is not a projective point")
-    g = gcd(*ints)
-    ints = [x // g for x in ints]
-    first = next(x for x in ints if x)
-    if first < 0:
-        ints = [-x for x in ints]
-    return tuple(Fraction(x) for x in ints)
+    g = gcd(*ints) if next(x for x in ints if x) > 0 else -gcd(*ints)
+    return tuple(Fraction(x // g) for x in ints)
 
 
 # ---------------------------------------------------------------------------
@@ -177,25 +172,14 @@ def disc_binary_quadratic(h: BinaryForm) -> Fraction:
     return Fraction(q * q - 4 * p * r, h.den * h.den)
 
 
-def conic_matrix(q: TernaryForm) -> Matrix:
-    """Symmetric 3x3 matrix of a ternary quadric (half mixed coefficients)."""
-    if q.degree != 2:
-        raise PreconditionError("expected a ternary quadric")
-    c = q.coefficient
-    a, b, f = c((2, 0, 0)), c((0, 2, 0)), c((0, 0, 2))
-    h, g, k = c((1, 1, 0)) / 2, c((1, 0, 1)) / 2, c((0, 1, 1)) / 2
-    return [[a, h, g], [h, b, k], [g, k, f]]
-
-
 def _conic_adjugate(q: TernaryForm) -> tuple[int, list[list[int]], int]:
-    """det and adjugate of d*conic_matrix(q), an integer matrix of the
-    numerators, mixed ones once and the others twice, and d = 2*den."""
+    """det and adjugate of d times the conic's symmetric matrix (half mixed
+    coefficients), an integer matrix of the numerators, and d = 2*den."""
     if q.degree != 2:
         raise PreconditionError("expected a ternary quadric")
     a, b, f, h, g, k = map(q.nums.get, [(2, 0, 0), (0, 2, 0), (0, 0, 2),
-                                        (1, 1, 0), (1, 0, 1), (0, 1, 1)], repeat(0))
-    m = [[2 * a, h, g], [h, 2 * b, k], [g, k, 2 * f]]
-    return (*adjugate3(m), 2 * q.den)
+                                        (1, 1, 0), (1, 0, 1), (0, 1, 1)], [0] * 6)
+    return (*adjugate3([[2 * a, h, g], [h, 2 * b, k], [g, k, 2 * f]]), 2 * q.den)
 
 
 def conic_det3(q: TernaryForm) -> Fraction:
@@ -258,10 +242,8 @@ class PolyMatrix(Frozen):
         if self.rows != self.cols:
             raise PreconditionError("determinant requires a square matrix")
         n = self.rows
-        # each row on integers, times the lcm of its denominators
-        dens = [lcm(*(e.den for e in self.entries[i * n:i * n + n])) for i in range(n)]
-        rows = [[e.nums if e.den == d else {x: c * (d // e.den) for x, c in e.nums.items()}
-                 for e in self.entries[i * n:i * n + n]] for i, d in enumerate(dens)]
+        d = lcm(*(e.den for e in self.entries))  # on the integers of d*M: det is d^n times
+        rows = [[e.scale(d).nums for e in self.entries[i * n:i * n + n]] for i in range(n)]
 
         @cache
         def minor(free: tuple[int, ...]) -> dict:
@@ -282,4 +264,4 @@ class PolyMatrix(Frozen):
         terms = minor(tuple(range(n)))
         minor.cache_clear()  # minor refers to itself: free the minors now, not at gc
         return TernaryForm(sum(self.entry(0, j).degree for j in range(n)), self.variables,
-                           prod(dens), terms)
+                           d ** n, terms)

@@ -9,32 +9,29 @@ Type II means the conic t^2 + 2*t*phi - psi is singular, which is when
 disc(phi^2 + psi) = 0; its kernel point is the residual line's tangency point.
 
 The pipeline runs on integers, fraction-free as in Bareiss (1968).  With the
-quartic times d and the transform's last column p/p[pivot] times lam
-integral, one `forms.substitute_terms` gives the pieces F_i = d*lam^(4-i)*f_i,
-and one `linalg._bareiss` on [Syl(F3, F2)^T | F4] gives phi' = phi/lam and
-psi' = psi/lam^2 over its last pivot.  Each scale is divided out once, where
-the public Fractions are built: the quartic, the conic and its velocity are
-each assembled once from integer numerators over one denominator.
-`tangent_map` moves the direction by the same matrix and kernel.
+quartic's numerators over d and the transform's last column p/p[pivot] times
+lam integral, one `forms.substitute_terms` gives the pieces
+F_i = d*lam^(4-i)*f_i, and one `linalg._bareiss` on [Syl(F3, F2)^T | F4] gives
+phi' = phi/lam and psi' = psi/lam^2 over its last pivot.  No coefficient
+becomes a Fraction: each output form takes its integer numerators over one
+denominator, and its constructor divides the scales out by one gcd.
+`tangent_map` moves the direction's numerators by the same matrix and kernel.
 
 `classify` verifies and then normalizes, yet moves the node and eliminates
 once: `_decompose` keeps its last result, keyed by the quartic's identity and
-the point's value, so nothing is hashed.  The decomposition and the conic data
-keep their integers in a view outside ==, hash and pickle, recomputed from the
-public fields when absent; `associated_conic` and `tangent_map` read only it.
+the point's value, so nothing is hashed.  `associated_conic` and `tangent_map`
+read the numerators of the decomposition's and the conic data's forms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
-from math import gcd
 from operator import itemgetter, mul
 from typing import Sequence
 
 from .forms import (BinaryForm, Frozen, PreconditionError, TernaryForm, adjugate3,
                     directional_coeffs, integral_coeffs, integral_row, substitute_terms)
-from .linalg import _bareiss, conic_kernel_point, disc_binary_quadratic
+from .linalg import _bareiss, conic_kernel_point, disc_binary_quadratic, normalize_projective
 
 Transform = tuple[tuple[Fraction, ...], ...]
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -81,14 +78,6 @@ class NodeDecomposition(Frozen):
     f4: BinaryForm
     split: tuple[BinaryForm, BinaryForm] | None
 
-    @cached_property
-    def _ints(self):
-        """The last column, (f2, f3, f4) and the split (or None), each in
-        lowest terms over one denominator."""
-        return (_reduced(*integral_row([row[2] for row in self.transform])),
-                integral_coeffs(self.f2, self.f3, self.f4),
-                self.split and integral_coeffs(*self.split))
-
 
 class AssociatedConicData(Frozen):
     phi: BinaryForm
@@ -96,11 +85,6 @@ class AssociatedConicData(Frozen):
     conic: TernaryForm
     det3: Fraction
     disc_binary: Fraction  # discriminant of phi^2 + psi
-
-    @cached_property
-    def _ints(self):
-        """(phi, psi) in lowest terms over one denominator."""
-        return integral_coeffs(self.phi, self.psi)
 
 
 class NodalQuarticAnalysis(Frozen):
@@ -118,12 +102,6 @@ class TangentMapResult(Frozen):
     conic_velocity: TernaryForm
 
 
-def _reduced(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
-    """nums/den as coprime integers over a positive denominator."""
-    g = gcd(*nums, den) if den > 0 else -gcd(*nums, den)
-    return tuple(x // g for x in nums), den // g
-
-
 def _pieces(quartic: TernaryForm, transform: Transform, column: list) -> tuple[list, int]:
     """Integer pieces F0..F4 of the moved quartic sum t^(4-i) * f_i, t last, with
     F_i = d*lam^(4-i)*f_i: the numerators over d and the last column times lam
@@ -134,11 +112,6 @@ def _pieces(quartic: TernaryForm, transform: Transform, column: list) -> tuple[l
     for (_, b, c), x in substitute_terms(quartic.nums, 4, m).items():
         pieces[4 - c][b] = x
     return pieces, quartic.den
-
-
-def _over(pair: tuple[str, str], nums: Sequence[int], den: int) -> BinaryForm:
-    """The binary form with coefficients nums/den."""
-    return BinaryForm(len(nums) - 1, pair, den, nums)
 
 
 def _koszul_matrix(f2: Sequence[int], f3: Sequence[int], rhs: Sequence[int] = ()) -> list:
@@ -177,8 +150,7 @@ _last: tuple = (None, None, None)  # the last _decompose: quartic, point, result
 
 
 def _decompose(quartic: TernaryForm, point: Sequence) -> tuple[NodeReport, NodeDecomposition]:
-    """Node flags and graded pieces of the quartic in node-centered coordinates,
-    the decomposition's integer view filled from the integers that built it."""
+    """Node flags and graded pieces of the quartic in node-centered coordinates."""
     global _last
     key = tuple(point)
     if len(key) != 3:
@@ -186,11 +158,9 @@ def _decompose(quartic: TernaryForm, point: Sequence) -> tuple[NodeReport, NodeD
     last = _last
     if last[0] is quartic and last[1] == key:
         return last[2]
-    ints = integral_row(key)[0]
-    pivot = next((i for i, x in enumerate(ints) if x), None)
-    if pivot is None:
-        raise ValueError("the zero vector is not a projective point")
-    column, lam = _reduced(ints, ints[pivot])
+    column = [x.numerator for x in normalize_projective(key)]  # column/lam = p/p[pivot]
+    pivot = next(i for i, x in enumerate(column) if x)
+    lam = column[pivot]
     others = [i for i in range(3) if i != pivot]
     transform = tuple((_ONE if r == others[0] else _ZERO, _ONE if r == others[1] else _ZERO,
                        Fraction(x, lam)) for r, x in enumerate(column))
@@ -201,13 +171,10 @@ def _decompose(quartic: TernaryForm, point: Sequence) -> tuple[NodeReport, NodeD
     singular = on_curve and not any(f1)
     ordinary = singular and f2[1] * f2[1] != 4 * f2[0] * f2[2]
     sol = _solve(f2, f3, f4, (lam, lam * lam)) if ordinary else None
-    f, c = pieces = _reduced(f2 + [lam * x for x in f3] + [lam * lam * x for x in f4],
-                             d * lam * lam)
-    split = sol and _reduced(sol[0] + sol[1], sol[2])
-    forms = split and (_over(pair, split[0][:2], split[1]), _over(pair, split[0][2:], split[1]))
-    dec = NodeDecomposition(transform, pair, variables[pivot], variables, _over(pair, f[:3], c),
-                            _over(pair, f[3:7], c), _over(pair, f[7:], c), forms)
-    dec.__dict__["_ints"] = ((column, lam), pieces, split)
+    split = sol and (BinaryForm(1, pair, sol[2], sol[0]), BinaryForm(2, pair, sol[2], sol[1]))
+    dec = NodeDecomposition(transform, pair, variables[pivot], variables,
+                            BinaryForm(2, pair, d * lam * lam, f2),
+                            BinaryForm(3, pair, d * lam, f3), BinaryForm(4, pair, d, f4), split)
     _last = quartic, key, (NodeReport(on_curve, singular, ordinary, sol is not None), dec)
     return _last[2]
 
@@ -250,7 +217,7 @@ def koszul_solve(f2: BinaryForm, f3: BinaryForm,
     ints = integral_coeffs(f2, f3, rhs)[0]
     if (sol := _solve(ints[:3], ints[3:7], ints[7:])) is None:
         raise PreconditionError("Koszul system is singular: f2 and f3 share a projective root")
-    return _over(f2.variables, sol[0], sol[2]), _over(f2.variables, sol[1], sol[2])
+    return BinaryForm(1, f2.variables, sol[2], sol[0]), BinaryForm(2, f2.variables, sol[2], sol[1])
 
 
 def associated_conic(dec: NodeDecomposition) -> AssociatedConicData:
@@ -260,15 +227,13 @@ def associated_conic(dec: NodeDecomposition) -> AssociatedConicData:
     matrix M, and phi^2 + psi is (a*a + e*b)/e^2.
     """
     phi, psi = dec.split or koszul_solve(dec.f2, dec.f3, dec.f4)
-    (a0, a1, b0, b1, b2), e = split = dec._ints[2] or integral_coeffs(phi, psi)
+    (a0, a1, b0, b1, b2), e = integral_coeffs(phi, psi)
     det = adjugate3([[-2 * b0, -b1, 2 * a0], [-b1, -2 * b2, 2 * a1], [2 * a0, 2 * a1, 2 * e]])[0]
     c0, c1, c2 = a0 * a0 + e * b0, 2 * a0 * a1 + e * b1, a1 * a1 + e * b2
     conic = _assemble(([e], [2 * a0, 2 * a1], [-b0, -b1, -b2]), e, dec.pair, dec.t_var,
                       dec.original_vars)
-    data = AssociatedConicData(phi, psi, conic, Fraction(det, 8 * e ** 3),
+    return AssociatedConicData(phi, psi, conic, Fraction(det, 8 * e ** 3),
                                Fraction(c1 * c1 - 4 * c0 * c2, e ** 4))
-    data.__dict__["_ints"] = split
-    return data
 
 
 def classify(quartic: TernaryForm, point: Sequence) -> NodalQuarticAnalysis:
@@ -313,7 +278,8 @@ def tangent_map(dec: NodeDecomposition, data: AssociatedConicData,
     G_i = h*lam^(4-i)*g_i, xi and the right-hand side are X*c/(k*h) and
     R/(k*h*e) for k = disc*lam^3, so the kernel gives (phi_dot, psi_dot)*k*h*e/c.
     """
-    (column, lam), (ints, c), _ = dec._ints
+    column, lam = integral_row([row[2] for row in dec.transform])  # coprime: p/p[pivot]
+    ints, c = integral_coeffs(dec.f2, dec.f3, dec.f4)
     (p, q, r), f3, f4 = ints[:3], ints[3:7], ints[7:]
     if (disc := q * q - 4 * p * r) == 0:
         raise PreconditionError("node is not ordinary: degenerate tangent cone")
@@ -327,7 +293,7 @@ def tangent_map(dec: NodeDecomposition, data: AssociatedConicData,
     # polarized cone equation d(f2).xi = -g1 by Cramer's rule; its determinant is -disc
     x0, x1, k = 2 * r * a - q * b, 2 * p * b - q * a, disc * lam ** 3
     xi = (Fraction(x0 * c, k * h), Fraction(x1 * c, k * h))
-    nums, e = data._ints
+    nums, e = integral_coeffs(data.phi, data.psi)
     # (g3 + f4'(xi))*phi + (g2 + f3'(xi))*psi is the Koszul map of (h3, h2) at nums
     h3 = [disc * lam * lam * y + z for y, z in zip(g3, directional_coeffs(f4, x0, x1))]
     h2 = [disc * lam * y + z for y, z in zip(g2, directional_coeffs(f3, x0, x1))]
@@ -337,7 +303,8 @@ def tangent_map(dec: NodeDecomposition, data: AssociatedConicData,
     a, b, den = sol[0], sol[1], k * h * e * sol[2]
     velocity = _assemble(([2 * x for x in a], [-x for x in b]), den, dec.pair, dec.t_var,
                          dec.original_vars)
-    return TangentMapResult(xi, _over(dec.pair, a, den), _over(dec.pair, b, den), velocity)
+    return TangentMapResult(xi, BinaryForm(1, dec.pair, den, a), BinaryForm(2, dec.pair, den, b),
+                            velocity)
 
 
 def quartic_from_conic_and_cubic(f2: BinaryForm, f3: BinaryForm,

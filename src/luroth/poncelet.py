@@ -36,6 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from operator import mul
 from typing import Sequence
 
 from .forms import (BinaryForm, Frozen, PreconditionError, TernaryForm, _q, _UNITS,
@@ -300,9 +301,8 @@ def _jump_terms(pencil: PonceletPencil) -> dict[tuple[int, int, int], int]:
 
 
 def poncelet_curve(conic: ConicParam, pencil: PonceletPencil) -> TernaryForm:
-    """Degree-n curve G(T*(u, v, w)) of jumping lines, lexicographically-monic:
-    its integer terms over the leading one, reduced by one gcd.  G is not
-    zero: independent generators leave some chord of the conic not jumping."""
+    """Lexicographically-monic degree-n curve G(T*(u, v, w)) of jumping lines. G
+    is not zero: independent generators leave some chord of the conic not jumping."""
     terms = substitute_terms(_jump_terms(pencil), pencil.n, conic._t)
     return TernaryForm(pencil.n, DUAL_VARS, terms[max(terms)], terms)
 
@@ -321,13 +321,14 @@ def is_jumping_line(conic: ConicParam, pencil: PonceletPencil,
 
 
 def chord_dual(conic: ConicParam, a: Sequence, b: Sequence) -> tuple[Fraction, ...]:
-    """Dual coordinates of the chord through the images of two parameters."""
+    """Dual coordinates of the chord through the images of two parameters: the
+    cross product of the images T^t*(s0^2, s0*s1, s1^2), on integers."""
     if len(a) != 2 or len(b) != 2:
         raise ValueError("a parameter of the conic has two coordinates")
     if _dependent(a, b):
         raise PreconditionError("chord endpoints must be distinct parameters")
-    pa = conic.image(a)
-    pb = conic.image(b)
+    pa, pb = ([sum(map(mul, column, (x * x, x * y, y * y))) for column in zip(*conic._t)]
+              for x, y in (integral_row(a)[0], integral_row(b)[0]))
     cross = (pa[1] * pb[2] - pa[2] * pb[1],
              pa[2] * pb[0] - pa[0] * pb[2],
              pa[0] * pb[1] - pa[1] * pb[0])

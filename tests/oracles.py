@@ -24,6 +24,9 @@
   `PolyMatrix.determinant`.  And the directional derivative as two scaled
   partials and a sum: the oracle of the coefficient formula of
   `BinaryForm.directional`.
+- The conic's symmetric matrix on Fractions, and the chord through the
+  Fraction images of two parameters: the oracles of the integer matrix of
+  `linalg.conic_det3` and of the integer `poncelet.chord_dual`.
 - `int_str_limit`, for setting Python's int-string digit limit in a block.
 - The term-by-term parser, one token per literal, name, operator and
   exponent, each factor a Fraction term map multiplied in by `mul_terms`:
@@ -52,7 +55,7 @@ from luroth.forms import (MAX_DEGREE, _MAX_NESTING, BinaryForm, ParseError, Prec
                           TermMap, TernaryForm, _UNITS, _degree, _int_literal, add_terms,
                           integral_row, mul_terms, scale_terms)
 from luroth.linalg import (conic_det3, conic_kernel_point, det_rational, disc_binary_quadratic,
-                           solve_linear, sylvester_matrix)
+                           normalize_projective, solve_linear, sylvester_matrix)
 
 
 def _rows(rows):
@@ -210,6 +213,28 @@ def bezout_base_point_free(pencil) -> bool:
     """det B != 0 for the square part of the integer Bezout matrix (det B =
     +-Res(gamma1, gamma2)), by Bareiss elimination."""
     return det_rational([row[:-1] for row in poncelet._bezout_matrix(pencil)]) != 0
+
+
+def conic_matrix(q: TernaryForm) -> list:
+    """Symmetric 3x3 matrix of a ternary quadric (half mixed coefficients), on
+    Fractions: the oracle of the integer matrix of `linalg.conic_det3`."""
+    if q.degree != 2:
+        raise PreconditionError("expected a ternary quadric")
+    def c(exp):
+        return q.terms.get(exp, Fraction(0))
+
+    a, b, f = c((2, 0, 0)), c((0, 2, 0)), c((0, 0, 2))
+    h, g, k = c((1, 1, 0)) / 2, c((1, 0, 1)) / 2, c((0, 1, 1)) / 2
+    return [[a, h, g], [h, b, k], [g, k, f]]
+
+
+def fraction_chord_dual(conic, a, b) -> tuple:
+    """The chord through the images of two parameters: the cross product of
+    `ConicParam.image` on Fractions, normalized; the oracle of the integer
+    `chord_dual`."""
+    pa, pb = conic.image(a), conic.image(b)
+    return normalize_projective((pa[1] * pb[2] - pa[2] * pb[1], pa[2] * pb[0] - pa[0] * pb[2],
+                                 pa[0] * pb[1] - pa[1] * pb[0]))
 
 
 def _times_linear(terms: Mapping, line) -> dict:

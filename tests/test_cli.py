@@ -14,7 +14,7 @@ import luroth
 from luroth import cli, poncelet
 from luroth.forms import _MAX_NESTING, form_from_json, parse_form, rational_literal
 from luroth.poncelet import DUAL_VARS, PARAM_VARS
-from oracles import int_str_limit
+from oracles import fraction_chord_dual, int_str_limit
 
 QUARTIC_A = "(u^2+w^2)*(v^2+w^2)+2*u*v^3"
 QUARTIC_B = "w^2*(u^2+v^2)+w*(u^3+v^3)-u*v*(u^2+v^2)"
@@ -104,6 +104,26 @@ def test_poncelet_vertices_polygon(capsys):
     assert code == 0
     assert out.count("on-curve") == 10
     assert "off-curve" not in out
+
+
+def test_poncelet_vertices_are_capped(capsys):
+    """MAX_VERTICES parameters print every chord, each vertex the chord's
+    dual on the Fraction images; one more is an input error on one line."""
+    params = [f"{k}:{k * k + 1}" for k in range(cli.MAX_VERTICES + 1)]
+    argv = ["poncelet", "--conic", "s0^2+2*s0*s1+3*s1^2;2*s0^2-s0*s1+s1^2;s0*s1-2*s1^2",
+            "--gamma1", "s0^5+s1^5", "--gamma2", "s0*s1^4+2*s0^3*s1^2", "--vertices"]
+    code, out = run(capsys, argv + [",".join(params[:-1])])
+    k = cli.MAX_VERTICES
+    lines = out.splitlines()[out.splitlines().index("vertices:") + 1:]
+    assert code == 0 and k == 102 and len(lines) == k * (k - 1) // 2
+    conic = poncelet.make_conic(*(parse_form(p, PARAM_VARS) for p in argv[2].split(";")))
+    points = [tuple(map(int, p.split(":"))) for p in params]
+    for line, (i, j) in zip(lines[::97], [(i, j) for i in range(k) for j in range(i + 1, k)][::97]):
+        vertex = ":".join(str(x) for x in fraction_chord_dual(conic, points[i], points[j]))
+        assert line.startswith(f"  ({i},{j}) -> [{vertex}] ")
+    code, out = run(capsys, argv + [",".join(params)])
+    assert code == 2 and out.splitlines() == [
+        "status: error", f"message: --vertices: {k + 1} parameters, at most {k}"]
 
 
 def test_poncelet_explicit_conic(capsys):

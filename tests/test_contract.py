@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import luroth
+from luroth.cli import MAX_VERTICES
 from luroth.forms import MAX_COEFF_BITS
 
 resource = pytest.importorskip("resource")  # POSIX only
@@ -86,6 +87,12 @@ ROWS += [
                                   "--gamma1", pencil_text(_RNG, 99, 2),
                                   "--gamma2", pencil_text(_RNG, 99, 2)], 0),
 ]
+# --vertices at its cap, every chord of 102 parameters, and one past it
+VERTICES = ",".join(f"{k}:{k * k + 1}" for k in range(MAX_VERTICES + 1))
+ROWS += [(f"vertices-{name}", ["poncelet", "--conic", GEN_CONIC, "--gamma1", "s0^9+3*s1^9-s0*s1^8",
+                               "--gamma2", "s0*s1^8+2*s0^3*s1^6+7*s0^9", "--vertices", text], code)
+         for name, text, code in [("at-the-cap", VERTICES.rsplit(",", 1)[0], 0),
+                                  ("past-the-cap", VERTICES, 2)]]
 # The primitive PRS alone would swell to about n times the input bits, about
 # 11 s for this pencil; the modular certificate decides it.
 PRS_ROW = ("pencil-n22-1000-digits", ["poncelet", "--gamma1", pencil_text(_RNG, 22, 1000),

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import pickle
 import random
 import time
@@ -853,3 +854,105 @@ def test_lex_normalization_and_proportionality():
     assert f.proportional_to(g)
     assert f.lex_normalized() == parse_form("u^2 - 2*w^2", TRIPLE)
     assert not f.proportional_to(parse_form("u^2 + 2*w^2", TRIPLE))
+
+
+# ---------------------------------------------------------------------------
+# one representation: integer numerators over one positive denominator
+
+def exponents(arity, degree):
+    if arity == 2:
+        return [(degree - j, j) for j in range(degree + 1)]
+    return [(i, j, degree - i - j) for i in range(degree + 1) for j in range(degree + 1 - i)]
+
+
+def test_constructors_reject_negative_exponents_and_wrong_arity():
+    # once accepted: a form printing u^3*v^-1, and s0^2 + 5*s1^2 from (3, -1)
+    with pytest.raises(ValueError, match="non-negative entries"):
+        TernaryForm.from_terms(2, TRIPLE, {(3, -1, 0): 1, (1, 1, 0): 2})
+    with pytest.raises(ValueError, match="non-negative entries"):
+        BinaryForm.from_terms(2, PAIR, {(3, -1): 5, (2, 0): 1})
+    for cls, arity, bad in ((BinaryForm, 2, (1, 1, 0)), (TernaryForm, 3, (1, 1))):
+        with pytest.raises(ValueError, match=f"needs {arity} non-negative entries"):
+            cls.from_terms(2, TRIPLE[:arity], {bad: 1})
+    with pytest.raises(ValueError, match="non-negative entries"):
+        TernaryForm(2, TRIPLE, 1, {(3, -1, 0): 1})
+    with pytest.raises(ValueError, match="non-negative entries"):  # its sum is the degree
+        BinaryForm.from_terms(0, PAIR, {(1, -1): 1})
+    for cls, exp in ((BinaryForm, (2, 1)), (TernaryForm, (1, 2, 0))):
+        with pytest.raises(HomogeneityError):
+            cls.from_terms(2, TRIPLE[:len(exp)], {exp: 1})
+    with pytest.raises(HomogeneityError):  # past MAX_DEGREE the check runs term by term
+        TernaryForm.from_terms(MAX_DEGREE + 1, TRIPLE, {(MAX_DEGREE, 0, 0): 1})
+    big = TernaryForm.from_terms(MAX_DEGREE + 1, TRIPLE, {(MAX_DEGREE, 1, 0): 3})
+    assert big * big == TernaryForm(2 * MAX_DEGREE + 2, TRIPLE, 1, {(2 * MAX_DEGREE, 2, 0): 9})
+
+
+def test_the_fields_are_reduced_over_a_positive_denominator():
+    f = TernaryForm(2, TRIPLE, -6, {(1, 1, 0): 4, (0, 0, 2): 2})
+    assert (f.den, dict(f.nums)) == (3, {(1, 1, 0): -2, (0, 0, 2): -1})
+    assert f == parse_form("-2/3*u*v - 1/3*w^2", TRIPLE)
+    g = BinaryForm(2, PAIR, -4, [2, 0, 6])
+    assert (g.den, g.nums) == (2, (-1, 0, -3)) and g == parse_form("-1/2*v^2 - 3/2*w^2", PAIR)
+    assert g.coeffs == (Fraction(-1, 2), 0, Fraction(-3, 2))
+    for zero in (TernaryForm(3, TRIPLE, 7, {}), BinaryForm(2, PAIR, -7, [0, 0, 0])):
+        assert zero.den == 1 and zero.is_zero() and zero == zero.zero(zero.degree, zero.variables)
+    for zero_den in (lambda: TernaryForm(2, TRIPLE, 0, {(1, 1, 0): 1}),
+                     lambda: TernaryForm(2, TRIPLE, 0, {}), lambda: BinaryForm(1, PAIR, 0, [1, 1])):
+        with pytest.raises(ZeroDivisionError):  # as Fraction(1, 0)
+            zero_den()
+    assert TernaryForm(2, TRIPLE, 2, {(1, 1, 0): 0, (0, 0, 2): 6}) == parse_form("3*w^2", TRIPLE)
+    with pytest.raises(ValueError, match="degree\\+1"):
+        BinaryForm(2, PAIR, 1, [1, 1])
+    with pytest.raises(TypeError):
+        TernaryForm(2, TRIPLE, 1, {}, 1)
+
+
+def test_fraction_views_are_built_when_read_and_kept_nowhere():
+    f = parse_form("3/4*u^2*v - w^3", TRIPLE)
+    g = BinaryForm.from_coeffs(PAIR, [Fraction(1, 3), 0, -2])
+    for form in (f, g):
+        before = (hash(form), pickle.dumps(form), dict(vars(form)))
+        assert form.terms == form.terms and form.terms is not form.terms
+        assert (hash(form), pickle.dumps(form), dict(vars(form))) == before
+        assert b"Fraction" not in before[1] and set(before[2]) == {"degree", "variables",
+                                                                    "den", "nums"}
+    assert g.coeffs == (Fraction(1, 3), 0, -2) and g.terms == {(2, 0): Fraction(1, 3), (0, 2): -2}
+    assert f.terms == {(2, 1, 0): Fraction(3, 4), (0, 0, 3): -1}
+    assert type(f.terms[(0, 0, 3)]) is Fraction and type(g.coeffs[1]) is Fraction
+
+
+def test_every_construction_gives_one_representation_hypothesis():
+    """A form from a Fraction map, from integers over a denominator (times any
+    common factor), by `parse_form` and by `form_from_json`: equal, hash
+    equal, the same text and JSON, in lowest terms over a positive
+    denominator, and each survives pickle and copy."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    number = st.one_of(st.integers(-9, 9), st.integers(-2 ** 80, 2 ** 80))
+    nonzero = number.filter(bool)
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.sampled_from([2, 3]), st.integers(0, 6), st.data(), nonzero, nonzero)
+    def check(arity, degree, data, den, k):
+        cls, variables, exps = (BinaryForm, PAIR, exponents(2, degree)) if arity == 2 else (
+            TernaryForm, TRIPLE, exponents(3, degree))
+        nums = data.draw(st.lists(number, min_size=len(exps), max_size=len(exps)))
+        hypothesis.assume(any(nums))
+        fractions = {e: Fraction(c, den) for e, c in zip(exps, nums) if c}
+        scaled = ([c * k for c in nums] if arity == 2
+                  else {e: c * k for e, c in zip(exps, nums) if c})
+        forms = [cls.from_terms(degree, variables, fractions), cls(degree, variables, fractions)
+                 if arity == 3 else cls(degree, variables, [Fraction(c, den) for c in nums]),
+                 cls(degree, variables, den * k, scaled)]
+        forms += [parse_form(str(forms[0]), variables),
+                  form_from_json(json.loads(json.dumps(forms[0].to_json())))]
+        text, report = str(forms[0]), forms[0].to_json()
+        for f in forms:
+            assert f == forms[0] and hash(f) == hash(forms[0])
+            assert str(f) == text and f.to_json() == report
+            values = f.nums if arity == 2 else list(f.nums.values())
+            assert f.den > 0 and math.gcd(*values, f.den) == 1
+            for clone in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
+                assert clone == f and hash(clone) == hash(f) and str(clone) == text
+
+    check()

@@ -14,7 +14,6 @@ from luroth.linalg import (
     PolyMatrix,
     conic_det3,
     conic_kernel_point,
-    conic_matrix,
     det_rational,
     disc_binary_quadratic,
     invert,
@@ -25,7 +24,7 @@ from luroth.linalg import (
     sylvester_matrix,
     sylvester_resultant,
 )
-from oracles import (bitmask_determinant, mat_mul, rational_det, rational_invert,
+from oracles import (bitmask_determinant, conic_matrix, mat_mul, rational_det, rational_invert,
                      rational_nullspace, rational_rank, rational_row_echelon, rational_solve)
 
 PAIR = ("v", "w")

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from luroth import linalg, nodal
-from luroth.forms import BinaryForm, PreconditionError, TernaryForm, parse_form
+from luroth.forms import (BinaryForm, PreconditionError, TernaryForm, integral_coeffs, integral_row,
+                         parse_form)
 from luroth.linalg import det_rational, invert, sylvester_resultant
 from luroth.nodal import (
     NodeError,
@@ -364,9 +365,9 @@ def fresh_classify(quartic, point):
 def test_classify_moves_the_node_once(monkeypatch):
     """Counts the integer kernels at the module attributes `nodal` calls: the
     node move is one `substitute_terms`, the Koszul solve one `_bareiss`.
-    No quartic is hashed, and `tangent_map` reads the integers the
-    decomposition and the conic data hold, and the direction's numerators:
-    it calls no `integral_row`."""
+    No quartic is hashed, and `tangent_map` reads the numerators of the
+    decomposition's forms, the conic data's and the direction's: its one
+    `integral_row` is the node's column."""
     calls = {"substitute_terms": 0, "verify_node": 0, "_bareiss": 0, "integral_row": 0}
 
     def counting(name, original):
@@ -390,7 +391,7 @@ def test_classify_moves_the_node_once(monkeypatch):
     # the direction moves once; xi by Cramer's rule, one Koszul solve
     calls["integral_row"] = 0
     tangent_map(analysis.decomposition, analysis.conic_data, TWO_CONICS_2)
-    assert calls == {"substitute_terms": 2, "verify_node": 1, "_bareiss": 2, "integral_row": 0}
+    assert calls == {"substitute_terms": 2, "verify_node": 1, "_bareiss": 2, "integral_row": 1}
 
 
 def test_interleaved_classify_matches_fresh_calls():
@@ -630,25 +631,24 @@ def view_cases():
 
 
 def test_integer_views_match_the_public_fields():
-    """The views `_decompose` and `associated_conic` fill from their own
-    integers equal the views read off the public Fractions; clones, which
-    carry no view, give the same tangent map; and `verify_node` and
+    """The integers `tangent_map` reads off the public fields: the node's
+    column over lam and the forms' numerators, each set over one
+    denominator, are in lowest terms, and the split is the conic data's
+    (phi, psi); clones give the same tangent map; and `verify_node` and
     `normalize_at_node`, each alone, give what `classify` holds."""
     for quartic, node, direction in view_cases():
         analysis = fresh_classify(quartic, node)
         dec, data = analysis.decomposition, analysis.conic_data
         expected = tangent_map(dec, data, direction)
-        for value in (dec, data):
-            filled = vars(value).pop("_ints")
-            assert value._ints == filled and vars(value)["_ints"] is not filled
-        (column, lam), (f, c), split = dec._ints
-        for nums, den in ((column, lam), (f, c), split):
-            assert type(nums) is tuple and all(type(x) is int for x in (*nums, den))
+        column, lam = integral_row([row[2] for row in dec.transform])
+        split = integral_coeffs(*dec.split)
+        for nums, den in ((column, lam), integral_coeffs(dec.f2, dec.f3, dec.f4), split,
+                          *((f.nums, f.den) for f in (dec.f2, dec.f3, dec.f4, *dec.split))):
+            assert all(type(x) is int for x in (*nums, den))
             assert den > 0 and gcd(*nums, den) == 1
-        assert split == data._ints
+        assert split == integral_coeffs(data.phi, data.psi)
         assert column[next(i for i, x in enumerate(column) if x)] == lam
         for clone in (copy.copy(dec), copy.deepcopy(dec), pickle.loads(pickle.dumps(dec))):
-            assert "_ints" not in vars(clone)
             for data_clone in (copy.copy(data), pickle.loads(pickle.dumps(data))):
                 assert tangent_map(clone, data_clone, direction) == expected
         assert verify_node(copy.copy(quartic), node) == analysis.report

@@ -32,8 +32,8 @@ from luroth.poncelet import (
 from luroth.verify import (C_SAMPLES, EPS_SAMPLES, printed_92, printed_93,
                            printed_eps_expansion)
 from oracles import (bezout_base_point_free, bezoutian_is_jumping_line, bitmask_determinant,
-                     pullback_is_jumping_line, pullback_singular_jump, rational_det,
-                     rational_nullspace, rational_rank, substitute_pair, unidivmod)
+                     fraction_chord_dual, pullback_is_jumping_line, pullback_singular_jump,
+                     rational_det, rational_nullspace, rational_rank, substitute_pair, unidivmod)
 
 
 def split_form(roots, pair=PARAM_VARS):
@@ -220,6 +220,22 @@ def test_chord_dual_examples():
     for a, b in [((1, 0, 7), (0, 1)), ((1,), (0, 1))]:
         with pytest.raises(ValueError, match="two coordinates"):
             chord_dual(conic, a, b)
+
+
+def test_integer_chord_dual_matches_the_fraction_images():
+    rng = random.Random(2101)
+    conics = [standard_conic(), make_conic(*(parse_form(p, PARAM_VARS) for p in GEN_CONIC)),
+              make_conic(*(BinaryForm.from_coeffs(PARAM_VARS, [Fraction(rng.randint(-9, 9),
+                                                                    rng.randint(1, 9))
+                                                           for _ in range(3)])
+                           for _ in range(3)))]
+    for conic in conics:
+        for _ in range(40):
+            a, b = ([Fraction(rng.randint(-30, 30), rng.randint(1, 30)) for _ in range(2)]
+                    for _ in range(2))
+            if not any(a) or not any(b) or a[0] * b[1] == a[1] * b[0]:
+                continue
+            assert chord_dual(conic, a, b) == fraction_chord_dual(conic, a, b)
 
 
 def test_chord_pullback_roots():
