@@ -6,10 +6,10 @@ ordered triple, sparse).  A form holds integer numerators `nums` over one
 positive denominator `den`, gcd(content, den) = 1, reduced by one gcd when it
 is built: canonical, so ==, hash and pickle compare integers.  `terms`
 (exponent -> nonzero Fraction) and the binary `coeffs` are views built when
-read; a form keeps only its integers.  `_Form` holds what both classes share, and each class the dense
-or sparse kernels of its own representation.  Every operation is exact, and
-all values are immutable: every value class of the package derives from
-`Frozen`.
+read; a form keeps only its integers.  `_Form` holds what both classes
+share, and each class the dense or sparse kernels of its own representation.
+Every operation is exact, and all values are immutable: every value class of
+the package derives from `Frozen`.
 
 `parse_form` reads text by one recursive descent: a monomial such as
 `3/4*u^2*v` is read in closed form, into one coefficient and one exponent,

@@ -242,7 +242,7 @@ class PolyMatrix(Frozen):
         if self.rows != self.cols:
             raise PreconditionError("determinant requires a square matrix")
         n = self.rows
-        d = lcm(*(e.den for e in self.entries))  # on the integers of d*M: det is d^n times
+        d = lcm(*(e.den for e in self.entries))  # d*M is integral; det(d*M) = d^n * det(M)
         rows = [[e.scale(d).nums for e in self.entries[i * n:i * n + n]] for i in range(n)]
 
         @cache
