@@ -701,8 +701,8 @@ class _Form(Frozen):
 
 class BinaryForm(_Form):
     """Homogeneous polynomial of fixed degree in an ordered variable pair:
-    nums[j]/den is the coefficient of v0^(degree-j) * v1^j; the terms of the
-    three-argument form are a coefficient list."""
+    nums[j]/den is the coefficient of v0^(degree-j) * v1^j.  With three
+    arguments, the third is the list of rational coefficients."""
 
     degree: int
     variables: tuple[str, str]
@@ -816,8 +816,8 @@ def form_from_json(data: Mapping):
 
 
 class TernaryForm(_Form):
-    """Homogeneous polynomial in an ordered variable triple, stored sparsely:
-    nums, read-only, maps each exponent to a nonzero integer numerator."""
+    """Homogeneous polynomial in an ordered variable triple, stored sparsely: the
+    read-only nums maps each exponent to a nonzero numerator (a third argument, to rationals)."""
 
     degree: int
     variables: tuple[str, str, str]
