@@ -324,35 +324,29 @@ def _too_big(at: int) -> ParseError:
     return ParseError(f"coefficient above MAX_COEFF_BITS = {MAX_COEFF_BITS} bits", at)
 
 
-# A token is an atom, an integer literal perhaps over another or a variable
-# with an optional power, or the power of a group, an operator, a stray
-# character or the end.  The digits after / or ^ may be empty, so a missing
-# denominator or exponent is reported where it is missing.  Integers are
-# ASCII digits only: int() would take other Unicode digits, or fail on them,
-# so a \w run that starts with one is an unexpected character.  Spaces and
-# tabs match no group, so finditer skips them.
-_TOKEN = re.compile(r"(?P<int>(?P<num>[0-9]+)(?:[ \t]*/[ \t]*(?P<den>[0-9]*))?)"
-                    r"|(?P<var>(?P<name>[^\W0-9]\w*)(?:[ \t]*\^[ \t]*(?P<exp>[0-9]*))?)"
-                    r"|\^[ \t]*(?P<pow>[0-9]*)|(?P<op>[-+*/()])|(?P<bad>[^ \t])|(?P<end>\Z)")
+# A token is a product, the power of a group, an operator, a stray character
+# or the end.  A product joins by '*' integer literals, each perhaps over
+# another, and variables, each perhaps to a power; the digits after / or ^ may
+# be empty, so that a missing one is reported where it is missing.  Integers
+# are ASCII digits: int() would take other Unicode digits, or fail on them, so
+# a name that starts with one is an unexpected character.  finditer skips spaces and tabs.
+_TOKEN = re.compile(
+    r"(?P<product>{f}(?:[ \t]*\*[ \t]*{f})*)|\^[ \t]*(?P<pow>[0-9]*)|(?P<op>[-+*/()])"
+    r"|(?P<bad>[^ \t])|(?P<end>\Z)".format(
+        f=r"(?:[0-9]+(?:[ \t]*/[ \t]*[0-9]*)?|[^\W0-9]\w*(?:[ \t]*\^[ \t]*[0-9]*)?)"))
 
 
-def _tokenize(text: str) -> list[re.Match]:
-    tokens = list(_TOKEN.finditer(text))
-    ascii_only = text.isascii()
-    for m in tokens:
-        if m.lastgroup == "bad":
-            raise ParseError(f"unexpected character {m[0]!r}", m.start())
-        if m.lastgroup == "var" and not ascii_only:
-            if not (m["name"][0].isalpha() or m["name"][0] == "_"):
-                raise ParseError(f"unexpected character {m[0][0]!r}", m.start())
-    return tokens
+def _at(m: re.Match, i: int, sep: str = "") -> int:
+    """The position of factor i of a product token, or with sep ('/' or '^'),
+    of the digits after it; found only for an error, a long literal or exponent."""
+    factors = m[0].split("*")
+    text = factors[i].partition(sep)[2] if sep else factors[i]
+    return m.start() + sum(map(len, factors[:i + 1])) + i - len(text.lstrip(" \t"))
 
 
 def _is_variable(name: str) -> bool:
-    """Whether the text is one variable of the grammar, with no power."""
-    m = _TOKEN.fullmatch(name)
-    return m is not None and m["name"] == name and (
-        name.isascii() or name[0].isalpha() or name[0] == "_")
+    """Whether the text is one variable: \\w characters, the first a letter or '_'."""
+    return name.replace("_", "a").isalnum() and (name[0].isalpha() or name[0] == "_")
 
 
 MAX_RATIONAL_CHARS = 10000  # longest rational literal accepted
@@ -398,108 +392,116 @@ def _exponent(digits: str, degree: int, at: int) -> int:
     if not digits:
         raise ParseError("expected integer exponent", at)
     digits = digits.lstrip("0") or "0"
-    power = int(digits) if len(digits) <= len(str(MAX_DEGREE)) else MAX_DEGREE + 1
+    power = int(digits) if len(digits) <= _DEGREE_DIGITS else MAX_DEGREE + 1
     if max(power, power * degree) > MAX_DEGREE:
         raise ParseError(f"exponent or degree above MAX_DEGREE = {MAX_DEGREE}", at)
     return power
 
 
-def _denominator(digits: str, at: int) -> int:
-    if not digits:
-        raise ParseError("expected integer denominator", at)
-    den = _int_literal(digits, at)
-    if den == 0:
-        raise ParseError("zero denominator", at)
-    return den
-
-
-def _grow(degree: int, d: int, at: int) -> int:
-    """The degree of a product times a factor of degree d, checked at the factor."""
-    if degree + d > MAX_DEGREE:
-        raise ParseError(f"term degree above MAX_DEGREE = {MAX_DEGREE}", at)
-    return degree + d
-
-
 _MAX_NESTING = 100  # deepest parentheses: each level is three frames of recursion
+_DEGREE_DIGITS = len(str(MAX_DEGREE))  # an exponent of fewer digits is below MAX_DEGREE
 
 
 class _Parser:
-    """Recursive descent over +, -, *, ^ and parentheses.
-
-    The literals and variable powers of a product multiply out in closed
-    form, into one coefficient and one exponent, and each term of a sum is
-    added in place into one map.  Only parenthesized factors are term maps:
-    their products, and powers of sums, count against MAX_TERM_PRODUCTS.
-    Coefficients stay ints until a denominator appears."""
+    """Recursive descent over +, -, *, ^ and parentheses.  A product of
+    literals and variable powers is one token, read in closed form, split at
+    '*' and each factor at '/' or '^', into one coefficient and one exponent
+    added in place into one map; a position is found only for an error.  Only
+    parenthesized factors are term maps: their products, and powers of sums,
+    count against MAX_TERM_PRODUCTS.  Coefficients stay ints until a
+    denominator appears."""
 
     def __init__(self, text: str, variables: Sequence[str]):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.depth = 0
-        self.work = 0
+        self.tokens = list(_TOKEN.finditer(text))
+        self.pos = self.depth = self.work = 0
         self.nvars = len(variables)
         self.index: dict[str, int] = {}
         for i, v in enumerate(variables):
-            self.index.setdefault(v, i)
-
-    def next(self) -> re.Match:
-        m = self.tokens[self.pos]
-        self.pos += 1
-        return m
-
-    def at_op(self, ops: str) -> bool:
-        m = self.tokens[self.pos]
-        return m.lastgroup == "op" and m[0] in ops
+            if _is_variable(v):  # a name the grammar rejects stays unknown
+                self.index.setdefault(v, i)
 
     def parse(self) -> dict:
-        terms = self.expr()
-        m = self.tokens[self.pos]
-        if m.lastgroup != "end":
-            raise ParseError(f"unexpected token {m['num'] or m['name'] or m[0][:1]!r}", m.start())
-        return terms
+        """The nonzero terms.  A failed parse reports the first character that
+        begins a token or factor but can begin neither an integer (an ASCII
+        digit) nor a name (a letter or '_'), if any: it fails there or before."""
+        try:
+            terms = self.expr()
+            m = self.tokens[self.pos]
+            if m.lastgroup != "end":  # a product shows its first literal or name
+                val = (m[0].partition("*")[0].replace("/", " ").replace("^", " ").split()[0]
+                       if m.lastgroup == "product" else m[0][:1])
+                raise ParseError(f"unexpected token {val!r}", m.start())
+            return terms
+        except ParseError:
+            for m in self.tokens:
+                for i, factor in enumerate(m[0].split("*") if m.lastgroup in ("product", "bad")
+                                           else ()):
+                    c = factor.lstrip(" \t")[0]
+                    if not ("0" <= c <= "9" or c.isalpha() or c == "_"):
+                        raise ParseError(f"unexpected character {c!r}", _at(m, i)) from None
+            raise
 
     def expr(self) -> dict:
         out: dict = {}
-        sign = 1
+        sign, op = 1, self.tokens[self.pos][0]
         while True:
-            if self.at_op("+-"):
-                sign = 1 if self.next()[0] == "+" else -1
-            self.term(out, sign)
-            if not self.at_op("+-"):
-                return {e: c for e, c in out.items() if c}
+            if op == "+" or op == "-":
+                sign = -1 if op == "-" else 1
+                self.pos += 1
+            op = self.term(out, sign)
+            if op != "+" and op != "-":
+                return {e: c for e, c in out.items() if c} if 0 in out.values() else out
 
-    def term(self, out: dict, sign: int):
-        """Add sign times one product of factors into out.  degree is the
-        product's so far; a zero product has degree 0 and no factor's degree
-        passes MAX_DEGREE, so it is only grown and checked while coef is
-        nonzero, and checking the first factor too changes nothing."""
+    def term(self, out: dict, sign: int) -> str:
+        """Add sign times one product of factors into out; return the next
+        token's text.  A zero product has degree 0 and no factor passes
+        MAX_DEGREE, so degree, the product's so far, grows only while coef != 0."""
         coef, exp, degree, product, bits = sign, [0] * self.nvars, 0, None, 0
+        tokens, index = self.tokens, self.index
         while True:
-            m = self.next()
-            if m.lastgroup == "int":
-                num = _int_literal(m["num"], m.start())
-                bits += num.bit_length()
-                if m["den"] is not None:
-                    den = _denominator(m["den"], m.start("den"))
-                    bits += den.bit_length()
-                    num = Fraction(num, den)
-                if bits > MAX_COEFF_BITS:
-                    raise _too_big(m.start())
-                coef *= num
-            elif m.lastgroup == "var":
-                i = self.index.get(m["name"])
-                if i is None:
-                    raise ParseError(f"unknown variable {m['name']!r}", m.start())
-                k = 1 if m["exp"] is None else _exponent(m["exp"], 1, m.start("exp"))
-                exp[i] += k
-                if coef:
-                    degree = _grow(degree, k, m.start())
-            elif m.lastgroup == "op" and m[0] == "(":
+            m = tokens[self.pos]
+            self.pos += 1
+            if m.lastgroup == "product":
+                text = m[0]
+                if " " in text or "\t" in text:
+                    text = text.replace(" ", "").replace("\t", "")
+                for i, factor in enumerate(text.split("*")):
+                    if factor[0] <= "9":  # an integer literal, perhaps over another
+                        num, over, den = factor.partition("/")
+                        num = int(num) if len(num) <= 600 else _int_literal(num, _at(m, i))
+                        bits += num.bit_length()
+                        if over:
+                            if not den:
+                                raise ParseError("expected integer denominator", _at(m, i, "/"))
+                            den = int(den) if len(den) <= 600 else _int_literal(den, _at(m, i, "/"))
+                            if not den:
+                                raise ParseError("zero denominator", _at(m, i, "/"))
+                            bits += den.bit_length()
+                            num = Fraction(num, den)
+                        if bits > MAX_COEFF_BITS:
+                            raise _too_big(_at(m, i))
+                        coef *= num
+                        continue
+                    name, caret, digits = factor.partition("^")
+                    v = index.get(name)
+                    if v is None:
+                        raise ParseError(f"unknown variable {name!r}", _at(m, i))
+                    k = 1 if not caret else int(digits) if 0 < len(digits) < _DEGREE_DIGITS \
+                        else _exponent(digits, 1, _at(m, i, "^"))
+                    exp[v] += k
+                    if coef:
+                        degree += k
+                        if degree > MAX_DEGREE:
+                            raise ParseError(f"term degree above MAX_DEGREE = {MAX_DEGREE}",
+                                             _at(m, i))
+            elif m[0] == "(":
                 group = self.group(m.start())
                 if not group:
                     coef = 0
                 elif coef:
-                    degree = _grow(degree, _degree(group), m.start())
+                    degree += _degree(group)
+                    if degree > MAX_DEGREE:
+                        raise ParseError(f"term degree above MAX_DEGREE = {MAX_DEGREE}", m.start())
                     if product is None:
                         product, at = group, m.start()
                     else:
@@ -509,20 +511,22 @@ class _Parser:
                 val = m[0][:1]  # an operator, '^' of a power, or '' at the end
                 raise ParseError(f"expected a factor, got {val!r}" if val
                                  else "unexpected end of input", m.start())
-            if not self.at_op("*"):
+            op = tokens[self.pos][0]
+            if op != "*":
                 break
             self.pos += 1
         if not coef:
-            return
+            return op
         if product is None:
             e = tuple(exp)
             out[e] = out.get(e, 0) + coef
-            return
+            return op
         if bits + _bits(product) > MAX_COEFF_BITS:  # the monomial times its groups
             raise _too_big(at)
         for e, c in product.items():
             e = tuple(x + y for x, y in zip(e, exp))
             out[e] = out.get(e, 0) + coef * c
+        return op
 
     def charge(self, a: dict, b: dict, at: int):
         """Count the product of term maps a and b against MAX_TERM_PRODUCTS,
@@ -541,10 +545,11 @@ class _Parser:
         if self.depth > _MAX_NESTING:
             raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", at)
         base = self.expr()
-        m = self.next()
-        if not (m.lastgroup == "op" and m[0] == ")"):
+        m = self.tokens[self.pos]
+        if m[0] != ")":
             raise ParseError("expected ')'", m.start())
         self.depth -= 1
+        self.pos += 1
         m = self.tokens[self.pos]
         if m.lastgroup != "pow":
             return base
@@ -563,14 +568,16 @@ class _Parser:
         return out
 
 
-def _parse(text: str, variables: Sequence[str]) -> dict:
-    """The nonzero terms of polynomial text: ints, or Fractions where a
-    denominator appears."""
-    return _Parser(text, variables).parse()
+def _parse(text: str, variables: Sequence[str]) -> tuple[int, dict]:
+    """The nonzero terms of polynomial text as ints over one positive
+    denominator, 1 unless a '/' appears."""
+    terms = _Parser(text, variables).parse()
+    return TernaryForm._integral(terms) if "/" in text else (1, terms)
 
 
 def parse_terms(text: str, variables: Sequence[str]) -> TermMap:
-    return {e: _q(c) for e, c in _parse(text, variables).items()}
+    den, nums = _parse(text, variables)
+    return {e: Fraction(c, den) for e, c in nums.items()}
 
 
 def parse_form(text: str, variables: Sequence[str]):
@@ -580,19 +587,22 @@ def parse_form(text: str, variables: Sequence[str]):
     zero form prints as `0`, which reads back as the zero of degree 0.
     Raises ParseError on bad syntax, HomogeneityError on mixed-degree input.
     """
-    terms = _parse(text, variables)
-    degrees = {sum(e) for e in terms}
-    if len(degrees) > 1:
-        raise HomogeneityError(
-            f"inhomogeneous input: term degrees {sorted(degrees)} in {text!r}")
-    return _form(degrees.pop() if degrees else 0, tuple(variables), terms)
+    den, nums = _parse(text, variables)
+    try:
+        return _form(sum(next(iter(nums), ())), tuple(variables), den, nums)
+    except HomogeneityError:
+        raise HomogeneityError(f"inhomogeneous input: term degrees "
+                               f"{sorted({sum(e) for e in nums})} in {text!r}") from None
 
 
-def _form(degree: int, variables: tuple[str, ...], terms: Mapping[Exp, object]):
+def _form(degree: int, variables: tuple[str, ...], den: int, nums: Mapping[Exp, int]):
+    """The form of integer terms over den; HomogeneityError off the degree."""
     if len(variables) == 2:
-        return BinaryForm.from_terms(degree, variables, terms)
+        _check_exponents(nums, 2, degree)
+        return BinaryForm(degree, variables, den, map(
+            nums.get, zip(range(degree, -1, -1), range(degree + 1)), repeat(0)))
     if len(variables) == 3:
-        return TernaryForm.from_terms(degree, variables, terms)
+        return TernaryForm(degree, variables, den, nums)
     raise ValueError("expected 2 or 3 variables")
 
 
@@ -812,7 +822,7 @@ def form_from_json(data: Mapping):
     for e in terms:
         if len(e) != len(variables) or not all(type(k) is int and k >= 0 for k in e):
             raise ValueError(f"malformed form JSON: bad exponent {list(e)}")
-    return _form(degree, variables, terms)
+    return _form(degree, variables, *TernaryForm._integral(terms))
 
 
 class TernaryForm(_Form):

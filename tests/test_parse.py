@@ -14,8 +14,8 @@ from fractions import Fraction
 import pytest
 
 from luroth import cli
-from luroth.forms import (MAX_TERM_PRODUCTS, BinaryForm, ParseError, TernaryForm,
-                          form_from_json, parse_form, parse_terms)
+from luroth.forms import (MAX_TERM_PRODUCTS, _TOKEN, BinaryForm, ParseError, TernaryForm,
+                          _is_variable, form_from_json, parse_form, parse_terms)
 from oracles import oracle_parse_terms
 
 PAIR = ("s0", "s1")
@@ -86,8 +86,27 @@ EDGE_TEXTS = [
     "s0\n", "s0 ;", "s0²", "s0^²", "²*s0", "1/٣*s0", "s0*é", "s0^2é", "s0 + é",
     "0*(s0+s1)*s0^100", "0*(s0+s1)^60*(s0+s1)^60", "s0^60*0*(s0+s1)^60",
     "(s0-s0)*(s0+s1)^60*(s0+s1)^60", "s0^60*(s0-s0)*s1^60", "s0^60*(s0+s1)^41",
+    # the edges of a product token: spaces, a glued factor, a sign, a group inside
+    "3 / 4 * s0 ^ 2", "3\t/\t4\t*\ts0\t^\t2", "s0 ^ 007*s1", "s0^2s1", "2s0*s1", "s0*-s1",
+    "s0 * (s0+s1)^2 * 3", "s0*(s0+s1)^2*3*s1^2", "s0^100*s1", "s0 ^ 100*0", "0*s0^101",
+    "s0*s2", "2*s0*s1 * s2^3", "1/0*s0", "s0*1/0", "1/ *s0", "s0*1/ ", "s0^ *s1", "s0*s1^",
+    "s0*s1^ +s0", "s0 * s1 s0", "2/3*s0 s1", "s0*2/3/4", "s0*s1^2^3", "s0 * s1 ;",
+    # 601 digits: read in chunks, past a position
+    "s0*" + "7" * 601 + "*s1", "s0*1/" + "3" * 601 + "*s1", "s0*1/" + "0" * 601 + "*s1",
+    "s0^" + "0" * 601 + "7*s1",
+    # non-ASCII names inside a product
+    "s0*é", "s0*٣", "s0 * é^2", "s0*x٣*s1", "s0*s1;é", "s0*٣;",
 ]
 
+
+def test_a_product_of_literals_and_variable_powers_is_one_token():
+    text = "60996*s0^20*s1^3 - 3 / 4 * u ^ 2+(s0*s1)^2*7 s1"
+    assert [m[0] for m in _TOKEN.finditer(text)] == [
+        "60996*s0^20*s1^3", "-", "3 / 4 * u ^ 2", "+", "(", "s0*s1", ")", "^2", "*", "7", "s1", ""]
+    with pytest.raises(ParseError, match=r"exponent or degree above MAX_DEGREE = 100 \(at position 5\)"):
+        parse_form("0*s0^101", PAIR)
+    assert parse_form("0*s0^60*s1^60", PAIR).is_zero()
+    assert parse_form("3 / 4 * s0 ^ 2", PAIR) == BinaryForm.from_coeffs(PAIR, [Fraction(3, 4), 0, 0])
 
 def test_parser_matches_oracle_on_bench_pencils():
     rng = random.Random(13)
@@ -186,6 +205,26 @@ def test_parse_work_budget_weight_is_one_at_ordinary_sizes():
     for text in ("(u-u)^5*(u+v+w)^2", "(u+v)*(0)*(v+w)", "(0)^3 + u^2"):  # zero products
         assert assert_same(text, TRIPLE) == "ok", text
 
+
+VARIABLE_NAMES = {"u": True, "s0": True, "_t": True, "é": True, "x٣": True, "x²": True,
+                  "s0^2": False, "2s": False, "s 0": False, "": False, "u*v": False, "٣": False,
+                  "s0 ": False, " s0": False, "(u)": False, "12": False, "1/2": False, "²": False}
+
+
+def test_is_variable_keeps_its_verdicts():
+    """`form_from_json` accepts a variable name when the grammar reads it as
+    one variable: these verdicts are pinned, and every name agrees with the
+    parser, which reads a name as a variable exactly when it is one."""
+    assert {name: _is_variable(name) for name in VARIABLE_NAMES} == VARIABLE_NAMES
+    rng = random.Random(31)
+    names = list(VARIABLE_NAMES) + ["".join(rng.choices("s0_é٣²x ^*/(", k=rng.randint(1, 4)))
+                                    for _ in range(400)]
+    for name in names:
+        try:
+            alone = parse_terms(name, (name, "zz")) == {(1, 0): 1}
+        except ParseError:
+            alone = False
+        assert _is_variable(name) == alone, name
 
 def rand_fraction(rng):
     return Fraction(rng.randint(-30, 30), rng.choice((1, 1, 2, 3, 7, 10 ** 12)))
