@@ -11,11 +11,11 @@ share, and each class the dense or sparse kernels of its own representation.
 Every operation is exact, and all values are immutable: every value class of
 the package derives from `Frozen`.
 
-`parse_form` reads text by one recursive descent: a monomial such as
-`3/4*u^2*v` is read in closed form, into one coefficient and one exponent,
-and only parenthesized sums are multiplied out as term maps, within
-MAX_TERM_PRODUCTS and MAX_COEFF_BITS; coefficients stay ints until a
-denominator appears, and the form takes them over one denominator.
+`parse_form` reads text by one recursive descent: a product of literals and
+variable powers such as `3/4*u^2*v` is one token, read in closed form into
+one coefficient and one exponent, and only parenthesized sums are multiplied
+out as term maps, within MAX_TERM_PRODUCTS and MAX_COEFF_BITS; the form
+takes the coefficients as integers over one denominator.
 
 A linear change of coordinates, `substitute_terms`, is a relabelling and at
 most six Taylor shifts of every slice of the form (von zur Gathen & Gerhard,
