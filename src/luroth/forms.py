@@ -336,9 +336,10 @@ _TOKEN = re.compile(
         f=r"(?:[0-9]+(?:[ \t]*/[ \t]*[0-9]*)?|[^\W0-9]\w*(?:[ \t]*\^[ \t]*[0-9]*)?)"))
 
 
-def _at(m: re.Match, i: int, sep: str = "") -> int:
+def _at(m: re.Match, i: int = 0, sep: str = "") -> int:
     """The position of factor i of a product token, or with sep ('/' or '^'),
-    of the digits after it; found only for an error, a long literal or exponent."""
+    of the digits after it, as of a power token's digits with sep '^'; found
+    only for an error, since it costs the token's length."""
     factors = m[0].split("*")
     text = factors[i].partition(sep)[2] if sep else factors[i]
     return m.start() + sum(map(len, factors[:i + 1])) + i - len(text.lstrip(" \t"))
@@ -367,39 +368,40 @@ def rational_literal(text: str) -> Fraction:
         if m is None:
             return Fraction(text)
         sign, whole, decimals, den = m.groups("")  # den and decimals exclude each other
-        return Fraction(int(sign + "1") * _int_literal(whole + decimals, 0),
-                        _int_literal(den or "1", 0) * 10 ** len(decimals))
+        return Fraction(int(sign + "1") * _int_literal(whole + decimals),
+                        _int_literal(den or "1") * 10 ** len(decimals))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational {text!r}: {exc}") from exc
 
 
-def _int_literal(digits: str, at: int) -> int:
+def _int_literal(digits: str, m: re.Match | None = None, i: int = 0, sep: str = "") -> int:
     """The value of ASCII digits, read 600 at a time past any int-string limit
-    (`rational_text` inverted); a ParseError, by digit count before any is
-    read, for a literal that must pass MAX_COEFF_BITS."""
+    (`rational_text` inverted); a ParseError at `_at(m, i, sep)`, or 0 without
+    m, by digit count before any is read, for one that must pass MAX_COEFF_BITS."""
     if len(digits) <= 600:
         return int(digits)
     if len(digits.lstrip("0")) > _MAX_DIGITS:
-        raise _too_big(at)
+        raise _too_big(_at(m, i, sep) if m else 0)
     head = len(digits) % 600 or 600
     return reduce(lambda n, i: n * _CHUNK + int(digits[i:i + 600]),
                   range(head, len(digits), 600), int(digits[:head]))
 
 
-def _exponent(digits: str, degree: int, at: int) -> int:
+def _exponent(digits: str, degree: int, m: re.Match, i: int = 0) -> int:
     """The exponent of a power of something of the given degree, checked
-    against MAX_DEGREE before it is converted."""
+    against MAX_DEGREE before it is converted; a ParseError at `_at(m, i, '^')`."""
     if not digits:
-        raise ParseError("expected integer exponent", at)
-    digits = digits.lstrip("0") or "0"
-    power = int(digits) if len(digits) <= _DEGREE_DIGITS else MAX_DEGREE + 1
-    if max(power, power * degree) > MAX_DEGREE:
-        raise ParseError(f"exponent or degree above MAX_DEGREE = {MAX_DEGREE}", at)
+        raise ParseError("expected integer exponent", _at(m, i, "^"))
+    if len(digits) > _DEGREE_DIGITS:
+        digits = digits.lstrip("0")[:_DEGREE_DIGITS + 1] or "0"
+    power = int(digits)
+    if power * (degree or 1) > MAX_DEGREE:
+        raise ParseError(f"exponent or degree above MAX_DEGREE = {MAX_DEGREE}", _at(m, i, "^"))
     return power
 
 
 _MAX_NESTING = 100  # deepest parentheses: each level is three frames of recursion
-_DEGREE_DIGITS = len(str(MAX_DEGREE))  # an exponent of fewer digits is below MAX_DEGREE
+_DEGREE_DIGITS = len(str(MAX_DEGREE))  # more digits pass MAX_DEGREE but for leading zeros
 
 
 class _Parser:
@@ -428,8 +430,7 @@ class _Parser:
             terms = self.expr()
             m = self.tokens[self.pos]
             if m.lastgroup != "end":  # a product shows its first literal or name
-                val = (m[0].partition("*")[0].replace("/", " ").replace("^", " ").split()[0]
-                       if m.lastgroup == "product" else m[0][:1])
+                val = re.match(r"\w+", m[0])[0] if m.lastgroup == "product" else m[0][:1]
                 raise ParseError(f"unexpected token {val!r}", m.start())
             return terms
         except ParseError:
@@ -437,7 +438,7 @@ class _Parser:
                 for i, factor in enumerate(m[0].split("*") if m.lastgroup in ("product", "bad")
                                            else ()):
                     c = factor.lstrip(" \t")[0]
-                    if not ("0" <= c <= "9" or c.isalpha() or c == "_"):
+                    if not ("0" <= c <= "9" or _is_variable(c)):
                         raise ParseError(f"unexpected character {c!r}", _at(m, i)) from None
             raise
 
@@ -468,12 +469,12 @@ class _Parser:
                 for i, factor in enumerate(text.split("*")):
                     if factor[0] <= "9":  # an integer literal, perhaps over another
                         num, over, den = factor.partition("/")
-                        num = int(num) if len(num) <= 600 else _int_literal(num, _at(m, i))
+                        num = _int_literal(num, m, i)
                         bits += num.bit_length()
                         if over:
                             if not den:
                                 raise ParseError("expected integer denominator", _at(m, i, "/"))
-                            den = int(den) if len(den) <= 600 else _int_literal(den, _at(m, i, "/"))
+                            den = _int_literal(den, m, i, "/")
                             if not den:
                                 raise ParseError("zero denominator", _at(m, i, "/"))
                             bits += den.bit_length()
@@ -486,8 +487,7 @@ class _Parser:
                     v = index.get(name)
                     if v is None:
                         raise ParseError(f"unknown variable {name!r}", _at(m, i))
-                    k = 1 if not caret else int(digits) if 0 < len(digits) < _DEGREE_DIGITS \
-                        else _exponent(digits, 1, _at(m, i, "^"))
+                    k = _exponent(digits, 1, m, i) if caret else 1
                     exp[v] += k
                     if coef:
                         degree += k
@@ -555,7 +555,7 @@ class _Parser:
             return base
         self.pos += 1
         at = m.start("pow")
-        power = _exponent(m["pow"], _degree(base), at)
+        power = _exponent(m["pow"], _degree(base), m)
         if len(base) == 1:
             (e, c), = base.items()
             if _bits(base) * power > MAX_COEFF_BITS:

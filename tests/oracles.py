@@ -52,7 +52,7 @@ from typing import Mapping, Sequence
 
 from luroth import nodal, poncelet
 from luroth.forms import (MAX_DEGREE, _MAX_NESTING, BinaryForm, ParseError, PreconditionError,
-                          TermMap, TernaryForm, _UNITS, _degree, _int_literal, add_terms,
+                          TermMap, TernaryForm, _UNITS, _degree, _int_literal, _too_big, add_terms,
                           integral_row, mul_terms, scale_terms)
 from luroth.linalg import (conic_det3, conic_kernel_point, det_rational, disc_binary_quadratic,
                            normalize_projective, solve_linear, sylvester_matrix)
@@ -450,6 +450,14 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _literal(digits: str, at: int) -> int:
+    """The chunked reader of `forms`, its MAX_COEFF_BITS error at the token."""
+    try:
+        return _int_literal(digits)
+    except ParseError:
+        raise _too_big(at) from None
+
+
 class _Parser:
     """Recursive descent over +, -, *, ^ and parentheses; expands on the fly."""
 
@@ -526,14 +534,14 @@ class _Parser:
             return self._maybe_power(inner)
         if kind == "int":
             self.next()
-            num = _int_literal(val, at)
+            num = _literal(val, at)
             kind2, val2, _ = self.peek()
             if kind2 == "op" and val2 == "/":
                 self.next()
                 kind3, val3, at3 = self.next()
                 if kind3 != "int":
                     raise ParseError("expected integer denominator", at3)
-                den = _int_literal(val3, at3)
+                den = _literal(val3, at3)
                 if den == 0:
                     raise ParseError("zero denominator", at3)
                 coef = Fraction(num, den)
