@@ -14,8 +14,9 @@ the package derives from `Frozen`.
 `parse_form` reads text by one recursive descent: a product of literals and
 variable powers such as `3/4*u^2*v` is one token, read in closed form into
 one coefficient and one exponent, and only parenthesized sums are multiplied
-out as term maps, within MAX_TERM_PRODUCTS and MAX_COEFF_BITS; the form
-takes the coefficients as integers over one denominator.
+out as term maps, within MAX_TERM_PRODUCTS and MAX_COEFF_BITS; coefficients
+stay ints until a denominator appears, and the form takes them over one
+denominator.
 
 A linear change of coordinates, `substitute_terms`, is a relabelling and at
 most six Taylor shifts of every slice of the form (von zur Gathen & Gerhard,
@@ -338,8 +339,8 @@ _TOKEN = re.compile(
 
 def _at(m: re.Match, i: int = 0, sep: str = "") -> int:
     """The position of factor i of a product token, or with sep ('/' or '^'),
-    of the digits after it, as of a power token's digits with sep '^'; found
-    only for an error, since it costs the token's length."""
+    of the digits after it; of a power token's digits with i = 0 and sep '^'.
+    Found only for an error, since it costs the token's length."""
     factors = m[0].split("*")
     text = factors[i].partition(sep)[2] if sep else factors[i]
     return m.start() + sum(map(len, factors[:i + 1])) + i - len(text.lstrip(" \t"))
@@ -568,16 +569,14 @@ class _Parser:
         return out
 
 
-def _parse(text: str, variables: Sequence[str]) -> tuple[int, dict]:
-    """The nonzero terms of polynomial text as ints over one positive
-    denominator, 1 unless a '/' appears."""
-    terms = _Parser(text, variables).parse()
-    return TernaryForm._integral(terms) if "/" in text else (1, terms)
+def _parse(text: str, variables: Sequence[str]) -> dict:
+    """The nonzero terms of polynomial text: ints, or Fractions where a
+    denominator appears."""
+    return _Parser(text, variables).parse()
 
 
 def parse_terms(text: str, variables: Sequence[str]) -> TermMap:
-    den, nums = _parse(text, variables)
-    return {e: Fraction(c, den) for e, c in nums.items()}
+    return {e: _q(c) for e, c in _parse(text, variables).items()}
 
 
 def parse_form(text: str, variables: Sequence[str]):
@@ -587,22 +586,19 @@ def parse_form(text: str, variables: Sequence[str]):
     zero form prints as `0`, which reads back as the zero of degree 0.
     Raises ParseError on bad syntax, HomogeneityError on mixed-degree input.
     """
-    den, nums = _parse(text, variables)
-    try:
-        return _form(sum(next(iter(nums), ())), tuple(variables), den, nums)
+    terms = _parse(text, variables)
+    try:  # the form checks the exponents against the first term's degree
+        return _form(sum(next(iter(terms), ())), tuple(variables), terms)
     except HomogeneityError:
         raise HomogeneityError(f"inhomogeneous input: term degrees "
-                               f"{sorted({sum(e) for e in nums})} in {text!r}") from None
+                               f"{sorted({sum(e) for e in terms})} in {text!r}") from None
 
 
-def _form(degree: int, variables: tuple[str, ...], den: int, nums: Mapping[Exp, int]):
-    """The form of integer terms over den; HomogeneityError off the degree."""
+def _form(degree: int, variables: tuple[str, ...], terms: Mapping[Exp, object]):
     if len(variables) == 2:
-        _check_exponents(nums, 2, degree)
-        return BinaryForm(degree, variables, den, map(
-            nums.get, zip(range(degree, -1, -1), range(degree + 1)), repeat(0)))
+        return BinaryForm.from_terms(degree, variables, terms)
     if len(variables) == 3:
-        return TernaryForm(degree, variables, den, nums)
+        return TernaryForm.from_terms(degree, variables, terms)
     raise ValueError("expected 2 or 3 variables")
 
 
@@ -822,7 +818,7 @@ def form_from_json(data: Mapping):
     for e in terms:
         if len(e) != len(variables) or not all(type(k) is int and k >= 0 for k in e):
             raise ValueError(f"malformed form JSON: bad exponent {list(e)}")
-    return _form(degree, variables, *TernaryForm._integral(terms))
+    return _form(degree, variables, terms)
 
 
 class TernaryForm(_Form):

@@ -94,6 +94,8 @@ EDGE_TEXTS = [
     # 601 digits: read in chunks, past a position
     "s0*" + "7" * 601 + "*s1", "s0*1/" + "3" * 601 + "*s1", "s0*1/" + "0" * 601 + "*s1",
     "s0^" + "0" * 601 + "7*s1",
+    # three-digit exponents inside a product, below and above the cap
+    "s0^000*s1^002*s0^001", "0*s0^100*s1^100", "s0^050*s1^0051", "s0*s1^100",
     # non-ASCII names inside a product
     "s0*٣", "s0 * é^2", "s0*x٣*s1", "s0*s1;é", "s0*٣;",
 ]
