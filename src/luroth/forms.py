@@ -14,9 +14,8 @@ the package derives from `Frozen`.
 `parse_form` reads text by one recursive descent: a product of literals and
 variable powers such as `3/4*u^2*v` is one token, read in closed form into
 one coefficient and one exponent, and only parenthesized sums are multiplied
-out as term maps, within MAX_TERM_PRODUCTS and MAX_COEFF_BITS; coefficients
-stay ints until a denominator appears, and the form takes them over one
-denominator.
+out as term maps, within MAX_TERM_PRODUCTS and MAX_COEFF_BITS; the form
+takes the coefficients as integers over one denominator.
 
 A linear change of coordinates, `substitute_terms`, is a relabelling and at
 most six Taylor shifts of every slice of the form (von zur Gathen & Gerhard,
@@ -569,14 +568,16 @@ class _Parser:
         return out
 
 
-def _parse(text: str, variables: Sequence[str]) -> dict:
-    """The nonzero terms of polynomial text: ints, or Fractions where a
-    denominator appears."""
-    return _Parser(text, variables).parse()
+def _parse(text: str, variables: Sequence[str]) -> tuple[int, dict]:
+    """The nonzero terms of polynomial text as ints over one positive
+    denominator, 1 unless a '/' appears."""
+    terms = _Parser(text, variables).parse()
+    return TernaryForm._integral(terms) if "/" in text else (1, terms)
 
 
 def parse_terms(text: str, variables: Sequence[str]) -> TermMap:
-    return {e: _q(c) for e, c in _parse(text, variables).items()}
+    den, nums = _parse(text, variables)
+    return {e: Fraction(c, den) for e, c in nums.items()}
 
 
 def parse_form(text: str, variables: Sequence[str]):
@@ -586,19 +587,22 @@ def parse_form(text: str, variables: Sequence[str]):
     zero form prints as `0`, which reads back as the zero of degree 0.
     Raises ParseError on bad syntax, HomogeneityError on mixed-degree input.
     """
-    terms = _parse(text, variables)
-    try:  # the form checks the exponents against the first term's degree
-        return _form(sum(next(iter(terms), ())), tuple(variables), terms)
+    den, nums = _parse(text, variables)
+    try:
+        return _form(sum(next(iter(nums), ())), tuple(variables), den, nums)
     except HomogeneityError:
         raise HomogeneityError(f"inhomogeneous input: term degrees "
-                               f"{sorted({sum(e) for e in terms})} in {text!r}") from None
+                               f"{sorted({sum(e) for e in nums})} in {text!r}") from None
 
 
-def _form(degree: int, variables: tuple[str, ...], terms: Mapping[Exp, object]):
+def _form(degree: int, variables: tuple[str, ...], den: int, nums: Mapping[Exp, int]):
+    """The form of integer terms over den; HomogeneityError off the degree."""
     if len(variables) == 2:
-        return BinaryForm.from_terms(degree, variables, terms)
+        _check_exponents(nums, 2, degree)
+        return BinaryForm(degree, variables, den, map(
+            nums.get, zip(range(degree, -1, -1), range(degree + 1)), repeat(0)))
     if len(variables) == 3:
-        return TernaryForm.from_terms(degree, variables, terms)
+        return TernaryForm(degree, variables, den, nums)
     raise ValueError("expected 2 or 3 variables")
 
 
@@ -818,7 +822,7 @@ def form_from_json(data: Mapping):
     for e in terms:
         if len(e) != len(variables) or not all(type(k) is int and k >= 0 for k in e):
             raise ValueError(f"malformed form JSON: bad exponent {list(e)}")
-    return _form(degree, variables, terms)
+    return _form(degree, variables, *TernaryForm._integral(terms))
 
 
 class TernaryForm(_Form):
