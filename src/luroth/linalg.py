@@ -243,7 +243,8 @@ class PolyMatrix(Frozen):
             raise PreconditionError("determinant requires a square matrix")
         n = self.rows
         d = lcm(*(e.den for e in self.entries))  # d*M is integral; det(d*M) = d^n * det(M)
-        rows = [[e.scale(d).nums for e in self.entries[i * n:i * n + n]] for i in range(n)]
+        rows = [[{x: c * (d // e.den) for x, c in e.nums.items()}
+                 for e in self.entries[i * n:i * n + n]] for i in range(n)]
 
         @cache
         def minor(free: tuple[int, ...]) -> dict:

@@ -369,37 +369,38 @@ FAMILY_NAMES = ("eps91", "92", "93")
 def family_matrix(name: str, param=0) -> PolyMatrix:
     """One of the three worked 6x6 determinantal families over (u, v, w).
 
-    "92" is "93" at c = 0, so it ignores the parameter.
+    "92" is "93" at c = 0, so it ignores the parameter.  The entries are built
+    on integers: the parameter's numerator over its denominator.
     """
     if name not in FAMILY_NAMES:
         raise ValueError(f"unknown family name {name!r}; expected one of {FAMILY_NAMES}")
     p = _q(param)
+    n, d = (0, 1) if name == "92" else (p.numerator, p.denominator)
     U, V, W = _UNITS
 
-    def const(c):
-        return TernaryForm.constant(c, DUAL_VARS)
+    def const(c, den=1):
+        return TernaryForm(0, DUAL_VARS, den, {(0, 0, 0): c})
 
-    def lin(exp, c=1):
-        return TernaryForm.from_terms(1, DUAL_VARS, {exp: c})
+    def lin(exp, c=1, den=1):
+        return TernaryForm(1, DUAL_VARS, den, {exp: c})
 
-    z = TernaryForm.zero(1, DUAL_VARS)
+    z = lin(U, 0)
     if name == "eps91":
         rows = [
             [const(1), const(0), lin(V), z, z, z],
             [const(0), const(0), lin(W), lin(V), z, z],
-            [const(1), const(0), lin(U, p), lin(W), z, lin(V, -1)],
+            [const(1), const(0), lin(U, n, d), lin(W), z, lin(V, -1)],
             [const(0), const(1), z, z, lin(U), z],
             [const(2), const(0), z, z, lin(W), lin(U)],
-            [const(0), const(1), z, lin(U, -p), lin(V, p), lin(W)],
+            [const(0), const(1), z, lin(U, -n, d), lin(V, n, d), lin(W)],
         ]
     else:
-        c = p if name == "93" else Fraction(0)
         rows = [
             [const(0), const(-1), lin(V), z, z, z],
             [const(0), const(0), lin(W), lin(V), z, z],
-            [const(1), const(c), lin(U), lin(W), z, lin(V, -1)],
+            [const(1), const(n, d), lin(U), lin(W), z, lin(V, -1)],
             [const(0), const(1), z, z, lin(U), z],
             [const(0), const(0), z, z, lin(W), lin(U)],
-            [const(1), const(-c), z, lin(U, -1), lin(V), lin(W)],
+            [const(1), const(-n, d), z, lin(U, -1), lin(V), lin(W)],
         ]
     return PolyMatrix.from_rows(rows)

@@ -19,6 +19,11 @@ from .poncelet import DUAL_VARS, PARAM_VARS
 # acceptance and family tests import them too
 EPS_SAMPLES = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 3), Fraction(-2, 5))
 C_SAMPLES = (Fraction(0), Fraction(2), Fraction(-1, 4), Fraction(1, 3), Fraction(5))
+# the printed expansions' parts, parsed once; u^2*v^2 is in both eps91 and 93
+_EPS_BASE, _EPS_LINEAR, _U2V2, _FIXED_93 = (parse_form(text, DUAL_VARS) for text in (
+    "(u^2+w^2)*(v^2+w^2)+2*u*v^3", "v*u^3+3*u*v*w^2+u*v^3+2*v^4", "u^2*v^2",
+    "w^2*(u^2+v^2)+w*(u^3+v^3)-u^3*v-u*v^3"))
+_expanded: dict | None = None  # (family, param) -> determinant, during run_checks
 
 
 class CheckResult(Frozen):
@@ -28,10 +33,7 @@ class CheckResult(Frozen):
 
 
 def printed_eps_expansion(eps: Fraction):
-    base = parse_form("(u^2+w^2)*(v^2+w^2)+2*u*v^3", DUAL_VARS)
-    linear = parse_form("v*u^3+3*u*v*w^2+u*v^3+2*v^4", DUAL_VARS)
-    quad = parse_form("u^2*v^2", DUAL_VARS)
-    return base - linear.scale(eps) + quad.scale(eps * eps)
+    return _EPS_BASE - _EPS_LINEAR.scale(eps) + _U2V2.scale(eps * eps)
 
 
 def printed_92():
@@ -39,13 +41,20 @@ def printed_92():
 
 
 def printed_93(c: Fraction):
-    fixed = parse_form("w^2*(u^2+v^2)+w*(u^3+v^3)-u^3*v-u*v^3", DUAL_VARS)
-    return fixed + parse_form("u^2*v^2", DUAL_VARS).scale(-2 * c)
+    return _FIXED_93 + _U2V2.scale(-2 * c)
+
+
+def _determinant(name: str, param=0) -> TernaryForm:
+    """The family's determinant, shared by the checks of one `run_checks` call."""
+    memo = {} if _expanded is None else _expanded
+    if (name, param) not in memo:
+        memo[name, param] = poncelet.family_matrix(name, param).determinant()
+    return memo[name, param]
 
 
 def check_eps_family_determinant() -> CheckResult:
     for eps in EPS_SAMPLES:
-        det = poncelet.family_matrix("eps91", eps).determinant()
+        det = _determinant("eps91", eps)
         if not det.proportional_to(printed_eps_expansion(eps)):
             return CheckResult("eps91 determinant expansion", False, f"mismatch at eps={eps}")
     return CheckResult("eps91 determinant expansion", True,
@@ -53,14 +62,14 @@ def check_eps_family_determinant() -> CheckResult:
 
 
 def check_92_determinant() -> CheckResult:
-    det = poncelet.family_matrix("92").determinant()
+    det = _determinant("92")
     ok = det.proportional_to(printed_92())
     return CheckResult("family 92 determinant", ok,
                        "matches w^2*f2 + w*f3 + f4" if ok else "mismatch")
 
 
 def check_92_analysis() -> CheckResult:
-    quartic = poncelet.family_matrix("92").determinant()
+    quartic = _determinant("92")
     analysis = nodal.classify(quartic, (0, 0, 1))
     pair = analysis.conic_data.phi.variables
     ok = (analysis.conic_data.phi.is_zero()
@@ -75,7 +84,7 @@ def check_92_analysis() -> CheckResult:
 
 def check_93_analysis() -> CheckResult:
     for c in C_SAMPLES:
-        quartic = poncelet.family_matrix("93", c).determinant()
+        quartic = _determinant("93", c)
         analysis = nodal.classify(quartic, (0, 0, 1))
         pair = analysis.conic_data.phi.variables
         phi_expect = BinaryForm.from_coeffs(pair, [c, c])
@@ -85,8 +94,7 @@ def check_93_analysis() -> CheckResult:
                 or analysis.conic_data.psi != psi_expect
                 or analysis.conic_data.det3 != det3_expect):
             return CheckResult("family 93 nodal analysis", False, f"mismatch at c={c}")
-    special = nodal.classify(
-        poncelet.family_matrix("93", Fraction(-1, 4)).determinant(), (0, 0, 1))
+    special = nodal.classify(_determinant("93", Fraction(-1, 4)), (0, 0, 1))
     ok = special.type_two and special.conic_singular_point == (
         Fraction(2), Fraction(2), Fraction(1))
     return CheckResult("family 93 nodal analysis", ok,
@@ -95,7 +103,7 @@ def check_93_analysis() -> CheckResult:
 
 
 def check_91_classification() -> CheckResult:
-    quartic = poncelet.family_matrix("eps91", 0).determinant()
+    quartic = _determinant("eps91", 0)
     analysis = nodal.classify(quartic, (1, 0, 0))
     ok = (analysis.type_two
           and analysis.conic_data.conic == parse_form("u^2-w^2", DUAL_VARS)
@@ -105,10 +113,9 @@ def check_91_classification() -> CheckResult:
 
 
 def check_91_tangent_map() -> CheckResult:
-    quartic = poncelet.family_matrix("eps91", 0).determinant().lex_normalized()
+    quartic = _determinant("eps91", 0).lex_normalized()
     analysis = nodal.classify(quartic, (1, 0, 0))
-    direction = parse_form("v*u^3+3*u*v*w^2+u*v^3+2*v^4", DUAL_VARS)
-    result = nodal.tangent_map(analysis.decomposition, analysis.conic_data, direction)
+    result = nodal.tangent_map(analysis.decomposition, analysis.conic_data, _EPS_LINEAR)
     pair = result.phi_dot.variables
     ok = (result.xi == (Fraction(-1, 2), Fraction(0))
           and result.phi_dot == BinaryForm.from_coeffs(pair, [Fraction(-1, 2), 0])
@@ -125,7 +132,7 @@ def check_cross_construction() -> CheckResult:
         parse_form("s0^2*s1^2*(s1-s0)", PARAM_VARS),
         parse_form("-(s0^5+s1^5)", PARAM_VARS))
     curve = poncelet.poncelet_curve(conic, pencil)
-    target = poncelet.family_matrix("92").determinant()
+    target = _determinant("92")
     ok = curve.proportional_to(target) and poncelet.is_base_point_free(pencil)
     return CheckResult("generic construction vs family 92", ok,
                        "pencil on the standard conic reproduces the 6x6 determinant"
@@ -169,7 +176,7 @@ def check_residual_identity() -> CheckResult:
     cases = [("eps91", Fraction(0), (1, 0, 0)), ("92", Fraction(0), (0, 0, 1)),
              ("93", Fraction(2), (0, 0, 1))]
     for name, param, node in cases:
-        quartic = poncelet.family_matrix(name, param).determinant()
+        quartic = _determinant(name, param)
         analysis = nodal.classify(quartic, node)
         nodal.residual_line_identity(analysis.decomposition, analysis.conic_data)
     return CheckResult("residual-line identity", True,
@@ -181,8 +188,8 @@ def check_discriminant_bridge() -> CheckResult:
     pair = ("v", "w")
     for _ in range(100):
         a, b = [rng.randint(-9, 9) for _ in range(2)], [rng.randint(-9, 9) for _ in range(3)]
-        phi, psi = BinaryForm.from_coeffs(pair, a), BinaryForm.from_coeffs(pair, b)
-        conic = TernaryForm.from_terms(2, ("u", "v", "w"), {  # t^2 + 2*t*phi - psi, t = u
+        phi, psi = BinaryForm(1, pair, 1, a), BinaryForm(2, pair, 1, b)
+        conic = TernaryForm(2, ("u", "v", "w"), 1, {  # t^2 + 2*t*phi - psi, t = u
             (2, 0, 0): 1, (1, 1, 0): 2 * a[0], (1, 0, 1): 2 * a[1],
             (0, 2, 0): -b[0], (0, 1, 1): -b[1], (0, 0, 2): -b[2]})
         if conic_det3(conic) != Fraction(-1, 4) * disc_binary_quadratic(phi * phi + psi):
@@ -207,10 +214,15 @@ ALL_CHECKS = (
 
 
 def run_checks() -> list[CheckResult]:
-    results = []
-    for check in ALL_CHECKS:
-        try:
-            results.append(check())
-        except Exception as exc:  # a crashed check is a failed check
-            results.append(CheckResult(check.__name__, False, f"raised {exc!r}"))
+    """Every check, in order, with each family determinant expanded once."""
+    global _expanded
+    _expanded, results = {}, []
+    try:
+        for check in ALL_CHECKS:
+            try:
+                results.append(check())
+            except Exception as exc:  # a crashed check is a failed check
+                results.append(CheckResult(check.__name__, False, f"raised {exc!r}"))
+    finally:
+        _expanded = None
     return results

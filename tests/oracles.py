@@ -24,6 +24,9 @@
   `PolyMatrix.determinant`.  And the directional derivative as two scaled
   partials and a sum: the oracle of the coefficient formula of
   `BinaryForm.directional`.
+- The worked 6x6 families with every entry built from Fractions through
+  `TernaryForm.constant` and `from_terms`: the oracle of the integer-built
+  entries of `poncelet.family_matrix`.
 - The conic's symmetric matrix on Fractions, and the chord through the
   Fraction images of two parameters: the oracles of the integer matrix of
   `linalg.conic_det3` and of the integer `poncelet.chord_dual`.
@@ -54,8 +57,9 @@ from luroth import nodal, poncelet
 from luroth.forms import (MAX_DEGREE, _MAX_NESTING, BinaryForm, ParseError, PreconditionError,
                           TermMap, TernaryForm, _UNITS, _degree, _int_literal, _too_big, add_terms,
                           integral_row, mul_terms, scale_terms)
-from luroth.linalg import (conic_det3, conic_kernel_point, det_rational, disc_binary_quadratic,
-                           normalize_projective, solve_linear, sylvester_matrix)
+from luroth.linalg import (PolyMatrix, conic_det3, conic_kernel_point, det_rational,
+                           disc_binary_quadratic, normalize_projective, solve_linear,
+                           sylvester_matrix)
 
 
 def _rows(rows):
@@ -338,6 +342,41 @@ def bitmask_determinant(matrix):
             break
     degree = sum(matrix.entry(0, j).degree for j in range(n))
     return TernaryForm(degree, variables, states.get((1 << n) - 1, {}))
+
+
+def fraction_family_matrix(name: str, param=0) -> PolyMatrix:
+    """A worked 6x6 family, each entry built from Fractions."""
+    p = Fraction(param)
+    U, V, W = _UNITS
+    vs = poncelet.DUAL_VARS
+
+    def const(c):
+        return TernaryForm.constant(c, vs)
+
+    def lin(exp, c=1):
+        return TernaryForm.from_terms(1, vs, {exp: c})
+
+    z = TernaryForm.zero(1, vs)
+    if name == "eps91":
+        rows = [
+            [const(1), const(0), lin(V), z, z, z],
+            [const(0), const(0), lin(W), lin(V), z, z],
+            [const(1), const(0), lin(U, p), lin(W), z, lin(V, -1)],
+            [const(0), const(1), z, z, lin(U), z],
+            [const(2), const(0), z, z, lin(W), lin(U)],
+            [const(0), const(1), z, lin(U, -p), lin(V, p), lin(W)],
+        ]
+    else:
+        c = p if name == "93" else Fraction(0)
+        rows = [
+            [const(0), const(-1), lin(V), z, z, z],
+            [const(0), const(0), lin(W), lin(V), z, z],
+            [const(1), const(c), lin(U), lin(W), z, lin(V, -1)],
+            [const(0), const(1), z, z, lin(U), z],
+            [const(0), const(0), z, z, lin(W), lin(U)],
+            [const(1), const(-c), z, lin(U, -1), lin(V), lin(W)],
+        ]
+    return PolyMatrix.from_rows(rows)
 
 
 def partial_directional(f, xi):

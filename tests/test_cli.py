@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import luroth
-from luroth import cli, poncelet
+from luroth import cli, poncelet, verify
 from luroth.forms import _MAX_NESTING, form_from_json, parse_form, rational_literal
 from luroth.poncelet import DUAL_VARS, PARAM_VARS
 from oracles import fraction_chord_dual, int_str_limit
@@ -335,8 +335,8 @@ def test_verify_json(capsys):
     assert all(check["passed"] for check in report["checks"])
 
 
-def test_verify_negative_control(capsys, monkeypatch):
-    # corrupt one family matrix entry and confirm the suite goes red
+def corrupt_family_matrix(monkeypatch):
+    """Double one entry of every family matrix."""
     original = poncelet.family_matrix
 
     def corrupted(name, param=0):
@@ -346,9 +346,28 @@ def test_verify_negative_control(capsys, monkeypatch):
         return type(matrix)(matrix.rows, matrix.cols, tuple(entries))
 
     monkeypatch.setattr(poncelet, "family_matrix", corrupted)
+
+
+def test_verify_negative_control(capsys, monkeypatch):
+    # corrupt one family matrix entry and confirm the suite goes red
+    corrupt_family_matrix(monkeypatch)
     code, out = run(capsys, ["verify"])
     assert code == 1
     assert "FAIL" in out and "SOME CHECKS FAILED" in out
+
+
+def test_verify_expands_each_determinant_afresh_per_run(capsys, monkeypatch):
+    """The determinants one `verify` run shares among its checks are gone
+    after it: a corrupted matrix fails the next run and a check run alone,
+    and a clean run after the corruption passes again."""
+    assert run(capsys, ["verify"])[0] == 0
+    corrupt_family_matrix(monkeypatch)
+    code, out = run(capsys, ["verify"])
+    assert code == 1 and "FAIL" in out
+    assert not verify.check_92_determinant().passed
+    monkeypatch.undo()
+    assert verify.check_92_determinant().passed
+    assert run(capsys, ["verify"])[0] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +434,8 @@ def test_error_report_is_unchanged(capsys, argv, code, text, as_json):
 def test_cli_import_leaves_out_the_costly_modules():
     """Every command is a fresh process, so what `import luroth.cli` pulls in
     is paid on each run: `dataclasses` (with `inspect`, `ast` and `dis`) cost
-    about 12 ms of it, and `json` (about 2 ms) is needed by `--json` alone."""
+    about 12 ms of it, `json` (about 2 ms) is needed by `--json` alone, and
+    `luroth.verify` by the `verify` command alone."""
     src = str(Path(luroth.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     code = ("import sys; before = set(sys.modules); import luroth.cli; "
@@ -423,4 +443,4 @@ def test_cli_import_leaves_out_the_costly_modules():
     added = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                            text=True, check=True).stdout.split()
     assert "luroth.cli" in added
-    assert not set(added) & {"dataclasses", "inspect", "ast", "dis", "json"}
+    assert not set(added) & {"dataclasses", "inspect", "ast", "dis", "json", "luroth.verify"}

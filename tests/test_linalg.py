@@ -568,6 +568,28 @@ def test_determinant_matches_bitmask_oracle():
     assert zero >= 1
 
 
+def test_determinant_matches_bitmask_oracle_on_pairwise_coprime_denominators():
+    """Each nonzero entry over its own prime, above its numerators: the lcm d
+    is their product, and each entry is scaled by a different d // den."""
+    primes = [p for p in range(5, 120) if all(p % k for k in range(2, p))]
+    rng = random.Random(1404)
+    nonzero = 0
+    for n in range(1, 6):
+        for _ in range(4):
+            dens = iter(rng.sample(primes, n * n))
+            degrees = [rng.choice((0, 1, 1)) for _ in range(n)]
+            m = PolyMatrix.from_rows([[TernaryForm(d, TRIPLE, next(dens), {
+                e: rng.choice((-4, -3, -2, -1, 1, 2, 3, 4))
+                for e in ([(0, 0, 0)] if d == 0 else [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+                if rng.random() < 0.8}) for d in degrees] for _ in range(n)])
+            dens = [e.den for e in m.entries if not e.is_zero()]
+            assert len(set(dens)) == len(dens) and 1 not in dens
+            det = m.determinant()
+            assert det == bitmask_determinant(m)
+            nonzero += not det.is_zero()
+    assert nonzero >= 10
+
+
 @pytest.mark.parametrize("make", [lambda: PolyMatrix(0, 0, ()), lambda: PolyMatrix(2, 0, ()),
                                   lambda: PolyMatrix.from_rows([])],
                          ids=["0x0", "2x0", "from-rows"])

@@ -32,8 +32,9 @@ from luroth.poncelet import (
 from luroth.verify import (C_SAMPLES, EPS_SAMPLES, printed_92, printed_93,
                            printed_eps_expansion)
 from oracles import (bezout_base_point_free, bezoutian_is_jumping_line, bitmask_determinant,
-                     fraction_chord_dual, pullback_is_jumping_line, pullback_singular_jump,
-                     rational_det, rational_nullspace, rational_rank, substitute_pair, unidivmod)
+                     fraction_chord_dual, fraction_family_matrix, pullback_is_jumping_line,
+                     pullback_singular_jump, rational_det, rational_nullspace, rational_rank,
+                     substitute_pair, unidivmod)
 
 
 def split_form(roots, pair=PARAM_VARS):
@@ -1062,6 +1063,41 @@ def test_verify_replays_the_printed_93_expansion(monkeypatch):
     monkeypatch.setattr(verify, "printed_93", lambda c: printed_93(c + 1))
     result = verify.check_93_analysis()
     assert not result.passed and result.detail == f"mismatch at c={C_SAMPLES[0]}"
+
+
+def test_run_checks_builds_each_family_matrix_once(monkeypatch):
+    """One `run_checks` expands each distinct (family, parameter) once: five
+    eps91 samples, 92, and five 93 samples, not the 19 uses of the checks."""
+    calls = []
+    original = poncelet.family_matrix
+
+    def counted(name, param=0):
+        calls.append((name, Fraction(param)))
+        return original(name, param)
+
+    monkeypatch.setattr(poncelet, "family_matrix", counted)
+    assert all(result.passed for result in verify.run_checks())
+    assert len(calls) == len(set(calls)) == 11
+    assert set(calls) == {("eps91", e) for e in EPS_SAMPLES} | {("92", Fraction(0))} | {
+        ("93", c) for c in C_SAMPLES}
+
+
+@pytest.mark.parametrize("name", poncelet.FAMILY_NAMES)
+def test_family_matrix_matches_the_fraction_built_oracle(name):
+    for p in {Fraction(0), *EPS_SAMPLES, *C_SAMPLES, Fraction(-1, 4)}:
+        assert family_matrix(name, p) == fraction_family_matrix(name, p), p
+
+
+def test_family_zero_coefficient_entries_keep_their_column_degree():
+    eps = family_matrix("eps91", 0)
+    for i, j in ((2, 2), (5, 3), (5, 4)):  # p*u, -p*u and p*v at p = 0
+        assert eps.entry(i, j).is_zero() and eps.entry(i, j).degree == 1
+    assert eps.entry(2, 2) == eps.entry(0, 3) == TernaryForm.zero(1, DUAL_VARS)
+    at_zero = family_matrix("93", 0)
+    for i in (2, 5):  # c and -c at c = 0
+        assert at_zero.entry(i, 1) == TernaryForm.zero(0, DUAL_VARS)
+    assert family_matrix("eps91", Fraction(-2, 5)).entry(2, 2) == TernaryForm(
+        1, DUAL_VARS, 5, {(1, 0, 0): -2})
 
 
 def test_family_92_ignores_param_and_is_93_at_zero():
