@@ -578,12 +578,12 @@ def test_determinant_matches_bitmask_oracle_on_pairwise_coprime_denominators():
         for _ in range(4):
             dens = iter(rng.sample(primes, n * n))
             degrees = [rng.choice((0, 1, 1)) for _ in range(n)]
-            m = PolyMatrix.from_rows([[TernaryForm(d, TRIPLE, next(dens), {
+            m = PolyMatrix.from_rows([[TernaryForm(deg, TRIPLE, next(dens), {
                 e: rng.choice((-4, -3, -2, -1, 1, 2, 3, 4))
-                for e in ([(0, 0, 0)] if d == 0 else [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-                if rng.random() < 0.8}) for d in degrees] for _ in range(n)])
-            dens = [e.den for e in m.entries if not e.is_zero()]
-            assert len(set(dens)) == len(dens) and 1 not in dens
+                for e in ([(0, 0, 0)] if deg == 0 else [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+                if rng.random() < 0.8}) for deg in degrees] for _ in range(n)])
+            used = [e.den for e in m.entries if not e.is_zero()]
+            assert len(set(used)) == len(used) and 1 not in used
             det = m.determinant()
             assert det == bitmask_determinant(m)
             nonzero += not det.is_zero()
