@@ -15,9 +15,9 @@ the line.
 
 `shifted_multiples` is the one multiplication map of the package: the
 coefficient vectors of a binary form times every monomial of a degree.  It
-builds the Sylvester matrix, whose transpose for (f3, f2) is the nodal Koszul
-system (uniquely solvable exactly when Res(f2, f3) != 0, so one solve decides
-admissibility and yields (phi, psi)), and the curve's shifted-pullback columns.
+builds the Sylvester matrix of `sylvester_resultant` and the shifted-pullback
+columns of `poncelet.poncelet_matrix`.  The nodal Koszul system, the transposed
+Sylvester matrix of (f3, f2), is built on integers by `nodal._koszul_matrix`.
 """
 
 from __future__ import annotations

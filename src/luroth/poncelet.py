@@ -25,16 +25,16 @@ independent, so a line is jumping exactly when gamma1 and gamma2, each
 reduced in two integer registers, are dependent modulo q; then q divides
 the multiples of one member h alone, and some member is divisible by q^2
 exactly when q divides h/q, integral for a primitive q (Gauss's lemma).
-Base points are decided once per pencil: a constant gcd modulo the prime
-2^61 - 1 proves there are none, and where it proves nothing the primitive
-PRS (Brown & Traub, JACM 1971) decides.  The memoized Laplace expansion
-of `PolyMatrix.determinant` serves the 6x6 families and `poncelet_matrix`.
+Base points are decided once per pencil, by the integer gcd of the
+generators' values at a large integer, read back as a polynomial by its
+digits (GCDHEU).  The memoized Laplace expansion of
+`PolyMatrix.determinant` serves the 6x6 families and `poncelet_matrix`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import gcd
 from operator import mul
 from typing import Sequence
@@ -46,7 +46,6 @@ from .linalg import PolyMatrix, normalize_projective, shifted_multiples
 PRIMAL_VARS = ("x", "y", "t")
 DUAL_VARS = ("u", "v", "w")
 PARAM_VARS = ("s0", "s1")
-_P = 2 ** 61 - 1  # the prime of the base-point certificate
 
 
 class ConicParam(Frozen):
@@ -128,43 +127,47 @@ class PonceletPencil(Frozen):
     @cached_property
     def _base_point_free(self) -> bool:
         """No common root at s0 = 0 (both last coefficients zero), and a
-        constant gcd(g1(1, x), g2(1, x)): certified by Euclid modulo the prime
-        _P unless _P divides both leading coefficients; where that does not
-        prove it, the PRS decides."""
+        constant gcd(g1(1, x), g2(1, x)) by `_coprime`."""
         f, g = self._ints
-        if f[-1] == 0 and g[-1] == 0:
-            return False
-        a, b = _trim(f), _trim(g)
-        if (a[-1] % _P or b[-1] % _P) and _coprime_mod_p(a, b):
+        return bool(f[-1] or g[-1]) and _coprime(f, g)
+
+
+def _coprime(a: Sequence[int], b: Sequence[int]) -> bool:
+    """Whether the primitive ascending integer vectors a, b share no factor of
+    positive degree, by GCDHEU (Char, Geddes & Gonnet, J. Symbolic Comput. 1989).
+
+    At an even xi >= 2*min(|a|, |b|) + 2 in the max norm, the symmetric
+    xi-adic digits of gcd(a(xi), b(xi)) give h; a constant h, or a primitive
+    part of h that divides a and b, is their gcd.  Otherwise xi is squared,
+    which ends: with a = g*a' and b = g*b', the digits are g times a divisor
+    of Res(a', b') != 0 once xi > 2*|Res(a', b')|*|g|.
+    """
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    while True:
+        c = gcd(*(reduce(lambda v, x: v * xi + x, reversed(p)) for p in (a, b)))
+        half, h = xi // 2, []
+        while c:
+            h.append((c + half) % xi - half)
+            c = (c - h[-1]) // xi
+        h = _primitive(h)
+        if len(h) == 1:
             return True
-        return _coprime_prs(a, b)
-
-
-def _coprime_mod_p(a: Sequence[int], b: Sequence[int]) -> bool:
-    """Whether gcd(a, b) modulo _P is constant, for ascending integer vectors.
-    A common factor over the integers keeps its degree modulo _P unless _P
-    divides both leading coefficients, so outside that case True proves a
-    and b coprime; False proves nothing."""
-    a, b = _trim([x % _P for x in a]), _trim([x % _P for x in b])
-    while b:
-        inverse = pow(b[-1], -1, _P)
-        while len(a) >= len(b):
-            c, k = a[-1] * inverse % _P, len(a) - len(b)
-            a = _trim(a[:k] + [(x - c * y) % _P for x, y in zip(a[k:-1], b)])
-        a, b = b, a
-    return len(a) == 1
-
-
-def _coprime_prs(a: Sequence[int], b: Sequence[int]) -> bool:
-    """Whether gcd(a, b) is constant, by the primitive PRS: Euclid on
-    pseudo-remainders, each divided by its content."""
-    a, b = sorted((a, b), key=len, reverse=True)
-    while len(b) > 1:
-        r = _trim(_prem(a, b))
-        if not r:
+        if _divides(h, a) and _divides(h, b):
             return False
-        a, b = b, _primitive(r)
-    return True
+        xi *= xi
+
+
+def _divides(h: Sequence[int], a: Sequence[int]) -> bool:
+    """Whether h divides a, for ascending integer vectors, h primitive with
+    h[-1] != 0: long division, over the integers by Gauss's lemma."""
+    a, m = list(a), len(h) - 1
+    for k in range(len(a) - 1, m - 1, -1):
+        c, r = divmod(a[k], h[-1])
+        if r:
+            return False
+        for i, x in enumerate(h):
+            a[k - m + i] -= c * x
+    return not any(a)
 
 
 def _primitive(v: Sequence[int]) -> list[int]:
@@ -177,26 +180,6 @@ def _dependent(u: Sequence[int], v: Sequence[int]) -> bool:
     """Whether every 2x2 minor of the rows u, v vanishes."""
     k = next((i for i, x in enumerate(u) if x), None)
     return k is None or all(x * v[k] == u[k] * y for x, y in zip(u, v))
-
-
-def _trim(v: Sequence[int]) -> list[int]:
-    return list(v[:max((i + 1 for i, x in enumerate(v) if x), default=0)])
-
-
-def _prem(f: Sequence[int], p: Sequence[int]) -> list[int]:
-    """The len(p) - 1 low coefficients of lead^k * f modulo p, for ascending
-    coefficient vectors, lead = p[-1] != 0 and k = len(f) - len(p) + 1 >= 0.
-
-    A window moves down f: each step takes in the next coefficient, times
-    the power of lead the window carries, and cancels the top one.
-    """
-    m, lead = len(p) - 1, p[-1]
-    r, power = list(f[len(f) - m:]), 1
-    for c in reversed(f[:len(f) - m]):
-        top = r[-1]
-        r = [lead * x - top * y for x, y in zip([c * power] + r[:-1], p)]
-        power *= lead
-    return r
 
 
 def _by_pullback(q: list[int], ints: Sequence[Sequence[int]]):

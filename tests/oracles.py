@@ -4,12 +4,14 @@
   in `luroth.linalg` (`det_rational`, `rank`, `solve_linear` and `invert`),
   and, through its kernel, of the adjugate's kernel point of a singular conic
   (`conic_kernel_point`).
-- The Bezoutian jump test and the Bezout-determinant base-point test: the
-  oracles of the remainder and PRS kernels in `luroth.poncelet`; and both
-  incidence tests on the `line_pullback` form by the window pseudo-remainder
-  `poncelet._prem`, modulo q and modulo q^2 (six 2x2 minors), the oracles of
-  the integer pullback from the conic's cached matrix, of the two-register
-  remainder and of the exact-quotient singular-jump test.
+- The Bezoutian jump test, and the base-point tests: the Bezout determinant,
+  exact or modulo a prime (`det_mod`), and the primitive PRS (Brown & Traub,
+  JACM 1971) on the window pseudo-remainder `prem`: the oracles of the
+  remainder kernel and of the heuristic gcd `poncelet._coprime`; and both
+  incidence tests on the `line_pullback` form by `prem`, modulo q and modulo
+  q^2 (six 2x2 minors), the oracles of the integer pullback from the conic's
+  cached matrix, of the two-register remainder and of the exact-quotient
+  singular-jump test.
 - Binary-form helpers that only tests use: a rational Euclidean gcd, monic
   scaling, substitution of a 2x2 matrix, and a rational matrix product.
 - The homogeneous Horner substitution of a 3x3 matrix into a ternary form,
@@ -181,16 +183,49 @@ def bezoutian_is_jumping_line(conic, pencil, line) -> bool:
                for (i, j, k), c in poncelet._jump_terms(pencil).items()) == 0
 
 
+def prem(f: Sequence[int], p: Sequence[int]) -> list[int]:
+    """The len(p) - 1 low coefficients of lead^k * f modulo p, for ascending
+    coefficient vectors, lead = p[-1] != 0 and k = len(f) - len(p) + 1 >= 0.
+
+    A window moves down f: each step takes in the next coefficient, times
+    the power of lead the window carries, and cancels the top one.
+    """
+    m, lead = len(p) - 1, p[-1]
+    r, power = list(f[len(f) - m:]), 1
+    for c in reversed(f[:len(f) - m]):
+        top = r[-1]
+        r = [lead * x - top * y for x, y in zip([c * power] + r[:-1], p)]
+        power *= lead
+    return r
+
+
+def _trim(v: Sequence[int]) -> list[int]:
+    return list(v[:max((i + 1 for i, x in enumerate(v) if x), default=0)])
+
+
+def prs_coprime(a: Sequence[int], b: Sequence[int]) -> bool:
+    """Whether the ascending integer vectors a, b, neither zero, share no
+    factor of positive degree, by the primitive PRS: Euclid on
+    pseudo-remainders, each divided by its content."""
+    a, b = sorted((_trim(a), _trim(b)), key=len, reverse=True)
+    while len(b) > 1:
+        r = _trim(prem(a, b))
+        if not r:
+            return False
+        a, b = b, poncelet._primitive(r)
+    return True
+
+
 def _window_remainders(pencil, q) -> list:
     """The generators modulo q, a power of the pullback, up to nonzero factors,
-    by the window pseudo-remainder `poncelet._prem`: reduced from the s1 end
-    if q[-1] != 0, else from the s0 end if q[0] != 0; q = (b*s0*s1)^e leaves
+    by the window pseudo-remainder `prem`: reduced from the s1 end if
+    q[-1] != 0, else from the s0 end if q[0] != 0; q = (b*s0*s1)^e leaves
     the e first and e last coefficients."""
     ints = pencil._ints
     if q[-1]:
-        return [poncelet._prem(c, q) for c in ints]
+        return [prem(c, q) for c in ints]
     if q[0]:
-        return [poncelet._prem(c[::-1], q[::-1]) for c in ints]
+        return [prem(c[::-1], q[::-1]) for c in ints]
     if not any(q):
         raise ValueError("the zero vector is not a projective point")
     e = len(q) // 2
@@ -217,6 +252,23 @@ def bezout_base_point_free(pencil) -> bool:
     """det B != 0 for the square part of the integer Bezout matrix (det B =
     +-Res(gamma1, gamma2)), by Bareiss elimination."""
     return det_rational([row[:-1] for row in poncelet._bezout_matrix(pencil)]) != 0
+
+
+def det_mod(rows, p: int) -> int:
+    """The determinant of an integer matrix modulo the prime p, by Gaussian
+    elimination there: nonzero proves the integer determinant nonzero."""
+    m, det = [[x % p for x in row] for row in rows], 1
+    for c in range(len(m)):
+        pivot = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            m[c], m[pivot], det = m[pivot], m[c], -det
+        det, inverse = det * m[c][c] % p, pow(m[c][c], -1, p)
+        for row in m[c + 1:]:
+            factor = row[c] * inverse % p
+            row[c:] = [(x - factor * y) % p for x, y in zip(row[c:], m[c][c:])]
+    return det % p
 
 
 def conic_matrix(q: TernaryForm) -> list:

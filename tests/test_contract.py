@@ -44,9 +44,21 @@ def quartic(c: str) -> str:
     return f"{c}*u^4 + u^3*w + v^3*w + v^4 + u*v*w^2"
 
 
+def form_text(coeffs: list[int]) -> str:
+    """The binary form sum coeffs[k]*s0^(d-k)*s1^k, d = len(coeffs) - 1."""
+    return " + ".join(f"{c}*s0^{len(coeffs) - 1 - k}*s1^{k}" for k, c in enumerate(coeffs))
+
+
 def pencil_text(rng: random.Random, n: int, digits: int) -> str:
     lo, hi = 10 ** (digits - 1), 10 ** digits - 1
-    return " + ".join(f"{rng.randint(lo, hi)}*s0^{n + 1 - k}*s1^{k}" for k in range(n + 2))
+    return form_text([rng.randint(lo, hi) for _ in range(n + 2)])
+
+
+def planted_text(rng: random.Random, n: int, digits: int) -> str:
+    """A random degree-(n+1) generator times 2*s0 + 3*s1 (digits-digit cofactor)."""
+    lo, hi = 10 ** (digits - 1), 10 ** digits - 1
+    cofactor = [rng.randint(lo, hi) for _ in range(n + 1)]
+    return form_text([2 * x + 3 * y for x, y in zip(cofactor + [0], [0] + cofactor)])
 
 
 def commands(c: str) -> list[list[str]]:
@@ -93,10 +105,18 @@ ROWS += [(f"vertices-{name}", ["poncelet", "--conic", GEN_CONIC, "--gamma1", "s0
                                "--gamma2", "s0*s1^8+2*s0^3*s1^6+7*s0^9", "--vertices", text], code)
          for name, text, code in [("at-the-cap", VERTICES.rsplit(",", 1)[0], 0),
                                   ("past-the-cap", VERTICES, 2)]]
-# The primitive PRS alone would swell to about n times the input bits, about
-# 11 s for this pencil; the modular certificate decides it.
-PRS_ROW = ("pencil-n22-1000-digits", ["poncelet", "--gamma1", pencil_text(_RNG, 22, 1000),
-                                      "--gamma2", pencil_text(_RNG, 22, 1000)], 0)
+# Base points of big pencils.  A remainder sequence swells to about n times
+# the input bits; the heuristic gcd takes one integer gcd of values per try.
+# The coprime pencil decides at once; each planted pencil shares 2*s0 + 3*s1,
+# the last one with about 120 KB per generator, just under the 128 KB a
+# single argument may hold (MAX_ARG_STRLEN).
+COPRIME_ROW = ("pencil-n22-1000-digits", ["poncelet", "--gamma1", pencil_text(_RNG, 22, 1000),
+                                          "--gamma2", pencil_text(_RNG, 22, 1000)], 0)
+_PLANT = random.Random(24)
+PLANTED_ROWS = [(f"planted-pencil-n{n}-{digits}-digits",
+                 ["poncelet", "--gamma1", planted_text(_PLANT, n, digits),
+                  "--gamma2", planted_text(_PLANT, n, digits)])
+                for n, digits in [(22, 1000), (40, 2900)]]
 
 
 # The nodal core on huge numbers: the node 0:0:N is the node 0:0:1 scaled, and
@@ -163,7 +183,15 @@ def test_hostile_input_exits_0_or_2_within_seconds(argv, code):
 
 
 def test_big_coefficient_pencil_decides_base_points_in_seconds():
-    assert run_contained(PRS_ROW[1])[0] == PRS_ROW[2]
+    assert run_contained(COPRIME_ROW[1])[0] == COPRIME_ROW[2]
+
+
+@pytest.mark.parametrize("argv", [row[1] for row in PLANTED_ROWS],
+                         ids=[row[0] for row in PLANTED_ROWS])
+def test_planted_factor_pencils_decide_base_points_in_seconds(argv):
+    assert all(len(text.encode()) < 120 * 1024 for text in argv)
+    code, out = run_contained(argv)
+    assert code == 0 and "base_point_free: False" in out
 
 
 @pytest.mark.parametrize("gamma1, code, message", [row[1:] for row in PRODUCT_ROWS],

@@ -15,8 +15,9 @@ for `parse_terms` and `parse_form`.  And the incidence tests of `poncelet`, `is_
 `singular_jump_criterion`, pull the line back in integers through the
 conic's cached matrix: neither calls `line_pullback`.  And they divide by
 the pullback q alone: neither builds a q^2 vector (no display of more than
-three entries), and `_prem`, the window pseudo-remainder, serves only the
-base-point PRS `_coprime_prs`.  And the polynomial
+three entries).  And base points take one path: only `_base_point_free`
+calls the heuristic gcd `_coprime`, and `poncelet` has no pseudo-remainder
+`_prem`, which the test oracles keep.  And the polynomial
 determinant of `linalg` adds each signed product into one map in place:
 `linalg` imports neither `add_terms` nor `scale_terms`.  And no module
 imports `dataclasses`: the value classes share `forms.Frozen`, and the CLI
@@ -147,11 +148,11 @@ def test_incidence_tests_do_not_call_line_pullback():
         assert calls_to(functions[name], "_pullback_ints"), name
 
 
-def test_prem_serves_only_the_prs_and_no_incidence_test_builds_q_squared():
+def test_one_gcd_decides_base_points_and_no_incidence_test_builds_q_squared():
     tree = module_tree("poncelet")
-    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
-    assert [name for name, f in functions.items() if calls_to(f, "_prem")] == ["_coprime_prs"]
-    assert len(calls_to(tree, "_prem")) == len(calls_to(functions["_coprime_prs"], "_prem"))
+    functions = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert [name for name, f in functions.items() if calls_to(f, "_coprime")] == ["_base_point_free"]
+    assert "_prem" not in functions and not calls_to(tree, "_prem")
     for name in ("is_jumping_line", "singular_jump_criterion"):
         displays = [n for n in ast.walk(functions[name]) if isinstance(n, (ast.List, ast.Tuple))]
         assert all(len(n.elts) <= 3 for n in displays), name

@@ -32,9 +32,9 @@ from luroth.poncelet import (
 from luroth.verify import (C_SAMPLES, EPS_SAMPLES, printed_92, printed_93,
                            printed_eps_expansion)
 from oracles import (bezout_base_point_free, bezoutian_is_jumping_line, bitmask_determinant,
-                     fraction_chord_dual, fraction_family_matrix, pullback_is_jumping_line,
-                     pullback_singular_jump, rational_det, rational_nullspace, rational_rank,
-                     substitute_pair, unidivmod)
+                     det_mod, fraction_chord_dual, fraction_family_matrix, prem, prs_coprime,
+                     pullback_is_jumping_line, pullback_singular_jump, rational_det,
+                     rational_nullspace, rational_rank, substitute_pair, unidivmod)
 
 
 def split_form(roots, pair=PARAM_VARS):
@@ -510,14 +510,14 @@ def ascending_pencil(*coeffs):
     return PonceletPencil(*(BinaryForm.from_coeffs(PARAM_VARS, c) for c in coeffs))
 
 
-def test_modular_certificate_agrees_with_the_prs():
-    """Where the certificate proves coprimality, the PRS agrees, and the
-    verdict is the PRS's: random, planted-factor (at a generic root, at
-    s0 = 0 and at s1 = 0) and sparse pencils, small and 60-digit."""
+def test_base_point_verdicts_agree_with_the_prs_and_the_bezout_determinant():
+    """The heuristic gcd against the PRS and the Bezout determinant: random,
+    planted-factor (at a generic root, at s0 = 0 and at s1 = 0) and sparse
+    pencils, small and 60-digit."""
     rng = random.Random(43)
     s0 = BinaryForm.from_coeffs(PARAM_VARS, [1, 0])
     s1 = BinaryForm.from_coeffs(PARAM_VARS, [0, 1])
-    certified = shared = 0
+    verdicts = {True: 0, False: 0}
     for n in (2, 3, 5, 8, 14, 22):
         for kind in ("random", "big", "planted", "s0 divides", "s1 divides", "sparse"):
             if kind == "random":
@@ -532,47 +532,122 @@ def test_modular_certificate_agrees_with_the_prs():
                 common = {"planted": split_form([(rng.randint(-5, 5), rng.randint(1, 4))]),
                           "s0 divides": s0, "s1 divides": s1}[kind]
                 pencil = planted_pencil(rng, n, common)
-            a, b = (poncelet._trim(g) for g in pencil._ints)
-            assert a[-1] % poncelet._P or b[-1] % poncelet._P
             free = is_base_point_free(pencil)
             assert free == bezout_base_point_free(pencil)
-            if poncelet._coprime_mod_p(a, b):
-                assert poncelet._coprime_prs(a, b)
-                certified += 1
+            coprime = poncelet._coprime(*pencil._ints)  # g1(1, x) and g2(1, x)
+            assert coprime == prs_coprime(*pencil._ints)
+            assert free == (coprime and kind != "s0 divides")
             if kind in ("planted", "s0 divides", "s1 divides"):
                 assert not free
-            shared += not free
-    assert certified >= 20 and shared >= 18
+            verdicts[free] += 1
+    assert verdicts[True] >= 15 and verdicts[False] >= 18, verdicts
 
 
-def test_modular_certificate_guards_leading_coefficients_divisible_by_p():
-    p = poncelet._P
-    # h = p*x + 1 divides both; modulo p it is a unit, and the certificate
-    # would prove coprime generators that share the root -1/p
-    shared = ascending_pencil([1, p, 1, p], [2, 2 * p, 1, p])
-    a, b = shared._ints
-    assert poncelet._coprime_mod_p(a, b)
-    assert not is_base_point_free(shared) and not bezout_base_point_free(shared)
-    # one leading coefficient free of p is enough: the certificate decides
-    one_free = ascending_pencil([1, p, 1, p], [2, 0, 1, 1])
-    assert poncelet._coprime_mod_p(*one_free._ints)
-    assert is_base_point_free(one_free) == bezout_base_point_free(one_free) is True
-    # x*(x^2 + 1) and (x - p)*(x^2 + 2) meet modulo p only: the PRS decides
-    unlucky = ascending_pencil([0, 1, 0, 1], [-2 * p, 2, -p, 1])
-    assert not poncelet._coprime_mod_p(*unlucky._ints)
-    assert is_base_point_free(unlucky) and bezout_base_point_free(unlucky)
+def test_pencils_built_against_a_prime_keep_their_verdicts():
+    """Pencils built against p = 2^61 - 1: h = p*x + 1 divides both generators,
+    a unit modulo p; one leading coefficient is free of p; and x*(x^2 + 1)
+    and (x - p)*(x^2 + 2) meet modulo p only."""
+    p = 2 ** 61 - 1
+    for coeffs, free in [(([1, p, 1, p], [2, 2 * p, 1, p]), False),
+                         (([1, p, 1, p], [2, 0, 1, 1]), True),
+                         (([0, 1, 0, 1], [-2 * p, 2, -p, 1]), True)]:
+        pencil = ascending_pencil(*coeffs)
+        assert is_base_point_free(pencil) == bezout_base_point_free(pencil) == free
+        assert prs_coprime(*pencil._ints) == free
 
 
-def test_certified_pencils_skip_the_prs(monkeypatch):
-    """A 1000-digit n = 22 pencil decides without the PRS, in well under a second."""
-    def no_prs(a, b):
-        raise AssertionError("the PRS ran")
-
+def test_1000_digit_pencils_keep_their_verdicts():
+    """A 1000-digit n = 22 pencil is base-point free, as its Bezout determinant
+    modulo a prime proves (the exact determinant and the PRS each take
+    seconds); times 2*s0 + 3*s1, both generators share the root (-3:2)."""
     rng = random.Random(44)
     pencil = ascending_pencil(*([rng.randint(10 ** 999, 10 ** 1000) for _ in range(24)]
                                 for _ in range(2)))
-    monkeypatch.setattr(poncelet, "_coprime_prs", no_prs)
-    assert is_base_point_free(pencil)
+    bezout = [row[:-1] for row in poncelet._bezout_matrix(pencil)]
+    assert det_mod(bezout, 2 ** 61 - 1) and is_base_point_free(pencil)
+    factor = BinaryForm.from_coeffs(PARAM_VARS, [2, 3])
+    planted = PonceletPencil(factor * pencil.gamma1, factor * pencil.gamma2)
+    assert not is_base_point_free(planted)
+
+
+SHARED = ("linear", "quadratic", "repeated", "x", "shared leading factor")
+
+
+def coprime_cases(rng):
+    """(kind, a, b): primitive ascending integer vectors that share a planted
+    factor of each kind in SHARED, or are random, sparse, coprime with
+    leading coefficients divisible by 12, or always even at integers."""
+    def vector(length, digits=1):
+        return [rng.randint(-10 ** digits, 10 ** digits) for _ in range(length)] + [rng.randint(1, 9)]
+
+    def times(f, g):
+        return [sum(f[i] * g[k - i] for i in range(len(f)) if 0 <= k - i < len(g))
+                for k in range(len(f) + len(g) - 1)]
+
+    sizes = [(n, 1) for n in (2, 3, 5, 9, 14, 22, 40)] + [(n, 30) for n in (2, 5, 14, 22, 40)]
+    for n, digits in sizes + [(n, 300) for n in (2, 3, 9)]:
+        linear = [rng.randint(-9, 9), rng.randint(1, 9)]
+        common = dict(zip(SHARED, (linear, [rng.randint(1, 9), rng.randint(-9, 9), 1],
+                                   times(linear, linear), [0, 1], [rng.randint(-9, 9), 6])))
+        for kind in SHARED + ("random", "sparse", "leading factor 12", "values even"):
+            if kind in common:
+                pairs = (times(common[kind], vector(n + 2 - len(common[kind]), digits))
+                         for _ in range(2))
+            elif kind == "random":
+                pairs = (vector(n + 1, digits) for _ in range(2))
+            elif kind == "sparse":
+                pairs = ([rng.choice([0, 0, 0, rng.randint(-3, 3)]) for _ in range(n + 1)] + [1]
+                         for _ in range(2))
+            elif kind == "leading factor 12":
+                pairs = ([*vector(n, digits), 12 * rng.randint(1, 9)] for _ in range(2))
+            else:  # x*(x + 1) times one cofactor, plus 2 times another
+                pairs = ([2 * x + y for x, y in zip(vector(n + 1, digits),
+                                                    times([0, 1, 1], vector(n - 1)))]
+                         for _ in range(2))
+            yield kind, *(poncelet._primitive(v) for v in pairs)
+
+
+def test_coprime_matches_the_prs():
+    verdicts = {True: 0, False: 0}
+    for kind, a, b in coprime_cases(random.Random(241)):
+        coprime = poncelet._coprime(a, b)
+        assert coprime == prs_coprime(a, b), (kind, a, b)
+        if kind in SHARED:
+            assert not coprime
+        verdicts[coprime] += 1
+    assert verdicts[True] >= 45 and verdicts[False] >= 80, verdicts
+
+
+def test_coprime_matches_sympy_gcd():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for kind, a, b in coprime_cases(random.Random(242)):
+        f, g = (sympy.Poly(list(reversed(v)), x) for v in (a, b))
+        assert poncelet._coprime(a, b) == (sympy.gcd(f, g).degree() == 0), (kind, a, b)
+
+
+def test_coprime_retries_at_the_square_of_xi(monkeypatch):
+    """-2 + x^2 - x^3 and x + x^2 share x + 1.  At xi = 4 the digits of
+    gcd(-50, 20) = 10 read (x - 2)*(x + 1), which does not divide the first;
+    at xi = 16 those of gcd(-3842, 272) = 34 read 2*(x + 1)."""
+    tried = []
+    divides = poncelet._divides
+    monkeypatch.setattr(poncelet, "_divides", lambda h, a: tried.append(h) or divides(h, a))
+    assert not poncelet._coprime([-2, 0, 1, -1], [0, 1, 1, 0])
+    assert tried == [[-2, -1, 1], [1, 1], [1, 1]]
+
+
+def test_divides_is_exact_division():
+    rng = random.Random(243)
+    for _ in range(200):
+        h = poncelet._primitive([rng.randint(-9, 9) for _ in range(rng.randint(0, 4))]
+                                + [rng.randint(1, 9)])
+        a = [rng.randint(-99, 99) for _ in range(rng.randint(1, 10))]
+        expected = not any(unidivmod(a, h)[1])
+        assert poncelet._divides(h, a) == expected
+        product = [sum(h[i] * a[k - i] for i in range(len(h)) if 0 <= k - i < len(a))
+                   for k in range(len(h) + len(a) - 1)]
+        assert poncelet._divides(h, product)
 
 
 def test_bezout_determinant_is_resultant_up_to_sign():
@@ -685,7 +760,7 @@ def test_singular_jump_gradient_equivalence():
 
 
 # ---------------------------------------------------------------------------
-# remainder and PRS kernels against their oracles
+# remainder kernels and the heuristic gcd against their oracles
 
 def special_lines(conic, rng):
     """Lines whose pullbacks are l = 0, a = 0, b*s0*s1 and squares (tangents)."""
@@ -754,7 +829,7 @@ def test_prem_matches_rational_division():
         k = max(len(f) - len(p) + 1, 0)
         expected = unidivmod([p[-1] ** k * x for x in f], p)[1]
         expected += [0] * (len(p) - 1 - len(expected))
-        assert poncelet._prem(f, p) == expected
+        assert prem(f, p) == expected
 
 
 def test_two_register_kernels_match_rational_division():
