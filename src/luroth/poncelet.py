@@ -136,18 +136,17 @@ def _coprime(a: Sequence[int], b: Sequence[int]) -> bool:
     """Whether the primitive ascending integer vectors a, b share no factor of
     positive degree, by GCDHEU (Char, Geddes & Gonnet, J. Symbolic Comput. 1989).
 
-    At an even xi >= 2*min(|a|, |b|) + 2 in the max norm, the symmetric
-    xi-adic digits of gcd(a(xi), b(xi)) give h; a constant h, or a primitive
-    part of h that divides a and b, is their gcd.  Otherwise xi is squared,
-    which ends: with a = g*a' and b = g*b', the digits are g times a divisor
-    of Res(a', b') != 0 once xi > 2*|Res(a', b')|*|g|.
+    At xi >= 4 above twice every root of a (or of b), a common factor c has
+    |c(xi)| > xi/2, so the symmetric xi-adic digits of gcd(a(xi), b(xi)), made
+    primitive, are the gcd if constant or if they divide a and b.  Else xi is
+    squared: with a = g*a', b = g*b', the digits are g times a divisor of
+    Res(a', b') != 0 once xi > 2*|Res(a', b')|*|g|.
     """
-    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    xi = 4 * min(_root_bound(a), _root_bound(b))
     while True:
-        c = gcd(*(reduce(lambda v, x: v * xi + x, reversed(p)) for p in (a, b)))
-        half, h = xi // 2, []
+        c, h = gcd(*(reduce(lambda v, x: v * xi + x, reversed(p)) for p in (a, b))), []
         while c:
-            h.append((c + half) % xi - half)
+            h.append((c + xi // 2) % xi - xi // 2)
             c = (c - h[-1]) // xi
         h = _primitive(h)
         if len(h) == 1:
@@ -157,9 +156,15 @@ def _coprime(a: Sequence[int], b: Sequence[int]) -> bool:
         xi *= xi
 
 
+def _root_bound(v: Sequence[int]) -> int:
+    """A power of two above |r| for each root r of v != 0: Fujiwara's bound, by bit lengths."""
+    d = max(k for k, c in enumerate(v) if c)
+    top = v[d].bit_length() - 1
+    return 2 ** max([0] + [1 - (top - c.bit_length()) // (d - k) for k, c in enumerate(v[:d]) if c])
+
+
 def _divides(h: Sequence[int], a: Sequence[int]) -> bool:
-    """Whether h divides a, for ascending integer vectors, h primitive with
-    h[-1] != 0: long division, over the integers by Gauss's lemma."""
+    """Whether the primitive h, h[-1] != 0, divides a: long division in Z[x] (Gauss)."""
     a, m = list(a), len(h) - 1
     for k in range(len(a) - 1, m - 1, -1):
         c, r = divmod(a[k], h[-1])

@@ -151,7 +151,8 @@ def test_incidence_tests_do_not_call_line_pullback():
 def test_one_gcd_decides_base_points_and_no_incidence_test_builds_q_squared():
     tree = module_tree("poncelet")
     functions = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
-    assert [name for name, f in functions.items() if calls_to(f, "_coprime")] == ["_base_point_free"]
+    callers = [name for name, f in functions.items() if calls_to(f, "_coprime")]
+    assert callers == ["_base_point_free"]
     assert "_prem" not in functions and not calls_to(tree, "_prem")
     for name in ("is_jumping_line", "singular_jump_criterion"):
         displays = [n for n in ast.walk(functions[name]) if isinstance(n, (ast.List, ast.Tuple))]

@@ -578,7 +578,8 @@ def coprime_cases(rng):
     factor of each kind in SHARED, or are random, sparse, coprime with
     leading coefficients divisible by 12, or always even at integers."""
     def vector(length, digits=1):
-        return [rng.randint(-10 ** digits, 10 ** digits) for _ in range(length)] + [rng.randint(1, 9)]
+        bound = 10 ** digits
+        return [rng.randint(-bound, bound) for _ in range(length)] + [rng.randint(1, 9)]
 
     def times(f, g):
         return [sum(f[i] * g[k - i] for i in range(len(f)) if 0 <= k - i < len(g))
@@ -627,14 +628,34 @@ def test_coprime_matches_sympy_gcd():
 
 
 def test_coprime_retries_at_the_square_of_xi(monkeypatch):
-    """-2 + x^2 - x^3 and x + x^2 share x + 1.  At xi = 4 the digits of
-    gcd(-50, 20) = 10 read (x - 2)*(x + 1), which does not divide the first;
-    at xi = 16 those of gcd(-3842, 272) = 34 read 2*(x + 1)."""
+    """-(x - 3)(x - 1)(x + 1) and x^3 - 1 share x - 1, and their roots start
+    xi at 16.  There the digits of gcd(-3315, 4095) = 195 read (x - 1)(x - 3),
+    which divides the first and not the second; at xi = 256 those of
+    gcd = 255 read x - 1.  -2 + x^2 - x^3 and x + x^2 share x + 1, read at
+    once at xi = 8."""
     tried = []
     divides = poncelet._divides
     monkeypatch.setattr(poncelet, "_divides", lambda h, a: tried.append(h) or divides(h, a))
+    assert not poncelet._coprime([-3, 1, 3, -1], [-1, 0, 0, 1])
+    assert tried == [[3, -4, 1], [3, -4, 1], [-1, 1], [-1, 1]]
+    tried.clear()
     assert not poncelet._coprime([-2, 0, 1, -1], [0, 1, 1, 0])
-    assert tried == [[-2, -1, 1], [1, 1], [1, 1]]
+    assert tried == [[1, 1], [1, 1]]
+
+
+def test_root_bound_exceeds_every_root():
+    """Against the roots of split forms: integer, rational, huge and zero
+    roots, with leading coefficients large and small."""
+    rng = random.Random(244)
+    for _ in range(300):
+        roots = [Fraction(rng.randint(-10 ** rng.randint(0, 30), 10 ** rng.randint(0, 30)),
+                          rng.randint(1, 10 ** rng.randint(0, 20)))
+                 for _ in range(rng.randint(1, 6))]
+        form = split_form([(r.denominator, r.numerator) for r in roots])  # g(1, r) = 0
+        v = poncelet._primitive(form.nums)
+        bound = poncelet._root_bound(v)
+        assert bound & (bound - 1) == 0
+        assert all(abs(r) < bound for r in roots)
 
 
 def test_divides_is_exact_division():
