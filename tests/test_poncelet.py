@@ -573,6 +573,12 @@ def test_1000_digit_pencils_keep_their_verdicts():
 SHARED = ("linear", "quadratic", "repeated", "x", "shared leading factor")
 
 
+def times(f, g):
+    """The product of two ascending coefficient vectors."""
+    return [sum(f[i] * g[k - i] for i in range(len(f)) if 0 <= k - i < len(g))
+            for k in range(len(f) + len(g) - 1)]
+
+
 def coprime_cases(rng):
     """(kind, a, b): primitive ascending integer vectors that share a planted
     factor of each kind in SHARED, or are random, sparse, coprime with
@@ -580,10 +586,6 @@ def coprime_cases(rng):
     def vector(length, digits=1):
         bound = 10 ** digits
         return [rng.randint(-bound, bound) for _ in range(length)] + [rng.randint(1, 9)]
-
-    def times(f, g):
-        return [sum(f[i] * g[k - i] for i in range(len(f)) if 0 <= k - i < len(g))
-                for k in range(len(f) + len(g) - 1)]
 
     sizes = [(n, 1) for n in (2, 3, 5, 9, 14, 22, 40)] + [(n, 30) for n in (2, 5, 14, 22, 40)]
     for n, digits in sizes + [(n, 300) for n in (2, 3, 9)]:
@@ -656,6 +658,8 @@ def test_root_bound_exceeds_every_root():
         bound = poncelet._root_bound(v)
         assert bound & (bound - 1) == 0
         assert all(abs(r) < bound for r in roots)
+    # one 130 000-bit coefficient at s0^23 gives roots of about 2^(130 000/23)
+    assert poncelet._root_bound([3 * 2 ** 130000] + [1] * 23).bit_length() <= 130000 // 23 + 3
 
 
 def test_divides_is_exact_division():
@@ -666,9 +670,7 @@ def test_divides_is_exact_division():
         a = [rng.randint(-99, 99) for _ in range(rng.randint(1, 10))]
         expected = not any(unidivmod(a, h)[1])
         assert poncelet._divides(h, a) == expected
-        product = [sum(h[i] * a[k - i] for i in range(len(h)) if 0 <= k - i < len(a))
-                   for k in range(len(h) + len(a) - 1)]
-        assert poncelet._divides(h, product)
+        assert poncelet._divides(h, times(h, a))
 
 
 def test_bezout_determinant_is_resultant_up_to_sign():
