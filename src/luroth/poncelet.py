@@ -26,8 +26,8 @@ reduced in two integer registers, are dependent modulo q; then q divides
 the multiples of one member h alone, and some member is divisible by q^2
 exactly when q divides h/q, integral for a primitive q (Gauss's lemma).
 Base points are decided once per pencil, by the integer gcd of the
-generators' values at a large integer, read back as a polynomial by its
-digits (GCDHEU).  The memoized Laplace expansion of
+generators' values at a power of two beyond their roots, read back as a
+polynomial by its digits (GCDHEU).  The memoized Laplace expansion of
 `PolyMatrix.determinant` serves the 6x6 families and `poncelet_matrix`.
 """
 
