@@ -23,8 +23,9 @@ ISSAC 1997): O(degree^3) for any integer matrix.
 
 The zero polynomial carries an explicit degree annotation so that typed
 pipelines (decompositions, matrix entries) stay total.  This module imports
-no other module of the package; the 3x3 adjugate and the integer scaling of
-a row live here so that the coordinate change needs nothing from `linalg`.
+no other module of the package: the 3x3 adjugate and the integer scaling of
+a row live here so that the coordinate change needs nothing from `linalg`, and
+the remainders modulo a binary quadratic so that `poncelet` and `nodal` share them.
 """
 
 from __future__ import annotations
@@ -762,12 +763,8 @@ class BinaryForm(_Form):
 
     def __mul__(self, other: "BinaryForm") -> "BinaryForm":
         self._check_vars(other)
-        nums = [0] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.nums):
-            if a:
-                for j, b in enumerate(other.nums):
-                    nums[i + j] += a * b
-        return BinaryForm(self.degree + other.degree, self.variables, self.den * other.den, nums)
+        return BinaryForm(self.degree + other.degree, self.variables, self.den * other.den,
+                          mul_coeffs(self.nums, other.nums))
 
     def scale(self, c) -> "BinaryForm":
         c = _q(c)
@@ -777,10 +774,7 @@ class BinaryForm(_Form):
     def power(self, k: int) -> "BinaryForm":
         if k < 0:
             raise ValueError(f"negative power {k}")
-        out = BinaryForm(0, self.variables, 1, (1,))
-        for _ in range(k):
-            out = out * self
-        return out
+        return reduce(BinaryForm.__mul__, repeat(self, k), BinaryForm(0, self.variables, 1, (1,)))
 
     def directional(self, xi: Sequence) -> "BinaryForm":
         """Directional derivative xi0 * d/dv0 + xi1 * d/dv1, over den*d for xi*d integral."""
@@ -797,6 +791,53 @@ def directional_coeffs(c: Sequence, x0, x1) -> list:
     numbers: c'_j = (d-j)*c_j*x0 + (j+1)*c_(j+1)*x1."""
     d = len(c) - 1
     return [(d - j) * c[j] * x0 + (j + 1) * c[j + 1] * x1 for j in range(d)]
+
+
+def mul_coeffs(a: Sequence, b: Sequence) -> list:
+    """The coefficient list of the product of two coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _primitive(v: Sequence[int]) -> list[int]:
+    """v divided by its content; a zero vector stays zero."""
+    content = gcd(*v) or 1
+    return [x // content for x in v]
+
+
+def _by_pullback(q: list[int], ints: Sequence[Sequence[int]]):
+    """Primitive q = (a, b, l) and the generators, reversed if l = 0 != a."""
+    if not any(q):
+        raise ValueError("the zero vector is not a projective point")
+    q = _primitive(q)
+    return (q, ints) if q[2] or not q[0] else (q[::-1], [c[::-1] for c in ints])
+
+
+def _mod_q(c: Sequence[int], q: Sequence[int]) -> Sequence[int]:
+    """l^(len(c) - 2) * c modulo q = (a, b, l), pseudo-divided in two registers
+    (Knuth 4.6.1); the ends of c if l = 0, that is q = b*s0*s1."""
+    a, b, l = q
+    if not l:
+        return c[0], c[-1]
+    r0, r1, power = c[-2], c[-1], l
+    for x in reversed(c[:-2]):
+        r0, r1 = x * power - r1 * a, l * r0 - r1 * b
+        power *= l
+    return r0, r1
+
+
+def _exact_quotient(h: Sequence[int], q: Sequence[int]) -> list[int]:
+    """h / q for a primitive q = (a, b, l), l != 0, dividing h: integral (Gauss)."""
+    a, b, l = q
+    r0, r1, quotient = h[-2], h[-1], []
+    for x in reversed(h[:-2]):
+        t = r1 // l
+        r0, r1 = x - t * a, r0 - t * b
+        quotient.append(t)
+    return quotient[::-1]
 
 
 def form_from_json(data: Mapping):
@@ -883,9 +924,6 @@ class TernaryForm(_Form):
         c = _q(c)
         return TernaryForm(self.degree, self.variables, self.den * c.denominator,
                            scale_terms(c.numerator, self.nums))
-
-    def gradient(self) -> tuple["TernaryForm", "TernaryForm", "TernaryForm"]:
-        return tuple(self.partial(v) for v in self.variables)
 
     def substitute_linear(self, t: Sequence[Sequence]) -> "TernaryForm":
         """Projective coordinate change: returns F with x_i := sum_j t[i][j]*x_j.

@@ -3,7 +3,8 @@
 Rational matrices are plain lists of Fraction rows.  There is one elimination
 routine: Bareiss fraction-free elimination on rows scaled to integers.  The
 determinant and the rank take its forward pass; solves and inverses take its
-reduced pass (fraction-free Gauss-Jordan) and divide once at the end.  The
+reduced pass (fraction-free Gauss-Jordan) and divide once at the end.  No code
+path of the package reaches these four: only the tests and the bench do.  The
 3x3 jobs of the conic layer (det3 and the kernel point of a singular conic)
 use the adjugate `forms.adjugate3` instead.  The polynomial determinant is
 division-free: a Laplace expansion along the rows, each minor memoized by the
@@ -16,8 +17,7 @@ the line.
 `shifted_multiples` is the one multiplication map of the package: the
 coefficient vectors of a binary form times every monomial of a degree.  It
 builds the Sylvester matrix of `sylvester_resultant` and the shifted-pullback
-columns of `poncelet.poncelet_matrix`.  The nodal Koszul system, the transposed
-Sylvester matrix of (f3, f2), is built on integers by `nodal._koszul_matrix`.
+columns of `poncelet.poncelet_matrix`.
 """
 
 from __future__ import annotations

@@ -3,21 +3,21 @@
 Pipeline: move the node to the last coordinate point by a deterministic
 change of coordinates and split the equation as t^2*f2 + t*f3 + f4.  The
 node is admissible exactly when Res(f2, f3) != 0, that is when the Koszul
-system f4 = phi*f3 + psi*f2, the transposed Sylvester matrix of (f3, f2),
-is uniquely solvable; the same solve yields linear phi and quadratic psi.
-Type II means the conic t^2 + 2*t*phi - psi is singular, which is when
-disc(phi^2 + psi) = 0; its kernel point is the residual line's tangency point.
+system f4 = phi*f3 + psi*f2 is uniquely solvable; the same solve yields
+linear phi and quadratic psi.  Type II means the conic t^2 + 2*t*phi - psi
+is singular, which is when disc(phi^2 + psi) = 0; its kernel point is the
+residual line's tangency point.
 
-The pipeline runs on integers, fraction-free as in Bareiss (1968).  With the
-quartic's numerators over d and the transform's last column p/p[pivot] times
-lam integral, one `forms.substitute_terms` gives the pieces
-F_i = d*lam^(4-i)*f_i, and one `linalg._bareiss` on [Syl(F3, F2)^T | F4] gives
-phi' = phi/lam and psi' = psi/lam^2 over its last pivot.  No coefficient
-becomes a Fraction: each output form takes its integer numerators over one
-denominator, and its constructor divides the scales out by one gcd.
-`tangent_map` moves the direction's numerators by the same matrix and kernel.
+The pipeline runs on integers.  With the quartic's numerators over d and the
+transform's last column p/p[pivot] times lam integral, one
+`forms.substitute_terms` gives the pieces F_i = d*lam^(4-i)*f_i, and `_solve`
+solves phi*(lam*F3) + psi*F2 = lam^2*F4 by remainders modulo F2: Cramer's rule
+on the two-register pseudo-remainders `poncelet` uses too, then one exact
+division for psi.  Each output form takes its integer numerators over one
+denominator; its constructor divides the scales out by one gcd.  `tangent_map`
+moves the direction's numerators by the same matrix and solves by `_solve`.
 
-`classify` verifies and then normalizes, yet moves the node and eliminates
+`classify` verifies and then normalizes, yet moves the node and solves
 once: `_decompose` keeps its last result, keyed by the quartic's identity and
 the point's value, so nothing is hashed.  `associated_conic` and `tangent_map`
 read the numerators of the decomposition's and the conic data's forms.
@@ -26,12 +26,14 @@ read the numerators of the decomposition's and the conic data's forms.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import itemgetter, mul
+from math import gcd
+from operator import itemgetter
 from typing import Sequence
 
-from .forms import (BinaryForm, Frozen, PreconditionError, TernaryForm, adjugate3,
-                    directional_coeffs, integral_coeffs, integral_row, substitute_terms)
-from .linalg import _bareiss, conic_kernel_point, disc_binary_quadratic, normalize_projective
+from .forms import (BinaryForm, Frozen, PreconditionError, TernaryForm, _by_pullback,
+                    _exact_quotient, _mod_q, adjugate3, directional_coeffs, integral_coeffs,
+                    integral_row, mul_coeffs, substitute_terms)
+from .linalg import conic_kernel_point, disc_binary_quadratic, normalize_projective
 
 Transform = tuple[tuple[Fraction, ...], ...]
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -114,23 +116,20 @@ def _pieces(quartic: TernaryForm, transform: Transform, column: list) -> tuple[l
     return pieces, quartic.den
 
 
-def _koszul_matrix(f2: Sequence[int], f3: Sequence[int], rhs: Sequence[int] = ()) -> list:
-    """[Syl(f3, f2)^T | rhs] on integer coefficient lists: the columns are
-    f3*v0, f3*v1, f2*v0^2, f2*v0*v1 and f2*v1^2."""
-    a3, a2 = [0, *f3, 0], [0, 0, *f2, 0, 0]
-    return [[a3[r + 1], a3[r], a2[r + 2], a2[r + 1], a2[r], *rhs[r:r + 1]] for r in range(5)]
-
-
-def _solve(f2: Sequence[int], f3: Sequence[int], rhs: Sequence[int],
-           scale: tuple[int, int] = (1, 1)):
-    """The integer Koszul kernel by one reduced `_bareiss`: the numerators of
-    (phi, psi) with phi*f3 + psi*f2 = rhs, times scale, and their denominator;
-    None when Res(f2, f3) = 0."""
-    m = _koszul_matrix(f2, f3, rhs)
-    if _bareiss(m, reduced=True)[0] != [0, 1, 2, 3, 4]:
+def _solve(f2: Sequence[int], f3: Sequence[int], rhs: Sequence[int]):
+    """Numerators of (phi, psi) with phi*f3 + psi*f2 = rhs, f2 != 0, over one
+    denominator; None when Res(f2, f3) = 0.  Modulo q = f2/c, primitive, the
+    system is 2x2 in phi: Cramer's rule on the remainders of f3*v0, f3*v1 and
+    rhs.  q divides det*(rhs - phi*f3), with integral quotient psi*c*det (Gauss)."""
+    q, moved = _by_pullback(f2, vectors := ([*f3, 0], [0, *f3], rhs))
+    (a0, a1), (b0, b1), (r0, r1) = (_mod_q(x, q) for x in moved)
+    if not (det := a0 * b1 - a1 * b0):
         return None
-    x = [row[5] for row in m]
-    return [scale[0] * v for v in x[:2]], [scale[1] * v for v in x[2:]], m[4][4]
+    x0, x1 = r0 * b1 - r1 * b0, a0 * r1 - a1 * r0
+    h = [det * z - x0 * x - x1 * y for x, y, z in zip(*moved)]
+    psi = _exact_quotient(h, q) if q[2] else [q[1] * x for x in h[1:-1]]  # q = +-v0*v1
+    c = gcd(*f2)
+    return [c * x0, c * x1], psi if moved is vectors else psi[::-1], c * det
 
 
 def _assemble(pieces: Sequence[Sequence[int]], den: int, pair: tuple[str, str], t_var: str,
@@ -170,7 +169,7 @@ def _decompose(quartic: TernaryForm, point: Sequence) -> tuple[NodeReport, NodeD
     on_curve = not f0[0]
     singular = on_curve and not any(f1)
     ordinary = singular and f2[1] * f2[1] != 4 * f2[0] * f2[2]
-    sol = _solve(f2, f3, f4, (lam, lam * lam)) if ordinary else None
+    sol = _solve(f2, [lam * x for x in f3], [lam * lam * x for x in f4]) if ordinary else None
     split = sol and (BinaryForm(1, pair, sol[2], sol[0]), BinaryForm(2, pair, sol[2], sol[1]))
     dec = NodeDecomposition(transform, pair, variables[pivot], variables,
                             BinaryForm(2, pair, d * lam * lam, f2),
@@ -215,7 +214,7 @@ def koszul_solve(f2: BinaryForm, f3: BinaryForm,
     if (f2.degree, f3.degree, rhs.degree) != (2, 3, 4):
         raise PreconditionError("the Koszul system needs degrees 2, 3 and 4")
     ints = integral_coeffs(f2, f3, rhs)[0]
-    if (sol := _solve(ints[:3], ints[3:7], ints[7:])) is None:
+    if f2.is_zero() or (sol := _solve(ints[:3], ints[3:7], ints[7:])) is None:
         raise PreconditionError("Koszul system is singular: f2 and f3 share a projective root")
     return BinaryForm(1, f2.variables, sol[2], sol[0]), BinaryForm(2, f2.variables, sol[2], sol[1])
 
@@ -276,7 +275,7 @@ def tangent_map(dec: NodeDecomposition, data: AssociatedConicData,
 
     On integers, with f_i = F_i/c, (phi, psi) = nums/e and the node's move
     G_i = h*lam^(4-i)*g_i, xi and the right-hand side are X*c/(k*h) and
-    R/(k*h*e) for k = disc*lam^3, so the kernel gives (phi_dot, psi_dot)*k*h*e/c.
+    R/(k*h*e) for k = disc*lam^3, so the kernel on c*R gives (phi_dot, psi_dot)*k*h*e.
     """
     column, lam = integral_row([row[2] for row in dec.transform])  # coprime: p/p[pivot]
     ints, c = integral_coeffs(dec.f2, dec.f3, dec.f4)
@@ -294,11 +293,12 @@ def tangent_map(dec: NodeDecomposition, data: AssociatedConicData,
     x0, x1, k = 2 * r * a - q * b, 2 * p * b - q * a, disc * lam ** 3
     xi = (Fraction(x0 * c, k * h), Fraction(x1 * c, k * h))
     nums, e = integral_coeffs(data.phi, data.psi)
-    # (g3 + f4'(xi))*phi + (g2 + f3'(xi))*psi is the Koszul map of (h3, h2) at nums
+    # R = k*e*g4 - phi*h3 - psi*h2 on numerators, h3 and h2 scaling g3 + f4'(xi), g2 + f3'(xi)
     h3 = [disc * lam * lam * y + z for y, z in zip(g3, directional_coeffs(f4, x0, x1))]
     h2 = [disc * lam * y + z for y, z in zip(g2, directional_coeffs(f3, x0, x1))]
-    rhs = [k * e * y - sum(map(mul, row, nums)) for y, row in zip(g4, _koszul_matrix(h2, h3))]
-    if (sol := _solve([p, q, r], f3, rhs, (c, c))) is None:
+    rhs = [c * (k * e * y - s - t) for y, s, t in zip(g4, mul_coeffs(nums[:2], h3),
+                                                      mul_coeffs(nums[2:], h2))]
+    if (sol := _solve([p, q, r], f3, rhs)) is None:
         raise PreconditionError("Koszul system is singular: f2 and f3 share a projective root")
     a, b, den = sol[0], sol[1], k * h * e * sol[2]
     velocity = _assemble(([2 * x for x in a], [-x for x in b]), den, dec.pair, dec.t_var,
@@ -321,10 +321,8 @@ def quartic_from_conic_and_cubic(f2: BinaryForm, f3: BinaryForm,
     if disc_binary_quadratic(f2) == 0:
         raise PreconditionError("f2 must be a nondegenerate binary quadratic")
     f4 = psi * f2 + phi * f3
-    ints = integral_coeffs(f2, f3)[0]
-    if len(_bareiss(_koszul_matrix(ints[:3], ints[3:]))[0]) < 5:
+    if _solve(f2.nums, f3.nums, [0] * 5) is None:
         raise PreconditionError("f2 and f3 must be coprime")
-    pair = f2.variables
     if var_order is None:
-        var_order = (pair[0], pair[1], t_var)
+        var_order = (*f2.variables, t_var)
     return assemble_quartic(f2, f3, f4, t_var, var_order)

@@ -39,8 +39,9 @@ from math import gcd
 from operator import mul
 from typing import Sequence
 
-from .forms import (BinaryForm, Frozen, PreconditionError, TernaryForm, _q, _UNITS,
-                    adjugate3, integral_coeffs, integral_row, substitute_terms)
+from .forms import (BinaryForm, Frozen, PreconditionError, TernaryForm, _by_pullback,
+                    _exact_quotient, _mod_q, _primitive, _q, _UNITS, adjugate3,
+                    integral_coeffs, integral_row, substitute_terms)
 from .linalg import PolyMatrix, normalize_projective, shifted_multiples
 
 PRIMAL_VARS = ("x", "y", "t")
@@ -175,48 +176,10 @@ def _divides(h: Sequence[int], a: Sequence[int]) -> bool:
     return not any(a)
 
 
-def _primitive(v: Sequence[int]) -> list[int]:
-    """v divided by its content; a zero vector stays zero."""
-    content = gcd(*v) or 1
-    return [x // content for x in v]
-
-
 def _dependent(u: Sequence[int], v: Sequence[int]) -> bool:
     """Whether every 2x2 minor of the rows u, v vanishes."""
     k = next((i for i, x in enumerate(u) if x), None)
     return k is None or all(x * v[k] == u[k] * y for x, y in zip(u, v))
-
-
-def _by_pullback(q: list[int], ints: Sequence[Sequence[int]]):
-    """Primitive q = (a, b, l) and the generators, reversed if l = 0 != a."""
-    if not any(q):
-        raise ValueError("the zero vector is not a projective point")
-    q = _primitive(q)
-    return (q, ints) if q[2] or not q[0] else (q[::-1], [c[::-1] for c in ints])
-
-
-def _mod_q(c: Sequence[int], q: Sequence[int]) -> Sequence[int]:
-    """l^(len(c) - 2) * c modulo q = (a, b, l), pseudo-divided in two registers
-    (Knuth 4.6.1); the ends of c if l = 0, that is q = b*s0*s1."""
-    a, b, l = q
-    if not l:
-        return c[0], c[-1]
-    r0, r1, power = c[-2], c[-1], l
-    for x in reversed(c[:-2]):
-        r0, r1 = x * power - r1 * a, l * r0 - r1 * b
-        power *= l
-    return r0, r1
-
-
-def _exact_quotient(h: Sequence[int], q: Sequence[int]) -> list[int]:
-    """h / q for a primitive q = (a, b, l), l != 0, dividing h: integral (Gauss)."""
-    a, b, l = q
-    r0, r1, quotient = h[-2], h[-1], []
-    for x in reversed(h[:-2]):
-        t = r1 // l
-        r0, r1 = x - t * a, r0 - t * b
-        quotient.append(t)
-    return quotient[::-1]
 
 
 def line_pullback(conic: ConicParam, line: Sequence) -> BinaryForm:

@@ -44,7 +44,9 @@
   `sylvester_matrix`, the conic's `conic_det3` and `conic_kernel_point`, and
   `BinaryForm` arithmetic for the discriminant and the tangent map's
   right-hand side: the oracle of the integer nodal core (`fraction_classify`,
-  `fraction_tangent_map`).
+  `fraction_tangent_map`).  And the integer Koszul system as one reduced
+  `linalg._bareiss` on [Syl(f3, f2)^T | rhs], the oracle of the remainder
+  kernel `nodal._solve` (`bareiss_koszul`).
 """
 
 import dataclasses
@@ -59,7 +61,7 @@ from luroth import nodal, poncelet
 from luroth.forms import (MAX_DEGREE, _MAX_NESTING, BinaryForm, ParseError, PreconditionError,
                           TermMap, TernaryForm, _UNITS, _degree, _int_literal, _too_big, add_terms,
                           integral_row, mul_terms, scale_terms)
-from luroth.linalg import (PolyMatrix, conic_det3, conic_kernel_point, det_rational,
+from luroth.linalg import (PolyMatrix, _bareiss, conic_det3, conic_kernel_point, det_rational,
                            disc_binary_quadratic, normalize_projective, solve_linear,
                            sylvester_matrix)
 
@@ -714,6 +716,19 @@ def _fraction_koszul(f2, f3, rhs):
     pair = f2.variables
     return None if x is None else (BinaryForm.from_coeffs(pair, x[:2]),
                                    BinaryForm.from_coeffs(pair, x[2:]))
+
+
+def bareiss_koszul(f2: Sequence[int], f3: Sequence[int], rhs: Sequence[int]):
+    """The integer numerators of (phi, psi) with phi*f3 + psi*f2 = rhs and their
+    denominator, by one reduced `_bareiss` on [Syl(f3, f2)^T | rhs], whose
+    columns are f3*v0, f3*v1, f2*v0^2, f2*v0*v1 and f2*v1^2; None when
+    Res(f2, f3) = 0."""
+    a3, a2 = [0, *f3, 0], [0, 0, *f2, 0, 0]
+    m = [[a3[r + 1], a3[r], a2[r + 2], a2[r + 1], a2[r], rhs[r]] for r in range(5)]
+    if _bareiss(m, reduced=True)[0] != [0, 1, 2, 3, 4]:
+        return None
+    x = [row[5] for row in m]
+    return x[:2], x[2:], m[4][4]
 
 
 def _ternary(pieces, t_var, var_order):

@@ -6,10 +6,11 @@ error reports only in `_fail`, and every `NodeError` carries its node flags.
 And each shared operation is written once: only the CLI's `_emit` turns a
 form into JSON, and `forms` defines the variable check, subtraction,
 negation, `zero`, `evaluate`, `partial`, the text form and the JSON report
-once for both kinds of form.  And `nodal` eliminates once per node:
-it imports none of `sylvester_resultant`, `det_rational`, `solve_linear`
-and `sylvester_matrix`, since its one integer Koszul solve both decides
-admissibility and gives (phi, psi).  `forms` has
+once for both kinds of form.  And `nodal` solves once per node, by
+remainders modulo f2: it imports none of `sylvester_resultant`,
+`det_rational`, `solve_linear`, `sylvester_matrix` and the elimination
+`_bareiss`, since its one integer Koszul solve both decides admissibility
+and gives (phi, psi).  `forms` has
 one parser: it defines one parser class, and only `_parse` constructs it,
 for `parse_terms` and `parse_form`.  And the incidence tests of `poncelet`, `is_jumping_line` and
 `singular_jump_criterion`, pull the line back in integers through the
@@ -121,7 +122,7 @@ def test_nodal_imports_no_second_elimination():
     imported = {alias.name for n in ast.walk(module_tree("nodal"))
                 if isinstance(n, (ast.Import, ast.ImportFrom)) for alias in n.names}
     assert not imported & {"sylvester_resultant", "det_rational", "solve_linear",
-                           "sylvester_matrix"}, imported
+                           "sylvester_matrix", "_bareiss"}, imported
 
 
 def calls_to(node: ast.AST, name: str) -> list[ast.Call]:

@@ -12,7 +12,7 @@ import pytest
 
 from luroth import linalg, nodal
 from luroth.forms import (BinaryForm, PreconditionError, TernaryForm, integral_coeffs, integral_row,
-                         parse_form)
+                         mul_coeffs, parse_form)
 from luroth.linalg import det_rational, invert, sylvester_resultant
 from luroth.nodal import (
     NodeError,
@@ -29,7 +29,7 @@ from luroth.nodal import (
 )
 from luroth.poncelet import DUAL_VARS, family_matrix
 from luroth.verify import printed_93
-from oracles import _ternary, fraction_classify, fraction_tangent_map
+from oracles import _ternary, bareiss_koszul, fraction_classify, fraction_tangent_map
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
@@ -274,6 +274,77 @@ def test_koszul_solve_matches_sympy():
     assert unique >= 20 and rejected >= 5
 
 
+def koszul_case(rng, shape, digits):
+    """One (f2, f3, rhs) of integer coefficient lists; shape picks f2 and f3."""
+    def ints(k):
+        return [rng.randint(-10 ** digits, 10 ** digits) for _ in range(k)]
+
+    f2, f3, rhs = ints(3), ints(4), ints(5)
+    x, y = ints(2)
+    if shape == "first zero":
+        f2[0] = 0
+    elif shape == "last zero":
+        f2[2] = 0
+    elif shape == "b*v*w":
+        f2 = [0, x or 1, 0]
+    elif shape == "square":
+        f2 = [x * x, 2 * x * y, y * y]
+    elif shape in ("v^2", "w^2", "(v+w)^2"):
+        f2 = {"v^2": [1, 0, 0], "w^2": [0, 0, 1], "(v+w)^2": [1, 2, 1]}[shape]
+        f2 = [(x or 1) * c for c in f2]
+    elif shape == "zero f2":
+        f2 = [0, 0, 0]
+    elif shape == "zero f3":
+        f3 = [0] * 4
+    elif shape == "shared root":
+        f2, f3 = mul_coeffs([x, y], ints(2)), mul_coeffs([x, y], ints(3))
+    elif shape == "shared root at w = 0":
+        f2[0] = f3[0] = 0
+    elif shape == "shared root at v = 0":
+        f2[2] = f3[3] = 0
+    if rng.random() < 0.5:  # rhs in the image, so that a singular system stays consistent
+        rhs = [a + b for a, b in zip(mul_coeffs(ints(2), f3), mul_coeffs(ints(3), f2))]
+    return f2, f3, rhs
+
+
+KOSZUL_SHAPES = ("generic", "first zero", "last zero", "b*v*w", "square", "v^2", "w^2",
+                 "(v+w)^2", "zero f2", "zero f3", "shared root", "shared root at w = 0",
+                 "shared root at v = 0")
+
+
+def test_remainder_kernel_matches_the_bareiss_oracle():
+    """The remainder kernel `nodal._solve`, and `koszul_solve` around it, give
+    the same rational (phi, psi) and the same None verdicts as the 5x6
+    Bareiss elimination `bareiss_koszul`, on 2- and 60-digit entries, each
+    degenerate shape of f2, a zero f3, and pairs that share a root.  The
+    kernel needs f2 != 0; `koszul_solve` reports a zero f2 as singular."""
+    def rational(sol):
+        return sol and tuple(Fraction(x, sol[2]) for x in sol[0] + sol[1])
+
+    def public(f2, f3, rhs):
+        try:
+            phi, psi = koszul_solve(*(BinaryForm(len(c) - 1, PAIR_VW, 1, c) for c in (f2, f3, rhs)))
+        except PreconditionError as exc:
+            assert str(exc).startswith("Koszul system is singular: ")
+            return None
+        return phi.coeffs + psi.coeffs
+
+    rng = random.Random(73)
+    verdicts = {shape: set() for shape in KOSZUL_SHAPES}
+    for trial in range(2600):
+        shape = KOSZUL_SHAPES[trial % len(KOSZUL_SHAPES)]
+        f2, f3, rhs = koszul_case(rng, shape, 60 if trial // len(KOSZUL_SHAPES) % 2 else 2)
+        expected = rational(bareiss_koszul(f2, f3, rhs))
+        if any(f2):
+            assert rational(nodal._solve(f2, f3, rhs)) == expected, (f2, f3, rhs)
+        assert public(f2, f3, rhs) == expected, (f2, f3, rhs)
+        verdicts[shape].add(expected is None)
+    singular = {"zero f2", "zero f3", "shared root", "shared root at w = 0",
+                "shared root at v = 0"}
+    for shape, seen in verdicts.items():  # a small generic pair may share a root by chance
+        assert seen == {True} if shape in singular else False in seen, shape
+
+
 def test_associated_conic_quartic_a():
     data = associated_conic(normalize_at_node(QUARTIC_A, (1, 0, 0)))
     assert data.phi.is_zero()
@@ -364,11 +435,12 @@ def fresh_classify(quartic, point):
 
 def test_classify_moves_the_node_once(monkeypatch):
     """Counts the integer kernels at the module attributes `nodal` calls: the
-    node move is one `substitute_terms`, the Koszul solve one `_bareiss`.
+    node move is one `substitute_terms`, the Koszul solve one remainder kernel
+    `_solve`.
     No quartic is hashed, and `tangent_map` reads the numerators of the
     decomposition's forms, the conic data's and the direction's: its one
     `integral_row` is the node's column."""
-    calls = {"substitute_terms": 0, "verify_node": 0, "_bareiss": 0, "integral_row": 0}
+    calls = {"substitute_terms": 0, "verify_node": 0, "_solve": 0, "integral_row": 0}
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -384,14 +456,14 @@ def test_classify_moves_the_node_once(monkeypatch):
         monkeypatch.setattr(nodal, name, counting(name, getattr(nodal, name)))
     monkeypatch.setattr(TernaryForm, "__hash__", unhashable)
     analysis = classify(quartic, (1, -1, 1))
-    # one elimination decides admissibility and gives (phi, psi)
-    assert {k: calls[k] for k in ("substitute_terms", "verify_node", "_bareiss")} == {
-        "substitute_terms": 1, "verify_node": 1, "_bareiss": 1}
+    # one Koszul solve decides admissibility and gives (phi, psi)
+    assert {k: calls[k] for k in ("substitute_terms", "verify_node", "_solve")} == {
+        "substitute_terms": 1, "verify_node": 1, "_solve": 1}
     assert analysis.report.all_ok()
     # the direction moves once; xi by Cramer's rule, one Koszul solve
     calls["integral_row"] = 0
     tangent_map(analysis.decomposition, analysis.conic_data, TWO_CONICS_2)
-    assert calls == {"substitute_terms": 2, "verify_node": 1, "_bareiss": 2, "integral_row": 1}
+    assert calls == {"substitute_terms": 2, "verify_node": 1, "_solve": 2, "integral_row": 1}
 
 
 def test_interleaved_classify_matches_fresh_calls():

@@ -8,7 +8,7 @@ from math import gcd, lcm
 
 import pytest
 
-from luroth import poncelet, verify
+from luroth import forms, poncelet, verify
 from luroth.forms import BinaryForm, FrozenError, PreconditionError, TernaryForm, parse_form
 from luroth.linalg import (det_rational, shifted_multiples, solve_linear,
                            sylvester_matrix, sylvester_resultant)
@@ -777,7 +777,7 @@ def test_singular_jump_gradient_equivalence():
         line = chord_dual(conic, (Fraction(a), Fraction(1)), (Fraction(b), Fraction(1)))
         curve = poncelet_curve(conic, pencil)
         assert curve.evaluate(line) == 0
-        gradient_zero = all(p.evaluate(line) == 0 for p in curve.gradient())
+        gradient_zero = all(curve.partial(v).evaluate(line) == 0 for v in curve.variables)
         assert singular_jump_criterion(conic, pencil, line) == gradient_zero
         checked += 1
 
@@ -856,7 +856,7 @@ def test_prem_matches_rational_division():
 
 
 def test_two_register_kernels_match_rational_division():
-    """`_mod_q` is l^(len(f) - 2) * f modulo q, by `unidivmod`, and the ends
+    """`forms._mod_q` is l^(len(f) - 2) * f modulo q, by `unidivmod`, and the ends
     of f at l = 0; `_exact_quotient` undoes a product with a primitive q."""
     rng = random.Random(67)
     for trial in range(300):
@@ -865,14 +865,14 @@ def test_two_register_kernels_match_rational_division():
         f = [rng.randint(-10 ** digits, 10 ** digits) for _ in range(rng.randint(2, 14))]
         expected = unidivmod([q[-1] ** (len(f) - 2) * x for x in f], q)[1]
         expected += [0] * (2 - len(expected))
-        assert list(poncelet._mod_q(f, q)) == expected
-        assert poncelet._mod_q(f, [0, q[1] or 1, 0]) == (f[0], f[-1])
+        assert list(forms._mod_q(f, q)) == expected
+        assert forms._mod_q(f, [0, q[1] or 1, 0]) == (f[0], f[-1])
         content = gcd(*q)
         p = [x // content for x in q]
         product = [sum(p[i] * f[k - i] for i in range(3) if 0 <= k - i < len(f))
                    for k in range(len(f) + 2)]
-        assert poncelet._exact_quotient(product, p) == f
-        assert not any(poncelet._mod_q(product, q))
+        assert forms._exact_quotient(product, p) == f
+        assert not any(forms._mod_q(product, q))
 
 
 def random_form(rng, degree, digits):
