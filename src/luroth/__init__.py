@@ -40,6 +40,7 @@ from .poncelet import (
     family_matrix,
     is_base_point_free,
     is_jumping_line,
+    jumping_chords,
     line_pullback,
     make_conic,
     poncelet_curve,

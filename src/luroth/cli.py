@@ -96,9 +96,9 @@ def cmd_poncelet(args) -> int:
         "base_point_free": poncelet.is_base_point_free(pencil),
     }
     if args.vertices:
-        incidences = []
+        incidences, jumping = [], poncelet.jumping_chords(pencil, params)
         for i, j, vertex in chords:
-            on_curve = curve.evaluate(vertex) == 0
+            on_curve = (i, j) in jumping
             label = ":".join(map(rational_text, vertex))
             if as_json:
                 incidences.append({"pair": [i, j], "vertex": label, "on_curve": on_curve})
@@ -265,24 +265,16 @@ _VALUE_FLAGS = {"--conic", "--gamma1", "--gamma2", "--vertices", "--f",
 
 def _join_flag_values(argv):
     """Glue values onto their flags so leading minus signs survive argparse."""
-    out = []
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        if token in _VALUE_FLAGS and i + 1 < len(argv):
-            out.append(f"{token}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(token)
-            i += 1
+    out, rest = [], iter(argv)
+    for token in rest:
+        value = next(rest, None) if token in _VALUE_FLAGS else None
+        out.append(token if value is None else f"{token}={value}")
     return out
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     parser = build_parser()
-    args = parser.parse_args(_join_flag_values(list(argv)))
+    args = parser.parse_args(_join_flag_values(sys.argv[1:] if argv is None else argv))
     # argparse drops a "--" value, leaving [] where the flag's text belongs
     empty = next((k for k, v in vars(args).items() if v == []), None)
     if empty:

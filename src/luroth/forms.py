@@ -65,9 +65,9 @@ class FrozenError(AttributeError):
 
 
 class Frozen:
-    """Base of the package's immutable values: the fields are the class's own
-    annotations, in order, given positionally; `__post_init__` validates.  ==,
-    hash, repr, pickle and copy use only the fields, not a cached_property."""
+    """Base of the package's immutable values: the fields, the class's own
+    annotations in order, given positionally (`_Form.__init__` sets its own);
+    `__post_init__` validates.  ==, hash, repr, pickle and copy use only the fields."""
 
     def __init_subclass__(cls):
         fields = cls._fields = tuple(vars(cls).get("__annotations__", ()))
@@ -79,7 +79,7 @@ class Frozen:
         if len(values) != len(self._fields):
             raise TypeError(f"{type(self).__name__} takes {len(self._fields)} fields")
         for name, value in zip(self._fields, values):
-            _set(self, name, value)  # not via __dict__, which slows attribute reads
+            _set(self, name, value)  # not via __dict__ (slower reads); _Form sets its own
         self.__post_init__()
 
     def __post_init__(self):
@@ -117,6 +117,15 @@ def integral_row(values: Sequence) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in p], d
 
 
+def projective_ints(values: Sequence) -> list[int]:
+    """The point's integers: values over their signed gcd, first nonzero positive."""
+    ints = integral_row(values)[0]
+    if not any(ints):
+        raise ValueError("the zero vector is not a projective point")
+    g = gcd(*ints) if next(x for x in ints if x) > 0 else -gcd(*ints)
+    return [x // g for x in ints]
+
+
 def integral_coeffs(*forms: "BinaryForm") -> tuple[tuple[int, ...], int]:
     """The binary forms' numerators over d, the lcm of their denominators,
     and d; gcd(numerators, d) = 1, since each form is in lowest terms."""
@@ -125,14 +134,15 @@ def integral_coeffs(*forms: "BinaryForm") -> tuple[tuple[int, ...], int]:
 
 
 def adjugate3(m: Sequence[Sequence]) -> tuple[object, list[list]]:
-    """Determinant and adjugate of a 3x3 matrix: adj[k][j] is the cofactor of
-    m[j][k], so m*adj = det(m)*I, and a rank-2 symmetric m has
-    adj = c*k*k^T for its kernel vector k.
+    """Determinant and adjugate of a 3x3 matrix, written out: adj[k][j] is the
+    cofactor of m[j][k], so m*adj = det(m)*I, and a rank-2 symmetric m has
+    adj = c*k*k^T for its kernel vector k.  ValueError unless m is 3x3.
     """
-    adj = [[m[(j + 1) % 3][(k + 1) % 3] * m[(j + 2) % 3][(k + 2) % 3]
-            - m[(j + 1) % 3][(k + 2) % 3] * m[(j + 2) % 3][(k + 1) % 3]
-            for j in range(3)] for k in range(3)]
-    return sum(m[0][k] * adj[k][0] for k in range(3)), adj
+    (a, b, c), (d, e, f), (g, h, i) = m
+    x, y, z = e * i - f * h, f * g - d * i, d * h - e * g
+    return a * x + b * y + c * z, [[x, c * h - b * i, b * f - c * e],
+                                   [y, a * i - c * g, c * d - a * f],
+                                   [z, b * g - a * h, a * e - b * d]]
 
 
 # ---------------------------------------------------------------------------
@@ -637,8 +647,11 @@ class _Form(Frozen):
         gcd; or (degree, variables, terms), rationals `_integral` scales to ints."""
         if degree < 0:
             raise ValueError("degree must be non-negative")
-        rep = self._integral(*rep) if len(rep) == 1 else rep
-        super().__init__(degree, variables, *self._lowest(degree, *rep))
+        den, nums = self._lowest(degree, *(self._integral(*rep) if len(rep) == 1 else rep))
+        _set(self, "degree", degree)  # the fields in order, as Frozen's loop would
+        _set(self, "variables", variables)
+        _set(self, "den", den)
+        _set(self, "nums", nums)
 
     @property
     def terms(self) -> Mapping[Exp, Fraction]:
@@ -770,11 +783,6 @@ class BinaryForm(_Form):
         c = _q(c)
         return BinaryForm(self.degree, self.variables, self.den * c.denominator,
                           [c.numerator * a for a in self.nums])
-
-    def power(self, k: int) -> "BinaryForm":
-        if k < 0:
-            raise ValueError(f"negative power {k}")
-        return reduce(BinaryForm.__mul__, repeat(self, k), BinaryForm(0, self.variables, 1, (1,)))
 
     def directional(self, xi: Sequence) -> "BinaryForm":
         """Directional derivative xi0 * d/dv0 + xi1 * d/dv1, over den*d for xi*d integral."""
@@ -936,9 +944,6 @@ class TernaryForm(_Form):
             raise PreconditionError("coordinate change matrix is singular")
         return TernaryForm(self.degree, self.variables, self.den * e ** self.degree,
                            substitute_terms(self.nums, self.degree, m))
-
-    def lex_leading_coefficient(self) -> Fraction:
-        return Fraction(self.nums[max(self.nums)], self.den) if self.nums else Fraction(0)
 
     def lex_normalized(self) -> "TernaryForm":
         """The numerators over the lexicographically-first one, which becomes 1."""

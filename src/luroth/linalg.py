@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from functools import cache
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import lcm, prod
 from typing import Sequence
 
 from .forms import (
@@ -35,6 +35,7 @@ from .forms import (
     adjugate3,
     integral_row,
     mul_terms,
+    projective_ints,
 )
 
 Matrix = list[list[Fraction]]
@@ -128,11 +129,7 @@ def solve_linear(a: Sequence[Sequence], b: Sequence) -> LinearSolution:
 
 def normalize_projective(point: Sequence) -> tuple[Fraction, ...]:
     """Clear denominators and common factors; first nonzero entry positive."""
-    ints = integral_row(point)[0]
-    if not any(ints):
-        raise ValueError("the zero vector is not a projective point")
-    g = gcd(*ints) if next(x for x in ints if x) > 0 else -gcd(*ints)
-    return tuple(Fraction(x // g) for x in ints)
+    return tuple(map(Fraction, projective_ints(point)))
 
 
 # ---------------------------------------------------------------------------

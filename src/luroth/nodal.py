@@ -8,19 +8,20 @@ linear phi and quadratic psi.  Type II means the conic t^2 + 2*t*phi - psi
 is singular, which is when disc(phi^2 + psi) = 0; its kernel point is the
 residual line's tangency point.
 
-The pipeline runs on integers.  With the quartic's numerators over d and the
-transform's last column p/p[pivot] times lam integral, one
-`forms.substitute_terms` gives the pieces F_i = d*lam^(4-i)*f_i, and `_solve`
-solves phi*(lam*F3) + psi*F2 = lam^2*F4 by remainders modulo F2: Cramer's rule
-on the two-register pseudo-remainders `poncelet` uses too, then one exact
-division for psi.  Each output form takes its integer numerators over one
-denominator; its constructor divides the scales out by one gcd.  `tangent_map`
-moves the direction's numerators by the same matrix and solves by `_solve`.
+The pipeline runs on integers.  The node's integers, `forms.projective_ints`,
+are the transform's last column p/p[pivot] times lam; with the quartic's
+numerators over d, one `forms.substitute_terms` gives the pieces
+F_i = d*lam^(4-i)*f_i, and `_solve` solves phi*(lam*F3) + psi*F2 = lam^2*F4 by
+remainders modulo F2: Cramer's rule on the two-register pseudo-remainders
+`poncelet` uses too, then one exact division for psi.  Each output form takes
+its integer numerators over one denominator, reduced by one gcd.
+`tangent_map` moves the direction's numerators by the same matrix and solves
+by `_solve`.  det3 is the written-out `forms.adjugate3` of an integer matrix.
 
-`classify` verifies and then normalizes, yet moves the node and solves
-once: `_decompose` keeps its last result, keyed by the quartic's identity and
-the point's value, so nothing is hashed.  `associated_conic` and `tangent_map`
-read the numerators of the decomposition's and the conic data's forms.
+`classify` verifies and then normalizes, yet moves the node and solves once:
+`_decompose` keeps its last result, keyed by the quartic's identity and the
+point's value.  `associated_conic` and `tangent_map` read the numerators of
+the decomposition's and the conic data's forms.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from typing import Sequence
 
 from .forms import (BinaryForm, Frozen, PreconditionError, TernaryForm, _by_pullback,
                     _exact_quotient, _mod_q, adjugate3, directional_coeffs, integral_coeffs,
-                    integral_row, mul_coeffs, substitute_terms)
-from .linalg import conic_kernel_point, disc_binary_quadratic, normalize_projective
+                    integral_row, mul_coeffs, projective_ints, substitute_terms)
+from .linalg import conic_kernel_point, disc_binary_quadratic
 
 Transform = tuple[tuple[Fraction, ...], ...]
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -157,7 +158,7 @@ def _decompose(quartic: TernaryForm, point: Sequence) -> tuple[NodeReport, NodeD
     last = _last
     if last[0] is quartic and last[1] == key:
         return last[2]
-    column = [x.numerator for x in normalize_projective(key)]  # column/lam = p/p[pivot]
+    column = projective_ints(key)  # column/lam = p/p[pivot], lam > 0
     pivot = next(i for i, x in enumerate(column) if x)
     lam = column[pivot]
     others = [i for i in range(3) if i != pivot]

@@ -25,6 +25,8 @@ independent, so a line is jumping exactly when gamma1 and gamma2, each
 reduced in two integer registers, are dependent modulo q; then q divides
 the multiples of one member h alone, and some member is divisible by q^2
 exactly when q divides h/q, integral for a primitive q (Gauss's lemma).
+A chord of two parameters needs no curve: it is jumping exactly when a member
+vanishes at both, a 2x2 minor of the generators' values (`jumping_chords`).
 Base points are decided once per pencil, by the integer gcd of the
 generators' values at a power of two beyond their roots, read back as a
 polynomial by its digits (GCDHEU).  The memoized Laplace expansion of
@@ -57,10 +59,6 @@ class ConicParam(Frozen):
     p1: BinaryForm
     p2: BinaryForm
     implicit: TernaryForm
-
-    def image(self, point: Sequence) -> tuple[Fraction, Fraction, Fraction]:
-        return (self.p0.evaluate(point), self.p1.evaluate(point),
-                self.p2.evaluate(point))
 
     @cached_property
     def _t(self) -> list[list[int]]:
@@ -207,11 +205,8 @@ def _pullback_columns(conic: ConicParam, n: int) -> list[list[TernaryForm]]:
 def poncelet_matrix(conic: ConicParam, pencil: PonceletPencil) -> PolyMatrix:
     """The (n+2)x(n+2) presentation matrix: [gamma1, gamma2, q-shift columns]."""
     n = pencil.n
-    const_cols = [
-        [TernaryForm.constant(c, DUAL_VARS) for c in pencil.gamma1.coeffs],
-        [TernaryForm.constant(c, DUAL_VARS) for c in pencil.gamma2.coeffs],
-    ]
-    columns = const_cols + _pullback_columns(conic, n)
+    columns = [[TernaryForm.constant(c, DUAL_VARS) for c in g.coeffs]
+               for g in (pencil.gamma1, pencil.gamma2)] + _pullback_columns(conic, n)
     rows = [[columns[j][i] for j in range(n + 2)] for i in range(n + 2)]
     return PolyMatrix.from_rows(rows)
 
@@ -284,6 +279,15 @@ def chord_dual(conic: ConicParam, a: Sequence, b: Sequence) -> tuple[Fraction, .
              pa[2] * pb[0] - pa[0] * pb[2],
              pa[0] * pb[1] - pa[1] * pb[0])
     return normalize_projective(cross)
+
+
+def jumping_chords(pencil: PonceletPencil, params: Sequence[Sequence]) -> set[tuple[int, int]]:
+    """The pairs i < j of distinct parameters whose chord, pulling back to a
+    multiple of (a1*s0 - a0*s1)*(b1*s0 - b0*s1), is jumping: [g1(a) g2(a);
+    g1(b) g2(b)] is singular.  Each generator is evaluated once per parameter."""
+    values = [(pencil.gamma1.evaluate(p), pencil.gamma2.evaluate(p)) for p in params]
+    return {(i, j) for i, (a1, a2) in enumerate(values)
+            for j, (b1, b2) in enumerate(values[i + 1:], i + 1) if a1 * b2 == a2 * b1}
 
 
 def singular_jump_criterion(conic: ConicParam, pencil: PonceletPencil,

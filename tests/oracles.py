@@ -32,6 +32,14 @@
 - The conic's symmetric matrix on Fractions, and the chord through the
   Fraction images of two parameters: the oracles of the integer matrix of
   `linalg.conic_det3` and of the integer `poncelet.chord_dual`.
+- Three helpers that only tests use, once methods of the value classes: the
+  power of a binary form by repeated products (`power`), a conic's image of
+  a parameter, component by component (`conic_image`), and a ternary form's
+  lexicographically-leading coefficient (`lex_leading_coefficient`).
+- The 3x3 adjugate by cyclic indices, cofactor (j, k) from rows j+1, j+2 and
+  columns k+1, k+2 modulo 3: the oracle of the written-out `forms.adjugate3`.
+- The chord verdict by the curve: `curve.evaluate` at `chord_dual`, the
+  oracle of `poncelet.jumping_chords`.
 - `int_str_limit`, for setting Python's int-string digit limit in a block.
 - The term-by-term parser, one token per literal, name, operator and
   exponent, each factor a Fraction term map multiplied in by `mul_terms`:
@@ -54,7 +62,8 @@ import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
+from itertools import repeat
 from typing import Mapping, Sequence
 
 from luroth import nodal, poncelet
@@ -286,11 +295,45 @@ def conic_matrix(q: TernaryForm) -> list:
     return [[a, h, g], [h, b, k], [g, k, f]]
 
 
+def power(f: BinaryForm, k: int) -> BinaryForm:
+    """f^k by k products; ValueError for k < 0."""
+    if k < 0:
+        raise ValueError(f"negative power {k}")
+    return reduce(BinaryForm.__mul__, repeat(f, k), BinaryForm(0, f.variables, 1, (1,)))
+
+
+def conic_image(conic, point) -> tuple[Fraction, Fraction, Fraction]:
+    """The image of a parameter, each component evaluated there."""
+    return conic.p0.evaluate(point), conic.p1.evaluate(point), conic.p2.evaluate(point)
+
+
+def lex_leading_coefficient(f: TernaryForm) -> Fraction:
+    """The coefficient of the lexicographically-largest exponent, 0 for zero."""
+    return Fraction(f.nums[max(f.nums)], f.den) if f.nums else Fraction(0)
+
+
+def cyclic_adjugate3(m):
+    """Determinant and adjugate of a 3x3 matrix by cyclic indices: adj[k][j]
+    is the cofactor of m[j][k].  IndexError on fewer than 3 rows or columns."""
+    adj = [[m[(j + 1) % 3][(k + 1) % 3] * m[(j + 2) % 3][(k + 2) % 3]
+            - m[(j + 1) % 3][(k + 2) % 3] * m[(j + 2) % 3][(k + 1) % 3]
+            for j in range(3)] for k in range(3)]
+    return sum(m[0][k] * adj[k][0] for k in range(3)), adj
+
+
+def curve_jumping_chords(conic, pencil, params) -> set:
+    """The pairs i < j whose chord lies on the curve of jumping lines: the
+    curve evaluated at `chord_dual` of the two parameters."""
+    curve = poncelet.poncelet_curve(conic, pencil)
+    return {(i, j) for i in range(len(params)) for j in range(i + 1, len(params))
+            if curve.evaluate(poncelet.chord_dual(conic, params[i], params[j])) == 0}
+
+
 def fraction_chord_dual(conic, a, b) -> tuple:
     """The chord through the images of two parameters: the cross product of
-    `ConicParam.image` on Fractions, normalized; the oracle of the integer
+    `conic_image` on Fractions, normalized; the oracle of the integer
     `chord_dual`."""
-    pa, pb = conic.image(a), conic.image(b)
+    pa, pb = conic_image(conic, a), conic_image(conic, b)
     return normalize_projective((pa[1] * pb[2] - pa[2] * pb[1], pa[2] * pb[0] - pa[0] * pb[2],
                                  pa[0] * pb[1] - pa[1] * pb[0]))
 
@@ -456,7 +499,7 @@ def substitute_pair(f, m):
     out = BinaryForm.zero(f.degree, f.variables)
     for j, coef in enumerate(f.coeffs):
         if coef:
-            out = out + (l0.power(f.degree - j) * l1.power(j)).scale(coef)
+            out = out + (power(l0, f.degree - j) * power(l1, j)).scale(coef)
     return out
 
 

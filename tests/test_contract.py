@@ -11,6 +11,7 @@ import os
 import random
 import subprocess
 import sys
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -105,6 +106,14 @@ ROWS += [(f"vertices-{name}", ["poncelet", "--conic", GEN_CONIC, "--gamma1", "s0
                                "--gamma2", "s0*s1^8+2*s0^3*s1^6+7*s0^9", "--vertices", text], code)
          for name, text, code in [("at-the-cap", VERTICES.rsplit(",", 1)[0], 0),
                                   ("past-the-cap", VERTICES, 2)]]
+# Every chord of 102 distinct one-digit parameters at n = 99: 5151 chords, each
+# decided by a 2x2 minor of the generators' values, not on the 5048-term curve.
+_DIGITS = random.Random(102)
+ONE_DIGIT = [f"{a}:{b}" for b in range(1, 10) for a in range(-9, 10) if gcd(a, b) == 1] + ["1:0"]
+_DIGITS.shuffle(ONE_DIGIT)
+ROWS += [("vertices-n99-102-one-digit", ["poncelet", "--gamma1", pencil_text(_DIGITS, 99, 1),
+                                         "--gamma2", pencil_text(_DIGITS, 99, 1),
+                                         "--vertices", ",".join(ONE_DIGIT[:MAX_VERTICES])], 0)]
 # Base points of big pencils.  A remainder sequence swells to about n times
 # the input bits; the heuristic gcd takes one integer gcd of values per try.
 # The coprime pencil decides at once; each planted pencil shares 2*s0 + 3*s1,

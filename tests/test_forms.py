@@ -33,8 +33,9 @@ from luroth.forms import (
 )
 from luroth.linalg import det_rational, invert, sylvester_resultant
 from luroth.poncelet import standard_conic
-from oracles import (dense_partial, form_gcd, fraction_evaluate, fraction_substitute_linear,
-                     horner_substitute, int_str_limit, partial_directional)
+from oracles import (conic_image, dense_partial, form_gcd, fraction_evaluate,
+                     fraction_substitute_linear, horner_substitute, int_str_limit,
+                     partial_directional, power)
 
 PAIR = ("v", "w")
 TRIPLE = ("u", "v", "w")
@@ -299,8 +300,8 @@ def test_evaluate_matches_fraction_oracle():
     lambda: parse_form("u^2+v*w", TRIPLE).evaluate((1, 1, 1, 7)),
     lambda: parse_form("u^2+v*w", TRIPLE).evaluate((1, 1)),
     lambda: BinaryForm.from_coeffs(PAIR, [1, 2]).evaluate((1, 2, 3)),
-    lambda: standard_conic().image((1, 0, 5)),
-    lambda: standard_conic().image((1,)),
+    lambda: conic_image(standard_conic(), (1, 0, 5)),
+    lambda: conic_image(standard_conic(), (1,)),
     lambda: BinaryForm.from_coeffs(PAIR, [1, 2]).directional((1, 2, 3)),
 ], ids=["ternary-long", "ternary-short", "binary-long", "image-long", "image-short",
         "directional-long"])
@@ -311,7 +312,7 @@ def test_point_of_wrong_arity_rejected(call):
 
 def test_negative_power_rejected():
     with pytest.raises(ValueError):
-        BinaryForm.from_coeffs(PAIR, [1, 2]).power(-1)
+        power(BinaryForm.from_coeffs(PAIR, [1, 2]), -1)
 
 
 def test_partial_matches_dense_binary_oracle():

@@ -10,7 +10,8 @@ once for both kinds of form.  And `nodal` solves once per node, by
 remainders modulo f2: it imports none of `sylvester_resultant`,
 `det_rational`, `solve_linear`, `sylvester_matrix` and the elimination
 `_bareiss`, since its one integer Koszul solve both decides admissibility
-and gives (phi, psi).  `forms` has
+and gives (phi, psi).  And `nodal` reads the node's integers by
+`forms.projective_ints`, without `normalize_projective` and its Fractions.  `forms` has
 one parser: it defines one parser class, and only `_parse` constructs it,
 for `parse_terms` and `parse_form`.  And the incidence tests of `poncelet`, `is_jumping_line` and
 `singular_jump_criterion`, pull the line back in integers through the
@@ -123,6 +124,14 @@ def test_nodal_imports_no_second_elimination():
                 if isinstance(n, (ast.Import, ast.ImportFrom)) for alias in n.names}
     assert not imported & {"sylvester_resultant", "det_rational", "solve_linear",
                            "sylvester_matrix", "_bareiss"}, imported
+
+
+def test_nodal_reads_the_node_without_normalize_projective():
+    tree = module_tree("nodal")
+    imported = {alias.name for n in ast.walk(tree)
+                if isinstance(n, (ast.Import, ast.ImportFrom)) for alias in n.names}
+    assert "normalize_projective" not in imported, imported
+    assert not calls_to(tree, "normalize_projective")
 
 
 def calls_to(node: ast.AST, name: str) -> list[ast.Call]:

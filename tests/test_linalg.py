@@ -3,11 +3,12 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 import pytest
 
 from luroth.forms import (BinaryForm, PreconditionError, TernaryForm, adjugate3,
-                          integral_row, parse_form)
+                          integral_row, parse_form, projective_ints)
 from luroth.linalg import (
     LinearSolution,
     _bareiss,
@@ -24,8 +25,9 @@ from luroth.linalg import (
     sylvester_matrix,
     sylvester_resultant,
 )
-from oracles import (bitmask_determinant, conic_matrix, mat_mul, rational_det, rational_invert,
-                     rational_nullspace, rational_rank, rational_row_echelon, rational_solve)
+from oracles import (bitmask_determinant, conic_matrix, cyclic_adjugate3, mat_mul, rational_det,
+                     rational_invert, rational_nullspace, rational_rank, rational_row_echelon,
+                     rational_solve)
 
 PAIR = ("v", "w")
 TRIPLE = ("u", "v", "w")
@@ -430,6 +432,54 @@ def test_adjugate3_times_matrix_is_det_identity():
                 assert rational or all(type(x) is int for row in adj for x in row)
                 ranks.add(rational_rank(m))
     assert ranks == {0, 1, 2, 3}
+
+
+def test_adjugate3_matches_the_cyclic_index_oracle():
+    """Same determinant and cofactors, of the same types, on int and Fraction
+    matrices of every rank and on 60-digit entries."""
+    def flat(result):
+        det, adj = result
+        return [det, *(x for row in adj for x in row)]
+
+    rng = random.Random(931)
+    matrices = [rand_matrix3_of_rank(rng, r, rational)
+                for rational in (False, True) for r in range(4) for _ in range(40)]
+    matrices += [[[rng.randint(-10 ** 60, 10 ** 60) for _ in range(3)] for _ in range(3)]
+                 for _ in range(20)]
+    for m in matrices:
+        got, want = flat(adjugate3(m)), flat(cyclic_adjugate3(m))
+        assert got == want and list(map(type, got)) == list(map(type, want))
+
+
+@pytest.mark.parametrize("m", [[[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4], [5, 6]],
+                               [[1, 0, 0, 0]] * 4, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]]],
+                         ids=["2x3", "3x2", "4x4", "4x3"])
+def test_adjugate3_rejects_a_matrix_not_3x3(m):
+    """Unpacking the rows raises ValueError, where the cyclic indices raised
+    IndexError on a short matrix and read the corner of a long one."""
+    with pytest.raises(ValueError):
+        adjugate3(m)
+
+
+def test_projective_ints_match_the_fraction_oracle():
+    """The point over its first nonzero entry, times the lcm of the
+    denominators: primitive, that entry positive; `normalize_projective`
+    is the same integers as Fractions.  The zero vector is a ValueError."""
+    rng = random.Random(2602)
+    for _ in range(400):
+        point = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) * rng.choice((1, -1, 10 ** 30))
+                 for _ in range(3)]
+        if not any(point):
+            continue
+        lead = next(x for x in point if x)
+        d = lcm(*((x / lead).denominator for x in point))
+        want = [int(x / lead * d) for x in point]
+        assert projective_ints(point) == want
+        assert normalize_projective(point) == tuple(want)
+        assert all(type(x) is Fraction for x in normalize_projective(point))
+    for call in (projective_ints, normalize_projective):
+        with pytest.raises(ValueError, match="the zero vector is not a projective point"):
+            call([0, Fraction(0), 0])
 
 
 def rand_line(rng):

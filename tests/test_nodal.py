@@ -29,7 +29,7 @@ from luroth.nodal import (
 )
 from luroth.poncelet import DUAL_VARS, family_matrix
 from luroth.verify import printed_93
-from oracles import _ternary, bareiss_koszul, fraction_classify, fraction_tangent_map
+from oracles import _ternary, bareiss_koszul, fraction_classify, fraction_tangent_map, power
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
@@ -403,6 +403,13 @@ def test_node_of_wrong_arity_is_rejected(point):
         verify_node(QUARTIC_A, point)
 
 
+@pytest.mark.parametrize("point", [(0, 0, 0), (Fraction(0), 0, Fraction(0, 7))])
+def test_zero_node_is_rejected(point):
+    for call in (classify, verify_node, normalize_at_node):
+        with pytest.raises(ValueError, match="the zero vector is not a projective point"):
+            call(QUARTIC_A, point)
+
+
 def test_verdict_projective_invariance():
     rng = random.Random(43)
     cases = [(QUARTIC_A, (1, 0, 0), True),
@@ -641,7 +648,7 @@ def quartic_with_node(rng, node, type_two):
                                                               for _ in range(k + 1)])
                             for k in (2, 3, 1, 2))
         if type_two:  # phi^2 + psi a square
-            psi = BinaryForm.from_coeffs(PAIR_UV, [1, rng.randint(-3, 3)]).power(2) - phi * phi
+            psi = power(BinaryForm.from_coeffs(PAIR_UV, [1, rng.randint(-3, 3)]), 2) - phi * phi
         try:
             base = quartic_from_conic_and_cubic(f2, f3, phi, psi, "w", DUAL_VARS)
         except PreconditionError:

@@ -21,6 +21,7 @@ from luroth.poncelet import (
     family_matrix,
     is_base_point_free,
     is_jumping_line,
+    jumping_chords,
     line_pullback,
     make_conic,
     normalize_projective,
@@ -32,7 +33,8 @@ from luroth.poncelet import (
 from luroth.verify import (C_SAMPLES, EPS_SAMPLES, printed_92, printed_93,
                            printed_eps_expansion)
 from oracles import (bezout_base_point_free, bezoutian_is_jumping_line, bitmask_determinant,
-                     det_mod, fraction_chord_dual, fraction_family_matrix, prem, prs_coprime,
+                     conic_image, curve_jumping_chords, det_mod, fraction_chord_dual,
+                     fraction_family_matrix, lex_leading_coefficient, power, prem, prs_coprime,
                      pullback_is_jumping_line, pullback_singular_jump, rational_det,
                      rational_nullspace, rational_rank, substitute_pair, unidivmod)
 
@@ -135,7 +137,7 @@ def test_standard_conic_implicit():
     assert conic.implicit == parse_form("x*y - t^2", ("x", "y", "t"))
     # the implicit equation vanishes on the parametrized image
     for point in [(1, 0), (0, 1), (1, 1), (2, -3), (Fraction(1, 2), 5)]:
-        assert conic.implicit.evaluate(conic.image(point)) == 0
+        assert conic.implicit.evaluate(conic_image(conic, point)) == 0
 
 
 def test_make_conic_rejects_dependent():
@@ -168,7 +170,7 @@ def nullspace_conic(p0, p1, p2):
     for e in monomials:
         prod = BinaryForm.from_coeffs(p0.variables, [1])
         for p, k in zip((p0, p1, p2), e):
-            prod = prod * p.power(k)
+            prod = prod * power(p, k)
         columns.append(prod.coeffs)
     kernel = rational_nullspace([[col[r] for col in columns] for r in range(5)])
     assert len(kernel) == 1
@@ -196,7 +198,7 @@ def test_make_conic_matches_nullspace_oracle():
             continue
         conic = make_conic(*ps)
         assert conic.implicit == nullspace_conic(*ps)
-        assert conic.implicit.evaluate(conic.image((rng.randint(-5, 5), 1))) == 0
+        assert conic.implicit.evaluate(conic_image(conic, (rng.randint(-5, 5), 1))) == 0
         checked += 1
     assert dependent >= 10
 
@@ -324,7 +326,7 @@ def test_presentation_determinant_matches_bitmask_oracle():
 def test_curve_coefficients_are_fractions_when_already_monic():
     pencil = PonceletPencil(parse_form("s0^3", PARAM_VARS), parse_form("s1^3", PARAM_VARS))
     curve = poncelet_curve(standard_conic(), pencil)
-    assert curve.lex_leading_coefficient() == 1
+    assert lex_leading_coefficient(curve) == 1
     assert all(type(c) is Fraction for c in curve.terms.values())
 
 
@@ -466,6 +468,34 @@ def planted_pencil(rng, n, common):
             return PonceletPencil(g1, g2)
         except PreconditionError:
             continue
+
+
+def test_jumping_chords_match_the_curve():
+    """The endpoint test against the curve at `chord_dual`, on rational
+    parameters (one at s1 = 0 allowed): random pencils, pencils whose first
+    generator vanishes at n + 1 of the parameters, and pencils with a base
+    point at one of them.  Both verdicts occur, and neither needs the conic."""
+    rng = random.Random(2601)
+    conics = [standard_conic(), make_conic(*(parse_form(p, PARAM_VARS) for p in GEN_CONIC))]
+    for n in (2, 3, 5):
+        for _ in range(5):
+            params = []
+            while len(params) < n + 3:
+                p = (Fraction(rng.randint(-9, 9), rng.randint(1, 4)), Fraction(rng.randint(0, 3)))
+                if any(p) and not any(p[0] * q[1] == p[1] * q[0] for q in params):
+                    params.append(p)
+            roots = [BinaryForm.from_coeffs(PARAM_VARS, [b, -a]) for a, b in params]
+            vanishing = roots[0]
+            for root in roots[1:n + 1]:
+                vanishing = vanishing * root
+            pencils = [rand_pencil(rng, n), rand_pencil(rng, n, gamma1=vanishing),
+                       planted_pencil(rng, n, roots[rng.randrange(len(roots))])]
+            found = [jumping_chords(pencil, params) for pencil in pencils]
+            assert {(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)} <= found[1]
+            assert all(len(got) < len(params) * (len(params) - 1) // 2 for got in found)
+            for pencil, got in zip(pencils, found):
+                for conic in conics:
+                    assert got == curve_jumping_chords(conic, pencil, params), (n, params)
 
 
 def test_base_point_free_matches_sylvester_resultant():
@@ -692,7 +722,7 @@ def rational_singular_jump(conic, pencil, line):
     if rational_det(sylvester_matrix(pencil.gamma1, pencil.gamma2)) == 0:
         raise PreconditionError("base point")
     n = pencil.n
-    q2 = line_pullback(conic, line).power(2)
+    q2 = power(line_pullback(conic, line), 2)
     columns = shifted_multiples(q2, max(n - 2, 0))
     base_rank = rational_rank([[col[r] for col in columns] for r in range(n + 2)]) if columns else 0
     with_gammas = columns + [list(pencil.gamma1.coeffs), list(pencil.gamma2.coeffs)]
@@ -1216,7 +1246,7 @@ def test_family_unknown_name():
 
 def test_family_curve_normalized():
     curve = family_matrix("eps91", 0).determinant().lex_normalized()
-    assert curve.lex_leading_coefficient() == 1
+    assert lex_leading_coefficient(curve) == 1
     assert curve.proportional_to(printed_eps_expansion(Fraction(0)))
 
 
@@ -1260,7 +1290,7 @@ def test_curve_of_an_independent_pencil_is_never_zero():
                 for conic in conics:
                     curve = poncelet_curve(conic, pencil)
                     assert not curve.is_zero() and curve.degree == n
-                    assert curve.lex_leading_coefficient() == 1
+                    assert lex_leading_coefficient(curve) == 1
 
 
 @pytest.mark.parametrize("name", poncelet.FAMILY_NAMES)
