@@ -10,9 +10,9 @@ use the adjugate `forms.adjugate3` instead.  The polynomial determinant is
 division-free: a Laplace expansion along the rows, each minor memoized by the
 columns it still uses, exponential in the size.  It serves only the worked
 6x6 families and the test oracle: `poncelet` computes jumping-line curves
-(Barth 1977) from a closed form in the pencil's Bezout matrix,
-sum B_ij x^i y^j = (g1(x)g2(y) - g1(y)g2(x))/(x - y), and the pullback of
-the line.
+(Barth 1977) from a closed form, G = sum_d M_d*Q_d: the generators' 2x2
+minors M_d times the complete symmetric functions Q_d of the roots of the
+line's pullback.
 
 `shifted_multiples` is the one multiplication map of the package: the
 coefficient vectors of a binary form times every monomial of a degree.  It

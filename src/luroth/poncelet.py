@@ -9,16 +9,21 @@ columns hold the shifted pullback of the moving line (Barth, Math. Ann. 1977).
 The curve comes from a closed form of det M.  The line (u, v, w) pulls back to
 q = a*s0^2 + b*s0*s1 + l*s1^2 with (a, b, l) = T*(u, v, w), T[k][j] the
 coefficient k of p_j.  Modulo q the generators are their values at the roots
-x1, x2 of q(1, x), so det M is a constant times l^n * Bez(x1, x2) for the
-pencil's Bezout matrix, Bez(x, y) = (g1(x)g2(y) - g1(y)g2(x))/(x - y) =
-sum B_ij x^i y^j.  With P_m the power sums of the roots of r^2 + b*r + a*l,
+x1, x2 of q(1, x), so det M is a constant times l^n times the Bezoutian
+(g1(x1)g2(x2) - g1(x2)g2(x1))/(x1 - x2) of g_k(x) = gamma_k(1, x) =
+sum_i c_k[i] x^i.  That is a sum of the generators' 2x2 minors
+m[d][i] = c1[i+d+1]*c2[i] - c1[i]*c2[i+d+1] times complete symmetric
+functions (Helmke & Fuhrmann, Linear Algebra Appl. 1989): with
+M_d = sum_i m[d][i] a^i l^(n-d-i) and Q_d those of the roots of
+r^2 + b*r + a*l, Q_0 = 1, Q_1 = -b, Q_d = -b*Q_(d-1) - a*l*Q_(d-2),
 
-    G(a, b, l) = sum_i B_ii a^i l^(n-i) + sum_(i<j) B_ij a^i l^(n-j) P_(j-i)
+    G(a, b, l) = sum_(d=0..n) M_d(a, l) * Q_d(b, a*l)
 
-is +-det M identically: the curve is G(T*(u, v, w)).  G has O(n^2) terms, and
-`forms.substitute_terms` composes it with T in O(n^3) integer operations:
-for each elementary factor of T one Taylor shift per slice of G, and on the
-standard conic, whose T swaps b and l, a relabelling alone.
+is +-det M identically: the curve is G(T*(u, v, w)).  G has O(n^2) terms,
+built by O(n^2) slice operations on the minors, and `forms.substitute_terms`
+composes it with T in O(n^3) integer operations: for each elementary factor
+of T one Taylor shift per slice of G, and on the standard conic, whose T
+swaps b and l, a relabelling alone.
 
 The incidence tests need no determinant.  The columns q*V_(n-1) of M are
 independent, so a line is jumping exactly when gamma1 and gamma2, each
@@ -37,8 +42,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import cycle, repeat
 from math import gcd
-from operator import mul
+from operator import add, mul, sub
 from typing import Sequence
 
 from .forms import (BinaryForm, Frozen, PreconditionError, TernaryForm, _by_pullback,
@@ -211,39 +217,24 @@ def poncelet_matrix(conic: ConicParam, pencil: PonceletPencil) -> PolyMatrix:
     return PolyMatrix.from_rows(rows)
 
 
-def _bezout_matrix(pencil: PonceletPencil) -> list[list[int]]:
-    """B with (g1(x)g2(y) - g1(y)g2(x))/(x - y) = sum B[i][j] x^i y^j, in O(n^2).
-
-    g_k(x) = gamma_k(1, x), scaled to integers (B times a constant); by
-    x^i y^(j+1) of the product with x - y.  Each row carries one trailing
-    zero for the j+1 lookup.
-    """
-    c1, c2 = pencil._ints
-    size = len(c1) - 1
-    rows = [[0] * (size + 1)]
-    for i in range(size):
-        above = rows[-1]
-        rows.append([above[j + 1] + c1[j + 1] * c2[i] - c1[i] * c2[j + 1]
-                     for j in range(size)] + [0])
-    return rows[1:]
-
-
 def _jump_terms(pencil: PonceletPencil) -> dict[tuple[int, int, int], int]:
-    """Integer terms of G(a, b, l) (generators scaled to integers: G times a constant)."""
+    """Nonzero integer terms of G(a, b, l) = sum_d M_d(a, l)*Q_d(b, a*l)
+    (generators scaled to integers: G times a constant), in O(n^2) slice
+    operations.  Q_(beta+2r) has (-1)^(beta+r)*C(beta+r, r)*b^beta*(a*l)^r, so
+    with s[d] = (-1)^d*m[d], the minors of (c2, c1) for odd d, row beta of G
+    over alpha adds s[beta+2r] shifted by r, times (-1)^r*C(beta+r, r)."""
     n = pencil.n
-    bez = _bezout_matrix(pencil)
-    # power[m][r]: coefficient of b^(m-2r) (a*l)^r in P_m
-    power = [[2], [-1]]
-    for m in range(2, n + 1):
-        power.append([-x - y for x, y in zip(power[m - 1] + [0], [0] + power[m - 2])])
-    weights = [[1]] + power[1:]  # the diagonal sum carries no power sum
-    terms: dict[tuple[int, int, int], int] = {}
-    for d, weight in enumerate(weights):  # d = j - i
-        for r, c in enumerate(weight):
-            for i in range(n + 1 - d):
-                e = (i + r, d - 2 * r, n - i - d + r)
-                terms[e] = terms.get(e, 0) + bez[i][i + d] * c
-    return terms
+    c1, c2 = pencil._ints
+    rows = [list(map(sub, map(mul, x[d + 1:], y), map(mul, x, y[d + 1:])))
+            for d, (x, y) in zip(range(n + 1), cycle(((c1, c2), (c2, c1))))]
+    for beta, row in enumerate(rows):  # s[beta] becomes row beta, read no more
+        w = 1
+        for r in range(1, (n - beta) // 2 + 1):
+            w = -w * (beta + r) // r
+            row[r:n + 1 - beta - r] = map(add, row[r:n + 1 - beta - r],
+                                          map(mul, rows[beta + 2 * r], repeat(w)))
+    return {(alpha, beta, n - alpha - beta): c
+            for beta, row in enumerate(rows) for alpha, c in enumerate(row) if c}
 
 
 def poncelet_curve(conic: ConicParam, pencil: PonceletPencil) -> TernaryForm:

@@ -4,6 +4,11 @@
   in `luroth.linalg` (`det_rational`, `rank`, `solve_linear` and `invert`),
   and, through its kernel, of the adjugate's kernel point of a singular conic
   (`conic_kernel_point`).
+- The Bezout matrix (`bezout_matrix`) and G from its power sums,
+  G = sum_(i<=j) B_ij a^i l^(n-j) P_(j-i), in O(n^3) dict updates
+  (`power_sum_jump_terms`): the oracle of `poncelet._jump_terms`, which
+  builds G = sum_d M_d*Q_d from the generators' 2x2 minors and the complete
+  symmetric functions Q_d.
 - The Bezoutian jump test, and the base-point tests: the Bezout determinant,
   exact or modulo a prime (`det_mod`), and the primitive PRS (Brown & Traub,
   JACM 1971) on the window pseudo-remainder `prem`: the oracles of the
@@ -185,13 +190,52 @@ def rational_invert(rows):
 
 
 # ---------------------------------------------------------------------------
-# the incidence kernels of luroth.poncelet
+# the jumping-line curve and the incidence kernels of luroth.poncelet
+
+def bezout_matrix(pencil) -> list[list[int]]:
+    """B with (g1(x)g2(y) - g1(y)g2(x))/(x - y) = sum B[i][j] x^i y^j, in O(n^2).
+
+    g_k(x) = gamma_k(1, x), scaled to integers (B times a constant); by
+    x^i y^(j+1) of the product with x - y.  Each row carries one trailing
+    zero for the j+1 lookup.
+    """
+    c1, c2 = pencil._ints
+    size = len(c1) - 1
+    rows = [[0] * (size + 1)]
+    for i in range(size):
+        above = rows[-1]
+        rows.append([above[j + 1] + c1[j + 1] * c2[i] - c1[i] * c2[j + 1]
+                     for j in range(size)] + [0])
+    return rows[1:]
+
+
+def power_sum_jump_terms(pencil) -> dict[tuple[int, int, int], int]:
+    """Integer terms of G(a, b, l) = sum_(i<=j) B_ij a^i l^(n-j) P_(j-i)(b, a*l),
+    P_m the power sums of the roots of r^2 + b*r + a*l (P_0 taken as 1), one
+    dict update per (j - i, r, i), O(n^3); zero sums are kept: the oracle of
+    `poncelet._jump_terms` from the generators' minors."""
+    n = pencil.n
+    bez = bezout_matrix(pencil)
+    # power[m][r]: coefficient of b^(m-2r) (a*l)^r in P_m
+    power = [[2], [-1]]
+    for m in range(2, n + 1):
+        power.append([-x - y for x, y in zip(power[m - 1] + [0], [0] + power[m - 2])])
+    weights = [[1]] + power[1:]  # the diagonal sum carries no power sum
+    terms: dict[tuple[int, int, int], int] = {}
+    for d, weight in enumerate(weights):  # d = j - i
+        for r, c in enumerate(weight):
+            for i in range(n + 1 - d):
+                e = (i + r, d - 2 * r, n - i - d + r)
+                terms[e] = terms.get(e, 0) + bez[i][i + d] * c
+    return terms
+
 
 def bezoutian_is_jumping_line(conic, pencil, line) -> bool:
-    """det M = 0 at the line, as G(a, b, l) = 0 at the integer-scaled pullback."""
+    """det M = 0 at the line, as G(a, b, l) = 0 at the integer-scaled pullback,
+    G by the power sums of the Bezout matrix."""
     a, b, l = integral_row(poncelet.line_pullback(conic, line).coeffs)[0]
     return sum(c * a ** i * b ** j * l ** k
-               for (i, j, k), c in poncelet._jump_terms(pencil).items()) == 0
+               for (i, j, k), c in power_sum_jump_terms(pencil).items()) == 0
 
 
 def prem(f: Sequence[int], p: Sequence[int]) -> list[int]:
@@ -262,7 +306,7 @@ def pullback_singular_jump(conic, pencil, line) -> bool:
 def bezout_base_point_free(pencil) -> bool:
     """det B != 0 for the square part of the integer Bezout matrix (det B =
     +-Res(gamma1, gamma2)), by Bareiss elimination."""
-    return det_rational([row[:-1] for row in poncelet._bezout_matrix(pencil)]) != 0
+    return det_rational([row[:-1] for row in bezout_matrix(pencil)]) != 0
 
 
 def det_mod(rows, p: int) -> int:

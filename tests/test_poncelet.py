@@ -4,7 +4,7 @@ import copy
 import pickle
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 import pytest
 
@@ -32,11 +32,12 @@ from luroth.poncelet import (
 )
 from luroth.verify import (C_SAMPLES, EPS_SAMPLES, printed_92, printed_93,
                            printed_eps_expansion)
-from oracles import (bezout_base_point_free, bezoutian_is_jumping_line, bitmask_determinant,
-                     conic_image, curve_jumping_chords, det_mod, fraction_chord_dual,
-                     fraction_family_matrix, lex_leading_coefficient, power, prem, prs_coprime,
-                     pullback_is_jumping_line, pullback_singular_jump, rational_det,
-                     rational_nullspace, rational_rank, substitute_pair, unidivmod)
+from oracles import (bezout_base_point_free, bezout_matrix, bezoutian_is_jumping_line,
+                     bitmask_determinant, conic_image, curve_jumping_chords, det_mod,
+                     fraction_chord_dual, fraction_family_matrix, lex_leading_coefficient, power,
+                     power_sum_jump_terms, prem, prs_coprime, pullback_is_jumping_line,
+                     pullback_singular_jump, rational_det, rational_nullspace, rational_rank,
+                     substitute_pair, unidivmod)
 
 
 def split_form(roots, pair=PARAM_VARS):
@@ -593,7 +594,7 @@ def test_1000_digit_pencils_keep_their_verdicts():
     rng = random.Random(44)
     pencil = ascending_pencil(*([rng.randint(10 ** 999, 10 ** 1000) for _ in range(24)]
                                 for _ in range(2)))
-    bezout = [row[:-1] for row in poncelet._bezout_matrix(pencil)]
+    bezout = [row[:-1] for row in bezout_matrix(pencil)]
     assert det_mod(bezout, 2 ** 61 - 1) and is_base_point_free(pencil)
     factor = BinaryForm.from_coeffs(PARAM_VARS, [2, 3])
     planted = PonceletPencil(factor * pencil.gamma1, factor * pencil.gamma2)
@@ -708,10 +709,84 @@ def test_bezout_determinant_is_resultant_up_to_sign():
     for n in range(2, 9):
         for _ in range(4):
             pencil = rand_pencil(rng, n)
-            bez = [row[:-1] for row in poncelet._bezout_matrix(pencil)]
+            bez = [row[:-1] for row in bezout_matrix(pencil)]
             res = rational_det(sylvester_matrix(pencil.gamma1, pencil.gamma2))
             assert abs(det_rational(bez)) == abs(res)
             assert det_rational(bez) == rational_det(bez)
+
+
+def jump_cases(rng):
+    """(label, pencil): random integer pencils at n = 2..40 and 99 with 1- and
+    60-digit coefficients, zero first or last coefficients, generators that
+    share a root, and the pencil of `verify.check_cross_construction`."""
+    def vector(n, digits):
+        bound = 10 ** digits
+        return [rng.randint(-bound, bound) for _ in range(n + 2)]
+
+    def pencil(*coeffs):
+        try:
+            return ascending_pencil(*coeffs)
+        except PreconditionError:
+            return None
+
+    for digits in (1, 60):
+        for n in list(range(2, 41)) + [99]:
+            yield f"random n={n} digits={digits}", pencil(vector(n, digits), vector(n, digits))
+        for n in (2, 3, 8, 22):
+            g1, g2, g3 = (vector(n, digits) for _ in range(3))
+            g1[0] = g2[-1] = g3[0] = 0
+            yield f"zero ends n={n} digits={digits}", pencil(g1, g2)
+            yield f"zero first n={n} digits={digits}", pencil(g1, g3)
+            yield f"zero last n={n} digits={digits}", pencil(g2, vector(n, digits)[:-1] + [0])
+    for n in (2, 5, 14, 30):
+        for common in (split_form([(Fraction(1), Fraction(2))]),
+                       split_form([(Fraction(-3), Fraction(1))] * 2)):
+            yield f"shared root n={n}", planted_pencil(rng, n, common)
+    yield "cross construction", PonceletPencil(
+        parse_form("s0^2*s1^2*(s1-s0)", PARAM_VARS), parse_form("-(s0^5+s1^5)", PARAM_VARS))
+
+
+def test_jump_terms_match_the_power_sum_oracle():
+    """G from the generators' minors equals G from the Bezout matrix's power
+    sums, term for term once the oracle's zero sums are dropped; the kernel
+    keeps no zero."""
+    checked = zeros = 0
+    for label, pencil in jump_cases(random.Random(2027)):
+        if pencil is None:
+            continue
+        terms, oracle = poncelet._jump_terms(pencil), power_sum_jump_terms(pencil)
+        assert terms == {e: c for e, c in oracle.items() if c}, label
+        assert all(terms.values()), label
+        zeros += 0 in oracle.values()
+        checked += 1
+    assert checked >= 110 and zeros, (checked, zeros)
+
+
+def complete_symmetric(d_max):
+    """Q_0..Q_(d_max) as term maps in (b, a*l): Q_0 = 1, Q_1 = -b and
+    Q_d = -b*Q_(d-1) - (a*l)*Q_(d-2), by `forms.mul_terms`."""
+    q = [{(0, 0): 1}, {(1, 0): -1}]
+    for _ in range(2, d_max + 1):
+        step = forms.mul_terms({(1, 0): -1}, q[-1])
+        for e, c in forms.mul_terms({(0, 1): -1}, q[-2]).items():
+            step[e] = step.get(e, 0) + c
+        q.append({e: c for e, c in step.items() if c})
+    return q
+
+
+def test_jump_weights_are_complete_symmetric_functions():
+    """Q_d by its recurrence has the closed weights (-1)^(beta+r)*C(beta+r, r)
+    at b^beta*(a*l)^r, beta + 2r = d; and the pencil (x^(j+d+1), x^j) has one
+    nonzero minor, m[d][j] = 1, so its G is a^j*l^(n-d-j)*Q_d exactly."""
+    n = 30
+    q = complete_symmetric(n)
+    for d, q_d in enumerate(q):
+        assert q_d == {(d - 2 * r, r): (-1) ** (d - r) * comb(d - r, r)
+                       for r in range(d // 2 + 1)}, d
+        for j in sorted({0, (n - d) // 2, n - d}):
+            units = [[int(k == m) for k in range(n + 2)] for m in (j + d + 1, j)]
+            assert poncelet._jump_terms(ascending_pencil(*units)) == {
+                (j + r, beta, n - d - j + r): c for (beta, r), c in q_d.items()}, (d, j)
 
 
 # ---------------------------------------------------------------------------
