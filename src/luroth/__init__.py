@@ -41,7 +41,6 @@ from .poncelet import (
     is_base_point_free,
     is_jumping_line,
     jumping_chords,
-    line_pullback,
     make_conic,
     poncelet_curve,
     poncelet_matrix,

@@ -19,7 +19,8 @@ takes the coefficients as integers over one denominator.
 
 A linear change of coordinates, `substitute_terms`, is a relabelling and at
 most six Taylor shifts of every slice of the form (von zur Gathen & Gerhard,
-ISSAC 1997): O(degree^3) for any integer matrix.
+ISSAC 1997): O(degree^3) for any integer matrix.  Only the benchmark calls
+its rational wrapper `TernaryForm.substitute_linear` (`linalg` says where).
 
 The zero polynomial carries an explicit degree annotation so that typed
 pipelines (decompositions, matrix entries) stay total.  This module imports
@@ -40,7 +41,6 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 Exp = tuple[int, ...]
-TermMap = dict[Exp, Fraction]
 _set = object.__setattr__  # sets a field of a frozen value
 
 
@@ -586,11 +586,6 @@ def _parse(text: str, variables: Sequence[str]) -> tuple[int, dict]:
     return TernaryForm._integral(terms) if "/" in text else (1, terms)
 
 
-def parse_terms(text: str, variables: Sequence[str]) -> TermMap:
-    den, nums = _parse(text, variables)
-    return {e: Fraction(c, den) for e, c in nums.items()}
-
-
 def parse_form(text: str, variables: Sequence[str]):
     """Parse polynomial text into a BinaryForm or TernaryForm.
 
@@ -638,9 +633,9 @@ def _check_exponents(terms: Mapping[Exp, object], arity: int, degree: int):
 
 
 class _Form(Frozen):
-    """What both classes share, written once: construction, zero, evaluation,
-    partial derivatives, the Fraction view `terms`, text and JSON.  Each class
-    keeps its own kernels on its representation: `_integral`, `_lowest`, +, *."""
+    """What both classes share, written once: construction, evaluation, the
+    Fraction view `terms`, text and JSON.  Each class keeps its own kernels on
+    its representation: `_integral`, `_lowest`, +, *."""
 
     def __init__(self, degree: int, variables: tuple[str, ...], *rep):
         """(degree, variables, den, nums), the fields, put in lowest terms by one
@@ -658,10 +653,6 @@ class _Form(Frozen):
         """The read-only map exponent -> nonzero Fraction, built when read."""
         den = self.den
         return MappingProxyType({e: Fraction(c, den) for e, c in self._int_terms.items()})
-
-    @classmethod
-    def zero(cls, degree: int, variables: tuple[str, ...]) -> "_Form":
-        return cls.from_terms(degree, variables, {})
 
     def is_zero(self) -> bool:
         return not self._int_terms
@@ -693,17 +684,6 @@ class _Form(Frozen):
                 c *= row[k]
             total += c
         return Fraction(total, self.den * d ** self.degree)
-
-    def partial(self, var: str) -> "_Form":
-        if var not in self.variables:
-            raise ValueError(f"unknown variable {var!r}")
-        if self.degree == 0:
-            raise PreconditionError("cannot differentiate a degree-0 form")
-        idx = self.variables.index(var)
-        # lowering one exponent is injective, so no two terms meet
-        return self.from_terms(self.degree - 1, self.variables,
-                               {e[:idx] + (e[idx] - 1,) + e[idx + 1:]: c * e[idx]
-                                for e, c in self.terms.items() if e[idx]})
 
     def __str__(self) -> str:
         """Canonical text: graded-lex term order, reduced fractions, signs absorbed."""
@@ -783,15 +763,6 @@ class BinaryForm(_Form):
         c = _q(c)
         return BinaryForm(self.degree, self.variables, self.den * c.denominator,
                           [c.numerator * a for a in self.nums])
-
-    def directional(self, xi: Sequence) -> "BinaryForm":
-        """Directional derivative xi0 * d/dv0 + xi1 * d/dv1, over den*d for xi*d integral."""
-        self._check_point(xi)
-        if self.degree == 0:
-            raise PreconditionError("cannot differentiate a degree-0 form")
-        (x0, x1), d = integral_row(xi)
-        return BinaryForm(self.degree - 1, self.variables, self.den * d,
-                          directional_coeffs(self.nums, x0, x1))
 
 
 def directional_coeffs(c: Sequence, x0, x1) -> list:

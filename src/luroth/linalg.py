@@ -3,21 +3,22 @@
 Rational matrices are plain lists of Fraction rows.  There is one elimination
 routine: Bareiss fraction-free elimination on rows scaled to integers.  The
 determinant and the rank take its forward pass; solves and inverses take its
-reduced pass (fraction-free Gauss-Jordan) and divide once at the end.  No code
-path of the package reaches these four: only the tests and the bench do.  The
+reduced pass (fraction-free Gauss-Jordan) and divide once at the end.  The
 3x3 jobs of the conic layer (det3 and the kernel point of a singular conic)
 use the adjugate `forms.adjugate3` instead.  The polynomial determinant is
 division-free: a Laplace expansion along the rows, each minor memoized by the
-columns it still uses, exponential in the size.  It serves only the worked
-6x6 families and the test oracle: `poncelet` computes jumping-line curves
-(Barth 1977) from a closed form, G = sum_d M_d*Q_d: the generators' 2x2
-minors M_d times the complete symmetric functions Q_d of the roots of the
-line's pullback.
+columns it still uses, exponential in the size; it serves the worked 6x6
+families and `poncelet_matrix`, whose columns `shifted_multiples` builds.
 
-`shifted_multiples` is the one multiplication map of the package: the
-coefficient vectors of a binary form times every monomial of a degree.  It
-builds the Sylvester matrix of `sylvester_resultant` and the shifted-pullback
-columns of `poncelet.poncelet_matrix`.
+No package path needs the elimination, `sylvester_resultant`,
+`TernaryForm.substitute_linear`, `poncelet.poncelet_matrix` or a separate
+`nodal.koszul_solve`: the benchmark pins them.  `bench/tracing.py` wraps
+`substitute_linear` (line 21), `rank` (23), `sylvester_resultant` (24),
+`solve_linear` with its `LinearSolution` (25), `invert` (28), `poncelet_matrix`
+(29) and `koszul_solve` (36), and `bench/test_bench.py:122` fails on an absent
+one.  `bench/workloads.py` calls `sylvester_resultant` (363), `det_rational`
+(378) and `substitute_linear` (380).  `bench/test_bench.py:124` wants
+`classify` to call `nodal.verify_node`, which `nodal._last` alone keeps cheap.
 """
 
 from __future__ import annotations

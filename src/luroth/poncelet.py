@@ -49,7 +49,7 @@ from typing import Sequence
 
 from .forms import (BinaryForm, Frozen, PreconditionError, TernaryForm, _by_pullback,
                     _exact_quotient, _mod_q, _primitive, _q, _UNITS, adjugate3,
-                    integral_coeffs, integral_row, substitute_terms)
+                    integral_coeffs, integral_row, projective_ints, substitute_terms)
 from .linalg import PolyMatrix, normalize_projective, shifted_multiples
 
 PRIMAL_VARS = ("x", "y", "t")
@@ -186,12 +186,6 @@ def _dependent(u: Sequence[int], v: Sequence[int]) -> bool:
     return k is None or all(x * v[k] == u[k] * y for x, y in zip(u, v))
 
 
-def line_pullback(conic: ConicParam, line: Sequence) -> BinaryForm:
-    """Binary quadratic whose roots are the parameters of line /\\ conic."""
-    u, v, w = (_q(c) for c in line)
-    return conic.p0.scale(u) + conic.p1.scale(v) + conic.p2.scale(w)
-
-
 def _pullback_ints(conic: ConicParam, line: Sequence) -> list[int]:
     """(a, b, l) = T*line in integers: the pullback's coefficients times a
     nonzero constant, which no incidence verdict depends on."""
@@ -259,13 +253,13 @@ def is_jumping_line(conic: ConicParam, pencil: PonceletPencil,
 
 def chord_dual(conic: ConicParam, a: Sequence, b: Sequence) -> tuple[Fraction, ...]:
     """Dual coordinates of the chord through the images of two parameters: the
-    cross product of the images T^t*(s0^2, s0*s1, s1^2), on integers."""
+    cross product of the images T^t*(s0^2, s0*s1, s1^2) at `projective_ints`."""
     if len(a) != 2 or len(b) != 2:
         raise ValueError("a parameter of the conic has two coordinates")
-    if _dependent(a, b):
+    if _dependent(a := projective_ints(a), b := projective_ints(b)):
         raise PreconditionError("chord endpoints must be distinct parameters")
     pa, pb = ([sum(map(mul, column, (x * x, x * y, y * y))) for column in zip(*conic._t)]
-              for x, y in (integral_row(a)[0], integral_row(b)[0]))
+              for x, y in (a, b))
     cross = (pa[1] * pb[2] - pa[2] * pb[1],
              pa[2] * pb[0] - pa[0] * pb[2],
              pa[0] * pb[1] - pa[1] * pb[0])
@@ -273,10 +267,14 @@ def chord_dual(conic: ConicParam, a: Sequence, b: Sequence) -> tuple[Fraction, .
 
 
 def jumping_chords(pencil: PonceletPencil, params: Sequence[Sequence]) -> set[tuple[int, int]]:
-    """The pairs i < j of distinct parameters whose chord, pulling back to a
-    multiple of (a1*s0 - a0*s1)*(b1*s0 - b0*s1), is jumping: [g1(a) g2(a);
-    g1(b) g2(b)] is singular.  Each generator is evaluated once per parameter."""
-    values = [(pencil.gamma1.evaluate(p), pencil.gamma2.evaluate(p)) for p in params]
+    """The pairs i < j of parameters whose chord, pulling back to a multiple of
+    (a1*s0 - a0*s1)*(b1*s0 - b0*s1), is jumping: [g1(a) g2(a); g1(b) g2(b)] is
+    singular.  Each generator is evaluated once per parameter, at its
+    `projective_ints`; a repeated parameter is a PreconditionError."""
+    ints = [tuple(projective_ints(p)) for p in params]
+    if len(set(ints)) < len(ints):
+        raise PreconditionError("chord endpoints must be distinct parameters")
+    values = [(pencil.gamma1.evaluate(p), pencil.gamma2.evaluate(p)) for p in ints]
     return {(i, j) for i, (a1, a2) in enumerate(values)
             for j, (b1, b2) in enumerate(values[i + 1:], i + 1) if a1 * b2 == a2 * b1}
 

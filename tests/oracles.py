@@ -25,12 +25,12 @@
   of `TernaryForm.substitute_linear`.
 - Evaluation term by term on Fractions, the oracle of the integer powers
   table of the shared `evaluate`, and the dense binary derivative, an oracle
-  of the shared `partial`.
+  of the term-by-term `partial` below.
 - The bitmask determinant, row by row over column subsets with inversion
   counts: the oracle of the memoized Laplace expansion of
   `PolyMatrix.determinant`.  And the directional derivative as two scaled
-  partials and a sum: the oracle of the coefficient formula of
-  `BinaryForm.directional`.
+  partials and a sum (`partial_directional`): the oracle of the coefficient
+  formula `forms.directional_coeffs` that `nodal.tangent_map` runs.
 - The worked 6x6 families with every entry built from Fractions through
   `TernaryForm.constant` and `from_terms`: the oracle of the integer-built
   entries of `poncelet.family_matrix`.
@@ -40,7 +40,12 @@
 - Three helpers that only tests use, once methods of the value classes: the
   power of a binary form by repeated products (`power`), a conic's image of
   a parameter, component by component (`conic_image`), and a ternary form's
-  lexicographically-leading coefficient (`lex_leading_coefficient`).
+  lexicographically-leading coefficient (`lex_leading_coefficient`).  And
+  four more, once part of the package: the zero form of a degree
+  (`zero_form`), partial derivatives term by term (`partial`), which the
+  singular-jump tests take the curve's gradient with, the Fraction terms of
+  text by the package's parser (`parse_terms`), and a line's pullback as a
+  BinaryForm on Fractions (`line_pullback`).
 - The 3x3 adjugate by cyclic indices, cofactor (j, k) from rows j+1, j+2 and
   columns k+1, k+2 modulo 3: the oracle of the written-out `forms.adjugate3`.
 - The chord verdict by the curve: `curve.evaluate` at `chord_dual`, the
@@ -73,11 +78,13 @@ from typing import Mapping, Sequence
 
 from luroth import nodal, poncelet
 from luroth.forms import (MAX_DEGREE, _MAX_NESTING, BinaryForm, ParseError, PreconditionError,
-                          TermMap, TernaryForm, _UNITS, _degree, _int_literal, _too_big, add_terms,
+                          TernaryForm, _UNITS, _degree, _int_literal, _parse, _too_big, add_terms,
                           integral_row, mul_terms, scale_terms)
 from luroth.linalg import (PolyMatrix, _bareiss, conic_det3, conic_kernel_point, det_rational,
                            disc_binary_quadratic, normalize_projective, solve_linear,
                            sylvester_matrix)
+
+TermMap = dict[tuple[int, ...], Fraction]
 
 
 def _rows(rows):
@@ -233,7 +240,7 @@ def power_sum_jump_terms(pencil) -> dict[tuple[int, int, int], int]:
 def bezoutian_is_jumping_line(conic, pencil, line) -> bool:
     """det M = 0 at the line, as G(a, b, l) = 0 at the integer-scaled pullback,
     G by the power sums of the Bezout matrix."""
-    a, b, l = integral_row(poncelet.line_pullback(conic, line).coeffs)[0]
+    a, b, l = integral_row(line_pullback(conic, line).coeffs)[0]
     return sum(c * a ** i * b ** j * l ** k
                for (i, j, k), c in power_sum_jump_terms(pencil).items()) == 0
 
@@ -291,14 +298,14 @@ def pullback_is_jumping_line(conic, pencil, line) -> bool:
     """The generators dependent modulo `line_pullback`, a BinaryForm of
     Fractions scaled to integers: the oracle of the integer pullback T*line
     and of the two-register remainder."""
-    q = integral_row(poncelet.line_pullback(conic, line).coeffs)[0]
+    q = integral_row(line_pullback(conic, line).coeffs)[0]
     return poncelet._dependent(*_window_remainders(pencil, q))
 
 
 def pullback_singular_jump(conic, pencil, line) -> bool:
     """The generators dependent modulo the square of `line_pullback` (six 2x2
     minors): the oracle of the exact-quotient singular-jump test."""
-    a, b, l = integral_row(poncelet.line_pullback(conic, line).coeffs)[0]
+    a, b, l = integral_row(line_pullback(conic, line).coeffs)[0]
     q2 = [a * a, 2 * a * b, b * b + 2 * a * l, 2 * b * l, l * l]
     return poncelet._dependent(*_window_remainders(pencil, q2))
 
@@ -497,7 +504,7 @@ def fraction_family_matrix(name: str, param=0) -> PolyMatrix:
     def lin(exp, c=1):
         return TernaryForm.from_terms(1, vs, {exp: c})
 
-    z = TernaryForm.zero(1, vs)
+    z = zero_form(TernaryForm, 1, vs)
     if name == "eps91":
         rows = [
             [const(1), const(0), lin(V), z, z, z],
@@ -523,9 +530,43 @@ def fraction_family_matrix(name: str, param=0) -> PolyMatrix:
 def partial_directional(f, xi):
     """xi0 * d f/dv0 + xi1 * d f/dv1 of a BinaryForm, as scaled partials."""
     f._check_point(xi)
-    p0 = f.partial(f.variables[0]).scale(Fraction(xi[0]))
-    p1 = f.partial(f.variables[1]).scale(Fraction(xi[1]))
+    p0 = partial(f, f.variables[0]).scale(Fraction(xi[0]))
+    p1 = partial(f, f.variables[1]).scale(Fraction(xi[1]))
     return p0 + p1
+
+
+# ---------------------------------------------------------------------------
+# form helpers that only tests use
+
+def zero_form(cls, degree: int, variables):
+    """The zero BinaryForm or TernaryForm of a degree."""
+    return cls.from_terms(degree, variables, {})
+
+
+def partial(f, var: str):
+    """d f / d var of a form of positive degree, term by term."""
+    if var not in f.variables:
+        raise ValueError(f"unknown variable {var!r}")
+    if f.degree == 0:
+        raise PreconditionError("cannot differentiate a degree-0 form")
+    idx = f.variables.index(var)
+    # lowering one exponent is injective, so no two terms meet
+    return f.from_terms(f.degree - 1, f.variables,
+                        {e[:idx] + (e[idx] - 1,) + e[idx + 1:]: c * e[idx]
+                         for e, c in f.terms.items() if e[idx]})
+
+
+def parse_terms(text: str, variables: Sequence[str]) -> TermMap:
+    """The Fraction terms of polynomial text, by the parser of `parse_form`."""
+    den, nums = _parse(text, variables)
+    return {e: Fraction(c, den) for e, c in nums.items()}
+
+
+def line_pullback(conic, line) -> BinaryForm:
+    """Binary quadratic whose roots are the parameters of line /\\ conic, on
+    Fractions: the oracle of the integer pullback from the conic's matrix."""
+    u, v, w = (Fraction(c) for c in line)
+    return conic.p0.scale(u) + conic.p1.scale(v) + conic.p2.scale(w)
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +581,7 @@ def substitute_pair(f, m):
     """f with (v0, v1) replaced by (m00*v0 + m01*v1, m10*v0 + m11*v1)."""
     l0 = BinaryForm.from_coeffs(f.variables, m[0])
     l1 = BinaryForm.from_coeffs(f.variables, m[1])
-    out = BinaryForm.zero(f.degree, f.variables)
+    out = zero_form(BinaryForm, f.degree, f.variables)
     for j, coef in enumerate(f.coeffs):
         if coef:
             out = out + (power(l0, f.degree - j) * power(l1, j)).scale(coef)
@@ -867,8 +908,8 @@ def fraction_tangent_map(dec, data, direction):
     disc = disc_binary_quadratic(dec.f2)
     (p, q, r), (a, b) = dec.f2.coeffs, g1.coeffs
     xi = ((2 * r * a - q * b) / disc, (2 * p * b - q * a) / disc)
-    rhs = (g4 - (g3 + dec.f4.directional(xi)) * data.phi
-           - (g2 + dec.f3.directional(xi)) * data.psi)
+    rhs = (g4 - (g3 + partial_directional(dec.f4, xi)) * data.phi
+           - (g2 + partial_directional(dec.f3, xi)) * data.psi)
     phi_dot, psi_dot = _fraction_koszul(dec.f2, dec.f3, rhs)
     velocity = _ternary(((1, phi_dot.scale(2)), (0, -psi_dot)), dec.t_var, dec.original_vars)
     return nodal.TangentMapResult(xi, phi_dot, psi_dot, velocity)

@@ -19,7 +19,7 @@ from luroth.linalg import solve_linear
 from luroth.nodal import NodeReport, classify, quartic_from_conic_and_cubic, tangent_map, verify_node
 from luroth.poncelet import (DUAL_VARS, PARAM_VARS, PonceletPencil, family_matrix, make_conic,
                              poncelet_matrix, standard_conic)
-from oracles import dataclass_twin
+from oracles import dataclass_twin, zero_form
 
 GEN_CONIC = ("s0^2+2*s0*s1+3*s1^2", "2*s0^2-s0*s1+s1^2", "s0*s1-2*s1^2")
 
@@ -32,12 +32,12 @@ def seeded_values(seed: int) -> list:
     """Instances of every value class, built afresh from the seed."""
     rng = random.Random(seed)
     values = [BinaryForm.from_coeffs(PARAM_VARS, small(rng, d + 1)) for d in range(5)]
-    values.append(BinaryForm.zero(3, PARAM_VARS))
+    values.append(zero_form(BinaryForm, 3, PARAM_VARS))
     for degree in (0, 2, 4):
         terms = {(i, j, degree - i - j): c for i in range(degree + 1)
                  for j in range(degree + 1 - i) for c in small(rng, 1)}
         values.append(TernaryForm.from_terms(degree, DUAL_VARS, terms))
-    values.append(TernaryForm.zero(2, DUAL_VARS))
+    values.append(zero_form(TernaryForm, 2, DUAL_VARS))
     values += [solve_linear([[1, 2], [3, 4]], small(rng, 2)),
                solve_linear([[1, 2], [2, 4]], [1, 2]),
                solve_linear([[1, 2], [2, 4]], [1, 3])]

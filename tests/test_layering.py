@@ -5,17 +5,17 @@ same scan checks that each error is reported in one place: the CLI builds
 error reports only in `_fail`, and every `NodeError` carries its node flags.
 And each shared operation is written once: only the CLI's `_emit` turns a
 form into JSON, and `forms` defines the variable check, subtraction,
-negation, `zero`, `evaluate`, `partial`, the text form and the JSON report
-once for both kinds of form.  And `nodal` solves once per node, by
+negation, `evaluate`, the text form and the JSON report once for both kinds
+of form.  And `nodal` solves once per node, by
 remainders modulo f2: it imports none of `sylvester_resultant`,
 `det_rational`, `solve_linear`, `sylvester_matrix` and the elimination
 `_bareiss`, since its one integer Koszul solve both decides admissibility
 and gives (phi, psi).  And `nodal` reads the node's integers by
 `forms.projective_ints`, without `normalize_projective` and its Fractions.  `forms` has
 one parser: it defines one parser class, and only `_parse` constructs it,
-for `parse_terms` and `parse_form`.  And the incidence tests of `poncelet`, `is_jumping_line` and
-`singular_jump_criterion`, pull the line back in integers through the
-conic's cached matrix: neither calls `line_pullback`.  And they divide by
+for `parse_form`.  And the incidence tests of `poncelet`, `is_jumping_line`
+and `singular_jump_criterion`, pull the line back in integers through the
+conic's cached matrix: neither calls the oracles' `line_pullback`.  And they divide by
 the pullback q alone: neither builds a q^2 vector (no display of more than
 three entries).  And base points take one path: only `_base_point_free`
 calls the heuristic gcd `_coprime`, and `poncelet` has no pseudo-remainder
@@ -26,7 +26,9 @@ imports `dataclasses`: the value classes share `forms.Frozen`, and the CLI
 starts without the import.  And `verify` and `cli` use only the public names
 of the other `luroth` modules: they read no `_`-prefixed attribute of one and
 import no such name.  And `nodal` builds each output form in one place: it
-calls `TernaryForm(` only inside `_assemble`, and never `from_terms`."""
+calls `TernaryForm(` only inside `_assemble`, and never `from_terms`.  And
+`src/` holds no code that only the tests call: each function, class and
+method is read by the package, exported, or named by the benchmark."""
 
 import ast
 from pathlib import Path
@@ -113,9 +115,10 @@ def test_cli_calls_to_json_only_in_emit():
 
 
 def test_forms_defines_each_shared_form_operation_once():
+    """`zero` and `partial` are not listed: only the tests used them, so they
+    left `forms` for `tests/oracles.py` (`zero_form`, `partial`)."""
     defined = [n.name for n in ast.walk(module_tree("forms")) if isinstance(n, ast.FunctionDef)]
-    for name in ("_check_vars", "__sub__", "__neg__", "zero", "evaluate", "partial",
-                 "__str__", "to_json"):
+    for name in ("_check_vars", "__sub__", "__neg__", "evaluate", "__str__", "to_json"):
         assert defined.count(name) == 1, name
 
 
@@ -217,3 +220,55 @@ def test_nodal_builds_ternary_forms_only_in_assemble():
     assert calls_to(assemble, "TernaryForm")
     assert calls_to(tree, "TernaryForm") == calls_to(assemble, "TernaryForm")
     assert not calls_to(tree, "from_terms")
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def names_read(node: ast.AST, strings: bool = False) -> list[str]:
+    """The names a tree reads: bare names, attributes and imported names; with
+    strings, also each part of a dotted string constant such as "linalg.rank"."""
+    out = []
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.append(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.append(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            out += [alias.name for alias in n.names]
+        elif strings and isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out += n.value.split(".")
+    return out
+
+
+def test_the_name_scan_sees_attributes_imports_and_dotted_strings():
+    tree = ast.parse("from .forms import a\nb.c(d)\nT = ('linalg.rank',)\n")
+    assert sorted(names_read(tree)) == ["T", "a", "b", "c", "d"]
+    assert sorted(names_read(tree, strings=True)) == ["T", "a", "b", "c", "d", "linalg", "rank"]
+
+
+def test_src_holds_no_code_that_only_the_tests_call():
+    """Each module-level function and class of `src/luroth` is read by other
+    `src/` code, outside its own definition (an export from `luroth/__init__.py`
+    is such a read), or named in `bench/*.py`; each non-dunder method is read
+    as an attribute in `src/`, or named in `bench/*.py`, where the tracer's
+    dotted targets such as "forms.TernaryForm.substitute_linear" count.  What
+    only the tests call lives in `tests/oracles.py`."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    src_names = [name for tree in trees.values() for name in names_read(tree)]
+    bench = {name for p in BENCH.glob("*.py")
+             for name in names_read(ast.parse(p.read_text(encoding="utf-8")), strings=True)}
+    attributes = {n.attr for tree in trees.values() for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute)} | bench
+    unread = []
+    for module, tree in sorted(trees.items()):
+        for d in tree.body:
+            if not isinstance(d, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if src_names.count(d.name) == names_read(d).count(d.name) and d.name not in bench:
+                unread.append(f"{module}.{d.name}")
+            for m in d.body if isinstance(d, ast.ClassDef) else ():
+                if (isinstance(m, ast.FunctionDef) and not m.name.startswith("__")
+                        and m.name not in attributes):
+                    unread.append(f"{module}.{d.name}.{m.name}")
+    assert not unread, unread

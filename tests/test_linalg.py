@@ -27,7 +27,7 @@ from luroth.linalg import (
 )
 from oracles import (bitmask_determinant, conic_matrix, cyclic_adjugate3, mat_mul, rational_det,
                      rational_invert, rational_nullspace, rational_rank, rational_row_echelon,
-                     rational_solve)
+                     rational_solve, zero_form)
 
 PAIR = ("v", "w")
 TRIPLE = ("u", "v", "w")
@@ -40,7 +40,7 @@ def rand_linear_entry(rng):
         if c:
             terms[tuple(1 if i == k else 0 for i in range(3))] = Fraction(c)
     return (TernaryForm.from_terms(1, TRIPLE, terms) if terms
-            else TernaryForm.zero(1, TRIPLE))
+            else zero_form(TernaryForm, 1, TRIPLE))
 
 
 def naive_determinant(matrix: PolyMatrix) -> TernaryForm:
@@ -350,7 +350,7 @@ def test_resultant_coprime_cubic():
 
 def test_resultant_rejects_zero_form():
     with pytest.raises(PreconditionError):
-        sylvester_resultant(BinaryForm.zero(2, PAIR), parse_form("v^2", PAIR))
+        sylvester_resultant(zero_form(BinaryForm, 2, PAIR), parse_form("v^2", PAIR))
     with pytest.raises(PreconditionError):
         sylvester_resultant(BinaryForm.from_coeffs(PAIR, [4]), parse_form("v^2", PAIR))
 
@@ -522,7 +522,7 @@ def test_conic_kernel_point_matches_rational_nullspace():
             assert conic_kernel_point(conic) is None
             smooth += 1
     assert smooth >= 50
-    assert conic_kernel_point(TernaryForm.zero(2, TRIPLE)) is None
+    assert conic_kernel_point(zero_form(TernaryForm, 2, TRIPLE)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +533,7 @@ def rand_poly_matrix(rng, n):
     coefficients and about a quarter of its entries zero."""
     def entry(degree):
         if rng.random() < 0.25:
-            return TernaryForm.zero(degree, TRIPLE)
+            return zero_form(TernaryForm, degree, TRIPLE)
         if degree == 0:
             return TernaryForm.constant(Fraction(rng.randint(-5, 5), rng.randint(1, 4)), TRIPLE)
         return TernaryForm.from_terms(1, TRIPLE, {
@@ -554,7 +554,7 @@ def test_determinant_constants():
 def test_determinant_diagonal_linear():
     v = parse_form("v", TRIPLE)
     w = parse_form("w", TRIPLE)
-    z = TernaryForm.zero(1, TRIPLE)
+    z = zero_form(TernaryForm, 1, TRIPLE)
     m = PolyMatrix.from_rows([[v, z], [z, w]])
     assert m.determinant() == parse_form("v*w", TRIPLE)
 
@@ -590,8 +590,8 @@ def test_determinant_non_square():
 
 def test_zero_determinant_has_the_sum_of_the_column_degrees():
     v, w = parse_form("v", TRIPLE), parse_form("w", TRIPLE)
-    z = TernaryForm.zero(1, TRIPLE)
-    assert PolyMatrix.from_rows([[v, z], [w, z]]).determinant() == TernaryForm.zero(2, TRIPLE)
+    z = zero_form(TernaryForm, 1, TRIPLE)
+    assert PolyMatrix.from_rows([[v, z], [w, z]]).determinant() == zero_form(TernaryForm, 2, TRIPLE)
     one = TernaryForm.constant(1, TRIPLE)
     assert PolyMatrix.from_rows([[one, v], [one, v]]).determinant() == z
     rng = random.Random(1402)  # random matrices with one column set to zero
@@ -599,10 +599,10 @@ def test_zero_determinant_has_the_sum_of_the_column_degrees():
         m = rand_poly_matrix(rng, n)
         j = rng.randrange(n)
         entries = list(m.entries)
-        entries[j::n] = [TernaryForm.zero(m.entry(0, j).degree, TRIPLE)] * n
+        entries[j::n] = [zero_form(TernaryForm, m.entry(0, j).degree, TRIPLE)] * n
         m = PolyMatrix(n, n, tuple(entries))
         degree = sum(m.entry(0, k).degree for k in range(n))
-        assert m.determinant() == bitmask_determinant(m) == TernaryForm.zero(degree, TRIPLE)
+        assert m.determinant() == bitmask_determinant(m) == zero_form(TernaryForm, degree, TRIPLE)
 
 
 def test_determinant_matches_bitmask_oracle():
@@ -670,7 +670,7 @@ def test_poly_matrix_rejects_mixed_degree_columns():
     with pytest.raises(ValueError, match="column 0"):
         PolyMatrix.from_rows([[v, v], [TernaryForm.constant(1, TRIPLE), v]])
     with pytest.raises(ValueError, match="column 1"):
-        PolyMatrix.from_rows([[v, v], [v, TernaryForm.zero(0, TRIPLE)]])
+        PolyMatrix.from_rows([[v, v], [v, zero_form(TernaryForm, 0, TRIPLE)]])
 
 
 def test_determinant_rejects_high_degree_entries():

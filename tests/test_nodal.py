@@ -29,7 +29,8 @@ from luroth.nodal import (
 )
 from luroth.poncelet import DUAL_VARS, family_matrix
 from luroth.verify import printed_93
-from oracles import _ternary, bareiss_koszul, fraction_classify, fraction_tangent_map, power
+from oracles import (_ternary, bareiss_koszul, fraction_classify, fraction_tangent_map, power,
+                     zero_form)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
@@ -106,7 +107,7 @@ def test_assemble_quartic_matches_the_oracle_in_every_variable_order(var_order):
             * rng.randint(0, 1) for _ in range(degree + 1)])
 
     for i in range(20):
-        f2, f3, f4 = form(2), form(3) if i % 5 else BinaryForm.zero(3, PAIR_VW), form(4)
+        f2, f3, f4 = form(2), form(3) if i % 5 else zero_form(BinaryForm, 3, PAIR_VW), form(4)
         quartic = assemble_quartic(f2, f3, f4, "u", var_order)
         expected = _ternary(((2, f2), (1, f3), (0, f4)), "u", var_order)
         # equal reprs: the same Fractions, inserted in the same term order
@@ -541,7 +542,7 @@ def test_admissible_exactly_when_the_resultant_is_nonzero():
             common = BinaryForm.from_coeffs(PAIR_VW, [1, rng.randint(-3, 3)])
             f2, f3 = common * form(1), common * form(2)
         else:
-            f3 = BinaryForm.zero(3, PAIR_VW) if i % 6 == 2 else form(3)
+            f3 = zero_form(BinaryForm, 3, PAIR_VW) if i % 6 == 2 else form(3)
         if f2.is_zero() or linalg.disc_binary_quadratic(f2) == 0:
             continue
         phi, psi = form(1), form(2)
@@ -787,7 +788,7 @@ def test_tangent_map_worked_values():
 def test_tangent_map_zero_direction():
     dec = normalize_at_node(QUARTIC_A, (1, 0, 0))
     data = associated_conic(dec)
-    result = tangent_map(dec, data, TernaryForm.zero(4, DUAL_VARS))
+    result = tangent_map(dec, data, zero_form(TernaryForm, 4, DUAL_VARS))
     assert result.xi == (0, 0)
     assert result.phi_dot.is_zero() and result.psi_dot.is_zero()
     assert result.conic_velocity.is_zero()
@@ -795,8 +796,8 @@ def test_tangent_map_zero_direction():
 
 def test_tangent_map_with_zero_f4():
     f2, f3 = parse_form("v*w", PAIR_VW), parse_form("v^3 + w^3", PAIR_VW)
-    quartic = quartic_from_conic_and_cubic(f2, f3, BinaryForm.zero(1, PAIR_VW),
-                                           BinaryForm.zero(2, PAIR_VW), "u", DUAL_VARS)
+    quartic = quartic_from_conic_and_cubic(f2, f3, zero_form(BinaryForm, 1, PAIR_VW),
+                                           zero_form(BinaryForm, 2, PAIR_VW), "u", DUAL_VARS)
     dec = normalize_at_node(quartic, (1, 0, 0))
     assert dec.f4.is_zero()
     g = parse_form("u^3*(v-w) + u^2*v^2 + u*w^3 + v^4", DUAL_VARS)
@@ -847,27 +848,27 @@ def test_tangent_map_rerun_stable():
 def test_quartic_from_worked_values():
     f2 = parse_form("v^2+w^2", PAIR_VW)
     f3 = parse_form("2*v^3", PAIR_VW)
-    phi = BinaryForm.zero(1, PAIR_VW)
+    phi = zero_form(BinaryForm, 1, PAIR_VW)
     psi = parse_form("w^2", PAIR_VW)
     built = quartic_from_conic_and_cubic(f2, f3, phi, psi, "u", DUAL_VARS)
     assert built == QUARTIC_A
     f2b = parse_form("u^2+v^2", PAIR_UV)
     f3b = parse_form("u^3+v^3", PAIR_UV)
     built_b = quartic_from_conic_and_cubic(
-        f2b, f3b, BinaryForm.zero(1, PAIR_UV), parse_form("-u*v", PAIR_UV),
+        f2b, f3b, zero_form(BinaryForm, 1, PAIR_UV), parse_form("-u*v", PAIR_UV),
         "w", DUAL_VARS)
     assert built_b == QUARTIC_B
 
 
 def test_quartic_from_rejects_degenerate_inputs():
     f3 = parse_form("2*v^3", PAIR_VW)
-    phi = BinaryForm.zero(1, PAIR_VW)
+    phi = zero_form(BinaryForm, 1, PAIR_VW)
     psi = parse_form("w^2", PAIR_VW)
     with pytest.raises(PreconditionError):
         quartic_from_conic_and_cubic(parse_form("v^2", PAIR_VW), f3, phi, psi, "u")
     with pytest.raises(PreconditionError):
         quartic_from_conic_and_cubic(parse_form("v^2+w^2", PAIR_VW),
-                                     BinaryForm.zero(3, PAIR_VW), phi, psi, "u")
+                                     zero_form(BinaryForm, 3, PAIR_VW), phi, psi, "u")
     with pytest.raises(PreconditionError):
         quartic_from_conic_and_cubic(parse_form("v*w", PAIR_VW),
                                      parse_form("v^3", PAIR_VW), phi, psi, "u")

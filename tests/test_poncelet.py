@@ -22,7 +22,6 @@ from luroth.poncelet import (
     is_base_point_free,
     is_jumping_line,
     jumping_chords,
-    line_pullback,
     make_conic,
     normalize_projective,
     poncelet_curve,
@@ -36,8 +35,8 @@ from oracles import (bezout_base_point_free, bezout_matrix, bezoutian_is_jumping
                      bitmask_determinant, conic_image, curve_jumping_chords, det_mod,
                      fraction_chord_dual, fraction_family_matrix, lex_leading_coefficient, power,
                      power_sum_jump_terms, prem, prs_coprime, pullback_is_jumping_line,
-                     pullback_singular_jump, rational_det, rational_nullspace, rational_rank,
-                     substitute_pair, unidivmod)
+                     line_pullback, partial, pullback_singular_jump, rational_det,
+                     rational_nullspace, rational_rank, substitute_pair, unidivmod, zero_form)
 
 
 def split_form(roots, pair=PARAM_VARS):
@@ -224,6 +223,14 @@ def test_chord_dual_examples():
     for a, b in [((1, 0, 7), (0, 1)), ((1,), (0, 1))]:
         with pytest.raises(ValueError, match="two coordinates"):
             chord_dual(conic, a, b)
+    # the zero vector is no parameter, as for a line; it is not a repeated one
+    for a, b in [((0, 0), (1, 2)), ((1, 2), (Fraction(0), 0)), ((0, 0), (0, 0))]:
+        with pytest.raises(ValueError, match="zero vector") as err:
+            chord_dual(conic, a, b)
+        assert not isinstance(err.value, PreconditionError)
+    # a parameter read at its integers: scaling it, by a negative factor too, moves no chord
+    assert chord_dual(conic, (-2, 6), (Fraction(1, 3), Fraction(1, 3))) == chord_dual(
+        conic, (1, -3), (1, 1))
 
 
 def test_integer_chord_dual_matches_the_fraction_images():
@@ -497,6 +504,29 @@ def test_jumping_chords_match_the_curve():
             for pencil, got in zip(pencils, found):
                 for conic in conics:
                     assert got == curve_jumping_chords(conic, pencil, params), (n, params)
+
+
+def test_jumping_chords_reject_zero_and_repeated_parameters():
+    """A zero parameter is no point, and a parameter repeated up to scaling has
+    no chord: `jumping_chords` raises the errors that `chord_dual`, and so the
+    curve's verdict, raises there, and a scaled parameter keeps every verdict."""
+    rng = random.Random(2602)
+    conic = standard_conic()
+    for pencil in (rand_pencil(rng, 3), rand_pencil(rng, 4)):
+        for params in ([(1, 1), (0, 0)], [(0, 0), (1, 2), (3, 1)]):
+            for find in (jumping_chords, lambda p, ps: curve_jumping_chords(conic, p, ps)):
+                with pytest.raises(ValueError, match="zero vector") as err:
+                    find(pencil, params)
+                assert not isinstance(err.value, PreconditionError)
+        for params in ([(1, 1), (1, 1)], [(1, 1), (2, 2)], [(1, 0), (3, 1), (-2, 0)],
+                       [(Fraction(1, 2), 1), (2, 4), (0, 1)]):
+            for find in (jumping_chords, lambda p, ps: curve_jumping_chords(conic, p, ps)):
+                with pytest.raises(PreconditionError, match="distinct"):
+                    find(pencil, params)
+        params = [(1, 1), (2, 1), (-1, 3), (0, 1), (1, 0)]
+        scaled = [(Fraction(-3, 2) * a, Fraction(-3, 2) * b) for a, b in params]
+        assert (jumping_chords(pencil, scaled) == jumping_chords(pencil, params)
+                == curve_jumping_chords(conic, pencil, params))
 
 
 def test_base_point_free_matches_sylvester_resultant():
@@ -882,7 +912,7 @@ def test_singular_jump_gradient_equivalence():
         line = chord_dual(conic, (Fraction(a), Fraction(1)), (Fraction(b), Fraction(1)))
         curve = poncelet_curve(conic, pencil)
         assert curve.evaluate(line) == 0
-        gradient_zero = all(curve.partial(v).evaluate(line) == 0 for v in curve.variables)
+        gradient_zero = all(partial(curve, v).evaluate(line) == 0 for v in curve.variables)
         assert singular_jump_criterion(conic, pencil, line) == gradient_zero
         checked += 1
 
@@ -1295,10 +1325,10 @@ def test_family_zero_coefficient_entries_keep_their_column_degree():
     eps = family_matrix("eps91", 0)
     for i, j in ((2, 2), (5, 3), (5, 4)):  # p*u, -p*u and p*v at p = 0
         assert eps.entry(i, j).is_zero() and eps.entry(i, j).degree == 1
-    assert eps.entry(2, 2) == eps.entry(0, 3) == TernaryForm.zero(1, DUAL_VARS)
+    assert eps.entry(2, 2) == eps.entry(0, 3) == zero_form(TernaryForm, 1, DUAL_VARS)
     at_zero = family_matrix("93", 0)
     for i in (2, 5):  # c and -c at c = 0
-        assert at_zero.entry(i, 1) == TernaryForm.zero(0, DUAL_VARS)
+        assert at_zero.entry(i, 1) == zero_form(TernaryForm, 0, DUAL_VARS)
     assert family_matrix("eps91", Fraction(-2, 5)).entry(2, 2) == TernaryForm(
         1, DUAL_VARS, 5, {(1, 0, 0): -2})
 
