@@ -85,6 +85,8 @@ def cmd_poncelet(args) -> int:
         params = [_parse_point(p, 2) for p in vertices]
         chords = [(i, j, poncelet.chord_dual(conic, params[i], params[j]))
                   for i in range(len(params)) for j in range(i + 1, len(params))]
+    except PreconditionError as exc:
+        return _fail(as_json, str(exc), EXIT_PRECONDITION)
     except ValueError as exc:
         return _fail(as_json, str(exc))
     report = {

@@ -17,10 +17,12 @@ one coefficient and one exponent, and only parenthesized sums are multiplied
 out as term maps, within MAX_TERM_PRODUCTS and MAX_COEFF_BITS; the form
 takes the coefficients as integers over one denominator.
 
-A linear change of coordinates, `substitute_terms`, is a relabelling and at
-most six Taylor shifts of every slice of the form (von zur Gathen & Gerhard,
-ISSAC 1997): O(degree^3) for any integer matrix.  Only the benchmark calls
-its rational wrapper `TernaryForm.substitute_linear` (`linalg` says where).
+A linear change of coordinates, `substitute_terms`, relabels and scales, or
+reads the form back from big integers in balanced base 2^(8k) (Kronecker
+substitution): one packed Horner evaluation for a small form, and for a larger
+one a Taylor shift of its packed slices per one-row factor of the matrix (von
+zur Gathen & Gerhard, ISSAC 1997).  Only the benchmark calls its rational
+wrapper `TernaryForm.substitute_linear` (`linalg` says where).
 
 The zero polynomial carries an explicit degree annotation so that typed
 pipelines (decompositions, matrix entries) stay total.  This module imports
@@ -34,9 +36,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import accumulate, repeat
+from itertools import accumulate, permutations, repeat
 from math import floor, gcd, lcm, log10
-from operator import attrgetter, floordiv, itemgetter, mul
+from operator import add, attrgetter, floordiv, itemgetter, lshift, mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -179,106 +181,100 @@ def scale_terms(c, a: Mapping[Exp, object]) -> dict:
 
 _UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
-
-@lru_cache(maxsize=32)
-def _slices(degree: int, i: int, j: int) -> tuple[tuple, ...]:
-    """The layout (i, j) of the exponents of a degree: slices of fixed x_k
-    exponent, each by ascending x_j exponent; then the columns of x_i, x_j,
-    x_k and x_i + x_k exponents."""
-    place = itemgetter(*map((i, j, 3 - i - j).index, range(3)))
-    rows = [(degree - h - u, u, h) for h in range(degree + 1) for u in range(degree - h + 1)]
-    ei, ej, ek = zip(*rows)
-    return tuple(map(place, rows)), ei, ej, ek, tuple(degree - u for u in ej)
+PACKED_MAX_DEGREE = 12
+"""The largest degree that `substitute_terms` moves by one packed evaluation;
+above it, by one-row Taylor shifts (the crossover table of BENCH_29.json)."""
 
 
-@lru_cache(maxsize=32)
-def _powers(x: int, degree: int) -> tuple[int, ...]:
-    return tuple(accumulate(repeat(x, degree), mul, initial=1))
-
-
-def _scale(w, degree: int, *steps) -> list[int]:
-    """w entry by entry op x^e, for each step (op, x, column of exponents e)."""
-    for op, x, col in steps:
-        if x != 1:
-            w = map(op, w, map(_powers(x, degree).__getitem__, col))
-    return list(w)
-
-
-def _elementary(w, degree: int, i: int, j: int, v: Sequence[int], b: int, s: int) -> list[int]:
-    """Coefficients w in layout (i, j) after x_i := v[i]*x_i + b*x_j and
-    x_h := v[h]*x_h for h != i, divided exactly by s^degree.  In each slice
-    x_k^h*x_j^d*p(x_i/x_j), t^m is scaled by b^m*v[j]^(d-m), t shifted by 1
-    (d rounds of prefix sums from the top coefficient), and t^m scaled by
-    v[i]^m*v[k]^h/b^m."""
-    _, ei, ej, ek, eik = _slices(degree, i, j)
-    w = _scale(w, degree, (mul, b or 1, ei), (mul, v[j], ej))
-    start = 0
-    for d in range(degree, -1, -1):
-        for top in range(start + d + 1, start + 1, -1) if b else ():
-            w[start:top] = accumulate(w[start:top])
-        start += d + 1
-    k = 3 - i - j
-    post = [(mul, v[i], eik)] if v[i] == v[k] else [(mul, v[i], ei), (mul, v[k], ek)]
-    return _scale(w, degree, *post, (floordiv, b or 1, ei), (floordiv, s, repeat(degree)))
-
-
-@lru_cache(maxsize=64)
-def _moves(degree: int, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, ...]:
-    """The position in layout a of each exponent of layout b."""
-    index = {e: t for t, e in enumerate(_slices(degree, *a)[0])}
-    return tuple(map(index.__getitem__, _slices(degree, *b)[0]))
+def _digits(packed: Iterable[int], zero: bytes, counts: Iterable[int]) -> list[bytes]:
+    """The count digits of each packed int, lowest first, in zero's balanced byte code."""
+    data = b"".join((p + int.from_bytes(zero * c, "little")).to_bytes(len(zero) * c, "little")
+                    for p, c in zip(packed, counts))
+    return [data[i:i + len(zero)] for i in range(0, len(data), len(zero))]
 
 
 @lru_cache(maxsize=64)
 def _split(m: tuple[tuple[int, ...], ...]) -> tuple:
-    """s > 0, a relabelling and factors (i, j, v, b) of s*m, each x_i :=
-    v[i]*x_i + b*x_j, x_h := v[h]*x_h for h != i.  Row by row, the pivot
-    column c of the least free entry clears every other column j by
-    col_j := a*col_j - b*col_c with a > 0, and a times the old matrix is the
-    new one times x_c := a*x_c + b*x_j, x_k := a*x_k.  What is left is a
-    relabelling times a diagonal, which joins the first factor unless it is
-    the identity; with no factor, s = 1.  ValueError on a singular m."""
-    m = [list(row) for row in m]
-    pivots, factors, s = [], [], 1
-    for row in m:
-        free = [c for c in range(3) if row[c] and c not in pivots]
-        if not free:
-            raise ValueError("singular substitution matrix")
-        c = min(free, key=lambda c: abs(row[c]))
-        pivots.append(c)
-        for j in [j for j in range(3) if j != c and row[j]]:
-            g = gcd(row[c], row[j]) * (1 if row[c] > 0 else -1)
-            a, b = row[c] // g, row[j] // g
-            for r in m:
-                r[j] = a * r[j] - b * r[c]
-            factors.insert(0, (c, j, tuple(1 if x == j else a for x in range(3)), b))
-            s *= a
-    d = [m[pivots.index(x)][x] for x in range(3)]
-    h = gcd(s, *d)  # d is often s*(1, 1, 1)
-    s, d = s // h, [x // h for x in d]
-    if d != [1, 1, 1]:
-        i, j, v, b = factors.pop(0) if factors else (0, 1, (1, 1, 1), 0)
-        factors.insert(0, (i, j, tuple(map(mul, d, v)), b * d[i]))
-    place = itemgetter(*map(pivots.index, range(3)))  # exponent q moves to pivots[q]
-    return s, place, tuple(factors)
+    """N, a relabelling and the factors (r, v_r, v_s, v_t, pre) but identities,
+    in lowest terms, of m'[i][j] = m[i][sigma[j]] = E_0*E_1*E_2, E_r = I but
+    for row r = v/pre: (det, -A01, -A02)/A00, (-A10, A00, m'12)/m'22 and row 2
+    of m', A = adj m'.  N, least over sigma, bounds the row 1-norms of m and
+    of each product of pre*E_r but the last."""
+    splits = []
+    for sigma in permutations(range(3)):
+        t = [[row[j] for j in sigma] for row in m]
+        det, a = adjugate3(t)
+        if a[0][0] and t[2][2]:
+            factors, prod, norms = [], _UNITS, [max(sum(map(abs, row)) for row in m)]
+            for r, *v, pre in ((0, det, -a[0][1], -a[0][2], a[0][0]),
+                               (1, -a[1][0], a[0][0], t[1][2], t[2][2]), (2, *t[2], 1)):
+                g = gcd(*v, pre)
+                e = [[x * pre // g for x in row] for row in _UNITS]
+                if e[r] != (v := [x // g for x in v]):
+                    e[r] = v
+                    prod = [[sum(map(mul, row, col)) for col in zip(*e)] for row in prod]
+                    norms.append(max(sum(map(abs, row)) for row in prod))
+                    factors.append((r, v.pop(r), *v, pre // g))
+            splits.append((max(norms[:-1]), itemgetter(*map(sigma.index, range(3))), factors))
+    return min(splits, key=itemgetter(0))
 
 
 def substitute_terms(terms: Mapping[Exp, int], degree: int,
                      m: Sequence[Sequence[int]]) -> dict:
-    """Integer terms of a ternary form after x_i := sum_j m[i][j]*x_j, in
-    O(degree^3): a relabelling, then one pass over the slices per factor of
-    `_split`, the last dividing by s^degree.  ValueError on a singular m."""
-    s, place, factors = _split(tuple(map(tuple, m)))
-    terms = {place(e): c for e, c in terms.items() if c}
-    if not factors:
-        return terms
-    at = factors[0][:2]
-    w = list(map(terms.get, _slices(degree, *at)[0], repeat(0)))
-    for t, (i, j, v, b) in enumerate(factors, 1):
-        if (i, j) != at:
-            w, at = [w[x] for x in _moves(degree, at, (i, j))], (i, j)
-        w = _elementary(w, degree, i, j, v, b, s if t == len(factors) else 1)
-    return {e: c for e, c in zip(_slices(degree, *at)[0], w) if c}
+    """Integer terms of a ternary form F after x_i := sum_j m[i][j]*x_j;
+    ValueError on a singular m.  One nonzero entry per row relabels and scales.
+    Else F is read back in balanced base X = 2^(8k) > 2*||F||_1*N^degree, N a
+    bound on row 1-norms (Kronecker substitution; Schoenhage, 1982): up to
+    PACKED_MAX_DEGREE, one Horner evaluation at (X^(degree+1), X, 1); above,
+    per factor x_r := (a*x_r + b*x_s + c*x_t)/pre of `_split`, the slices P_j
+    of fixed x_r exponent at (x_s, x_t) = (X, 1), times pre^(degree-j), take
+    a Taylor shift by b*X + c (von zur Gathen & Gerhard, ISSAC 1997), then
+    times a^j; the last, over the product of the pre, to the degree."""
+    if not adjugate3(m)[0]:
+        raise ValueError("singular substitution matrix")
+    n = degree
+    if sum(map(bool, [*m[0], *m[1], *m[2]])) == 3:  # a relabelling times a diagonal
+        p = [0 if row[0] else 1 if row[1] else 2 for row in m]
+        (a, b, c), place = (row[j] for row, j in zip(m, p)), itemgetter(*map(p.index, range(3)))
+        if (a, b, c) != (1, 1, 1):
+            terms = {e: x * a ** e[0] * b ** e[1] * c ** e[2] for e, x in terms.items()}
+        return {place(e): x for e, x in terms.items() if x}
+    norm, place, factors = (_split(tuple(map(tuple, m))) if n > PACKED_MAX_DEGREE else
+                            (max(sum(map(abs, row)) for row in m), tuple, ()))
+    k = (sum(map(abs, terms.values())) * norm ** n).bit_length() // 8 + 1
+    x, half, zero, w = 8 * k, 1 << 8 * k - 1, bytes(k - 1) + b"\x80", n + 1
+    if factors:  # x0^i*x1^j*x2^(n-i-j) in slot i*(n+1)+j, as in the packed evaluation
+        digits = [zero] * w * w
+        for (i, j, _), c in terms.items():
+            digits[i * w + j] = (c + half).to_bytes(k, "little")
+    else:
+        l0, l1, l2 = ((a << x * w) + (b << x) + c for a, b, c in m)
+        powers, out = list(accumulate(repeat(l2, n), mul, initial=1)), 0
+        for i in range(n, -1, -1):
+            f = 0
+            for j in range(n - i, -1, -1):
+                f = f * l1 + terms.get((i, j, n - i - j), 0) * powers[n - i - j]
+            out = out * l0 + f
+        digits = _digits([out], zero, [w * w])
+    ends = list(accumulate(range(w, 0, -1), initial=0))
+    for r, a, b, c, pre in factors:  # slice j: x_r^j*x_s^h at slot o + d*h, h = 0..n-j
+        d, cuts = (1, w, n)[r] or 1, [(j * w, j, n - j)[r] for j in range(w)]  # n = 0: one slot
+        cuts = [slice(o, o + d * (n - j) + 1, d) for j, o in enumerate(cuts)]
+        p = [int.from_bytes(b"".join(digits[s]), "little")
+             - int.from_bytes(zero * (w - j), "little") for j, s in enumerate(cuts)]
+        p = list(map(mul, p, list(accumulate(repeat(pre, n), mul, initial=1))[::-1]))
+        for i in range(n - 1, -1, -1) if b or c else ():
+            q = p[i + 1:]
+            p[i:n] = map(add, p[i:n], map(add, map(mul, map(lshift, q, repeat(x)), repeat(b)),
+                                          map(mul, q, repeat(c))))
+        p = map(mul, p, accumulate(repeat(a, n), mul, initial=1))
+        if r == factors[-1][0]:
+            p = map(floordiv, p, repeat(reduce(mul, (f[4] for f in factors)) ** n))
+        p = _digits(p, zero, range(w, 0, -1))
+        for s, i, j in zip(cuts, ends, ends[1:]):
+            digits[s] = p[i:j]
+    return {place((i, j, n - i - j)): int.from_bytes(d, "little") - half
+            for i in range(w) for j, d in enumerate(digits[i * w:i * w + w - i]) if d != zero}
 
 
 def _degree(terms: Mapping[Exp, Fraction]) -> int:
@@ -617,7 +613,8 @@ def _form(degree: int, variables: tuple[str, ...], den: int, nums: Mapping[Exp, 
 
 @lru_cache(maxsize=32)
 def _exponents(arity: int, degree: int) -> frozenset:
-    return frozenset(_slices(degree, 0, 1)[0] if arity == 3 else
+    return frozenset(((i, j, degree - i - j) for i in range(degree + 1)
+                      for j in range(degree + 1 - i)) if arity == 3 else
                      zip(range(degree, -1, -1), range(degree + 1)))
 
 

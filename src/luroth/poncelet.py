@@ -21,9 +21,9 @@ r^2 + b*r + a*l, Q_0 = 1, Q_1 = -b, Q_d = -b*Q_(d-1) - a*l*Q_(d-2),
 
 is +-det M identically: the curve is G(T*(u, v, w)).  G has O(n^2) terms,
 built by O(n^2) slice operations on the minors, and `forms.substitute_terms`
-composes it with T in O(n^3) integer operations: for each elementary factor
-of T one Taylor shift per slice of G, and on the standard conic, whose T
-swaps b and l, a relabelling alone.
+composes it with T: by a relabelling alone on the standard conic, whose T
+swaps b and l, and else by Kronecker substitution (one packed evaluation for
+small n, above it a Taylor shift of packed slices per one-row factor of T).
 
 The incidence tests need no determinant.  The columns q*V_(n-1) of M are
 independent, so a line is jumping exactly when gamma1 and gamma2, each

@@ -20,9 +20,12 @@
 - Binary-form helpers that only tests use: a rational Euclidean gcd, monic
   scaling, substitution of a 2x2 matrix, and a rational matrix product.
 - The homogeneous Horner substitution of a 3x3 matrix into a ternary form,
-  O(degree^4) on any numbers: the oracle of the shear split of
-  `forms.substitute_terms`, and, on Fractions throughout, of the integer core
-  of `TernaryForm.substitute_linear`.
+  O(degree^4) on any numbers, and the shear kernel that `forms.substitute_terms`
+  ran before its packed paths, a relabelling and Taylor shifts by prefix sums
+  of the slices per elementary factor, O(degree^3) on ints
+  (`shear_substitute`): the two oracles of both packed paths of
+  `substitute_terms`; Horner, on Fractions throughout, is also the oracle of
+  the integer core of `TernaryForm.substitute_linear`.
 - Evaluation term by term on Fractions, the oracle of the integer powers
   table of the shared `evaluate`, and the dense binary derivative, an oracle
   of the term-by-term `partial` below.
@@ -73,7 +76,9 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import repeat
+from itertools import accumulate, repeat
+from math import gcd
+from operator import floordiv, itemgetter, mul
 from typing import Mapping, Sequence
 
 from luroth import nodal, poncelet
@@ -423,6 +428,95 @@ def horner_substitute(terms: Mapping, degree: int, m: Sequence[Sequence]) -> dic
         for e, p in part.items():
             out[e] = out.get(e, 0) + p
     return {e: c for e, c in out.items() if c}
+
+
+def _shear_slices(degree: int, i: int, j: int) -> tuple:
+    """The layout (i, j) of the exponents of a degree: slices of fixed x_k
+    exponent, each by ascending x_j exponent; then the columns of x_i, x_j,
+    x_k and x_i + x_k exponents."""
+    place = itemgetter(*map((i, j, 3 - i - j).index, range(3)))
+    rows = [(degree - h - u, u, h) for h in range(degree + 1) for u in range(degree - h + 1)]
+    ei, ej, ek = zip(*rows)
+    return tuple(map(place, rows)), ei, ej, ek, tuple(degree - u for u in ej)
+
+
+def _shear_scale(w, degree: int, *steps) -> list[int]:
+    """w entry by entry op x^e, for each step (op, x, column of exponents e)."""
+    for op, x, col in steps:
+        if x != 1:
+            powers = list(accumulate(repeat(x, degree), mul, initial=1))
+            w = map(op, w, map(powers.__getitem__, col))
+    return list(w)
+
+
+def _shear_elementary(w, degree: int, i: int, j: int, v, b: int, s: int) -> list[int]:
+    """Coefficients w in layout (i, j) after x_i := v[i]*x_i + b*x_j and
+    x_h := v[h]*x_h for h != i, divided exactly by s^degree.  In each slice
+    x_k^h*x_j^d*p(x_i/x_j), t^m is scaled by b^m*v[j]^(d-m), t shifted by 1
+    (d rounds of prefix sums from the top coefficient), and t^m scaled by
+    v[i]^m*v[k]^h/b^m."""
+    _, ei, ej, ek, eik = _shear_slices(degree, i, j)
+    w = _shear_scale(w, degree, (mul, b or 1, ei), (mul, v[j], ej))
+    start = 0
+    for d in range(degree, -1, -1):
+        for top in range(start + d + 1, start + 1, -1) if b else ():
+            w[start:top] = accumulate(w[start:top])
+        start += d + 1
+    k = 3 - i - j
+    post = [(mul, v[i], eik)] if v[i] == v[k] else [(mul, v[i], ei), (mul, v[k], ek)]
+    return _shear_scale(w, degree, *post, (floordiv, b or 1, ei), (floordiv, s, repeat(degree)))
+
+
+def _shear_split(m) -> tuple:
+    """s > 0, a relabelling and factors (i, j, v, b) of s*m, each x_i :=
+    v[i]*x_i + b*x_j, x_h := v[h]*x_h for h != i.  Row by row, the pivot
+    column c of the least free entry clears every other column j by
+    col_j := a*col_j - b*col_c with a > 0, and a times the old matrix is the
+    new one times x_c := a*x_c + b*x_j, x_k := a*x_k.  What is left is a
+    relabelling times a diagonal, which joins the first factor unless it is
+    the identity; with no factor, s = 1.  ValueError on a singular m."""
+    m = [list(row) for row in m]
+    pivots, factors, s = [], [], 1
+    for row in m:
+        free = [c for c in range(3) if row[c] and c not in pivots]
+        if not free:
+            raise ValueError("singular substitution matrix")
+        c = min(free, key=lambda c: abs(row[c]))
+        pivots.append(c)
+        for j in [j for j in range(3) if j != c and row[j]]:
+            g = gcd(row[c], row[j]) * (1 if row[c] > 0 else -1)
+            a, b = row[c] // g, row[j] // g
+            for r in m:
+                r[j] = a * r[j] - b * r[c]
+            factors.insert(0, (c, j, tuple(1 if x == j else a for x in range(3)), b))
+            s *= a
+    d = [m[pivots.index(x)][x] for x in range(3)]
+    h = gcd(s, *d)  # d is often s*(1, 1, 1)
+    s, d = s // h, [x // h for x in d]
+    if d != [1, 1, 1]:
+        i, j, v, b = factors.pop(0) if factors else (0, 1, (1, 1, 1), 0)
+        factors.insert(0, (i, j, tuple(map(mul, d, v)), b * d[i]))
+    place = itemgetter(*map(pivots.index, range(3)))  # exponent q moves to pivots[q]
+    return s, place, tuple(factors)
+
+
+def shear_substitute(terms: Mapping, degree: int, m: Sequence[Sequence[int]]) -> dict:
+    """Integer terms of a ternary form after x_i := sum_j m[i][j]*x_j, in
+    O(degree^3): a relabelling, then one pass over the slices per shear factor
+    of `_shear_split`, the last dividing by s^degree; ValueError on a singular
+    m.  The shear kernel `forms.substitute_terms` ran before its packed paths."""
+    s, place, factors = _shear_split(m)
+    terms = {place(e): c for e, c in terms.items() if c}
+    if not factors:
+        return terms
+    at = factors[0][:2]
+    w = list(map(terms.get, _shear_slices(degree, *at)[0], repeat(0)))
+    for t, (i, j, v, b) in enumerate(factors, 1):
+        if (i, j) != at:
+            index = {e: x for x, e in enumerate(_shear_slices(degree, *at)[0])}
+            w, at = [w[index[e]] for e in _shear_slices(degree, i, j)[0]], (i, j)
+        w = _shear_elementary(w, degree, i, j, v, b, s if t == len(factors) else 1)
+    return {e: c for e, c in zip(_shear_slices(degree, *at)[0], w) if c}
 
 
 def fraction_substitute_linear(f, t):

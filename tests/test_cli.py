@@ -40,10 +40,14 @@ def test_poncelet_standard_pencil(capsys):
     assert curve.proportional_to(expected)
 
 
-def test_poncelet_dependent_gammas_exit_2(capsys):
-    code, out = run(capsys, ["poncelet", "--gamma1", "s0^4", "--gamma2", "2*s0^4"])
-    assert code == 2
-    assert "error" in out
+def test_poncelet_dependent_gammas_exit_3(capsys):
+    """Dependent generators, or dependent conic components, fail a
+    precondition (exit 3), not the input's syntax."""
+    for argv in (["poncelet", "--gamma1", "s0^4", "--gamma2", "2*s0^4"],
+                 ["poncelet", "--conic", "s0^2;2*s0^2;s1^2", "--gamma1", "s0^4", "--gamma2", "s1^4"]):
+        code, out = run(capsys, argv)
+        assert code == 3
+        assert "error" in out
 
 
 def test_poncelet_parse_error_exit_2(capsys):
@@ -387,10 +391,10 @@ def test_unexpected_exception_is_internal_error_exit_4(capsys, monkeypatch):
 
 # stdout and exit code of each error report, text then --json
 ERROR_REPORTS = [
-    (["poncelet", "--gamma1", "s0^4", "--gamma2", "2*s0^4"], 2,
+    (["poncelet", "--gamma1", "s0^4", "--gamma2", "2*s0^4"], 3,
      "status: error\nmessage: pencil generators are linearly dependent\n",
      '{\n  "message": "pencil generators are linearly dependent",\n  "status": "error"\n}\n'),
-    (["poncelet", "--gamma1", "s0^3", "--gamma2", "s1^3", "--vertices", "1:1,1:1"], 2,
+    (["poncelet", "--gamma1", "s0^3", "--gamma2", "s1^3", "--vertices", "1:1,1:1"], 3,
      "status: error\nmessage: chord endpoints must be distinct parameters\n",
      '{\n  "message": "chord endpoints must be distinct parameters",\n'
      '  "status": "error"\n}\n'),

@@ -32,10 +32,11 @@ from luroth.forms import (
     substitute_terms,
 )
 from luroth.linalg import det_rational, invert, sylvester_resultant
-from luroth.poncelet import standard_conic
+from luroth import forms
+from luroth.poncelet import make_conic, standard_conic
 from oracles import (conic_image, dense_partial, form_gcd, fraction_evaluate,
                      fraction_substitute_linear, horner_substitute, int_str_limit, partial,
-                     partial_directional, parse_terms, power, zero_form)
+                     partial_directional, parse_terms, power, shear_substitute, zero_form)
 
 PAIR = ("v", "w")
 TRIPLE = ("u", "v", "w")
@@ -672,6 +673,123 @@ def test_substitute_terms_matches_horner_oracle_hypothesis():
             assert substitute_terms(terms, degree, m) == horner_substitute(terms, degree, m)
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# the two packed paths of substitute_terms, each forced by PACKED_MAX_DEGREE
+
+PATHS = {"packed": MAX_DEGREE, "shifts": -1, "as-is": None}
+GEN_CONIC = ("s0^2+2*s0*s1+3*s1^2", "2*s0^2-s0*s1+s1^2", "s0*s1-2*s1^2")
+
+
+def force_path(monkeypatch, path):
+    if PATHS[path] is not None:
+        monkeypatch.setattr(forms, "PACKED_MAX_DEGREE", PATHS[path])
+
+
+def conic_t(rng, digits):
+    """The integer T of a conic whose parametrization has digits-digit coefficients."""
+    while True:
+        lo = 10 ** (digits - 1)
+        ps = [BinaryForm.from_coeffs(("s0", "s1"), [rng.choice((-1, 1)) * rng.randrange(lo, 10 * lo)
+                                                    for _ in range(3)]) for _ in range(3)]
+        if det_rational([p.nums for p in ps]):
+            return make_conic(*ps)._t
+
+
+def kernel_matrices(rng):
+    """Monomial matrices with negative entries, nodal node matrices
+    [[0, 0, c0], [1, 0, c1], [0, 1, c2]], GEN_CONIC's T, and dense matrices
+    of 1 to 60 digits."""
+    mats = [[[0, -3, 0], [0, 0, 2], [-1, 0, 0]], [[-2, 0, 0], [0, 5, 0], [0, 0, -1]],
+            [[0, 0, 1], [-1, 0, 0], [0, 1, 0]]]
+    mats += [[[0, 0, c0], [1, 0, c1], [0, 1, c2]]
+             for c0, c1, c2 in ((1, 2, 3), (5, -7, 2), (12, 3, -40), (-1, 0, 0), (-3, 0, 9))]
+    mats.append(make_conic(*(parse_form(p, ("s0", "s1")) for p in GEN_CONIC))._t)
+    for digits in (1, 3, 20, 60):
+        while True:
+            m = [[rng.choice((-1, 1)) * rng.randrange(10 ** digits) for _ in range(3)]
+                 for _ in range(3)]
+            if det_rational(m):
+                mats.append(m)
+                break
+    return mats
+
+
+@pytest.mark.parametrize("path", list(PATHS))
+def test_substitute_paths_match_the_shear_and_horner_oracles(monkeypatch, path):
+    """Each path, and the size switch as it is, against the shear kernel that
+    ran before them, degrees 0-22 on every kernel matrix, and against Horner
+    to degree 8; coefficients up to 9 and up to 2^60, dense and sparse."""
+    force_path(monkeypatch, path)
+    rng = random.Random(2029)
+    mats = kernel_matrices(rng)
+    checked = 0
+    for degree in range(23):
+        for m in mats:
+            big = max(map(abs, sum(m, []))) > 10 ** 3
+            if big and degree not in ((0, 1, 5, 12) if path == "packed" else (0, 1, 5, 12, 13, 17)):
+                continue  # each path at a few degrees either side of the switch, for speed
+            terms = int_terms(rng, degree, bound=rng.choice([9, 2 ** 60]), density=0.8)
+            out = substitute_terms(terms, degree, m)
+            assert out == shear_substitute(terms, degree, m), (degree, m)
+            if degree <= 8:
+                assert out == horner_substitute(terms, degree, m), (degree, m)
+            assert all(type(c) is int and c for c in out.values())
+            checked += 1
+    assert checked == 23 * 11 + (4 if path == "packed" else 6) * 2
+
+
+@pytest.mark.parametrize("path", list(PATHS))
+def test_substitute_paths_move_a_30_digit_conic_at_n22(monkeypatch, path):
+    """A dense 30-digit T at n = 22; the packed evaluation, slow on a big
+    matrix at a high degree, moves it at n = 9."""
+    force_path(monkeypatch, path)
+    rng = random.Random(30)
+    t = conic_t(rng, 30)
+    terms = int_terms(rng, 22 if path != "packed" else 9, density=1.0)
+    degree = sum(next(iter(terms)))
+    assert substitute_terms(terms, degree, t) == shear_substitute(terms, degree, t)
+
+
+@pytest.mark.parametrize("path", list(PATHS))
+def test_substitute_paths_read_back_outputs_at_the_slot_bound(monkeypatch, path):
+    """F = c*x_r^n, |c| = 2^60 - 1, under a matrix whose rows all have 1-norm
+    2^p: the top coefficient c*(2^p - 1)^n has as many bits as the bound
+    B = ||F||_1*N^n the slot width comes from.  With bits(B) % 8 == 0 a slot
+    of bits(B) bits, one short of the sign bit, overflows; with
+    bits(B) % 8 == 7 the output fills every bit of its slot."""
+    force_path(monkeypatch, path)
+    residues = set()
+    for p in (59, 60, 61):
+        a = 2 ** p - 1
+        for r in range(3):
+            m = [list(row) for row in PERMUTATIONS[0]]
+            m[r][r], m[r][(r + 1) % 3] = a, 1  # x_r := a*x_r + x_(r+1), row norms 2^p
+            for degree in (1, 2, 3, 7, 12, 13, 21, 22) if path != "packed" else (1, 2, 3, 7, 12):
+                for c in (2 ** 60 - 1, 1 - 2 ** 60):
+                    e = tuple(degree if i == r else 0 for i in range(3))
+                    out = substitute_terms({e: c}, degree, m)
+                    expected = {tuple(i if x == r else degree - i if x == (r + 1) % 3 else 0
+                                      for x in range(3)): c * math.comb(degree, i) * a ** i
+                                for i in range(degree + 1)}
+                    assert out == expected == shear_substitute({e: c}, degree, m)
+                    bound = abs(c) * 2 ** (p * degree)
+                    assert max(map(abs, out.values())).bit_length() == bound.bit_length()
+                    residues.add(bound.bit_length() % 8)
+    assert {0, 7} <= residues
+
+
+@pytest.mark.parametrize("path", list(PATHS))
+def test_substitute_paths_reject_singular_matrices(monkeypatch, path):
+    force_path(monkeypatch, path)
+    rng = random.Random(318)
+    singular = [[[0, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 2, 3], [2, 4, 6], [0, 0, 1]],
+                [[0, 1, 1], [0, 2, 3], [0, 5, 7]], [[0, 0, 5], [0, 0, 7], [1, 0, 0]]]
+    for m in singular:
+        for degree in (0, 3, 13):
+            with pytest.raises(ValueError, match="singular"):
+                substitute_terms(int_terms(rng, degree), degree, m)
 
 
 # ---------------------------------------------------------------------------
