@@ -806,8 +806,11 @@ def _mod_q(c: Sequence[int], q: Sequence[int]) -> Sequence[int]:
 
 
 def _exact_quotient(h: Sequence[int], q: Sequence[int]) -> list[int]:
-    """h / q for a primitive q = (a, b, l), l != 0, dividing h: integral (Gauss)."""
+    """h / q for a primitive q = (a, b, l) of `_by_pullback` dividing h: integral
+    (Gauss); b times the middle of h if l = 0, since q is then b*s0*s1, b = +-1."""
     a, b, l = q
+    if not l:
+        return [b * x for x in h[1:-1]]
     r0, r1, quotient = h[-2], h[-1], []
     for x in reversed(h[:-2]):
         t = r1 // l

@@ -18,7 +18,7 @@ No package path needs the elimination, `sylvester_resultant`,
 (29) and `koszul_solve` (36), and `bench/test_bench.py:122` fails on an absent
 one.  `bench/workloads.py` calls `sylvester_resultant` (363), `det_rational`
 (378) and `substitute_linear` (380).  `bench/test_bench.py:124` wants
-`classify` to call `nodal.verify_node`, which `nodal._last` alone keeps cheap.
+`classify` to call `nodal.verify_node`, which decomposes the node for it.
 """
 
 from __future__ import annotations

@@ -18,10 +18,10 @@ its integer numerators over one denominator, reduced by one gcd.
 `tangent_map` moves the direction's numerators by the same matrix and solves
 by `_solve`.  det3 is the written-out `forms.adjugate3` of an integer matrix.
 
-`classify` verifies and then normalizes, yet moves the node and solves once:
-`_decompose` keeps its last result, keyed by the quartic's identity and the
-point's value.  `associated_conic` and `tangent_map` read the numerators of
-the decomposition's and the conic data's forms.
+`verify_node` alone moves the node and solves, once per call; its report
+carries the decomposition, which `classify` reads, and `normalize_at_node`
+adds two `NodeError`s.  `associated_conic` and `tangent_map` read the
+numerators of the decomposition's and the conic data's forms.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from operator import itemgetter
 from typing import Sequence
 
 from .forms import (BinaryForm, Frozen, PreconditionError, TernaryForm, _by_pullback,
-                    _exact_quotient, _mod_q, adjugate3, directional_coeffs, integral_coeffs,
+                    _exact_quotient, _mod_q, _set, adjugate3, directional_coeffs, integral_coeffs,
                     integral_row, mul_coeffs, projective_ints, substitute_terms)
 from .linalg import conic_kernel_point, disc_binary_quadratic
 
@@ -128,7 +128,7 @@ def _solve(f2: Sequence[int], f3: Sequence[int], rhs: Sequence[int]):
         return None
     x0, x1 = r0 * b1 - r1 * b0, a0 * r1 - a1 * r0
     h = [det * z - x0 * x - x1 * y for x, y, z in zip(*moved)]
-    psi = _exact_quotient(h, q) if q[2] else [q[1] * x for x in h[1:-1]]  # q = +-v0*v1
+    psi = _exact_quotient(h, q)
     c = gcd(*f2)
     return [c * x0, c * x1], psi if moved is vectors else psi[::-1], c * det
 
@@ -146,19 +146,16 @@ def _assemble(pieces: Sequence[Sequence[int]], den: int, pair: tuple[str, str], 
     return TernaryForm(top + len(pieces[0]) - 1, var_order, den, terms)
 
 
-_last: tuple = (None, None, None)  # the last _decompose: quartic, point, result
-
-
-def _decompose(quartic: TernaryForm, point: Sequence) -> tuple[NodeReport, NodeDecomposition]:
-    """Node flags and graded pieces of the quartic in node-centered coordinates."""
-    global _last
-    key = tuple(point)
-    if len(key) != 3:
+def verify_node(quartic: TernaryForm, point: Sequence) -> NodeReport:
+    """Local flags at a rational point: on the curve, singular, ordinary node, and
+    admissible (Res(f2, f3) != 0: the Koszul system for (phi, psi) is uniquely solvable).
+    The report carries the graded pieces in node-centered coordinates as `_dec`,
+    outside ==, hash, repr and pickle."""
+    if quartic.is_zero() or quartic.degree != 4:
+        raise PreconditionError("expected a nonzero quartic")
+    if len(point := tuple(point)) != 3:
         raise ValueError("a point of the plane has three coordinates")
-    last = _last
-    if last[0] is quartic and last[1] == key:
-        return last[2]
-    column = projective_ints(key)  # column/lam = p/p[pivot], lam > 0
+    column = projective_ints(point)  # column/lam = p/p[pivot], lam > 0
     pivot = next(i for i, x in enumerate(column) if x)
     lam = column[pivot]
     others = [i for i in range(3) if i != pivot]
@@ -172,19 +169,11 @@ def _decompose(quartic: TernaryForm, point: Sequence) -> tuple[NodeReport, NodeD
     ordinary = singular and f2[1] * f2[1] != 4 * f2[0] * f2[2]
     sol = _solve(f2, [lam * x for x in f3], [lam * lam * x for x in f4]) if ordinary else None
     split = sol and (BinaryForm(1, pair, sol[2], sol[0]), BinaryForm(2, pair, sol[2], sol[1]))
-    dec = NodeDecomposition(transform, pair, variables[pivot], variables,
-                            BinaryForm(2, pair, d * lam * lam, f2),
-                            BinaryForm(3, pair, d * lam, f3), BinaryForm(4, pair, d, f4), split)
-    _last = quartic, key, (NodeReport(on_curve, singular, ordinary, sol is not None), dec)
-    return _last[2]
-
-
-def verify_node(quartic: TernaryForm, point: Sequence) -> NodeReport:
-    """Local flags at a rational point: on the curve, singular, ordinary node, and
-    admissible (Res(f2, f3) != 0: the Koszul system for (phi, psi) is uniquely solvable)."""
-    if quartic.is_zero() or quartic.degree != 4:
-        raise PreconditionError("expected a nonzero quartic")
-    return _decompose(quartic, point)[0]
+    report = NodeReport(on_curve, singular, ordinary, sol is not None)
+    _set(report, "_dec", NodeDecomposition(
+        transform, pair, variables[pivot], variables, BinaryForm(2, pair, d * lam * lam, f2),
+        BinaryForm(3, pair, d * lam, f3), BinaryForm(4, pair, d, f4), split))
+    return report
 
 
 def normalize_at_node(quartic: TernaryForm, point: Sequence) -> NodeDecomposition:
@@ -193,12 +182,12 @@ def normalize_at_node(quartic: TernaryForm, point: Sequence) -> NodeDecompositio
     The pivot is the first nonzero coordinate of the node; the other two
     standard vectors keep their order, so the decomposition is reproducible.
     """
-    report, dec = _decompose(quartic, point)
+    report = verify_node(quartic, point)
     if not report.singular:
         raise NodeError("the point is not a singular point of the quartic", report)
     if not report.ordinary:
         raise NodeError("the singular point is not an ordinary node", report)
-    return dec
+    return report._dec
 
 
 def assemble_quartic(f2: BinaryForm, f3: BinaryForm, f4: BinaryForm,
@@ -241,7 +230,7 @@ def classify(quartic: TernaryForm, point: Sequence) -> NodalQuarticAnalysis:
     report = verify_node(quartic, point)
     if not report.all_ok():
         raise NodeError(f"node verification failed: {report.flags()}", report)
-    dec = normalize_at_node(quartic, point)
+    dec = report._dec
     data = associated_conic(dec)
     type_two = data.det3 == 0
     singular_point = conic_kernel_point(data.conic) if type_two else None

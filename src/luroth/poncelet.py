@@ -286,13 +286,12 @@ def singular_jump_criterion(conic: ConicParam, pencil: PonceletPencil,
     Requires a base-point-free pencil, so q divides at most the multiples of
     one member h: gamma1 if q divides it, else r2[j]*gamma1 - r1[j]*gamma2
     if the generators' remainders r1, r2 modulo q are dependent, r1[j] != 0.
-    Then some member is divisible by q^2 exactly when q divides h/q.
+    Then some member is divisible by q^2 exactly when q divides h/q, also for
+    q = +-s0*s1, whose remainders are the ends of h and quotient its middle.
     """
     if not is_base_point_free(pencil):
         raise PreconditionError("singular-jump criterion requires a base-point-free pencil")
     q, (g1, g2) = _by_pullback(_pullback_ints(conic, line), pencil._ints)
-    if not q[2]:  # q = b*s0*s1: modulo q^2 the generators keep two coefficients at each end
-        return _dependent(g1[:2] + g1[-2:], g2[:2] + g2[-2:])
     h, r1 = g1, _mod_q(g1, q)
     if any(r1):
         r2 = _mod_q(g2, q)

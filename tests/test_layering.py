@@ -28,7 +28,11 @@ of the other `luroth` modules: they read no `_`-prefixed attribute of one and
 import no such name.  And `nodal` builds each output form in one place: it
 calls `TernaryForm(` only inside `_assemble`, and never `from_terms`.  And
 `src/` holds no code that only the tests call: each function, class and
-method is read by the package, exported, or named by the benchmark."""
+method is read by the package, exported, or named by the benchmark.  And
+neither pipeline keeps state between calls: `forms`, `linalg`, `poncelet`
+and `nodal` hold no `global` statement, so what they keep is per value
+(`cached_property`, an attribute set outside the fields) or in an
+`lru_cache` or `cache`."""
 
 import ast
 from pathlib import Path
@@ -212,6 +216,12 @@ def test_the_private_scan_sees_attributes_and_imports():
 def test_verify_and_cli_read_no_private_name_of_another_module():
     for name in ("verify", "cli"):
         assert private_reads(module_tree(name)) == [], name
+
+
+def test_the_pipelines_hold_no_global_statement():
+    for name in ("forms", "linalg", "poncelet", "nodal"):
+        found = [n.names for n in ast.walk(module_tree(name)) if isinstance(n, ast.Global)]
+        assert not found, (name, found)
 
 
 def test_nodal_builds_ternary_forms_only_in_assemble():

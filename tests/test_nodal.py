@@ -436,15 +436,16 @@ TWO_CONICS_2 = CONIC_1 * parse_form("u*v - w^2", DUAL_VARS)
 
 
 def fresh_classify(quartic, point):
-    """classify on a new but equal quartic, which `_decompose`'s last result,
-    kept by the quartic's identity, cannot serve."""
+    """classify on a new but equal quartic, so that no state an earlier call
+    might have kept with the quartic object can serve it."""
     return classify(copy.copy(quartic), point)
 
 
 def test_classify_moves_the_node_once(monkeypatch):
     """Counts the integer kernels at the module attributes `nodal` calls: the
     node move is one `substitute_terms`, the Koszul solve one remainder kernel
-    `_solve`.
+    `_solve`, in the one `verify_node` per `classify`, and a second `classify`
+    on the same quartic object moves the node again: nothing is memoized.
     No quartic is hashed, and `tangent_map` reads the numerators of the
     decomposition's forms, the conic data's and the direction's: its one
     `integral_row` is the node's column."""
@@ -468,10 +469,13 @@ def test_classify_moves_the_node_once(monkeypatch):
     assert {k: calls[k] for k in ("substitute_terms", "verify_node", "_solve")} == {
         "substitute_terms": 1, "verify_node": 1, "_solve": 1}
     assert analysis.report.all_ok()
+    assert classify(quartic, (1, -1, 1)) == analysis
+    assert {k: calls[k] for k in ("substitute_terms", "verify_node", "_solve")} == {
+        "substitute_terms": 2, "verify_node": 2, "_solve": 2}
     # the direction moves once; xi by Cramer's rule, one Koszul solve
     calls["integral_row"] = 0
     tangent_map(analysis.decomposition, analysis.conic_data, TWO_CONICS_2)
-    assert calls == {"substitute_terms": 2, "verify_node": 1, "_solve": 2, "integral_row": 1}
+    assert calls == {"substitute_terms": 3, "verify_node": 2, "_solve": 3, "integral_row": 1}
 
 
 def test_interleaved_classify_matches_fresh_calls():
@@ -489,14 +493,13 @@ def test_point_types_give_equal_analyses():
     assert as_ints == as_fractions == classify(TWO_CONICS_2, [1, 1, 1])
 
 
-def test_memoized_pieces_are_tuples():
-    result = nodal._decompose(TWO_CONICS_1, [1, 1, 1])
-    # the last result serves the same quartic object only
-    assert nodal._decompose(TWO_CONICS_1, (1, 1, 1)) is result
-    assert nodal._decompose(copy.copy(TWO_CONICS_1), (1, 1, 1)) == result
-    assert nodal._decompose(copy.copy(TWO_CONICS_1), (1, 1, 1)) is not result
-    report, dec = result
-    assert type(result) is tuple and type(report) is NodeReport and report.all_ok()
+def test_decomposition_pieces_are_tuples():
+    """`verify_node`'s report carries the decomposition, built afresh by each call."""
+    report = verify_node(TWO_CONICS_1, [1, 1, 1])
+    dec = report._dec
+    again = verify_node(TWO_CONICS_1, (1, 1, 1))
+    assert again == report and again._dec == dec and again._dec is not dec
+    assert type(report) is NodeReport and report.all_ok()
     assert type(dec) is nodal.NodeDecomposition and type(dec.pair) is tuple
     transform = dec.transform
     assert type(transform) is tuple and all(type(row) is tuple for row in transform)
@@ -506,8 +509,39 @@ def test_memoized_pieces_are_tuples():
     assert all(type(f) is BinaryForm for f in dec.split)
     with pytest.raises(AttributeError):
         dec.split = None
-    not_admissible = nodal._decompose(parse_form("w^2*u*v+w*u^3+v^4", DUAL_VARS), (0, 0, 1))
-    assert not not_admissible[0].admissible and not_admissible[1].split is None
+    not_admissible = verify_node(parse_form("w^2*u*v+w*u^3+v^4", DUAL_VARS), (0, 0, 1))
+    assert not not_admissible.admissible and not_admissible._dec.split is None
+
+
+def test_the_attached_decomposition_stays_outside_the_report_fields():
+    report = verify_node(TWO_CONICS_1, (1, 1, 1))
+    bare = NodeReport(True, True, True, True)
+    assert report == bare and hash(report) == hash(bare) and repr(report) == repr(bare)
+    assert pickle.dumps(report) == pickle.dumps(bare)
+    for clone in (copy.copy(report), copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
+        assert clone == report and hash(clone) == hash(report) and repr(clone) == repr(report)
+        assert not hasattr(clone, "_dec")
+
+
+BAD_NODE_INPUTS = {
+    "cubic": (parse_form("u^3", DUAL_VARS), (0, 0, 1), PreconditionError,
+              "expected a nonzero quartic"),
+    "quintic": (parse_form("u^5+v^5", DUAL_VARS), (0, 0, 1), PreconditionError,
+                "expected a nonzero quartic"),
+    "zero-quartic": (zero_form(TernaryForm, 4, DUAL_VARS), (0, 0, 1), PreconditionError,
+                     "expected a nonzero quartic"),
+    "two-coordinates": (QUARTIC_B, (0, 1), ValueError,
+                        "a point of the plane has three coordinates"),
+}
+
+
+@pytest.mark.parametrize("entry", [verify_node, normalize_at_node, classify])
+@pytest.mark.parametrize("case", BAD_NODE_INPUTS)
+def test_nodal_entry_points_share_one_precondition(case, entry):
+    quartic, point, error, message = BAD_NODE_INPUTS[case]
+    with pytest.raises(Exception) as err:
+        entry(quartic, point)
+    assert type(err.value) is error and str(err.value) == message
 
 
 NODE_ERROR_CASES = [
@@ -628,6 +662,16 @@ def assert_core_matches_oracle(quartic, node, direction):
     assert_same_forms(result, fraction_tangent_map(expected.decomposition,
                                                    expected.conic_data, direction))
     return analysis
+
+
+@pytest.mark.parametrize("f2", ["u*v", "-2*u*v"])
+def test_integer_core_matches_fraction_path_when_f2_is_a_multiple_of_uv(f2):
+    """At [0:0:1], f2 = c*u*v: its primitive q = +-u*v has l = 0, and the
+    Koszul solves of `classify` and `tangent_map` divide by it all the same."""
+    quartic = parse_form(f"w^2*({f2})+w*(u^3+v^3)+u^4-3*u^2*v^2+2*u*v^3", DUAL_VARS)
+    direction = parse_form("u*w^3+v^2*w^2-u^3*v+w*v^3+5*u^4", DUAL_VARS)
+    analysis = assert_core_matches_oracle(quartic, (0, 0, 1), direction)
+    assert analysis.decomposition.f2 == parse_form(f2, PAIR_UV)
 
 
 @pytest.mark.parametrize("seed", [1, 7])

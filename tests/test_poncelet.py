@@ -992,7 +992,8 @@ def test_prem_matches_rational_division():
 
 def test_two_register_kernels_match_rational_division():
     """`forms._mod_q` is l^(len(f) - 2) * f modulo q, by `unidivmod`, and the ends
-    of f at l = 0; `_exact_quotient` undoes a product with a primitive q."""
+    of f at l = 0; `_exact_quotient` undoes a product with a primitive q,
+    q = (0, +-1, 0) among them."""
     rng = random.Random(67)
     for trial in range(300):
         digits = 60 if trial % 3 == 0 else 2
@@ -1003,11 +1004,11 @@ def test_two_register_kernels_match_rational_division():
         assert list(forms._mod_q(f, q)) == expected
         assert forms._mod_q(f, [0, q[1] or 1, 0]) == (f[0], f[-1])
         content = gcd(*q)
-        p = [x // content for x in q]
-        product = [sum(p[i] * f[k - i] for i in range(3) if 0 <= k - i < len(f))
-                   for k in range(len(f) + 2)]
-        assert forms._exact_quotient(product, p) == f
-        assert not any(forms._mod_q(product, q))
+        for p in ([x // content for x in q], [0, 1, 0], [0, -1, 0]):
+            product = [sum(p[i] * f[k - i] for i in range(3) if 0 <= k - i < len(f))
+                       for k in range(len(f) + 2)]
+            assert forms._exact_quotient(product, p) == f
+            assert not any(forms._mod_q(product, q if p[2] else p))
 
 
 def random_form(rng, degree, digits):
