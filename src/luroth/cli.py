@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import nodal, poncelet
-from .forms import MAX_DEGREE, PreconditionError, parse_form, rational_literal, rational_text
+from .forms import (MAX_DEGREE, PreconditionError, parse_form, projective_ints, rational_literal,
+                    rational_text)
 from .poncelet import DUAL_VARS, PARAM_VARS
 
 EXIT_OK = 0
@@ -25,14 +25,11 @@ EXIT_INTERNAL = 4
 MAX_VERTICES = MAX_DEGREE + 2  # k parameters print k*(k-1)/2 chords
 
 
-def _parse_point(text: str, arity: int) -> tuple[Fraction, ...]:
+def _parse_point(text: str, arity: int) -> list[int]:
     parts = text.split(":")
     if len(parts) != arity:
         raise ValueError(f"expected {arity} colon-separated coordinates, got {text!r}")
-    point = tuple(rational_literal(p) for p in parts)
-    if all(x == 0 for x in point):
-        raise ValueError("the zero vector is not a projective point")
-    return point
+    return projective_ints([rational_literal(p) for p in parts])
 
 
 def _emit(report: dict, as_json: bool):
@@ -78,13 +75,13 @@ def cmd_poncelet(args) -> int:
         gamma1 = parse_form(args.gamma1, PARAM_VARS)
         gamma2 = parse_form(args.gamma2, PARAM_VARS)
         pencil = poncelet.PonceletPencil(gamma1, gamma2)
-        curve = poncelet.poncelet_curve(conic, pencil)
         vertices = args.vertices.split(",") if args.vertices else []
         if len(vertices) > MAX_VERTICES:
             raise ValueError(f"--vertices: {len(vertices)} parameters, at most {MAX_VERTICES}")
         params = [_parse_point(p, 2) for p in vertices]
         chords = [(i, j, poncelet.chord_dual(conic, params[i], params[j]))
                   for i in range(len(params)) for j in range(i + 1, len(params))]
+        curve = poncelet.poncelet_curve(conic, pencil)  # the costly step, once the input is sound
     except PreconditionError as exc:
         return _fail(as_json, str(exc), EXIT_PRECONDITION)
     except ValueError as exc:
@@ -117,7 +114,7 @@ def cmd_quartic_analyze(args) -> int:
     try:
         quartic = parse_form(args.f, DUAL_VARS)
         node = _parse_point(args.node, 3)
-        if quartic.degree != 4 or quartic.is_zero():
+        if quartic.degree != 4:  # a zero polynomial reads as degree 0
             raise ValueError("--f must be a nonzero quartic")
     except ValueError as exc:
         return _fail(as_json, str(exc))

@@ -733,12 +733,6 @@ class BinaryForm(_Form):
         cs = list(coeffs)
         return cls(len(cs) - 1, variables, cs)
 
-    @classmethod
-    def from_terms(cls, degree: int, variables: tuple[str, str],
-                   terms: Mapping[Exp, Fraction]) -> "BinaryForm":
-        _check_exponents(terms, 2, degree)
-        return cls(degree, variables, [terms.get((degree - j, j), 0) for j in range(degree + 1)])
-
     @property
     def _int_terms(self) -> dict[Exp, int]:
         return {(self.degree - j, j): c for j, c in enumerate(self.nums) if c}

@@ -16,7 +16,8 @@ remainders modulo F2: Cramer's rule on the two-register pseudo-remainders
 `poncelet` uses too, then one exact division for psi.  Each output form takes
 its integer numerators over one denominator, reduced by one gcd.
 `tangent_map` moves the direction's numerators by the same matrix and solves
-by `_solve`.  det3 is the written-out `forms.adjugate3` of an integer matrix.
+by `_solve`.  det3 is -disc(phi^2 + psi)/4, the bridge `verify` replays, from
+the discriminant's integers.
 
 `verify_node` alone moves the node and solves, once per call; its report
 carries the decomposition, which `classify` reads, and `normalize_at_node`
@@ -32,7 +33,7 @@ from operator import itemgetter
 from typing import Sequence
 
 from .forms import (BinaryForm, Frozen, PreconditionError, TernaryForm, _by_pullback,
-                    _exact_quotient, _mod_q, _set, adjugate3, directional_coeffs, integral_coeffs,
+                    _exact_quotient, _mod_q, _set, directional_coeffs, integral_coeffs,
                     integral_row, mul_coeffs, projective_ints, substitute_terms)
 from .linalg import conic_kernel_point, disc_binary_quadratic
 
@@ -212,17 +213,16 @@ def koszul_solve(f2: BinaryForm, f3: BinaryForm,
 def associated_conic(dec: NodeDecomposition) -> AssociatedConicData:
     """The unique conic t^2 + 2*t*phi - psi through the node's contact points.
 
-    With (phi, psi) = (a, b)/e, det3 is det(2e*M)/(8e^3) for the conic's
-    matrix M, and phi^2 + psi is (a*a + e*b)/e^2.
+    With (phi, psi) = (a, b)/e, phi^2 + psi is (c0, c1, c2)/e^2 for
+    c = a*a + e*b, and det3 is -disc(phi^2 + psi)/4, the bridge `verify` replays.
     """
     phi, psi = dec.split or koszul_solve(dec.f2, dec.f3, dec.f4)
     (a0, a1, b0, b1, b2), e = integral_coeffs(phi, psi)
-    det = adjugate3([[-2 * b0, -b1, 2 * a0], [-b1, -2 * b2, 2 * a1], [2 * a0, 2 * a1, 2 * e]])[0]
     c0, c1, c2 = a0 * a0 + e * b0, 2 * a0 * a1 + e * b1, a1 * a1 + e * b2
+    disc = c1 * c1 - 4 * c0 * c2
     conic = _assemble(([e], [2 * a0, 2 * a1], [-b0, -b1, -b2]), e, dec.pair, dec.t_var,
                       dec.original_vars)
-    return AssociatedConicData(phi, psi, conic, Fraction(det, 8 * e ** 3),
-                               Fraction(c1 * c1 - 4 * c0 * c2, e ** 4))
+    return AssociatedConicData(phi, psi, conic, Fraction(-disc, 4 * e ** 4), Fraction(disc, e ** 4))
 
 
 def classify(quartic: TernaryForm, point: Sequence) -> NodalQuarticAnalysis:

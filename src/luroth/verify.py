@@ -23,6 +23,9 @@ C_SAMPLES = (Fraction(0), Fraction(2), Fraction(-1, 4), Fraction(1, 3), Fraction
 _EPS_BASE, _EPS_LINEAR, _U2V2, _FIXED_93 = (parse_form(text, DUAL_VARS) for text in (
     "(u^2+w^2)*(v^2+w^2)+2*u*v^3", "v*u^3+3*u*v*w^2+u*v^3+2*v^4", "u^2*v^2",
     "w^2*(u^2+v^2)+w*(u^3+v^3)-u^3*v-u*v^3"))
+# the generators of the pencil on the standard conic whose curve is family 92
+_GAMMAS_92 = tuple(parse_form(text, PARAM_VARS)
+                   for text in ("s0^2*s1^2*(s1-s0)", "-(s0^5+s1^5)"))
 _expanded: dict | None = None  # (family, param) -> determinant, during run_checks
 
 
@@ -128,9 +131,7 @@ def check_91_tangent_map() -> CheckResult:
 
 def check_cross_construction() -> CheckResult:
     conic = poncelet.standard_conic()
-    pencil = poncelet.PonceletPencil(
-        parse_form("s0^2*s1^2*(s1-s0)", PARAM_VARS),
-        parse_form("-(s0^5+s1^5)", PARAM_VARS))
+    pencil = poncelet.PonceletPencil(*_GAMMAS_92)
     curve = poncelet.poncelet_curve(conic, pencil)
     target = _determinant("92")
     ok = curve.proportional_to(target) and poncelet.is_base_point_free(pencil)
@@ -163,9 +164,7 @@ def check_polygon_property() -> CheckResult:
 
 def check_singular_jump_at_node() -> CheckResult:
     conic = poncelet.standard_conic()
-    pencil = poncelet.PonceletPencil(
-        parse_form("s0^2*s1^2*(s1-s0)", PARAM_VARS),
-        parse_form("-(s0^5+s1^5)", PARAM_VARS))
+    pencil = poncelet.PonceletPencil(*_GAMMAS_92)
     ok = poncelet.singular_jump_criterion(conic, pencil, (0, 0, 1))
     return CheckResult("singular jump criterion at the node", ok,
                        "criterion true at the 92 quartic's node [0,0,1]"

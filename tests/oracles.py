@@ -44,11 +44,12 @@
   power of a binary form by repeated products (`power`), a conic's image of
   a parameter, component by component (`conic_image`), and a ternary form's
   lexicographically-leading coefficient (`lex_leading_coefficient`).  And
-  four more, once part of the package: the zero form of a degree
-  (`zero_form`), partial derivatives term by term (`partial`), which the
-  singular-jump tests take the curve's gradient with, the Fraction terms of
-  text by the package's parser (`parse_terms`), and a line's pullback as a
-  BinaryForm on Fractions (`line_pullback`).
+  five more, once part of the package: a form from a map of exponents to
+  rationals (`from_terms`, once `BinaryForm.from_terms`), the zero form of a
+  degree (`zero_form`), partial derivatives term by term (`partial`), which
+  the singular-jump tests take the curve's gradient with, the Fraction terms
+  of text by the package's parser (`parse_terms`), and a line's pullback as
+  a BinaryForm on Fractions (`line_pullback`).
 - The 3x3 adjugate by cyclic indices, cofactor (j, k) from rows j+1, j+2 and
   columns k+1, k+2 modulo 3: the oracle of the written-out `forms.adjugate3`.
 - The chord verdict by the curve: `curve.evaluate` at `chord_dual`, the
@@ -83,8 +84,8 @@ from typing import Mapping, Sequence
 
 from luroth import nodal, poncelet
 from luroth.forms import (MAX_DEGREE, _MAX_NESTING, BinaryForm, ParseError, PreconditionError,
-                          TernaryForm, _UNITS, _degree, _int_literal, _parse, _too_big, add_terms,
-                          integral_row, mul_terms, scale_terms)
+                          TernaryForm, _UNITS, _check_exponents, _degree, _int_literal, _parse,
+                          _too_big, add_terms, integral_row, mul_terms, scale_terms)
 from luroth.linalg import (PolyMatrix, _bareiss, conic_det3, conic_kernel_point, det_rational,
                            disc_binary_quadratic, normalize_projective, solve_linear,
                            sylvester_matrix)
@@ -632,9 +633,19 @@ def partial_directional(f, xi):
 # ---------------------------------------------------------------------------
 # form helpers that only tests use
 
+def from_terms(cls, degree: int, variables, terms: Mapping):
+    """A BinaryForm or TernaryForm from a map of exponents to rationals.  A
+    binary map is checked by `forms._check_exponents`, as `parse_form` and
+    `form_from_json` check theirs, then read off as a coefficient list."""
+    if cls is TernaryForm:
+        return TernaryForm.from_terms(degree, variables, terms)
+    _check_exponents(terms, 2, degree)
+    return cls(degree, variables, [terms.get((degree - j, j), 0) for j in range(degree + 1)])
+
+
 def zero_form(cls, degree: int, variables):
     """The zero BinaryForm or TernaryForm of a degree."""
-    return cls.from_terms(degree, variables, {})
+    return from_terms(cls, degree, variables, {})
 
 
 def partial(f, var: str):
@@ -645,9 +656,9 @@ def partial(f, var: str):
         raise PreconditionError("cannot differentiate a degree-0 form")
     idx = f.variables.index(var)
     # lowering one exponent is injective, so no two terms meet
-    return f.from_terms(f.degree - 1, f.variables,
-                        {e[:idx] + (e[idx] - 1,) + e[idx + 1:]: c * e[idx]
-                         for e, c in f.terms.items() if e[idx]})
+    return from_terms(type(f), f.degree - 1, f.variables,
+                      {e[:idx] + (e[idx] - 1,) + e[idx + 1:]: c * e[idx]
+                       for e, c in f.terms.items() if e[idx]})
 
 
 def parse_terms(text: str, variables: Sequence[str]) -> TermMap:

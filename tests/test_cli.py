@@ -130,6 +130,31 @@ def test_poncelet_vertices_are_capped(capsys):
         "status: error", f"message: --vertices: {k + 1} parameters, at most {k}"]
 
 
+@pytest.mark.parametrize("vertices, code, message", [
+    (",".join(f"{k}:1" for k in range(cli.MAX_VERTICES + 1)), 2,
+     f"--vertices: {cli.MAX_VERTICES + 1} parameters, at most {cli.MAX_VERTICES}"),
+    ("1:x", 2, "bad rational 'x': Invalid literal for Fraction: 'x'"),
+    ("1:2:3", 2, "expected 2 colon-separated coordinates, got '1:2:3'"),
+    ("1:1,0:0", 2, "the zero vector is not a projective point"),
+    ("1:1,0:1,2:2", 3, "chord endpoints must be distinct parameters"),
+], ids=["count", "literal", "arity", "zero", "repeated"])
+def test_poncelet_checks_vertices_before_the_curve(capsys, monkeypatch, vertices, code, message):
+    """A bad vertex list is reported without computing the curve, which takes
+    seconds for a large pencil on a conic of long coefficients."""
+    def no_curve(conic, pencil):
+        raise AssertionError("the curve was computed before the vertices were checked")
+
+    monkeypatch.setattr(poncelet, "poncelet_curve", no_curve)
+    argv = ["poncelet", "--conic", "s0^2;s1^2;s0*s1"] + PENCIL_B + ["--vertices", vertices]
+    assert run(capsys, argv) == (code, f"status: error\nmessage: {message}\n")
+
+
+def test_poncelet_conic_of_two_forms_exit_2(capsys):
+    argv = ["poncelet", "--conic", "s0^2;s1^2"] + PENCIL_B
+    assert run(capsys, argv) == (2, "status: error\nmessage: --conic expects 'standard' or "
+                                    "three forms 'p0;p1;p2'\n")
+
+
 def test_poncelet_explicit_conic(capsys):
     code, out = run(capsys, [
         "poncelet", "--conic", "s0^2;s1^2;s0*s1"] + PENCIL_B)

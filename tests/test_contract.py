@@ -91,6 +91,10 @@ ROWS += [
     ("cancelled-big-sum", ["poncelet", "--gamma1", f"{SUM_1000}^15 - {SUM_1000}^15 + s0^3",
                            "--gamma2", "s1^3"], 0),
     ("family-longest-literal", ["family", "--name", "93", "--param", NINES], 0),
+    # 9 999 characters, two consecutive 4 999-digit integers, so in lowest terms:
+    # the eps91 determinant expands on a rational whose powers do not cancel
+    ("family-eps91-long-fraction", ["family", "--name", "eps91", "--param",
+                                    f"{'9' * 4998}8/{'9' * 4999}"], 0),
     ("vertices-longest-literal", ["poncelet", "--gamma1", "s0^3 + s1^3", "--gamma2",
                                   "s0*s1^2 + 2*s0^2*s1", "--vertices", f"{NINES}:1,1:{NINES}"], 0),
     ("verify", ["verify"], 0),

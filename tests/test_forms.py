@@ -35,8 +35,9 @@ from luroth.linalg import det_rational, invert, sylvester_resultant
 from luroth import forms
 from luroth.poncelet import make_conic, standard_conic
 from oracles import (conic_image, dense_partial, form_gcd, fraction_evaluate,
-                     fraction_substitute_linear, horner_substitute, int_str_limit, partial,
-                     partial_directional, parse_terms, power, shear_substitute, zero_form)
+                     fraction_substitute_linear, from_terms, horner_substitute, int_str_limit,
+                     partial, partial_directional, parse_terms, power, shear_substitute,
+                     zero_form)
 
 PAIR = ("v", "w")
 TRIPLE = ("u", "v", "w")
@@ -985,17 +986,20 @@ def test_constructors_reject_negative_exponents_and_wrong_arity():
     with pytest.raises(ValueError, match="non-negative entries"):
         TernaryForm.from_terms(2, TRIPLE, {(3, -1, 0): 1, (1, 1, 0): 2})
     with pytest.raises(ValueError, match="non-negative entries"):
-        BinaryForm.from_terms(2, PAIR, {(3, -1): 5, (2, 0): 1})
+        from_terms(BinaryForm, 2, PAIR, {(3, -1): 5, (2, 0): 1})
     for cls, arity, bad in ((BinaryForm, 2, (1, 1, 0)), (TernaryForm, 3, (1, 1))):
         with pytest.raises(ValueError, match=f"needs {arity} non-negative entries"):
-            cls.from_terms(2, TRIPLE[:arity], {bad: 1})
+            from_terms(cls, 2, TRIPLE[:arity], {bad: 1})
     with pytest.raises(ValueError, match="non-negative entries"):
         TernaryForm(2, TRIPLE, 1, {(3, -1, 0): 1})
     with pytest.raises(ValueError, match="non-negative entries"):  # its sum is the degree
-        BinaryForm.from_terms(0, PAIR, {(1, -1): 1})
+        from_terms(BinaryForm, 0, PAIR, {(1, -1): 1})
     for cls, exp in ((BinaryForm, (2, 1)), (TernaryForm, (1, 2, 0))):
         with pytest.raises(HomogeneityError):
-            cls.from_terms(2, TRIPLE[:len(exp)], {exp: 1})
+            from_terms(cls, 2, TRIPLE[:len(exp)], {exp: 1})
+        with pytest.raises(HomogeneityError):  # the package's binary path, `forms._form`
+            form_from_json({"vars": list(TRIPLE[:len(exp)]), "degree": 2,
+                            "terms": [{"exp": list(exp), "coef": 1}]})
     with pytest.raises(HomogeneityError):  # past MAX_DEGREE the check runs term by term
         TernaryForm.from_terms(MAX_DEGREE + 1, TRIPLE, {(MAX_DEGREE, 0, 0): 1})
     big = TernaryForm.from_terms(MAX_DEGREE + 1, TRIPLE, {(MAX_DEGREE, 1, 0): 3})
@@ -1057,7 +1061,7 @@ def test_every_construction_gives_one_representation_hypothesis():
         fractions = {e: Fraction(c, den) for e, c in zip(exps, nums) if c}
         scaled = ([c * k for c in nums] if arity == 2
                   else {e: c * k for e, c in zip(exps, nums) if c})
-        forms = [cls.from_terms(degree, variables, fractions), cls(degree, variables, fractions)
+        forms = [from_terms(cls, degree, variables, fractions), cls(degree, variables, fractions)
                  if arity == 3 else cls(degree, variables, [Fraction(c, den) for c in nums]),
                  cls(degree, variables, den * k, scaled)]
         forms += [parse_form(str(forms[0]), variables),

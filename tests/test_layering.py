@@ -28,13 +28,18 @@ of the other `luroth` modules: they read no `_`-prefixed attribute of one and
 import no such name.  And `nodal` builds each output form in one place: it
 calls `TernaryForm(` only inside `_assemble`, and never `from_terms`.  And
 `src/` holds no code that only the tests call: each function, class and
-method is read by the package, exported, or named by the benchmark.  And
+method is read by the package, exported, or named by the benchmark, and a
+classmethod only by its own class, `BinaryForm.from_coeffs` or `cls.` inside
+the class, so a same-named method of another class does not keep it.  And
 neither pipeline keeps state between calls: `forms`, `linalg`, `poncelet`
 and `nodal` hold no `global` statement, so what they keep is per value
 (`cached_property`, an attribute set outside the fields) or in an
-`lru_cache` or `cache`."""
+`lru_cache` or `cache`.  And README's lists of the tests that skip without
+`hypothesis` or `sympy` name exactly the test functions that call
+`pytest.importorskip` for it, directly or through a helper."""
 
 import ast
+import re
 from pathlib import Path
 
 import luroth
@@ -257,19 +262,55 @@ def test_the_name_scan_sees_attributes_imports_and_dotted_strings():
     assert sorted(names_read(tree, strings=True)) == ["T", "a", "b", "c", "d", "linalg", "rank"]
 
 
+def qualified_reads(node: ast.AST, strings: bool = False) -> set[tuple[str, str]]:
+    """(qualifier, name) for each attribute a tree reads off a name or a dotted
+    path, as ("BinaryForm", "from_terms") from `forms.BinaryForm.from_terms`,
+    with `cls.` read as the class it appears in; with strings, also each
+    adjacent pair of a dotted string constant such as "linalg.PolyMatrix.rows"."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.ClassDef):
+            out |= {(n.name, a.attr) for a in ast.walk(n) if isinstance(a, ast.Attribute)
+                    and isinstance(a.value, ast.Name) and a.value.id == "cls"}
+        elif isinstance(n, ast.Attribute) and isinstance(n.value, (ast.Name, ast.Attribute)):
+            out.add((n.value.id if isinstance(n.value, ast.Name) else n.value.attr, n.attr))
+        elif strings and isinstance(n, ast.Constant) and isinstance(n.value, str):
+            parts = n.value.split(".")
+            out.update(zip(parts, parts[1:]))
+    return out
+
+
+def test_the_qualified_scan_sees_classes_paths_cls_and_dotted_strings():
+    tree = ast.parse("class A:\n    def f(cls):\n        return cls.g()\n"
+                     "x = forms.B.h\ny = obj.k\nT = ('linalg.C.m',)\n")
+    assert qualified_reads(tree) == {("A", "g"), ("cls", "g"), ("B", "h"), ("forms", "B"),
+                                     ("obj", "k")}
+    assert qualified_reads(tree, strings=True) - qualified_reads(tree) == {("linalg", "C"),
+                                                                             ("C", "m")}
+
+
+def is_classmethod(f: ast.FunctionDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "classmethod" for d in f.decorator_list)
+
+
 def test_src_holds_no_code_that_only_the_tests_call():
     """Each module-level function and class of `src/luroth` is read by other
     `src/` code, outside its own definition (an export from `luroth/__init__.py`
     is such a read), or named in `bench/*.py`; each non-dunder method is read
     as an attribute in `src/`, or named in `bench/*.py`, where the tracer's
-    dotted targets such as "forms.TernaryForm.substitute_linear" count.  What
-    only the tests call lives in `tests/oracles.py`."""
+    dotted targets such as "forms.TernaryForm.substitute_linear" count.  A
+    classmethod counts as read only when its own class qualifies it, as
+    `BinaryForm.from_coeffs` or `cls.` inside the class: a same-named method
+    of another class is no read of it.  What only the tests call lives in
+    `tests/oracles.py`."""
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
     src_names = [name for tree in trees.values() for name in names_read(tree)]
-    bench = {name for p in BENCH.glob("*.py")
-             for name in names_read(ast.parse(p.read_text(encoding="utf-8")), strings=True)}
+    bench_trees = [ast.parse(p.read_text(encoding="utf-8")) for p in BENCH.glob("*.py")]
+    bench = {name for tree in bench_trees for name in names_read(tree, strings=True)}
     attributes = {n.attr for tree in trees.values() for n in ast.walk(tree)
                   if isinstance(n, ast.Attribute)} | bench
+    qualified = set().union(*map(qualified_reads, trees.values()),
+                            *(qualified_reads(tree, strings=True) for tree in bench_trees))
     unread = []
     for module, tree in sorted(trees.items()):
         for d in tree.body:
@@ -278,7 +319,40 @@ def test_src_holds_no_code_that_only_the_tests_call():
             if src_names.count(d.name) == names_read(d).count(d.name) and d.name not in bench:
                 unread.append(f"{module}.{d.name}")
             for m in d.body if isinstance(d, ast.ClassDef) else ():
-                if (isinstance(m, ast.FunctionDef) and not m.name.startswith("__")
-                        and m.name not in attributes):
+                if not isinstance(m, ast.FunctionDef) or m.name.startswith("__"):
+                    continue
+                if ((d.name, m.name) not in qualified if is_classmethod(m)
+                        else m.name not in attributes):
                     unread.append(f"{module}.{d.name}.{m.name}")
     assert not unread, unread
+
+
+NUMBERS = {"six": 6, "seven": 7, "eight": 8, "nine": 9, "ten": 10}
+
+
+def skipping_tests(trees: list[ast.Module], module: str) -> set[str]:
+    """The test functions that call `pytest.importorskip(module)`, directly or
+    through a module-level helper that calls it."""
+    def skips(node, helpers=frozenset()):
+        return any(isinstance(n, ast.Call) and (
+            isinstance(n.func, ast.Attribute) and n.func.attr == "importorskip"
+            and [getattr(a, "value", None) for a in n.args] == [module]
+            or isinstance(n.func, ast.Name) and n.func.id in helpers) for n in ast.walk(node))
+
+    functions = [f for tree in trees for f in tree.body if isinstance(f, ast.FunctionDef)]
+    helpers = {f.name for f in functions if not f.name.startswith("test_") and skips(f)}
+    return {f.name for f in functions if f.name.startswith("test_") and skips(f, helpers)}
+
+
+def test_readme_lists_the_tests_each_optional_module_skips():
+    """README's bullet for each optional test module names exactly the tests
+    that skip without it, and its count word is their number."""
+    readme = (BENCH.parent / "README.md").read_text(encoding="utf-8")
+    trees = [ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(BENCH.parent.glob("tests/*.py")) + sorted(BENCH.glob("*.py"))]
+    for module in ("hypothesis", "sympy"):
+        bullet = re.search(rf"^- without `{module}`, the (\w+) (.*?)\n(?:- |\n)", readme,
+                           re.M | re.S)
+        named = re.findall(r"`(test_\w+)`", bullet[2])
+        assert len(named) == len(set(named)) == NUMBERS[bullet[1]], (module, named)
+        assert set(named) == skipping_tests(trees, module), module

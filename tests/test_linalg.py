@@ -673,6 +673,21 @@ def test_poly_matrix_rejects_mixed_degree_columns():
         PolyMatrix.from_rows([[v, v], [v, zero_form(TernaryForm, 0, TRIPLE)]])
 
 
+def test_poly_matrix_rejects_a_wrong_entry_count_and_mixed_triples():
+    v = parse_form("v", TRIPLE)
+    with pytest.raises(ValueError, match="^entry count does not match dimensions$"):
+        PolyMatrix(2, 2, (v, v, v))
+    with pytest.raises(ValueError, match="^all entries must share one variable triple$"):
+        PolyMatrix(1, 2, (v, parse_form("y", ("x", "y", "t"))))
+
+
+def test_sylvester_resultant_rejects_mismatched_variables():
+    g, h = parse_form("v^2+w^2", ("v", "w")), parse_form("a*b", ("a", "b"))
+    with pytest.raises(ValueError, match="^variable mismatch$") as err:
+        sylvester_resultant(g, h)
+    assert type(err.value) is ValueError
+
+
 def test_determinant_rejects_high_degree_entries():
     with pytest.raises(ValueError):
         PolyMatrix.from_rows([[parse_form("v^2", TRIPLE)]])

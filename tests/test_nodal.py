@@ -13,7 +13,7 @@ import pytest
 from luroth import linalg, nodal
 from luroth.forms import (BinaryForm, PreconditionError, TernaryForm, integral_coeffs, integral_row,
                          mul_coeffs, parse_form)
-from luroth.linalg import det_rational, invert, sylvester_resultant
+from luroth.linalg import conic_det3, det_rational, invert, sylvester_resultant
 from luroth.nodal import (
     NodeError,
     NodeReport,
@@ -813,6 +813,7 @@ def test_residual_identity_random_round_trips():
         result = residual_line_identity(dec, data)
         assert result == (phi * phi + psi) * f2
         assert data.det3 == Fraction(-1, 4) * data.disc_binary
+        assert data.det3 == conic_det3(data.conic)  # -disc/4 is the conic matrix's det
 
 
 # ---------------------------------------------------------------------------
@@ -827,6 +828,31 @@ def test_tangent_map_worked_values():
     assert result.phi_dot == BinaryForm.from_coeffs(PAIR_VW, [Fraction(-1, 2), 0])
     assert result.psi_dot == parse_form("3*v^2", PAIR_VW)
     assert result.conic_velocity == parse_form("-u*v - 3*v^2", DUAL_VARS)
+
+
+def test_entry_points_reject_wrong_degrees_cones_and_variables():
+    """The error branches of `koszul_solve`, `tangent_map` and
+    `quartic_from_conic_and_cubic`, each by its message."""
+    f2, f3 = parse_form("v*w", PAIR_VW), parse_form("v^3+w^3", PAIR_VW)
+    phi, psi = parse_form("v", PAIR_VW), parse_form("w^2", PAIR_VW)
+    with pytest.raises(PreconditionError, match="^the Koszul system needs degrees 2, 3 and 4$"):
+        koszul_solve(f3, f2, parse_form("v^4", PAIR_VW))
+    dec = normalize_at_node(QUARTIC_A, (1, 0, 0))
+    data = associated_conic(dec)
+    with pytest.raises(PreconditionError, match="^direction must be a quartic$"):
+        tangent_map(dec, data, parse_form("u^3", DUAL_VARS))
+    with pytest.raises(ValueError, match="^direction must use the quartic's variable triple$"):
+        tangent_map(dec, data, parse_form("x^4", ("x", "y", "t")))
+    cusp = verify_node(parse_form("w^2*u^2+w*v^3+u^4+v^4", DUAL_VARS), (0, 0, 1))
+    assert cusp.singular and not cusp.ordinary
+    with pytest.raises(PreconditionError, match="^node is not ordinary: degenerate tangent cone$"):
+        tangent_map(cusp._dec, data, QUARTIC_A)
+    with pytest.raises(PreconditionError, match=r"^expected degrees \(2, 3\) and \(1, 2\)$"):
+        quartic_from_conic_and_cubic(f2, f3, psi, psi, "u")
+    built = quartic_from_conic_and_cubic(f2, f3, phi, psi, "u")  # var_order (v, w, u)
+    assert built == quartic_from_conic_and_cubic(f2, f3, phi, psi, "u", ("v", "w", "u"))
+    analysis = classify(built, (0, 0, 1))
+    assert (analysis.conic_data.phi, analysis.conic_data.psi) == (phi, psi)
 
 
 def test_tangent_map_zero_direction():

@@ -147,6 +147,23 @@ def test_make_conic_rejects_dependent():
         make_conic(p, q, p)
 
 
+def test_conic_and_pencil_reject_wrong_degrees_and_mixed_variables():
+    """Each error branch of `make_conic` and `PonceletPencil` by its message:
+    a degree error is a precondition, mixed variables an input error."""
+    p, q, cubic = (parse_form(t, PARAM_VARS) for t in ("s0^2", "s1^2", "s0^3"))
+    other = parse_form("a*b", ("a", "b"))
+    with pytest.raises(PreconditionError, match="^parametrization components must have degree 2$"):
+        make_conic(p, q, cubic)
+    with pytest.raises(ValueError, match="^parametrization components must share variables$"):
+        make_conic(p, q, other)
+    gamma = parse_form("s0^3+s1^3", PARAM_VARS)
+    with pytest.raises(ValueError, match="^pencil generators must share variables$") as err:
+        PonceletPencil(gamma, parse_form("a^3", ("a", "b")))
+    assert type(err.value) is ValueError
+    with pytest.raises(PreconditionError, match="^pencil generators must have equal degree$"):
+        PonceletPencil(gamma, parse_form("s0^4", PARAM_VARS))
+
+
 def test_make_conic_reparametrized_veronese():
     rng = random.Random(21)
     base = standard_conic()
