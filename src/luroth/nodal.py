@@ -10,12 +10,12 @@ residual line's tangency point.
 
 The pipeline runs on integers.  The node's integers, `forms.projective_ints`,
 are the transform's last column p/p[pivot] times lam; with the quartic's
-numerators over d, one `forms.substitute_terms` gives the pieces
+numerators over d, the binomial kernel `_pieces` gives the pieces
 F_i = d*lam^(4-i)*f_i, and `_solve` solves phi*(lam*F3) + psi*F2 = lam^2*F4 by
 remainders modulo F2: Cramer's rule on the two-register pseudo-remainders
 `poncelet` uses too, then one exact division for psi.  Each output form takes
 its integer numerators over one denominator, reduced by one gcd.
-`tangent_map` moves the direction's numerators by the same matrix and solves
+`tangent_map` moves the direction's numerators by the same kernel and solves
 by `_solve`.  det3 is -disc(phi^2 + psi)/4, the bridge `verify` replays, from
 the discriminant's integers.
 
@@ -28,13 +28,14 @@ numerators of the decomposition's and the conic data's forms.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import gcd
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Sequence
 
 from .forms import (BinaryForm, Frozen, PreconditionError, TernaryForm, _by_pullback,
                     _exact_quotient, _mod_q, _set, directional_coeffs, integral_coeffs,
-                    integral_row, mul_coeffs, projective_ints, substitute_terms)
+                    integral_row, mul_coeffs, projective_ints)
 from .linalg import conic_kernel_point, disc_binary_quadratic
 
 Transform = tuple[tuple[Fraction, ...], ...]
@@ -106,16 +107,29 @@ class TangentMapResult(Frozen):
     conic_velocity: TernaryForm
 
 
-def _pieces(quartic: TernaryForm, transform: Transform, column: list) -> tuple[list, int]:
-    """Integer pieces F0..F4 of the moved quartic sum t^(4-i) * f_i, t last, with
-    F_i = d*lam^(4-i)*f_i: the numerators over d and the last column times lam
-    are the integers column (the other two are standard vectors), moved by one
-    substitution."""
-    m = [[row[0].numerator, row[1].numerator, x] for row, x in zip(transform, column)]
-    pieces = [[0] * (i + 1) for i in range(5)]
-    for (_, b, c), x in substitute_terms(quartic.nums, 4, m).items():
-        pieces[4 - c][b] = x
-    return pieces, quartic.den
+def _pieces(form: TernaryForm, column: Sequence[int], pivot: int) -> tuple[list, int]:
+    """Integer pieces F0..F4 of the form at the node, F_i = d*lam^(4-i)*f_i over its
+    denominator d.  For (c0, c1, lam) the column on o0, o1 and the pivot p, x_o0 = y0 + c0*t,
+    x_o1 = y1 + c1*t and x_p = lam*t, so c*x_o0^i*x_o1^j*x_p^k adds, by the binomial theorem,
+    c*lam^k*C(i,a)*c0^(i-a)*C(j,b)*c1^(j-b) to F_(a+b)[b].  Row i of s0 holds (a, C(i,a)*c0^(i-a))
+    from a = i down, by the factor c0*a/(i-a+1); for c0 = 0, a = i alone: a unit node relabels."""
+    n, (o0, o1) = form.degree, (i for i in range(3) if i != pivot)
+    s0, s1 = [], []
+    for s, rows in (column[o0], s0), (column[o1], s1):
+        for i in range(n + 1):
+            rows.append(row := [(i, 1)])
+            for a in range(i, 0, -1) if s else ():
+                row.append((a - 1, row[-1][1] * s * a // (i - a + 1)))
+    lams = list(accumulate(repeat(column[pivot], n), mul, initial=1))
+    pieces = [[0] * (i + 1) for i in range(n + 1)]
+    for e, c in form.nums.items():
+        c *= lams[e[pivot]]
+        ys = s1[e[o1]]
+        for a, x in s0[e[o0]]:
+            x *= c
+            for b, y in ys:
+                pieces[a + b][b] += x * y
+    return pieces, form.den
 
 
 def _solve(f2: Sequence[int], f3: Sequence[int], rhs: Sequence[int]):
@@ -164,7 +178,7 @@ def verify_node(quartic: TernaryForm, point: Sequence) -> NodeReport:
                        Fraction(x, lam)) for r, x in enumerate(column))
     variables = quartic.variables
     pair = (variables[others[0]], variables[others[1]])
-    (f0, f1, f2, f3, f4), d = _pieces(quartic, transform, column)
+    (f0, f1, f2, f3, f4), d = _pieces(quartic, column, pivot)
     on_curve = not f0[0]
     singular = on_curve and not any(f1)
     ordinary = singular and f2[1] * f2[1] != 4 * f2[0] * f2[2]
@@ -276,7 +290,8 @@ def tangent_map(dec: NodeDecomposition, data: AssociatedConicData,
         raise PreconditionError("direction must be a quartic")
     if direction.variables != dec.original_vars:
         raise ValueError("direction must use the quartic's variable triple")
-    (g0, (a, b), g2, g3, g4), h = _pieces(direction, dec.transform, column)
+    pivot = next(i for i, x in enumerate(column) if x)
+    (g0, (a, b), g2, g3, g4), h = _pieces(direction, column, pivot)
     if g0[0]:
         raise PreconditionError("direction quartic does not vanish at the node")
     # polarized cone equation d(f2).xi = -g1 by Cramer's rule; its determinant is -disc

@@ -18,7 +18,7 @@ import pytest
 
 import luroth
 from luroth.cli import MAX_VERTICES
-from luroth.forms import MAX_COEFF_BITS
+from luroth.forms import MAX_COEFF_BITS, parse_form
 
 resource = pytest.importorskip("resource")  # POSIX only
 
@@ -149,6 +149,24 @@ for name, f, node, code in [
     ROWS += [(f"analyze-{name}", ["quartic", "analyze", "--f", f, "--node", node], code),
              (f"tangent-{name}", ["quartic", "tangent", "--f", f, "--node", node,
                                   "--g", "u^3*v + v^4 + 7*u^2*w^2"], code)]
+# A generic big node: quartic("1") and the rows' direction moved by
+# u -> u - A*w, v -> v - B*w take the node 0:0:1 to A:B:1, A and B of 1000
+# digits, so the node move runs on big column entries, not on (0, 0, 1).
+BIG_A, BIG_B = (_RNG.randint(10 ** 999, 10 ** 1000) for _ in range(2))
+
+
+def moved_to_big_node(text: str) -> str:
+    form = parse_form(text, ("u", "v", "w"))
+    return str(form.substitute_linear([[1, 0, -BIG_A], [0, 1, -BIG_B], [0, 0, 1]]))
+
+
+BIG_NODE_QUARTIC = moved_to_big_node(quartic("1"))
+BIG_NODE_DIRECTION = moved_to_big_node("u^3*v + v^4 + 7*u^2*w^2")
+ROWS += [("analyze-1000-digit-generic-node",
+          ["quartic", "analyze", "--f", BIG_NODE_QUARTIC, "--node", f"{BIG_A}:{BIG_B}:1"], 0),
+         ("tangent-1000-digit-generic-node",
+          ["quartic", "tangent", "--f", BIG_NODE_QUARTIC, "--node", f"{BIG_A}:{BIG_B}:1",
+           "--g", BIG_NODE_DIRECTION], 0)]
 
 
 # Long products, each one token of the parser: 40 000 literal factors (80 KB),

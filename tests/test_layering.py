@@ -36,7 +36,11 @@ and `nodal` hold no `global` statement, so what they keep is per value
 (`cached_property`, an attribute set outside the fields) or in an
 `lru_cache` or `cache`.  And README's lists of the tests that skip without
 `hypothesis` or `sympy` name exactly the test functions that call
-`pytest.importorskip` for it, directly or through a helper."""
+`pytest.importorskip` for it, directly or through a helper.  And every name
+a `src/luroth` module imports is read in it, `__init__` and the `__future__`
+import aside: no linter is assumed, and a stale import, such as
+`substitute_terms` in `nodal` once its binomial kernel moves the node, fails
+here."""
 
 import ast
 import re
@@ -356,3 +360,31 @@ def test_readme_lists_the_tests_each_optional_module_skips():
         named = re.findall(r"`(test_\w+)`", bullet[2])
         assert len(named) == len(set(named)) == NUMBERS[bullet[1]], (module, named)
         assert set(named) == skipping_tests(trees, module), module
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """The names a module imports, at any nesting level, and never reads:
+    `import a.b` binds a, and `from __future__` binds no name."""
+    bound = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            bound += [alias.asname or alias.name.partition(".")[0] for alias in n.names]
+        elif isinstance(n, ast.ImportFrom) and n.module != "__future__":
+            bound += [alias.asname or alias.name for alias in n.names]
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [name for name in bound if name not in read]
+
+
+def test_the_import_scan_sees_unread_names_aliases_and_nested_imports():
+    source = ("from __future__ import annotations\nimport os.path\nimport re as regex\n"
+              "from .forms import projective_ints, substitute_terms\n"
+              "def f(p):\n    from math import comb, gcd\n    return projective_ints(p), gcd\n"
+              "x = os.sep\nregex = None\n")
+    assert unused_imports(ast.parse(source)) == ["regex", "substitute_terms", "comb"]
+
+
+def test_src_modules_read_every_name_they_import():
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "__init__":
+            assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == [], path.name

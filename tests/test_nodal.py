@@ -12,7 +12,7 @@ import pytest
 
 from luroth import linalg, nodal
 from luroth.forms import (BinaryForm, PreconditionError, TernaryForm, integral_coeffs, integral_row,
-                         mul_coeffs, parse_form)
+                         mul_coeffs, parse_form, projective_ints, substitute_terms)
 from luroth.linalg import conic_det3, det_rational, invert, sylvester_resultant
 from luroth.nodal import (
     NodeError,
@@ -29,8 +29,8 @@ from luroth.nodal import (
 )
 from luroth.poncelet import DUAL_VARS, family_matrix
 from luroth.verify import printed_93
-from oracles import (_ternary, bareiss_koszul, fraction_classify, fraction_tangent_map, power,
-                     zero_form)
+from oracles import (_ternary, bareiss_koszul, fraction_classify, fraction_tangent_map,
+                     horner_substitute, power, zero_form)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
@@ -63,6 +63,82 @@ def rand_admissible(rng, pair=PAIR_VW):
                                                 ("u",) + pair), f2, f3, phi, psi
         except PreconditionError:
             continue
+
+
+# ---------------------------------------------------------------------------
+# the node move: the binomial kernel `_pieces` against the two substitutions
+
+QUARTIC_MONOMIALS = [(i, j, 4 - i - j) for i in range(5) for j in range(5 - i)]
+BIG_A, BIG_B, BIG_LAM = int("9" * 1000), -int("8" * 999 + "7"), int("1" + "3" * 999)
+
+
+def pieces_by(substitute, form, column, pivot):
+    """F0..F4 read off a substitution's terms on the node matrix, unit columns
+    at the two free coordinates and the node's column last: y0^a*y1^b*t^c
+    lands at coefficient b of F_(4-c)."""
+    o0, o1 = (i for i in range(3) if i != pivot)
+    m = [[int(r == o0), int(r == o1), x] for r, x in enumerate(column)]
+    pieces = [[0] * (i + 1) for i in range(5)]
+    for (_, b, c), x in substitute(dict(form.nums), 4, m).items():
+        pieces[4 - c][b] = x
+    return pieces
+
+
+def assert_pieces_match_the_substitutions(form, column, pivot):
+    pieces, den = nodal._pieces(form, column, pivot)
+    assert den == form.den
+    assert pieces == pieces_by(horner_substitute, form, column, pivot)
+    assert pieces == pieces_by(substitute_terms, form, column, pivot)
+
+
+def dense_quartic(rng, bound=5):
+    return TernaryForm(4, DUAL_VARS, rng.randint(1, 9),
+                       {e: rng.choice([-1, 1]) * rng.randint(1, bound) for e in QUARTIC_MONOMIALS})
+
+
+@pytest.mark.parametrize("pivot", [0, 1, 2])
+def test_node_move_matches_the_substitutions_at_each_pivot(pivot):
+    """Zero, negative and 1000-digit entries off the pivot, a unit, small and
+    1000-digit entry on it, on sparse and dense quartics, one with a 1000-digit
+    coefficient."""
+    rng = random.Random(f"node-move/{pivot}")
+    forms = [QUARTIC_A, QUARTIC_B, parse_form("u*v^3", DUAL_VARS),
+             parse_form("1/3*w^4", DUAL_VARS), dense_quartic(rng), dense_quartic(rng, BIG_A)]
+    for c0 in (0, -1, BIG_A):
+        for c1 in (0, 2, BIG_B):
+            for lam in (1, 3, BIG_LAM):
+                column = [c0, c1]
+                column.insert(pivot, lam)
+                for form in forms:
+                    assert_pieces_match_the_substitutions(form, column, pivot)
+
+
+def test_node_move_matches_the_substitutions_on_bench_inputs():
+    """The 64 seed-1 nodal-batch quartics and directions at their nodes."""
+    rng = random.Random("nodal-batch/1")
+    for i in range(64):
+        q = make_quartic(rng, type_two=(i % 2 == 0))
+        column = projective_ints(q.node)
+        pivot = next(k for k, x in enumerate(column) if x)
+        for text in (q.quartic, q.direction):
+            assert_pieces_match_the_substitutions(parse_form(text, DUAL_VARS), column, pivot)
+
+
+def test_node_move_matches_the_substitutions_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entry = st.one_of(st.integers(-3, 3), st.integers(-2 ** 200, 2 ** 200))
+    nonzero = entry.filter(bool)
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.integers(0, 2), entry, entry, nonzero, st.integers(1, 30),
+                      st.dictionaries(st.sampled_from(QUARTIC_MONOMIALS), nonzero, min_size=1))
+    def check(pivot, c0, c1, lam, den, terms):
+        column = [c0, c1]
+        column.insert(pivot, lam)
+        assert_pieces_match_the_substitutions(TernaryForm(4, DUAL_VARS, den, terms), column, pivot)
+
+    check()
 
 
 # ---------------------------------------------------------------------------
@@ -443,13 +519,13 @@ def fresh_classify(quartic, point):
 
 def test_classify_moves_the_node_once(monkeypatch):
     """Counts the integer kernels at the module attributes `nodal` calls: the
-    node move is one `substitute_terms`, the Koszul solve one remainder kernel
-    `_solve`, in the one `verify_node` per `classify`, and a second `classify`
+    node move is one binomial kernel `_pieces`, the Koszul solve one remainder
+    kernel `_solve`, in the one `verify_node` per `classify`, and a second `classify`
     on the same quartic object moves the node again: nothing is memoized.
     No quartic is hashed, and `tangent_map` reads the numerators of the
     decomposition's forms, the conic data's and the direction's: its one
     `integral_row` is the node's column."""
-    calls = {"substitute_terms": 0, "verify_node": 0, "_solve": 0, "integral_row": 0}
+    calls = {"_pieces": 0, "verify_node": 0, "_solve": 0, "integral_row": 0}
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -466,16 +542,16 @@ def test_classify_moves_the_node_once(monkeypatch):
     monkeypatch.setattr(TernaryForm, "__hash__", unhashable)
     analysis = classify(quartic, (1, -1, 1))
     # one Koszul solve decides admissibility and gives (phi, psi)
-    assert {k: calls[k] for k in ("substitute_terms", "verify_node", "_solve")} == {
-        "substitute_terms": 1, "verify_node": 1, "_solve": 1}
+    assert {k: calls[k] for k in ("_pieces", "verify_node", "_solve")} == {
+        "_pieces": 1, "verify_node": 1, "_solve": 1}
     assert analysis.report.all_ok()
     assert classify(quartic, (1, -1, 1)) == analysis
-    assert {k: calls[k] for k in ("substitute_terms", "verify_node", "_solve")} == {
-        "substitute_terms": 2, "verify_node": 2, "_solve": 2}
+    assert {k: calls[k] for k in ("_pieces", "verify_node", "_solve")} == {
+        "_pieces": 2, "verify_node": 2, "_solve": 2}
     # the direction moves once; xi by Cramer's rule, one Koszul solve
     calls["integral_row"] = 0
     tangent_map(analysis.decomposition, analysis.conic_data, TWO_CONICS_2)
-    assert calls == {"substitute_terms": 3, "verify_node": 2, "_solve": 3, "integral_row": 1}
+    assert calls == {"_pieces": 3, "verify_node": 2, "_solve": 3, "integral_row": 1}
 
 
 def test_interleaved_classify_matches_fresh_calls():
