@@ -222,7 +222,7 @@ def _split(m: tuple[tuple[int, ...], ...]) -> tuple:
 def substitute_terms(terms: Mapping[Exp, int], degree: int,
                      m: Sequence[Sequence[int]]) -> dict:
     """Integer terms of a ternary form F after x_i := sum_j m[i][j]*x_j;
-    ValueError on a singular m.  One nonzero entry per row relabels and scales.
+    PreconditionError on a singular m.  One nonzero entry per row relabels and scales.
     Else F is read back in balanced base X = 2^(8k) > 2*||F||_1*N^degree, N a
     bound on row 1-norms (Kronecker substitution; Schoenhage, 1982): up to
     PACKED_MAX_DEGREE, one Horner evaluation at (X^(degree+1), X, 1); above,
@@ -231,7 +231,7 @@ def substitute_terms(terms: Mapping[Exp, int], degree: int,
     a Taylor shift by b*X + c (von zur Gathen & Gerhard, ISSAC 1997), then
     times a^j; the last, over the product of the pre, to the degree."""
     if not adjugate3(m)[0]:
-        raise ValueError("singular substitution matrix")
+        raise PreconditionError("coordinate change matrix is singular")
     n = degree
     if sum(map(bool, [*m[0], *m[1], *m[2]])) == 3:  # a relabelling times a diagonal
         p = [0 if row[0] else 1 if row[1] else 2 for row in m]
@@ -902,11 +902,10 @@ class TernaryForm(_Form):
         """Projective coordinate change: returns F with x_i := sum_j t[i][j]*x_j.
 
         The integer core, `substitute_terms`, runs on the numerators and the
-        matrix times e; the result is over den*e^degree (F is homogeneous)."""
+        matrix times e, and rejects a singular t; the result is over
+        den*e^degree (F is homogeneous)."""
         entries, e = integral_row([t[i][j] for i in range(3) for j in range(3)])
         m = [entries[i:i + 3] for i in (0, 3, 6)]
-        if adjugate3(m)[0] == 0:
-            raise PreconditionError("coordinate change matrix is singular")
         return TernaryForm(self.degree, self.variables, self.den * e ** self.degree,
                            substitute_terms(self.nums, self.degree, m))
 

@@ -9,15 +9,15 @@ is singular, which is when disc(phi^2 + psi) = 0; its kernel point is the
 residual line's tangency point.
 
 The pipeline runs on integers.  The node's integers, `forms.projective_ints`,
-are the transform's last column p/p[pivot] times lam; with the quartic's
-numerators over d, the binomial kernel `_pieces` gives the pieces
-F_i = d*lam^(4-i)*f_i, and `_solve` solves phi*(lam*F3) + psi*F2 = lam^2*F4 by
-remainders modulo F2: Cramer's rule on the two-register pseudo-remainders
-`poncelet` uses too, then one exact division for psi.  Each output form takes
-its integer numerators over one denominator, reduced by one gcd.
-`tangent_map` moves the direction's numerators by the same kernel and solves
-by `_solve`.  det3 is -disc(phi^2 + psi)/4, the bridge `verify` replays, from
-the discriminant's integers.
+are p/p[pivot] times lam; the decomposition carries them as `node`, which fixes
+the coordinate change.  With the quartic's numerators over d, the binomial
+kernel `_pieces` gives the pieces F_i = d*lam^(4-i)*f_i, and `_solve` solves
+phi*(lam*F3) + psi*F2 = lam^2*F4 by remainders modulo F2: Cramer's rule on the
+two-register pseudo-remainders `poncelet` uses too, then one exact division for
+psi.  Each output form takes its integer numerators over one denominator,
+reduced by one gcd.  `tangent_map` moves the direction's numerators by the same
+kernel at `node` and solves by `_solve`.  det3 is -disc(phi^2 + psi)/4, the
+bridge `verify` replays, from the discriminant's integers.
 
 `verify_node` alone moves the node and solves, once per call; its report
 carries the decomposition, which `classify` reads, and `normalize_at_node`
@@ -35,11 +35,8 @@ from typing import Sequence
 
 from .forms import (BinaryForm, Frozen, PreconditionError, TernaryForm, _by_pullback,
                     _exact_quotient, _mod_q, _set, directional_coeffs, integral_coeffs,
-                    integral_row, mul_coeffs, projective_ints)
+                    mul_coeffs, projective_ints)
 from .linalg import conic_kernel_point, disc_binary_quadratic
-
-Transform = tuple[tuple[Fraction, ...], ...]
-_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class NodeError(PreconditionError):
@@ -67,14 +64,16 @@ class NodeReport(Frozen):
 
 
 class NodeDecomposition(Frozen):
-    """Coordinate change plus the graded pieces of the normalized quartic.
+    """The node's integers plus the graded pieces of the normalized quartic.
 
-    transform sends the last coordinate point to the node; pair holds the two
-    variables of f2, f3, f4 and t_var the variable playing the cone direction.
+    node is `forms.projective_ints` of the point, its first nonzero entry lam > 0 at
+    the pivot.  It fixes the coordinate change: columns e_i, e_j for the other two
+    indices i < j, then node/lam.  pair holds the two variables of f2, f3, f4 and
+    t_var the variable playing the cone direction.
     split is (phi, psi) from the Koszul solve that made the node admissible, or None.
     """
 
-    transform: Transform
+    node: tuple[int, int, int]
     pair: tuple[str, str]
     t_var: str
     original_vars: tuple[str, str, str]
@@ -170,15 +169,11 @@ def verify_node(quartic: TernaryForm, point: Sequence) -> NodeReport:
         raise PreconditionError("expected a nonzero quartic")
     if len(point := tuple(point)) != 3:
         raise ValueError("a point of the plane has three coordinates")
-    column = projective_ints(point)  # column/lam = p/p[pivot], lam > 0
-    pivot = next(i for i, x in enumerate(column) if x)
-    lam = column[pivot]
-    others = [i for i in range(3) if i != pivot]
-    transform = tuple((_ONE if r == others[0] else _ZERO, _ONE if r == others[1] else _ZERO,
-                       Fraction(x, lam)) for r, x in enumerate(column))
+    node = tuple(projective_ints(point))  # node/lam = p/p[pivot], lam > 0
+    pivot, lam = next((i, x) for i, x in enumerate(node) if x)
     variables = quartic.variables
-    pair = (variables[others[0]], variables[others[1]])
-    (f0, f1, f2, f3, f4), d = _pieces(quartic, column, pivot)
+    pair = (*variables[:pivot], *variables[pivot + 1:])
+    (f0, f1, f2, f3, f4), d = _pieces(quartic, node, pivot)
     on_curve = not f0[0]
     singular = on_curve and not any(f1)
     ordinary = singular and f2[1] * f2[1] != 4 * f2[0] * f2[2]
@@ -186,7 +181,7 @@ def verify_node(quartic: TernaryForm, point: Sequence) -> NodeReport:
     split = sol and (BinaryForm(1, pair, sol[2], sol[0]), BinaryForm(2, pair, sol[2], sol[1]))
     report = NodeReport(on_curve, singular, ordinary, sol is not None)
     _set(report, "_dec", NodeDecomposition(
-        transform, pair, variables[pivot], variables, BinaryForm(2, pair, d * lam * lam, f2),
+        node, pair, variables[pivot], variables, BinaryForm(2, pair, d * lam * lam, f2),
         BinaryForm(3, pair, d * lam, f3), BinaryForm(4, pair, d, f4), split))
     return report
 
@@ -194,8 +189,8 @@ def verify_node(quartic: TernaryForm, point: Sequence) -> NodeReport:
 def normalize_at_node(quartic: TernaryForm, point: Sequence) -> NodeDecomposition:
     """Deterministic normalization sending the node to the last coordinate point.
 
-    The pivot is the first nonzero coordinate of the node; the other two
-    standard vectors keep their order, so the decomposition is reproducible.
+    The pivot is the first nonzero entry of `node`, the node's integers; the other
+    two standard vectors keep their order, so the decomposition is reproducible.
     """
     report = verify_node(quartic, point)
     if not report.singular:
@@ -281,7 +276,6 @@ def tangent_map(dec: NodeDecomposition, data: AssociatedConicData,
     G_i = h*lam^(4-i)*g_i, xi and the right-hand side are X*c/(k*h) and
     R/(k*h*e) for k = disc*lam^3, so the kernel on c*R gives (phi_dot, psi_dot)*k*h*e.
     """
-    column, lam = integral_row([row[2] for row in dec.transform])  # coprime: p/p[pivot]
     ints, c = integral_coeffs(dec.f2, dec.f3, dec.f4)
     (p, q, r), f3, f4 = ints[:3], ints[3:7], ints[7:]
     if (disc := q * q - 4 * p * r) == 0:
@@ -290,8 +284,8 @@ def tangent_map(dec: NodeDecomposition, data: AssociatedConicData,
         raise PreconditionError("direction must be a quartic")
     if direction.variables != dec.original_vars:
         raise ValueError("direction must use the quartic's variable triple")
-    pivot = next(i for i, x in enumerate(column) if x)
-    (g0, (a, b), g2, g3, g4), h = _pieces(direction, column, pivot)
+    pivot, lam = next((i, x) for i, x in enumerate(dec.node) if x)
+    (g0, (a, b), g2, g3, g4), h = _pieces(direction, dec.node, pivot)
     if g0[0]:
         raise PreconditionError("direction quartic does not vanish at the node")
     # polarized cone equation d(f2).xi = -g1 by Cramer's rule; its determinant is -disc

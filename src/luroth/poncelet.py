@@ -189,6 +189,8 @@ def _dependent(u: Sequence[int], v: Sequence[int]) -> bool:
 def _pullback_ints(conic: ConicParam, line: Sequence) -> list[int]:
     """(a, b, l) = T*line in integers: the pullback's coefficients times a
     nonzero constant, which no incidence verdict depends on."""
+    if len(line) != 3:
+        raise ValueError("a line of the plane has three coordinates")
     u, v, w = integral_row(line)[0]
     return [r[0] * u + r[1] * v + r[2] * w for r in conic._t]
 
@@ -272,6 +274,8 @@ def jumping_chords(pencil: PonceletPencil, params: Sequence[Sequence]) -> set[tu
     singular.  Each generator is evaluated once per parameter, at its
     `projective_ints`; a repeated parameter is a PreconditionError."""
     ints = [tuple(projective_ints(p)) for p in params]
+    if any(len(p) != 2 for p in ints):
+        raise ValueError("a parameter of the conic has two coordinates")
     if len(set(ints)) < len(ints):
         raise PreconditionError("chord endpoints must be distinct parameters")
     values = [(pencil.gamma1.evaluate(p), pencil.gamma2.evaluate(p)) for p in ints]

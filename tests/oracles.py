@@ -78,7 +78,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import accumulate, repeat
-from math import gcd
+from math import gcd, lcm
 from operator import floordiv, itemgetter, mul
 from typing import Mapping, Sequence
 
@@ -975,16 +975,27 @@ def _ternary(pieces, t_var, var_order):
     return TernaryForm.from_terms(pieces[0][0] + pieces[0][1].degree, var_order, terms)
 
 
-def fraction_classify(quartic, point):
-    """`nodal.classify` with every step on Fractions; the same NodeError."""
+def node_transform(point):
+    """The node's integers and the Fraction matrix of the coordinate change
+    they fix, on Fractions: for the pivot, the point's first nonzero
+    coordinate, the columns are the other two standard vectors in order and
+    p/p[pivot], whose entries times lam, the lcm of their denominators, are
+    the node (coprime, lam at the pivot)."""
     p = [Fraction(x) for x in point]
     pivot = next(i for i, x in enumerate(p) if x)
+    column = [x / p[pivot] for x in p]
+    lam = lcm(*(x.denominator for x in column))
     others = [i for i in range(3) if i != pivot]
-    columns = [[Fraction(int(r == k)) for r in range(3)] for k in others]
-    columns.append([x / p[pivot] for x in p])
-    transform = tuple(tuple(columns[c][r] for c in range(3)) for r in range(3))
+    return tuple(int(x * lam) for x in column), tuple(
+        (*(Fraction(int(r == k)) for k in others), column[r]) for r in range(3))
+
+
+def fraction_classify(quartic, point):
+    """`nodal.classify` with every step on Fractions; the same NodeError."""
+    node, transform = node_transform(point)
+    pivot = next(i for i, x in enumerate(node) if x)
     variables = quartic.variables
-    pair = (variables[others[0]], variables[others[1]])
+    pair = tuple(v for i, v in enumerate(variables) if i != pivot)
     f0, f1, f2, f3, f4 = _graded_split(quartic, transform, pair)
     on_curve = f0.is_zero()
     singular = on_curve and f1.is_zero()
@@ -993,7 +1004,7 @@ def fraction_classify(quartic, point):
     report = nodal.NodeReport(on_curve, singular, ordinary, split is not None)
     if not report.all_ok():
         raise nodal.NodeError(f"node verification failed: {report.flags()}", report)
-    dec = nodal.NodeDecomposition(transform, pair, variables[pivot], variables,
+    dec = nodal.NodeDecomposition(node, pair, variables[pivot], variables,
                                   f2, f3, f4, split)
     phi, psi = split
     one = BinaryForm.from_coeffs(pair, [1])
@@ -1007,7 +1018,7 @@ def fraction_classify(quartic, point):
 
 def fraction_tangent_map(dec, data, direction):
     """`nodal.tangent_map` with every step on Fractions."""
-    g0, g1, g2, g3, g4 = _graded_split(direction, dec.transform, dec.pair)
+    g0, g1, g2, g3, g4 = _graded_split(direction, node_transform(dec.node)[1], dec.pair)
     if not g0.is_zero():
         raise PreconditionError("direction quartic does not vanish at the node")
     disc = disc_binary_quadratic(dec.f2)

@@ -1,5 +1,6 @@
 """Command-line interface: reports, JSON output and exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -232,6 +233,57 @@ def test_flag_value_double_dash_exit_2(capsys, argv):
     captured = capsys.readouterr()
     assert "expected a value, got '--'" in captured.err
     assert "internal error" not in captured.err
+
+
+def value_flags(parser: argparse.ArgumentParser) -> set[str]:
+    """The options of the parser and of its subcommands that take a value."""
+    flags = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= value_flags(sub)
+        elif action.nargs != 0:
+            flags.update(action.option_strings)
+    return flags
+
+
+# per value flag, a command giving it a value with a leading minus
+MINUS_VALUES = {
+    "--conic": ["poncelet", "--conic", "-s0^2;-s0*s1;-s1^2", "--gamma1", "s0^3",
+                "--gamma2", "s1^3"],
+    "--gamma1": ["poncelet", "--gamma1", "-s0^3", "--gamma2", "s1^3"],
+    "--gamma2": ["poncelet", "--gamma1", "s0^3", "--gamma2", "-s1^3"],
+    "--vertices": ["poncelet", "--gamma1", "s0^3", "--gamma2", "s1^3", "--vertices", "-1:1,1:1"],
+    "--f": ["quartic", "analyze", "--f", f"-({QUARTIC_A})", "--node", "1:0:0"],
+    "--node": ["quartic", "analyze", "--f", QUARTIC_A, "--node", "-1:0:0"],
+    "--g": ["quartic", "tangent", "--f", QUARTIC_A, "--node", "1:0:0",
+            "--g", "-v*u^3-3*u*v*w^2-u*v^3-2*v^4"],
+    "--name": ["family", "--name", "-93"],
+    "--param": ["family", "--name", "93", "--param", "-1/2"],
+}
+
+
+def test_value_flags_list_every_option_that_takes_a_value():
+    assert value_flags(cli.build_parser()) == cli._VALUE_FLAGS
+    assert set(MINUS_VALUES) == cli._VALUE_FLAGS
+
+
+@pytest.mark.parametrize("flag", sorted(MINUS_VALUES))
+def test_value_flags_take_a_leading_minus(capsys, flag):
+    """A value with a leading minus, after its flag as its own argument, is
+    the flag's value: the command runs (a family name, checked against the
+    choices, is rejected as a name, not as a missing value)."""
+    argv = MINUS_VALUES[flag]
+    value = argv[argv.index(flag) + 1]
+    if flag == "--name":
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        assert f"invalid choice: '{value}'" in capsys.readouterr().err
+        return
+    assert getattr(cli.build_parser().parse_args(cli._join_flag_values(argv)), flag[2:]) == value
+    code, out = run(capsys, argv)
+    assert code == 0 and "status: ok" in out, out
 
 
 def test_analyze_json_round_trip(capsys):

@@ -36,8 +36,8 @@ from luroth import forms
 from luroth.poncelet import make_conic, standard_conic
 from oracles import (conic_image, dense_partial, form_gcd, fraction_evaluate,
                      fraction_substitute_linear, from_terms, horner_substitute, int_str_limit,
-                     partial, partial_directional, parse_terms, power, shear_substitute,
-                     zero_form)
+                     node_transform, partial, partial_directional, parse_terms, power,
+                     shear_substitute, zero_form)
 
 PAIR = ("v", "w")
 TRIPLE = ("u", "v", "w")
@@ -468,10 +468,17 @@ def test_substitute_round_trip_random():
     assert g.substitute_linear(t).substitute_linear(invert(t)) == g
 
 
-def test_substitute_singular_rejected():
+def test_substitute_singular_rejected(monkeypatch):
+    """A coordinate change tests singularity once, in `substitute_terms`."""
     f = parse_form("u^2 - w^2", TRIPLE)
-    with pytest.raises(PreconditionError):
-        f.substitute_linear([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+    adjugate3, calls = forms.adjugate3, []
+    monkeypatch.setattr(forms, "adjugate3", lambda m: calls.append(m) or adjugate3(m))
+    with pytest.raises(PreconditionError, match="^coordinate change matrix is singular$"):
+        f.substitute_linear([[1, 1, 0], [1, 1, 0], [0, 0, Fraction(1, 2)]])
+    assert calls == [[[2, 2, 0], [2, 2, 0], [0, 0, 1]]]
+    assert f.substitute_linear([[1, 2, 0], [0, 1, 1], [1, 0, 1]]) == parse_form(
+        "(u + 2*v)^2 - (u + w)^2", TRIPLE)
+    assert len(calls) == 2
 
 
 def test_substitute_rejects_exactly_the_singular_matrices():
@@ -611,7 +618,8 @@ def node_transforms():
         cases.append((QUARTIC_A.substitute_linear(t), tuple(row[0] for row in invert(t))))
     out = []
     for quartic, node in cases:
-        flat = integral_row([x for row in normalize_at_node(quartic, node).transform for x in row])[0]
+        transform = node_transform(normalize_at_node(quartic, node).node)[1]
+        flat = integral_row([x for row in transform for x in row])[0]
         out.append((quartic, [flat[i:i + 3] for i in (0, 3, 6)]))
     return out
 

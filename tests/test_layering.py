@@ -11,7 +11,8 @@ remainders modulo f2: it imports none of `sylvester_resultant`,
 `det_rational`, `solve_linear`, `sylvester_matrix` and the elimination
 `_bareiss`, since its one integer Koszul solve both decides admissibility
 and gives (phi, psi).  And `nodal` reads the node's integers by
-`forms.projective_ints`, without `normalize_projective` and its Fractions.  `forms` has
+`forms.projective_ints`, without `normalize_projective` and its Fractions, and
+carries them as they are, with no `integral_row` round trip.  `forms` has
 one parser: it defines one parser class, and only `_parse` constructs it,
 for `parse_form`.  And the incidence tests of `poncelet`, `is_jumping_line`
 and `singular_jump_criterion`, pull the line back in integers through the
@@ -135,19 +136,27 @@ def test_forms_defines_each_shared_form_operation_once():
         assert defined.count(name) == 1, name
 
 
+def imported_names(tree: ast.Module) -> set[str]:
+    return {alias.name for n in ast.walk(tree)
+            if isinstance(n, (ast.Import, ast.ImportFrom)) for alias in n.names}
+
+
 def test_nodal_imports_no_second_elimination():
-    imported = {alias.name for n in ast.walk(module_tree("nodal"))
-                if isinstance(n, (ast.Import, ast.ImportFrom)) for alias in n.names}
+    imported = imported_names(module_tree("nodal"))
     assert not imported & {"sylvester_resultant", "det_rational", "solve_linear",
                            "sylvester_matrix", "_bareiss"}, imported
 
 
 def test_nodal_reads_the_node_without_normalize_projective():
     tree = module_tree("nodal")
-    imported = {alias.name for n in ast.walk(tree)
-                if isinstance(n, (ast.Import, ast.ImportFrom)) for alias in n.names}
-    assert "normalize_projective" not in imported, imported
+    assert "normalize_projective" not in imported_names(tree)
     assert not calls_to(tree, "normalize_projective")
+
+
+def test_nodal_carries_the_node_as_its_integers():
+    tree = module_tree("nodal")
+    assert "integral_row" not in imported_names(tree)
+    assert not calls_to(tree, "integral_row")
 
 
 def calls_to(node: ast.AST, name: str) -> list[ast.Call]:
@@ -186,8 +195,7 @@ def test_one_gcd_decides_base_points_and_no_incidence_test_builds_q_squared():
 
 
 def test_linalg_imports_no_term_map_sum_or_scaling():
-    imported = {alias.name for n in ast.walk(module_tree("linalg"))
-                if isinstance(n, (ast.Import, ast.ImportFrom)) for alias in n.names}
+    imported = imported_names(module_tree("linalg"))
     assert not imported & {"add_terms", "scale_terms"}, imported
 
 

@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 from luroth import linalg, nodal
-from luroth.forms import (BinaryForm, PreconditionError, TernaryForm, integral_coeffs, integral_row,
-                         mul_coeffs, parse_form, projective_ints, substitute_terms)
+from luroth.forms import (BinaryForm, PreconditionError, TernaryForm, integral_coeffs, mul_coeffs,
+                         parse_form, projective_ints, substitute_terms)
 from luroth.linalg import conic_det3, det_rational, invert, sylvester_resultant
 from luroth.nodal import (
     NodeError,
@@ -30,7 +30,7 @@ from luroth.nodal import (
 from luroth.poncelet import DUAL_VARS, family_matrix
 from luroth.verify import printed_93
 from oracles import (_ternary, bareiss_koszul, fraction_classify, fraction_tangent_map,
-                     horner_substitute, power, zero_form)
+                     horner_substitute, node_transform, power, zero_form)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
@@ -208,20 +208,22 @@ def test_normalize_quartic_a():
 
 def test_normalize_identity_transform():
     dec = normalize_at_node(QUARTIC_B, (0, 0, 1))
-    assert dec.transform == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert dec.node == (0, 0, 1) and all(type(x) is int for x in dec.node)
+    assert node_transform(dec.node)[1] == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert dec.f2 == parse_form("u^2+v^2", PAIR_UV)
     assert dec.f3 == parse_form("u^3+v^3", PAIR_UV)
     assert dec.f4 == parse_form("-u*v*(u^2+v^2)", PAIR_UV)
 
 
 def test_decomposition_transform_is_immutable():
-    analysis = classify(QUARTIC_A, (1, 0, 0))
-    transform = analysis.decomposition.transform
-    assert type(transform) is tuple and all(type(row) is tuple for row in transform)
+    analysis = classify(QUARTIC_A, (Fraction(-3, 2), 0, 0))
+    node = analysis.decomposition.node
+    assert type(node) is tuple and all(type(x) is int for x in node)
+    assert node == tuple(projective_ints((Fraction(-3, 2), 0, 0))) == (1, 0, 0)
     with pytest.raises(TypeError):
-        transform[0][0] = 7
-    with pytest.raises(TypeError):
-        transform[0] = (7, 0, 0)
+        node[0] = 7
+    with pytest.raises(AttributeError):
+        analysis.decomposition.node = (7, 0, 0)
     assert hash(analysis) == hash(classify(QUARTIC_A, (1, 0, 0)))
 
 
@@ -258,14 +260,15 @@ def test_reassembly_under_translation():
         node = tuple(row[0] for row in inv)  # T * node = (1, 0, 0)
         assert moved.evaluate(node) == 0
         dec = normalize_at_node(moved, node)
+        assert dec.node == node_transform(node)[0] == tuple(projective_ints(node))
         # reassembly invariant: t^2*f2 + t*f3 + f4 equals F composed with the
-        # normalizing transform, slot for slot
+        # coordinate change the node fixes, slot for slot
         terms = {}
         for power, f in ((2, dec.f2), (1, dec.f3), (0, dec.f4)):
             for (a, b), coef in f.terms.items():
                 terms[(a, b, power)] = coef
         expected = TernaryForm.from_terms(4, moved.variables, terms)
-        assert moved.substitute_linear(dec.transform) == expected
+        assert moved.substitute_linear(node_transform(dec.node)[1]) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -522,10 +525,9 @@ def test_classify_moves_the_node_once(monkeypatch):
     node move is one binomial kernel `_pieces`, the Koszul solve one remainder
     kernel `_solve`, in the one `verify_node` per `classify`, and a second `classify`
     on the same quartic object moves the node again: nothing is memoized.
-    No quartic is hashed, and `tangent_map` reads the numerators of the
-    decomposition's forms, the conic data's and the direction's: its one
-    `integral_row` is the node's column."""
-    calls = {"_pieces": 0, "verify_node": 0, "_solve": 0, "integral_row": 0}
+    No quartic is hashed, and `tangent_map` reads the node's integers and the
+    numerators of the decomposition's forms, the conic data's and the direction's."""
+    calls = {"_pieces": 0, "verify_node": 0, "_solve": 0}
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -542,16 +544,13 @@ def test_classify_moves_the_node_once(monkeypatch):
     monkeypatch.setattr(TernaryForm, "__hash__", unhashable)
     analysis = classify(quartic, (1, -1, 1))
     # one Koszul solve decides admissibility and gives (phi, psi)
-    assert {k: calls[k] for k in ("_pieces", "verify_node", "_solve")} == {
-        "_pieces": 1, "verify_node": 1, "_solve": 1}
+    assert calls == {"_pieces": 1, "verify_node": 1, "_solve": 1}
     assert analysis.report.all_ok()
     assert classify(quartic, (1, -1, 1)) == analysis
-    assert {k: calls[k] for k in ("_pieces", "verify_node", "_solve")} == {
-        "_pieces": 2, "verify_node": 2, "_solve": 2}
+    assert calls == {"_pieces": 2, "verify_node": 2, "_solve": 2}
     # the direction moves once; xi by Cramer's rule, one Koszul solve
-    calls["integral_row"] = 0
     tangent_map(analysis.decomposition, analysis.conic_data, TWO_CONICS_2)
-    assert calls == {"_pieces": 3, "verify_node": 2, "_solve": 3, "integral_row": 1}
+    assert calls == {"_pieces": 3, "verify_node": 2, "_solve": 3}
 
 
 def test_interleaved_classify_matches_fresh_calls():
@@ -577,8 +576,8 @@ def test_decomposition_pieces_are_tuples():
     assert again == report and again._dec == dec and again._dec is not dec
     assert type(report) is NodeReport and report.all_ok()
     assert type(dec) is nodal.NodeDecomposition and type(dec.pair) is tuple
-    transform = dec.transform
-    assert type(transform) is tuple and all(type(row) is tuple for row in transform)
+    assert dec.node == tuple(projective_ints((1, 1, 1))) == (1, 1, 1)
+    assert type(dec.node) is tuple and all(type(x) is int for x in dec.node)
     assert all(isinstance(f, BinaryForm) for f in (dec.f2, dec.f3, dec.f4))
     assert dec.t_var == "u"
     assert type(dec.split) is tuple and len(dec.split) == 2
@@ -832,7 +831,8 @@ def view_cases():
 
 def test_integer_views_match_the_public_fields():
     """The integers `tangent_map` reads off the public fields: the node's
-    column over lam and the forms' numerators, each set over one
+    integers over lam, their first nonzero entry, as the Fraction oracle
+    derives them, and the forms' numerators, each set over one
     denominator, are in lowest terms, and the split is the conic data's
     (phi, psi); clones give the same tangent map; and `verify_node` and
     `normalize_at_node`, each alone, give what `classify` holds."""
@@ -840,14 +840,14 @@ def test_integer_views_match_the_public_fields():
         analysis = fresh_classify(quartic, node)
         dec, data = analysis.decomposition, analysis.conic_data
         expected = tangent_map(dec, data, direction)
-        column, lam = integral_row([row[2] for row in dec.transform])
+        lam = next(x for x in dec.node if x)
         split = integral_coeffs(*dec.split)
-        for nums, den in ((column, lam), integral_coeffs(dec.f2, dec.f3, dec.f4), split,
+        for nums, den in ((dec.node, lam), integral_coeffs(dec.f2, dec.f3, dec.f4), split,
                           *((f.nums, f.den) for f in (dec.f2, dec.f3, dec.f4, *dec.split))):
             assert all(type(x) is int for x in (*nums, den))
             assert den > 0 and gcd(*nums, den) == 1
         assert split == integral_coeffs(data.phi, data.psi)
-        assert column[next(i for i, x in enumerate(column) if x)] == lam
+        assert type(dec.node) is tuple and dec.node == node_transform(node)[0]
         for clone in (copy.copy(dec), copy.deepcopy(dec), pickle.loads(pickle.dumps(dec))):
             for data_clone in (copy.copy(data), pickle.loads(pickle.dumps(data))):
                 assert tangent_map(clone, data_clone, direction) == expected

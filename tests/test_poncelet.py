@@ -852,6 +852,25 @@ def rational_singular_jump(conic, pencil, line):
     return full_rank <= base_rank + 1
 
 
+@pytest.mark.parametrize("line", [(1, 2), (1, 2, -1, 0), ()])
+def test_incidence_tests_name_the_line_arity(line):
+    """A line of other than three entries gets the arity error that
+    `chord_dual` and `verify_node` give their points, not an unpacking error."""
+    conic = standard_conic()
+    pencil = PonceletPencil(parse_form("s0^4", PARAM_VARS), parse_form("s1^4", PARAM_VARS))
+    for test in (is_jumping_line, singular_jump_criterion):
+        with pytest.raises(ValueError, match="^a line of the plane has three coordinates$") as err:
+            test(conic, pencil, line)
+        assert not isinstance(err.value, PreconditionError)
+
+
+def test_jumping_chords_name_the_parameter_arity():
+    pencil = PonceletPencil(parse_form("s0^3", PARAM_VARS), parse_form("s1^3", PARAM_VARS))
+    for params in ([(1, 0, 7), (0, 1)], [(1, 1), (2,)], [(1, 2, 3)]):
+        with pytest.raises(ValueError, match="^a parameter of the conic has two coordinates$"):
+            jumping_chords(pencil, params)
+
+
 def test_singular_jump_matches_rational_rank_oracle():
     rng = random.Random(43)
     verdicts = set()
