@@ -4,10 +4,10 @@ Two concrete containers are provided: :class:`BinaryForm` (homogeneous in an
 ordered pair of variables, dense) and :class:`TernaryForm` (homogeneous in an
 ordered triple, sparse).  A form holds integer numerators `nums` over one
 positive denominator `den`, gcd(content, den) = 1, reduced by one gcd when it
-is built: canonical, so ==, hash and pickle compare integers.  `terms`
-(exponent -> nonzero Fraction) and the binary `coeffs` are views built when
-read; a form keeps only its integers.  `_Form` holds what both classes
-share, and each class the dense or sparse kernels of its own representation.
+is built: canonical, so ==, hash and pickle compare integers, and text, JSON
+and values are computed from them.  `terms` (exponent -> nonzero Fraction) and
+the binary `coeffs` are views for readers, built when read.  `_Form` holds what
+both classes share, and each class the kernels of its own representation.
 Every operation is exact, and all values are immutable: every value class of
 the package derives from `Frozen`.
 
@@ -219,6 +219,17 @@ def _split(m: tuple[tuple[int, ...], ...]) -> tuple:
     return min(splits, key=itemgetter(0))
 
 
+@lru_cache(maxsize=64)
+def _relabel(m: tuple[tuple[int, ...], ...]) -> tuple | None:
+    """The scales and placement of m if it is a relabelling times a diagonal,
+    else None; PreconditionError on a singular m.  Cached per matrix, as `_split`."""
+    if not adjugate3(m)[0]:
+        raise PreconditionError("coordinate change matrix is singular")
+    if sum(map(bool, [*m[0], *m[1], *m[2]])) == 3:
+        p = [0 if row[0] else 1 if row[1] else 2 for row in m]
+        return tuple(row[j] for row, j in zip(m, p)), itemgetter(*map(p.index, range(3)))
+
+
 def substitute_terms(terms: Mapping[Exp, int], degree: int,
                      m: Sequence[Sequence[int]]) -> dict:
     """Integer terms of a ternary form F after x_i := sum_j m[i][j]*x_j;
@@ -230,16 +241,13 @@ def substitute_terms(terms: Mapping[Exp, int], degree: int,
     of fixed x_r exponent at (x_s, x_t) = (X, 1), times pre^(degree-j), take
     a Taylor shift by b*X + c (von zur Gathen & Gerhard, ISSAC 1997), then
     times a^j; the last, over the product of the pre, to the degree."""
-    if not adjugate3(m)[0]:
-        raise PreconditionError("coordinate change matrix is singular")
-    n = degree
-    if sum(map(bool, [*m[0], *m[1], *m[2]])) == 3:  # a relabelling times a diagonal
-        p = [0 if row[0] else 1 if row[1] else 2 for row in m]
-        (a, b, c), place = (row[j] for row, j in zip(m, p)), itemgetter(*map(p.index, range(3)))
+    n, key = degree, tuple(map(tuple, m))
+    if relabel := _relabel(key):  # a relabelling times a diagonal
+        (a, b, c), place = relabel
         if (a, b, c) != (1, 1, 1):
             terms = {e: x * a ** e[0] * b ** e[1] * c ** e[2] for e, x in terms.items()}
         return {place(e): x for e, x in terms.items() if x}
-    norm, place, factors = (_split(tuple(map(tuple, m))) if n > PACKED_MAX_DEGREE else
+    norm, place, factors = (_split(key) if n > PACKED_MAX_DEGREE else
                             (max(sum(map(abs, row)) for row in m), tuple, ()))
     k = (sum(map(abs, terms.values())) * norm ** n).bit_length() // 8 + 1
     x, half, zero, w = 8 * k, 1 << 8 * k - 1, bytes(k - 1) + b"\x80", n + 1
@@ -290,8 +298,9 @@ def _bits(terms: Mapping[Exp, object]) -> int:
 _CHUNK = 10 ** 600  # fewer digits than any int-string limit Python accepts (640)
 
 
-def rational_text(c) -> str:
-    """str(c) of a Fraction or int, also past Python's int-string digit limit."""
+def rational_text(c, den: int = 1) -> str:
+    """str(Fraction(c, den)) of ints, den > 0, by one gcd unless den = 1, or str(c)
+    of a Fraction; also past Python's int-string digit limit."""
     def digits(n: int) -> str:
         pieces = []
         while n >= _CHUNK:
@@ -299,9 +308,11 @@ def rational_text(c) -> str:
             pieces.append(f"{r:0600d}")
         return str(n) + "".join(reversed(pieces))
 
-    c = _q(c)
-    den = "" if c.denominator == 1 else "/" + digits(c.denominator)
-    return "-" * (c < 0) + digits(abs(c.numerator)) + den
+    if not isinstance(c, int):
+        c, den = _q(c).as_integer_ratio()
+    elif den != 1:
+        c, den = c // (g := gcd(c, den)), den // g
+    return "-" * (c < 0) + digits(abs(c)) + ("" if den == 1 else "/" + digits(den))
 
 
 # ---------------------------------------------------------------------------
@@ -630,9 +641,9 @@ def _check_exponents(terms: Mapping[Exp, object], arity: int, degree: int):
 
 
 class _Form(Frozen):
-    """What both classes share, written once: construction, evaluation, the
-    Fraction view `terms`, text and JSON.  Each class keeps its own kernels on
-    its representation: `_integral`, `_lowest`, +, *."""
+    """What both classes share, written once: construction, evaluation, text
+    and JSON on the integers, and the Fraction view `terms`.  Each class keeps
+    its own kernels: `_integral`, `_lowest`, `_descending`, `_value`, +, *."""
 
     def __init__(self, degree: int, variables: tuple[str, ...], *rep):
         """(degree, variables, den, nums), the fields, put in lowest terms by one
@@ -649,10 +660,10 @@ class _Form(Frozen):
     def terms(self) -> Mapping[Exp, Fraction]:
         """The read-only map exponent -> nonzero Fraction, built when read."""
         den = self.den
-        return MappingProxyType({e: Fraction(c, den) for e, c in self._int_terms.items()})
+        return MappingProxyType({e: Fraction(c, den) for e, c in self._descending()})
 
     def is_zero(self) -> bool:
-        return not self._int_terms
+        return not any(self.nums)  # a ternary exponent, a key of nums, is never false
 
     def _check_vars(self, other: "_Form"):
         if self.variables != other.variables:
@@ -670,25 +681,18 @@ class _Form(Frozen):
         return self.scale(-1)
 
     def evaluate(self, point: Sequence) -> Fraction:
-        """The value at a point, on the numerators: the point times d is
-        integral, so one division by den*d^degree ends it."""
+        """The value at a point: `_value` at p = d*point, integral, over den*d^degree."""
         self._check_point(point)
         p, d = integral_row(point)
-        powers = [list(accumulate(repeat(x, self.degree), mul, initial=1)) for x in p]
-        total = 0
-        for exp, c in self._int_terms.items():
-            for row, k in zip(powers, exp):
-                c *= row[k]
-            total += c
-        return Fraction(total, self.den * d ** self.degree)
+        return Fraction(self._value(p), self.den * d ** self.degree)
 
     def __str__(self) -> str:
         """Canonical text: graded-lex term order, reduced fractions, signs absorbed."""
-        pieces = []
-        for e, c in sorted(self.terms.items(), reverse=True):
+        pieces, den = [], self.den
+        for e, c in self._descending():
             factors = [v if k == 1 else f"{v}^{k}" for v, k in zip(self.variables, e) if k]
-            if abs(c) != 1 or not factors:
-                factors.insert(0, rational_text(abs(c)))
+            if (c != den and c != -den) or not factors:
+                factors.insert(0, rational_text(abs(c), den))
             pieces.append(("- " if c < 0 else "+ ") + "*".join(factors))
         text = " ".join(pieces) or "+ 0"
         return text[2:] if text[0] == "+" else "-" + text[2:]
@@ -696,8 +700,8 @@ class _Form(Frozen):
     def to_json(self) -> dict:
         """The JSON report of a form, terms in descending exponent order."""
         return {"vars": list(self.variables), "degree": self.degree,
-                "terms": [{"coef": rational_text(c), "exp": list(e)}
-                          for e, c in sorted(self.terms.items(), reverse=True)]}
+                "terms": [{"coef": rational_text(c, self.den), "exp": list(e)}
+                          for e, c in self._descending()]}
 
 
 class BinaryForm(_Form):
@@ -733,9 +737,15 @@ class BinaryForm(_Form):
         cs = list(coeffs)
         return cls(len(cs) - 1, variables, cs)
 
-    @property
-    def _int_terms(self) -> dict[Exp, int]:
-        return {(self.degree - j, j): c for j, c in enumerate(self.nums) if c}
+    def _descending(self) -> list[tuple[Exp, int]]:
+        return [((self.degree - j, j), c) for j, c in enumerate(self.nums) if c]
+
+    def _value(self, p: Sequence[int]) -> int:
+        """The numerators at an integer point, by homogeneous Horner in x1."""
+        (x0, x1), total, power = p, 0, 1
+        for c in reversed(self.nums):
+            total, power = total * x1 + c * power, power * x0
+        return total
 
     def __add__(self, other: "BinaryForm") -> "BinaryForm":
         self._check_vars(other)
@@ -873,7 +883,12 @@ class TernaryForm(_Form):
                    terms: Mapping[Exp, Fraction]) -> "TernaryForm":
         return cls(degree, variables, terms)
 
-    _int_terms = property(attrgetter("nums"))
+    def _descending(self) -> list[tuple[Exp, int]]:
+        return sorted(self.nums.items(), reverse=True)
+
+    def _value(self, p: Sequence[int]) -> int:
+        a, b, c = (list(accumulate(repeat(x, self.degree), mul, initial=1)) for x in p)
+        return sum([x * a[i] * b[j] * c[k] for (i, j, k), x in self.nums.items()])
 
     @classmethod
     def constant(cls, value, variables: tuple[str, str, str]) -> "TernaryForm":

@@ -26,9 +26,13 @@
   (`shear_substitute`): the two oracles of both packed paths of
   `substitute_terms`; Horner, on Fractions throughout, is also the oracle of
   the integer core of `TernaryForm.substitute_linear`.
-- Evaluation term by term on Fractions, the oracle of the integer powers
-  table of the shared `evaluate`, and the dense binary derivative, an oracle
-  of the term-by-term `partial` below.
+- Evaluation term by term on Fractions, the oracle of the integer `evaluate`
+  (the binary Horner and the ternary powers table), and the dense binary
+  derivative, an oracle of the term-by-term `partial` below.
+- The text and JSON writers that `str` and `to_json` ran before they wrote
+  each term from its integer numerator: sorted `Fraction` terms, each
+  printed by `str` with the int-string digit limit lifted (`fraction_text`,
+  `fraction_json`).
 - The bitmask determinant, row by row over column subsets with inversion
   counts: the oracle of the memoized Laplace expansion of
   `PolyMatrix.determinant`.  And the directional derivative as two scaled
@@ -538,6 +542,30 @@ def fraction_evaluate(f, point) -> Fraction:
             c *= x ** k
         total += c
     return total
+
+
+def _fraction_str(c) -> str:
+    with int_str_limit(0):
+        return str(c)
+
+
+def fraction_text(f) -> str:
+    """Canonical text of a form from its sorted Fraction terms."""
+    pieces = []
+    for e, c in sorted(f.terms.items(), reverse=True):
+        factors = [v if k == 1 else f"{v}^{k}" for v, k in zip(f.variables, e) if k]
+        if abs(c) != 1 or not factors:
+            factors.insert(0, _fraction_str(abs(c)))
+        pieces.append(("- " if c < 0 else "+ ") + "*".join(factors))
+    text = " ".join(pieces) or "+ 0"
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+def fraction_json(f) -> dict:
+    """The JSON report of a form from its sorted Fraction terms."""
+    return {"vars": list(f.variables), "degree": f.degree,
+            "terms": [{"coef": _fraction_str(c), "exp": list(e)}
+                      for e, c in sorted(f.terms.items(), reverse=True)]}
 
 
 def dense_partial(f, var):

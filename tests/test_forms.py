@@ -34,8 +34,8 @@ from luroth.forms import (
 from luroth.linalg import det_rational, invert, sylvester_resultant
 from luroth import forms
 from luroth.poncelet import make_conic, standard_conic
-from oracles import (conic_image, dense_partial, form_gcd, fraction_evaluate,
-                     fraction_substitute_linear, from_terms, horner_substitute, int_str_limit,
+from oracles import (conic_image, dense_partial, form_gcd, fraction_evaluate, fraction_json,
+                     fraction_substitute_linear, fraction_text, from_terms, horner_substitute, int_str_limit,
                      node_transform, partial, partial_directional, parse_terms, power,
                      shear_substitute, zero_form)
 
@@ -283,19 +283,51 @@ def rand_point(rng, n):
 
 
 def test_evaluate_matches_fraction_oracle():
+    """Binary and ternary forms of degree 0 to 8, dense binary numerators with
+    zero entries among them, at integer and Fraction points; a point of the
+    wrong arity is a ValueError."""
     rng = random.Random(1212)
     for degree in range(9):
-        forms = [zero_form(BinaryForm, degree, PAIR), zero_form(TernaryForm, degree, TRIPLE)]
+        forms = [zero_form(BinaryForm, degree, PAIR), zero_form(TernaryForm, degree, TRIPLE),
+                 BinaryForm(degree, PAIR, 3, [(j % 2) * (j - 4) for j in range(degree + 1)])]
         for _ in range(6):
             forms += [BinaryForm.from_coeffs(PAIR, [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
                                                     for _ in range(degree + 1)]),
                       rand_ternary(rng, degree).scale(Fraction(1, rng.randint(1, 7)))]
         for f in forms:
-            for _ in range(4):
-                point = rand_point(rng, len(f.variables))
+            arity = len(f.variables)
+            points = [rand_point(rng, arity) for _ in range(4)]
+            points += [[rng.randint(-9, 9) for _ in range(arity)] for _ in range(2)]
+            for point in points:
                 value = f.evaluate(point)
                 assert type(value) is Fraction
                 assert value == fraction_evaluate(f, point), (str(f), point)
+            for point in ([1] * (arity - 1), [1] * (arity + 1)):
+                with pytest.raises(ValueError, match="coordinates"):
+                    f.evaluate(point)
+
+
+def test_text_json_and_values_build_no_fraction_view(monkeypatch):
+    """`str` and `to_json` write each term from its integer numerator, and
+    `evaluate` at an integer point builds one Fraction: its value."""
+    forms = [parse_form("3/4*v^3 - 1/3*v*w^2 + 5*w^3", PAIR),
+             parse_form("-1/3*u^2 + 2/9*u*v - v*w + 4/3*w^2", TRIPLE),
+             parse_form("v^2 - 7*w^2", PAIR), parse_form("u*w - 2*v^2", TRIPLE)]
+    new, calls = Fraction.__new__, []
+
+    def counting_new(cls, *args, **kwargs):
+        calls.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    for f in forms:
+        point = (3, -2, 5)[:len(f.variables)]
+        del calls[:]
+        text, report = str(f), f.to_json()
+        assert calls == [], text
+        value = f.evaluate(point)
+        assert len(calls) == 1, text
+        assert value == fraction_evaluate(f, point)
 
 
 @pytest.mark.parametrize("call", [
@@ -469,15 +501,18 @@ def test_substitute_round_trip_random():
 
 
 def test_substitute_singular_rejected(monkeypatch):
-    """A coordinate change tests singularity once, in `substitute_terms`."""
+    """A coordinate change tests singularity once, in `substitute_terms`, and
+    once per matrix: the plan of a nonsingular one is cached."""
     f = parse_form("u^2 - w^2", TRIPLE)
     adjugate3, calls = forms.adjugate3, []
     monkeypatch.setattr(forms, "adjugate3", lambda m: calls.append(m) or adjugate3(m))
+    forms._relabel.cache_clear()
     with pytest.raises(PreconditionError, match="^coordinate change matrix is singular$"):
         f.substitute_linear([[1, 1, 0], [1, 1, 0], [0, 0, Fraction(1, 2)]])
-    assert calls == [[[2, 2, 0], [2, 2, 0], [0, 0, 1]]]
-    assert f.substitute_linear([[1, 2, 0], [0, 1, 1], [1, 0, 1]]) == parse_form(
-        "(u + 2*v)^2 - (u + w)^2", TRIPLE)
+    assert calls == [((2, 2, 0), (2, 2, 0), (0, 0, 1))]
+    for _ in range(2):
+        assert f.substitute_linear([[1, 2, 0], [0, 1, 1], [1, 0, 1]]) == parse_form(
+            "(u + 2*v)^2 - (u + w)^2", TRIPLE)
     assert len(calls) == 2
 
 
@@ -836,6 +871,45 @@ def test_rational_text_matches_str_past_the_digit_limit():
     assert form_from_json(report) == big
     with int_str_limit(0):
         assert report["terms"][0]["coef"] == str(-(10 ** 5000))
+
+
+def test_text_and_json_match_fraction_oracle_hypothesis():
+    """`str` and `to_json`, written from the integer numerators, equal the
+    sorted Fraction-term writers of `oracles`: over den 1 and not, +-1 over a
+    denominator, constants, zero forms of every degree, and coefficients of
+    601 and 5000 digits, past the int-string digit limit."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    big = st.builds(lambda digits, low, sign: sign * (10 ** (digits - 1) + low),
+                    st.sampled_from([601, 5000]), st.integers(0, 10 ** 9), st.sampled_from([-1, 1]))
+    number = st.one_of(st.integers(-9, 9), st.sampled_from([-1, 1]),
+                       st.integers(-2 ** 80, 2 ** 80), big)
+    size = len(exponents(3, 6))
+    ones = [1] * size
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.sampled_from([2, 3]), st.integers(0, 6),
+                      st.one_of(st.just(1), st.integers(1, 60), big.map(abs)),
+                      st.lists(number, min_size=size, max_size=size))
+    @hypothesis.example(2, 1, 3, [-1, 0, *ones])  # -1/3*v
+    @hypothesis.example(3, 2, 5, [0, 5, 0, -5, *ones])  # +-1 over a denominator
+    @hypothesis.example(2, 0, 7, ones)  # a constant
+    @hypothesis.example(3, 0, 1, [-4, *ones])
+    @hypothesis.example(2, 0, 5, [0] * size)  # zero forms
+    @hypothesis.example(2, 4, 1, [0] * size)
+    @hypothesis.example(3, 3, 2, [0] * size)
+    @hypothesis.example(3, 2, 7, [10 ** 600 + 1, -(10 ** 600 + 3), 1, 0, 7, *ones])
+    @hypothesis.example(2, 2, 10 ** 600 + 9, [-(10 ** 4999 + 7), 3, 10 ** 600 + 9, *ones])
+    def check(arity, degree, den, coeffs):
+        if arity == 2:
+            f = BinaryForm(degree, PAIR, den, coeffs[:degree + 1])
+        else:
+            exps = exponents(3, degree)
+            f = TernaryForm(degree, TRIPLE, den, {e: c for e, c in zip(exps, coeffs) if c})
+        assert str(f) == fraction_text(f)
+        assert f.to_json() == fraction_json(f)
+
+    check()
 
 
 # ---------------------------------------------------------------------------
